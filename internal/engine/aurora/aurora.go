@@ -10,8 +10,6 @@ package aurora
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,7 +21,6 @@ import (
 	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
 	"github.com/disagglab/disagg/internal/storagenode"
-	"github.com/disagglab/disagg/internal/txn"
 	"github.com/disagglab/disagg/internal/wal"
 )
 
@@ -34,8 +31,8 @@ type Engine struct {
 	layout heap.Layout
 	Volume *storagenode.Volume
 	log    *wal.Log
-	locks  *txn.LockTable
 	stats  engine.Stats
+	pipe   *engine.Pipeline
 
 	pool    *buffer.Pool // writer-node cache
 	readers []*buffer.Pool
@@ -48,19 +45,12 @@ type Engine struct {
 	dir   *coherence.Directory
 	poolH *coherence.Handle
 
-	// gc, when non-nil, combines concurrent commit appends into shared
-	// quorum flushes (engine.GroupCommitter).
-	gc *sim.Batcher[[]wal.Record, wal.LSN]
-
 	// ckpt runs the log-lifecycle rounds: materialize the durable prefix
 	// on the storage replicas, publish the horizon, truncate the writer's
 	// log below it.
 	ckpt *checkpoint.Coordinator
 
-	mu         sync.Mutex
-	durableLSN wal.LSN
-	nextTx     atomic.Uint64
-	crashed    atomic.Bool
+	crashed atomic.Bool
 }
 
 // New creates the engine with the canonical volume, a writer cache of
@@ -72,11 +62,10 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, readers int) *Engine {
 		layout: layout,
 		Volume: storagenode.NewAuroraVolume(cfg, layout),
 		log:    wal.NewLog(),
-		locks:  txn.NewLockTable(),
 	}
-	e.pool = buffer.NewPool(cfg, poolPages, e.fetcherAt(func() wal.LSN { return e.DurableLSN() }), nil)
+	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, nil)
 	for i := 0; i < readers; i++ {
-		e.readers = append(e.readers, buffer.NewPool(cfg, poolPages, e.fetcherAt(e.DurableLSN), nil))
+		e.readers = append(e.readers, buffer.NewPool(cfg, poolPages, e.fetchPage, nil))
 	}
 	e.dir = coherence.NewDirectory(cfg, "aurora.coherence", coherence.ModeInvalidate)
 	e.dir.OnInvalidate = func(n int) { e.stats.Invalidations.Add(int64(n)) }
@@ -88,7 +77,16 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, readers int) *Engine {
 		rp.SetCoherence(e.dir.Register(fmt.Sprintf("reader%d", i), rp), stampOf)
 	}
 	e.ckpt = checkpoint.New(cfg, "ckpt.aurora")
+	e.pipe = engine.NewPipeline(layout, e.log, &e.stats, e.hooks())
 	return e
+}
+
+// hooks is the engine's row of the commit-pipeline table: the log becomes
+// durable on the write quorum, only the writer's cached copies need
+// applying (storage materialises from the log), and the directory fans
+// invalidations to every other registered cache.
+func (e *Engine) hooks() engine.Hooks {
+	return engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir, Exclude: e.poolH}
 }
 
 // Peer creates an additional compute node attached to root's shared
@@ -108,14 +106,14 @@ func Peer(root *Engine, peerID, poolPages int) *Engine {
 		layout: root.layout,
 		Volume: root.Volume,
 		log:    root.log,
-		locks:  txn.NewLockTable(),
 		dir:    root.dir,
 		ckpt:   root.ckpt, // one horizon per shared log
 	}
-	e.pool = buffer.NewPool(e.cfg, poolPages, e.fetcherAt(func() wal.LSN { return e.DurableLSN() }), nil)
+	e.pool = buffer.NewPool(e.cfg, poolPages, e.fetchPage, nil)
 	e.poolH = e.dir.Register(fmt.Sprintf("peer%d", peerID), e.pool)
 	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
-	e.nextTx.Store(uint64(peerID) << 40)
+	e.pipe = engine.NewPipeline(e.layout, e.log, &e.stats, e.hooks())
+	e.pipe.StripeTxIDs(peerID)
 	// A fresh node knows nothing durable yet; Recover (the fleet's warm-up
 	// step) learns the volume's high LSN. Until then reads float at LSN 0,
 	// which is safe (floors only rise) but cold.
@@ -133,19 +131,9 @@ func (e *Engine) Name() string { return "aurora" }
 func (e *Engine) Stats() *engine.Stats { return &e.stats }
 
 // EnableGroupCommit implements engine.GroupCommitter: commit-path volume
-// appends ride a shared flush of up to maxItems transactions or the
-// virtual window, whichever triggers first.
+// appends ride a shared quorum flush.
 func (e *Engine) EnableGroupCommit(maxItems int, window time.Duration) {
-	// Coherence publications piggyback on the same cadence: one durable
-	// group flush = one invalidation round for the whole group.
-	e.dir.EnableBatching(maxItems, window)
-	if maxItems <= 1 {
-		e.gc = nil
-		return
-	}
-	e.gc = sim.NewBatcher(e.cfg, "aurora.groupcommit",
-		sim.BatchPolicy{MaxItems: maxItems, Window: window, OnFlush: e.noteFlush},
-		e.flushGroup)
+	e.pipe.EnableGroupCommit(e.cfg, "aurora.groupcommit", maxItems, window)
 }
 
 // Coherence exposes the engine's page-coherence directory (experiments
@@ -155,207 +143,63 @@ func (e *Engine) Coherence() *coherence.Directory { return e.dir }
 // SetCoherenceMode switches invalidation fan-out vs lazy version bumps.
 func (e *Engine) SetCoherenceMode(m coherence.Mode) { e.dir.SetMode(m) }
 
-func (e *Engine) noteFlush(n int, reason sim.FlushReason) {
-	e.stats.GroupFlushes.Add(1)
-	if reason == sim.FlushSize {
-		e.stats.FlushOnSize.Add(1)
-	} else {
-		e.stats.FlushOnTimeout.Add(1)
+// DurableLSN reports the write-quorum-durable LSN.
+func (e *Engine) DurableLSN() wal.LSN { return e.pipe.DurableLSN() }
+
+// fetchPage is every cache's fetcher: read the page from the volume at or
+// above the durable LSN.
+func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
+	data, err := e.Volume.ReadPage(c, id, e.pipe.DurableLSN())
+	if err != nil {
+		// Injected drops can leave the same log hole on every
+		// replica (no peer can fill it); heal from the writer's
+		// authoritative log and retry once.
+		e.Volume.Heal(sim.NewClock(), e.log)
+		data, err = e.Volume.ReadPage(c, id, e.pipe.DurableLSN())
 	}
+	if err != nil {
+		return nil, err
+	}
+	e.stats.StorageOps.Add(1)
+	e.stats.NetMsgs.Add(1)
+	e.stats.NetBytes.Add(int64(len(data)))
+	return data, nil
 }
 
-// flushGroup ships every rider's records as one quorum append in LSN
-// order; all riders observe the same durable LSN (the group's high-water
-// mark) or the same error.
-func (e *Engine) flushGroup(c *sim.Clock, groups [][]wal.Record, out []wal.LSN) error {
-	var recs []wal.Record
-	for _, g := range groups {
-		recs = append(recs, g...)
+// Execute implements engine.Engine (runs on the writer node). Read-only
+// work needs only the read quorum; a commit with writes needs the write
+// quorum, which Volume.AppendLog checks before shipping anything.
+func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
+	if e.crashed.Load() {
+		return e.pipe.Shed()
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].LSN < recs[j].LSN })
+	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
+}
+
+// durable ships ONLY log records (log-as-the-database) to the volume and
+// returns once the write quorum holds them. The writer fans the records
+// out to every alive replica (6-way under full health); all copies cross
+// the network.
+func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 	if err := e.Volume.AppendLog(c, recs); err != nil {
 		return err
 	}
-	e.stats.NetMsgs.Add(int64(e.Volume.Alive()))
-	high := recs[len(recs)-1].LSN
-	e.mu.Lock()
-	if high > e.durableLSN {
-		e.durableLSN = high
-	}
-	e.mu.Unlock()
-	for i := range out {
-		out[i] = high
-	}
+	fanout := int64(e.Volume.Alive())
+	n := int64(engine.LogBytes(recs))
+	e.stats.NetMsgs.Add(fanout)
+	e.stats.LogBytes.Add(n)
+	e.stats.NetBytes.Add(n * fanout)
 	return nil
 }
 
-// DurableLSN reports the write-quorum-durable LSN.
-func (e *Engine) DurableLSN() wal.LSN {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.durableLSN
-}
-
-// fetcherAt builds a buffer-pool fetcher that reads pages from the volume
-// at the given LSN floor.
-func (e *Engine) fetcherAt(minLSN func() wal.LSN) buffer.Fetcher {
-	return func(c *sim.Clock, id page.ID) ([]byte, error) {
-		data, err := e.Volume.ReadPage(c, id, minLSN())
-		if err != nil {
-			// Injected drops can leave the same log hole on every
-			// replica (no peer can fill it); heal from the writer's
-			// authoritative log and retry once.
-			e.Volume.Heal(sim.NewClock(), e.log)
-			data, err = e.Volume.ReadPage(c, id, minLSN())
-		}
-		if err != nil {
-			return nil, err
-		}
-		e.stats.StorageOps.Add(1)
-		e.stats.NetMsgs.Add(1)
-		e.stats.NetBytes.Add(int64(len(data)))
-		return data, nil
-	}
-}
-
-func (e *Engine) readKey(c *sim.Clock, pool *buffer.Pool) func(key uint64) ([]byte, error) {
-	return func(key uint64) ([]byte, error) {
-		id := e.layout.PageOf(key)
-		// Peek serves a validated hit atomically (the old Contains+Get
-		// pair raced invalidations between the two lock acquisitions, and
-		// miscounted a stale frame as a hit).
-		if data, ok := pool.Peek(c, id); ok {
-			e.stats.CacheHits.Add(1)
-			return e.layout.ReadValue(data, key)
-		}
-		e.stats.CacheMisses.Add(1)
-		data, err := pool.Get(c, id)
-		if err != nil {
-			return nil, err
-		}
-		return e.layout.ReadValue(data, key)
-	}
-}
-
-// Execute implements engine.Engine (runs on the writer node).
-func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	e.stats.Attempts.Add(1)
-	if e.crashed.Load() {
-		e.stats.Shed.Add(1)
-		return engine.ErrUnavailable
-	}
-	txID := e.nextTx.Add(1)
-	st := engine.NewStagedTx(e.readKey(c, e.pool))
-	if err := fn(st); err != nil {
-		e.stats.Aborts.Add(1)
-		return err
-	}
-	keys, writes := st.WriteSet()
-	if len(keys) == 0 {
-		e.stats.Commits.Add(1)
-		return nil
-	}
-	// Read-only work proceeded on the read quorum; committing writes
-	// requires the write quorum.
-	if !e.Volume.WriteAvailable() {
-		e.stats.Aborts.Add(1)
-		return engine.ErrUnavailable
-	}
-	held := 0
-	for _, k := range keys {
-		if err := e.locks.Acquire(c, txID, k, txn.Exclusive, txn.DefaultAcquire); err != nil {
-			for _, h := range keys[:held] {
-				e.locks.Unlock(txID, h, txn.Exclusive)
-			}
-			e.stats.Aborts.Add(1)
-			return engine.ErrConflict
-		}
-		held++
-	}
-	defer func() {
-		for _, k := range keys {
-			e.locks.Unlock(txID, k, txn.Exclusive)
-		}
-	}()
-	// Build and ship ONLY log records (log-as-the-database). The written
-	// pages' new coherence stamps are the per-page max update-record LSN:
-	// that is the page LSN a storage-side materialization carries, so a
-	// refetched page always validates.
-	var recs []wal.Record
-	logBytes := 0
-	var lastLSN wal.LSN
-	pageStamp := make(map[page.ID]uint64)
-	for _, k := range keys {
-		id := e.layout.PageOf(k)
-		rec := wal.Record{Type: wal.TypeUpdate, TxID: txID, PageID: uint64(id), Key: k, After: writes[k]}
-		rec.LSN = e.log.Append(rec)
-		lastLSN = rec.LSN
-		logBytes += rec.EncodedSize()
-		recs = append(recs, rec)
-		if uint64(rec.LSN) > pageStamp[id] {
-			pageStamp[id] = uint64(rec.LSN)
-		}
-	}
-	commit := wal.Record{Type: wal.TypeCommit, TxID: txID}
-	commit.LSN = e.log.Append(commit)
-	lastLSN = commit.LSN
-	logBytes += commit.EncodedSize()
-	recs = append(recs, commit)
-
-	if e.gc != nil {
-		// Ride a shared group flush; the flush updates durableLSN to the
-		// group's high LSN and charges one fan-out message burst for the
-		// whole batch. Per-transaction bytes still cross the fabric.
-		if _, err := e.gc.Submit(c, recs); err != nil {
-			e.stats.Aborts.Add(1)
-			return engine.Unavail(err)
-		}
-		e.stats.GroupCommits.Add(1)
-	} else {
-		if err := e.Volume.AppendLog(c, recs); err != nil {
-			e.stats.Aborts.Add(1)
-			return engine.Unavail(err)
-		}
-		e.stats.NetMsgs.Add(int64(e.Volume.Alive()))
-	}
-	st.StampCommit(uint64(commit.LSN))
-	// The writer fans the records out to every alive replica (6-way
-	// under full health); all copies cross the network.
-	fanout := int64(e.Volume.Alive())
-	e.stats.LogBytes.Add(int64(logBytes))
-	e.stats.NetBytes.Add(int64(logBytes) * fanout)
-
-	e.mu.Lock()
-	if lastLSN > e.durableLSN {
-		e.durableLSN = lastLSN
-	}
-	e.mu.Unlock()
-	// Apply to the writer's cache first (pages materialize lazily in
-	// storage): Mutate re-stamps the frame from the mutated bytes, so the
-	// writer's own copy stays fresh across the publish below. A failed
-	// apply leaves the old stamp in place and the publish automatically
-	// makes the frame stale — replacing the old explicit
-	// Invalidate-on-error call.
-	for _, k := range keys {
-		key := k
-		if e.pool.Contains(e.layout.PageOf(k)) {
-			_ = e.pool.Mutate(c, e.layout.PageOf(k), func(data []byte) error {
-				return e.layout.WriteValue(data, key, writes[key], uint64(lastLSN))
-			})
-		}
-	}
-	// Publish the commit at its durability point: the directory bumps the
-	// written pages' versions and fans invalidation notices (riding the
-	// log stream) to every reader cache holding them. Without this, a
-	// reader frame cached before the commit serves the old version
-	// forever — not replica lag but a permanently stale read, which the
-	// history checker flags as a session-order cycle.
-	stamps := make([]coherence.PageStamp, 0, len(pageStamp))
-	for id, s := range pageStamp {
-		stamps = append(stamps, coherence.PageStamp{ID: id, Stamp: s})
-	}
-	e.dir.Publish(c, stamps, e.poolH)
-	e.stats.Commits.Add(1)
+// apply keeps the writer's own cached copies current; pages materialise
+// lazily in storage. The publish that follows fans invalidation notices
+// (riding the log stream) to every reader cache holding a written page —
+// without it a reader frame cached before the commit serves the old
+// version forever: not replica lag but a permanently stale read, which the
+// history checker flags as a session-order cycle.
+func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
+	e.pipe.ApplyCached(c, e.pool, recs)
 	return nil
 }
 
@@ -364,24 +208,8 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 // reads follow the same accounting invariant as Execute: every attempt
 // lands in exactly one of Commits/Aborts.
 func (e *Engine) ReadReplica(c *sim.Clock, idx int, fn func(tx engine.Tx) error) error {
-	e.stats.Attempts.Add(1)
-	pool := e.readers[idx]
-	st := engine.NewStagedTx(e.readKey(c, pool))
-	if err := fn(st); err != nil {
-		e.stats.Aborts.Add(1)
-		return err
-	}
-	if !st.Empty() {
-		e.stats.Aborts.Add(1)
-		return engine.ErrReadOnly
-	}
-	e.stats.Commits.Add(1)
-	return nil
+	return e.pipe.ReadOnly(e.pipe.PoolReader(c, e.readers[idx]), fn)
 }
-
-// InvalidateReader drops a page from a reader cache (the writer sends
-// cache-invalidation notices alongside the log stream).
-func (e *Engine) InvalidateReader(idx int, id page.ID) { e.readers[idx].Invalidate(id) }
 
 // Crash implements engine.Recoverer: the writer node dies; the volume and
 // its materialized pages survive.
@@ -399,9 +227,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.mu.Lock()
-	e.durableLSN = lsn
-	e.mu.Unlock()
+	e.pipe.AdvanceDurable(lsn)
 	e.crashed.Store(false)
 	return c.Now() - start, nil
 }
@@ -415,7 +241,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // copy, so truncation never strands them.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
 	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: e.DurableLSN,
+		Durable: e.pipe.DurableLSN,
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			shipped := e.Volume.Heal(c, e.log)
 			e.stats.NetMsgs.Add(int64(shipped))

@@ -178,3 +178,10 @@ func TestChaosCrashRecovery(t *testing.T) {
 		return New(sim.DefaultConfig(), enginetest.Layout(t), 64, 1)
 	})
 }
+
+// TestCommitAllocs bounds the host allocations of one cache-resident
+// single-key RMW commit at the value measured before the shared commit
+// pipeline (see enginetest.AllocGuard).
+func TestCommitAllocs(t *testing.T) {
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 1), 22)
+}

@@ -1,0 +1,358 @@
+package engine
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"github.com/disagglab/disagg/internal/buffer"
+	"github.com/disagglab/disagg/internal/buffer/coherence"
+	"github.com/disagglab/disagg/internal/heap"
+	"github.com/disagglab/disagg/internal/page"
+	"github.com/disagglab/disagg/internal/sim"
+	"github.com/disagglab/disagg/internal/txn"
+	"github.com/disagglab/disagg/internal/wal"
+)
+
+// Hooks are the three places the surveyed OLTP architectures differ (the
+// tutorial's Figures 1 and 2): where the log becomes durable, where pages
+// are materialised, and which caches must hear about a commit. An engine
+// builds one Hooks value at construction from its own methods; everything
+// else about committing a transaction is Pipeline.Execute.
+//
+// Both function hooks receive one transaction's records: an update record
+// per written key in ascending key order (LSN, TxID, PageID, Key and After
+// filled in), then the commit record. The commit LSN — the stamp every
+// applied page carries — is the last record's.
+type Hooks struct {
+	// Durable ships recs to wherever this architecture's log becomes
+	// durable and accounts the traffic that took (LogBytes, NetBytes,
+	// NetMsgs including the engine's replication fan-out). A nil return IS
+	// the durability point. Under group commit it is called once per
+	// shared flush with several transactions' records merged in LSN order,
+	// so all accounting must be a function of recs alone.
+	Durable func(c *sim.Clock, recs []wal.Record) error
+	// Apply materialises the now-durable commit wherever this architecture
+	// keeps current pages — buffer pool, cache tiers, shared memory pool,
+	// page stores, value map — and runs whatever the engine does every N
+	// commits. An error leaves the commit durable but unacknowledged.
+	Apply func(c *sim.Clock, recs []wal.Record) error
+	// Dir is the page-coherence directory that must hear about the commit,
+	// and Exclude the writer's own tier (it applied in place and is left
+	// out of the fan-out). An architecture with no page cache has no
+	// directory.
+	Dir     *coherence.Directory
+	Exclude *coherence.Handle
+	// Sequencer, when the architecture needs one, is held from LSN
+	// assignment until Apply returns, so commits become durable and
+	// visible in LSN order. Only an engine whose durable objects are
+	// ordered by commit LSN (snowflake-kv's segment names) has one; page
+	// engines tolerate out-of-order arrival because pages carry LSNs.
+	Sequencer sync.Locker
+}
+
+// Pipeline is the one commit path of the engines that keep a single
+// authoritative wal.Log: monolithic, aurora, socrates, taurus, polardb,
+// pilotdb, legobase, serverless and snowflake-kv. (shared-nothing keeps a
+// log, a lock table and an LSN space per partition and commits across them
+// with 2PC; it does not fit and stays on its own Execute.)
+//
+// The steps, and what each guarantees:
+//
+//  1. Count the attempt. Every attempt ends in exactly one of Commits,
+//     Aborts or Shed, so Attempts == Commits + Aborts + Shed.
+//  2. Run fn against a StagedTx over the engine's read path. An fn error
+//     aborts; an empty write set commits with nothing to log.
+//  3. Lock the write set exclusively in ascending key order (deadlock
+//     free); a refused lock releases the ones held and aborts with
+//     ErrConflict. Locks are released when Execute returns.
+//  4. Append one update record per key and a commit record to the log.
+//  5. Durable hook (or a ride on the shared group flush). Failure aborts
+//     as ErrUnavailable; nothing was stamped, applied or published.
+//  6. Stamp the transaction with its commit LSN and advance the durable
+//     LSN. Stamp-before-ack: from here on the records may survive a crash,
+//     so any failure below is "durable but unacknowledged" — history
+//     classifies it Indeterminate, and it must never look retryable
+//     (Run would execute the transaction a second time).
+//  7. Apply hook.
+//  8. Publish the written pages' new versions to the directory, ascending
+//     by page id, whether or not Apply succeeded: a cached copy that missed
+//     the update keeps its old stamp, the publish makes it stale, and the
+//     next reader refetches from the durable log instead of seeing the
+//     pre-commit image forever. That is why a failed apply needs no
+//     explicit invalidation.
+type Pipeline struct {
+	Hooks
+	layout heap.Layout
+	log    *wal.Log
+	locks  *txn.LockTable
+	stats  *Stats
+
+	nextTx  atomic.Uint64
+	durable atomic.Uint64
+
+	// gc, when non-nil, combines concurrent Durable calls into shared
+	// flushes (EnableGroupCommit).
+	gc *sim.Batcher[[]wal.Record, wal.LSN]
+}
+
+// NewPipeline builds an engine's commit pipeline over its authoritative
+// log and its Stats. The lock table is the pipeline's own: a fleet peer
+// sharing a root's log still locks independently.
+func NewPipeline(layout heap.Layout, log *wal.Log, stats *Stats, h Hooks) *Pipeline {
+	return &Pipeline{Hooks: h, layout: layout, log: log, locks: txn.NewLockTable(), stats: stats}
+}
+
+// StripeTxIDs offsets the transaction-id space for fleet peer peerID, so
+// members appending to one shared log never collide.
+func (p *Pipeline) StripeTxIDs(peerID int) { p.nextTx.Store(uint64(peerID) << 40) }
+
+// DurableLSN reports the highest LSN known durable.
+func (p *Pipeline) DurableLSN() wal.LSN { return wal.LSN(p.durable.Load()) }
+
+// AdvanceDurable raises the durable LSN to lsn (never lowers it): the
+// pipeline calls it at every durability point, Recover with the mark it
+// learned from the durable tier.
+func (p *Pipeline) AdvanceDurable(lsn wal.LSN) {
+	for {
+		cur := p.durable.Load()
+		if uint64(lsn) <= cur || p.durable.CompareAndSwap(cur, uint64(lsn)) {
+			return
+		}
+	}
+}
+
+// Shed refuses an attempt on a crashed compute node without doing work.
+func (p *Pipeline) Shed() error {
+	p.stats.Attempts.Add(1)
+	p.stats.Shed.Add(1)
+	return ErrUnavailable
+}
+
+// finish lands an executed attempt in exactly one outcome counter.
+func (p *Pipeline) finish(err error) error {
+	if err != nil {
+		p.stats.Aborts.Add(1)
+	} else {
+		p.stats.Commits.Add(1)
+	}
+	return err
+}
+
+// Execute runs fn as one read-write transaction whose reads go through
+// read (see the step list on Pipeline).
+func (p *Pipeline) Execute(c *sim.Clock, read func(key uint64) ([]byte, error), fn func(tx Tx) error) error {
+	p.stats.Attempts.Add(1)
+	return p.finish(p.commit(c, NewStagedTx(read), fn))
+}
+
+// ReadOnly runs fn as a read-only transaction on a replica whose reads go
+// through read; staging a write aborts with ErrReadOnly.
+func (p *Pipeline) ReadOnly(read func(key uint64) ([]byte, error), fn func(tx Tx) error) error {
+	p.stats.Attempts.Add(1)
+	st := NewStagedTx(read)
+	err := fn(st)
+	if err == nil && !st.Empty() {
+		err = ErrReadOnly
+	}
+	return p.finish(err)
+}
+
+func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) error {
+	txID := p.nextTx.Add(1)
+	if err := fn(st); err != nil {
+		return err
+	}
+	keys, writes := st.WriteSet()
+	if len(keys) == 0 {
+		return nil
+	}
+	held := 0
+	defer func() {
+		for _, k := range keys[:held] {
+			p.locks.Unlock(txID, k, txn.Exclusive)
+		}
+	}()
+	for _, k := range keys {
+		if p.locks.Acquire(c, txID, k, txn.Exclusive, txn.DefaultAcquire) != nil {
+			return ErrConflict
+		}
+		held++
+	}
+	if p.Sequencer != nil {
+		p.Sequencer.Lock()
+		defer p.Sequencer.Unlock()
+	}
+	recs := make([]wal.Record, len(keys)+1)
+	for i, k := range keys {
+		recs[i] = wal.Record{Type: wal.TypeUpdate, TxID: txID, PageID: uint64(p.layout.PageOf(k)), Key: k, After: writes[k]}
+		recs[i].LSN = p.log.Append(recs[i])
+	}
+	commit := &recs[len(keys)]
+	*commit = wal.Record{Type: wal.TypeCommit, TxID: txID}
+	commit.LSN = p.log.Append(*commit)
+
+	if gc := p.gc; gc != nil {
+		// The flush ships every rider's records, accounts them, and
+		// advances the durable LSN to the group's high-water mark.
+		if _, err := gc.Submit(c, recs); err != nil {
+			return Unavail(err)
+		}
+		p.stats.GroupCommits.Add(1)
+	} else if err := p.Durable(c, recs); err != nil {
+		return Unavail(err)
+	}
+	st.StampCommit(uint64(commit.LSN))
+	p.AdvanceDurable(commit.LSN)
+
+	err := p.Apply(c, recs)
+	if p.Dir != nil {
+		p.Dir.Publish(c, pageStamps(recs), p.Exclude)
+	}
+	if err != nil {
+		// %v, not %w, for the cause: a lock or latch conflict inside Apply
+		// must not satisfy errors.Is(err, ErrConflict) once the records
+		// are durable. Unavail keeps an admission shed recognisable.
+		return fmt.Errorf("%w: commit durable at LSN %d but not applied: %v", Unavail(err), commit.LSN, err)
+	}
+	return nil
+}
+
+// pageStamps derives the publication from one transaction's records: each
+// written page's new version is its highest update-record LSN (the LSN a
+// storage-side materialisation of the page carries, so a refetched page
+// always validates — the commit LSN would permanently stale it). Keys
+// ascend and PageOf is monotone, so pages come out ascending with each
+// page's records adjacent: the same slice on every run, with no map.
+func pageStamps(recs []wal.Record) []coherence.PageStamp {
+	updates := recs[:len(recs)-1]
+	stamps := make([]coherence.PageStamp, 0, len(updates))
+	for i := range updates {
+		id, lsn := page.ID(updates[i].PageID), uint64(updates[i].LSN)
+		if n := len(stamps); n > 0 && stamps[n-1].ID == id {
+			stamps[n-1].Stamp = lsn
+		} else {
+			stamps = append(stamps, coherence.PageStamp{ID: id, Stamp: lsn})
+		}
+	}
+	return stamps
+}
+
+// EnableGroupCommit makes commits ride shared Durable flushes of up to
+// maxItems transactions or the virtual window, whichever triggers first
+// (the body of engine.GroupCommitter); maxItems <= 1 restores the direct
+// per-commit path. Coherence publications piggyback on the same cadence:
+// one durable group flush, one publication round for the whole group.
+func (p *Pipeline) EnableGroupCommit(cfg *sim.Config, site string, maxItems int, window time.Duration) {
+	p.Dir.EnableBatching(maxItems, window)
+	if maxItems <= 1 {
+		p.gc = nil
+		return
+	}
+	p.gc = sim.NewBatcher(cfg, site,
+		sim.BatchPolicy{MaxItems: maxItems, Window: window, OnFlush: p.noteFlush},
+		p.flushGroup)
+}
+
+func (p *Pipeline) noteFlush(n int, reason sim.FlushReason) {
+	p.stats.GroupFlushes.Add(1)
+	if reason == sim.FlushSize {
+		p.stats.FlushOnSize.Add(1)
+	} else {
+		p.stats.FlushOnTimeout.Add(1)
+	}
+}
+
+// flushGroup ships every rider's records through one Durable call in LSN
+// order; all riders wake with the same durable LSN (the group's high-water
+// mark) or the same error.
+func (p *Pipeline) flushGroup(c *sim.Clock, groups [][]wal.Record, out []wal.LSN) error {
+	var recs []wal.Record
+	for _, g := range groups {
+		recs = append(recs, g...)
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].LSN < recs[j].LSN })
+	if err := p.Durable(c, recs); err != nil {
+		return err
+	}
+	high := recs[len(recs)-1].LSN
+	p.AdvanceDurable(high)
+	for i := range out {
+		out[i] = high
+	}
+	return nil
+}
+
+// LogBytes is the wire size of recs, the quantity Durable hooks charge and
+// account.
+func LogBytes(recs []wal.Record) int {
+	n := 0
+	for i := range recs {
+		n += recs[i].EncodedSize()
+	}
+	return n
+}
+
+// Encode is the wire form of recs back to back, for the engines whose
+// durable tier stores bytes rather than records.
+func Encode(recs []wal.Record) []byte {
+	out := make([]byte, 0, LogBytes(recs))
+	for i := range recs {
+		out = recs[i].Encode(out)
+	}
+	return out
+}
+
+// PoolReader is the read path of an engine whose compute cache is one
+// buffer.Pool: a validated hit is served by Peek in one step (a separate
+// Contains+Get pair raced invalidations between its two lock acquisitions
+// and counted a stale frame as a hit); anything else goes through the
+// pool's fetcher.
+func (p *Pipeline) PoolReader(c *sim.Clock, pool *buffer.Pool) func(key uint64) ([]byte, error) {
+	return func(key uint64) ([]byte, error) {
+		id := p.layout.PageOf(key)
+		if data, ok := pool.Peek(c, id); ok {
+			p.stats.CacheHits.Add(1)
+			return p.layout.ReadValue(data, key)
+		}
+		p.stats.CacheMisses.Add(1)
+		data, err := pool.Get(c, id)
+		if err != nil {
+			return nil, err
+		}
+		return p.layout.ReadValue(data, key)
+	}
+}
+
+// ApplyPool writes a commit's updates into pool, faulting absent pages in:
+// the Apply step of an engine whose pool is where pages are materialised
+// before they reach storage.
+func (p *Pipeline) ApplyPool(c *sim.Clock, pool *buffer.Pool, recs []wal.Record) {
+	for i := range recs[:len(recs)-1] {
+		p.mutate(c, pool, &recs[i], recs[len(recs)-1].LSN)
+	}
+}
+
+// ApplyCached is ApplyPool restricted to pages the pool already holds: the
+// Apply step of an engine whose storage tier materialises pages from the
+// log, where the compute cache only has to keep its own copies current.
+func (p *Pipeline) ApplyCached(c *sim.Clock, pool *buffer.Pool, recs []wal.Record) {
+	for i := range recs[:len(recs)-1] {
+		if pool.Contains(page.ID(recs[i].PageID)) {
+			p.mutate(c, pool, &recs[i], recs[len(recs)-1].LSN)
+		}
+	}
+}
+
+// mutate rewrites r's value in its pool frame and stamps the page with the
+// commit LSN. Mutate re-stamps a frame from its mutated bytes, so an
+// applied frame stays fresh across the publish; a frame whose mutate
+// failed keeps its old stamp and the publish stales it, which is why the
+// error needs no handling here.
+func (p *Pipeline) mutate(c *sim.Clock, pool *buffer.Pool, r *wal.Record, commit wal.LSN) {
+	_ = pool.Mutate(c, page.ID(r.PageID), func(data []byte) error {
+		return p.layout.WriteValue(data, r.Key, r.After, uint64(commit))
+	})
+}

@@ -1,8 +1,11 @@
 // Package engine defines the common contract implemented by every OLTP
 // engine in the repository (monolithic, shared-nothing, Aurora, PolarDB,
-// Socrates, Taurus, PolarDB Serverless, LegoBase, PilotDB) so that
-// workloads, failure drills, and experiments run unchanged across
-// architectures.
+// Socrates, Taurus, PolarDB Serverless, LegoBase, PilotDB, Snowflake-KV) so
+// that workloads, failure drills, and experiments run unchanged across
+// architectures, and the one commit pipeline (commit.go) that nine of the
+// ten share: an engine supplies its read path and three hooks — where the
+// log becomes durable, where pages are materialised, which caches must
+// hear about it.
 package engine
 
 import (
@@ -164,13 +167,13 @@ type Stats struct {
 	// Each attempt lands in exactly one of Commits, Aborts, or Shed —
 	// Attempts == Commits + Aborts + Shed is the accounting invariant the
 	// conformance suite enforces.
-	Attempts    atomic.Int64
-	Commits     atomic.Int64
-	Aborts      atomic.Int64
+	Attempts atomic.Int64
+	Commits  atomic.Int64
+	Aborts   atomic.Int64
 	// Shed counts attempts refused without doing work: engine-side
 	// unavailability (crashed node) and Run-level admission refusals
 	// (open breaker, full shedder, replica routing to a non-Reader).
-	Shed atomic.Int64
+	Shed        atomic.Int64
 	NetBytes    atomic.Int64 // bytes crossing the network fabric
 	NetMsgs     atomic.Int64
 	LogBytes    atomic.Int64 // bytes of log shipped

@@ -21,7 +21,6 @@ import (
 	"github.com/disagglab/disagg/internal/memnode"
 	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
-	"github.com/disagglab/disagg/internal/txn"
 	"github.com/disagglab/disagg/internal/wal"
 )
 
@@ -34,8 +33,8 @@ type Engine struct {
 	MemNode *memnode.Pool
 	ssd     *device.SSD
 	log     *wal.Log
-	locks   *txn.LockTable
 	stats   engine.Stats
+	pipe    *engine.Pipeline
 
 	// dir version-stamps both cache tiers (ModeBump: lazy validation). A
 	// remote copy that missed an update goes stale at the commit publish
@@ -59,9 +58,7 @@ type Engine struct {
 	// remoteCkptLSN / storageCkptLSN are the two checkpoint horizons.
 	remoteCkptLSN  wal.LSN
 	storageCkptLSN wal.LSN
-	durableLSN     wal.LSN
-	commitCount    int
-	nextTx         atomic.Uint64
+	commitCount    atomic.Int64
 	crashed        atomic.Bool
 }
 
@@ -75,7 +72,6 @@ func New(cfg *sim.Config, layout heap.Layout, localPages, remotePages int) *Engi
 		MemNode:                mn,
 		ssd:                    device.NewSSD(cfg, 32),
 		log:                    wal.NewLog(),
-		locks:                  txn.NewLockTable(),
 		disk:                   make(map[page.ID][]byte),
 		CheckpointRemoteEvery:  32,
 		CheckpointStorageEvery: 512,
@@ -91,6 +87,13 @@ func New(cfg *sim.Config, layout heap.Layout, localPages, remotePages int) *Engi
 	e.dir.OnStale = func() { e.stats.StaleHits.Add(1) }
 	e.Tiers.SetCoherence(e.dir, "legobase", func(d []byte) uint64 { return page.Wrap(d).LSN() })
 	e.ckpt = checkpoint.New(cfg, "ckpt.legobase")
+	// Both cache tiers registered with the directory themselves
+	// (Tiers.SetCoherence), so no tier is excluded from a publish: the
+	// local tier's frames are re-stamped by the apply and stay fresh; a
+	// remote-tier copy that predates the commit goes stale and is dropped
+	// on its next validated read.
+	e.pipe = engine.NewPipeline(layout, e.log, &e.stats,
+		engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir})
 	return e
 }
 
@@ -142,102 +145,46 @@ func (e *Engine) readKey(c *sim.Clock) func(key uint64) ([]byte, error) {
 
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	e.stats.Attempts.Add(1)
 	if e.crashed.Load() {
-		e.stats.Shed.Add(1)
-		return engine.ErrUnavailable
+		return e.pipe.Shed()
 	}
-	txID := e.nextTx.Add(1)
-	st := engine.NewStagedTx(e.readKey(c))
-	if err := fn(st); err != nil {
-		e.stats.Aborts.Add(1)
-		return err
-	}
-	keys, writes := st.WriteSet()
-	if len(keys) == 0 {
-		e.stats.Commits.Add(1)
-		return nil
-	}
-	held := 0
-	for _, k := range keys {
-		if err := e.locks.Acquire(c, txID, k, txn.Exclusive, txn.DefaultAcquire); err != nil {
-			for _, h := range keys[:held] {
-				e.locks.Unlock(txID, h, txn.Exclusive)
-			}
-			e.stats.Aborts.Add(1)
-			return engine.ErrConflict
-		}
-		held++
-	}
-	defer func() {
-		for _, k := range keys {
-			e.locks.Unlock(txID, k, txn.Exclusive)
-		}
-	}()
-	logBytes := 0
-	var lastLSN wal.LSN
-	pageStamp := make(map[page.ID]uint64)
-	for _, k := range keys {
-		id := e.layout.PageOf(k)
-		rec := wal.Record{Type: wal.TypeUpdate, TxID: txID, PageID: uint64(id), Key: k, After: writes[k]}
-		rec.LSN = e.log.Append(rec)
-		lastLSN = rec.LSN
-		logBytes += rec.EncodedSize()
-		if uint64(rec.LSN) > pageStamp[id] {
-			pageStamp[id] = uint64(rec.LSN)
-		}
-	}
-	commit := wal.Record{Type: wal.TypeCommit, TxID: txID}
-	commit.LSN = e.log.Append(commit)
-	lastLSN = commit.LSN
-	logBytes += commit.EncodedSize()
-	// Durable log: network round trip + SSD append.
+	return e.pipe.Execute(c, e.readKey(c), fn)
+}
+
+// durable: network round trip to the log + SSD append.
+func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
+	n := engine.LogBytes(recs)
 	op := e.cfg.Begin(c, "tcp.rpc")
-	c.Advance(e.cfg.TCP.Cost(logBytes))
-	op.End(int64(logBytes))
-	e.ssd.Write(c, logBytes)
-	// Durable from here on: a failed tier apply below surfaces an error,
-	// but the stamped commit record already survives a crash.
-	st.StampCommit(uint64(commit.LSN))
-	e.stats.LogBytes.Add(int64(logBytes))
-	e.stats.NetBytes.Add(int64(logBytes))
+	c.Advance(e.cfg.TCP.Cost(n))
+	op.End(int64(n))
+	e.ssd.Write(c, n)
+	e.stats.LogBytes.Add(int64(n))
+	e.stats.NetBytes.Add(int64(n))
 	e.stats.NetMsgs.Add(1)
-	e.mu.Lock()
-	if lastLSN > e.durableLSN {
-		e.durableLSN = lastLSN
-	}
-	e.commitCount++
-	doRemote := e.CheckpointRemoteEvery > 0 && e.commitCount%e.CheckpointRemoteEvery == 0
-	doStorage := e.CheckpointStorageEvery > 0 && e.commitCount%e.CheckpointStorageEvery == 0
-	e.mu.Unlock()
-	for _, k := range keys {
-		key := k
-		if err := e.Tiers.Mutate(c, e.layout.PageOf(k), func(data []byte) error {
-			return e.layout.WriteValue(data, key, writes[key], uint64(lastLSN))
+	return nil
+}
+
+// apply writes the commit through the two-level cache, then runs the two
+// ARIES checkpoint tiers on their commit-count cadence. A failed tier
+// apply (e.g. an injected fault on the remote pull) leaves the commit
+// durable in the log but unapplied to the cache hierarchy.
+func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
+	lsn := uint64(recs[len(recs)-1].LSN)
+	for i := range recs[:len(recs)-1] {
+		r := &recs[i]
+		if err := e.Tiers.Mutate(c, page.ID(r.PageID), func(data []byte) error {
+			return e.layout.WriteValue(data, r.Key, r.After, lsn)
 		}); err != nil {
-			// A failed tier apply (e.g. an injected fault on the remote
-			// pull) leaves the commit durable in the log but unapplied to
-			// the cache hierarchy; surface it as an (unacknowledged)
-			// abort so the attempt lands in exactly one counter.
-			e.stats.Aborts.Add(1)
 			return err
 		}
 	}
-	// Publish the commit stamps: the local tier's frames were re-stamped
-	// by Mutate and stay fresh; any remote-tier copy that predates this
-	// commit goes stale and is dropped on its next validated read.
-	stamps := make([]coherence.PageStamp, 0, len(pageStamp))
-	for id, st := range pageStamp {
-		stamps = append(stamps, coherence.PageStamp{ID: id, Stamp: st})
-	}
-	e.dir.Publish(c, stamps, nil)
-	if doRemote {
+	n := e.commitCount.Add(1)
+	if e.CheckpointRemoteEvery > 0 && n%int64(e.CheckpointRemoteEvery) == 0 {
 		e.CheckpointRemote(c)
 	}
-	if doStorage {
+	if e.CheckpointStorageEvery > 0 && n%int64(e.CheckpointStorageEvery) == 0 {
 		e.CheckpointStorage(c)
 	}
-	e.stats.Commits.Add(1)
 	return nil
 }
 
@@ -249,8 +196,8 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 // remote memory, and Recover's from-horizon replay skipped it. The
 // capture-first ordering plus a log-tail redo closes both holes.
 func (e *Engine) CheckpointRemote(c *sim.Clock) error {
+	target := e.pipe.DurableLSN()
 	e.mu.Lock()
-	target := e.durableLSN
 	from := e.remoteCkptLSN
 	e.mu.Unlock()
 	// Redo the (from, target] tail through the tier hierarchy: Mutate's
@@ -302,11 +249,7 @@ func (e *Engine) CheckpointRemote(c *sim.Clock) error {
 // current contents (whose LRU may have evicted below-horizon pages).
 func (e *Engine) CheckpointStorage(c *sim.Clock) error {
 	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: func() wal.LSN {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return e.durableLSN
-		},
+		Durable: e.pipe.DurableLSN,
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			// Redo the retained tail straight into the disk images — the
 			// disk copy must cover <= h independent of what either cache

@@ -19,7 +19,6 @@ import (
 	"github.com/disagglab/disagg/internal/heap"
 	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
-	"github.com/disagglab/disagg/internal/txn"
 	"github.com/disagglab/disagg/internal/wal"
 )
 
@@ -30,8 +29,8 @@ type Engine struct {
 	ssd    *device.SSD
 	pool   *buffer.Pool
 	log    *wal.Log
-	locks  *txn.LockTable
 	stats  engine.Stats
+	pipe   *engine.Pipeline
 
 	// dir version-stamps the pool's frames at commit publishes; a frame
 	// whose apply failed keeps its old stamp and goes stale, forcing the
@@ -48,11 +47,8 @@ type Engine struct {
 	mu sync.Mutex
 	// disk is the durable page store (post-checkpoint images).
 	disk map[page.ID][]byte
-	// durableLSN is the highest LSN fsynced to the SSD log.
-	durableLSN wal.LSN
 	// checkpointLSN is the LSN covered by on-disk pages.
 	checkpointLSN wal.LSN
-	nextTx        atomic.Uint64
 	crashed       atomic.Bool
 }
 
@@ -63,7 +59,6 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int) *Engine {
 		layout: layout,
 		ssd:    device.NewSSD(cfg, 32),
 		log:    wal.NewLog(),
-		locks:  txn.NewLockTable(),
 		disk:   make(map[page.ID][]byte),
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, e.writebackPage)
@@ -73,6 +68,8 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int) *Engine {
 	e.poolH = e.dir.Register("pool", e.pool)
 	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
 	e.ckpt = checkpoint.New(cfg, "ckpt.monolithic")
+	e.pipe = engine.NewPipeline(layout, e.log, &e.stats,
+		engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir, Exclude: e.poolH})
 	return e
 }
 
@@ -129,98 +126,29 @@ func (e *Engine) writebackPage(c *sim.Clock, id page.ID, data []byte) error {
 	return nil
 }
 
-func (e *Engine) readKey(c *sim.Clock) func(key uint64) ([]byte, error) {
-	return func(key uint64) ([]byte, error) {
-		id := e.layout.PageOf(key)
-		if data, ok := e.pool.Peek(c, id); ok {
-			e.stats.CacheHits.Add(1)
-			return e.layout.ReadValue(data, key)
-		}
-		e.stats.CacheMisses.Add(1)
-		data, err := e.pool.Get(c, id)
-		if err != nil {
-			return nil, err
-		}
-		return e.layout.ReadValue(data, key)
-	}
-}
-
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	e.stats.Attempts.Add(1)
 	if e.crashed.Load() {
-		e.stats.Shed.Add(1)
-		return engine.ErrUnavailable
+		return e.pipe.Shed()
 	}
-	txID := e.nextTx.Add(1)
-	st := engine.NewStagedTx(e.readKey(c))
-	if err := fn(st); err != nil {
-		e.stats.Aborts.Add(1)
-		return err
-	}
-	keys, writes := st.WriteSet()
-	if len(keys) == 0 {
-		e.stats.Commits.Add(1)
-		return nil
-	}
-	// Commit-time 2PL on the write set (sorted: deadlock-free).
-	held := 0
-	for _, k := range keys {
-		if err := e.locks.Acquire(c, txID, k, txn.Exclusive, txn.DefaultAcquire); err != nil {
-			for _, h := range keys[:held] {
-				e.locks.Unlock(txID, h, txn.Exclusive)
-			}
-			e.stats.Aborts.Add(1)
-			return engine.ErrConflict
-		}
-		held++
-	}
-	defer func() {
-		for _, k := range keys {
-			e.locks.Unlock(txID, k, txn.Exclusive)
-		}
-	}()
-	// Log, fsync, apply.
-	logBytes := 0
-	var lastLSN wal.LSN
-	pageStamp := make(map[page.ID]uint64)
-	for _, k := range keys {
-		id := e.layout.PageOf(k)
-		rec := wal.Record{Type: wal.TypeUpdate, TxID: txID, PageID: uint64(id), Key: k, After: writes[k]}
-		lastLSN = e.log.Append(rec)
-		logBytes += rec.EncodedSize()
-		if uint64(lastLSN) > pageStamp[id] {
-			pageStamp[id] = uint64(lastLSN)
-		}
-	}
-	commit := wal.Record{Type: wal.TypeCommit, TxID: txID}
-	lastLSN = e.log.Append(commit)
-	logBytes += commit.EncodedSize()
-	e.ssd.Write(c, logBytes) // group-commit fsync
-	st.StampCommit(uint64(lastLSN))
-	e.stats.LogBytes.Add(int64(logBytes))
-	e.mu.Lock()
-	if lastLSN > e.durableLSN {
-		e.durableLSN = lastLSN
-	}
-	e.mu.Unlock()
-	// Apply, then publish the commit stamps: an applied frame is
-	// re-stamped from its mutated bytes and stays fresh; a failed apply
-	// (the fsynced WAL already holds the commit) leaves the old stamp and
-	// the publish stales the frame, so the next reader refetches through
-	// the log replay in fetchPage.
-	for _, k := range keys {
-		key := k
-		_ = e.pool.Mutate(c, e.layout.PageOf(k), func(data []byte) error {
-			return e.layout.WriteValue(data, key, writes[key], uint64(lastLSN))
-		})
-	}
-	stamps := make([]coherence.PageStamp, 0, len(pageStamp))
-	for id, st := range pageStamp {
-		stamps = append(stamps, coherence.PageStamp{ID: id, Stamp: st})
-	}
-	e.dir.Publish(c, stamps, e.poolH)
-	e.stats.Commits.Add(1)
+	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
+}
+
+// durable is the commit pipeline's durability hook: one group-commit
+// fsync of the transaction's records to the local SSD log. No network.
+func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
+	n := engine.LogBytes(recs)
+	e.ssd.Write(c, n)
+	e.stats.LogBytes.Add(int64(n))
+	return nil
+}
+
+// apply is the pipeline's materialisation hook: the buffer pool is where
+// pages live until a checkpoint writes them back. A frame whose apply
+// failed goes stale at the publish, and the next reader refetches through
+// fetchPage's log replay.
+func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
+	e.pipe.ApplyPool(c, e.pool, recs)
 	return nil
 }
 
@@ -232,11 +160,7 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 // still only in the soon-to-be-lost buffer pool.)
 func (e *Engine) Checkpoint(c *sim.Clock) error {
 	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: func() wal.LSN {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return e.durableLSN
-		},
+		Durable: e.pipe.DurableLSN,
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			// Redo the retained tail up to the horizon into the pool
 			// before flushing: a commit whose in-pool apply failed (its
@@ -284,11 +208,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 func (e *Engine) RecoveryHorizon() wal.LSN { return e.ckpt.Horizon() }
 
 // DurableLSN reports the highest LSN fsynced to the SSD log.
-func (e *Engine) DurableLSN() wal.LSN {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.durableLSN
-}
+func (e *Engine) DurableLSN() wal.LSN { return e.pipe.DurableLSN() }
 
 // Crash implements engine.Recoverer: the buffer pool is lost; the SSD
 // (log + checkpointed pages) survives.

@@ -27,7 +27,6 @@ import (
 	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
 	"github.com/disagglab/disagg/internal/storagenode"
-	"github.com/disagglab/disagg/internal/txn"
 	"github.com/disagglab/disagg/internal/wal"
 )
 
@@ -54,9 +53,9 @@ type Engine struct {
 	PageStore *storagenode.Replica
 
 	log   *wal.Log
-	locks *txn.LockTable
 	stats engine.Stats
 	pool  *buffer.Pool
+	pipe  *engine.Pipeline
 
 	// dir replaces the engine's old hand-rolled pageLSN map: commit
 	// publishes bump per-page versions (ModeBump — optimistic readers
@@ -76,11 +75,9 @@ type Engine struct {
 
 	// LagEvery delays page-store ingestion by one batch every N commits
 	// to surface stale optimistic reads (0 = always lag by one commit).
-	mu         sync.Mutex
-	pending    []wal.Record // records not yet given to the page store
-	durableLSN wal.LSN
-	nextTx     atomic.Uint64
-	crashed    atomic.Bool
+	mu      sync.Mutex
+	pending []wal.Record // records not yet given to the page store
+	crashed atomic.Bool
 }
 
 // New creates the engine.
@@ -92,7 +89,6 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int, opt Options) *Engin
 		PMLog:     storagenode.NewLogStore(cfg, storagenode.MediumPM),
 		PageStore: storagenode.NewReplica(cfg, "ps-0", 0, layout, 1),
 		log:       wal.NewLog(),
-		locks:     txn.NewLockTable(),
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, nil)
 	e.dir = coherence.NewDirectory(cfg, "pilotdb.coherence", coherence.ModeBump)
@@ -101,6 +97,8 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int, opt Options) *Engin
 	e.poolH = e.dir.Register("pool", e.pool)
 	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
 	e.ckpt = checkpoint.New(cfg, "ckpt.pilotdb")
+	e.pipe = engine.NewPipeline(layout, e.log, &e.stats,
+		engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir, Exclude: e.poolH})
 	return e
 }
 
@@ -196,134 +194,53 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	return data, nil
 }
 
-func (e *Engine) readKey(c *sim.Clock) func(key uint64) ([]byte, error) {
-	return func(key uint64) ([]byte, error) {
-		id := e.layout.PageOf(key)
-		// The pool validates cached frames against the directory itself
-		// (replacing the old manual LSN check + Invalidate): Peek only
-		// serves a frame whose stamp is current.
-		if data, ok := e.pool.Peek(c, id); ok {
-			e.stats.CacheHits.Add(1)
-			return e.layout.ReadValue(data, key)
-		}
-		e.stats.CacheMisses.Add(1)
-		data, err := e.pool.Get(c, id)
-		if err != nil {
-			return nil, err
-		}
-		return e.layout.ReadValue(data, key)
+// Execute implements engine.Engine. The pool validates cached frames
+// against the directory itself, so the shared pool read path is also the
+// optimistic-read validation.
+func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
+	if e.crashed.Load() {
+		return e.pipe.Shed()
 	}
+	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
 }
 
-// Execute implements engine.Engine.
-func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	e.stats.Attempts.Add(1)
-	if e.crashed.Load() {
-		e.stats.Shed.Add(1)
-		return engine.ErrUnavailable
-	}
-	txID := e.nextTx.Add(1)
-	st := engine.NewStagedTx(e.readKey(c))
-	if err := fn(st); err != nil {
-		e.stats.Aborts.Add(1)
-		return err
-	}
-	keys, writes := st.WriteSet()
-	if len(keys) == 0 {
-		e.stats.Commits.Add(1)
-		return nil
-	}
-	held := 0
-	for _, k := range keys {
-		if err := e.locks.Acquire(c, txID, k, txn.Exclusive, txn.DefaultAcquire); err != nil {
-			for _, h := range keys[:held] {
-				e.locks.Unlock(txID, h, txn.Exclusive)
-			}
-			e.stats.Aborts.Add(1)
-			return engine.ErrConflict
-		}
-		held++
-	}
-	defer func() {
-		for _, k := range keys {
-			e.locks.Unlock(txID, k, txn.Exclusive)
-		}
-	}()
-	var recs []wal.Record
-	logBytes := 0
-	var lastLSN wal.LSN
-	pageStamp := make(map[page.ID]uint64)
-	for _, k := range keys {
-		id := e.layout.PageOf(k)
-		rec := wal.Record{Type: wal.TypeUpdate, TxID: txID, PageID: uint64(id), Key: k, After: writes[k]}
-		rec.LSN = e.log.Append(rec)
-		lastLSN = rec.LSN
-		logBytes += rec.EncodedSize()
-		recs = append(recs, rec)
-		if uint64(rec.LSN) > pageStamp[id] {
-			pageStamp[id] = uint64(rec.LSN)
-		}
-	}
-	commit := wal.Record{Type: wal.TypeCommit, TxID: txID}
-	commit.LSN = e.log.Append(commit)
-	lastLSN = commit.LSN
-	logBytes += commit.EncodedSize()
-	recs = append(recs, commit)
-
-	// Persistence on the PM layer.
+// durable: persistence on the PM layer.
+func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
+	n := engine.LogBytes(recs)
 	if e.opt.ComputeDrivenLogging {
 		// One-sided RDMA append (the LogStore PM medium charges
 		// exactly that).
 		if err := e.PMLog.Append(c, recs); err != nil {
-			e.stats.Aborts.Add(1)
-			return engine.Unavail(err)
+			return err
 		}
 	} else {
 		// Server-driven: a two-sided RPC engages the PM server CPU.
-		c.Advance(e.cfg.RDMARPC.Cost(logBytes) + e.cfg.RemoteCPU)
+		c.Advance(e.cfg.RDMARPC.Cost(n) + e.cfg.RemoteCPU)
 		if err := e.PMLog.Append(sim.NewClock(), recs); err != nil {
-			e.stats.Aborts.Add(1)
-			return engine.Unavail(err)
+			return err
 		}
-		c.Advance(e.cfg.PMWrite.Cost(logBytes))
+		c.Advance(e.cfg.PMWrite.Cost(n))
 	}
-	st.StampCommit(uint64(commit.LSN))
-	e.stats.LogBytes.Add(int64(logBytes))
-	e.stats.NetBytes.Add(int64(logBytes))
+	e.stats.LogBytes.Add(int64(n))
+	e.stats.NetBytes.Add(int64(n))
 	e.stats.NetMsgs.Add(1)
+	return nil
+}
 
+// apply: page-store ingestion is asynchronous — the previous pending
+// batch goes out now (background), the new one waits, so optimistic
+// readers genuinely race materialization. The compute cache keeps its own
+// copies current; a frame that missed the update goes stale at the publish
+// and the next read repairs it via fetchPage.
+func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 	e.mu.Lock()
-	if lastLSN > e.durableLSN {
-		e.durableLSN = lastLSN
-	}
-	// Page-store ingestion is asynchronous: the previous pending batch
-	// goes out now (background), the new one waits — so optimistic
-	// readers genuinely race materialization.
 	prev := e.pending
 	e.pending = recs
 	e.mu.Unlock()
 	if len(prev) > 0 {
 		e.PageStore.Ingest(sim.NewClock(), prev)
 	}
-	// Apply to cached pages, then publish the commit stamps. An applied
-	// frame is re-stamped from its mutated bytes and stays fresh; a failed
-	// apply (the PM log already holds the commit) leaves the old stamp and
-	// the publish stales the frame, so the next read repairs via fetchPage
-	// — replacing the old explicit Invalidate-on-error call.
-	for _, k := range keys {
-		key := k
-		if e.pool.Contains(e.layout.PageOf(k)) {
-			_ = e.pool.Mutate(c, e.layout.PageOf(k), func(data []byte) error {
-				return e.layout.WriteValue(data, key, writes[key], uint64(lastLSN))
-			})
-		}
-	}
-	stamps := make([]coherence.PageStamp, 0, len(pageStamp))
-	for id, st := range pageStamp {
-		stamps = append(stamps, coherence.PageStamp{ID: id, Stamp: st})
-	}
-	e.dir.Publish(c, stamps, e.poolH)
-	e.stats.Commits.Add(1)
+	e.pipe.ApplyCached(c, e.pool, recs)
 	return nil
 }
 
@@ -337,9 +254,7 @@ func (e *Engine) Crash() {
 // log survive; the compute node learns the durable LSN with one PM read.
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
-	e.mu.Lock()
-	e.durableLSN = e.PMLog.HighLSN()
-	e.mu.Unlock()
+	e.pipe.AdvanceDurable(e.PMLog.HighLSN())
 	c.Advance(e.cfg.RDMA.Cost(64))
 	e.crashed.Store(false)
 	return c.Now() - start, nil
@@ -352,11 +267,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // can fail and is retried next round — plus the compute-side log.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
 	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: func() wal.LSN {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return e.durableLSN
-		},
+		Durable: e.pipe.DurableLSN,
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			e.mu.Lock()
 			pend := e.pending

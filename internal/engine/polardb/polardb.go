@@ -21,7 +21,6 @@ import (
 	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/raft"
 	"github.com/disagglab/disagg/internal/sim"
-	"github.com/disagglab/disagg/internal/txn"
 	"github.com/disagglab/disagg/internal/wal"
 )
 
@@ -32,9 +31,9 @@ type Engine struct {
 	// FS is the PolarFS log: raft-replicated records.
 	FS    *raft.Group
 	log   *wal.Log
-	locks *txn.LockTable
 	stats engine.Stats
 	pool  *buffer.Pool
+	pipe  *engine.Pipeline
 
 	// dir version-stamps the pool's frames at commit publishes; with one
 	// pool there is no fan-out (the pool is excluded from its own
@@ -42,11 +41,6 @@ type Engine struct {
 	// and is refetched with log replay.
 	dir   *coherence.Directory
 	poolH *coherence.Handle
-
-	// gc, when non-nil, combines concurrent commit-path raft appends into
-	// shared group flushes (engine.GroupCommitter): one replication round
-	// carries every rider's encoded records.
-	gc *sim.Batcher[[]byte, int]
 
 	// CheckpointEvery flushes dirty pages to PolarFS every N commits
 	// (page shipping; 0 disables).
@@ -59,10 +53,8 @@ type Engine struct {
 
 	mu          sync.Mutex
 	pagesFS     map[page.ID][]byte // page images persisted in PolarFS
-	durableLSN  wal.LSN
-	commitCount int
-	fsCompactTo int // raft commit index captured with the horizon
-	nextTx      atomic.Uint64
+	fsCompactTo int                // raft commit index captured with the horizon
+	commitCount atomic.Int64
 	crashed     atomic.Bool
 }
 
@@ -73,7 +65,6 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int) *Engine {
 		layout:          layout,
 		FS:              raft.NewGroup(cfg, 3),
 		log:             wal.NewLog(),
-		locks:           txn.NewLockTable(),
 		pagesFS:         make(map[page.ID][]byte),
 		CheckpointEvery: 64,
 	}
@@ -84,7 +75,16 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int) *Engine {
 	e.poolH = e.dir.Register("pool", e.pool)
 	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
 	e.ckpt = checkpoint.New(cfg, "ckpt.polardb")
+	e.pipe = engine.NewPipeline(layout, e.log, &e.stats, e.hooks())
 	return e
+}
+
+// hooks is the engine's row of the commit-pipeline table: the log becomes
+// durable as one PolarFS raft entry, pages are materialised in the buffer
+// pool and shipped to PolarFS as images, and the single cache is excluded
+// from its own publishes.
+func (e *Engine) hooks() engine.Hooks {
+	return engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir, Exclude: e.poolH}
 }
 
 // Peer creates an additional compute node attached to root's shared
@@ -102,7 +102,6 @@ func Peer(root *Engine, peerID, poolPages int) *Engine {
 		layout:          root.layout,
 		FS:              root.FS,
 		log:             root.log,
-		locks:           txn.NewLockTable(),
 		pagesFS:         make(map[page.ID][]byte),
 		dir:             root.dir,
 		CheckpointEvery: root.CheckpointEvery,
@@ -111,7 +110,8 @@ func Peer(root *Engine, peerID, poolPages int) *Engine {
 	e.pool = buffer.NewPool(e.cfg, poolPages, e.fetchPage, e.shipPage)
 	e.poolH = e.dir.Register(fmt.Sprintf("peer%d", peerID), e.pool)
 	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
-	e.nextTx.Store(uint64(peerID) << 40)
+	e.pipe = engine.NewPipeline(e.layout, e.log, &e.stats, e.hooks())
+	e.pipe.StripeTxIDs(peerID)
 	return e
 }
 
@@ -126,40 +126,9 @@ func (e *Engine) Name() string { return "polardb" }
 func (e *Engine) Stats() *engine.Stats { return &e.stats }
 
 // EnableGroupCommit implements engine.GroupCommitter: commit-path raft
-// appends share one replication round of up to maxItems transactions or
-// the virtual window.
+// appends share one replication round.
 func (e *Engine) EnableGroupCommit(maxItems int, window time.Duration) {
-	e.dir.EnableBatching(maxItems, window)
-	if maxItems <= 1 {
-		e.gc = nil
-		return
-	}
-	e.gc = sim.NewBatcher(e.cfg, "polardb.groupcommit",
-		sim.BatchPolicy{MaxItems: maxItems, Window: window, OnFlush: e.noteFlush},
-		e.flushGroup)
-}
-
-func (e *Engine) noteFlush(n int, reason sim.FlushReason) {
-	e.stats.GroupFlushes.Add(1)
-	if reason == sim.FlushSize {
-		e.stats.FlushOnSize.Add(1)
-	} else {
-		e.stats.FlushOnTimeout.Add(1)
-	}
-}
-
-// flushGroup raft-appends every rider's encoded records as one
-// replication round; rider i learns its log index in out[i].
-func (e *Engine) flushGroup(c *sim.Clock, blobs [][]byte, out []int) error {
-	first, err := e.FS.AppendBatch(c, blobs)
-	if err != nil {
-		return err
-	}
-	for i := range out {
-		out[i] = first + i
-	}
-	e.stats.NetMsgs.Add(3)
-	return nil
+	e.pipe.EnableGroupCommit(e.cfg, "polardb.groupcommit", maxItems, window)
 }
 
 // fetchPage reads a page image from PolarFS (RDMA + NVMe) and replays any
@@ -186,18 +155,12 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 		if r.PageID != uint64(id) || r.Type != wal.TypeUpdate {
 			continue
 		}
-		if r.LSN <= e.durableWatermark() {
+		if r.LSN <= e.pipe.DurableLSN() {
 			e.layout.WriteValue(data, r.Key, r.After, uint64(r.LSN))
 			c.Advance(e.cfg.CPU.Cost(len(r.After)))
 		}
 	}
 	return data, nil
-}
-
-func (e *Engine) durableWatermark() wal.LSN {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.durableLSN
 }
 
 // shipPage persists a dirty page image into PolarFS (page shipping).
@@ -218,126 +181,39 @@ func (e *Engine) shipPage(c *sim.Clock, id page.ID, data []byte) error {
 	return nil
 }
 
-func (e *Engine) readKey(c *sim.Clock) func(key uint64) ([]byte, error) {
-	return func(key uint64) ([]byte, error) {
-		id := e.layout.PageOf(key)
-		// Peek serves a validated hit atomically (the old Contains+Get
-		// pair miscounted a stale frame as a hit).
-		if data, ok := e.pool.Peek(c, id); ok {
-			e.stats.CacheHits.Add(1)
-			return e.layout.ReadValue(data, key)
-		}
-		e.stats.CacheMisses.Add(1)
-		data, err := e.pool.Get(c, id)
-		if err != nil {
-			return nil, err
-		}
-		return e.layout.ReadValue(data, key)
-	}
-}
-
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	e.stats.Attempts.Add(1)
 	if e.crashed.Load() {
-		e.stats.Shed.Add(1)
-		return engine.ErrUnavailable
+		return e.pipe.Shed()
 	}
-	txID := e.nextTx.Add(1)
-	st := engine.NewStagedTx(e.readKey(c))
-	if err := fn(st); err != nil {
-		e.stats.Aborts.Add(1)
+	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
+}
+
+// durable: log shipping at commit — the encoded records go to PolarFS as
+// one raft entry, replicated leader -> 2 followers over the fabric.
+func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
+	encoded := engine.Encode(recs)
+	if _, err := e.FS.Append(c, encoded); err != nil {
 		return err
 	}
-	keys, writes := st.WriteSet()
-	if len(keys) == 0 {
-		e.stats.Commits.Add(1)
-		return nil
-	}
-	held := 0
-	for _, k := range keys {
-		if err := e.locks.Acquire(c, txID, k, txn.Exclusive, txn.DefaultAcquire); err != nil {
-			for _, h := range keys[:held] {
-				e.locks.Unlock(txID, h, txn.Exclusive)
-			}
-			e.stats.Aborts.Add(1)
-			return engine.ErrConflict
-		}
-		held++
-	}
-	defer func() {
-		for _, k := range keys {
-			e.locks.Unlock(txID, k, txn.Exclusive)
-		}
-	}()
-	// Log shipping at commit: encode records, raft-append the batch.
-	var lastLSN wal.LSN
-	payload := 0
-	var encoded []byte
-	pageStamp := make(map[page.ID]uint64)
-	for _, k := range keys {
-		id := e.layout.PageOf(k)
-		rec := wal.Record{Type: wal.TypeUpdate, TxID: txID, PageID: uint64(id), Key: k, After: writes[k]}
-		rec.LSN = e.log.Append(rec)
-		lastLSN = rec.LSN
-		encoded = rec.Encode(encoded)
-		if uint64(rec.LSN) > pageStamp[id] {
-			pageStamp[id] = uint64(rec.LSN)
-		}
-	}
-	commit := wal.Record{Type: wal.TypeCommit, TxID: txID}
-	commit.LSN = e.log.Append(commit)
-	lastLSN = commit.LSN
-	encoded = commit.Encode(encoded)
-	payload = len(encoded)
-	if e.gc != nil {
-		if _, err := e.gc.Submit(c, encoded); err != nil {
-			e.stats.Aborts.Add(1)
-			return engine.Unavail(err)
-		}
-		e.stats.GroupCommits.Add(1)
-	} else {
-		if _, err := e.FS.Append(c, encoded); err != nil {
-			e.stats.Aborts.Add(1)
-			return engine.Unavail(err)
-		}
-		e.stats.NetMsgs.Add(3)
-	}
-	st.StampCommit(uint64(commit.LSN))
-	// PolarFS replicates leader -> 2 followers over the fabric.
-	e.stats.LogBytes.Add(int64(payload))
-	e.stats.NetBytes.Add(int64(payload) * 3)
-	e.mu.Lock()
-	if lastLSN > e.durableLSN {
-		e.durableLSN = lastLSN
-	}
-	e.commitCount++
-	doCkpt := e.CheckpointEvery > 0 && e.commitCount%e.CheckpointEvery == 0
-	e.mu.Unlock()
-	// Apply to the cache, then publish the commit stamps. Mutate re-stamps
-	// each frame from the mutated bytes, so an applied frame stays fresh
-	// across the publish; a failed apply (e.g. an injected fault on the
-	// page fetch) leaves the old stamp and the publish makes the frame
-	// stale, so the next reader refetches with log replay — replacing the
-	// old explicit Invalidate-on-error call.
-	for _, k := range keys {
-		key := k
-		_ = e.pool.Mutate(c, e.layout.PageOf(k), func(data []byte) error {
-			return e.layout.WriteValue(data, key, writes[key], uint64(lastLSN))
-		})
-	}
-	stamps := make([]coherence.PageStamp, 0, len(pageStamp))
-	for id, st := range pageStamp {
-		stamps = append(stamps, coherence.PageStamp{ID: id, Stamp: st})
-	}
-	e.dir.Publish(c, stamps, e.poolH)
-	if doCkpt {
-		// Page shipping: flush dirty pages to PolarFS. A failed flush
-		// does not fail the (already durable) commit — the pages stay
-		// dirty and the next checkpoint retries.
+	n := int64(len(encoded))
+	e.stats.NetMsgs.Add(3)
+	e.stats.LogBytes.Add(n)
+	e.stats.NetBytes.Add(n * 3)
+	return nil
+}
+
+// apply: the buffer pool materialises the pages (a frame whose apply
+// failed, e.g. on an injected page-fetch fault, goes stale at the publish
+// and is refetched with log replay); every CheckpointEvery commits the
+// dirty pages are shipped to PolarFS. A failed flush does not fail the
+// (already durable) commit — the pages stay dirty and the next checkpoint
+// retries.
+func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
+	e.pipe.ApplyPool(c, e.pool, recs)
+	if n := e.commitCount.Add(1); e.CheckpointEvery > 0 && n%int64(e.CheckpointEvery) == 0 {
 		_ = e.pool.FlushAll(c)
 	}
-	e.stats.Commits.Add(1)
 	return nil
 }
 
@@ -362,11 +238,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 		return 0, err
 	}
 	if head := e.log.Head(); head > 1 {
-		e.mu.Lock()
-		if head-1 > e.durableLSN {
-			e.durableLSN = head - 1
-		}
-		e.mu.Unlock()
+		e.pipe.AdvanceDurable(head - 1)
 	}
 	e.crashed.Store(false)
 	return c.Now() - start, nil
@@ -388,7 +260,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 			e.mu.Lock()
 			defer e.mu.Unlock()
 			e.fsCompactTo = e.FS.CommitIndex()
-			return e.durableLSN
+			return e.pipe.DurableLSN()
 		},
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			recs, err := e.log.Replay(e.ckpt.Horizon())

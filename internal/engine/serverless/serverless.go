@@ -10,7 +10,6 @@ package serverless
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,8 +39,10 @@ type Engine struct {
 	MemNode *memnode.Pool
 
 	log   *wal.Log
-	locks *txn.LockTable
 	stats engine.Stats
+	pipe  *engine.Pipeline
+	// latches are the memory node's page-level physical latches.
+	latches *txn.LockTable
 
 	// nodes[0] is the primary; others are secondaries. Each node has a
 	// small local cache plus a QP for validation reads.
@@ -59,9 +60,7 @@ type Engine struct {
 	// truncates the compute-side log below the published horizon.
 	ckpt *checkpoint.Coordinator
 
-	mu         sync.Mutex
-	durableLSN wal.LSN
-	nextTx     atomic.Uint64
+	mu sync.Mutex
 }
 
 type computeNode struct {
@@ -82,8 +81,8 @@ func New(cfg *sim.Config, layout heap.Layout, nodes, localPages, sharedPages int
 		layout:  layout,
 		Volume:  storagenode.NewAuroraVolume(cfg, layout),
 		MemNode: mn,
-		log:   wal.NewLog(),
-		locks: txn.NewLockTable(),
+		log:     wal.NewLog(),
+		latches: txn.NewLockTable(),
 	}
 	e.dir = coherence.NewDirectory(cfg, "serverless.coherence", coherence.ModeBump)
 	e.dir.OnInvalidate = func(n int) { e.stats.Invalidations.Add(int64(n)) }
@@ -102,6 +101,11 @@ func New(cfg *sim.Config, layout heap.Layout, nodes, localPages, sharedPages int
 		e.nodes = append(e.nodes, n)
 	}
 	e.ckpt = checkpoint.New(cfg, "ckpt.serverless")
+	// No tier is excluded from a publish: the writer's own copies carry the
+	// commit LSN and stay fresh; every other node's cached copy goes stale
+	// and revalidates.
+	e.pipe = engine.NewPipeline(layout, e.log, &e.stats,
+		engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir})
 	return e
 }
 
@@ -144,9 +148,7 @@ func (e *Engine) getPage(c *sim.Clock, n *computeNode, id page.ID) ([]byte, erro
 		return buf, nil
 	}
 	// Shared-pool miss: fetch from storage, populate the shared pool.
-	e.mu.Lock()
-	min := e.durableLSN
-	e.mu.Unlock()
+	min := e.pipe.DurableLSN()
 	data, err := e.Volume.ReadPage(c, id, minForPage(min, want))
 	if err != nil {
 		// Injected drops can leave the same log hole on every replica;
@@ -188,170 +190,88 @@ func (e *Engine) readKeyOn(c *sim.Clock, n *computeNode) func(key uint64) ([]byt
 
 // Execute implements engine.Engine: runs on the primary.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	e.stats.Attempts.Add(1)
 	n := e.nodes[e.primary.Load()]
 	if n.crashed.Load() {
-		e.stats.Shed.Add(1)
-		return engine.ErrUnavailable
+		return e.pipe.Shed()
 	}
-	txID := e.nextTx.Add(1)
-	st := engine.NewStagedTx(e.readKeyOn(c, n))
-	if err := fn(st); err != nil {
-		e.stats.Aborts.Add(1)
+	return e.pipe.Execute(c, e.readKeyOn(c, n), fn)
+}
+
+// durable: log to the storage volume (inherited from the PolarDB/Aurora
+// lineage).
+func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
+	if err := e.Volume.AppendLog(c, recs); err != nil {
 		return err
 	}
-	keys, writes := st.WriteSet()
-	if len(keys) == 0 {
-		e.stats.Commits.Add(1)
-		return nil
-	}
-	held := 0
-	for _, k := range keys {
-		if err := e.locks.Acquire(c, txID, k, txn.Exclusive, txn.DefaultAcquire); err != nil {
-			for _, h := range keys[:held] {
-				e.locks.Unlock(txID, h, txn.Exclusive)
-			}
-			e.stats.Aborts.Add(1)
-			return engine.ErrConflict
-		}
-		held++
-	}
-	defer func() {
-		for _, k := range keys {
-			e.locks.Unlock(txID, k, txn.Exclusive)
-		}
-	}()
-	// Durability: log to the storage volume (inherited from PolarDB/
-	// Aurora lineage).
-	var recs []wal.Record
-	logBytes := 0
-	var lastLSN wal.LSN
-	pageStamp := make(map[page.ID]uint64)
-	for _, k := range keys {
-		id := e.layout.PageOf(k)
-		rec := wal.Record{Type: wal.TypeUpdate, TxID: txID, PageID: uint64(id), Key: k, After: writes[k]}
-		rec.LSN = e.log.Append(rec)
-		lastLSN = rec.LSN
-		logBytes += rec.EncodedSize()
-		recs = append(recs, rec)
-		if uint64(rec.LSN) > pageStamp[id] {
-			pageStamp[id] = uint64(rec.LSN)
-		}
-	}
-	commit := wal.Record{Type: wal.TypeCommit, TxID: txID}
-	commit.LSN = e.log.Append(commit)
-	lastLSN = commit.LSN
-	logBytes += commit.EncodedSize()
-	recs = append(recs, commit)
-	if err := e.Volume.AppendLog(c, recs); err != nil {
-		e.stats.Aborts.Add(1)
-		return engine.Unavail(err)
-	}
-	// Durable from here on: every later failure (page latch conflict,
-	// shared-pool fault) aborts the acknowledgement, not the log record —
-	// the stamp marks the attempt as indeterminate rather than aborted.
-	st.StampCommit(uint64(commit.LSN))
-	e.stats.LogBytes.Add(int64(logBytes))
-	e.stats.NetBytes.Add(int64(logBytes))
+	n := int64(engine.LogBytes(recs))
+	e.stats.LogBytes.Add(n)
+	e.stats.NetBytes.Add(n)
 	e.stats.NetMsgs.Add(1)
+	return nil
+}
 
-	// Freshness: write the updated pages into the SHARED pool so every
-	// node sees current data without replay. The read-modify-write of
-	// each page happens under a page latch (PolarDB Serverless keeps
-	// page-level physical latches on the memory node) so concurrent
-	// committers to one page cannot clobber each other.
-	pageIDs := make([]page.ID, 0, len(keys))
-	seen := map[page.ID]bool{}
-	for _, k := range keys {
-		if id := e.layout.PageOf(k); !seen[id] {
-			seen[id] = true
-			pageIDs = append(pageIDs, id)
+// apply: freshness — write the updated pages into the SHARED pool so every
+// node sees current data without replay. The read-modify-write of each
+// page happens under a page latch (PolarDB Serverless keeps page-level
+// physical latches on the memory node) so concurrent committers to one
+// page cannot clobber each other. A page the shared pool never saw (a
+// fault below) still has its version published by the pipeline: its
+// cached copies go stale and the next reader materialises it from the
+// volume's durable log.
+func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
+	n := e.nodes[e.primary.Load()]
+	updates := recs[:len(recs)-1]
+	lsn := uint64(recs[len(recs)-1].LSN)
+	// Keys ascend, so each page's records are adjacent and pages ascend:
+	// latching in that order is deadlock-free.
+	txID := recs[0].TxID
+	pages := make([]uint64, 0, len(updates))
+	for i := range updates {
+		if i == 0 || updates[i].PageID != updates[i-1].PageID {
+			pages = append(pages, updates[i].PageID)
 		}
 	}
-	sort.Slice(pageIDs, func(i, j int) bool { return pageIDs[i] < pageIDs[j] })
-	latched := 0
-	for _, id := range pageIDs {
-		if err := e.locks.Acquire(c, txID, pageLatchKey(id), txn.Exclusive, txn.DefaultAcquire); err != nil {
-			for _, h := range pageIDs[:latched] {
-				e.locks.Unlock(txID, pageLatchKey(h), txn.Exclusive)
-			}
-			e.stats.Aborts.Add(1)
-			return engine.ErrConflict
+	for _, id := range pages {
+		// The commit is already durable, so a busy latch is waited out,
+		// never surfaced as a conflict: a latch holder waits only for
+		// higher pages, so the wait always ends.
+		for e.latches.Acquire(c, txID, id, txn.Exclusive, txn.DefaultAcquire) != nil {
 		}
-		latched++
 	}
 	defer func() {
-		for _, id := range pageIDs {
-			e.locks.Unlock(txID, pageLatchKey(id), txn.Exclusive)
+		for _, id := range pages {
+			e.latches.Unlock(txID, id, txn.Exclusive)
 		}
 	}()
-	for _, id := range pageIDs {
+	for i := 0; i < len(updates); {
+		id := page.ID(updates[i].PageID)
 		data, err := e.getPage(c, n, id)
 		if err != nil {
-			// The volume append is durable but the shared pool never saw
-			// the update: the page LSN directory stays put, so readers
-			// keep a consistent pre-update view. Surface the failure as
-			// an (unacknowledged) abort.
-			e.stats.Aborts.Add(1)
 			return err
 		}
-		for _, k := range keys {
-			if e.layout.PageOf(k) != id {
-				continue
-			}
-			if err := e.layout.WriteValue(data, k, writes[k], uint64(lastLSN)); err != nil {
-				e.stats.Aborts.Add(1)
+		for ; i < len(updates) && page.ID(updates[i].PageID) == id; i++ {
+			if err := e.layout.WriteValue(data, updates[i].Key, updates[i].After, lsn); err != nil {
 				return err
 			}
 		}
 		if err := e.Shared.Put(c, id, data); err != nil {
-			e.stats.Aborts.Add(1)
 			return err
 		}
 		e.stats.NetBytes.Add(int64(len(data)))
 		e.stats.NetMsgs.Add(1)
 		n.cache.Install(c, id, data, false)
-		// Publish per page, as soon as the shared pool holds the update:
-		// an abort later in the loop must not bump versions for pages the
-		// shared pool never saw (readers keep a consistent pre-update
-		// view, exactly as the old per-page pageLSN bump behaved). The
-		// writer's own copies carry the commit LSN and stay fresh; every
-		// other node's cached copy goes stale and revalidates.
-		e.dir.Publish(c, []coherence.PageStamp{{ID: id, Stamp: pageStamp[id]}}, nil)
 	}
-	e.mu.Lock()
-	if lastLSN > e.durableLSN {
-		e.durableLSN = lastLSN
-	}
-	e.mu.Unlock()
-	e.stats.Commits.Add(1)
 	return nil
 }
-
-// pageLatchKey maps a page ID into a lock-table namespace disjoint from
-// key locks.
-func pageLatchKey(id page.ID) uint64 { return 1<<63 | uint64(id) }
 
 // ReadReplica implements engine.Reader: read-only transaction on a
 // secondary — always fresh, no replay.
 func (e *Engine) ReadReplica(c *sim.Clock, idx int, fn func(tx engine.Tx) error) error {
-	e.stats.Attempts.Add(1)
 	n := e.nodes[idx]
 	if n.crashed.Load() {
-		e.stats.Shed.Add(1)
-		return engine.ErrUnavailable
+		return e.pipe.Shed()
 	}
-	st := engine.NewStagedTx(e.readKeyOn(c, n))
-	if err := fn(st); err != nil {
-		e.stats.Aborts.Add(1)
-		return err
-	}
-	if !st.Empty() {
-		e.stats.Aborts.Add(1)
-		return engine.ErrReadOnly
-	}
-	e.stats.Commits.Add(1)
-	return nil
+	return e.pipe.ReadOnly(e.readKeyOn(c, n), fn)
 }
 
 // Crash implements engine.Recoverer: the primary dies (its local cache is
@@ -386,11 +306,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.mu.Lock()
-	if lsn > e.durableLSN {
-		e.durableLSN = lsn
-	}
-	e.mu.Unlock()
+	e.pipe.AdvanceDurable(lsn)
 	// One control-plane RPC to take ownership of the shared pool.
 	c.Advance(e.cfg.RDMARPC.Cost(64))
 	e.primary.Store(int32(next))
@@ -404,11 +320,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // does the compute-side log drop its tail below it.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
 	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: func() wal.LSN {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return e.durableLSN
-		},
+		Durable: e.pipe.DurableLSN,
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			shipped := e.Volume.Heal(c, e.log)
 			e.stats.NetMsgs.Add(int64(shipped))

@@ -94,6 +94,14 @@ func (e *Engine) partOf(key uint64) (int, *partition) {
 // Execute implements engine.Engine. The coordinator is the partition of
 // the first key touched; remote accesses pay network round trips, and
 // multi-partition commits pay 2PC.
+//
+// This is the one engine that does not commit through engine.Pipeline:
+// the pipeline is built around a single authoritative log, lock table and
+// LSN space, and here each partition owns its own of all three, a
+// transaction's records are split across the participants' logs, its stamp
+// is a global sequence rather than an LSN, and prepare/commit are joined
+// parallel rounds. Routing that through the pipeline's hooks would leave
+// nothing of the skeleton but the outcome counters.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 	e.stats.Attempts.Add(1)
 	txID := e.nextTx.Add(1)

@@ -115,3 +115,10 @@ func TestRebalanceMovesData(t *testing.T) {
 		}
 	}
 }
+
+// TestCommitAllocs bounds the host allocations of one cache-resident
+// single-key RMW commit at the value measured before the shared commit
+// pipeline (see enginetest.AllocGuard).
+func TestCommitAllocs(t *testing.T) {
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 4), 19)
+}

@@ -13,7 +13,6 @@ import (
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/heap"
 	"github.com/disagglab/disagg/internal/sim"
-	"github.com/disagglab/disagg/internal/txn"
 	"github.com/disagglab/disagg/internal/wal"
 )
 
@@ -22,7 +21,7 @@ const segPrefix = "kvseg/"
 
 // ckptPrefix names the consolidated snapshot objects. A snapshot at LSN h
 // holds the full materialized view covering every commit <= h, terminated
-// by a TypeCommit marker record carrying h — recovery rejects a snapshot
+// by a TypeCheckpoint marker record carrying h — recovery rejects a snapshot
 // whose marker is missing (a torn upload) and falls back to the segments,
 // which are only garbage-collected after the snapshot landed whole.
 const ckptPrefix = "kvckpt/"
@@ -40,11 +39,12 @@ type KV struct {
 	layout heap.Layout
 	Store  *device.ObjectStore
 	log    *wal.Log
-	locks  *txn.LockTable
 	stats  engine.Stats
+	pipe   *engine.Pipeline
 
-	// commitMu serializes the assign-LSN -> upload -> apply sequence so
-	// segment LSN order matches apply order.
+	// commitMu is the pipeline's sequencer: it serializes the assign-LSN ->
+	// upload -> apply sequence, so segments land in LSN order and the view
+	// holds every commit at or below the durable LSN whenever it is free.
 	commitMu sync.Mutex
 
 	// ckpt consolidates segments into a snapshot object and deletes the
@@ -52,24 +52,25 @@ type KV struct {
 	// segment ever uploaded (linear in history length).
 	ckpt *checkpoint.Coordinator
 
-	mu         sync.Mutex
-	vals       map[uint64][]byte // volatile materialized view
-	durableLSN wal.LSN
-	nextTx     atomic.Uint64
-	crashed    atomic.Bool
+	mu      sync.Mutex
+	vals    map[uint64][]byte // volatile materialized view
+	crashed atomic.Bool
 }
 
 // NewKV creates the engine with its own object store.
 func NewKV(cfg *sim.Config, layout heap.Layout) *KV {
-	return &KV{
+	e := &KV{
 		cfg:    cfg,
 		layout: layout,
 		Store:  device.NewObjectStore(cfg),
 		log:    wal.NewLog(),
-		locks:  txn.NewLockTable(),
 		vals:   make(map[uint64][]byte),
 		ckpt:   checkpoint.New(cfg, "ckpt.snowflake"),
 	}
+	// No page cache, so no directory: nothing has to hear about a commit.
+	e.pipe = engine.NewPipeline(layout, e.log, &e.stats,
+		engine.Hooks{Durable: e.durable, Apply: e.apply, Sequencer: &e.commitMu})
+	return e
 }
 
 // Name implements engine.Engine.
@@ -79,11 +80,7 @@ func (e *KV) Name() string { return "snowflake-kv" }
 func (e *KV) Stats() *engine.Stats { return &e.stats }
 
 // DurableLSN reports the highest object-durable commit LSN.
-func (e *KV) DurableLSN() wal.LSN {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.durableLSN
-}
+func (e *KV) DurableLSN() wal.LSN { return e.pipe.DurableLSN() }
 
 func (e *KV) readKey(key uint64) ([]byte, error) {
 	e.mu.Lock()
@@ -99,80 +96,35 @@ func (e *KV) readKey(key uint64) ([]byte, error) {
 
 // Execute implements engine.Engine.
 func (e *KV) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	e.stats.Attempts.Add(1)
 	if e.crashed.Load() {
-		e.stats.Shed.Add(1)
-		return engine.ErrUnavailable
+		return e.pipe.Shed()
 	}
-	txID := e.nextTx.Add(1)
-	st := engine.NewStagedTx(e.readKey)
-	if err := fn(st); err != nil {
-		e.stats.Aborts.Add(1)
+	return e.pipe.Execute(c, e.readKey, fn)
+}
+
+// durable: one immutable segment upload, named by the commit LSN. A failed
+// or torn upload is an unacknowledged commit (the torn object's record
+// prefix may still surface at recovery).
+func (e *KV) durable(c *sim.Clock, recs []wal.Record) error {
+	encoded := engine.Encode(recs)
+	if err := e.Store.Put(c, segKey(recs[len(recs)-1].LSN), encoded); err != nil {
 		return err
 	}
-	keys, writes := st.WriteSet()
-	if len(keys) == 0 {
-		e.stats.Commits.Add(1)
-		return nil
-	}
-	held := 0
-	for _, k := range keys {
-		if err := e.locks.Acquire(c, txID, k, txn.Exclusive, txn.DefaultAcquire); err != nil {
-			for _, h := range keys[:held] {
-				e.locks.Unlock(txID, h, txn.Exclusive)
-			}
-			e.stats.Aborts.Add(1)
-			return engine.ErrConflict
-		}
-		held++
-	}
-	defer func() {
-		for _, k := range keys {
-			e.locks.Unlock(txID, k, txn.Exclusive)
-		}
-	}()
-
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
-	var recs []wal.Record
-	var encoded []byte
-	var lastLSN wal.LSN
-	for _, k := range keys {
-		rec := wal.Record{Type: wal.TypeUpdate, TxID: txID, Key: k, After: writes[k]}
-		rec.LSN = e.log.Append(rec)
-		lastLSN = rec.LSN
-		encoded = rec.Encode(encoded)
-		recs = append(recs, rec)
-	}
-	commit := wal.Record{Type: wal.TypeCommit, TxID: txID}
-	commit.LSN = e.log.Append(commit)
-	lastLSN = commit.LSN
-	encoded = commit.Encode(encoded)
-
-	// Durability: one immutable segment upload. A failed or torn upload
-	// is an unacknowledged commit (the torn object's record prefix may
-	// still surface at recovery).
-	if err := e.Store.Put(c, segKey(lastLSN), encoded); err != nil {
-		e.stats.Aborts.Add(1)
-		return engine.Unavail(err)
-	}
-	st.StampCommit(uint64(commit.LSN))
 	e.stats.LogBytes.Add(int64(len(encoded)))
 	e.stats.NetBytes.Add(int64(len(encoded)))
 	e.stats.NetMsgs.Add(1)
 	e.stats.StorageOps.Add(1)
+	return nil
+}
 
+// apply: the stateless compute node's only page state is its volatile
+// materialized view.
+func (e *KV) apply(c *sim.Clock, recs []wal.Record) error {
 	e.mu.Lock()
-	for _, r := range recs {
-		cp := make([]byte, len(r.After))
-		copy(cp, r.After)
-		e.vals[r.Key] = cp
-	}
-	if lastLSN > e.durableLSN {
-		e.durableLSN = lastLSN
+	for _, r := range recs[:len(recs)-1] {
+		e.vals[r.Key] = append([]byte(nil), r.After...)
 	}
 	e.mu.Unlock()
-	e.stats.Commits.Add(1)
 	return nil
 }
 
@@ -190,8 +142,12 @@ func ckptKey(lsn wal.LSN) string { return fmt.Sprintf("%s%020d", ckptPrefix, uin
 // round retries (deletion is idempotent).
 func (e *KV) Checkpoint(c *sim.Clock) error {
 	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: e.DurableLSN,
+		Durable: e.pipe.DurableLSN,
 		Flush: func(c *sim.Clock, h wal.LSN) error {
+			// A commit advances the durable LSN before its apply reaches the
+			// view; both happen under the sequencer, so holding it here means
+			// the view covers every commit at or below h.
+			e.commitMu.Lock()
 			e.mu.Lock()
 			keys := make([]uint64, 0, len(e.vals))
 			snap := make(map[uint64][]byte, len(e.vals))
@@ -200,6 +156,7 @@ func (e *KV) Checkpoint(c *sim.Clock) error {
 				snap[k] = append([]byte(nil), v...)
 			}
 			e.mu.Unlock()
+			e.commitMu.Unlock()
 			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 			var encoded []byte
 			for _, k := range keys {
@@ -208,7 +165,7 @@ func (e *KV) Checkpoint(c *sim.Clock) error {
 			}
 			// Terminal marker: recovery only trusts a snapshot that ends
 			// with it (a torn upload loses the tail, marker included).
-			marker := wal.Record{LSN: h, Type: wal.TypeCommit}
+			marker := wal.Record{LSN: h, Type: wal.TypeCheckpoint}
 			encoded = marker.Encode(encoded)
 			if err := e.Store.Put(c, ckptKey(h), encoded); err != nil {
 				return err
@@ -291,7 +248,7 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 			}
 		}
 		recs, _, err := wal.DecodePrefix(data)
-		if err != nil || len(recs) == 0 || recs[len(recs)-1].Type != wal.TypeCommit {
+		if err != nil || len(recs) == 0 || recs[len(recs)-1].Type != wal.TypeCheckpoint {
 			// Torn upload (missing terminal marker): the round that wrote
 			// it never deleted anything — try the previous snapshot.
 			continue
@@ -336,10 +293,8 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 	}
 	e.mu.Lock()
 	e.vals = vals
-	if high > e.durableLSN {
-		e.durableLSN = high
-	}
 	e.mu.Unlock()
+	e.pipe.AdvanceDurable(high)
 	e.crashed.Store(false)
 	return c.Now() - start, nil
 }

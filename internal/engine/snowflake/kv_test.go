@@ -72,3 +72,10 @@ func TestKVTornSegmentRecoversCleanPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCommitAllocs bounds the host allocations of one cache-resident
+// single-key RMW commit at the value measured before the shared commit
+// pipeline (see enginetest.AllocGuard).
+func TestCommitAllocs(t *testing.T) {
+	enginetest.AllocGuard(t, NewKV(sim.DefaultConfig(), enginetest.Layout(t)), 20)
+}

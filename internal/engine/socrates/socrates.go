@@ -10,8 +10,6 @@ package socrates
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,7 +22,6 @@ import (
 	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
 	"github.com/disagglab/disagg/internal/storagenode"
-	"github.com/disagglab/disagg/internal/txn"
 	"github.com/disagglab/disagg/internal/wal"
 )
 
@@ -40,19 +37,15 @@ type Engine struct {
 	XStore *device.ObjectStore
 
 	log   *wal.Log
-	locks *txn.LockTable
 	stats engine.Stats
 	pool  *buffer.Pool
+	pipe  *engine.Pipeline
 
 	// dir version-stamps the pool's frames at commit publishes; a frame
 	// whose local apply failed keeps its old stamp and goes stale, so the
 	// next reader refetches instead of seeing the pre-commit image.
 	dir   *coherence.Directory
 	poolH *coherence.Handle
-
-	// gc, when non-nil, combines concurrent XLOG appends into shared
-	// group flushes (engine.GroupCommitter).
-	gc *sim.Batcher[[]wal.Record, wal.LSN]
 
 	// SnapshotEvery pushes page snapshots to XStore every N commits
 	// (0 disables).
@@ -63,10 +56,7 @@ type Engine struct {
 	// truncate below it.
 	ckpt *checkpoint.Coordinator
 
-	mu          sync.Mutex
-	durableLSN  wal.LSN
-	commitCount int
-	nextTx      atomic.Uint64
+	commitCount atomic.Int64
 	crashed     atomic.Bool
 }
 
@@ -78,7 +68,6 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, nPageServers int) *Engi
 		XLOG:          storagenode.NewLogStore(cfg, storagenode.MediumSSD),
 		XStore:        device.NewObjectStore(cfg),
 		log:           wal.NewLog(),
-		locks:         txn.NewLockTable(),
 		SnapshotEvery: 256,
 	}
 	for i := 0; i < nPageServers; i++ {
@@ -91,7 +80,16 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, nPageServers int) *Engi
 	e.poolH = e.dir.Register("pool", e.pool)
 	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
 	e.ckpt = checkpoint.New(cfg, "ckpt.socrates")
+	e.pipe = engine.NewPipeline(layout, e.log, &e.stats, e.hooks())
 	return e
+}
+
+// hooks is the engine's row of the commit-pipeline table: the log becomes
+// durable in XLOG alone, page servers and the compute cache are brought
+// up to date off the commit path, and the single cache is excluded from
+// its own publishes.
+func (e *Engine) hooks() engine.Hooks {
+	return engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir, Exclude: e.poolH}
 }
 
 // Peer creates an additional compute node attached to root's shared
@@ -109,7 +107,6 @@ func Peer(root *Engine, peerID, poolPages int) *Engine {
 		PageServers:   root.PageServers,
 		XStore:        root.XStore,
 		log:           root.log,
-		locks:         txn.NewLockTable(),
 		dir:           root.dir,
 		SnapshotEvery: root.SnapshotEvery,
 		ckpt:          root.ckpt, // one horizon per shared log
@@ -117,7 +114,8 @@ func Peer(root *Engine, peerID, poolPages int) *Engine {
 	e.pool = buffer.NewPool(e.cfg, poolPages, e.fetchPage, nil)
 	e.poolH = e.dir.Register(fmt.Sprintf("peer%d", peerID), e.pool)
 	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
-	e.nextTx.Store(uint64(peerID) << 40)
+	e.pipe = engine.NewPipeline(e.layout, e.log, &e.stats, e.hooks())
+	e.pipe.StripeTxIDs(peerID)
 	return e
 }
 
@@ -132,56 +130,14 @@ func (e *Engine) Name() string { return "socrates" }
 func (e *Engine) Stats() *engine.Stats { return &e.stats }
 
 // EnableGroupCommit implements engine.GroupCommitter: commits share XLOG
-// flushes of up to maxItems transactions or the virtual window.
+// flushes.
 func (e *Engine) EnableGroupCommit(maxItems int, window time.Duration) {
-	e.dir.EnableBatching(maxItems, window)
-	if maxItems <= 1 {
-		e.gc = nil
-		return
-	}
-	e.gc = sim.NewBatcher(e.cfg, "socrates.groupcommit",
-		sim.BatchPolicy{MaxItems: maxItems, Window: window, OnFlush: e.noteFlush},
-		e.flushGroup)
-}
-
-func (e *Engine) noteFlush(n int, reason sim.FlushReason) {
-	e.stats.GroupFlushes.Add(1)
-	if reason == sim.FlushSize {
-		e.stats.FlushOnSize.Add(1)
-	} else {
-		e.stats.FlushOnTimeout.Add(1)
-	}
-}
-
-// flushGroup appends every rider's records to XLOG as one flush in LSN
-// order; all riders wake with the group's durable high-water LSN.
-func (e *Engine) flushGroup(c *sim.Clock, groups [][]wal.Record, out []wal.LSN) error {
-	var recs []wal.Record
-	for _, g := range groups {
-		recs = append(recs, g...)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].LSN < recs[j].LSN })
-	if err := e.XLOG.Append(c, recs); err != nil {
-		return err
-	}
-	e.stats.NetMsgs.Add(1)
-	high := recs[len(recs)-1].LSN
-	e.mu.Lock()
-	if high > e.durableLSN {
-		e.durableLSN = high
-	}
-	e.mu.Unlock()
-	for i := range out {
-		out[i] = high
-	}
-	return nil
+	e.pipe.EnableGroupCommit(e.cfg, "socrates.groupcommit", maxItems, window)
 }
 
 // fetchPage reads from the first healthy, fresh-enough page server.
 func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
-	e.mu.Lock()
-	min := e.durableLSN
-	e.mu.Unlock()
+	min := e.pipe.DurableLSN()
 	var lastErr error = engine.ErrUnavailable
 	for attempt := 0; attempt < 2; attempt++ {
 		for _, ps := range e.PageServers {
@@ -205,143 +161,49 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	return nil, lastErr
 }
 
-func (e *Engine) readKey(c *sim.Clock) func(key uint64) ([]byte, error) {
-	return func(key uint64) ([]byte, error) {
-		id := e.layout.PageOf(key)
-		// Peek serves a validated hit atomically (the old Contains+Get
-		// pair miscounted a stale frame as a hit).
-		if data, ok := e.pool.Peek(c, id); ok {
-			e.stats.CacheHits.Add(1)
-			return e.layout.ReadValue(data, key)
-		}
-		e.stats.CacheMisses.Add(1)
-		data, err := e.pool.Get(c, id)
-		if err != nil {
-			return nil, err
-		}
-		return e.layout.ReadValue(data, key)
-	}
-}
-
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	e.stats.Attempts.Add(1)
 	if e.crashed.Load() {
-		e.stats.Shed.Add(1)
-		return engine.ErrUnavailable
+		return e.pipe.Shed()
 	}
-	txID := e.nextTx.Add(1)
-	st := engine.NewStagedTx(e.readKey(c))
-	if err := fn(st); err != nil {
-		e.stats.Aborts.Add(1)
+	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
+}
+
+// durable: the commit waits ONLY for the XLOG append.
+func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
+	if err := e.XLOG.Append(c, recs); err != nil {
 		return err
 	}
-	keys, writes := st.WriteSet()
-	if len(keys) == 0 {
-		e.stats.Commits.Add(1)
-		return nil
-	}
-	held := 0
-	for _, k := range keys {
-		if err := e.locks.Acquire(c, txID, k, txn.Exclusive, txn.DefaultAcquire); err != nil {
-			for _, h := range keys[:held] {
-				e.locks.Unlock(txID, h, txn.Exclusive)
-			}
-			e.stats.Aborts.Add(1)
-			return engine.ErrConflict
-		}
-		held++
-	}
-	defer func() {
-		for _, k := range keys {
-			e.locks.Unlock(txID, k, txn.Exclusive)
-		}
-	}()
-	var recs []wal.Record
-	logBytes := 0
-	var lastLSN wal.LSN
-	pageStamp := make(map[page.ID]uint64)
-	for _, k := range keys {
-		id := e.layout.PageOf(k)
-		rec := wal.Record{Type: wal.TypeUpdate, TxID: txID, PageID: uint64(id), Key: k, After: writes[k]}
-		rec.LSN = e.log.Append(rec)
-		lastLSN = rec.LSN
-		logBytes += rec.EncodedSize()
-		recs = append(recs, rec)
-		if uint64(rec.LSN) > pageStamp[id] {
-			pageStamp[id] = uint64(rec.LSN)
-		}
-	}
-	commit := wal.Record{Type: wal.TypeCommit, TxID: txID}
-	commit.LSN = e.log.Append(commit)
-	lastLSN = commit.LSN
-	logBytes += commit.EncodedSize()
-	recs = append(recs, commit)
+	n := int64(engine.LogBytes(recs))
+	e.stats.NetMsgs.Add(1)
+	e.stats.LogBytes.Add(n)
+	e.stats.NetBytes.Add(n)
+	return nil
+}
 
-	// Durability: the commit waits ONLY for XLOG.
-	if e.gc != nil {
-		if _, err := e.gc.Submit(c, recs); err != nil {
-			e.stats.Aborts.Add(1)
-			return engine.Unavail(err)
-		}
-		e.stats.GroupCommits.Add(1)
-	} else {
-		if err := e.XLOG.Append(c, recs); err != nil {
-			e.stats.Aborts.Add(1)
-			return engine.Unavail(err)
-		}
-		e.stats.NetMsgs.Add(1)
-	}
-	st.StampCommit(uint64(commit.LSN))
-	e.stats.LogBytes.Add(int64(logBytes))
-	e.stats.NetBytes.Add(int64(logBytes))
-
-	// Availability: XLOG disseminates to page servers off the commit
-	// path (the writer does NOT pay this fan-out — Socrates's advantage
-	// over Taurus's writer-driven distribution).
+// apply: availability. XLOG disseminates to the page servers off the
+// commit path (the writer does NOT pay this fan-out — Socrates's advantage
+// over Taurus's writer-driven distribution); the compute cache keeps its
+// own copies current; every SnapshotEvery commits the written pages'
+// images go to XStore.
+func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 	bg := sim.NewClock()
 	for _, ps := range e.PageServers {
 		ps.Ingest(bg, recs)
 	}
-
-	e.mu.Lock()
-	if lastLSN > e.durableLSN {
-		e.durableLSN = lastLSN
+	e.pipe.ApplyCached(c, e.pool, recs)
+	if n := e.commitCount.Add(1); e.SnapshotEvery > 0 && n%int64(e.SnapshotEvery) == 0 {
+		e.snapshotToXStore(c, recs)
 	}
-	e.commitCount++
-	doSnap := e.SnapshotEvery > 0 && e.commitCount%e.SnapshotEvery == 0
-	e.mu.Unlock()
-	// Apply to cached pages, then publish the commit stamps. Mutate
-	// re-stamps an applied frame from the mutated bytes so it stays fresh;
-	// a failed apply (XLOG already made the commit durable) leaves the old
-	// stamp and the publish stales the frame, so the next reader refetches
-	// — replacing the old explicit Invalidate-on-error call.
-	for _, k := range keys {
-		key := k
-		if e.pool.Contains(e.layout.PageOf(k)) {
-			_ = e.pool.Mutate(c, e.layout.PageOf(k), func(data []byte) error {
-				return e.layout.WriteValue(data, key, writes[key], uint64(lastLSN))
-			})
-		}
-	}
-	stamps := make([]coherence.PageStamp, 0, len(pageStamp))
-	for id, st := range pageStamp {
-		stamps = append(stamps, coherence.PageStamp{ID: id, Stamp: st})
-	}
-	e.dir.Publish(c, stamps, e.poolH)
-	if doSnap {
-		e.snapshotToXStore(c, keys)
-	}
-	e.stats.Commits.Add(1)
 	return nil
 }
 
 // snapshotToXStore pushes current page images of recently written pages to
 // XStore — the extra data movement the tutorial notes Socrates may incur.
-func (e *Engine) snapshotToXStore(c *sim.Clock, keys []uint64) {
+func (e *Engine) snapshotToXStore(c *sim.Clock, recs []wal.Record) {
 	seen := map[page.ID]bool{}
-	for _, k := range keys {
-		id := e.layout.PageOf(k)
+	for _, r := range recs[:len(recs)-1] {
+		id := page.ID(r.PageID)
 		if seen[id] {
 			continue
 		}
@@ -369,9 +231,7 @@ func (e *Engine) Crash() {
 // unaffected by compute failure).
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
-	e.mu.Lock()
-	e.durableLSN = e.XLOG.HighLSN()
-	e.mu.Unlock()
+	e.pipe.AdvanceDurable(e.XLOG.HighLSN())
 	// One metadata round trip to XLOG.
 	op := e.cfg.Begin(c, "tcp.rpc")
 	c.Advance(e.cfg.TCP.Cost(64))
@@ -387,11 +247,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // and is retried next round) plus the compute-side log below it.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
 	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: func() wal.LSN {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return e.durableLSN
-		},
+		Durable: e.pipe.DurableLSN,
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			advanced := 0
 			for _, ps := range e.PageServers {

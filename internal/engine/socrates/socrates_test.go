@@ -125,3 +125,10 @@ func TestChaosCrashRecovery(t *testing.T) {
 		return New(sim.DefaultConfig(), enginetest.Layout(t), 64, 2)
 	})
 }
+
+// TestCommitAllocs bounds the host allocations of one cache-resident
+// single-key RMW commit at the value measured before the shared commit
+// pipeline (see enginetest.AllocGuard).
+func TestCommitAllocs(t *testing.T) {
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 2), 20)
+}

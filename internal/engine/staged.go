@@ -1,6 +1,6 @@
 package engine
 
-import "sort"
+import "slices"
 
 // StagedTx is the transaction staging helper shared by the engines: reads
 // go through the engine's read path (checking the transaction's own write
@@ -68,7 +68,7 @@ func (t *StagedTx) WriteSet() ([]uint64, map[uint64][]byte) {
 	for k := range t.writes {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys, t.writes
 }
 
