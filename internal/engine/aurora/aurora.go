@@ -82,11 +82,16 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, readers int) *Engine {
 }
 
 // hooks is the engine's row of the commit-pipeline table: the log becomes
-// durable on the write quorum, only the writer's cached copies need
+// durable on the write quorum (and a volume below that quorum refuses a
+// write set before it is logged), only the writer's cached copies need
 // applying (storage materialises from the log), and the directory fans
 // invalidations to every other registered cache.
 func (e *Engine) hooks() engine.Hooks {
-	return engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir, Exclude: e.poolH}
+	return engine.Hooks{
+		Writable: e.Volume.WriteAvailable,
+		Durable:  e.durable, Apply: e.apply,
+		Dir: e.dir, Exclude: e.poolH,
+	}
 }
 
 // Peer creates an additional compute node attached to root's shared
@@ -168,7 +173,8 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 
 // Execute implements engine.Engine (runs on the writer node). Read-only
 // work needs only the read quorum; a commit with writes needs the write
-// quorum, which Volume.AppendLog checks before shipping anything.
+// quorum, which the pipeline asks for (Hooks.Writable) before it logs
+// anything.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 	if e.crashed.Load() {
 		return e.pipe.Shed()

@@ -149,6 +149,55 @@ func TestSurvivesAZFailure(t *testing.T) {
 	}
 }
 
+// TestQuorumLossLeavesNoOrphanRecords: a write refused for lack of a write
+// quorum must never reach the authoritative log. The check inside
+// Volume.AppendLog comes after the records were appended there, and the
+// next Heal (from Checkpoint, a page-fetch retry, a repair drill) would
+// ship them to the restarted replicas: the aborted write becomes visible.
+func TestQuorumLossLeavesNoOrphanRecords(t *testing.T) {
+	layout := enginetest.Layout(t)
+	e := New(sim.DefaultConfig(), layout, 64, 0)
+	c := sim.NewClock()
+	val := func(n uint64) []byte {
+		v := make([]byte, layout.ValSize)
+		binary.LittleEndian.PutUint64(v, n)
+		return v
+	}
+	if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(7, val(1)) }); err != nil {
+		t.Fatal(err)
+	}
+	e.Volume.FailAZ(0)
+	e.Volume.Replicas[2].Fail()
+	head := e.Log().Head()
+	aborts := e.Stats().Aborts.Load()
+	if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(7, val(2)) }); err != engine.ErrUnavailable {
+		t.Fatalf("write with 3/6 alive: %v", err)
+	}
+	if got := e.Log().Head(); got != head {
+		t.Fatalf("refused write left records in the log: head %d -> %d", head, got)
+	}
+	if got := e.Stats().Aborts.Load(); got != aborts+1 {
+		t.Fatalf("refused write moved Aborts by %d, want 1", got-aborts)
+	}
+	for _, r := range e.Volume.Replicas {
+		r.Restart()
+	}
+	if err := e.Checkpoint(c); err != nil {
+		t.Fatal(err)
+	}
+	e.Volume.Heal(c, e.Log())
+	e.Pool().InvalidateAll() // force a storage read
+	if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+		v, err := tx.Read(7)
+		if err == nil && binary.LittleEndian.Uint64(v) != 1 {
+			t.Errorf("read %d: the aborted write surfaced after heal", binary.LittleEndian.Uint64(v))
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRecoveryIsNearInstant(t *testing.T) {
 	layout := enginetest.Layout(t)
 	e := New(sim.DefaultConfig(), layout, 64, 0)

@@ -20,13 +20,22 @@ import (
 // tutorial's Figures 1 and 2): where the log becomes durable, where pages
 // are materialised, and which caches must hear about a commit. An engine
 // builds one Hooks value at construction from its own methods; everything
-// else about committing a transaction is Pipeline.Execute.
+// else about committing a transaction is Pipeline.Execute. Durable, Apply
+// and (for an engine with a page cache) Dir are the three; Writable and
+// Sequencer are components only one architecture each has, nil elsewhere.
 //
 // Both function hooks receive one transaction's records: an update record
 // per written key in ascending key order (LSN, TxID, PageID, Key and After
 // filled in), then the commit record. The commit LSN — the stamp every
 // applied page carries — is the last record's.
 type Hooks struct {
+	// Writable, for an architecture whose durable tier can refuse writes
+	// outright (a quorum volume below its write quorum), is asked before any
+	// LSN is assigned; false aborts with ErrUnavailable. The check inside
+	// Durable is too late for this: by then the records sit in the
+	// authoritative log, and the next heal or catch-up from that log would
+	// ship the aborted write to the restarted replicas and make it visible.
+	Writable func() bool
 	// Durable ships recs to wherever this architecture's log becomes
 	// durable and accounts the traffic that took (LogBytes, NetBytes,
 	// NetMsgs including the engine's replication fan-out). A nil return IS
@@ -64,13 +73,17 @@ type Hooks struct {
 //  1. Count the attempt. Every attempt ends in exactly one of Commits,
 //     Aborts or Shed, so Attempts == Commits + Aborts + Shed.
 //  2. Run fn against a StagedTx over the engine's read path. An fn error
-//     aborts; an empty write set commits with nothing to log.
+//     aborts; an empty write set commits with nothing to log. A write set
+//     the durable tier is known to refuse (Writable) aborts as
+//     ErrUnavailable before anything reaches the log.
 //  3. Lock the write set exclusively in ascending key order (deadlock
 //     free); a refused lock releases the ones held and aborts with
 //     ErrConflict. Locks are released when Execute returns.
 //  4. Append one update record per key and a commit record to the log.
 //  5. Durable hook (or a ride on the shared group flush). Failure aborts
-//     as ErrUnavailable; nothing was stamped, applied or published.
+//     as ErrUnavailable; nothing was stamped, applied or published. (The
+//     records stay in the log, which cannot take them back: a heal from it
+//     may still deliver them, so this outcome is ambiguous, not clean.)
 //  6. Stamp the transaction with its commit LSN and advance the durable
 //     LSN. Stamp-before-ack: from here on the records may survive a crash,
 //     so any failure below is "durable but unacknowledged" — history
@@ -168,6 +181,9 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 	keys, writes := st.WriteSet()
 	if len(keys) == 0 {
 		return nil
+	}
+	if p.Writable != nil && !p.Writable() {
+		return ErrUnavailable
 	}
 	held := 0
 	defer func() {

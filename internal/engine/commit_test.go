@@ -65,9 +65,10 @@ func (e *pipeEngine) Execute(c *sim.Clock, fn func(tx Tx) error) error {
 }
 
 // TestPipelineExitPaths drives every way out of Pipeline.Execute and holds
-// each to the skeleton's three invariants: the attempt lands in exactly
-// one outcome counter, the transaction is stamped iff the durable hook
-// returned nil, and no write-set lock outlives the call.
+// each to the skeleton's invariants: the attempt lands in exactly one
+// outcome counter, the transaction is stamped iff the durable hook
+// returned nil, nothing is logged unless the durable hook is reached, and
+// no write-set lock outlives the call.
 func TestPipelineExitPaths(t *testing.T) {
 	errFn := errors.New("fn failed")
 	errDurable := errors.New("log tier down")
@@ -92,6 +93,10 @@ func TestPipelineExitPaths(t *testing.T) {
 		{name: "conflict on the 2nd lock",
 			setup:   func(e *pipeEngine) { e.p.locks.TryLock(foreignTx, keys[1], txn.Exclusive) },
 			wantErr: ErrConflict, aborts: 1},
+		{name: "writes refused", setup: func(e *pipeEngine) { e.p.Writable = func() bool { return false } },
+			wantErr: ErrUnavailable, aborts: 1},
+		{name: "read-only while writes refused", setup: func(e *pipeEngine) { e.p.Writable = func() bool { return false } },
+			fn: func(tx Tx) error { _, err := tx.Read(keys[0]); return err }, commits: 1},
 		{name: "durable failure", setup: func(e *pipeEngine) { e.durableErr = errDurable },
 			wantErr: ErrUnavailable, aborts: 1, wantDurable: 1},
 		{name: "apply failure", setup: func(e *pipeEngine) { e.applyErr = errApply },
@@ -139,6 +144,9 @@ func TestPipelineExitPaths(t *testing.T) {
 			}
 			if d, a := e.durables.Load(), e.applies.Load(); d != tc.wantDurable || a != tc.wantApply {
 				t.Errorf("durable/apply calls = %d/%d, want %d/%d", d, a, tc.wantDurable, tc.wantApply)
+			}
+			if head := e.p.log.Head(); tc.wantDurable == 0 && head != 1 {
+				t.Errorf("log head %d: records logged for a transaction the durable hook never saw", head)
 			}
 			e.p.locks.Unlock(foreignTx, keys[1], txn.Exclusive)
 			for _, k := range keys {

@@ -233,8 +233,13 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 	}
 	for _, id := range pages {
 		// The commit is already durable, so a busy latch is waited out,
-		// never surfaced as a conflict: a latch holder waits only for
-		// higher pages, so the wait always ends.
+		// never surfaced as a conflict. The wait ends: latches are taken
+		// only here, in ascending page order (a holder waits only for
+		// higher pages), and the defer below releases them before apply
+		// returns. It has no bound on purpose: an Acquire round lasts
+		// microseconds of host time, a descheduled holder keeps its latch
+		// for milliseconds, and giving up would fail a durable commit on
+		// scheduler noise (TestSamePageCommitsWaitForTheLatch).
 		for e.latches.Acquire(c, txID, id, txn.Exclusive, txn.DefaultAcquire) != nil {
 		}
 	}

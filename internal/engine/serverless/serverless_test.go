@@ -2,6 +2,7 @@ package serverless
 
 import (
 	"encoding/binary"
+	"sync"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/engine"
@@ -141,4 +142,128 @@ func TestChaosCrashRecovery(t *testing.T) {
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
 	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 2, 64, 4096), 27)
+}
+
+// dropSite is a fault injector that drops every operation at one site
+// while armed.
+type dropSite struct {
+	site  string
+	armed bool
+}
+
+func (d *dropSite) Inject(c *sim.Clock, site string) sim.FaultOutcome {
+	return sim.FaultOutcome{Drop: d.armed && site == d.site}
+}
+
+// TestReadAfterFailedApply: a commit whose shared-pool apply fails is
+// durable but unacknowledged, and the pipeline still publishes its page
+// versions. The pre-commit images left in the shared pool and the local
+// caches then fail validation, so every node's next read materialises the
+// page from the volume's durable log and sees the committed value — on
+// both ways apply can fail: the shared-pool write (the pool unmaps the
+// frame itself) and the shared-pool read (the pool still holds the
+// pre-commit image).
+func TestReadAfterFailedApply(t *testing.T) {
+	for _, site := range []string{"rdma.write", "rdma.read"} {
+		t.Run(site, func(t *testing.T) {
+			layout := enginetest.Layout(t)
+			cfg := sim.DefaultConfig()
+			fault := &dropSite{site: site}
+			cfg.Fault = fault
+			e := New(cfg, layout, 2, 16, 256)
+			c := sim.NewClock()
+			val := func(n uint64) []byte {
+				v := make([]byte, layout.ValSize)
+				binary.LittleEndian.PutUint64(v, n)
+				return v
+			}
+			if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(9, val(1)) }); err != nil {
+				t.Fatal(err)
+			}
+			// The secondary caches the pre-commit image; the primary's local
+			// copy is dropped so apply has to go to the shared pool.
+			e.ReadReplica(c, 1, func(tx engine.Tx) error { _, err := tx.Read(9); return err })
+			e.nodes[0].cache.InvalidateAll()
+
+			fault.armed = true
+			runs := 0
+			err := engine.Run(e, c, engine.RunOpts{Retries: 3}, func(tx engine.Tx) error { runs++; return tx.Write(9, val(2)) })
+			fault.armed = false
+			if err == nil || runs != 1 {
+				t.Fatalf("failed apply: err=%v after %d runs, want a non-retryable error after 1", err, runs)
+			}
+			read := func(tx engine.Tx) error {
+				v, err := tx.Read(9)
+				if err == nil && binary.LittleEndian.Uint64(v) != 2 {
+					t.Errorf("read %d after the durable commit of 2", binary.LittleEndian.Uint64(v))
+				}
+				return err
+			}
+			if err := e.ReadReplica(c, 1, read); err != nil {
+				t.Fatal(err)
+			}
+			if err := engine.Run(e, c, engine.RunOpts{}, read); err != nil {
+				t.Fatal(err)
+			}
+			hits := e.Stats().CacheHits.Load()
+			if err := e.ReadReplica(c, 1, read); err != nil {
+				t.Fatal(err)
+			}
+			if e.Stats().CacheHits.Load() != hits+1 {
+				t.Error("the refetched page does not validate: local cache misses forever")
+			}
+		})
+	}
+}
+
+// TestSamePageCommitsWaitForTheLatch: writers of different keys on one
+// page never conflict on row locks, so they meet at the page latch after
+// their records are durable. Every commit must be acknowledged (a busy
+// latch is waited for however long its holder is descheduled, never
+// surfaced as an error) and none of the read-modify-writes of the shared
+// page image may be lost. Run under -race.
+func TestSamePageCommitsWaitForTheLatch(t *testing.T) {
+	layout := enginetest.Layout(t)
+	e := New(sim.DefaultConfig(), layout, 1, 16, 256)
+	const writers, rounds = 4, 200
+	for k := uint64(0); k < writers; k++ {
+		if layout.PageOf(k) != layout.PageOf(0) {
+			t.Fatalf("key %d is not on key 0's page", k)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := uint64(0); w < writers; w++ {
+		wg.Add(1)
+		go func(key uint64) {
+			defer wg.Done()
+			c := sim.NewClock()
+			val := make([]byte, layout.ValSize)
+			for n := uint64(1); n <= rounds; n++ {
+				binary.LittleEndian.PutUint64(val, n)
+				if err := e.Execute(c, func(tx engine.Tx) error { return tx.Write(key, val) }); err != nil {
+					t.Errorf("writer %d commit %d: %v", key, n, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := e.Stats()
+	if c, a := st.Commits.Load(), st.Attempts.Load(); c != writers*rounds || a != c {
+		t.Errorf("commits/attempts = %d/%d, want %d/%d", c, a, writers*rounds, writers*rounds)
+	}
+	if err := e.Execute(sim.NewClock(), func(tx engine.Tx) error {
+		for k := uint64(0); k < writers; k++ {
+			v, err := tx.Read(k)
+			if err != nil {
+				return err
+			}
+			if got := binary.LittleEndian.Uint64(v); got != rounds {
+				t.Errorf("key %d = %d, want %d: a same-page commit was clobbered", k, got, rounds)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -21,7 +21,7 @@ const segPrefix = "kvseg/"
 
 // ckptPrefix names the consolidated snapshot objects. A snapshot at LSN h
 // holds the full materialized view covering every commit <= h, terminated
-// by a TypeCheckpoint marker record carrying h — recovery rejects a snapshot
+// by a TypeCommit marker record carrying h — recovery rejects a snapshot
 // whose marker is missing (a torn upload) and falls back to the segments,
 // which are only garbage-collected after the snapshot landed whole.
 const ckptPrefix = "kvckpt/"
@@ -165,7 +165,7 @@ func (e *KV) Checkpoint(c *sim.Clock) error {
 			}
 			// Terminal marker: recovery only trusts a snapshot that ends
 			// with it (a torn upload loses the tail, marker included).
-			marker := wal.Record{LSN: h, Type: wal.TypeCheckpoint}
+			marker := wal.Record{LSN: h, Type: wal.TypeCommit}
 			encoded = marker.Encode(encoded)
 			if err := e.Store.Put(c, ckptKey(h), encoded); err != nil {
 				return err
@@ -248,7 +248,7 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 			}
 		}
 		recs, _, err := wal.DecodePrefix(data)
-		if err != nil || len(recs) == 0 || recs[len(recs)-1].Type != wal.TypeCheckpoint {
+		if err != nil || len(recs) == 0 || recs[len(recs)-1].Type != wal.TypeCommit {
 			// Torn upload (missing terminal marker): the round that wrote
 			// it never deleted anything — try the previous snapshot.
 			continue
