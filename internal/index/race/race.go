@@ -212,7 +212,7 @@ func (c *Client) Put(clk *sim.Clock, key uint64, val []byte) error {
 			return err
 		}
 		// Update path: CAS the matching slot.
-		updated, done, err := c.tryReplace(clk, baddr, slots, key, fp, newSlot)
+		found, done, err := c.tryReplace(clk, baddr, slots, key, fp, newSlot)
 		if err != nil {
 			return err
 		}
@@ -220,38 +220,33 @@ func (c *Client) Put(clk *sim.Clock, key uint64, val []byte) error {
 			// The replaced KV block is reclaimed lazily (RACE defers
 			// frees with epochs so concurrent readers never chase a
 			// reused block; we model that by leaking the block).
-			_ = updated
 			return nil
 		}
-		// Insert path: CAS the first empty slot.
-		inserted := false
-		for i := 0; i < BucketSlots; i++ {
-			if slots[i] != 0 {
-				continue
-			}
-			ok, err := c.qp.CAS(clk, baddr+uint64(i*8), 0, newSlot)
-			if err != nil {
-				return err
-			}
-			if ok {
-				inserted = true
-			}
-			break // on CAS failure re-read the bucket
-		}
-		if inserted {
-			return nil
-		}
-		// Bucket had no empty slot: split the subtable and retry.
-		full := true
-		for i := 0; i < BucketSlots; i++ {
-			if slots[i] == 0 {
+		// found without done: the key is in the bucket but another writer
+		// replaced its slot first. Only re-read; inserting now would
+		// publish a second slot for the same key.
+		if !found {
+			// Insert path: CAS the first empty slot.
+			full := true
+			for i := 0; i < BucketSlots; i++ {
+				if slots[i] != 0 {
+					continue
+				}
 				full = false
-				break
+				ok, err := c.qp.CAS(clk, baddr+uint64(i*8), 0, newSlot)
+				if err != nil {
+					return err
+				}
+				if ok {
+					return nil
+				}
+				break // on CAS failure re-read the bucket
 			}
-		}
-		if full {
-			if err := c.split(clk, st); err != nil {
-				return err
+			// Bucket had no empty slot: split the subtable and retry.
+			if full {
+				if err := c.split(clk, st); err != nil {
+					return err
+				}
 			}
 		}
 		clk.Advance(c.h.cfg.RDMA.Base / 2) // backoff
@@ -261,31 +256,26 @@ func (c *Client) Put(clk *sim.Clock, key uint64, val []byte) error {
 }
 
 // tryReplace CASes the slot holding key (matched by fingerprint + key
-// verification) to newSlot. Returns the old slot word when replaced.
-func (c *Client) tryReplace(clk *sim.Clock, baddr uint64, slots [BucketSlots]uint64, key uint64, fp uint16, newSlot uint64) (old uint64, done bool, err error) {
+// verification) to newSlot. found reports that the bucket image holds the
+// key, done that this client's CAS replaced it; found without done means a
+// concurrent writer got there first.
+func (c *Client) tryReplace(clk *sim.Clock, baddr uint64, slots [BucketSlots]uint64, key uint64, fp uint16, newSlot uint64) (found, done bool, err error) {
 	for i := 0; i < BucketSlots; i++ {
-		sfp, vlen, kaddr := unpackSlot(slots[i])
+		sfp, _, kaddr := unpackSlot(slots[i])
 		if slots[i] == 0 || sfp != fp {
 			continue
 		}
 		hdr := make([]byte, kvHeader)
 		if err := c.qp.Read(clk, uint64(kaddr), hdr); err != nil {
-			return 0, false, err
+			return false, false, err
 		}
 		if binary.LittleEndian.Uint64(hdr) != key {
 			continue
 		}
-		_ = vlen
 		ok, err := c.qp.CAS(clk, baddr+uint64(i*8), slots[i], newSlot)
-		if err != nil {
-			return 0, false, err
-		}
-		if ok {
-			return slots[i], true, nil
-		}
-		return 0, false, nil // lost the race; caller re-reads
+		return true, ok, err
 	}
-	return 0, false, nil
+	return false, false, nil
 }
 
 // Delete removes the key by CASing its slot to zero.

@@ -2,6 +2,7 @@ package race
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -163,6 +164,59 @@ func TestConcurrentSameKeyLastWriterWins(t *testing.T) {
 	v, ok, err := cl.Get(sim.NewClock(), 5)
 	if err != nil || !ok || len(v) != 2 {
 		t.Fatalf("final state: %v %v %v", v, ok, err)
+	}
+}
+
+// keySlots counts the slots of key's bucket whose KV block carries key.
+func keySlots(t *testing.T, cl *Client, key uint64) int {
+	t.Helper()
+	clk := sim.NewClock()
+	_, baddr := cl.lookupSub(key)
+	slots, err := cl.readBucket(clk, baddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, w := range slots {
+		if w == 0 {
+			continue
+		}
+		_, _, kaddr := unpackSlot(w)
+		var hdr [kvHeader]byte
+		if err := cl.qp.Read(clk, uint64(kaddr), hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		if binary.LittleEndian.Uint64(hdr[:]) == key {
+			n++
+		}
+	}
+	return n
+}
+
+// A writer that finds the key but loses the CAS on its slot must re-read,
+// not insert: a duplicate slot is never cleaned up, so one slip anywhere in
+// the run is still there at the end.
+func TestConcurrentSameKeyOneSlot(t *testing.T) {
+	h := newHash(t, 2, 16)
+	const key = 5
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			cl := h.Attach(uint64(id+1), nil)
+			clk := sim.NewClock()
+			for i := 0; i < 4000; i++ {
+				if err := cl.Put(clk, key, []byte{byte(id), byte(i)}); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := keySlots(t, h.Attach(99, nil), key); n != 1 {
+		t.Fatalf("key %d occupies %d slots of its bucket, want 1", key, n)
 	}
 }
 

@@ -75,13 +75,12 @@ func (n *Node) handler(name string) (Handler, error) {
 // Fail marks the node as crashed: subsequent verbs return ErrNodeFailed.
 // Registered memory contents are preserved iff the node is a PM node
 // (persistence), otherwise they are wiped — memory disaggregation disables
-// fate sharing but DRAM is still volatile.
+// fate sharing but DRAM is still volatile. The wipe drops the region's
+// chunks: one pointer per 64 KiB, not a store per word.
 func (n *Node) Fail() {
 	n.failed.Store(true)
 	if !n.PM {
-		for i := range n.Mem.words {
-			atomic.StoreUint64(&n.Mem.words[i], 0)
-		}
+		n.Mem.wipe()
 	}
 }
 

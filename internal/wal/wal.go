@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -205,13 +206,26 @@ func (l *Log) Len() int {
 func (l *Log) Since(after LSN) []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []Record
-	for _, r := range l.records {
-		if r.LSN > after {
-			out = append(out, r)
-		}
+	return l.tail(after)
+}
+
+// tail copies out the records with LSN > after; the caller holds l.mu.
+// Records are dense and LSN-ordered (Append assigns next++, TruncateBefore
+// keeps a suffix), so the start is an index, not a scan, and the copy is
+// made once at its exact size. It stays a copy: TruncateBefore compacts
+// l.records in place.
+func (l *Log) tail(after LSN) []Record {
+	if len(l.records) == 0 {
+		return nil
 	}
-	return out
+	skip := uint64(0)
+	if first := l.records[0].LSN; after >= first {
+		skip = uint64(after-first) + 1
+	}
+	if skip >= uint64(len(l.records)) {
+		return nil
+	}
+	return slices.Clone(l.records[skip:])
 }
 
 // Replay returns all records with LSN > after, failing with ErrTruncated
@@ -224,13 +238,7 @@ func (l *Log) Replay(after LSN) ([]Record, error) {
 	if after+1 < l.floor {
 		return nil, fmt.Errorf("%w: replay from %d, floor %d", ErrTruncated, after, l.floor)
 	}
-	var out []Record
-	for _, r := range l.records {
-		if r.LSN > after {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return l.tail(after), nil
 }
 
 // Floor reports the lowest LSN guaranteed retained (1 when nothing has

@@ -246,3 +246,91 @@ func TestReplayFreshLogFromZero(t *testing.T) {
 		t.Fatalf("Replay(0) = %d records, want 4", len(rs))
 	}
 }
+
+// Since and Replay index into the dense log instead of scanning it; every
+// offset must still select exactly the records a scan for LSN > after
+// would, on an empty, a fresh, a truncated and a truncated-to-empty log.
+func TestLogTailOffsets(t *testing.T) {
+	type step struct {
+		appends  int
+		truncate LSN // 0: none
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"empty", nil},
+		{"fresh", []step{{appends: 10}}},
+		{"truncated", []step{{appends: 10, truncate: 6}}},
+		{"truncated then appended", []step{{appends: 10, truncate: 6}, {appends: 4}}},
+		{"truncated to empty", []step{{appends: 10, truncate: 11}}},
+		{"truncated to empty then appended", []step{{appends: 10, truncate: 11}, {appends: 3}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewLog()
+			var want []LSN // LSNs retained
+			for _, s := range tc.steps {
+				for i := 0; i < s.appends; i++ {
+					want = append(want, l.Append(Record{Type: TypeUpdate}))
+				}
+				if s.truncate != 0 {
+					l.TruncateBefore(s.truncate)
+					for len(want) > 0 && want[0] < s.truncate {
+						want = want[1:]
+					}
+				}
+			}
+			head, floor := l.Head(), l.Floor()
+			// after < floor, == floor-1, inside, == head-1, >= head, and the
+			// largest LSN there is.
+			for _, after := range []LSN{0, floor - 1, floor, (floor + head) / 2, head - 2, head - 1, head, head + 5, ^LSN(0)} {
+				var exp []LSN
+				for _, lsn := range want {
+					if lsn > after {
+						exp = append(exp, lsn)
+					}
+				}
+				got := l.Since(after)
+				if len(got) != len(exp) {
+					t.Fatalf("Since(%d) = %d records, want %d (floor %d, head %d)", after, len(got), len(exp), floor, head)
+				}
+				for i := range got {
+					if got[i].LSN != exp[i] {
+						t.Fatalf("Since(%d)[%d].LSN = %d, want %d", after, i, got[i].LSN, exp[i])
+					}
+				}
+				rs, err := l.Replay(after)
+				if after+1 < floor {
+					if !errors.Is(err, ErrTruncated) || rs != nil {
+						t.Fatalf("Replay(%d) below floor %d: %d records, err %v", after, floor, len(rs), err)
+					}
+					continue
+				}
+				if err != nil || len(rs) != len(exp) {
+					t.Fatalf("Replay(%d) = %d records, err %v; want %d", after, len(rs), err, len(exp))
+				}
+			}
+		})
+	}
+}
+
+// The tail is a copy: TruncateBefore compacts the log in place, and that
+// must not shift records under a slice a caller still holds.
+func TestLogTailDoesNotAliasLog(t *testing.T) {
+	l := NewLog()
+	for i := 0; i < 10; i++ {
+		l.Append(Record{Type: TypeUpdate, Key: uint64(i)})
+	}
+	rs := l.Since(2)
+	l.TruncateBefore(8)
+	l.Append(Record{Type: TypeUpdate, Key: 99})
+	for i, r := range rs {
+		if r.LSN != LSN(3+i) || r.Key != uint64(2+i) {
+			t.Fatalf("held tail[%d] = LSN %d key %d after truncation", i, r.LSN, r.Key)
+		}
+	}
+	rs[0].Key = 1234
+	if got := l.Since(7); got[0].Key != 7 {
+		t.Fatalf("writing a returned tail changed the log: key %d", got[0].Key)
+	}
+}
