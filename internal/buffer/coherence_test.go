@@ -211,7 +211,7 @@ func TestEvictionProgressUnderFaultWindow(t *testing.T) {
 
 // --- Satellite: probe misses must not skew HitRatio ---
 
-func TestPeekProbesDoNotInflateMisses(t *testing.T) {
+func TestViewProbesDoNotInflateMisses(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	fs := newFakeStore(cfg, 10, 256)
 	p := NewPool(cfg, 4, fs.fetch, nil)
@@ -220,12 +220,12 @@ func TestPeekProbesDoNotInflateMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 5; i++ { // 5 probe misses
-		if _, ok := p.Peek(c, page.ID(i)); ok {
+		if p.View(c, page.ID(i), nil) {
 			t.Fatalf("page %d unexpectedly cached", i)
 		}
 	}
-	if _, ok := p.Peek(c, 0); !ok { // 1 hit (probe hits are real hits)
-		t.Fatal("cached page not served by Peek")
+	if !p.View(c, 0, nil) { // 1 hit (probe hits are real hits)
+		t.Fatal("cached page not served by View")
 	}
 	if got := p.ProbeMisses(); got != 5 {
 		t.Fatalf("probe misses = %d, want 5", got)

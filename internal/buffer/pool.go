@@ -45,8 +45,12 @@ type frame struct {
 	stamp uint64
 }
 
-// Pool is a local LRU page cache. All access goes through Get/Mutate under
-// the pool lock; DRAM access cost is charged per touch.
+// Pool is a local LRU page cache. Every access runs under the pool lock and
+// is charged one DRAM touch. Reads go through View (hit only) and Read
+// (fetch on miss), which run fn on the frame's own bytes: data is valid only
+// until fn returns, so fn must copy out what it keeps and must not write to
+// data or call back into the pool. Get is Read plus a copy, for callers that
+// have to own the page; Mutate is the write path.
 type Pool struct {
 	cfg       *sim.Config
 	capacity  int
@@ -106,7 +110,7 @@ func (p *Pool) Len() int {
 }
 
 // HitRatio reports hits/(hits+misses) over demand accesses; probe misses
-// (Peek/Contains-style lookups that never intended to load) are excluded
+// (View lookups, which never intend to load) are excluded
 // so policies fed by the ratio are not skewed by probing.
 func (p *Pool) HitRatio() float64 {
 	h, m := p.hits.Load(), p.misses.Load()
@@ -140,12 +144,15 @@ func (p *Pool) removeLocked(e *list.Element) {
 	}
 }
 
+// locked is the one lookup body: the page's fresh frame, charged one DRAM
+// touch, fetched on a miss if load is set (else a miss is a nil frame).
 func (p *Pool) locked(c *sim.Clock, id page.ID, load bool) (*frame, error) {
 	if e, ok := p.frames[id]; ok {
 		f := e.Value.(*frame)
 		if p.coh == nil || p.coh.Validate(id, f.stamp) {
 			p.lru.MoveToFront(e)
 			p.hits.Add(1)
+			c.Advance(p.cfg.DRAM.Cost(len(f.data)))
 			return f, nil
 		}
 		// The directory published a newer stamp: the cached copy is
@@ -182,6 +189,7 @@ func (p *Pool) locked(c *sim.Clock, id page.ID, load bool) (*frame, error) {
 	if p.coh != nil {
 		p.coh.Note(id)
 	}
+	c.Advance(p.cfg.DRAM.Cost(len(f.data)))
 	return f, nil
 }
 
@@ -208,6 +216,37 @@ func (p *Pool) evictIfFullLocked(c *sim.Clock) error {
 	return nil
 }
 
+// View runs fn (which may be nil) on the page's bytes if a fresh copy is
+// cached, and reports whether one was. A miss (absent, or stale under the
+// coherence directory) has no fetch side effects and is counted as a probe,
+// not a demand miss.
+func (p *Pool) View(c *sim.Clock, id page.ID, fn func(data []byte)) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, _ := p.locked(c, id, false)
+	if f == nil {
+		return false
+	}
+	if fn != nil {
+		fn(f.data)
+	}
+	return true
+}
+
+// Read runs fn (which may be nil) on the page's bytes, fetching on miss.
+func (p *Pool) Read(c *sim.Clock, id page.ID, fn func(data []byte)) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, err := p.locked(c, id, true)
+	if err != nil {
+		return err
+	}
+	if fn != nil {
+		fn(f.data)
+	}
+	return nil
+}
+
 // Get returns a copy of the page bytes, fetching on miss.
 func (p *Pool) Get(c *sim.Clock, id page.ID) ([]byte, error) {
 	p.mu.Lock()
@@ -216,26 +255,9 @@ func (p *Pool) Get(c *sim.Clock, id page.ID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Advance(p.cfg.DRAM.Cost(len(f.data)))
 	out := make([]byte, len(f.data))
 	copy(out, f.data)
 	return out, nil
-}
-
-// Peek returns a copy of the page bytes if a fresh copy is cached. A miss
-// (absent, or stale under the coherence directory) has no fetch side
-// effects and is counted as a probe, not a demand miss.
-func (p *Pool) Peek(c *sim.Clock, id page.ID) ([]byte, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f, _ := p.locked(c, id, false)
-	if f == nil {
-		return nil, false
-	}
-	c.Advance(p.cfg.DRAM.Cost(len(f.data)))
-	out := make([]byte, len(f.data))
-	copy(out, f.data)
-	return out, true
 }
 
 // Contains reports whether the page is cached (no fetch, no LRU effect on
@@ -258,7 +280,6 @@ func (p *Pool) Mutate(c *sim.Clock, id page.ID, fn func(data []byte) error) erro
 	if err != nil {
 		return err
 	}
-	c.Advance(p.cfg.DRAM.Cost(len(f.data)))
 	if err := fn(f.data); err != nil {
 		return err
 	}
@@ -484,9 +505,11 @@ func (r *RemotePool) Get(c *sim.Clock, id page.ID, buf []byte) (bool, error) {
 // Put writes the page to remote memory, evicting the LRU page if needed.
 // Evicted pages are simply dropped: the remote pool caches pages that are
 // durable elsewhere (storage tier), like LegoBase's remote memory. The
-// entry is stamped from the page bytes, so demoting an old copy after a
-// newer commit published leaves the entry stale (caught on Get) rather
-// than masking the newer version.
+// entry's stamp always describes the bytes in its frame, so demoting an old
+// copy after a newer commit published, or over a newer resident copy, leaves
+// the entry stale (caught on Get) rather than masking the newer version. The
+// bytes are written either way: commits can apply out of LSN order, and the
+// lower-stamped image may be the more complete one.
 func (r *RemotePool) Put(c *sim.Clock, id page.ID, data []byte) error {
 	var stamp uint64
 	if r.stampOf != nil {
@@ -495,9 +518,7 @@ func (r *RemotePool) Put(c *sim.Clock, id page.ID, data []byte) error {
 	r.mu.Lock()
 	if e, ok := r.index[id]; ok {
 		r.lru.MoveToFront(e.elem)
-		if stamp > e.stamp {
-			e.stamp = stamp
-		}
+		e.stamp = stamp
 		addr := e.addr
 		r.mu.Unlock()
 		if err := r.qp.Write(c, addr, data[:r.pageSize]); err != nil {
@@ -595,52 +616,54 @@ func (t *TwoTier) SetCoherence(d *coherence.Directory, name string, stampOf Stam
 	t.Remote.SetCoherence(d.Register(name+".remote", t.Remote), stampOf)
 }
 
-// Get returns the page bytes, trying local, then remote, then storage.
-// The local probe goes through Peek so a hit is atomic with validation
-// (the old Contains-then-Get pair raced invalidations between the two
-// lock acquisitions).
-func (t *TwoTier) Get(c *sim.Clock, id page.ID) ([]byte, error) {
-	if data, ok := t.Local.Peek(c, id); ok {
+// Read runs fn (which may be nil) on the page's bytes, trying local, then
+// remote, then storage. The local probe goes through View so a hit is
+// atomic with validation (a Contains-then-Get pair raced invalidations
+// between the two lock acquisitions). On a miss fn runs on the fetched
+// buffer while it is still private; then that buffer becomes the frame.
+func (t *TwoTier) Read(c *sim.Clock, id page.ID, fn func(data []byte)) error {
+	if t.Local.View(c, id, fn) {
 		t.localHits.Add(1)
-		return data, nil
+		return nil
 	}
 	buf := make([]byte, t.Remote.pageSize)
 	ok, err := t.Remote.Get(c, id, buf)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ok {
 		t.remoteHits.Add(1)
-		if err := t.Local.Install(c, id, buf, false); err != nil {
-			return nil, err
+	} else {
+		t.storage.Add(1)
+		if buf, err = t.fetch(c, id); err != nil {
+			return err
 		}
-		out := make([]byte, len(buf))
-		copy(out, buf)
-		return out, nil
+		if err := t.Remote.Put(c, id, buf); err != nil {
+			return err
+		}
 	}
-	t.storage.Add(1)
-	data, err := t.fetch(c, id)
-	if err != nil {
+	if fn != nil {
+		fn(buf)
+	}
+	return t.Local.Install(c, id, buf, false)
+}
+
+// Get returns a copy of the page bytes, for callers that must own them.
+func (t *TwoTier) Get(c *sim.Clock, id page.ID) ([]byte, error) {
+	var out []byte
+	if err := t.Read(c, id, func(data []byte) { out = append([]byte(nil), data...) }); err != nil {
 		return nil, err
 	}
-	if err := t.Remote.Put(c, id, data); err != nil {
-		return nil, err
-	}
-	if err := t.Local.Install(c, id, data, false); err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(data))
-	copy(out, data)
 	return out, nil
 }
 
 // Mutate updates the page in the local tier (write path; demotion to the
 // remote tier happens on eviction, and durability is the engine's log).
 func (t *TwoTier) Mutate(c *sim.Clock, id page.ID, fn func(data []byte) error) error {
-	if _, ok := t.Local.Peek(c, id); !ok {
+	if !t.Local.View(c, id, nil) {
 		// Pull a fresh copy into the local tier first (a stale local
-		// frame was just dropped by the peek's validation).
-		if _, err := t.Get(c, id); err != nil {
+		// frame was just dropped by the probe's validation).
+		if err := t.Read(c, id, nil); err != nil {
 			return err
 		}
 	}

@@ -322,23 +322,23 @@ func Encode(recs []wal.Record) []byte {
 }
 
 // PoolReader is the read path of an engine whose compute cache is one
-// buffer.Pool: a validated hit is served by Peek in one step (a separate
+// buffer.Pool: a validated hit is served by View in one step (a separate
 // Contains+Get pair raced invalidations between its two lock acquisitions
 // and counted a stale frame as a hit); anything else goes through the
-// pool's fetcher.
+// pool's fetcher. ReadValue runs on the frame: only the value is copied out.
 func (p *Pipeline) PoolReader(c *sim.Clock, pool *buffer.Pool) func(key uint64) ([]byte, error) {
-	return func(key uint64) ([]byte, error) {
+	return func(key uint64) (val []byte, err error) {
 		id := p.layout.PageOf(key)
-		if data, ok := pool.Peek(c, id); ok {
+		read := func(data []byte) { val, err = p.layout.ReadValue(data, key) }
+		if pool.View(c, id, read) {
 			p.stats.CacheHits.Add(1)
-			return p.layout.ReadValue(data, key)
+			return val, err
 		}
 		p.stats.CacheMisses.Add(1)
-		data, err := pool.Get(c, id)
-		if err != nil {
-			return nil, err
+		if rerr := pool.Read(c, id, read); rerr != nil {
+			return nil, rerr
 		}
-		return p.layout.ReadValue(data, key)
+		return val, err
 	}
 }
 

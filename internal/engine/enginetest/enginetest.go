@@ -85,6 +85,38 @@ func Run(t *testing.T, factory func(t *testing.T) engine.Engine) {
 		}
 	})
 
+	// Reads run on the cache frame itself; what a transaction gets back must
+	// be its own copy, not a window into the frame the next commit rewrites.
+	t.Run("ReadsAreOwned", func(t *testing.T) {
+		e := factory(t)
+		c := sim.NewClock()
+		write := func(tag uint64) func(engine.Tx) error {
+			return func(tx engine.Tx) error { return tx.Write(9, val(layout, tag)) }
+		}
+		if err := engine.Run(e, c, engine.RunOpts{}, write(91)); err != nil {
+			t.Fatal(err)
+		}
+		var held [][]byte
+		// Once straight after the commit and once from the warmed cache.
+		for i := 0; i < 2; i++ {
+			if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+				v, err := tx.Read(9)
+				held = append(held, v)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := engine.Run(e, c, engine.RunOpts{}, write(92)); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range held {
+			if tag(v) != 91 {
+				t.Errorf("read %d changed under a later commit: tag %d, want 91", i, tag(v))
+			}
+		}
+	})
+
 	t.Run("AbortDiscardsWrites", func(t *testing.T) {
 		e := factory(t)
 		c := sim.NewClock()

@@ -134,12 +134,14 @@ func (e *Engine) fetchFromStorage(c *sim.Clock, id page.ID) ([]byte, error) {
 }
 
 func (e *Engine) readKey(c *sim.Clock) func(key uint64) ([]byte, error) {
-	return func(key uint64) ([]byte, error) {
-		data, err := e.Tiers.Get(c, e.layout.PageOf(key))
-		if err != nil {
-			return nil, err
+	return func(key uint64) (val []byte, err error) {
+		rerr := e.Tiers.Read(c, e.layout.PageOf(key), func(data []byte) {
+			val, err = e.layout.ReadValue(data, key)
+		})
+		if rerr != nil {
+			return nil, rerr
 		}
-		return e.layout.ReadValue(data, key)
+		return val, err
 	}
 }
 
@@ -335,7 +337,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	from := e.remoteCkptLSN
 	e.mu.Unlock()
 	// Replay the short tail; pages come from remote memory on demand
-	// (charged as RDMA reads inside Tiers.Get). Replay (not Since) so a
+	// (charged as RDMA reads inside Tiers.Read). Replay (not Since) so a
 	// horizon below the truncation floor fails loudly instead of redoing
 	// a partial prefix as if it were complete.
 	recs, err := e.log.Replay(from)

@@ -111,5 +111,5 @@ func TestChaosCrashRecovery(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64, 4096), 19)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64, 4096), 14, 2.5)
 }

@@ -121,5 +121,5 @@ func TestChaosCrashRecoveryPilot(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, Pilot()), 19)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, Pilot()), 15, 3)
 }

@@ -124,49 +124,50 @@ func (e *Engine) directoryLSN(c *sim.Clock, n *computeNode, id page.ID) wal.LSN 
 	return wal.LSN(e.dir.Version(id))
 }
 
-// getPage returns a current page image for the node: local cache if fresh,
-// else shared pool, else storage volume.
-func (e *Engine) getPage(c *sim.Clock, n *computeNode, id page.ID) ([]byte, error) {
+// readPage runs fn on a current image of the page: the node's local cache
+// if fresh, else the shared pool, else the storage volume. On a miss fn runs
+// on the fetched buffer while it is private; then it becomes the local frame.
+func (e *Engine) readPage(c *sim.Clock, n *computeNode, id page.ID, fn func(data []byte)) error {
 	want := e.directoryLSN(c, n, id)
-	// Peek only serves a frame whose stamp is current in the directory —
+	// View only serves a frame whose stamp is current in the directory —
 	// it replaces the old manual page-LSN check + Invalidate (which
 	// miscounted a stale frame as a hit before dropping it).
-	if data, ok := n.cache.Peek(c, id); ok {
+	if n.cache.View(c, id, fn) {
 		e.stats.CacheHits.Add(1)
-		return data, nil
+		return nil
 	}
 	e.stats.CacheMisses.Add(1)
 	buf := make([]byte, e.layout.PageSize)
 	ok, err := e.Shared.Get(c, id, buf)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ok {
 		e.stats.NetBytes.Add(int64(len(buf)))
 		e.stats.NetMsgs.Add(1)
-		n.cache.Install(c, id, append([]byte(nil), buf...), false)
-		return buf, nil
+	} else {
+		// Shared-pool miss: fetch from storage, populate the shared pool.
+		min := e.pipe.DurableLSN()
+		buf, err = e.Volume.ReadPage(c, id, minForPage(min, want))
+		if err != nil {
+			// Injected drops can leave the same log hole on every replica;
+			// heal from the authoritative log and retry once.
+			e.Volume.Heal(sim.NewClock(), e.log)
+			buf, err = e.Volume.ReadPage(c, id, minForPage(min, want))
+		}
+		if err != nil {
+			return err
+		}
+		e.stats.StorageOps.Add(1)
+		e.stats.NetBytes.Add(int64(len(buf)))
+		e.stats.NetMsgs.Add(1)
+		if err := e.Shared.Put(c, id, buf); err != nil {
+			return err
+		}
 	}
-	// Shared-pool miss: fetch from storage, populate the shared pool.
-	min := e.pipe.DurableLSN()
-	data, err := e.Volume.ReadPage(c, id, minForPage(min, want))
-	if err != nil {
-		// Injected drops can leave the same log hole on every replica;
-		// heal from the authoritative log and retry once.
-		e.Volume.Heal(sim.NewClock(), e.log)
-		data, err = e.Volume.ReadPage(c, id, minForPage(min, want))
-	}
-	if err != nil {
-		return nil, err
-	}
-	e.stats.StorageOps.Add(1)
-	e.stats.NetBytes.Add(int64(len(data)))
-	e.stats.NetMsgs.Add(1)
-	if err := e.Shared.Put(c, id, data); err != nil {
-		return nil, err
-	}
-	n.cache.Install(c, id, append([]byte(nil), data...), false)
-	return data, nil
+	fn(buf)
+	n.cache.Install(c, id, buf, false)
+	return nil
 }
 
 // minForPage: the storage read must cover the page's directory LSN (it may
@@ -179,12 +180,14 @@ func minForPage(durable, want wal.LSN) wal.LSN {
 }
 
 func (e *Engine) readKeyOn(c *sim.Clock, n *computeNode) func(key uint64) ([]byte, error) {
-	return func(key uint64) ([]byte, error) {
-		data, err := e.getPage(c, n, e.layout.PageOf(key))
-		if err != nil {
-			return nil, err
+	return func(key uint64) (val []byte, err error) {
+		rerr := e.readPage(c, n, e.layout.PageOf(key), func(data []byte) {
+			val, err = e.layout.ReadValue(data, key)
+		})
+		if rerr != nil {
+			return nil, rerr
 		}
-		return e.layout.ReadValue(data, key)
+		return val, err
 	}
 }
 
@@ -250,8 +253,9 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 	}()
 	for i := 0; i < len(updates); {
 		id := page.ID(updates[i].PageID)
-		data, err := e.getPage(c, n, id)
-		if err != nil {
+		// The one owned copy: mutated here, then Install makes it the frame.
+		var data []byte
+		if err := e.readPage(c, n, id, func(d []byte) { data = append([]byte(nil), d...) }); err != nil {
 			return err
 		}
 		for ; i < len(updates) && page.ID(updates[i].PageID) == id; i++ {

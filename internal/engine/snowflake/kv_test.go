@@ -77,5 +77,5 @@ func TestKVTornSegmentRecoversCleanPrefix(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, NewKV(sim.DefaultConfig(), enginetest.Layout(t)), 20)
+	enginetest.AllocGuard(t, NewKV(sim.DefaultConfig(), enginetest.Layout(t)), 17, 2.5)
 }

@@ -77,12 +77,11 @@ func (s *State) fetchRecord(c *sim.Clock, id page.ID) ([]byte, error) {
 }
 
 // Read returns (value, version) of a key through the tiered store.
-func (s *State) Read(c *sim.Clock, key uint64) (uint64, Version, error) {
-	data, err := s.cache.Get(c, page.ID(key))
-	if err != nil {
-		return 0, 0, err
-	}
-	return binary.LittleEndian.Uint64(data[8:]), Version(binary.LittleEndian.Uint64(data)), nil
+func (s *State) Read(c *sim.Clock, key uint64) (value uint64, v Version, err error) {
+	err = s.cache.Read(c, page.ID(key), func(data []byte) {
+		value, v = binary.LittleEndian.Uint64(data[8:]), Version(binary.LittleEndian.Uint64(data))
+	})
+	return value, v, err
 }
 
 // apply installs a committed write at the given version (remote write +

@@ -101,10 +101,21 @@ func (l Layout) ReadValue(data []byte, key uint64) ([]byte, error) {
 }
 
 // WriteValue updates the value for key in the page bytes in place and
-// stamps the page LSN.
+// stamps the page LSN. A cell of the layout's size is rewritten where it
+// lies, byte for byte what EncodeRecord would build; any other size goes
+// through Update.
 func (l Layout) WriteValue(data []byte, key uint64, val []byte, lsn uint64) error {
 	p := page.Wrap(data)
-	if err := p.Update(l.SlotOf(key), l.EncodeRecord(key, val)); err != nil {
+	slot := l.SlotOf(key)
+	cell, err := p.Cell(slot)
+	if err != nil {
+		return err
+	}
+	if len(cell) == recordOverhead+l.ValSize {
+		binary.LittleEndian.PutUint64(cell, key)
+		n := copy(cell[recordOverhead:], val)
+		clear(cell[recordOverhead+n:])
+	} else if err := p.Update(slot, l.EncodeRecord(key, val)); err != nil {
 		return err
 	}
 	if lsn > 0 {

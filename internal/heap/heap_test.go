@@ -2,8 +2,11 @@ package heap
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
+
+	"github.com/disagglab/disagg/internal/page"
 )
 
 func TestNewLayout(t *testing.T) {
@@ -125,5 +128,70 @@ func TestPropertyWriteReadAnyKey(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// WriteValue rewrites a cell where it lies; the page it leaves must be byte
+// for byte the one the EncodeRecord + page.Update path builds, including the
+// zeroed tail of a short value over a longer old one, the truncation of an
+// over-long value, and the Update fallback for a cell of another size.
+func TestWriteValueMatchesEncodeThenUpdate(t *testing.T) {
+	l, _ := NewLayout(1024, 16)
+	const key = 3
+	reference := func(data []byte, val []byte, lsn uint64) error {
+		p := page.Wrap(data)
+		if err := p.Update(l.SlotOf(key), l.EncodeRecord(key, val)); err != nil {
+			return err
+		}
+		if lsn > 0 {
+			p.SetLSN(lsn)
+		}
+		return nil
+	}
+	full := bytes.Repeat([]byte{0xAB}, 16)
+	// Five records and free space behind them, so the fallback's growing
+	// Update has room (a FormatPage page is packed full).
+	sparse := func() []byte {
+		p := page.New(l.PageSize)
+		for k := uint64(0); k < 5; k++ {
+			if _, err := p.Insert(l.EncodeRecord(k, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p.Bytes()
+	}
+	for _, tc := range []struct {
+		name   string
+		shrink bool // the cell was replaced by a shorter one first
+		val    []byte
+		lsn    uint64
+	}{
+		{name: "short", val: []byte("abc"), lsn: 9},
+		{name: "empty", val: nil, lsn: 9},
+		{name: "exact", val: []byte("0123456789abcdef"), lsn: 9},
+		{name: "over-long", val: []byte("0123456789abcdefXYZ"), lsn: 9},
+		{name: "no stamp", val: []byte("abc")},
+		{name: "other cell size", shrink: true, val: []byte("abc"), lsn: 9},
+	} {
+		got, want := sparse(), sparse()
+		for _, data := range [][]byte{got, want} {
+			if err := reference(data, full, 5); err != nil {
+				t.Fatal(err)
+			}
+			if tc.shrink {
+				if err := page.Wrap(data).Update(l.SlotOf(key), []byte{1, 2, 3}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if g, w := l.WriteValue(got, key, tc.val, tc.lsn), reference(want, tc.val, tc.lsn); g != w {
+			t.Errorf("%s: err = %v, EncodeRecord+Update path returns %v", tc.name, g, w)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: page differs from the EncodeRecord+Update path", tc.name)
+		}
+	}
+	if err := l.WriteValue(page.New(1024).Bytes(), key, nil, 1); !errors.Is(err, page.ErrBadSlot) {
+		t.Fatalf("empty page: err = %v, want ErrBadSlot", err)
 	}
 }
