@@ -65,3 +65,64 @@ func AllocGuard(t *testing.T, e engine.Engine, max, maxKB float64) {
 	}
 	t.Logf("%s: %.0f allocs, %.2f KB per 1-key RMW commit (bounds %.0f, %.2f)", e.Name(), got, gotKB, max, maxKB)
 }
+
+// MissAllocGuard asserts that one cold single-key read — a page miss that
+// the engine serves from its page store plus its own redo log — allocates at
+// most maxKB kilobytes on e. AllocGuard only ever hits the cache, so it
+// passed fetch paths that copied the whole retained log tail per miss; the
+// benchmark's oltp_miss host_alloc_kb_per_op is the same signal end to end.
+//
+// The guard commits 2,000 single-key updates round-robin over 256 pages and
+// then reads one key from each page in the same order, one pass unmeasured
+// (it evicts the frames the writes left dirty) and one measured. The caller
+// builds e with every cache tier smaller than 256 pages, so under LRU each
+// of those reads misses (checked through Stats.StorageOps), and with any
+// log-truncating checkpoint cadence off, so the 4,000 records stay in the log.
+// Measured on Layout's 4 KB pages; in brackets, the same guard when every
+// miss cloned the log tail above its starting LSN (4,000 records × 88 B from
+// a checkpoint LSN of 0; polardb starts at the LSN of the shipped image):
+//
+//	monolithic  4.68 KB (348.68)   polardb  4.68 KB (28.48)   legobase  12.97 KB (356.97)
+//
+// That is the one fresh page buffer a fetch returns to become the frame,
+// plus the read-only transaction itself. Legobase has two more pages' worth:
+// TwoTier.Read's buffer for the remote-tier probe, and — only because no
+// storage checkpoint ever gave the guard's pages a disk image — FormatPage's
+// record encoding on every fetch.
+func MissAllocGuard(t *testing.T, e engine.Engine, maxKB float64) {
+	t.Helper()
+	const commits, pages = 2000, 256
+	layout := Layout(t)
+	c := sim.NewClock()
+	v := val(layout, 1)
+	key := func(i int) uint64 { return uint64(i%pages) * uint64(layout.PerPage) }
+	for i := 0; i < commits; i++ {
+		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(key(i), v) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readPass := func() {
+		for i := 0; i < pages; i++ {
+			if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+				_, err := tx.Read(key(i))
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	readPass()
+	fetches := e.Stats().StorageOps.Load()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	readPass()
+	runtime.ReadMemStats(&after)
+	if got := e.Stats().StorageOps.Load() - fetches; got < pages {
+		t.Fatalf("%s: %d page-store fetches for %d reads: the reads were not all misses", e.Name(), got, pages)
+	}
+	gotKB := float64(after.TotalAlloc-before.TotalAlloc) / pages / 1024
+	if gotKB > maxKB {
+		t.Errorf("%s: %.2f KB allocated per cold 1-key read, want <= %.2f", e.Name(), gotKB, maxKB)
+	}
+	t.Logf("%s: %.2f KB per cold 1-key read (bound %.2f)", e.Name(), gotKB, maxKB)
+}

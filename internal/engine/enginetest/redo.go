@@ -1,0 +1,43 @@
+package enginetest
+
+import (
+	"errors"
+	"testing"
+
+	"github.com/disagglab/disagg/internal/engine"
+	"github.com/disagglab/disagg/internal/page"
+	"github.com/disagglab/disagg/internal/sim"
+)
+
+// FailedRedoGuard is the regression for page fetches that redo the log onto
+// a stored image: a record that cannot be applied must fail the fetch — the
+// rule wal.ErrTruncated already follows — not leave a half-redone page to be
+// served as authoritative. plant stores img as e's durable image of a page;
+// drop empties e's caches.
+//
+// The planted image holds only the page's first slot, so the committed
+// update to its second key has nowhere to go while a read of its first key
+// would succeed on whatever page a fetch returned.
+func FailedRedoGuard(t *testing.T, e engine.Engine, plant func(id page.ID, img []byte), drop func()) {
+	t.Helper()
+	layout := Layout(t)
+	const id = 3
+	first := uint64(id) * uint64(layout.PerPage)
+	img := page.New(layout.PageSize)
+	if _, err := img.Insert(layout.EncodeRecord(first, val(layout, 0))); err != nil {
+		t.Fatal(err)
+	}
+	plant(id, img.Bytes())
+	c := sim.NewClock()
+	// Durable in the log whether or not the engine reports the apply, which
+	// cannot succeed either.
+	_ = engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(first+1, val(layout, 9)) })
+	drop()
+	err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+		_, err := tx.Read(first)
+		return err
+	})
+	if !errors.Is(err, page.ErrBadSlot) {
+		t.Fatalf("%s: read of a page whose redo failed: err = %v, want the redo's %v (nil: the half-redone page was served)", e.Name(), err, page.ErrBadSlot)
+	}
+}

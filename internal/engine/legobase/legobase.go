@@ -8,6 +8,7 @@
 package legobase
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,13 +123,18 @@ func (e *Engine) fetchFromStorage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.stats.StorageOps.Add(1)
 	e.stats.NetBytes.Add(int64(len(out)))
 	e.stats.NetMsgs.Add(1)
-	// Replay log tail newer than the page image.
-	pg := page.Wrap(out)
-	for _, r := range e.log.Since(wal.LSN(pg.LSN())) {
-		if r.PageID == uint64(id) && r.Type == wal.TypeUpdate {
-			e.layout.WriteValue(out, r.Key, r.After, uint64(r.LSN))
-			c.Advance(e.cfg.CPU.Cost(len(r.After)))
+	// Replay this page's log chain newer than the page image.
+	if err := e.log.RedoPage(uint64(id), wal.LSN(page.Wrap(out).LSN()), func(r *wal.Record) error {
+		if r.Type != wal.TypeUpdate {
+			return nil
 		}
+		if err := e.layout.WriteValue(out, r.Key, r.After, uint64(r.LSN)); err != nil {
+			return fmt.Errorf("legobase: redo page %d at lsn %d: %w", id, r.LSN, err)
+		}
+		c.Advance(e.cfg.CPU.Cost(len(r.After)))
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/engine/enginetest"
+	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
 )
 
@@ -112,4 +113,25 @@ func TestChaosCrashRecovery(t *testing.T) {
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
 	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64, 4096), 14, 2.5)
+}
+
+// TestMissAllocs bounds what one storage miss allocates with 4,000 records
+// in the log (see enginetest.MissAllocGuard): both tiers smaller than the
+// guard's 256 pages, and no storage checkpoint to truncate the log.
+func TestMissAllocs(t *testing.T) {
+	e := New(sim.DefaultConfig(), enginetest.Layout(t), 16, 64)
+	e.CheckpointStorageEvery = 0
+	enginetest.MissAllocGuard(t, e, 13.5)
+}
+
+// TestFetchFailsWhenRedoFails: fetchFromStorage used to drop WriteValue's
+// error and serve the page (see enginetest.FailedRedoGuard).
+func TestFetchFailsWhenRedoFails(t *testing.T) {
+	e := New(sim.DefaultConfig(), enginetest.Layout(t), 8, 256)
+	enginetest.FailedRedoGuard(t, e, func(id page.ID, img []byte) { e.disk[id] = img }, func() {
+		e.Tiers.Local.InvalidateAll()
+		for _, id := range e.Tiers.Remote.IDs() {
+			e.Tiers.Remote.Drop(id)
+		}
+	})
 }

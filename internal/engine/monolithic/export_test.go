@@ -1,5 +1,7 @@
 package monolithic
 
+import "github.com/disagglab/disagg/internal/page"
+
 // LogLen exposes the in-memory log length to the external test package.
 func (e *Engine) LogLen() int { return e.log.Len() }
 
@@ -7,3 +9,10 @@ func (e *Engine) LogLen() int { return e.log.Len() }
 // checkpoint's flush→truncate window — the window whose in-flight
 // commits the original Checkpoint ordering truncated away.
 func (e *Engine) SetBetweenFlushAndTruncate(fn func()) { e.testBetweenFlushAndTruncate = fn }
+
+// PlantDiskImage stores img as the durable on-disk image of page id.
+func (e *Engine) PlantDiskImage(id page.ID, img []byte) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.disk[id] = img
+}

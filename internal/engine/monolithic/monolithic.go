@@ -7,6 +7,7 @@
 package monolithic
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,27 +91,30 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.ssd.Read(c, e.layout.PageSize)
 	out := make([]byte, len(data))
 	copy(out, data)
-	// Redo the log tail for this page: the disk image only reflects the
-	// last writeback/checkpoint, but the fsynced WAL may hold newer
-	// committed updates (e.g. after a failed in-pool apply staled the
-	// frame). Replaying here makes a fetch authoritative.
-	pg := page.Wrap(out)
+	// Redo this page's log chain: the disk image only reflects the last
+	// writeback/checkpoint, but the fsynced WAL may hold newer committed
+	// updates (e.g. after a failed in-pool apply staled the frame).
+	// Replaying here makes a fetch authoritative.
 	e.mu.Lock()
 	ckpt := e.checkpointLSN
 	e.mu.Unlock()
-	recs, err := e.log.Replay(ckpt)
-	if err != nil {
-		// The log was truncated past the page's checkpoint floor — a
-		// horizon-bookkeeping bug, surfaced loudly rather than serving a
-		// silently stale page.
+	after := max(ckpt, wal.LSN(page.Wrap(out).LSN()))
+	if err := e.log.RedoPage(uint64(id), after, func(r *wal.Record) error {
+		if r.Type != wal.TypeUpdate {
+			return nil
+		}
+		if err := e.layout.WriteValue(out, r.Key, r.After, uint64(r.LSN)); err != nil {
+			return fmt.Errorf("monolithic: redo page %d at lsn %d: %w", id, r.LSN, err)
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	for _, r := range recs {
-		if r.Type == wal.TypeUpdate && page.ID(r.PageID) == id && uint64(r.LSN) > pg.LSN() {
-			if err := e.layout.WriteValue(out, r.Key, r.After, uint64(r.LSN)); err != nil {
-				break
-			}
-		}
+	// A log truncated past the page's checkpoint floor is a horizon-
+	// bookkeeping bug, surfaced loudly rather than serving a silently stale
+	// page. The floor only rises: read after the walk, it covers the walk.
+	if floor := e.log.Floor(); ckpt+1 < floor {
+		return nil, fmt.Errorf("%w: monolithic: redo page %d from %d, floor %d", wal.ErrTruncated, id, ckpt, floor)
 	}
 	return out, nil
 }

@@ -158,3 +158,16 @@ func TestChaosCrashRecovery(t *testing.T) {
 func TestCommitAllocs(t *testing.T) {
 	enginetest.AllocGuard(t, monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 1024), 14, 2)
 }
+
+// TestMissAllocs bounds what one page miss allocates with 4,000 records in
+// the log (see enginetest.MissAllocGuard).
+func TestMissAllocs(t *testing.T) {
+	enginetest.MissAllocGuard(t, monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64), 5)
+}
+
+// TestFetchFailsWhenRedoFails: fetchPage used to stop at WriteValue's first
+// error and serve the half-redone page (see enginetest.FailedRedoGuard).
+func TestFetchFailsWhenRedoFails(t *testing.T) {
+	e := monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64)
+	enginetest.FailedRedoGuard(t, e, e.PlantDiskImage, e.Pool().InvalidateAll)
+}

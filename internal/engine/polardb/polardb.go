@@ -148,17 +148,18 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.stats.StorageOps.Add(1)
 	e.stats.NetMsgs.Add(1)
 	e.stats.NetBytes.Add(int64(len(data)))
-	// Replay newer records for this page from the durable log.
-	pg := page.Wrap(data)
-	recs := e.log.Since(wal.LSN(pg.LSN()))
-	for _, r := range recs {
-		if r.PageID != uint64(id) || r.Type != wal.TypeUpdate {
-			continue
+	// Replay this page's newer records from the durable log.
+	if err := e.log.RedoPage(uint64(id), wal.LSN(page.Wrap(data).LSN()), func(r *wal.Record) error {
+		if r.Type != wal.TypeUpdate || r.LSN > e.pipe.DurableLSN() {
+			return nil
 		}
-		if r.LSN <= e.pipe.DurableLSN() {
-			e.layout.WriteValue(data, r.Key, r.After, uint64(r.LSN))
-			c.Advance(e.cfg.CPU.Cost(len(r.After)))
+		if err := e.layout.WriteValue(data, r.Key, r.After, uint64(r.LSN)); err != nil {
+			return fmt.Errorf("polardb: redo page %d at lsn %d: %w", id, r.LSN, err)
 		}
+		c.Advance(e.cfg.CPU.Cost(len(r.After)))
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return data, nil
 }

@@ -6,6 +6,7 @@ import (
 	"github.com/disagglab/disagg/internal/cluster"
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/engine/enginetest"
+	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
 )
 
@@ -113,4 +114,18 @@ func TestChaosCrashRecovery(t *testing.T) {
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
 	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024), 22, 2.75)
+}
+
+// TestMissAllocs bounds what one page miss allocates with 4,000 records in
+// the log (see enginetest.MissAllocGuard). CheckpointEvery only ships page
+// images; it never truncates the log.
+func TestMissAllocs(t *testing.T) {
+	enginetest.MissAllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64), 5)
+}
+
+// TestFetchFailsWhenRedoFails: fetchPage used to drop WriteValue's error
+// and serve the page (see enginetest.FailedRedoGuard).
+func TestFetchFailsWhenRedoFails(t *testing.T) {
+	e := New(sim.DefaultConfig(), enginetest.Layout(t), 64)
+	enginetest.FailedRedoGuard(t, e, func(id page.ID, img []byte) { e.pagesFS[id] = img }, e.pool.InvalidateAll)
 }

@@ -2,6 +2,7 @@ package storagenode
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -30,6 +31,12 @@ type LogStore struct {
 
 	mu      sync.Mutex
 	records []wal.Record
+	// prev and last chain each page's records for SincePage. Records can
+	// arrive out of LSN order, so a link is a position in records plus one
+	// (0: none): prev[i] is the previous record of records[i]'s page, last[p]
+	// page p's newest. Commit and abort records are not chained.
+	prev    []int32
+	last    map[uint64]int32
 	seen    map[wal.LSN]struct{}
 	highLSN wal.LSN
 	// floor is the lowest LSN guaranteed retained (1 until the first
@@ -45,9 +52,20 @@ func (ls *LogStore) hasLSNLocked(lsn wal.LSN) bool {
 	return ok
 }
 
+// storeLocked retains r and links it into its page's chain.
+func (ls *LogStore) storeLocked(r wal.Record) {
+	ls.records = append(ls.records, r)
+	var prev int32
+	if r.Type != wal.TypeCommit && r.Type != wal.TypeAbort {
+		prev = ls.last[r.PageID]
+		ls.last[r.PageID] = int32(len(ls.records))
+	}
+	ls.prev = append(ls.prev, prev)
+}
+
 // NewLogStore creates a log store on the given medium.
 func NewLogStore(cfg *sim.Config, medium Medium) *LogStore {
-	return &LogStore{cfg: cfg, medium: medium, meter: sim.NewMeter(cfg.NICSlots), seen: make(map[wal.LSN]struct{}), floor: 1}
+	return &LogStore{cfg: cfg, medium: medium, meter: sim.NewMeter(cfg.NICSlots), last: make(map[uint64]int32), seen: make(map[wal.LSN]struct{}), floor: 1}
 }
 
 // Fail crashes the store (records are durable across Restart).
@@ -99,7 +117,7 @@ func (ls *LogStore) Append(c *sim.Clock, recs []wal.Record) error {
 			continue // duplicate delivery of a durable record
 		}
 		ls.seen[r.LSN] = struct{}{}
-		ls.records = append(ls.records, r)
+		ls.storeLocked(r)
 		if r.LSN > ls.highLSN {
 			ls.highLSN = r.LSN
 		}
@@ -152,16 +170,18 @@ func (ls *LogStore) TruncateBefore(c *sim.Clock, upTo wal.LSN) error {
 	dropped := 0
 	if target > ls.floor {
 		ls.floor = target
-		keep := ls.records[:0]
-		for _, r := range ls.records {
+		// Compact in place; positions shift, so the chains are rebuilt.
+		old := ls.records
+		ls.records, ls.prev = old[:0], ls.prev[:0]
+		clear(ls.last)
+		for _, r := range old {
 			if r.LSN >= target {
-				keep = append(keep, r)
+				ls.storeLocked(r)
 			} else {
 				delete(ls.seen, r.LSN)
 				dropped++
 			}
 		}
-		ls.records = keep
 	}
 	ls.mu.Unlock()
 	var persist time.Duration
@@ -188,7 +208,7 @@ func (ls *LogStore) Floor() wal.LSN {
 
 // SincePage returns records for one page with LSN > after. The store
 // maintains per-page log chains (as PilotDB's PM layer does), so only the
-// relevant records cross the network. Requests reaching below the
+// relevant records are visited and cross the network. Requests below the
 // truncation floor fail with wal.ErrTruncated: the gap may have held
 // records for this page, so the chain would be silently incomplete.
 func (ls *LogStore) SincePage(c *sim.Clock, pageID uint64, after wal.LSN) ([]wal.Record, error) {
@@ -210,11 +230,12 @@ func (ls *LogStore) SincePage(c *sim.Clock, pageID uint64, after wal.LSN) ([]wal
 		return nil, fmt.Errorf("%w: page %d since %d, floor %d", wal.ErrTruncated, pageID, after, floor)
 	}
 	var out []wal.Record
-	for _, r := range ls.records {
-		if r.LSN > after && r.PageID == pageID && r.Type != wal.TypeCommit && r.Type != wal.TypeAbort {
-			out = append(out, r)
+	for i := ls.last[pageID]; i > 0; i = ls.prev[i-1] {
+		if r := &ls.records[i-1]; r.LSN > after {
+			out = append(out, *r)
 		}
 	}
+	slices.Reverse(out)
 	ls.mu.Unlock()
 	n := encodedSize(out)
 	var read time.Duration

@@ -2,6 +2,9 @@ package storagenode
 
 import (
 	"bytes"
+	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/heap"
@@ -358,5 +361,69 @@ func TestPageStoreGroupStaleReadRejected(t *testing.T) {
 	// But LSN 1 is servable by the store that got the write.
 	if _, err := g.ReadPage(c, layout.PageOf(1), 1); err != nil {
 		t.Fatalf("fresh store read: %v", err)
+	}
+}
+
+// SincePage follows per-page chains instead of scanning the store; it must
+// return what the scan did — the page's non-commit, non-abort records above
+// `after`, in stored order — across duplicate and out-of-order deliveries
+// and across truncations, which renumber the positions the chains link.
+func TestLogStoreSincePageMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	ls := NewLogStore(sim.DefaultConfig(), MediumPM)
+	c := sim.NewClock()
+	types := []wal.Type{wal.TypeUpdate, wal.TypeInsert, wal.TypeDelete, wal.TypeCheckpoint, wal.TypeCommit, wal.TypeAbort}
+	next := wal.LSN(1)
+	for round := 0; round < 400; round++ {
+		switch rng.Intn(8) {
+		case 0:
+			if err := ls.TruncateBefore(c, ls.Floor()+wal.LSN(rng.Intn(12))); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			// A batch of fresh LSNs, shuffled, plus a redelivered old one.
+			batch := []wal.Record{{LSN: wal.LSN(1 + rng.Intn(int(next)))}}
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				batch = append(batch, wal.Record{LSN: next})
+				next++
+			}
+			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+			for i := range batch {
+				batch[i].Type = types[rng.Intn(len(types))]
+				batch[i].PageID = uint64(rng.Intn(4))
+			}
+			if err := ls.Append(c, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		floor := ls.Floor()
+		after := floor - 1 + wal.LSN(rng.Intn(int(next-floor)+2))
+		all, err := ls.Since(c, floor-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pg := uint64(0); pg < 4; pg++ {
+			var want []wal.LSN
+			for _, r := range all {
+				if r.LSN > after && r.PageID == pg && r.Type != wal.TypeCommit && r.Type != wal.TypeAbort {
+					want = append(want, r.LSN)
+				}
+			}
+			recs, err := ls.SincePage(c, pg, after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []wal.LSN
+			for _, r := range recs {
+				got = append(got, r.LSN)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d: SincePage(%d, %d) = LSNs %v, scan says %v (floor %d)", round, pg, after, got, want, floor)
+			}
+		}
+	}
+	// The truncations above raised the floor well past 1.
+	if _, err := ls.SincePage(c, 0, 0); !errors.Is(err, wal.ErrTruncated) {
+		t.Fatalf("SincePage(0, 0) below floor %d: err %v, want ErrTruncated", ls.Floor(), err)
 	}
 }

@@ -1,0 +1,221 @@
+package wal
+
+import (
+	"errors"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"unsafe"
+)
+
+// chainPages is how many page ids the chain tests spread records over;
+// page 0 is one of them, and it is also what commit records carry.
+const chainPages = 5
+
+func chained(t Type) bool { return t == TypeUpdate || t == TypeInsert || t == TypeDelete }
+
+// checkChain is the chain's specification: for every page, RedoPage(page,
+// after) visits exactly the records of Since(after) that are for the page
+// and change a page — the same records in the same order.
+func checkChain(t *testing.T, l *Log, after LSN) {
+	t.Helper()
+	tail := l.Since(after)
+	for pg := uint64(0); pg < chainPages; pg++ {
+		var got []Record
+		if err := l.RedoPage(pg, after, func(r *Record) error {
+			got = append(got, *r)
+			return nil
+		}); err != nil {
+			t.Fatalf("RedoPage(%d, %d): %v", pg, after, err)
+		}
+		i := 0
+		for _, r := range tail {
+			if r.PageID != pg || !chained(r.Type) {
+				continue
+			}
+			if i >= len(got) || got[i].LSN != r.LSN || got[i].Type != r.Type || got[i].PageID != pg || got[i].Key != r.Key {
+				t.Fatalf("RedoPage(%d, %d) visit %d: got %+v, want %+v (floor %d, head %d)", pg, after, i, got[min(i, len(got)):], r, l.Floor(), l.Head())
+			}
+			i++
+		}
+		if i != len(got) {
+			t.Fatalf("RedoPage(%d, %d) visited %d records past the %d of Since: %+v", pg, after, len(got)-i, i, got[i:])
+		}
+	}
+}
+
+// around draws an LSN from two below the lower of floor and head to two
+// past the higher (the floor passes the head after a truncation past it).
+func around(l *Log, pick byte) LSN {
+	floor, head := int(l.Floor()), int(l.Head())
+	lo, hi := min(floor, head)-2, max(floor, head)+2
+	return LSN(max(lo+int(pick)%(hi-lo+1), 0))
+}
+
+// runChainScript interprets data as an op script, three bytes per op
+// (opcode, record selector, position), and checks the chain against the
+// whole-tail scan after every read op and at the end.
+func runChainScript(t *testing.T, data []byte) {
+	l := NewLog()
+	for i := 0; i+2 < len(data); i += 3 {
+		op, sel, pos := data[i], data[i+1], data[i+2]
+		switch op % 4 {
+		case 0, 1:
+			// Every type on every page: a commit record stamped with a page
+			// id must still stay out of that page's chain.
+			l.Append(Record{Type: Type(sel%6) + TypeUpdate, PageID: uint64(sel/6) % chainPages, Key: uint64(i)})
+		case 2:
+			l.TruncateBefore(around(l, pos))
+		case 3:
+			checkChain(t, l, around(l, pos))
+		}
+	}
+	for _, after := range []LSN{0, l.Floor() - 1, l.Floor(), l.Head() - 1, l.Head()} {
+		checkChain(t, l, after)
+	}
+}
+
+func TestRedoPageMatchesFilteredSince(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < 200; round++ {
+		data := make([]byte, 3*(1+rng.Intn(300)))
+		rng.Read(data)
+		runChainScript(t, data)
+	}
+}
+
+func FuzzRedoPage(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 6, 0, 3, 0, 0})
+	f.Add([]byte{0, 0, 0, 1, 1, 0, 0, 12, 0, 2, 0, 4, 3, 0, 0, 0, 0, 0, 2, 0, 200, 0, 7, 0, 3, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 3*2048 {
+			data = data[:3*2048]
+		}
+		runChainScript(t, data)
+	})
+}
+
+func TestRedoPageStopsAtFirstError(t *testing.T) {
+	l := NewLog()
+	for i := 0; i < 10; i++ {
+		l.Append(Record{Type: TypeUpdate, PageID: 4})
+	}
+	stop := errors.New("stop")
+	var seen []LSN
+	err := l.RedoPage(4, 2, func(r *Record) error {
+		seen = append(seen, r.LSN)
+		if len(seen) == 3 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || len(seen) != 3 || seen[0] != 3 || seen[2] != 5 {
+		t.Fatalf("err %v after visiting %v, want the callback's error after LSNs 3..5", err, seen)
+	}
+}
+
+// A page miss must not pay for the length of the log: the walk allocates
+// nothing on a long tail, and a checkpointed log appends into the capacity
+// its truncation kept.
+func TestChainAllocatesNothing(t *testing.T) {
+	l := NewLog()
+	for i := 0; i < 10000; i++ {
+		l.Append(Record{Type: TypeUpdate, PageID: uint64(i % 64), After: []byte("v")})
+		l.Append(Record{Type: TypeCommit})
+	}
+	visits := 0
+	count := func(*Record) error { visits++; return nil }
+	if got := testing.AllocsPerRun(100, func() { _ = l.RedoPage(3, 0, count) }); got != 0 {
+		t.Errorf("RedoPage on a %d-record tail: %.1f allocs, want 0", l.Len(), got)
+	}
+	if want := 101 * 10000 / 64; visits < want {
+		t.Fatalf("visited %d records, want >= %d", visits, want)
+	}
+
+	l.TruncateBefore(l.Head())
+	if l.Len() != 0 {
+		t.Fatalf("truncated to the head, %d records left", l.Len())
+	}
+	i := 0
+	if got := testing.AllocsPerRun(5000, func() {
+		l.Append(Record{Type: TypeUpdate, PageID: uint64(i % 64)})
+		i++
+	}); got != 0 {
+		t.Errorf("Append on a truncated log: %.2f allocs, want 0 (capacity not kept?)", got)
+	}
+}
+
+// The chain's links sit in Log.prev, not in Record: a Record is copied by
+// value into and out of the log on every commit.
+func TestRecordDidNotGrow(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 88 {
+		t.Fatalf("unsafe.Sizeof(Record{}) = %d, want 88", got)
+	}
+}
+
+// TruncateBefore keeps the backing array; what it drops must not stay
+// reachable in the vacated slots.
+func TestTruncateClearsVacatedSlots(t *testing.T) {
+	l := NewLog()
+	for i := 0; i < 8; i++ {
+		l.Append(Record{Type: TypeUpdate, After: []byte("image")})
+	}
+	l.TruncateBefore(7)
+	for i, r := range l.records[:cap(l.records)][l.Len():8] {
+		if r.After != nil || r.LSN != 0 {
+			t.Fatalf("vacated slot %d still holds LSN %d, image %q", l.Len()+i, r.LSN, r.After)
+		}
+	}
+}
+
+// Appenders, chain readers and a truncater share one log (run with -race):
+// whatever a reader sees is for its page and in ascending LSN order.
+func TestChainConcurrent(t *testing.T) {
+	l := NewLog()
+	var appenders, others sync.WaitGroup
+	var done atomic.Bool
+	for a := 0; a < 4; a++ {
+		appenders.Add(1)
+		go func() {
+			defer appenders.Done()
+			for i := 0; i < 1000; i++ {
+				l.Append(Record{Type: TypeUpdate, PageID: uint64(i % chainPages)})
+				l.Append(Record{Type: TypeCommit})
+			}
+		}()
+	}
+	for rd := 0; rd < 2; rd++ {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			for pg := uint64(rd); !done.Load(); pg = (pg + 1) % chainPages {
+				var last LSN
+				after := l.Floor()
+				_ = l.RedoPage(pg, after, func(r *Record) error {
+					if r.PageID != pg || r.Type != TypeUpdate || r.LSN <= last || r.LSN <= after {
+						t.Errorf("RedoPage(%d, %d) visited %+v after LSN %d", pg, after, *r, last)
+					}
+					last = r.LSN
+					return nil
+				})
+			}
+		}()
+	}
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		for !done.Load() {
+			if head := l.Head(); head > 64 {
+				l.TruncateBefore(head - 64)
+			}
+		}
+	}()
+	appenders.Wait()
+	done.Store(true)
+	others.Wait()
+	if l.Head() != 8001 {
+		t.Fatalf("head %d after 8000 appends", l.Head())
+	}
+	checkChain(t, l, 0)
+}

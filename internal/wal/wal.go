@@ -2,6 +2,11 @@
 // typed log records with a binary codec, a sequential in-memory log with
 // group commit, and ARIES-style redo helpers ("the log is the database" —
 // Aurora, §2.1).
+//
+// The log is also chained per page, as the storage side is organised: a
+// page miss replays its own records (Log.RedoPage). Since and Replay stay
+// whole-tail copies for the callers that want every record: checkpoint
+// flushes, crash recovery, replica catch-up.
 package wal
 
 import (
@@ -164,17 +169,33 @@ var ErrTruncated = errors.New("wal: requested range below truncation floor")
 // Log is a thread-safe, append-only in-memory log. Durability of appended
 // records is the engine's concern (engines ship encoded records to log
 // tiers / storage nodes and only then acknowledge commits).
+//
+// Records are dense and LSN-ordered (Append assigns next++, TruncateBefore
+// keeps a suffix): the record at lsn is records[lsn-first()].
 type Log struct {
 	mu      sync.Mutex
 	records []Record
-	next    LSN
+	// prev and last are the per-page redo chain (RedoPage). prev parallels
+	// records: for an update, insert or delete, the LSN of the previous such
+	// record of the same page, else 0 — commit, abort and checkpoint records
+	// carry PageID 0, a real page, and are not chained. last[p] is the LSN
+	// of page p's newest chained record. A link below first() ends the
+	// chain. The links sit beside the records, not in them: a Record is
+	// copied by value on every commit.
+	prev  []LSN
+	last  map[uint64]LSN
+	chain []LSN // RedoPage's scratch: one page's LSNs, newest first
+	next  LSN
 	// floor is the lowest LSN guaranteed retained: TruncateBefore(upTo)
 	// raises it to upTo. Records below the floor are gone for good.
 	floor LSN
 }
 
 // NewLog returns an empty log whose first LSN is 1.
-func NewLog() *Log { return &Log{next: 1, floor: 1} }
+func NewLog() *Log { return &Log{next: 1, floor: 1, last: make(map[uint64]LSN)} }
+
+// first is the LSN records[0] has, or would have; the caller holds l.mu.
+func (l *Log) first() LSN { return l.next - LSN(len(l.records)) }
 
 // Append assigns the next LSN to r and stores it, returning the LSN.
 func (l *Log) Append(r Record) LSN {
@@ -182,7 +203,13 @@ func (l *Log) Append(r Record) LSN {
 	defer l.mu.Unlock()
 	r.LSN = l.next
 	l.next++
+	var prev LSN
+	if r.Type == TypeUpdate || r.Type == TypeInsert || r.Type == TypeDelete {
+		prev = l.last[r.PageID]
+		l.last[r.PageID] = r.LSN
+	}
 	l.records = append(l.records, r)
+	l.prev = append(l.prev, prev)
 	return r.LSN
 }
 
@@ -210,16 +237,11 @@ func (l *Log) Since(after LSN) []Record {
 }
 
 // tail copies out the records with LSN > after; the caller holds l.mu.
-// Records are dense and LSN-ordered (Append assigns next++, TruncateBefore
-// keeps a suffix), so the start is an index, not a scan, and the copy is
-// made once at its exact size. It stays a copy: TruncateBefore compacts
-// l.records in place.
+// The start is an index, not a scan, and the copy is made once at its
+// exact size. It stays a copy: TruncateBefore compacts l.records in place.
 func (l *Log) tail(after LSN) []Record {
-	if len(l.records) == 0 {
-		return nil
-	}
 	skip := uint64(0)
-	if first := l.records[0].LSN; after >= first {
+	if first := l.first(); after >= first {
 		skip = uint64(after-first) + 1
 	}
 	if skip >= uint64(len(l.records)) {
@@ -241,6 +263,31 @@ func (l *Log) Replay(after LSN) ([]Record, error) {
 	return l.tail(after), nil
 }
 
+// RedoPage calls fn on every retained update, insert and delete record of
+// pageID with LSN > after, in ascending LSN order: what Since(after) holds
+// for that page, found through the page's chain instead of by copying and
+// filtering the whole tail. Like Since it does not check the truncation
+// floor; a caller that must not miss truncated records also checks Floor.
+//
+// fn runs under the log's lock, on the log's own records: it must not
+// retain or modify the record (its images included) and must not call back
+// into the Log. RedoPage stops at fn's first error and returns it.
+func (l *Log) RedoPage(pageID uint64, after LSN, fn func(*Record) error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	first := l.first()
+	l.chain = l.chain[:0]
+	for lsn := l.last[pageID]; lsn > after && lsn >= first; lsn = l.prev[lsn-first] {
+		l.chain = append(l.chain, lsn)
+	}
+	for i := len(l.chain) - 1; i >= 0; i-- {
+		if err := fn(&l.records[l.chain[i]-first]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Floor reports the lowest LSN guaranteed retained (1 when nothing has
 // been truncated). Every LSN below the floor has been discarded.
 func (l *Log) Floor() LSN {
@@ -251,7 +298,8 @@ func (l *Log) Floor() LSN {
 
 // TruncateBefore discards records with LSN < upTo (checkpointing) and
 // raises the truncation floor to upTo. The floor is monotonic: truncating
-// below the current floor is a no-op.
+// below the current floor is a no-op. The kept suffix moves to the front of
+// the same arrays: a regularly checkpointed log stops allocating.
 func (l *Log) TruncateBefore(upTo LSN) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -259,13 +307,19 @@ func (l *Log) TruncateBefore(upTo LSN) {
 		return
 	}
 	l.floor = upTo
-	keep := l.records[:0]
-	for _, r := range l.records {
-		if r.LSN >= upTo {
-			keep = append(keep, r)
+	for id, lsn := range l.last {
+		if lsn < upTo {
+			delete(l.last, id)
 		}
 	}
-	l.records = keep
+	// Records are dense, so the cut is an index (first() <= the old floor <
+	// upTo; upTo may lie past the head). The vacated slots are cleared so the
+	// dropped records' images do not stay reachable behind len.
+	cut := min(uint64(upTo-l.first()), uint64(len(l.records)))
+	n := copy(l.records, l.records[cut:])
+	clear(l.records[n:])
+	l.records = l.records[:n]
+	l.prev = l.prev[:copy(l.prev, l.prev[cut:])]
 }
 
 // Applier consumes redo records. Page stores and engines implement this.

@@ -249,7 +249,8 @@ func TestReplayFreshLogFromZero(t *testing.T) {
 
 // Since and Replay index into the dense log instead of scanning it; every
 // offset must still select exactly the records a scan for LSN > after
-// would, on an empty, a fresh, a truncated and a truncated-to-empty log.
+// would, on an empty, a fresh, a truncated and a truncated-to-empty log —
+// and the per-page chain must select the same records page by page.
 func TestLogTailOffsets(t *testing.T) {
 	type step struct {
 		appends  int
@@ -265,13 +266,15 @@ func TestLogTailOffsets(t *testing.T) {
 		{"truncated then appended", []step{{appends: 10, truncate: 6}, {appends: 4}}},
 		{"truncated to empty", []step{{appends: 10, truncate: 11}}},
 		{"truncated to empty then appended", []step{{appends: 10, truncate: 11}, {appends: 3}}},
+		{"truncated below the floor", []step{{appends: 10, truncate: 6}, {truncate: 3}, {appends: 2}}},
+		{"truncated past the head then appended", []step{{appends: 10, truncate: 14}, {appends: 3}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := NewLog()
 			var want []LSN // LSNs retained
 			for _, s := range tc.steps {
 				for i := 0; i < s.appends; i++ {
-					want = append(want, l.Append(Record{Type: TypeUpdate}))
+					want = append(want, l.Append(Record{Type: TypeUpdate, PageID: uint64(i % 3)}))
 				}
 				if s.truncate != 0 {
 					l.TruncateBefore(s.truncate)
