@@ -6,6 +6,9 @@
 // and every hit is validated against the directory version, so a copy
 // cached before a remote commit is never served after the commit's
 // durability point.
+//
+// A local pool recycles its frames through page.Release / page.Alloc; the
+// ownership rule that makes this safe is on Pool, Fetcher and Writeback.
 package buffer
 
 import (
@@ -22,10 +25,14 @@ import (
 )
 
 // Fetcher loads a page's bytes on a miss (e.g. from a storage node),
-// charging the caller's clock.
+// charging the caller's clock. The returned slice becomes the pool's: it is
+// the frame, written in place and recycled through page.Release on eviction,
+// so nothing else may reference it. Fill a page.Alloc buffer to reuse the
+// one the previous miss evicted.
 type Fetcher func(c *sim.Clock, id page.ID) ([]byte, error)
 
-// Writeback persists a dirty page on eviction.
+// Writeback persists a dirty page on eviction. data is the frame, recycled
+// once Writeback returns nil: copy it, do not retain it.
 type Writeback func(c *sim.Clock, id page.ID, data []byte) error
 
 // StampFunc extracts the commit stamp carried by page bytes (page-header
@@ -50,7 +57,15 @@ type frame struct {
 // (fetch on miss), which run fn on the frame's own bytes: data is valid only
 // until fn returns, so fn must copy out what it keeps and must not write to
 // data or call back into the pool. Get is Read plus a copy, for callers that
-// have to own the page; Mutate is the write path.
+// have to own the page; Mutate is the write path, whose fn writes to data
+// and is otherwise under the same rule.
+//
+// The pool owns its frames' bytes, whether a Fetcher returned them or Install
+// took them. An evicted frame, and one Install replaces, goes to page.Release
+// under the pool lock and becomes the buffer of some later miss, in this pool
+// or another: a reference kept past a callback reads another page's image.
+// Frames dropped by Invalidate, InvalidateAll or a stale validation, and a
+// victim whose writeback failed, are left to the garbage collector.
 type Pool struct {
 	cfg       *sim.Config
 	capacity  int
@@ -212,6 +227,7 @@ func (p *Pool) evictIfFullLocked(c *sim.Clock) error {
 			}
 		}
 		p.removeLocked(e)
+		page.Release(f.data)
 	}
 	return nil
 }
@@ -293,12 +309,17 @@ func (p *Pool) Mutate(c *sim.Clock, id page.ID, fn func(data []byte) error) erro
 }
 
 // Install inserts page bytes directly (e.g. a freshly created page),
-// marking it dirty if requested.
+// marking it dirty if requested. data becomes the pool's, as a Fetcher's
+// result does; the bytes it replaces are released, unless data is that same
+// buffer installed again.
 func (p *Pool) Install(c *sim.Clock, id page.ID, data []byte, dirty bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if e, ok := p.frames[id]; ok {
 		f := e.Value.(*frame)
+		if len(f.data) > 0 && (len(data) == 0 || &f.data[0] != &data[0]) {
+			page.Release(f.data)
+		}
 		f.data = data
 		f.dirty = f.dirty || dirty
 		f.stamp = p.installStamp(id, data)
@@ -626,8 +647,13 @@ func (t *TwoTier) Read(c *sim.Clock, id page.ID, fn func(data []byte)) error {
 		t.localHits.Add(1)
 		return nil
 	}
-	buf := make([]byte, t.Remote.pageSize)
+	buf := page.Alloc(t.Remote.pageSize)
 	ok, err := t.Remote.Get(c, id, buf)
+	if !ok {
+		// A miss or an error: the probe buffer was never shared, and the
+		// storage fetch below can fill it.
+		page.Release(buf)
+	}
 	if err != nil {
 		return err
 	}

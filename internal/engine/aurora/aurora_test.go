@@ -234,3 +234,11 @@ func TestChaosCrashRecovery(t *testing.T) {
 func TestCommitAllocs(t *testing.T) {
 	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 1), 18, 3.25)
 }
+
+// TestMissAllocs bounds what one page miss allocates on the path aurora,
+// socrates, taurus, pilotdb and serverless share: storagenode.Volume /
+// Replica.ReadPage's copy of the materialised page, which becomes the frame
+// (see enginetest.MissAllocGuard).
+func TestMissAllocs(t *testing.T) {
+	enginetest.MissAllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64, 0), 1)
+}

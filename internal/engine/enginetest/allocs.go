@@ -2,11 +2,23 @@ package enginetest
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/sim"
 )
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
 
 // AllocGuard asserts that one cache-resident single-key read-modify-write
 // commit through engine.Run costs at most max host allocations and maxKB
@@ -57,7 +69,10 @@ func AllocGuard(t *testing.T, e engine.Engine, max, maxKB float64) {
 	// TotalAlloc only grows, so the delta is independent of GC timing;
 	// AllocsPerRun calls the function once more than runs, to warm up.
 	gotKB := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / 1024
-	if got > max {
+	// The race detector's instrumentation allocates on its own (snowflake-kv
+	// reads 18 against a bound of 17 under it): the count is bounded in the
+	// plain build only.
+	if got > max && !raceBuild() {
 		t.Errorf("%s: %.0f allocs per 1-key RMW commit, want <= %.0f", e.Name(), got, max)
 	}
 	if gotKB > maxKB {
@@ -79,16 +94,21 @@ func AllocGuard(t *testing.T, e engine.Engine, max, maxKB float64) {
 // of those reads misses (checked through Stats.StorageOps), and with any
 // log-truncating checkpoint cadence off, so the 4,000 records stay in the log.
 // Measured on Layout's 4 KB pages; in brackets, the same guard when every
-// miss cloned the log tail above its starting LSN (4,000 records × 88 B from
-// a checkpoint LSN of 0; polardb starts at the LSN of the shipped image):
+// miss allocated the page buffer that becomes the frame (and legobase and
+// serverless a second one for the probe of their remote tier):
 //
-//	monolithic  4.68 KB (348.68)   polardb  4.68 KB (28.48)   legobase  12.97 KB (356.97)
+//	monolithic  0.68 KB (4.68)   aurora      0.68 KB (4.78)   legobase  8.97 KB (12.97)
+//	polardb     0.68 KB (4.68)   serverless  0.75 KB (8.85)
 //
-// That is the one fresh page buffer a fetch returns to become the frame,
-// plus the read-only transaction itself. Legobase has two more pages' worth:
-// TwoTier.Read's buffer for the remote-tier probe, and — only because no
-// storage checkpoint ever gave the guard's pages a disk image — FormatPage's
-// record encoding on every fetch.
+// That is the read-only transaction, the frame header and the LRU element:
+// fetch paths fill a page.Alloc buffer, which is the one the previous miss
+// evicted (buffer.Pool releases it). Aurora's row is storagenode.Replica.
+// ReadPage, which socrates, taurus, pilotdb and serverless share. Legobase
+// keeps two pages' worth that are not frames: FormatPage's zeroed page and
+// record encoding on every fetch, only because no storage checkpoint ever
+// gave the guard's pages a disk image. The race build recycles nothing
+// (page.Alloc is a plain make there), so under -race the guard runs the
+// reads and skips the bound.
 func MissAllocGuard(t *testing.T, e engine.Engine, maxKB float64) {
 	t.Helper()
 	const commits, pages = 2000, 256
@@ -121,7 +141,7 @@ func MissAllocGuard(t *testing.T, e engine.Engine, maxKB float64) {
 		t.Fatalf("%s: %d page-store fetches for %d reads: the reads were not all misses", e.Name(), got, pages)
 	}
 	gotKB := float64(after.TotalAlloc-before.TotalAlloc) / pages / 1024
-	if gotKB > maxKB {
+	if gotKB > maxKB && !raceBuild() {
 		t.Errorf("%s: %.2f KB allocated per cold 1-key read, want <= %.2f", e.Name(), gotKB, maxKB)
 	}
 	t.Logf("%s: %.2f KB per cold 1-key read (bound %.2f)", e.Name(), gotKB, maxKB)

@@ -110,7 +110,7 @@ func (e *Engine) fetchFromStorage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.mu.Unlock()
 	var out []byte
 	if ok {
-		out = make([]byte, len(data))
+		out = page.Alloc(len(data))
 		copy(out, data)
 	} else {
 		out = e.layout.FormatPage(id).Bytes()

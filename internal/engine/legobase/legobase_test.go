@@ -121,7 +121,7 @@ func TestCommitAllocs(t *testing.T) {
 func TestMissAllocs(t *testing.T) {
 	e := New(sim.DefaultConfig(), enginetest.Layout(t), 16, 64)
 	e.CheckpointStorageEvery = 0
-	enginetest.MissAllocGuard(t, e, 13.5)
+	enginetest.MissAllocGuard(t, e, 9.5)
 }
 
 // TestFetchFailsWhenRedoFails: fetchFromStorage used to drop WriteValue's

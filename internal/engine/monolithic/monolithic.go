@@ -89,7 +89,7 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 		data = e.layout.FormatPage(id).Bytes()
 	}
 	e.ssd.Read(c, e.layout.PageSize)
-	out := make([]byte, len(data))
+	out := page.Alloc(len(data))
 	copy(out, data)
 	// Redo this page's log chain: the disk image only reflects the last
 	// writeback/checkpoint, but the fsynced WAL may hold newer committed

@@ -162,7 +162,7 @@ func TestCommitAllocs(t *testing.T) {
 // TestMissAllocs bounds what one page miss allocates with 4,000 records in
 // the log (see enginetest.MissAllocGuard).
 func TestMissAllocs(t *testing.T) {
-	enginetest.MissAllocGuard(t, monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64), 5)
+	enginetest.MissAllocGuard(t, monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64), 1)
 }
 
 // TestFetchFailsWhenRedoFails: fetchPage used to stop at WriteValue's first

@@ -139,7 +139,7 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.mu.Unlock()
 	var data []byte
 	if ok {
-		data = make([]byte, len(img))
+		data = page.Alloc(len(img))
 		copy(data, img)
 	} else {
 		data = e.layout.FormatPage(id).Bytes()

@@ -120,7 +120,7 @@ func TestCommitAllocs(t *testing.T) {
 // the log (see enginetest.MissAllocGuard). CheckpointEvery only ships page
 // images; it never truncates the log.
 func TestMissAllocs(t *testing.T) {
-	enginetest.MissAllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64), 5)
+	enginetest.MissAllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64), 1)
 }
 
 // TestFetchFailsWhenRedoFails: fetchPage used to drop WriteValue's error

@@ -137,8 +137,13 @@ func (e *Engine) readPage(c *sim.Clock, n *computeNode, id page.ID, fn func(data
 		return nil
 	}
 	e.stats.CacheMisses.Add(1)
-	buf := make([]byte, e.layout.PageSize)
+	buf := page.Alloc(e.layout.PageSize)
 	ok, err := e.Shared.Get(c, id, buf)
+	if !ok {
+		// A miss or an error: the probe buffer was never shared, and the
+		// volume read below can fill it.
+		page.Release(buf)
+	}
 	if err != nil {
 		return err
 	}

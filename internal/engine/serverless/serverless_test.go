@@ -267,3 +267,10 @@ func TestSamePageCommitsWaitForTheLatch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMissAllocs bounds what one miss of both the node's cache and the
+// shared pool allocates: readPage's probe buffer, refilled by the volume
+// read (see enginetest.MissAllocGuard).
+func TestMissAllocs(t *testing.T) {
+	enginetest.MissAllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1, 16, 64), 1)
+}

@@ -149,24 +149,18 @@ func (e *KV) Checkpoint(c *sim.Clock) error {
 			// the view covers every commit at or below h.
 			e.commitMu.Lock()
 			e.mu.Lock()
-			keys := make([]uint64, 0, len(e.vals))
-			snap := make(map[uint64][]byte, len(e.vals))
+			// apply replaces a value and never writes into one, so the
+			// records can share the view's values past the unlock.
+			recs := make([]wal.Record, 0, len(e.vals)+1)
 			for k, v := range e.vals {
-				keys = append(keys, k)
-				snap[k] = append([]byte(nil), v...)
+				recs = append(recs, wal.Record{LSN: h, Type: wal.TypeUpdate, Key: k, After: v})
 			}
 			e.mu.Unlock()
 			e.commitMu.Unlock()
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			var encoded []byte
-			for _, k := range keys {
-				rec := wal.Record{LSN: h, Type: wal.TypeUpdate, Key: k, After: snap[k]}
-				encoded = rec.Encode(encoded)
-			}
+			sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
 			// Terminal marker: recovery only trusts a snapshot that ends
 			// with it (a torn upload loses the tail, marker included).
-			marker := wal.Record{LSN: h, Type: wal.TypeCommit}
-			encoded = marker.Encode(encoded)
+			encoded := engine.Encode(append(recs, wal.Record{LSN: h, Type: wal.TypeCommit}))
 			if err := e.Store.Put(c, ckptKey(h), encoded); err != nil {
 				return err
 			}

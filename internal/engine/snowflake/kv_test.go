@@ -1,6 +1,7 @@
 package snowflake
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/engine"
@@ -70,6 +71,56 @@ func TestKVTornSegmentRecoversCleanPrefix(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Checkpoint encodes the view without copying it first. The snapshot object
+// must stay byte for byte what the copying version uploaded — one update
+// record per key in key order at the horizon, then the commit marker — and
+// recovery from it alone must serve every value.
+func TestKVSnapshotObjectIsTheViewInKeyOrder(t *testing.T) {
+	layout := enginetest.Layout(t)
+	e := NewKV(sim.DefaultConfig(), layout)
+	c := sim.NewClock()
+	want := map[uint64][]byte{}
+	for i := uint64(0); i < 200; i++ {
+		key := (i * 7919) % 61 // scrambled order, every key overwritten
+		val := make([]byte, layout.ValSize)
+		val[0], val[layout.ValSize-1] = byte(i), byte(key)
+		want[key] = val
+		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(key, val) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Checkpoint(c); err != nil {
+		t.Fatal(err)
+	}
+	h := e.RecoveryHorizon()
+	var reference []byte
+	for key := uint64(0); key < 61; key++ {
+		rec := wal.Record{LSN: h, Type: wal.TypeUpdate, Key: key, After: want[key]}
+		reference = rec.Encode(reference)
+	}
+	marker := wal.Record{LSN: h, Type: wal.TypeCommit}
+	reference = marker.Encode(reference)
+	got, err := e.Store.Get(c, ckptKey(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, reference) {
+		t.Fatalf("snapshot object (%d B) differs from the key-ordered encoding of the view (%d B)", len(got), len(reference))
+	}
+	if keys := e.Store.Keys(); len(keys) != 1 {
+		t.Fatalf("objects after the checkpoint: %v, want the snapshot alone", keys)
+	}
+	e.Crash()
+	if _, err := e.Recover(sim.NewClock()); err != nil {
+		t.Fatal(err)
+	}
+	for key, val := range want {
+		if got, _ := e.readKey(key); !bytes.Equal(got, val) {
+			t.Fatalf("key %d after recovery from the snapshot: %x, want %x", key, got[:1], val[:1])
+		}
 	}
 }
 

@@ -101,9 +101,12 @@ func (l Layout) ReadValue(data []byte, key uint64) ([]byte, error) {
 }
 
 // WriteValue updates the value for key in the page bytes in place and
-// stamps the page LSN. A cell of the layout's size is rewritten where it
-// lies, byte for byte what EncodeRecord would build; any other size goes
-// through Update.
+// raises the page LSN to lsn. It never lowers it: commits to different keys
+// of one page may apply out of LSN order, and under a lowered page LSN a
+// redo guard (skip records at or below it) re-applies an older record over
+// the newer value. A cell of the layout's size is rewritten where it lies,
+// byte for byte what EncodeRecord would build; any other size goes through
+// Update.
 func (l Layout) WriteValue(data []byte, key uint64, val []byte, lsn uint64) error {
 	p := page.Wrap(data)
 	slot := l.SlotOf(key)
@@ -118,7 +121,7 @@ func (l Layout) WriteValue(data []byte, key uint64, val []byte, lsn uint64) erro
 	} else if err := p.Update(slot, l.EncodeRecord(key, val)); err != nil {
 		return err
 	}
-	if lsn > 0 {
+	if lsn > p.LSN() {
 		p.SetLSN(lsn)
 	}
 	return nil

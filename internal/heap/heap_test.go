@@ -195,3 +195,26 @@ func TestWriteValueMatchesEncodeThenUpdate(t *testing.T) {
 		t.Fatalf("empty page: err = %v, want ErrBadSlot", err)
 	}
 }
+
+// Commits to different keys of one page may apply out of LSN order. The
+// later apply used to move the page LSN down, and under the lowered LSN a
+// checkpoint's or recovery's redo guard (skip records at or below the page
+// LSN) re-applied an older record over a newer value.
+func TestWriteValueNeverLowersPageLSN(t *testing.T) {
+	l, _ := NewLayout(4096, 32)
+	p := l.FormatPage(0)
+	if err := l.WriteValue(p.Bytes(), 1, []byte("later"), 41); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteValue(p.Bytes(), 2, []byte("earlier"), 9); err != nil {
+		t.Fatal(err)
+	}
+	if p.LSN() != 41 {
+		t.Fatalf("page LSN = %d after applying LSN 41 then LSN 9, want 41", p.LSN())
+	}
+	a, _ := l.ReadValue(p.Bytes(), 1)
+	b, _ := l.ReadValue(p.Bytes(), 2)
+	if !bytes.HasPrefix(a, []byte("later")) || !bytes.HasPrefix(b, []byte("earlier")) {
+		t.Fatalf("values = %q, %q: both writes must land", a, b)
+	}
+}

@@ -13,6 +13,12 @@
 //
 // Deleted slots keep their directory entry with length 0xFFFF so slot
 // numbers remain stable; Compact reclaims their cell space.
+//
+// The package also keeps the free list of page buffers (free.go): a buffer
+// pool hands Release the frame it evicts and a fetch path fills the buffer
+// Alloc returns, so a page miss reuses the buffer the previous miss freed.
+// Release is a transfer of ownership with no check behind it; the race build
+// (free_race.go) recycles nothing and poisons released buffers instead.
 package page
 
 import (

@@ -302,7 +302,8 @@ func (r *Replica) ReadPage(c *sim.Clock, id page.ID, minLSN wal.LSN) ([]byte, er
 	}
 	r.nic.Charge(c, sim.LatencyModel{Base: r.cfg.TCP.Base, BytesPerSec: r.cfg.TCP.BytesPerSec}.Cost(len(data)))
 	op.End(int64(len(data)))
-	out := make([]byte, len(data))
+	// The copy becomes a compute node's cache frame (buffer.Fetcher).
+	out := page.Alloc(len(data))
 	copy(out, data)
 	return out, nil
 }

@@ -17,9 +17,12 @@ import (
 type Volume struct {
 	cfg      *sim.Config
 	Replicas []*Replica
-	WriteQ   int
-	ReadQ    int
-	meter    *sim.Meter
+	// nearest is Replicas in ReadPage's order: by network distance, which
+	// is fixed when a replica is built.
+	nearest []*Replica
+	WriteQ  int
+	ReadQ   int
+	meter   *sim.Meter
 }
 
 // NewAuroraVolume builds the canonical 6-replica/3-AZ volume with W=4,
@@ -31,6 +34,7 @@ func NewAuroraVolume(cfg *sim.Config, layout heap.Layout) *Volume {
 		scale := 1.0 + 0.25*float64(az)
 		v.Replicas = append(v.Replicas, NewReplica(cfg, replicaName(i), az, layout, scale))
 	}
+	v.sortNearest()
 	return v
 }
 
@@ -42,7 +46,13 @@ func NewVolume(cfg *sim.Config, layout heap.Layout, replicas, azs, writeQ, readQ
 		scale := 1.0 + 0.25*float64(az)
 		v.Replicas = append(v.Replicas, NewReplica(cfg, replicaName(i), az, layout, scale))
 	}
+	v.sortNearest()
 	return v
+}
+
+func (v *Volume) sortNearest() {
+	v.nearest = append([]*Replica(nil), v.Replicas...)
+	sort.Slice(v.nearest, func(i, j int) bool { return v.nearest[i].netScale < v.nearest[j].netScale })
 }
 
 func replicaName(i int) string {
@@ -141,12 +151,8 @@ func (v *Volume) AppendLog(c *sim.Clock, recs []wal.Record) error {
 // up-to-date replica (no read quorum on the fast path); quorum reads are
 // only needed during recovery, which FindHighLSN models.
 func (v *Volume) ReadPage(c *sim.Clock, id page.ID, minLSN wal.LSN) ([]byte, error) {
-	// Try replicas nearest-first.
-	order := make([]*Replica, 0, len(v.Replicas))
-	order = append(order, v.Replicas...)
-	sort.Slice(order, func(i, j int) bool { return order[i].netScale < order[j].netScale })
 	var lastErr error = ErrNoQuorum
-	for _, r := range order {
+	for _, r := range v.nearest {
 		data, err := r.ReadPage(c, id, minLSN)
 		if err == nil {
 			return data, nil
