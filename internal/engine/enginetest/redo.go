@@ -18,6 +18,10 @@ import (
 // The planted image holds only the page's first slot, so the committed
 // update to its second key has nowhere to go while a read of its first key
 // would succeed on whatever page a fetch returned.
+//
+// A checkpoint is held to the same rule: its flush redoes the same record, so
+// the round must fail and leave the horizon where it was — a round that
+// swallows the failure truncates an acked commit that is in no page.
 func FailedRedoGuard(t *testing.T, e engine.Engine, plant func(id page.ID, img []byte), drop func()) {
 	t.Helper()
 	layout := Layout(t)
@@ -33,11 +37,28 @@ func FailedRedoGuard(t *testing.T, e engine.Engine, plant func(id page.ID, img [
 	// cannot succeed either.
 	_ = engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(first+1, val(layout, 9)) })
 	drop()
-	err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
-		_, err := tx.Read(first)
-		return err
-	})
-	if !errors.Is(err, page.ErrBadSlot) {
+	read := func() error {
+		return engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+			_, err := tx.Read(first)
+			return err
+		})
+	}
+	if err := read(); !errors.Is(err, page.ErrBadSlot) {
 		t.Fatalf("%s: read of a page whose redo failed: err = %v, want the redo's %v (nil: the half-redone page was served)", e.Name(), err, page.ErrBadSlot)
+	}
+	cp := engine.Caps(e).Checkpointer
+	if cp == nil {
+		return
+	}
+	horizon := cp.RecoveryHorizon()
+	if err := cp.Checkpoint(c); !errors.Is(err, page.ErrBadSlot) {
+		t.Fatalf("%s: checkpoint over a record it cannot redo: err = %v, want the redo's %v", e.Name(), err, page.ErrBadSlot)
+	}
+	if got := cp.RecoveryHorizon(); got != horizon {
+		t.Fatalf("%s: failed checkpoint moved the recovery horizon %d -> %d", e.Name(), horizon, got)
+	}
+	drop()
+	if err := read(); !errors.Is(err, page.ErrBadSlot) {
+		t.Fatalf("%s: read after the failed checkpoint: err = %v, want %v (the commit is gone from page and log)", e.Name(), err, page.ErrBadSlot)
 	}
 }

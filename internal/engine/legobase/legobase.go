@@ -8,7 +8,6 @@
 package legobase
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,14 +124,11 @@ func (e *Engine) fetchFromStorage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.stats.NetMsgs.Add(1)
 	// Replay this page's log chain newer than the page image.
 	if err := e.log.RedoPage(uint64(id), wal.LSN(page.Wrap(out).LSN()), func(r *wal.Record) error {
-		if r.Type != wal.TypeUpdate {
-			return nil
+		applied, err := e.pipe.Redo(out, r)
+		if applied {
+			c.Advance(e.cfg.CPU.Cost(len(r.After)))
 		}
-		if err := e.layout.WriteValue(out, r.Key, r.After, uint64(r.LSN)); err != nil {
-			return fmt.Errorf("legobase: redo page %d at lsn %d: %w", id, r.LSN, err)
-		}
-		c.Advance(e.cfg.CPU.Cost(len(r.After)))
-		return nil
+		return err
 	}); err != nil {
 		return nil, err
 	}
@@ -196,6 +192,23 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 	return nil
 }
 
+// redoTiers redoes the log's (after, upto] tail through the tier hierarchy:
+// the page-LSN guard skips records already applied, and Mutate pulls any
+// page the caches dropped back from storage. wal.ErrTruncated means the tail
+// starts below the truncation floor: redoing the retained part as if it were
+// complete would silently miss updates.
+func (e *Engine) redoTiers(c *sim.Clock, after, upto wal.LSN) error {
+	return e.log.Range(after, upto, func(r *wal.Record) error {
+		if r.Type != wal.TypeUpdate {
+			return nil
+		}
+		return e.Tiers.Mutate(c, page.ID(r.PageID), func(data []byte) error {
+			_, err := e.pipe.Redo(data, r)
+			return err
+		})
+	})
+}
+
 // CheckpointRemote is the fast ARIES tier: the remote memory pool
 // absorbs every commit at or below a horizon captured BEFORE the flush.
 // The original version captured the horizon after — a commit that became
@@ -208,26 +221,8 @@ func (e *Engine) CheckpointRemote(c *sim.Clock) error {
 	e.mu.Lock()
 	from := e.remoteCkptLSN
 	e.mu.Unlock()
-	// Redo the (from, target] tail through the tier hierarchy: Mutate's
-	// page-LSN guard skips records already applied, and pulls any page the
-	// caches dropped back from storage.
-	recs, err := e.log.Replay(from)
-	if err != nil {
+	if err := e.redoTiers(c, from, target); err != nil {
 		return err
-	}
-	for _, r := range recs {
-		if r.LSN > target || r.Type != wal.TypeUpdate {
-			continue
-		}
-		rec := r
-		if err := e.Tiers.Mutate(c, page.ID(rec.PageID), func(data []byte) error {
-			if wal.LSN(page.Wrap(data).LSN()) >= rec.LSN {
-				return nil
-			}
-			return e.layout.WriteValue(data, rec.Key, rec.After, uint64(rec.LSN))
-		}); err != nil {
-			return err
-		}
 	}
 	for _, id := range e.Tiers.Local.DirtyIDs() {
 		data, err := e.Tiers.Local.Get(c, id)
@@ -262,33 +257,13 @@ func (e *Engine) CheckpointStorage(c *sim.Clock) error {
 			// Redo the retained tail straight into the disk images — the
 			// disk copy must cover <= h independent of what either cache
 			// tier currently holds.
-			recs, err := e.log.Replay(e.ckpt.Horizon())
+			e.mu.Lock()
+			changed, err := e.pipe.RedoImages(e.disk, e.ckpt.Horizon(), h)
+			e.mu.Unlock()
 			if err != nil {
 				return err
 			}
-			dirty := map[page.ID]bool{}
-			e.mu.Lock()
-			for _, r := range recs {
-				if r.LSN > h || r.Type != wal.TypeUpdate {
-					continue
-				}
-				id := page.ID(r.PageID)
-				img, ok := e.disk[id]
-				if !ok {
-					img = e.layout.FormatPage(id).Bytes()
-					e.disk[id] = img
-				}
-				if uint64(r.LSN) <= page.Wrap(img).LSN() {
-					continue
-				}
-				if err := e.layout.WriteValue(img, r.Key, r.After, uint64(r.LSN)); err != nil {
-					e.mu.Unlock()
-					return err
-				}
-				dirty[id] = true
-			}
-			e.mu.Unlock()
-			for range dirty {
+			for range changed {
 				op := e.cfg.Begin(c, "tcp.rpc")
 				c.Advance(e.cfg.TCP.Cost(e.layout.PageSize))
 				op.End(int64(e.layout.PageSize))
@@ -343,26 +318,9 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	from := e.remoteCkptLSN
 	e.mu.Unlock()
 	// Replay the short tail; pages come from remote memory on demand
-	// (charged as RDMA reads inside Tiers.Read). Replay (not Since) so a
-	// horizon below the truncation floor fails loudly instead of redoing
-	// a partial prefix as if it were complete.
-	recs, err := e.log.Replay(from)
-	if err != nil {
+	// (charged as RDMA reads inside Tiers.Read).
+	if err := e.redoTiers(c, from, ^wal.LSN(0)); err != nil {
 		return 0, err
-	}
-	for _, r := range recs {
-		if r.Type != wal.TypeUpdate {
-			continue
-		}
-		rec := r
-		if err := e.Tiers.Mutate(c, page.ID(r.PageID), func(data []byte) error {
-			if wal.LSN(page.Wrap(data).LSN()) >= rec.LSN {
-				return nil
-			}
-			return e.layout.WriteValue(data, rec.Key, rec.After, uint64(rec.LSN))
-		}); err != nil {
-			return 0, err
-		}
 	}
 	e.crashed.Store(false)
 	return c.Now() - start, nil
@@ -375,32 +333,34 @@ func (e *Engine) RecoverFromStorageOnly(c *sim.Clock) (time.Duration, error) {
 	e.mu.Lock()
 	from := e.storageCkptLSN
 	e.mu.Unlock()
-	recs, err := e.log.Replay(from)
-	if err != nil {
-		return 0, err
-	}
 	logBytes := 0
-	for i := range recs {
-		logBytes += recs[i].EncodedSize()
+	if err := e.log.Range(from, ^wal.LSN(0), func(r *wal.Record) error {
+		logBytes += r.EncodedSize()
+		return nil
+	}); err != nil {
+		return 0, err
 	}
 	op := e.cfg.Begin(c, "tcp.rpc")
 	c.Advance(e.cfg.TCP.Cost(logBytes))
 	op.End(int64(logBytes))
 	e.ssd.Read(c, logBytes)
 	touched := map[page.ID]bool{}
-	for _, r := range recs {
+	if err := e.log.Range(from, ^wal.LSN(0), func(r *wal.Record) error {
 		if r.Type != wal.TypeUpdate {
-			continue
+			return nil
 		}
 		id := page.ID(r.PageID)
 		if !touched[id] {
 			touched[id] = true
 			// Page fetched from storage, not remote memory.
 			if _, err := e.fetchFromStorage(c, id); err != nil {
-				return 0, err
+				return err
 			}
 		}
 		c.Advance(e.cfg.CPU.Cost(len(r.After)))
+		return nil
+	}); err != nil {
+		return 0, err
 	}
 	e.crashed.Store(false)
 	return c.Now() - start, nil

@@ -1,12 +1,14 @@
 package legobase
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/engine/enginetest"
 	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
+	"github.com/disagglab/disagg/internal/wal"
 )
 
 func TestConformance(t *testing.T) {
@@ -134,4 +136,75 @@ func TestFetchFailsWhenRedoFails(t *testing.T) {
 			e.Tiers.Remote.Drop(id)
 		}
 	})
+}
+
+// CheckpointRemote reads its start LSN and then walks the log from it; a
+// storage round in that window, or overtaking the walk, truncates the log
+// past where the walk stands. The fast tier must then say so (the storage
+// round raised its start, the next round begins there) — never redo a
+// partial tail as if it were whole, and never fail any other way. The local
+// tier holds the whole working set, so the remote pool is only ever written.
+func TestCheckpointRemoteRacingCheckpointStorage(t *testing.T) {
+	layout := enginetest.Layout(t)
+	e := New(sim.DefaultConfig(), layout, 32, 256)
+	e.CheckpointRemoteEvery, e.CheckpointStorageEvery = 0, 0
+	c := sim.NewClock()
+	want := map[uint64]byte{}
+	write := func(n uint64) {
+		key, val := n*37%(16*uint64(layout.PerPage)), make([]byte, layout.ValSize)
+		val[0] = byte(n)
+		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(key, val) }); err != nil {
+			t.Fatalf("write %d: %v", n, err)
+		}
+		want[key] = val[0]
+	}
+	n := uint64(1)
+	for ; n <= 64; n++ { // every page is local before the race starts
+		write(n)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	truncated := 0
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.CheckpointRemote(sim.NewClock()); errors.Is(err, wal.ErrTruncated) {
+				truncated++
+			} else if err != nil {
+				t.Errorf("CheckpointRemote: %v, want nil or ErrTruncated", err)
+				return
+			}
+		}
+	}()
+	for ; n <= 4000; n++ {
+		write(n)
+		if n%8 == 0 {
+			if err := e.CheckpointStorage(sim.NewClock()); err != nil {
+				t.Fatalf("CheckpointStorage after write %d: %v", n, err)
+			}
+		}
+	}
+	close(stop)
+	<-done
+	t.Logf("remote rounds that met the truncation: %d", truncated)
+	e.Crash()
+	if _, err := e.Recover(sim.NewClock()); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	for key, b := range want {
+		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+			v, err := tx.Read(key)
+			if err == nil && v[0] != b {
+				t.Errorf("key %d = %d after recovery, want %d", key, v[0], b)
+			}
+			return err
+		}); err != nil {
+			t.Fatalf("read %d: %v", key, err)
+		}
+	}
 }

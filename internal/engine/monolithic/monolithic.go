@@ -100,13 +100,8 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.mu.Unlock()
 	after := max(ckpt, wal.LSN(page.Wrap(out).LSN()))
 	if err := e.log.RedoPage(uint64(id), after, func(r *wal.Record) error {
-		if r.Type != wal.TypeUpdate {
-			return nil
-		}
-		if err := e.layout.WriteValue(out, r.Key, r.After, uint64(r.LSN)); err != nil {
-			return fmt.Errorf("monolithic: redo page %d at lsn %d: %w", id, r.LSN, err)
-		}
-		return nil
+		_, err := e.pipe.Redo(out, r)
+		return err
 	}); err != nil {
 		return nil, err
 	}
@@ -171,21 +166,16 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 			// frame was staled) exists only in log records the truncation
 			// below h+1 is about to discard. Page-LSN guards make the
 			// redo idempotent against already-applied commits.
-			recs, err := e.log.Replay(e.ckpt.Horizon())
-			if err != nil {
-				return err
-			}
-			for _, r := range recs {
-				if r.LSN > h || r.Type != wal.TypeUpdate {
-					continue
+			if err := e.log.Range(e.ckpt.Horizon(), h, func(r *wal.Record) error {
+				if r.Type != wal.TypeUpdate {
+					return nil
 				}
-				rec := r
-				_ = e.pool.Mutate(c, page.ID(rec.PageID), func(data []byte) error {
-					if uint64(rec.LSN) <= page.Wrap(data).LSN() {
-						return nil
-					}
-					return e.layout.WriteValue(data, rec.Key, rec.After, uint64(rec.LSN))
+				return e.pool.Mutate(c, page.ID(r.PageID), func(data []byte) error {
+					_, err := e.pipe.Redo(data, r)
+					return err
 				})
+			}); err != nil {
+				return err
 			}
 			if err := e.pool.FlushAll(c); err != nil {
 				return err
@@ -228,37 +218,28 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	e.mu.Lock()
 	ckpt := e.checkpointLSN
 	e.mu.Unlock()
-	recs, err := e.log.Replay(ckpt)
-	if err != nil {
-		return 0, err
-	}
 	// Read the log tail from SSD.
 	logBytes := 0
-	for i := range recs {
-		logBytes += recs[i].EncodedSize()
+	if err := e.log.Range(ckpt, ^wal.LSN(0), func(r *wal.Record) error {
+		logBytes += r.EncodedSize()
+		return nil
+	}); err != nil {
+		return 0, err
 	}
 	e.ssd.Read(c, logBytes)
-	// Per-page LSN floors, each page fetched once.
-	floors := make(map[uint64]wal.LSN)
-	pageLSN := func(pid uint64) wal.LSN {
-		if lsn, ok := floors[pid]; ok {
-			return lsn
+	// Each page the tail touches is read once; the fetch redoes its chain.
+	touched := map[page.ID]bool{}
+	if err := e.log.Range(ckpt, ^wal.LSN(0), func(r *wal.Record) error {
+		id := page.ID(r.PageID)
+		if r.Type != wal.TypeUpdate || touched[id] {
+			return nil
 		}
-		data, err := e.fetchPage(c, page.ID(pid))
-		if err != nil {
-			floors[pid] = 0
-			return 0
-		}
-		lsn := wal.LSN(page.Wrap(data).LSN())
-		floors[pid] = lsn
-		return lsn
+		touched[id] = true
+		_, err := e.fetchPage(c, id)
+		return err
+	}); err != nil {
+		return 0, err
 	}
-	applied := wal.Redo(recs, pageLSN, func(r wal.Record) {
-		e.pool.Mutate(c, page.ID(r.PageID), func(data []byte) error {
-			return e.layout.WriteValue(data, r.Key, r.After, uint64(r.LSN))
-		})
-	})
-	_ = applied
 	if err := e.pool.FlushAll(c); err != nil {
 		return 0, err
 	}

@@ -14,7 +14,9 @@
 package pilotdb
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,10 +155,16 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range recs {
-			if r.Type == wal.TypeUpdate {
-				e.layout.WriteValue(data, r.Key, r.After, uint64(r.LSN))
-				c.Advance(e.cfg.CPU.Cost(len(r.After)))
+		// The PM log stores concurrent commits in arrival order; the redo
+		// rule's page-LSN guard needs them ascending.
+		slices.SortFunc(recs, func(a, b wal.Record) int { return cmp.Compare(a.LSN, b.LSN) })
+		for i := range recs {
+			applied, err := e.pipe.Redo(data, &recs[i])
+			if applied {
+				c.Advance(e.cfg.CPU.Cost(len(recs[i].After)))
+			}
+			if err != nil {
+				return nil, err
 			}
 		}
 		return data, nil

@@ -150,14 +150,14 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.stats.NetBytes.Add(int64(len(data)))
 	// Replay this page's newer records from the durable log.
 	if err := e.log.RedoPage(uint64(id), wal.LSN(page.Wrap(data).LSN()), func(r *wal.Record) error {
-		if r.Type != wal.TypeUpdate || r.LSN > e.pipe.DurableLSN() {
+		if r.LSN > e.pipe.DurableLSN() {
 			return nil
 		}
-		if err := e.layout.WriteValue(data, r.Key, r.After, uint64(r.LSN)); err != nil {
-			return fmt.Errorf("polardb: redo page %d at lsn %d: %w", id, r.LSN, err)
+		applied, err := e.pipe.Redo(data, r)
+		if applied {
+			c.Advance(e.cfg.CPU.Cost(len(r.After)))
 		}
-		c.Advance(e.cfg.CPU.Cost(len(r.After)))
-		return nil
+		return err
 	}); err != nil {
 		return nil, err
 	}
@@ -264,33 +264,14 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 			return e.pipe.DurableLSN()
 		},
 		Flush: func(c *sim.Clock, h wal.LSN) error {
-			recs, err := e.log.Replay(e.ckpt.Horizon())
+			e.mu.Lock()
+			changed, err := e.pipe.RedoImages(e.pagesFS, e.ckpt.Horizon(), h)
+			e.mu.Unlock()
 			if err != nil {
 				return err
 			}
-			dirty := map[page.ID]int{}
-			e.mu.Lock()
-			for _, r := range recs {
-				if r.LSN > h || r.Type != wal.TypeUpdate {
-					continue
-				}
-				id := page.ID(r.PageID)
-				img, ok := e.pagesFS[id]
-				if !ok {
-					img = e.layout.FormatPage(id).Bytes()
-					e.pagesFS[id] = img
-				}
-				if uint64(r.LSN) <= page.Wrap(img).LSN() {
-					continue
-				}
-				if err := e.layout.WriteValue(img, r.Key, r.After, uint64(r.LSN)); err != nil {
-					e.mu.Unlock()
-					return err
-				}
-				dirty[id] = len(img)
-			}
-			e.mu.Unlock()
-			for _, n := range dirty {
+			n := e.layout.PageSize
+			for range changed {
 				c.Advance(e.cfg.RDMA.Cost(n) + e.cfg.SSDWrite.Cost(n))
 				e.stats.PageBytes.Add(int64(n))
 				e.stats.NetBytes.Add(int64(n))

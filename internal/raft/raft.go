@@ -226,11 +226,19 @@ func (g *Group) AppendBatch(c *sim.Clock, datas [][]byte) (int, error) {
 			// may arrive out of order (ParallelRaft acks entries
 			// independently); holes are extended with placeholders
 			// that the straggler overwrites when it arrives. Indices are
-			// logical: each peer subtracts its own compaction offset.
+			// logical: each peer subtracts its own compaction offset. A
+			// compaction may have overtaken this append (a later group
+			// committed over the hole and CompactTo dropped it): entries at
+			// or below the snapshot are covered by it, a straddling group is
+			// trimmed.
 			for p.logicalLenLocked() < last {
 				p.log = append(p.log, Entry{})
 			}
-			copy(p.log[index-1-p.snap:], entries)
+			if at := index - 1 - p.snap; at >= 0 {
+				copy(p.log[at:], entries)
+			} else if -at < len(entries) {
+				copy(p.log, entries[-at:])
+			}
 			ack := time.Duration(float64(g.cfg.RDMA.Cost(total))*p.netScale) + g.cfg.SSDWrite.Cost(total)
 			acks = append(acks, ack)
 		} else {

@@ -2,7 +2,9 @@ package raft
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/sim"
@@ -193,5 +195,72 @@ func TestAppendBatchEmptyIsNoOp(t *testing.T) {
 	}
 	if c.Now() != 0 {
 		t.Fatal("empty batch charged time")
+	}
+}
+
+// A follower commits a later group over the placeholder of one still in
+// flight, CompactTo moves its snapshot past that hole, and the straggler
+// arrives below the snapshot: it used to index the log below zero. After the
+// race every index a live peer still holds carries the entry acked for it.
+func TestAppendBatchSurvivesCompaction(t *testing.T) {
+	g := NewGroup(sim.DefaultConfig(), 3)
+	const writers, batches = 4, 3000
+	var mu sync.Mutex
+	acked := map[int][]byte{}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := sim.NewClock()
+			for i := 0; i < batches; i++ {
+				datas := [][]byte{
+					binary.LittleEndian.AppendUint32([]byte{byte(w), 0}, uint32(i)),
+					binary.LittleEndian.AppendUint32([]byte{byte(w), 1}, uint32(i)),
+				}
+				first, err := g.AppendBatch(c, datas)
+				if err != nil {
+					t.Errorf("writer %d batch %d: %v", w, i, err)
+					return
+				}
+				mu.Lock()
+				acked[first], acked[first+1] = datas[0], datas[1]
+				mu.Unlock()
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	compacted := make(chan struct{})
+	go func() {
+		defer close(compacted)
+		c := sim.NewClock()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if err := g.CompactTo(c, g.CommitIndex()); err != nil {
+					t.Errorf("compact: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-compacted
+
+	if got := g.CommitIndex(); got != 2*writers*batches {
+		t.Fatalf("commit index %d after %d acked entries", got, 2*writers*batches)
+	}
+	for _, p := range g.Peers() {
+		p.mu.Lock()
+		for i := p.snap + 1; i <= p.commit; i++ {
+			if got := p.log[i-1-p.snap].Data; !bytes.Equal(got, acked[i]) {
+				t.Errorf("peer %d index %d (snap %d, commit %d) holds %v, acked %v", p.ID, i, p.snap, p.commit, got, acked[i])
+				break
+			}
+		}
+		p.mu.Unlock()
 	}
 }

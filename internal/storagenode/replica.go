@@ -528,21 +528,23 @@ func (r *Replica) CatchUpFrom(c *sim.Clock, peer *Replica, log *wal.Log) (int, e
 	}
 	// Ship exactly the records the peer holds and the receiver lacks
 	// (the receiver may have holes above its prefix).
-	recs := log.Since(from)
 	var ship []wal.Record
-	for _, rec := range recs {
+	if err := log.Range(from, ^wal.LSN(0), func(rec *wal.Record) error {
 		peer.mu.Lock()
 		has := peer.hasLSN(rec.LSN)
 		peer.mu.Unlock()
 		if !has {
-			continue
+			return nil
 		}
 		r.mu.Lock()
 		lacks := !r.hasLSN(rec.LSN)
 		r.mu.Unlock()
 		if lacks {
-			ship = append(ship, rec)
+			ship = append(ship, *rec)
 		}
+		return nil
+	}); err != nil {
+		return adopted, err
 	}
 	if len(ship) == 0 {
 		return adopted, nil
@@ -569,18 +571,18 @@ func (r *Replica) CatchUpFromLog(c *sim.Clock, log *wal.Log) int {
 	}
 	from := r.prefixLSN
 	r.mu.Unlock()
-	if floor := log.Floor(); from+1 < floor {
-		return 0
-	}
-
+	// A walk that meets the truncation floor ships nothing: the gap.
 	var ship []wal.Record
-	for _, rec := range log.Since(from) {
+	if err := log.Range(from, ^wal.LSN(0), func(rec *wal.Record) error {
 		r.mu.Lock()
 		lacks := !r.hasLSN(rec.LSN)
 		r.mu.Unlock()
 		if lacks {
-			ship = append(ship, rec)
+			ship = append(ship, *rec)
 		}
+		return nil
+	}); err != nil {
+		return 0
 	}
 	if len(ship) == 0 {
 		return 0

@@ -1,19 +1,19 @@
 // Package wal implements the write-ahead log shared by every OLTP engine:
-// typed log records with a binary codec, a sequential in-memory log with
-// group commit, and ARIES-style redo helpers ("the log is the database" —
-// Aurora, §2.1).
+// typed log records with a binary codec and a sequential in-memory log with
+// group commit ("the log is the database" — Aurora, §2.1). The redo rule
+// that applies a record to a page image is engine.Pipeline.Redo.
 //
-// The log is also chained per page, as the storage side is organised: a
-// page miss replays its own records (Log.RedoPage). Since and Replay stay
-// whole-tail copies for the callers that want every record: checkpoint
-// flushes, crash recovery, replica catch-up.
+// The log has two read primitives. Log.Range walks an LSN range, checks the
+// truncation floor and runs its callback outside the log's lock: checkpoint
+// flushes, crash recovery, replica catch-up. Log.RedoPage walks one page's
+// chain (the log is chained per page, as the storage side is organised) and
+// runs its callback under the lock: a page miss replays its own records.
 package wal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -159,7 +159,7 @@ func DecodeAll(p []byte) ([]Record, error) {
 	return out, nil
 }
 
-// ErrTruncated is returned by Replay when the requested range reaches
+// ErrTruncated is returned by Range when the requested range reaches
 // below the truncation floor: records there were discarded by a
 // checkpoint, so a replay from that point would silently miss updates.
 // Callers must restart from a checkpointed page image at or above the
@@ -227,47 +227,49 @@ func (l *Log) Len() int {
 	return len(l.records)
 }
 
-// Since returns a copy of all records with LSN > after, in LSN order.
-// Since does not check the truncation floor; recovery paths must use
-// Replay, which fails loudly instead of yielding a silent partial prefix.
-func (l *Log) Since(after LSN) []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.tail(after)
-}
-
-// tail copies out the records with LSN > after; the caller holds l.mu.
-// The start is an index, not a scan, and the copy is made once at its
-// exact size. It stays a copy: TruncateBefore compacts l.records in place.
-func (l *Log) tail(after LSN) []Record {
-	skip := uint64(0)
-	if first := l.first(); after >= first {
-		skip = uint64(after-first) + 1
+// Range calls fn on every record with after < LSN <= upto, in LSN order;
+// an upto past the head walks to the head, and after >= upto visits nothing.
+// It fails with ErrTruncated as soon as an LSN it still has to visit lies
+// below the truncation floor — at the start, or because a truncation
+// overtook the walk — rather than pass a partial prefix off as complete.
+//
+// The lock is taken once per record and fn runs outside it, on the walk's
+// one reused copy of the record (the images are the log's own: read-only).
+// So fn may call back into the Log, as a checkpoint's redo does when the
+// page it mutates has to be fetched through RedoPage first. Range stops at
+// fn's first error and returns it.
+func (l *Log) Range(after, upto LSN, fn func(*Record) error) error {
+	var rec *Record // made at the first visit: an empty walk allocates nothing
+	for after < upto {
+		next := after + 1
+		l.mu.Lock()
+		if next < l.floor {
+			floor := l.floor
+			l.mu.Unlock()
+			return fmt.Errorf("%w: walk at %d, floor %d", ErrTruncated, next, floor)
+		}
+		if next >= l.next {
+			l.mu.Unlock()
+			return nil
+		}
+		if rec == nil {
+			rec = new(Record)
+		}
+		*rec = l.records[next-l.first()]
+		l.mu.Unlock()
+		if err := fn(rec); err != nil {
+			return err
+		}
+		after = next
 	}
-	if skip >= uint64(len(l.records)) {
-		return nil
-	}
-	return slices.Clone(l.records[skip:])
-}
-
-// Replay returns all records with LSN > after, failing with ErrTruncated
-// when any LSN in (after, floor) has been discarded by a checkpoint — a
-// replay from below the truncation floor would otherwise silently miss
-// updates and reconstruct a stale prefix as if it were complete.
-func (l *Log) Replay(after LSN) ([]Record, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if after+1 < l.floor {
-		return nil, fmt.Errorf("%w: replay from %d, floor %d", ErrTruncated, after, l.floor)
-	}
-	return l.tail(after), nil
+	return nil
 }
 
 // RedoPage calls fn on every retained update, insert and delete record of
-// pageID with LSN > after, in ascending LSN order: what Since(after) holds
-// for that page, found through the page's chain instead of by copying and
-// filtering the whole tail. Like Since it does not check the truncation
-// floor; a caller that must not miss truncated records also checks Floor.
+// pageID with LSN > after, in ascending LSN order, found through the page's
+// chain instead of by walking the whole tail. Unlike Range it does not check
+// the truncation floor; a caller that must not miss truncated records also
+// checks Floor.
 //
 // fn runs under the log's lock, on the log's own records: it must not
 // retain or modify the record (its images included) and must not call back
@@ -320,30 +322,4 @@ func (l *Log) TruncateBefore(upTo LSN) {
 	clear(l.records[n:])
 	l.records = l.records[:n]
 	l.prev = l.prev[:copy(l.prev, l.prev[cut:])]
-}
-
-// Applier consumes redo records. Page stores and engines implement this.
-type Applier interface {
-	// Apply applies one redo record; it must be idempotent with respect
-	// to page LSNs (apply only if record LSN > page LSN).
-	Apply(r Record)
-}
-
-// Redo replays records in order into the applier, skipping records at or
-// below the given page-LSN floor resolver. pageLSN may be nil, in which
-// case all records are applied (the applier is then responsible for
-// idempotence).
-func Redo(records []Record, pageLSN func(pageID uint64) LSN, apply func(Record)) int {
-	applied := 0
-	for _, r := range records {
-		if r.Type == TypeCommit || r.Type == TypeAbort || r.Type == TypeCheckpoint {
-			continue
-		}
-		if pageLSN != nil && r.LSN <= pageLSN(r.PageID) {
-			continue
-		}
-		apply(r)
-		applied++
-	}
-	return applied
 }

@@ -21,6 +21,19 @@ func sampleRecord() Record {
 	}
 }
 
+// collect gathers the records Range(after, upto) visits, and its error.
+func collect(l *Log, after, upto LSN) ([]Record, error) {
+	var out []Record
+	err := l.Range(after, upto, func(r *Record) error {
+		out = append(out, *r)
+		return nil
+	})
+	return out, err
+}
+
+// toHead is an upto past any head: the walk ends where the log does.
+const toHead = ^LSN(0)
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := sampleRecord()
 	buf := r.Encode(nil)
@@ -137,53 +150,16 @@ func TestLogSinceAndTruncate(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Append(Record{Type: TypeUpdate, Key: uint64(i)})
 	}
-	rs := l.Since(7)
-	if len(rs) != 3 || rs[0].LSN != 8 {
-		t.Fatalf("Since(7) = %d records, first %d", len(rs), rs[0].LSN)
+	rs, err := collect(l, 7, toHead)
+	if err != nil || len(rs) != 3 || rs[0].LSN != 8 {
+		t.Fatalf("Range(7, head) = %d records, first %d, err %v", len(rs), rs[0].LSN, err)
 	}
 	l.TruncateBefore(9)
 	if l.Len() != 2 {
 		t.Fatalf("after truncate len = %d", l.Len())
 	}
-	if got := l.Since(0); got[0].LSN != 9 {
-		t.Fatalf("first surviving LSN = %d", got[0].LSN)
-	}
-}
-
-func TestRedoSkipsByPageLSN(t *testing.T) {
-	recs := []Record{
-		{LSN: 1, Type: TypeUpdate, PageID: 1},
-		{LSN: 2, Type: TypeCommit},
-		{LSN: 3, Type: TypeUpdate, PageID: 1},
-		{LSN: 4, Type: TypeUpdate, PageID: 2},
-	}
-	pageLSN := func(id uint64) LSN {
-		if id == 1 {
-			return 1 // page 1 already has LSN 1 applied
-		}
-		return 0
-	}
-	var applied []LSN
-	n := Redo(recs, pageLSN, func(r Record) { applied = append(applied, r.LSN) })
-	if n != 2 || !reflect.DeepEqual(applied, []LSN{3, 4}) {
-		t.Fatalf("applied %v (n=%d)", applied, n)
-	}
-}
-
-func TestRedoIdempotent(t *testing.T) {
-	// Running Redo twice with an LSN-tracking applier must apply each
-	// record exactly once.
-	recs := []Record{
-		{LSN: 1, Type: TypeUpdate, PageID: 1},
-		{LSN: 2, Type: TypeUpdate, PageID: 1},
-	}
-	pageLSNs := map[uint64]LSN{}
-	apply := func(r Record) { pageLSNs[r.PageID] = r.LSN }
-	look := func(id uint64) LSN { return pageLSNs[id] }
-	first := Redo(recs, look, apply)
-	second := Redo(recs, look, apply)
-	if first != 2 || second != 0 {
-		t.Fatalf("first=%d second=%d", first, second)
+	if got, err := collect(l, 8, toHead); err != nil || got[0].LSN != 9 {
+		t.Fatalf("first surviving LSN = %d, err %v", got[0].LSN, err)
 	}
 }
 
@@ -197,7 +173,7 @@ func TestTypeString(t *testing.T) {
 }
 
 // TestReplayBelowFloorErrTruncated is the replay-below-horizon
-// regression: replaying from an LSN older than the truncation point must
+// regression: a walk from an LSN older than the truncation point must
 // fail with ErrTruncated, not silently yield the retained partial prefix
 // as if it were the complete history.
 func TestReplayBelowFloorErrTruncated(t *testing.T) {
@@ -207,19 +183,19 @@ func TestReplayBelowFloorErrTruncated(t *testing.T) {
 	}
 	l.TruncateBefore(6) // records 1..5 are gone
 
-	if _, err := l.Replay(0); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("Replay(0) below the floor: err = %v, want ErrTruncated", err)
+	if rs, err := collect(l, 0, toHead); !errors.Is(err, ErrTruncated) || rs != nil {
+		t.Fatalf("Range(0, head) below the floor: %d records, err = %v, want none and ErrTruncated", len(rs), err)
 	}
-	if _, err := l.Replay(4); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("Replay(4) below the floor: err = %v, want ErrTruncated", err)
+	if rs, err := collect(l, 4, toHead); !errors.Is(err, ErrTruncated) || rs != nil {
+		t.Fatalf("Range(4, head) below the floor: %d records, err = %v, want none and ErrTruncated", len(rs), err)
 	}
 	// Exactly at the floor boundary: records 6.. are all retained.
-	rs, err := l.Replay(5)
+	rs, err := collect(l, 5, toHead)
 	if err != nil {
-		t.Fatalf("Replay(5) at the floor: %v", err)
+		t.Fatalf("Range(5, head) at the floor: %v", err)
 	}
 	if len(rs) != 5 || rs[0].LSN != 6 {
-		t.Fatalf("Replay(5) = %d records, first %v", len(rs), rs[0].LSN)
+		t.Fatalf("Range(5, head) = %d records, first %v", len(rs), rs[0].LSN)
 	}
 	if got := l.Floor(); got != 6 {
 		t.Fatalf("Floor() = %d, want 6", got)
@@ -231,26 +207,26 @@ func TestReplayBelowFloorErrTruncated(t *testing.T) {
 	}
 }
 
-// TestReplayFreshLogFromZero: an untruncated log replays its full
+// TestReplayFreshLogFromZero: an untruncated log walks its full
 // history from zero without error.
 func TestReplayFreshLogFromZero(t *testing.T) {
 	l := NewLog()
 	for i := 0; i < 4; i++ {
 		l.Append(Record{Type: TypeUpdate, Key: uint64(i)})
 	}
-	rs, err := l.Replay(0)
+	rs, err := collect(l, 0, toHead)
 	if err != nil {
-		t.Fatalf("Replay(0) on fresh log: %v", err)
+		t.Fatalf("Range(0, head) on fresh log: %v", err)
 	}
 	if len(rs) != 4 {
-		t.Fatalf("Replay(0) = %d records, want 4", len(rs))
+		t.Fatalf("Range(0, head) = %d records, want 4", len(rs))
 	}
 }
 
-// Since and Replay index into the dense log instead of scanning it; every
-// offset must still select exactly the records a scan for LSN > after
-// would, on an empty, a fresh, a truncated and a truncated-to-empty log —
-// and the per-page chain must select the same records page by page.
+// Range indexes into the dense log instead of scanning it; every start must
+// still select exactly the records a scan for LSN > after would, or fail
+// with ErrTruncated when it lies below the floor, on an empty, a fresh, a
+// truncated and a truncated-to-empty log.
 func TestLogTailOffsets(t *testing.T) {
 	type step struct {
 		appends  int
@@ -293,47 +269,49 @@ func TestLogTailOffsets(t *testing.T) {
 						exp = append(exp, lsn)
 					}
 				}
-				got := l.Since(after)
-				if len(got) != len(exp) {
-					t.Fatalf("Since(%d) = %d records, want %d (floor %d, head %d)", after, len(got), len(exp), floor, head)
-				}
-				for i := range got {
-					if got[i].LSN != exp[i] {
-						t.Fatalf("Since(%d)[%d].LSN = %d, want %d", after, i, got[i].LSN, exp[i])
-					}
-				}
-				rs, err := l.Replay(after)
-				if after+1 < floor {
-					if !errors.Is(err, ErrTruncated) || rs != nil {
-						t.Fatalf("Replay(%d) below floor %d: %d records, err %v", after, floor, len(rs), err)
+				got, err := collect(l, after, toHead)
+				// after+1 wraps for the largest LSN: nothing lies past it, so
+				// that walk is empty, not truncated.
+				if after != toHead && after+1 < floor {
+					if !errors.Is(err, ErrTruncated) || got != nil {
+						t.Fatalf("Range(%d, head) below floor %d: %d records, err %v", after, floor, len(got), err)
 					}
 					continue
 				}
-				if err != nil || len(rs) != len(exp) {
-					t.Fatalf("Replay(%d) = %d records, err %v; want %d", after, len(rs), err, len(exp))
+				if err != nil || len(got) != len(exp) {
+					t.Fatalf("Range(%d, head) = %d records, err %v; want %d (floor %d, head %d)", after, len(got), err, len(exp), floor, head)
+				}
+				for i := range got {
+					if got[i].LSN != exp[i] {
+						t.Fatalf("Range(%d, head)[%d].LSN = %d, want %d", after, i, got[i].LSN, exp[i])
+					}
 				}
 			}
 		})
 	}
 }
 
-// The tail is a copy: TruncateBefore compacts the log in place, and that
-// must not shift records under a slice a caller still holds.
+// fn gets a copy: TruncateBefore compacts the log in place, and that must
+// not shift records under the one a callback still holds; nor may writing
+// that copy change the log.
 func TestLogTailDoesNotAliasLog(t *testing.T) {
 	l := NewLog()
 	for i := 0; i < 10; i++ {
 		l.Append(Record{Type: TypeUpdate, Key: uint64(i)})
 	}
-	rs := l.Since(2)
-	l.TruncateBefore(8)
-	l.Append(Record{Type: TypeUpdate, Key: 99})
-	for i, r := range rs {
-		if r.LSN != LSN(3+i) || r.Key != uint64(2+i) {
-			t.Fatalf("held tail[%d] = LSN %d key %d after truncation", i, r.LSN, r.Key)
+	err := l.Range(7, 8, func(r *Record) error {
+		l.TruncateBefore(8)
+		l.Append(Record{Type: TypeUpdate, Key: 99})
+		if r.LSN != 8 || r.Key != 7 {
+			t.Fatalf("held record = LSN %d key %d after truncation", r.LSN, r.Key)
 		}
+		r.Key = 1234
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rs[0].Key = 1234
-	if got := l.Since(7); got[0].Key != 7 {
-		t.Fatalf("writing a returned tail changed the log: key %d", got[0].Key)
+	if got, err := collect(l, 7, 8); err != nil || got[0].Key != 7 {
+		t.Fatalf("writing the callback's record changed the log: key %d, err %v", got[0].Key, err)
 	}
 }
