@@ -12,7 +12,7 @@
 //	disagg-bench -run E-elastic          # elastic fleet vs fixed node (E28)
 //	disagg-bench -run E1 -trace          # span tree of one representative op
 //	disagg-bench -run E1,E6,E18 -stats   # per-site latency/byte/meter tables
-//	disagg-bench -run E1 -profile        # append E30 critical-path attribution
+//	disagg-bench -run E1,E-profile       # with E30 critical-path attribution
 package main
 
 import (
@@ -33,9 +33,6 @@ func main() {
 		scale   = flag.String("scale", "quick", "quick | full")
 		rdmaUS  = flag.Float64("rdma-us", 0, "override one-sided RDMA base latency (µs)")
 		cxlNS   = flag.Float64("cxl-ns", 0, "override CXL base latency (ns)")
-		checkHistory = flag.Bool("check-history", false, "also run the E-isolation history-checking experiment (E26)")
-		profile      = flag.Bool("profile", false, "also run the E-profile critical-path attribution experiment (E30)")
-
 		trace   = flag.Bool("trace", false, "print the span tree of one representative op per experiment")
 		stats   = flag.Bool("stats", false, "print per-site telemetry tables after each experiment")
 		verbose = flag.Bool("v", false, "print claims before each experiment")
@@ -79,21 +76,6 @@ func main() {
 			}
 			selected = append(selected, e)
 		}
-	}
-	appendExperiment := func(id string) {
-		for _, e := range selected {
-			if e.ID == id {
-				return
-			}
-		}
-		e, _ := harness.Lookup(id)
-		selected = append(selected, e)
-	}
-	if *checkHistory {
-		appendExperiment("E26")
-	}
-	if *profile {
-		appendExperiment("E30")
 	}
 
 	failed := 0

@@ -41,13 +41,6 @@ type Telemetry struct {
 	Queued float64
 }
 
-// Sample is one telemetry observation.
-//
-// Deprecated: Sample is an alias of Telemetry kept so existing literals
-// (Sample{At: ..., Demand: ...}) compile unchanged; new code should say
-// Telemetry.
-type Sample = Telemetry
-
 // Decision is the controller's output.
 type Decision struct {
 	// Nodes is the number of compute nodes to run.
@@ -110,7 +103,7 @@ type Predictive struct {
 	// Headroom is the target utilization for the predicted demand.
 	Headroom float64
 
-	samples []Sample
+	samples []Telemetry
 	nodes   int
 }
 

@@ -9,12 +9,12 @@ import (
 
 func TestReactiveScalesOutUnderLoad(t *testing.T) {
 	p := NewReactive()
-	d := p.Decide(Sample{At: 0, Demand: 1000}, 100)
+	d := p.Decide(Telemetry{At: 0, Demand: 1000}, 100)
 	if d.Nodes < 10 {
 		t.Fatalf("nodes = %d for demand 1000 at 100/node", d.Nodes)
 	}
 	// Scale back in when idle.
-	d = p.Decide(Sample{At: time.Second, Demand: 50}, 100)
+	d = p.Decide(Telemetry{At: time.Second, Demand: 50}, 100)
 	if d.Nodes > 2 {
 		t.Fatalf("nodes = %d after load dropped", d.Nodes)
 	}
@@ -22,9 +22,9 @@ func TestReactiveScalesOutUnderLoad(t *testing.T) {
 
 func TestReactiveSteadyState(t *testing.T) {
 	p := NewReactive()
-	p.Decide(Sample{Demand: 500}, 100) // provisions ~7
+	p.Decide(Telemetry{Demand: 500}, 100) // provisions ~7
 	before := p.nodes
-	d := p.Decide(Sample{Demand: 500}, 100)
+	d := p.Decide(Telemetry{Demand: 500}, 100)
 	if d.Nodes != before || d.Reason != "steady" {
 		t.Fatalf("steady load changed provisioning: %+v", d)
 	}
@@ -36,7 +36,7 @@ func TestPredictiveForecastsLinearRamp(t *testing.T) {
 	var last Decision
 	for i := 0; i < 10; i++ {
 		at := time.Duration(i) * time.Second
-		last = p.Decide(Sample{At: at, Demand: float64(i * 10)}, 100)
+		last = p.Decide(Telemetry{At: at, Demand: float64(i * 10)}, 100)
 	}
 	// At t=9 demand is 90; forecast at t=19 should be ~190, so with
 	// headroom 0.8 it provisions ceil(190/80)+1 ≈ 3.
@@ -50,17 +50,17 @@ func TestForecastDegenerateCases(t *testing.T) {
 	if f := p.forecast(time.Second); f != 0 {
 		t.Fatalf("empty forecast = %v", f)
 	}
-	p.samples = []Sample{{At: 0, Demand: 42}}
+	p.samples = []Telemetry{{At: 0, Demand: 42}}
 	if f := p.forecast(time.Hour); f != 42 {
 		t.Fatalf("single-sample forecast = %v", f)
 	}
 	// Identical timestamps: fall back to mean.
-	p.samples = []Sample{{At: 0, Demand: 10}, {At: 0, Demand: 20}}
+	p.samples = []Telemetry{{At: 0, Demand: 10}, {At: 0, Demand: 20}}
 	if f := p.forecast(time.Hour); f != 15 {
 		t.Fatalf("degenerate forecast = %v", f)
 	}
 	// Falling demand never forecasts below zero.
-	p.samples = []Sample{{At: 0, Demand: 100}, {At: time.Second, Demand: 10}}
+	p.samples = []Telemetry{{At: 0, Demand: 100}, {At: time.Second, Demand: 10}}
 	if f := p.forecast(time.Minute); f != 0 {
 		t.Fatalf("negative forecast = %v", f)
 	}

@@ -142,7 +142,7 @@ func NewDirectory(cfg *sim.Config, site string, mode Mode) *Directory {
 		mode:     mode,
 		versions: make(map[page.ID]uint64),
 	}
-	cfg.RegisterCoherence(site, d.Stats)
+	cfg.Register(site, d.Stats)
 	return d
 }
 

@@ -498,26 +498,24 @@ func (r *RemotePool) dropLocked(id page.ID, e *remoteEntry) {
 
 // Get reads the page into buf via one-sided RDMA. Returns false on miss —
 // including a coherence miss, where the resident copy's stamp trails the
-// directory version and the entry is dropped instead of served.
+// directory version and the entry is dropped instead of served. The pool
+// lock is held across the verb: a mapping and the bytes in its frame change
+// together or not at all, so no reader sees a frame another caller is
+// filling, or the page it held before.
 func (r *RemotePool) Get(c *sim.Clock, id page.ID, buf []byte) (bool, error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	e, ok := r.index[id]
-	var addr uint64
-	if ok {
-		if r.coh != nil && !r.coh.Validate(id, e.stamp) {
-			r.staleHits.Add(1)
-			r.dropLocked(id, e)
-			ok = false
-		} else {
-			r.lru.MoveToFront(e.elem)
-			addr = e.addr
-		}
-	}
-	r.mu.Unlock()
 	if !ok {
 		return false, nil
 	}
-	if err := r.qp.Read(c, addr, buf[:r.pageSize]); err != nil {
+	if r.coh != nil && !r.coh.Validate(id, e.stamp) {
+		r.staleHits.Add(1)
+		r.dropLocked(id, e)
+		return false, nil
+	}
+	r.lru.MoveToFront(e.elem)
+	if err := r.qp.Read(c, e.addr, buf[:r.pageSize]); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -537,47 +535,29 @@ func (r *RemotePool) Put(c *sim.Clock, id page.ID, data []byte) error {
 		stamp = r.stampOf(data)
 	}
 	r.mu.Lock()
-	if e, ok := r.index[id]; ok {
+	defer r.mu.Unlock()
+	e, ok := r.index[id]
+	if ok {
 		r.lru.MoveToFront(e.elem)
 		e.stamp = stamp
-		addr := e.addr
-		r.mu.Unlock()
-		if err := r.qp.Write(c, addr, data[:r.pageSize]); err != nil {
-			// The frame now holds an old (or torn) version; drop the
-			// mapping so readers miss to the authoritative tier instead
-			// of reading stale bytes.
-			r.Drop(id)
-			return err
-		}
-		return nil
-	}
-	var addr uint64
-	if len(r.free) > 0 {
-		addr = r.free[len(r.free)-1]
-		r.free = r.free[:len(r.free)-1]
 	} else {
-		// Evict LRU.
-		back := r.lru.Back()
-		victim := back.Value.(page.ID)
-		ve := r.index[victim]
-		r.lru.Remove(back)
-		delete(r.index, victim)
-		if r.coh != nil {
-			r.coh.Forget(victim)
+		if len(r.free) == 0 {
+			victim := r.lru.Back().Value.(page.ID)
+			r.dropLocked(victim, r.index[victim])
 		}
-		addr = ve.addr
+		e = &remoteEntry{addr: r.free[len(r.free)-1], stamp: stamp}
+		r.free = r.free[:len(r.free)-1]
+		e.elem = r.lru.PushFront(id)
+		r.index[id] = e
+		if r.coh != nil {
+			r.coh.Note(id)
+		}
 	}
-	e := &remoteEntry{addr: addr, stamp: stamp}
-	e.elem = r.lru.PushFront(id)
-	r.index[id] = e
-	if r.coh != nil {
-		r.coh.Note(id)
-	}
-	r.mu.Unlock()
-	if err := r.qp.Write(c, addr, data[:r.pageSize]); err != nil {
-		// The frame was never written: it still holds the evicted
-		// victim's bytes. Unmap it or reads would return the wrong page.
-		r.Drop(id)
+	if err := r.qp.Write(c, e.addr, data[:r.pageSize]); err != nil {
+		// The frame holds an old, torn or (for a new entry) the evicted
+		// victim's version; unmap it so readers miss to the authoritative
+		// tier instead of reading the wrong bytes.
+		r.dropLocked(id, e)
 		return err
 	}
 	return nil
@@ -621,10 +601,11 @@ type TwoTier struct {
 }
 
 // NewTwoTier wires the two tiers. Dirty local evictions are demoted into
-// the remote pool via the pool's writeback hook.
+// the remote pool via the pool's writeback hook, and a local miss fills from
+// below.
 func NewTwoTier(cfg *sim.Config, localCap int, remote *RemotePool, fetch Fetcher) *TwoTier {
 	t := &TwoTier{Remote: remote, fetch: fetch}
-	t.Local = NewPool(cfg, localCap, nil, func(c *sim.Clock, id page.ID, data []byte) error {
+	t.Local = NewPool(cfg, localCap, t.below, func(c *sim.Clock, id page.ID, data []byte) error {
 		return remote.Put(c, id, data)
 	})
 	return t
@@ -637,6 +618,35 @@ func (t *TwoTier) SetCoherence(d *coherence.Directory, name string, stampOf Stam
 	t.Remote.SetCoherence(d.Register(name+".remote", t.Remote), stampOf)
 }
 
+// below loads the page from under the local tier: the remote pool, else
+// storage (which also populates the remote pool). It is the local pool's
+// Fetcher, so a frame evicted between Read and a following Local.Mutate is
+// refilled instead of failing the mutate with ErrNoFetcher.
+func (t *TwoTier) below(c *sim.Clock, id page.ID) ([]byte, error) {
+	buf := page.Alloc(t.Remote.pageSize)
+	ok, err := t.Remote.Get(c, id, buf)
+	if !ok {
+		// A miss or an error: the probe buffer was never shared, and the
+		// storage fetch below can fill it.
+		page.Release(buf)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		t.remoteHits.Add(1)
+		return buf, nil
+	}
+	t.storage.Add(1)
+	if buf, err = t.fetch(c, id); err != nil {
+		return nil, err
+	}
+	if err := t.Remote.Put(c, id, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
 // Read runs fn (which may be nil) on the page's bytes, trying local, then
 // remote, then storage. The local probe goes through View so a hit is
 // atomic with validation (a Contains-then-Get pair raced invalidations
@@ -647,26 +657,9 @@ func (t *TwoTier) Read(c *sim.Clock, id page.ID, fn func(data []byte)) error {
 		t.localHits.Add(1)
 		return nil
 	}
-	buf := page.Alloc(t.Remote.pageSize)
-	ok, err := t.Remote.Get(c, id, buf)
-	if !ok {
-		// A miss or an error: the probe buffer was never shared, and the
-		// storage fetch below can fill it.
-		page.Release(buf)
-	}
+	buf, err := t.below(c, id)
 	if err != nil {
 		return err
-	}
-	if ok {
-		t.remoteHits.Add(1)
-	} else {
-		t.storage.Add(1)
-		if buf, err = t.fetch(c, id); err != nil {
-			return err
-		}
-		if err := t.Remote.Put(c, id, buf); err != nil {
-			return err
-		}
 	}
 	if fn != nil {
 		fn(buf)

@@ -325,6 +325,37 @@ func TestTwoTierMutateThenReadBack(t *testing.T) {
 	}
 }
 
+// TestTwoTierLocalMissFillsFromBelow: TwoTier.Mutate reads a page in and
+// then calls Local.Mutate holding nothing, so the frame can be evicted in
+// between. The local pool fills that miss from below (remote, else storage)
+// instead of failing a durable commit with ErrNoFetcher.
+func TestTwoTierLocalMissFillsFromBelow(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	fs := newFakeStore(cfg, 4, 256)
+	rp, _ := newRemote(cfg, 4, 256)
+	tt := NewTwoTier(cfg, 1, rp, fs.fetch)
+	c := sim.NewClock()
+	const a, b = page.ID(0), page.ID(1)
+	for _, id := range []page.ID{a, b} { // local capacity 1: reading b evicts a
+		if err := tt.Read(c, id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tt.Local.Contains(a) {
+		t.Fatal("page a still local: the eviction window was not reproduced")
+	}
+	if err := tt.Local.Mutate(c, a, func(d []byte) error { d[9] = 0x55; return nil }); err != nil {
+		t.Fatalf("Local.Mutate after eviction: %v", err)
+	}
+	d, err := tt.Get(c, a)
+	if err != nil || d[9] != 0x55 {
+		t.Fatalf("read back %v, err %v; want the mutation", d[9], err)
+	}
+	if _, r, s := tt.TierStats(); r != 1 || s != 2 {
+		t.Errorf("remote hits / storage fetches = %d / %d, want 1 / 2: the refill came from the remote tier", r, s)
+	}
+}
+
 func TestTwoTierCombinedHitRatio(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	fs := newFakeStore(cfg, 8, 256)

@@ -45,11 +45,6 @@ type Round struct {
 	// or below it has been acknowledged durable. Captured once, before
 	// Flush runs.
 	Durable func() wal.LSN
-	// Clamp, when non-nil, lowers the captured horizon (e.g. to the
-	// coherence directory's published floor, or a replica fleet's
-	// converged prefix). A clamp may only lower the target, never raise
-	// it.
-	Clamp func(target wal.LSN) wal.LSN
 	// Flush makes durable page state cover every LSN <= horizon,
 	// charging the I/O to the clock. After a successful Flush, recovery
 	// starting from checkpointed pages needs no record at or below
@@ -109,7 +104,7 @@ func (co *Coordinator) publish(h wal.LSN) {
 	co.mu.Unlock()
 }
 
-// Checkpoint runs one round: capture, clamp, flush, publish, truncate.
+// Checkpoint runs one round: capture, flush, publish, truncate.
 // A round whose target does not advance past the published horizon is a
 // no-op. Flush errors abort the round with the horizon unchanged;
 // truncate errors are returned after the horizon has published (the
@@ -119,11 +114,6 @@ func (co *Coordinator) Checkpoint(c *sim.Clock, r Round) error {
 	co.runMu.Lock()
 	defer co.runMu.Unlock()
 	target := r.Durable()
-	if r.Clamp != nil {
-		if clamped := r.Clamp(target); clamped < target {
-			target = clamped
-		}
-	}
 	if target <= co.Horizon() {
 		return nil
 	}

@@ -94,31 +94,6 @@ func TestTruncateErrorSurfacesAfterPublish(t *testing.T) {
 	}
 }
 
-func TestClampLowersNeverRaises(t *testing.T) {
-	co := New(sim.DefaultConfig(), "ckpt.test")
-	var flushedAt wal.LSN
-	r := Round{
-		Durable:  func() wal.LSN { return 20 },
-		Clamp:    func(target wal.LSN) wal.LSN { return 12 },
-		Flush:    func(c *sim.Clock, h wal.LSN) error { flushedAt = h; return nil },
-		Truncate: func(c *sim.Clock, h wal.LSN) error { return nil },
-	}
-	if err := co.Checkpoint(sim.NewClock(), r); err != nil {
-		t.Fatal(err)
-	}
-	if flushedAt != 12 || co.Horizon() != 12 {
-		t.Fatalf("clamped round flushed/published %d/%d, want 12", flushedAt, co.Horizon())
-	}
-	// A clamp that tries to raise the target is ignored.
-	r.Clamp = func(target wal.LSN) wal.LSN { return 99 }
-	if err := co.Checkpoint(sim.NewClock(), r); err != nil {
-		t.Fatal(err)
-	}
-	if h := co.Horizon(); h != 20 {
-		t.Fatalf("horizon = %d, want the durable LSN 20, not the raising clamp", h)
-	}
-}
-
 func TestStaleTargetIsNoOp(t *testing.T) {
 	co := New(sim.DefaultConfig(), "ckpt.test")
 	durable := wal.LSN(8)

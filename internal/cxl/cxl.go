@@ -29,7 +29,7 @@ type Device struct {
 // NewDevice allocates a CXL memory expander of the given size.
 func NewDevice(cfg *sim.Config, size int) *Device {
 	d := &Device{cfg: cfg, mem: rdma.NewMemory(size), meter: sim.NewMeter(cfg.NICSlots)}
-	cfg.RegisterMeter("cxl", d.meter)
+	cfg.Register("cxl", d.meter)
 	return d
 }
 

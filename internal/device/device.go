@@ -23,7 +23,7 @@ type DRAM struct {
 // NewDRAM returns a DRAM device with the given number of channels.
 func NewDRAM(cfg *sim.Config, channels int) *DRAM {
 	d := &DRAM{cfg: cfg, meter: sim.NewMeter(channels)}
-	cfg.RegisterMeter("dram", d.meter)
+	cfg.Register("dram", d.meter)
 	return d
 }
 
@@ -48,7 +48,7 @@ type PM struct {
 // access path used by experiment E7.
 func NewPM(cfg *sim.Config, channels int, legacyStack bool) *PM {
 	p := &PM{cfg: cfg, meter: sim.NewMeter(channels), LegacyStack: legacyStack}
-	cfg.RegisterMeter("pm", p.meter)
+	cfg.Register("pm", p.meter)
 	return p
 }
 
@@ -86,7 +86,7 @@ type SSD struct {
 // NewSSD returns an SSD with the given queue depth.
 func NewSSD(cfg *sim.Config, queueDepth int) *SSD {
 	s := &SSD{cfg: cfg, meter: sim.NewMeter(queueDepth)}
-	cfg.RegisterMeter("ssd", s.meter)
+	cfg.Register("ssd", s.meter)
 	return s
 }
 
@@ -125,7 +125,7 @@ type ObjectStore struct {
 // NewObjectStore returns an empty object store.
 func NewObjectStore(cfg *sim.Config) *ObjectStore {
 	o := &ObjectStore{cfg: cfg, meter: sim.NewMeter(64), objects: make(map[string][]byte)}
-	cfg.RegisterMeter("obj", o.meter)
+	cfg.Register("obj", o.meter)
 	return o
 }
 

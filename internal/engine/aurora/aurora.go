@@ -10,7 +10,6 @@ package aurora
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/disagglab/disagg/internal/buffer"
@@ -34,23 +33,12 @@ type Engine struct {
 	stats  engine.Stats
 	pipe   *engine.Pipeline
 
-	pool    *buffer.Pool // writer-node cache
+	// pool is the writer-node cache, the node's own tier: commit publishes
+	// fan invalidation notices to the reader caches (riding the log stream)
+	// and version-stamp every cached frame, but skip the writer, which
+	// applies in place.
+	pool    *buffer.Pool
 	readers []*buffer.Pool
-
-	// dir is the engine's page-coherence directory: commit publishes fan
-	// invalidation notices to the reader caches (riding the log stream)
-	// and version-stamp every cached frame. poolH is the writer pool's
-	// subscription (excluded from its own publishes — the writer applies
-	// in place).
-	dir   *coherence.Directory
-	poolH *coherence.Handle
-
-	// ckpt runs the log-lifecycle rounds: materialize the durable prefix
-	// on the storage replicas, publish the horizon, truncate the writer's
-	// log below it.
-	ckpt *checkpoint.Coordinator
-
-	crashed atomic.Bool
 }
 
 // New creates the engine with the canonical volume, a writer cache of
@@ -67,17 +55,12 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, readers int) *Engine {
 	for i := 0; i < readers; i++ {
 		e.readers = append(e.readers, buffer.NewPool(cfg, poolPages, e.fetchPage, nil))
 	}
-	e.dir = coherence.NewDirectory(cfg, "aurora.coherence", coherence.ModeInvalidate)
-	e.dir.OnInvalidate = func(n int) { e.stats.Invalidations.Add(int64(n)) }
-	e.dir.OnStale = func() { e.stats.StaleHits.Add(1) }
-	stampOf := func(d []byte) uint64 { return page.Wrap(d).LSN() }
-	e.poolH = e.dir.Register("writer", e.pool)
-	e.pool.SetCoherence(e.poolH, stampOf)
+	e.pipe = engine.NewPipeline(cfg, "aurora", layout, e.log, &e.stats, e.hooks())
+	e.pipe.Coherent(coherence.ModeInvalidate)
+	e.pipe.Cache("writer", e.pool)
 	for i, rp := range e.readers {
-		rp.SetCoherence(e.dir.Register(fmt.Sprintf("reader%d", i), rp), stampOf)
+		e.pipe.Cache(fmt.Sprintf("reader%d", i), rp)
 	}
-	e.ckpt = checkpoint.New(cfg, "ckpt.aurora")
-	e.pipe = engine.NewPipeline(layout, e.log, &e.stats, e.hooks())
 	return e
 }
 
@@ -87,11 +70,7 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, readers int) *Engine {
 // applying (storage materialises from the log), and the directory fans
 // invalidations to every other registered cache.
 func (e *Engine) hooks() engine.Hooks {
-	return engine.Hooks{
-		Writable: e.Volume.WriteAvailable,
-		Durable:  e.durable, Apply: e.apply,
-		Dir: e.dir, Exclude: e.poolH,
-	}
+	return engine.Hooks{Writable: e.Volume.WriteAvailable, Durable: e.durable, Apply: e.apply}
 }
 
 // Peer creates an additional compute node attached to root's shared
@@ -111,14 +90,10 @@ func Peer(root *Engine, peerID, poolPages int) *Engine {
 		layout: root.layout,
 		Volume: root.Volume,
 		log:    root.log,
-		dir:    root.dir,
-		ckpt:   root.ckpt, // one horizon per shared log
 	}
 	e.pool = buffer.NewPool(e.cfg, poolPages, e.fetchPage, nil)
-	e.poolH = e.dir.Register(fmt.Sprintf("peer%d", peerID), e.pool)
-	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
-	e.pipe = engine.NewPipeline(e.layout, e.log, &e.stats, e.hooks())
-	e.pipe.StripeTxIDs(peerID)
+	e.pipe = root.pipe.Peer(peerID, &e.stats, e.hooks())
+	e.pipe.Cache(fmt.Sprintf("peer%d", peerID), e.pool)
 	// A fresh node knows nothing durable yet; Recover (the fleet's warm-up
 	// step) learns the volume's high LSN. Until then reads float at LSN 0,
 	// which is safe (floors only rise) but cold.
@@ -127,7 +102,7 @@ func Peer(root *Engine, peerID, poolPages int) *Engine {
 
 // Detach unregisters the peer's cache tier from the shared coherence
 // directory so retired members stop absorbing invalidation fan-out.
-func (e *Engine) Detach() { e.dir.Deregister(e.poolH) }
+func (e *Engine) Detach() { e.pipe.Detach() }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "aurora" }
@@ -138,15 +113,11 @@ func (e *Engine) Stats() *engine.Stats { return &e.stats }
 // EnableGroupCommit implements engine.GroupCommitter: commit-path volume
 // appends ride a shared quorum flush.
 func (e *Engine) EnableGroupCommit(maxItems int, window time.Duration) {
-	e.pipe.EnableGroupCommit(e.cfg, "aurora.groupcommit", maxItems, window)
+	e.pipe.EnableGroupCommit(maxItems, window)
 }
 
-// Coherence exposes the engine's page-coherence directory (experiments
-// ablate its mode and read its counters).
-func (e *Engine) Coherence() *coherence.Directory { return e.dir }
-
 // SetCoherenceMode switches invalidation fan-out vs lazy version bumps.
-func (e *Engine) SetCoherenceMode(m coherence.Mode) { e.dir.SetMode(m) }
+func (e *Engine) SetCoherenceMode(m coherence.Mode) { e.pipe.Dir().SetMode(m) }
 
 // DurableLSN reports the write-quorum-durable LSN.
 func (e *Engine) DurableLSN() wal.LSN { return e.pipe.DurableLSN() }
@@ -176,9 +147,6 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 // quorum, which the pipeline asks for (Hooks.Writable) before it logs
 // anything.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	if e.crashed.Load() {
-		return e.pipe.Shed()
-	}
 	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
 }
 
@@ -219,10 +187,7 @@ func (e *Engine) ReadReplica(c *sim.Clock, idx int, fn func(tx engine.Tx) error)
 
 // Crash implements engine.Recoverer: the writer node dies; the volume and
 // its materialized pages survive.
-func (e *Engine) Crash() {
-	e.crashed.Store(true)
-	e.pool.InvalidateAll()
-}
+func (e *Engine) Crash() { e.pipe.Crash() }
 
 // Recover implements engine.Recoverer: Aurora recovery — poll a read
 // quorum for the durable volume LSN; no compute-side redo (storage nodes
@@ -234,7 +199,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 		return 0, err
 	}
 	e.pipe.AdvanceDurable(lsn)
-	e.crashed.Store(false)
+	e.pipe.Up()
 	return c.Now() - start, nil
 }
 
@@ -246,8 +211,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // the round adopt the horizon later via RepairReplica's checkpoint-image
 // copy, so truncation never strands them.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: e.pipe.DurableLSN,
+	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			shipped := e.Volume.Heal(c, e.log)
 			e.stats.NetMsgs.Add(int64(shipped))
@@ -268,7 +232,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 }
 
 // RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.ckpt.Horizon() }
+func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
 
 // Pool exposes the writer cache.
 func (e *Engine) Pool() *buffer.Pool { return e.pool }

@@ -9,6 +9,7 @@ import (
 
 	"github.com/disagglab/disagg/internal/buffer"
 	"github.com/disagglab/disagg/internal/buffer/coherence"
+	"github.com/disagglab/disagg/internal/checkpoint"
 	"github.com/disagglab/disagg/internal/heap"
 	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
@@ -20,9 +21,10 @@ import (
 // tutorial's Figures 1 and 2): where the log becomes durable, where pages
 // are materialised, and which caches must hear about a commit. An engine
 // builds one Hooks value at construction from its own methods; everything
-// else about committing a transaction is Pipeline.Execute. Durable, Apply
-// and (for an engine with a page cache) Dir are the three; Writable and
-// Sequencer are components only one architecture each has, nil elsewhere.
+// else about committing a transaction is Pipeline.Execute. Durable and Apply
+// are the first two and the caches the engine names with Pipeline.Cache the
+// third; Writable and Sequencer are components only one architecture each
+// has, nil elsewhere.
 //
 // Both function hooks receive one transaction's records: an update record
 // per written key in ascending key order (LSN, TxID, PageID, Key and After
@@ -48,12 +50,6 @@ type Hooks struct {
 	// page stores, value map — and runs whatever the engine does every N
 	// commits. An error leaves the commit durable but unacknowledged.
 	Apply func(c *sim.Clock, recs []wal.Record) error
-	// Dir is the page-coherence directory that must hear about the commit,
-	// and Exclude the writer's own tier (it applied in place and is left
-	// out of the fan-out). An architecture with no page cache has no
-	// directory.
-	Dir     *coherence.Directory
-	Exclude *coherence.Handle
 	// Sequencer, when the architecture needs one, is held from LSN
 	// assignment until Apply returns, so commits become durable and
 	// visible in LSN order. Only an engine whose durable objects are
@@ -62,16 +58,25 @@ type Hooks struct {
 	Sequencer sync.Locker
 }
 
-// Pipeline is the one commit path of the engines that keep a single
+// Pipeline is the compute node of the engines that keep a single
 // authoritative wal.Log: monolithic, aurora, socrates, taurus, polardb,
 // pilotdb, legobase, serverless and snowflake-kv. (shared-nothing keeps a
 // log, a lock table and an LSN space per partition and commits across them
 // with 2PC; it does not fit and stays on its own Execute.)
 //
-// The steps, and what each guarantees:
+// Besides the commit path below it owns what every such node has: the crash
+// flag Execute sheds behind (Crash, Up), the page-coherence directory and
+// the caches registered with it (Coherent, Cache, Detach), the checkpoint
+// coordinator and its recovery horizon (Checkpoint, Horizon), and the site
+// names all of these report under, derived from the one site the engine
+// passes to NewPipeline. A fleet member is a Peer of the root's pipeline:
+// one log, one directory and one horizon, its own locks, cache and Stats.
+//
+// The steps of a commit, and what each guarantees:
 //
 //  1. Count the attempt. Every attempt ends in exactly one of Commits,
-//     Aborts or Shed, so Attempts == Commits + Aborts + Shed.
+//     Aborts or Shed, so Attempts == Commits + Aborts + Shed. A crashed
+//     node sheds without doing work.
 //  2. Run fn against a StagedTx over the engine's read path. An fn error
 //     aborts; an empty write set commits with nothing to log. A write set
 //     the durable tier is known to refuse (Writable) aborts as
@@ -98,11 +103,24 @@ type Hooks struct {
 //     explicit invalidation.
 type Pipeline struct {
 	Hooks
+	cfg    *sim.Config
+	site   string
 	layout heap.Layout
 	log    *wal.Log
 	locks  *txn.LockTable
 	stats  *Stats
 
+	// ckpt owns the recovery horizon and dir the page versions; both belong
+	// to the log, so a Peer shares its root's. own is the node's own cache
+	// tier (the first one Cache registered): it applies commits in place and
+	// is left out of their fan-out. An architecture with no page cache has
+	// no directory.
+	ckpt    *checkpoint.Coordinator
+	dir     *coherence.Directory
+	own     *coherence.Handle
+	ownPool *buffer.Pool
+
+	crashed atomic.Bool
 	nextTx  atomic.Uint64
 	durable atomic.Uint64
 
@@ -111,16 +129,81 @@ type Pipeline struct {
 	gc *sim.Batcher[[]wal.Record, wal.LSN]
 }
 
-// NewPipeline builds an engine's commit pipeline over its authoritative
-// log and its Stats. The lock table is the pipeline's own: a fleet peer
-// sharing a root's log still locks independently.
-func NewPipeline(layout heap.Layout, log *wal.Log, stats *Stats, h Hooks) *Pipeline {
-	return &Pipeline{Hooks: h, layout: layout, log: log, locks: txn.NewLockTable(), stats: stats}
+// NewPipeline builds an engine's compute node over its authoritative log
+// and its Stats. site prefixes every telemetry site the node reports under
+// ("ckpt."+site, site+".coherence", site+".groupcommit"); it is a parameter
+// because it is not always the engine's Name.
+func NewPipeline(cfg *sim.Config, site string, layout heap.Layout, log *wal.Log, stats *Stats, h Hooks) *Pipeline {
+	return &Pipeline{Hooks: h, cfg: cfg, site: site, layout: layout, log: log,
+		locks: txn.NewLockTable(), stats: stats, ckpt: checkpoint.New(cfg, "ckpt."+site)}
 }
 
-// StripeTxIDs offsets the transaction-id space for fleet peer peerID, so
-// members appending to one shared log never collide.
-func (p *Pipeline) StripeTxIDs(peerID int) { p.nextTx.Store(uint64(peerID) << 40) }
+// Peer is an additional compute node on p's shared substrate: the log (one
+// LSN space), the directory (a commit on any member reaches every member's
+// cache) and the checkpoint coordinator (one horizon per log) are p's; the
+// lock table, durable watermark and stats are the peer's own. peerID
+// stripes the transaction-id space so members never collide in the log.
+func (p *Pipeline) Peer(peerID int, stats *Stats, h Hooks) *Pipeline {
+	q := &Pipeline{Hooks: h, cfg: p.cfg, site: p.site, layout: p.layout, log: p.log,
+		locks: txn.NewLockTable(), stats: stats, ckpt: p.ckpt, dir: p.dir}
+	q.nextTx.Store(uint64(peerID) << 40)
+	return q
+}
+
+// Coherent gives the node its page-coherence directory, feeding the
+// invalidation and stale-hit counters of its Stats.
+func (p *Pipeline) Coherent(mode coherence.Mode) {
+	p.dir = coherence.NewDirectory(p.cfg, p.site+".coherence", mode)
+	p.dir.OnInvalidate = func(n int) { p.stats.Invalidations.Add(int64(n)) }
+	p.dir.OnStale = func() { p.stats.StaleHits.Add(1) }
+}
+
+// Dir is the node's directory (nil before Coherent), for the engines that
+// register tiers Cache does not fit or read page versions from it.
+func (p *Pipeline) Dir() *coherence.Directory { return p.dir }
+
+// PageLSN is the commit stamp a heap page's bytes carry, the stamp every
+// cache tier of a pipeline engine validates against the directory.
+func PageLSN(data []byte) uint64 { return page.Wrap(data).LSN() }
+
+// Cache registers pool with the directory under name. The first pool
+// registered is the node's own tier: excluded from the node's publishes,
+// emptied by Crash, unregistered by Detach.
+func (p *Pipeline) Cache(name string, pool *buffer.Pool) {
+	h := p.dir.Register(name, pool)
+	pool.SetCoherence(h, PageLSN)
+	if p.own == nil {
+		p.own, p.ownPool = h, pool
+	}
+}
+
+// Detach unregisters the node's own cache from the (shared) directory, so a
+// retired fleet member stops absorbing invalidation fan-out.
+func (p *Pipeline) Detach() { p.dir.Deregister(p.own) }
+
+// Crash takes the compute node down: Execute sheds until Up, and the node's
+// own cache is lost. What survives is the engine's durable tier.
+func (p *Pipeline) Crash() {
+	p.crashed.Store(true)
+	if p.ownPool != nil {
+		p.ownPool.InvalidateAll()
+	}
+}
+
+// Up brings the node back; the engine's Recover calls it last.
+func (p *Pipeline) Up() { p.crashed.Store(false) }
+
+// Checkpoint runs one round on the node's coordinator. The horizon it
+// captures is the durable LSN unless the round captures more with it.
+func (p *Pipeline) Checkpoint(c *sim.Clock, r checkpoint.Round) error {
+	if r.Durable == nil {
+		r.Durable = p.DurableLSN
+	}
+	return p.ckpt.Checkpoint(c, r)
+}
+
+// Horizon reports the published recovery horizon of the node's log.
+func (p *Pipeline) Horizon() wal.LSN { return p.ckpt.Horizon() }
 
 // DurableLSN reports the highest LSN known durable.
 func (p *Pipeline) DurableLSN() wal.LSN { return wal.LSN(p.durable.Load()) }
@@ -157,6 +240,9 @@ func (p *Pipeline) finish(err error) error {
 // Execute runs fn as one read-write transaction whose reads go through
 // read (see the step list on Pipeline).
 func (p *Pipeline) Execute(c *sim.Clock, read func(key uint64) ([]byte, error), fn func(tx Tx) error) error {
+	if p.crashed.Load() {
+		return p.Shed()
+	}
 	p.stats.Attempts.Add(1)
 	return p.finish(p.commit(c, NewStagedTx(read), fn))
 }
@@ -224,8 +310,8 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 	p.AdvanceDurable(commit.LSN)
 
 	err := p.Apply(c, recs)
-	if p.Dir != nil {
-		p.Dir.Publish(c, pageStamps(recs), p.Exclude)
+	if p.dir != nil {
+		p.dir.Publish(c, pageStamps(recs), p.own)
 	}
 	if err != nil {
 		// %v, not %w, for the cause: a lock or latch conflict inside Apply
@@ -261,13 +347,13 @@ func pageStamps(recs []wal.Record) []coherence.PageStamp {
 // (the body of engine.GroupCommitter); maxItems <= 1 restores the direct
 // per-commit path. Coherence publications piggyback on the same cadence:
 // one durable group flush, one publication round for the whole group.
-func (p *Pipeline) EnableGroupCommit(cfg *sim.Config, site string, maxItems int, window time.Duration) {
-	p.Dir.EnableBatching(maxItems, window)
+func (p *Pipeline) EnableGroupCommit(maxItems int, window time.Duration) {
+	p.dir.EnableBatching(maxItems, window)
 	if maxItems <= 1 {
 		p.gc = nil
 		return
 	}
-	p.gc = sim.NewBatcher(cfg, site,
+	p.gc = sim.NewBatcher(p.cfg, p.site+".groupcommit",
 		sim.BatchPolicy{MaxItems: maxItems, Window: window, OnFlush: p.noteFlush},
 		p.flushGroup)
 }

@@ -2,12 +2,16 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/disagglab/disagg/internal/buffer"
 	"github.com/disagglab/disagg/internal/buffer/coherence"
+	"github.com/disagglab/disagg/internal/checkpoint"
 	"github.com/disagglab/disagg/internal/engine/history"
 	"github.com/disagglab/disagg/internal/heap"
 	"github.com/disagglab/disagg/internal/page"
@@ -23,7 +27,6 @@ type pipeEngine struct {
 	p          *Pipeline
 	stats      Stats
 	layout     heap.Layout
-	down       bool
 	durableErr error
 	applyErr   error
 	durables   atomic.Int64
@@ -44,13 +47,12 @@ func newPipeEngine(t *testing.T) *pipeEngine {
 		t.Fatal(err)
 	}
 	e := &pipeEngine{layout: layout, tier: &recTier{}}
-	dir := coherence.NewDirectory(sim.DefaultConfig(), "test.coherence", coherence.ModeInvalidate)
-	e.tierH = dir.Register("reader", e.tier)
-	e.p = NewPipeline(layout, wal.NewLog(), &e.stats, Hooks{
+	e.p = NewPipeline(sim.DefaultConfig(), "test", layout, wal.NewLog(), &e.stats, Hooks{
 		Durable: func(c *sim.Clock, recs []wal.Record) error { e.durables.Add(1); return e.durableErr },
 		Apply:   func(c *sim.Clock, recs []wal.Record) error { e.applies.Add(1); return e.applyErr },
-		Dir:     dir,
 	})
+	e.p.Coherent(coherence.ModeInvalidate)
+	e.tierH = e.p.Dir().Register("reader", e.tier)
 	return e
 }
 
@@ -58,9 +60,6 @@ func (e *pipeEngine) Name() string  { return "pipe" }
 func (e *pipeEngine) Stats() *Stats { return &e.stats }
 
 func (e *pipeEngine) Execute(c *sim.Clock, fn func(tx Tx) error) error {
-	if e.down {
-		return e.p.Shed()
-	}
 	return e.p.Execute(c, func(uint64) ([]byte, error) { return make([]byte, e.layout.ValSize), nil }, fn)
 }
 
@@ -87,7 +86,7 @@ func TestPipelineExitPaths(t *testing.T) {
 		wantDurable int64
 		wantApply   int64
 	}{
-		{name: "crashed node", setup: func(e *pipeEngine) { e.down = true }, wantErr: ErrUnavailable, shed: 1},
+		{name: "crashed node", setup: func(e *pipeEngine) { e.p.Crash() }, wantErr: ErrUnavailable, shed: 1},
 		{name: "fn error", fn: func(tx Tx) error { tx.Write(keys[0], []byte{1}); return errFn }, wantErr: errFn, aborts: 1},
 		{name: "empty write set", fn: func(tx Tx) error { _, err := tx.Read(keys[0]); return err }, commits: 1},
 		{name: "conflict on the 2nd lock",
@@ -258,7 +257,7 @@ func TestPipelineGroupCommit(t *testing.T) {
 		flushed = append(flushed, append([]wal.Record(nil), recs...))
 		return nil
 	}
-	e.p.EnableGroupCommit(sim.DefaultConfig(), "test.groupcommit", 4, 0)
+	e.p.EnableGroupCommit(4, 0)
 	const workers = 4
 	res := sim.RunGroup(workers, func(id int, c *sim.Clock) int {
 		if err := e.Execute(c, func(tx Tx) error { return tx.Write(uint64(1000*id), []byte{byte(id)}) }); err != nil {
@@ -291,5 +290,186 @@ func TestPipelineGroupCommit(t *testing.T) {
 	}
 	if e.p.DurableLSN() != wal.LSN(2*workers) {
 		t.Errorf("durable LSN %d, want %d", e.p.DurableLSN(), 2*workers)
+	}
+}
+
+// node is a compute node with a real cache: a pool over formatted pages,
+// commits applied to cached copies, reads through the pool.
+type node struct {
+	p     *Pipeline
+	pool  *buffer.Pool
+	stats Stats
+}
+
+func (n *node) hooks() Hooks {
+	return Hooks{
+		Durable: func(*sim.Clock, []wal.Record) error { return nil },
+		Apply:   func(c *sim.Clock, recs []wal.Record) error { n.p.ApplyCached(c, n.pool, recs); return nil },
+	}
+}
+
+func newPool(cfg *sim.Config, layout heap.Layout) *buffer.Pool {
+	return buffer.NewPool(cfg, 8, func(_ *sim.Clock, id page.ID) ([]byte, error) {
+		return layout.FormatPage(id).Bytes(), nil
+	}, nil)
+}
+
+// newRoot builds a node under site with an invalidate-mode directory and
+// its pool registered as its own tier.
+func newRoot(t *testing.T, cfg *sim.Config, site string) *node {
+	t.Helper()
+	layout, err := heap.NewLayout(4096, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := &node{pool: newPool(cfg, layout)}
+	n.p = NewPipeline(cfg, site, layout, wal.NewLog(), &n.stats, n.hooks())
+	n.p.Coherent(coherence.ModeInvalidate)
+	n.p.Cache("root", n.pool)
+	return n
+}
+
+func (n *node) peer(peerID int) *node {
+	q := &node{pool: newPool(n.p.cfg, n.p.layout)}
+	q.p = n.p.Peer(peerID, &q.stats, q.hooks())
+	q.p.Cache(fmt.Sprintf("peer%d", peerID), q.pool)
+	return q
+}
+
+func (n *node) write(t *testing.T, key uint64) {
+	t.Helper()
+	c := sim.NewClock()
+	err := n.p.Execute(c, n.p.PoolReader(c, n.pool), func(tx Tx) error { return tx.Write(key, []byte{1}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (n *node) cache(t *testing.T, id page.ID) {
+	t.Helper()
+	if err := n.pool.Read(sim.NewClock(), id, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPipelineCrashShedsUntilUp: a crashed node refuses every attempt
+// without doing work — counted as Shed, nothing logged, no hook called —
+// and takes attempts again after Up.
+func TestPipelineCrashShedsUntilUp(t *testing.T) {
+	e := newPipeEngine(t)
+	write := func(tx Tx) error { return tx.Write(1, []byte{1}) }
+	e.p.Crash()
+	for i := 0; i < 3; i++ {
+		if err := e.Execute(sim.NewClock(), write); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("crashed node: err = %v, want ErrUnavailable", err)
+		}
+	}
+	st := &e.stats
+	if a, s := st.Attempts.Load(), st.Shed.Load(); a != 3 || s != 3 {
+		t.Errorf("attempts/shed = %d/%d, want 3/3", a, s)
+	}
+	if head, d := e.p.log.Head(), e.durables.Load(); head != 1 || d != 0 {
+		t.Errorf("log head %d, durable calls %d: a crashed node did work", head, d)
+	}
+	e.p.Up()
+	if err := e.Execute(sim.NewClock(), write); err != nil {
+		t.Fatalf("after Up: %v", err)
+	}
+	if a, c, s := st.Attempts.Load(), st.Commits.Load(), st.Shed.Load(); a != 4 || c != 1 || s != 3 {
+		t.Errorf("attempts/commits/shed = %d/%d/%d, want 4/1/3", a, c, s)
+	}
+}
+
+// TestPipelineCrashEmptiesOwnCacheOnly: the node's own tier is the first
+// cache registered; a crash loses it and leaves every other tier alone.
+func TestPipelineCrashEmptiesOwnCacheOnly(t *testing.T) {
+	n := newRoot(t, sim.DefaultConfig(), "test")
+	reader := newPool(n.p.cfg, n.p.layout)
+	n.p.Cache("reader", reader)
+	n.cache(t, 3)
+	if err := reader.Read(sim.NewClock(), 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	n.p.Crash()
+	if n.pool.Len() != 0 || reader.Len() != 1 {
+		t.Errorf("after Crash own cache holds %d pages, reader %d; want 0 and 1", n.pool.Len(), reader.Len())
+	}
+}
+
+// TestPipelinePeerSharesLogDirectoryAndHorizon: a commit on either member
+// invalidates the other's cached frame, a checkpoint on either moves the
+// one horizon both report, and transaction ids never collide in the shared
+// log. Detach ends the fan-out to the retired member.
+func TestPipelinePeerSharesLogDirectoryAndHorizon(t *testing.T) {
+	root := newRoot(t, sim.DefaultConfig(), "test")
+	peer := root.peer(1)
+	key := uint64(5 * root.p.layout.PerPage) // page 5
+	for _, tc := range []struct {
+		name           string
+		writer, holder *node
+	}{{"peer commit", peer, root}, {"root commit", root, peer}} {
+		tc.holder.cache(t, 5)
+		tc.writer.write(t, key)
+		if tc.holder.pool.Contains(5) {
+			t.Errorf("%s: the other member still caches page 5", tc.name)
+		}
+	}
+	round := checkpoint.Round{
+		Flush:    func(*sim.Clock, wal.LSN) error { return nil },
+		Truncate: func(*sim.Clock, wal.LSN) error { return nil },
+	}
+	for _, n := range []*node{peer, root} { // root committed last: its mark is higher
+		if err := n.p.Checkpoint(sim.NewClock(), round); err != nil {
+			t.Fatal(err)
+		}
+		if h := n.p.DurableLSN(); root.p.Horizon() != h || peer.p.Horizon() != h {
+			t.Errorf("horizons root %d, peer %d after a checkpoint at %d", root.p.Horizon(), peer.p.Horizon(), h)
+		}
+	}
+	stripes := map[uint64]bool{}
+	if err := root.p.log.Range(0, ^wal.LSN(0), func(r *wal.Record) error {
+		stripes[r.TxID>>40] = true
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !stripes[0] || !stripes[1] || len(stripes) != 2 {
+		t.Errorf("tx id stripes in the shared log: %v, want root's 0 and the peer's 1", stripes)
+	}
+
+	peer.p.Detach()
+	peer.cache(t, 5)
+	sent := root.stats.Invalidations.Load()
+	root.write(t, key)
+	if !peer.pool.Contains(5) || root.stats.Invalidations.Load() != sent {
+		t.Errorf("a detached member was sent an invalidation (%d → %d)", sent, root.stats.Invalidations.Load())
+	}
+}
+
+// TestPipelineSites: everything the node reports lands under names derived
+// from its one site, and nothing else does.
+func TestPipelineSites(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Stats = sim.NewRegistry()
+	n := newRoot(t, cfg, "x")
+	n.p.Dir().SetMode(coherence.ModeBump)
+	n.p.EnableGroupCommit(4, 0)
+	n.write(t, 1)
+	err := n.p.Checkpoint(sim.NewClock(), checkpoint.Round{
+		Flush:    func(*sim.Clock, wal.LSN) error { return nil },
+		Truncate: func(*sim.Clock, wal.LSN) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, line := range strings.Split(cfg.Stats.Table("t").String(), "\n")[3:] {
+		if f := strings.Fields(line); len(f) > 0 {
+			got[f[0]] = true
+		}
+	}
+	want := map[string]bool{"x.coherence": true, "ckpt.x.flush": true, "ckpt.x.truncate": true, "x.groupcommit": true}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sites = %v, want %v", got, want)
 	}
 }

@@ -28,7 +28,11 @@ import (
 type Engine struct {
 	cfg    *sim.Config
 	layout heap.Layout
-	// Tiers is the two-level cache (local LRU + remote-memory LRU).
+	// Tiers is the two-level cache (local LRU + remote-memory LRU). Commit
+	// publishes version-stamp both tiers (ModeBump: lazy validation): a
+	// remote copy that missed an update goes stale and is dropped on its
+	// next validated read, falling through to the log-replaying storage
+	// fetch.
 	Tiers   *buffer.TwoTier
 	MemNode *memnode.Pool
 	ssd     *device.SSD
@@ -36,21 +40,10 @@ type Engine struct {
 	stats   engine.Stats
 	pipe    *engine.Pipeline
 
-	// dir version-stamps both cache tiers (ModeBump: lazy validation). A
-	// remote copy that missed an update goes stale at the commit publish
-	// and is dropped on its next validated read, falling through to the
-	// log-replaying storage fetch.
-	dir *coherence.Directory
-
 	// CheckpointRemoteEvery / CheckpointStorageEvery control the two
 	// ARIES tiers (commit counts; 0 disables).
 	CheckpointRemoteEvery  int
 	CheckpointStorageEvery int
-
-	// ckpt drives the storage (slow) tier's log lifecycle: it owns the
-	// truncation horizon, below which the on-disk images are the only
-	// source of history.
-	ckpt *checkpoint.Coordinator
 
 	mu sync.Mutex
 	// disk is durable page storage.
@@ -59,7 +52,6 @@ type Engine struct {
 	remoteCkptLSN  wal.LSN
 	storageCkptLSN wal.LSN
 	commitCount    atomic.Int64
-	crashed        atomic.Bool
 }
 
 // New creates the engine: a local cache of localPages frames backed by a
@@ -82,18 +74,15 @@ func New(cfg *sim.Config, layout heap.Layout, localPages, remotePages int) *Engi
 	}
 	remote := buffer.NewRemotePool(cfg, mn.Node(), nil, base, remotePages, layout.PageSize)
 	e.Tiers = buffer.NewTwoTier(cfg, localPages, remote, e.fetchFromStorage)
-	e.dir = coherence.NewDirectory(cfg, "legobase.coherence", coherence.ModeBump)
-	e.dir.OnInvalidate = func(n int) { e.stats.Invalidations.Add(int64(n)) }
-	e.dir.OnStale = func() { e.stats.StaleHits.Add(1) }
-	e.Tiers.SetCoherence(e.dir, "legobase", func(d []byte) uint64 { return page.Wrap(d).LSN() })
-	e.ckpt = checkpoint.New(cfg, "ckpt.legobase")
-	// Both cache tiers registered with the directory themselves
-	// (Tiers.SetCoherence), so no tier is excluded from a publish: the
-	// local tier's frames are re-stamped by the apply and stay fresh; a
-	// remote-tier copy that predates the commit goes stale and is dropped
-	// on its next validated read.
-	e.pipe = engine.NewPipeline(layout, e.log, &e.stats,
-		engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir})
+	e.pipe = engine.NewPipeline(cfg, "legobase", layout, e.log, &e.stats,
+		engine.Hooks{Durable: e.durable, Apply: e.apply})
+	e.pipe.Coherent(coherence.ModeBump)
+	// Both cache tiers register with the directory themselves, so the node
+	// has no own tier and none is excluded from a publish: the local tier's
+	// frames are re-stamped by the apply and stay fresh; a remote-tier copy
+	// that predates the commit goes stale and is dropped on its next
+	// validated read.
+	e.Tiers.SetCoherence(e.pipe.Dir(), "legobase", engine.PageLSN)
 	return e
 }
 
@@ -149,9 +138,6 @@ func (e *Engine) readKey(c *sim.Clock) func(key uint64) ([]byte, error) {
 
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	if e.crashed.Load() {
-		return e.pipe.Shed()
-	}
 	return e.pipe.Execute(c, e.readKey(c), fn)
 }
 
@@ -251,14 +237,13 @@ func (e *Engine) CheckpointRemote(c *sim.Clock) error {
 // without ever truncating (unbounded log) and trusted the remote tier's
 // current contents (whose LRU may have evicted below-horizon pages).
 func (e *Engine) CheckpointStorage(c *sim.Clock) error {
-	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: e.pipe.DurableLSN,
+	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			// Redo the retained tail straight into the disk images — the
 			// disk copy must cover <= h independent of what either cache
 			// tier currently holds.
 			e.mu.Lock()
-			changed, err := e.pipe.RedoImages(e.disk, e.ckpt.Horizon(), h)
+			changed, err := e.pipe.RedoImages(e.disk, e.pipe.Horizon(), h)
 			e.mu.Unlock()
 			if err != nil {
 				return err
@@ -300,12 +285,12 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 }
 
 // RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.ckpt.Horizon() }
+func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
 
 // Crash implements engine.Recoverer: the compute node dies; local cache is
 // lost, remote memory and storage survive.
 func (e *Engine) Crash() {
-	e.crashed.Store(true)
+	e.pipe.Crash()
 	e.Tiers.Local.InvalidateAll()
 }
 
@@ -322,7 +307,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if err := e.redoTiers(c, from, ^wal.LSN(0)); err != nil {
 		return 0, err
 	}
-	e.crashed.Store(false)
+	e.pipe.Up()
 	return c.Now() - start, nil
 }
 
@@ -362,6 +347,6 @@ func (e *Engine) RecoverFromStorageOnly(c *sim.Clock) (time.Duration, error) {
 	}); err != nil {
 		return 0, err
 	}
-	e.crashed.Store(false)
+	e.pipe.Up()
 	return c.Now() - start, nil
 }

@@ -9,7 +9,6 @@ package monolithic
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/disagglab/disagg/internal/buffer"
@@ -28,17 +27,13 @@ type Engine struct {
 	cfg    *sim.Config
 	layout heap.Layout
 	ssd    *device.SSD
-	pool   *buffer.Pool
-	log    *wal.Log
-	stats  engine.Stats
-	pipe   *engine.Pipeline
-
-	// dir version-stamps the pool's frames at commit publishes; a frame
-	// whose apply failed keeps its old stamp and goes stale, forcing the
-	// next reader through fetchPage's log replay.
-	dir   *coherence.Directory
-	poolH *coherence.Handle
-	ckpt  *checkpoint.Coordinator
+	// pool is the buffer pool. Commit publishes version-stamp its frames; a
+	// frame whose apply failed keeps its old stamp and goes stale, forcing
+	// the next reader through fetchPage's log replay.
+	pool  *buffer.Pool
+	log   *wal.Log
+	stats engine.Stats
+	pipe  *engine.Pipeline
 
 	// testBetweenFlushAndTruncate, when set (tests only), runs in the
 	// checkpoint's flush→truncate window — the window whose in-flight
@@ -50,7 +45,6 @@ type Engine struct {
 	disk map[page.ID][]byte
 	// checkpointLSN is the LSN covered by on-disk pages.
 	checkpointLSN wal.LSN
-	crashed       atomic.Bool
 }
 
 // New creates a monolithic engine with a buffer pool of poolPages frames.
@@ -63,14 +57,10 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int) *Engine {
 		disk:   make(map[page.ID][]byte),
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, e.writebackPage)
-	e.dir = coherence.NewDirectory(cfg, "monolithic.coherence", coherence.ModeBump)
-	e.dir.OnInvalidate = func(n int) { e.stats.Invalidations.Add(int64(n)) }
-	e.dir.OnStale = func() { e.stats.StaleHits.Add(1) }
-	e.poolH = e.dir.Register("pool", e.pool)
-	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
-	e.ckpt = checkpoint.New(cfg, "ckpt.monolithic")
-	e.pipe = engine.NewPipeline(layout, e.log, &e.stats,
-		engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir, Exclude: e.poolH})
+	e.pipe = engine.NewPipeline(cfg, "monolithic", layout, e.log, &e.stats,
+		engine.Hooks{Durable: e.durable, Apply: e.apply})
+	e.pipe.Coherent(coherence.ModeBump)
+	e.pipe.Cache("pool", e.pool)
 	return e
 }
 
@@ -127,9 +117,6 @@ func (e *Engine) writebackPage(c *sim.Clock, id page.ID, data []byte) error {
 
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	if e.crashed.Load() {
-		return e.pipe.Shed()
-	}
 	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
 }
 
@@ -158,15 +145,14 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 // ordering truncated such a commit's records while its page updates were
 // still only in the soon-to-be-lost buffer pool.)
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: e.pipe.DurableLSN,
+	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			// Redo the retained tail up to the horizon into the pool
 			// before flushing: a commit whose in-pool apply failed (its
 			// frame was staled) exists only in log records the truncation
 			// below h+1 is about to discard. Page-LSN guards make the
 			// redo idempotent against already-applied commits.
-			if err := e.log.Range(e.ckpt.Horizon(), h, func(r *wal.Record) error {
+			if err := e.log.Range(e.pipe.Horizon(), h, func(r *wal.Record) error {
 				if r.Type != wal.TypeUpdate {
 					return nil
 				}
@@ -199,17 +185,14 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 }
 
 // RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.ckpt.Horizon() }
+func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
 
 // DurableLSN reports the highest LSN fsynced to the SSD log.
 func (e *Engine) DurableLSN() wal.LSN { return e.pipe.DurableLSN() }
 
 // Crash implements engine.Recoverer: the buffer pool is lost; the SSD
 // (log + checkpointed pages) survives.
-func (e *Engine) Crash() {
-	e.crashed.Store(true)
-	e.pool.InvalidateAll()
-}
+func (e *Engine) Crash() { e.pipe.Crash() }
 
 // Recover implements engine.Recoverer: ARIES-style redo of the log tail
 // against on-disk pages.
@@ -243,7 +226,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if err := e.pool.FlushAll(c); err != nil {
 		return 0, err
 	}
-	e.crashed.Store(false)
+	e.pipe.Up()
 	return c.Now() - start, nil
 }
 

@@ -56,30 +56,20 @@ type Engine struct {
 
 	log   *wal.Log
 	stats engine.Stats
-	pool  *buffer.Pool
-	pipe  *engine.Pipeline
-
-	// dir replaces the engine's old hand-rolled pageLSN map: commit
-	// publishes bump per-page versions (ModeBump — optimistic readers
-	// validate lazily), and the pool validates cached frames against it.
-	dir   *coherence.Directory
-	poolH *coherence.Handle
+	// pool is the compute cache. Commit publishes bump per-page versions in
+	// the node's directory (ModeBump — optimistic readers validate lazily),
+	// and the pool validates cached frames against it.
+	pool *buffer.Pool
+	pipe *engine.Pipeline
 
 	// Validations / Repairs count optimistic-read outcomes.
 	Validations atomic.Int64
 	Repairs     atomic.Int64
 
-	// ckpt drives the log lifecycle: the page store materializes the
-	// durable prefix and adopts the horizon, then the PM log and the
-	// compute-side log truncate below it — PM capacity is the scarce
-	// resource this engine exists to economize.
-	ckpt *checkpoint.Coordinator
-
 	// LagEvery delays page-store ingestion by one batch every N commits
 	// to surface stale optimistic reads (0 = always lag by one commit).
 	mu      sync.Mutex
 	pending []wal.Record // records not yet given to the page store
-	crashed atomic.Bool
 }
 
 // New creates the engine.
@@ -93,14 +83,10 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int, opt Options) *Engin
 		log:       wal.NewLog(),
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, nil)
-	e.dir = coherence.NewDirectory(cfg, "pilotdb.coherence", coherence.ModeBump)
-	e.dir.OnInvalidate = func(n int) { e.stats.Invalidations.Add(int64(n)) }
-	e.dir.OnStale = func() { e.stats.StaleHits.Add(1) }
-	e.poolH = e.dir.Register("pool", e.pool)
-	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
-	e.ckpt = checkpoint.New(cfg, "ckpt.pilotdb")
-	e.pipe = engine.NewPipeline(layout, e.log, &e.stats,
-		engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir, Exclude: e.poolH})
+	e.pipe = engine.NewPipeline(cfg, "pilotdb", layout, e.log, &e.stats,
+		engine.Hooks{Durable: e.durable, Apply: e.apply})
+	e.pipe.Coherent(coherence.ModeBump)
+	e.pipe.Cache("pool", e.pool)
 	return e
 }
 
@@ -118,7 +104,7 @@ func (e *Engine) Stats() *engine.Stats { return &e.stats }
 // expectedLSN is the LSN a fresh copy of the page must carry: the highest
 // published update-record LSN for the page (the directory version).
 func (e *Engine) expectedLSN(id page.ID) wal.LSN {
-	return wal.LSN(e.dir.Version(id))
+	return wal.LSN(e.pipe.Dir().Version(id))
 }
 
 // fetchPage is the optimistic (or coordinated) page read.
@@ -206,9 +192,6 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 // against the directory itself, so the shared pool read path is also the
 // optimistic-read validation.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	if e.crashed.Load() {
-		return e.pipe.Shed()
-	}
 	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
 }
 
@@ -253,10 +236,7 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 }
 
 // Crash implements engine.Recoverer.
-func (e *Engine) Crash() {
-	e.crashed.Store(true)
-	e.pool.InvalidateAll()
-}
+func (e *Engine) Crash() { e.pipe.Crash() }
 
 // Recover implements engine.Recoverer: transactions persisted in the PM
 // log survive; the compute node learns the durable LSN with one PM read.
@@ -264,7 +244,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
 	e.pipe.AdvanceDurable(e.PMLog.HighLSN())
 	c.Advance(e.cfg.RDMA.Cost(64))
-	e.crashed.Store(false)
+	e.pipe.Up()
 	return c.Now() - start, nil
 }
 
@@ -274,8 +254,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // store with the horizon, and truncates the PM log — a fabric RPC that
 // can fail and is retried next round — plus the compute-side log.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: e.pipe.DurableLSN,
+	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			e.mu.Lock()
 			pend := e.pending
@@ -308,7 +287,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 }
 
 // RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.ckpt.Horizon() }
+func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
 
 // Pool exposes the compute cache.
 func (e *Engine) Pool() *buffer.Pool { return e.pool }

@@ -32,30 +32,21 @@ type Engine struct {
 	FS    *raft.Group
 	log   *wal.Log
 	stats engine.Stats
-	pool  *buffer.Pool
-	pipe  *engine.Pipeline
-
-	// dir version-stamps the pool's frames at commit publishes; with one
-	// pool there is no fan-out (the pool is excluded from its own
+	// pool is the buffer pool. Commit publishes version-stamp its frames:
+	// with one pool there is no fan-out (the pool is excluded from its own
 	// publishes), but a frame whose apply failed goes stale automatically
 	// and is refetched with log replay.
-	dir   *coherence.Directory
-	poolH *coherence.Handle
+	pool *buffer.Pool
+	pipe *engine.Pipeline
 
 	// CheckpointEvery flushes dirty pages to PolarFS every N commits
 	// (page shipping; 0 disables).
 	CheckpointEvery int
 
-	// ckpt drives the full log lifecycle (Checkpoint): redo the retained
-	// tail into the PolarFS page images, publish the horizon, compact the
-	// raft log and truncate the redo log below it.
-	ckpt *checkpoint.Coordinator
-
 	mu          sync.Mutex
 	pagesFS     map[page.ID][]byte // page images persisted in PolarFS
 	fsCompactTo int                // raft commit index captured with the horizon
 	commitCount atomic.Int64
-	crashed     atomic.Bool
 }
 
 // New creates the engine with a 3-way PolarFS group.
@@ -69,13 +60,9 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int) *Engine {
 		CheckpointEvery: 64,
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, e.shipPage)
-	e.dir = coherence.NewDirectory(cfg, "polardb.coherence", coherence.ModeBump)
-	e.dir.OnInvalidate = func(n int) { e.stats.Invalidations.Add(int64(n)) }
-	e.dir.OnStale = func() { e.stats.StaleHits.Add(1) }
-	e.poolH = e.dir.Register("pool", e.pool)
-	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
-	e.ckpt = checkpoint.New(cfg, "ckpt.polardb")
-	e.pipe = engine.NewPipeline(layout, e.log, &e.stats, e.hooks())
+	e.pipe = engine.NewPipeline(cfg, "polardb", layout, e.log, &e.stats, e.hooks())
+	e.pipe.Coherent(coherence.ModeBump)
+	e.pipe.Cache("pool", e.pool)
 	return e
 }
 
@@ -84,7 +71,7 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int) *Engine {
 // pool and shipped to PolarFS as images, and the single cache is excluded
 // from its own publishes.
 func (e *Engine) hooks() engine.Hooks {
-	return engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir, Exclude: e.poolH}
+	return engine.Hooks{Durable: e.durable, Apply: e.apply}
 }
 
 // Peer creates an additional compute node attached to root's shared
@@ -103,21 +90,17 @@ func Peer(root *Engine, peerID, poolPages int) *Engine {
 		FS:              root.FS,
 		log:             root.log,
 		pagesFS:         make(map[page.ID][]byte),
-		dir:             root.dir,
 		CheckpointEvery: root.CheckpointEvery,
-		ckpt:            root.ckpt, // one horizon per shared log
 	}
 	e.pool = buffer.NewPool(e.cfg, poolPages, e.fetchPage, e.shipPage)
-	e.poolH = e.dir.Register(fmt.Sprintf("peer%d", peerID), e.pool)
-	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
-	e.pipe = engine.NewPipeline(e.layout, e.log, &e.stats, e.hooks())
-	e.pipe.StripeTxIDs(peerID)
+	e.pipe = root.pipe.Peer(peerID, &e.stats, e.hooks())
+	e.pipe.Cache(fmt.Sprintf("peer%d", peerID), e.pool)
 	return e
 }
 
 // Detach unregisters the peer's cache from the shared coherence directory
 // (a retired member stops absorbing invalidation fan-out).
-func (e *Engine) Detach() { e.dir.Deregister(e.poolH) }
+func (e *Engine) Detach() { e.pipe.Detach() }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "polardb" }
@@ -128,7 +111,7 @@ func (e *Engine) Stats() *engine.Stats { return &e.stats }
 // EnableGroupCommit implements engine.GroupCommitter: commit-path raft
 // appends share one replication round.
 func (e *Engine) EnableGroupCommit(maxItems int, window time.Duration) {
-	e.pipe.EnableGroupCommit(e.cfg, "polardb.groupcommit", maxItems, window)
+	e.pipe.EnableGroupCommit(maxItems, window)
 }
 
 // fetchPage reads a page image from PolarFS (RDMA + NVMe) and replays any
@@ -184,9 +167,6 @@ func (e *Engine) shipPage(c *sim.Clock, id page.ID, data []byte) error {
 
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	if e.crashed.Load() {
-		return e.pipe.Shed()
-	}
 	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
 }
 
@@ -219,10 +199,7 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 }
 
 // Crash implements engine.Recoverer.
-func (e *Engine) Crash() {
-	e.crashed.Store(true)
-	e.pool.InvalidateAll()
-}
+func (e *Engine) Crash() { e.pipe.Crash() }
 
 // Recover implements engine.Recoverer: elect a PolarFS leader if needed,
 // learn the log high-water mark, then resume — pages and log are durable
@@ -241,7 +218,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if head := e.log.Head(); head > 1 {
 		e.pipe.AdvanceDurable(head - 1)
 	}
-	e.crashed.Store(false)
+	e.pipe.Up()
 	return c.Now() - start, nil
 }
 
@@ -256,7 +233,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // node that owns the shipped images; fleet peers share the coordinator
 // so they observe one consistent horizon.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.ckpt.Checkpoint(c, checkpoint.Round{
+	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Durable: func() wal.LSN {
 			e.mu.Lock()
 			defer e.mu.Unlock()
@@ -265,7 +242,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 		},
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			e.mu.Lock()
-			changed, err := e.pipe.RedoImages(e.pagesFS, e.ckpt.Horizon(), h)
+			changed, err := e.pipe.RedoImages(e.pagesFS, e.pipe.Horizon(), h)
 			e.mu.Unlock()
 			if err != nil {
 				return err
@@ -297,7 +274,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 }
 
 // RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.ckpt.Horizon() }
+func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
 
 // Pool exposes the buffer pool.
 func (e *Engine) Pool() *buffer.Pool { return e.pool }

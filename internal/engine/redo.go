@@ -16,7 +16,7 @@ import (
 // that cannot be applied is an error, never a half-redone page served as
 // authoritative.
 func (p *Pipeline) Redo(data []byte, r *wal.Record) (applied bool, err error) {
-	if r.Type != wal.TypeUpdate || uint64(r.LSN) <= page.Wrap(data).LSN() {
+	if r.Type != wal.TypeUpdate || uint64(r.LSN) <= PageLSN(data) {
 		return false, nil
 	}
 	if err := p.layout.WriteValue(data, r.Key, r.After, uint64(r.LSN)); err != nil {

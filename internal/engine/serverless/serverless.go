@@ -40,7 +40,11 @@ type Engine struct {
 
 	log   *wal.Log
 	stats engine.Stats
-	pipe  *engine.Pipeline
+	// pipe's directory is the memory-node page directory (ModeBump: local
+	// caches are kept coherent by page-LSN validation, not invalidation
+	// broadcasts); the shared pool and every node cache validate their
+	// entries against it.
+	pipe *engine.Pipeline
 	// latches are the memory node's page-level physical latches.
 	latches *txn.LockTable
 
@@ -48,17 +52,6 @@ type Engine struct {
 	// small local cache plus a QP for validation reads.
 	nodes   []*computeNode
 	primary atomic.Int32
-
-	// dir is the memory-node page directory (ModeBump: local caches are
-	// kept coherent by page-LSN validation, not invalidation broadcasts).
-	// It replaces the old hand-rolled pageLSN map; the shared pool and
-	// every node cache validate their entries against it.
-	dir     *coherence.Directory
-	stampOf buffer.StampFunc
-
-	// ckpt materializes the durable prefix on the volume replicas and
-	// truncates the compute-side log below the published horizon.
-	ckpt *checkpoint.Coordinator
 
 	mu sync.Mutex
 }
@@ -84,28 +77,25 @@ func New(cfg *sim.Config, layout heap.Layout, nodes, localPages, sharedPages int
 		log:     wal.NewLog(),
 		latches: txn.NewLockTable(),
 	}
-	e.dir = coherence.NewDirectory(cfg, "serverless.coherence", coherence.ModeBump)
-	e.dir.OnInvalidate = func(n int) { e.stats.Invalidations.Add(int64(n)) }
-	e.dir.OnStale = func() { e.stats.StaleHits.Add(1) }
-	e.stampOf = func(d []byte) uint64 { return page.Wrap(d).LSN() }
+	// The site is not the engine's Name. No tier is the node's own, so none
+	// is excluded from a publish: the writer's own copies carry the commit
+	// LSN and stay fresh; every other node's cached copy goes stale and
+	// revalidates.
+	e.pipe = engine.NewPipeline(cfg, "serverless", layout, e.log, &e.stats,
+		engine.Hooks{Durable: e.durable, Apply: e.apply})
+	e.pipe.Coherent(coherence.ModeBump)
 	base, err := mn.Alloc(uint64(sharedPages * layout.PageSize))
 	if err != nil {
 		panic("serverless: shared pool sizing bug: " + err.Error())
 	}
 	e.Shared = buffer.NewRemotePool(cfg, mn.Node(), nil, base, sharedPages, layout.PageSize)
-	e.Shared.SetCoherence(e.dir.Register("shared", e.Shared), e.stampOf)
+	e.Shared.SetCoherence(e.pipe.Dir().Register("shared", e.Shared), engine.PageLSN)
 	for i := 0; i < nodes; i++ {
 		n := &computeNode{qp: mn.Connect(nil)}
 		n.cache = buffer.NewPool(cfg, localPages, nil, nil)
-		n.cache.SetCoherence(e.dir.Register(fmt.Sprintf("node%d", i), n.cache), e.stampOf)
+		n.cache.SetCoherence(e.pipe.Dir().Register(fmt.Sprintf("node%d", i), n.cache), engine.PageLSN)
 		e.nodes = append(e.nodes, n)
 	}
-	e.ckpt = checkpoint.New(cfg, "ckpt.serverless")
-	// No tier is excluded from a publish: the writer's own copies carry the
-	// commit LSN and stay fresh; every other node's cached copy goes stale
-	// and revalidates.
-	e.pipe = engine.NewPipeline(layout, e.log, &e.stats,
-		engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir})
 	return e
 }
 
@@ -121,7 +111,7 @@ func (e *Engine) directoryLSN(c *sim.Clock, n *computeNode, id page.ID) wal.LSN 
 	// One 8-byte one-sided read against the memory node.
 	var buf [8]byte
 	n.qp.Read(c, 0, buf[:])
-	return wal.LSN(e.dir.Version(id))
+	return wal.LSN(e.pipe.Dir().Version(id))
 }
 
 // readPage runs fn on a current image of the page: the node's local cache
@@ -333,8 +323,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // prefix at or below the durable LSN and adopt the horizon; only then
 // does the compute-side log drop its tail below it.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: e.pipe.DurableLSN,
+	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			shipped := e.Volume.Heal(c, e.log)
 			e.stats.NetMsgs.Add(int64(shipped))
@@ -353,7 +342,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 }
 
 // RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.ckpt.Horizon() }
+func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
 
 // Nodes reports the number of compute nodes.
 func (e *Engine) Nodes() int { return len(e.nodes) }
@@ -368,6 +357,6 @@ func (e *Engine) AddNode(c *sim.Clock, localPages int) int {
 	e.nodes = append(e.nodes, n)
 	idx := len(e.nodes) - 1
 	e.mu.Unlock()
-	n.cache.SetCoherence(e.dir.Register(fmt.Sprintf("node%d", idx), n.cache), e.stampOf)
+	n.cache.SetCoherence(e.pipe.Dir().Register(fmt.Sprintf("node%d", idx), n.cache), engine.PageLSN)
 	return idx
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/disagglab/disagg/internal/checkpoint"
@@ -47,14 +46,8 @@ type KV struct {
 	// holds every commit at or below the durable LSN whenever it is free.
 	commitMu sync.Mutex
 
-	// ckpt consolidates segments into a snapshot object and deletes the
-	// covered segments — without it recovery re-lists and replays every
-	// segment ever uploaded (linear in history length).
-	ckpt *checkpoint.Coordinator
-
-	mu      sync.Mutex
-	vals    map[uint64][]byte // volatile materialized view
-	crashed atomic.Bool
+	mu   sync.Mutex
+	vals map[uint64][]byte // volatile materialized view
 }
 
 // NewKV creates the engine with its own object store.
@@ -65,10 +58,9 @@ func NewKV(cfg *sim.Config, layout heap.Layout) *KV {
 		Store:  device.NewObjectStore(cfg),
 		log:    wal.NewLog(),
 		vals:   make(map[uint64][]byte),
-		ckpt:   checkpoint.New(cfg, "ckpt.snowflake"),
 	}
 	// No page cache, so no directory: nothing has to hear about a commit.
-	e.pipe = engine.NewPipeline(layout, e.log, &e.stats,
+	e.pipe = engine.NewPipeline(cfg, "snowflake", layout, e.log, &e.stats,
 		engine.Hooks{Durable: e.durable, Apply: e.apply, Sequencer: &e.commitMu})
 	return e
 }
@@ -96,9 +88,6 @@ func (e *KV) readKey(key uint64) ([]byte, error) {
 
 // Execute implements engine.Engine.
 func (e *KV) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	if e.crashed.Load() {
-		return e.pipe.Shed()
-	}
 	return e.pipe.Execute(c, e.readKey, fn)
 }
 
@@ -134,15 +123,15 @@ func ckptKey(lsn wal.LSN) string { return fmt.Sprintf("%s%020d", ckptPrefix, uin
 
 // Checkpoint implements engine.Checkpointer: upload a consolidated
 // snapshot of the materialized view at the durable horizon, then delete
-// the commit segments the snapshot covers (and superseded snapshots).
+// the commit segments the snapshot covers (and superseded snapshots) —
+// without it recovery re-lists and replays every segment ever uploaded.
 // The view may already contain commits newer than the horizon — that is
 // safe, because their segments stay above the floor and replay over the
 // snapshot idempotently. A torn snapshot upload fails the round before
 // anything is deleted; a failed delete leaves garbage that the next
 // round retries (deletion is idempotent).
 func (e *KV) Checkpoint(c *sim.Clock) error {
-	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: e.pipe.DurableLSN,
+	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			// A commit advances the durable LSN before its apply reaches the
 			// view; both happen under the sequencer, so holding it here means
@@ -196,12 +185,12 @@ func (e *KV) Checkpoint(c *sim.Clock) error {
 }
 
 // RecoveryHorizon implements engine.Checkpointer.
-func (e *KV) RecoveryHorizon() wal.LSN { return e.ckpt.Horizon() }
+func (e *KV) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
 
 // Crash implements engine.Recoverer: the stateless compute node loses its
 // materialized view; the object store survives.
 func (e *KV) Crash() {
-	e.crashed.Store(true)
+	e.pipe.Crash()
 	e.mu.Lock()
 	e.vals = make(map[uint64][]byte)
 	e.mu.Unlock()
@@ -289,6 +278,6 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 	e.vals = vals
 	e.mu.Unlock()
 	e.pipe.AdvanceDurable(high)
-	e.crashed.Store(false)
+	e.pipe.Up()
 	return c.Now() - start, nil
 }

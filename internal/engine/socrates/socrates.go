@@ -38,26 +38,17 @@ type Engine struct {
 
 	log   *wal.Log
 	stats engine.Stats
-	pool  *buffer.Pool
-	pipe  *engine.Pipeline
-
-	// dir version-stamps the pool's frames at commit publishes; a frame
-	// whose local apply failed keeps its old stamp and goes stale, so the
-	// next reader refetches instead of seeing the pre-commit image.
-	dir   *coherence.Directory
-	poolH *coherence.Handle
+	// pool is the compute cache. Commit publishes version-stamp its frames;
+	// a frame whose local apply failed keeps its old stamp and goes stale,
+	// so the next reader refetches instead of seeing the pre-commit image.
+	pool *buffer.Pool
+	pipe *engine.Pipeline
 
 	// SnapshotEvery pushes page snapshots to XStore every N commits
 	// (0 disables).
 	SnapshotEvery int
 
-	// ckpt drives the log lifecycle: page servers absorb the durable
-	// prefix and adopt the horizon, then XLOG and the authoritative log
-	// truncate below it.
-	ckpt *checkpoint.Coordinator
-
 	commitCount atomic.Int64
-	crashed     atomic.Bool
 }
 
 // New creates the engine with nPageServers page servers.
@@ -74,13 +65,9 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, nPageServers int) *Engi
 		e.PageServers = append(e.PageServers, storagenode.NewReplica(cfg, fmt.Sprintf("ps-%d", i), i%3, layout, 1+0.1*float64(i)))
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, nil)
-	e.dir = coherence.NewDirectory(cfg, "socrates.coherence", coherence.ModeBump)
-	e.dir.OnInvalidate = func(n int) { e.stats.Invalidations.Add(int64(n)) }
-	e.dir.OnStale = func() { e.stats.StaleHits.Add(1) }
-	e.poolH = e.dir.Register("pool", e.pool)
-	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
-	e.ckpt = checkpoint.New(cfg, "ckpt.socrates")
-	e.pipe = engine.NewPipeline(layout, e.log, &e.stats, e.hooks())
+	e.pipe = engine.NewPipeline(cfg, "socrates", layout, e.log, &e.stats, e.hooks())
+	e.pipe.Coherent(coherence.ModeBump)
+	e.pipe.Cache("pool", e.pool)
 	return e
 }
 
@@ -89,7 +76,7 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, nPageServers int) *Engi
 // up to date off the commit path, and the single cache is excluded from
 // its own publishes.
 func (e *Engine) hooks() engine.Hooks {
-	return engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir, Exclude: e.poolH}
+	return engine.Hooks{Durable: e.durable, Apply: e.apply}
 }
 
 // Peer creates an additional compute node attached to root's shared
@@ -107,21 +94,17 @@ func Peer(root *Engine, peerID, poolPages int) *Engine {
 		PageServers:   root.PageServers,
 		XStore:        root.XStore,
 		log:           root.log,
-		dir:           root.dir,
 		SnapshotEvery: root.SnapshotEvery,
-		ckpt:          root.ckpt, // one horizon per shared log
 	}
 	e.pool = buffer.NewPool(e.cfg, poolPages, e.fetchPage, nil)
-	e.poolH = e.dir.Register(fmt.Sprintf("peer%d", peerID), e.pool)
-	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
-	e.pipe = engine.NewPipeline(e.layout, e.log, &e.stats, e.hooks())
-	e.pipe.StripeTxIDs(peerID)
+	e.pipe = root.pipe.Peer(peerID, &e.stats, e.hooks())
+	e.pipe.Cache(fmt.Sprintf("peer%d", peerID), e.pool)
 	return e
 }
 
 // Detach unregisters the peer's cache from the shared coherence directory
 // (a retired member stops absorbing invalidation fan-out).
-func (e *Engine) Detach() { e.dir.Deregister(e.poolH) }
+func (e *Engine) Detach() { e.pipe.Detach() }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "socrates" }
@@ -132,7 +115,7 @@ func (e *Engine) Stats() *engine.Stats { return &e.stats }
 // EnableGroupCommit implements engine.GroupCommitter: commits share XLOG
 // flushes.
 func (e *Engine) EnableGroupCommit(maxItems int, window time.Duration) {
-	e.pipe.EnableGroupCommit(e.cfg, "socrates.groupcommit", maxItems, window)
+	e.pipe.EnableGroupCommit(maxItems, window)
 }
 
 // fetchPage reads from the first healthy, fresh-enough page server.
@@ -163,9 +146,6 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	if e.crashed.Load() {
-		return e.pipe.Shed()
-	}
 	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
 }
 
@@ -221,10 +201,7 @@ func (e *Engine) snapshotToXStore(c *sim.Clock, recs []wal.Record) {
 }
 
 // Crash implements engine.Recoverer.
-func (e *Engine) Crash() {
-	e.crashed.Store(true)
-	e.pool.InvalidateAll()
-}
+func (e *Engine) Crash() { e.pipe.Crash() }
 
 // Recover implements engine.Recoverer: the new compute node learns the
 // durable LSN from XLOG; page servers keep serving (availability tier
@@ -236,7 +213,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	op := e.cfg.Begin(c, "tcp.rpc")
 	c.Advance(e.cfg.TCP.Cost(64))
 	op.End(64)
-	e.crashed.Store(false)
+	e.pipe.Up()
 	return c.Now() - start, nil
 }
 
@@ -246,8 +223,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // them with the horizon, and truncates XLOG (a fabric RPC that can fail
 // and is retried next round) plus the compute-side log below it.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: e.pipe.DurableLSN,
+	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			advanced := 0
 			for _, ps := range e.PageServers {
@@ -275,7 +251,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 }
 
 // RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.ckpt.Horizon() }
+func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
 
 // Pool exposes the compute cache.
 func (e *Engine) Pool() *buffer.Pool { return e.pool }

@@ -33,24 +33,16 @@ type Engine struct {
 
 	log   *wal.Log
 	stats engine.Stats
-	pool  *buffer.Pool
-	pipe  *engine.Pipeline
-
-	// dir version-stamps the pool's frames at commit publishes; a frame
-	// whose local apply failed keeps its old stamp and goes stale, so the
-	// next reader refetches instead of seeing the pre-commit image.
-	dir   *coherence.Directory
-	poolH *coherence.Handle
+	// pool is the compute cache. Commit publishes version-stamp its frames;
+	// a frame whose local apply failed keeps its old stamp and goes stale,
+	// so the next reader refetches instead of seeing the pre-commit image.
+	pool *buffer.Pool
+	pipe *engine.Pipeline
 
 	// GossipEvery runs one anti-entropy round every N commits.
 	GossipEvery int
 
-	// ckpt converges the page stores on the durable prefix, publishes the
-	// horizon, and truncates both log tiers below it.
-	ckpt *checkpoint.Coordinator
-
 	commitCount atomic.Int64
-	crashed     atomic.Bool
 }
 
 // New creates the engine with nPageStores page stores.
@@ -65,14 +57,10 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, nPageStores int) *Engin
 		GossipEvery: 32,
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, nil)
-	e.dir = coherence.NewDirectory(cfg, "taurus.coherence", coherence.ModeBump)
-	e.dir.OnInvalidate = func(n int) { e.stats.Invalidations.Add(int64(n)) }
-	e.dir.OnStale = func() { e.stats.StaleHits.Add(1) }
-	e.poolH = e.dir.Register("pool", e.pool)
-	e.pool.SetCoherence(e.poolH, func(d []byte) uint64 { return page.Wrap(d).LSN() })
-	e.ckpt = checkpoint.New(cfg, "ckpt.taurus")
-	e.pipe = engine.NewPipeline(layout, e.log, &e.stats,
-		engine.Hooks{Durable: e.durable, Apply: e.apply, Dir: e.dir, Exclude: e.poolH})
+	e.pipe = engine.NewPipeline(cfg, "taurus", layout, e.log, &e.stats,
+		engine.Hooks{Durable: e.durable, Apply: e.apply})
+	e.pipe.Coherent(coherence.ModeBump)
+	e.pipe.Cache("pool", e.pool)
 	return e
 }
 
@@ -86,7 +74,7 @@ func (e *Engine) Stats() *engine.Stats { return &e.stats }
 // quorum log-store flushes. The frugal per-commit page-store write stays
 // per transaction.
 func (e *Engine) EnableGroupCommit(maxItems int, window time.Duration) {
-	e.pipe.EnableGroupCommit(e.cfg, "taurus.groupcommit", maxItems, window)
+	e.pipe.EnableGroupCommit(maxItems, window)
 }
 
 // fetchPage reads from a fresh-enough page store; if gossip lags it runs a
@@ -113,9 +101,6 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	if e.crashed.Load() {
-		return e.pipe.Shed()
-	}
 	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
 }
 
@@ -152,10 +137,7 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 }
 
 // Crash implements engine.Recoverer.
-func (e *Engine) Crash() {
-	e.crashed.Store(true)
-	e.pool.InvalidateAll()
-}
+func (e *Engine) Crash() { e.pipe.Crash() }
 
 // Recover implements engine.Recoverer: learn the quorum-durable LSN from
 // the log stores and resume; page stores catch up by gossip.
@@ -165,7 +147,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	op := e.cfg.Begin(c, "tcp.rpc")
 	c.Advance(e.cfg.TCP.Cost(64))
 	op.End(64)
-	e.crashed.Store(false)
+	e.pipe.Up()
 	return c.Now() - start, nil
 }
 
@@ -178,8 +160,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // coordinator surfaces the error after publishing the horizon, and the
 // next round retries the (idempotent) truncation.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.ckpt.Checkpoint(c, checkpoint.Round{
-		Durable: e.pipe.DurableLSN,
+	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			shipped := e.PageStores.GossipRound(c)
 			e.stats.NetMsgs.Add(int64(shipped))
@@ -199,7 +180,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 }
 
 // RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.ckpt.Horizon() }
+func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
 
 // MaxPageLag exposes the page-store staleness metric.
 func (e *Engine) MaxPageLag() wal.LSN { return e.PageStores.MaxLag() }

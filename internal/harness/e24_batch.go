@@ -20,8 +20,8 @@ func init() {
 		ID:      "E24",
 		Aliases: []string{"E-batch"},
 		Title:   "Group commit: commit throughput and latency vs batch size",
-		Claim: `§2.1/§3: every disaggregated architecture pays a fabric round trip per durable commit (log shipping, quorum appends, raft replication). Group commit amortizes that per-message cost across concurrent transactions — throughput rises with batch size under load, while at low load the batching window surfaces as a commit-latency knee.`,
-		Run: runE24,
+		Claim:   `§2.1/§3: every disaggregated architecture pays a fabric round trip per durable commit (log shipping, quorum appends, raft replication). Group commit amortizes that per-message cost across concurrent transactions — throughput rises with batch size under load, while at low load the batching window surfaces as a commit-latency knee.`,
+		Run:     runE24,
 	})
 }
 

@@ -17,8 +17,8 @@ func init() {
 		ID:      "E25",
 		Aliases: []string{"E-overload"},
 		Title:   "Overload control: admission gates, retry budgets, and breakers vs the retry storm",
-		Claim: `§3/§4: disaggregation multiplies the fan-in on shared substrate services (log stores, quorum volumes, raft groups), so a saturated fabric meter stretches every commit. Clients that retry slow or failed requests with zero delay amplify offered load exactly when capacity is scarcest — goodput (SLO-met commits) collapses, and a virtual-time partition becomes a livelock because failed attempts charge no time. Admission gates at the substrate, retry budgets, clock-charged backoff, and a circuit breaker convert the collapse into a flat graceful-degradation knee.`,
-		Run: runE25,
+		Claim:   `§3/§4: disaggregation multiplies the fan-in on shared substrate services (log stores, quorum volumes, raft groups), so a saturated fabric meter stretches every commit. Clients that retry slow or failed requests with zero delay amplify offered load exactly when capacity is scarcest — goodput (SLO-met commits) collapses, and a virtual-time partition becomes a livelock because failed attempts charge no time. Admission gates at the substrate, retry budgets, clock-charged backoff, and a circuit breaker convert the collapse into a flat graceful-degradation knee.`,
+		Run:     runE25,
 	})
 }
 

@@ -27,8 +27,8 @@ func init() {
 		ID:      "E26",
 		Aliases: []string{"E-isolation"},
 		Title:   "History-based isolation checking: dependency-graph verdicts across all engines",
-		Claim: `§3: every disaggregated architecture re-implements the transaction pipeline over a different substrate (quorum logs, page servers, object storage, PM buffers, 2PC), and each re-implementation is a fresh chance to break isolation in a way ordinary value assertions never see. Recording every transaction — reads, writes, retry lineage, commit stamps — and checking the ww/wr/rw dependency graph for cycles gives a per-engine serializability verdict with a minimal witness cycle when it fails, at a checking cost that is linear in the history. Weakened engines (dirty reads, unvalidated snapshots) prove the checker actually detects G1c and write skew.`,
-		Run: runE26,
+		Claim:   `§3: every disaggregated architecture re-implements the transaction pipeline over a different substrate (quorum logs, page servers, object storage, PM buffers, 2PC), and each re-implementation is a fresh chance to break isolation in a way ordinary value assertions never see. Recording every transaction — reads, writes, retry lineage, commit stamps — and checking the ww/wr/rw dependency graph for cycles gives a per-engine serializability verdict with a minimal witness cycle when it fails, at a checking cost that is linear in the history. Weakened engines (dirty reads, unvalidated snapshots) prove the checker actually detects G1c and write skew.`,
+		Run:     runE26,
 	})
 }
 

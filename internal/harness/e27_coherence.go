@@ -177,7 +177,7 @@ func e27Cell(eng e27Engine, writeFrac, ops int) e27CellResult {
 		}
 	}
 	return e27CellResult{
-		coh:        cfg.Stats.Coherence(eng.site),
+		coh:        sim.Snapshot[sim.CoherenceStats](cfg.Stats, eng.site),
 		hitRatio:   eng.hitRatio(e),
 		commits:    commits,
 		staleReads: staleReads,
@@ -244,7 +244,7 @@ func e27BatchedCell(eng e27Engine, ops, writers int) e27CellResult {
 		return done
 	})
 	return e27CellResult{
-		coh:        cfg.Stats.Coherence(eng.site),
+		coh:        sim.Snapshot[sim.CoherenceStats](cfg.Stats, eng.site),
 		hitRatio:   eng.hitRatio(e),
 		commits:    commits.Load(),
 		staleReads: staleReads.Load(),

@@ -22,8 +22,8 @@ func init() {
 		ID:      "E28",
 		Aliases: []string{"E-elastic"},
 		Title:   "Elastic compute fleet: scale-out holds the diurnal peak, failover loses nothing",
-		Claim: `§4: disaggregation makes compute stateless — a new node attaches to the shared log/volume, warms its cache through the coherence directory, and serves traffic, so a fleet can follow a diurnal demand ramp by provisioning nodes instead of over-provisioning for the peak. A fixed single node saturates at the plateau (latency stretches past any SLO and goodput collapses) while the autoscaled fleet holds p99; and because state lives in shared storage, killing a member mid-peak re-routes its keyspace to survivors without losing one acknowledged commit. The shared-nothing baseline scales through the same API but must physically move data — the elasticity tax of §1.`,
-		Run: runE28,
+		Claim:   `§4: disaggregation makes compute stateless — a new node attaches to the shared log/volume, warms its cache through the coherence directory, and serves traffic, so a fleet can follow a diurnal demand ramp by provisioning nodes instead of over-provisioning for the peak. A fixed single node saturates at the plateau (latency stretches past any SLO and goodput collapses) while the autoscaled fleet holds p99; and because state lives in shared storage, killing a member mid-peak re-routes its keyspace to survivors without losing one acknowledged commit. The shared-nothing baseline scales through the same API but must physically move data — the elasticity tax of §1.`,
+		Run:     runE28,
 	})
 }
 

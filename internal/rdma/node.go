@@ -43,8 +43,8 @@ func NewNode(cfg *sim.Config, name string, size int) *Node {
 		cfg:      cfg,
 		handlers: make(map[string]Handler),
 	}
-	cfg.RegisterMeter("rdma."+name+".nic", n.NIC)
-	cfg.RegisterMeter("rdma."+name+".cpu", n.CPU)
+	cfg.Register("rdma."+name+".nic", n.NIC)
+	cfg.Register("rdma."+name+".cpu", n.CPU)
 	return n
 }
 

@@ -212,7 +212,7 @@ func TestGateShedsOverWatermark(t *testing.T) {
 	if st.Admitted != 2 || st.Shed != 1 {
 		t.Fatalf("site stats = %+v, want admitted 2 shed 1", st)
 	}
-	if reg := cfg.Stats.Gate("admit.hot"); reg.Shed != 1 {
+	if reg := sim.Snapshot[sim.GateStats](cfg.Stats, "admit.hot"); reg.Shed != 1 {
 		t.Fatalf("registry gate row = %+v, want shed 1", reg)
 	}
 }

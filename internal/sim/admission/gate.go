@@ -74,7 +74,7 @@ func (g *Gate) site(name string) *gateSite {
 		s = &gateSite{}
 		g.sites[name] = s
 		if g.cfg != nil {
-			g.cfg.RegisterGate("admit."+name, func() sim.GateStats {
+			g.cfg.Register("admit."+name, func() sim.GateStats {
 				return sim.GateStats{Admitted: s.admitted.Load(), Shed: s.shed.Load()}
 			})
 		}

@@ -130,7 +130,7 @@ func (s BatcherStats) MeanOccupancy() float64 {
 func NewBatcher[T, R any](cfg *Config, site string, pol BatchPolicy, flush FlushFunc[T, R]) *Batcher[T, R] {
 	b := &Batcher[T, R]{pol: pol, flush: flush}
 	if cfg != nil {
-		cfg.RegisterBatcher(site, b.Stats)
+		cfg.Register(site, b.Stats)
 	}
 	return b
 }

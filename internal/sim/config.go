@@ -73,35 +73,11 @@ type Config struct {
 	Trace bool
 }
 
-// RegisterMeter registers m with the attached stats registry, if any.
-func (c *Config) RegisterMeter(site string, m *Meter) {
+// Register registers a counter source (a *Meter or a snapshot func, see
+// Registry.Register) with the attached stats registry, if any.
+func (c *Config) Register(site string, src any) {
 	if c.Stats != nil {
-		c.Stats.RegisterMeter(site, m)
-	}
-}
-
-// RegisterBatcher registers a batcher's counter snapshot with the attached
-// stats registry, if any. NewBatcher calls this for you.
-func (c *Config) RegisterBatcher(site string, stats func() BatcherStats) {
-	if c.Stats != nil {
-		c.Stats.RegisterBatcher(site, stats)
-	}
-}
-
-// RegisterGate registers an admission gate's counter snapshot with the
-// attached stats registry, if any.
-func (c *Config) RegisterGate(site string, stats func() GateStats) {
-	if c.Stats != nil {
-		c.Stats.RegisterGate(site, stats)
-	}
-}
-
-// RegisterCoherence registers a coherence directory's counter snapshot
-// with the attached stats registry, if any. coherence.NewDirectory calls
-// this for you.
-func (c *Config) RegisterCoherence(site string, stats func() CoherenceStats) {
-	if c.Stats != nil {
-		c.Stats.RegisterCoherence(site, stats)
+		c.Stats.Register(site, src)
 	}
 }
 

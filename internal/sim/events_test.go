@@ -60,11 +60,11 @@ func TestEmitNilSafe(t *testing.T) {
 
 func TestEventKindAndString(t *testing.T) {
 	kinds := map[EventKind]string{
-		EvOp:         "op",
-		EvFault:      "fault",
-		EvRetry:      "retry",
-		EvShed:       "shed",
-		EvCheckpoint: "ckpt",
+		EvOp:          "op",
+		EvFault:       "fault",
+		EvRetry:       "retry",
+		EvShed:        "shed",
+		EvCheckpoint:  "ckpt",
 		EventKind(99): "kind(99)",
 	}
 	for k, want := range kinds {

@@ -108,10 +108,10 @@ func TestLintSite(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{
-		"",              // empty
-		"rdma",          // single segment, not backoff
-		"RDMA.read",     // uppercase
-		"rdma..read",    // empty segment
+		"",           // empty
+		"rdma",       // single segment, not backoff
+		"RDMA.read",  // uppercase
+		"rdma..read", // empty segment
 		"rdma.re ad", // space
 		"mystery.op", // unknown component
 	} {

@@ -20,28 +20,27 @@ type SiteStats struct {
 // Bytes reports the total payload observed at the site.
 func (s *SiteStats) Bytes() int64 { return s.bytes.Load() }
 
-// MeterEntry associates a contention meter with a site-style name so the
-// registry can report utilization and queueing alongside latency sites.
-type MeterEntry struct {
-	Site string
-	M    *Meter
-}
-
 // Registry is the process-wide telemetry sink: per-site latency histograms
-// and byte counters fed by Config.Begin/Op.End, plus registered contention
-// meters. One registry is shared by every worker in an experiment; it is
-// safe for concurrent use.
+// and byte counters fed by Config.Begin/Op.End, plus the counter sources
+// substrate constructors Register. One registry is shared by every worker in
+// an experiment; it is safe for concurrent use.
 type Registry struct {
 	mu    sync.RWMutex
 	sites map[string]*SiteStats
 
-	mmu        sync.Mutex
-	meters     []MeterEntry
-	batchers   []BatcherEntry
-	gates      []GateEntry
-	coherences []CoherenceEntry
+	smu     sync.Mutex
+	sources []source
 
 	maxEnd atomic.Int64 // latest virtual end time observed (elapsed proxy)
+}
+
+// source is one registered counter source under a site-style name: a
+// contention *Meter, or the snapshot func of a batcher (func() BatcherStats),
+// a page-coherence directory (func() CoherenceStats) or an admission gate
+// (func() GateStats).
+type source struct {
+	site string
+	src  any
 }
 
 // GateStats is the counter snapshot an admission gate exposes per site.
@@ -59,21 +58,6 @@ func (g GateStats) ShedFraction() float64 {
 	return float64(g.Shed) / float64(total)
 }
 
-// GateEntry associates an admission gate's counter snapshot with a
-// site-style name so the registry can report admit/shed decisions
-// alongside latency sites.
-type GateEntry struct {
-	Site  string
-	Stats func() GateStats
-}
-
-// BatcherEntry associates a batcher's counter snapshot with a site-style
-// name so the registry can report flush occupancy alongside latency sites.
-type BatcherEntry struct {
-	Site  string
-	Stats func() BatcherStats
-}
-
 // CoherenceStats is the counter snapshot a page-coherence directory
 // exposes per site (the type lives here so the coherence layer can
 // register with the registry without an import cycle).
@@ -83,14 +67,6 @@ type CoherenceStats struct {
 	Invalidations int64 // invalidation messages delivered to holder tiers
 	Bumps         int64 // directory version bumps
 	StaleHits     int64 // cached copies rejected by commit-stamp validation
-}
-
-// CoherenceEntry associates a coherence directory's counter snapshot with
-// a site-style name so the registry can report invalidation traffic
-// alongside latency sites.
-type CoherenceEntry struct {
-	Site  string
-	Stats func() CoherenceStats
 }
 
 // NewRegistry returns an empty registry.
@@ -126,103 +102,34 @@ func (r *Registry) Observe(site string, d time.Duration, bytes int64, end time.D
 	}
 }
 
-// RegisterMeter attaches a contention meter under a site-style name;
-// utilization and queueing for it appear in Table. Constructors call this
-// through Config.RegisterMeter when a registry is attached.
-func (r *Registry) RegisterMeter(site string, m *Meter) {
-	if r == nil || m == nil {
-		return
-	}
-	r.mmu.Lock()
-	r.meters = append(r.meters, MeterEntry{Site: site, M: m})
-	r.mmu.Unlock()
-}
-
-// RegisterBatcher attaches a batcher's counter snapshot under a site-style
-// name; flush counts, occupancy, and flush reasons for it appear in Table.
-// NewBatcher calls this through Config.RegisterBatcher when a registry is
-// attached.
-func (r *Registry) RegisterBatcher(site string, stats func() BatcherStats) {
-	if r == nil || stats == nil {
-		return
-	}
-	r.mmu.Lock()
-	r.batchers = append(r.batchers, BatcherEntry{Site: site, Stats: stats})
-	r.mmu.Unlock()
-}
-
-// RegisterGate attaches an admission gate's counter snapshot under a
-// site-style name; admit/shed counts for it appear in Table. The gate
-// implementation calls this through Config.RegisterGate when a registry
-// is attached.
-func (r *Registry) RegisterGate(site string, stats func() GateStats) {
-	if r == nil || stats == nil {
-		return
-	}
-	r.mmu.Lock()
-	r.gates = append(r.gates, GateEntry{Site: site, Stats: stats})
-	r.mmu.Unlock()
-}
-
-// RegisterCoherence attaches a coherence directory's counter snapshot
-// under a site-style name; publish/invalidation/stale-hit counts for it
-// appear in Table. The directory calls this through
-// Config.RegisterCoherence when a registry is attached.
-func (r *Registry) RegisterCoherence(site string, stats func() CoherenceStats) {
-	if r == nil || stats == nil {
-		return
-	}
-	r.mmu.Lock()
-	r.coherences = append(r.coherences, CoherenceEntry{Site: site, Stats: stats})
-	r.mmu.Unlock()
-}
-
-// Coherence returns the counter snapshot registered under site, or a zero
-// snapshot if none is.
-func (r *Registry) Coherence(site string) CoherenceStats {
+// Register attaches a counter source (see source for the kinds) under a
+// site-style name; its row appears in Table. Constructors call this through
+// Config.Register when a registry is attached.
+func (r *Registry) Register(site string, src any) {
 	if r == nil {
-		return CoherenceStats{}
+		return
 	}
-	r.mmu.Lock()
-	defer r.mmu.Unlock()
-	for _, e := range r.coherences {
-		if e.Site == site {
-			return e.Stats()
+	r.smu.Lock()
+	r.sources = append(r.sources, source{site, src})
+	r.smu.Unlock()
+}
+
+// Snapshot returns the counter snapshot of kind T (BatcherStats,
+// CoherenceStats or GateStats) registered under site, or a zero snapshot if
+// none is.
+func Snapshot[T any](r *Registry, site string) T {
+	var zero T
+	if r == nil {
+		return zero
+	}
+	r.smu.Lock()
+	defer r.smu.Unlock()
+	for _, e := range r.sources {
+		if stats, ok := e.src.(func() T); ok && e.site == site {
+			return stats()
 		}
 	}
-	return CoherenceStats{}
-}
-
-// Gate returns the counter snapshot registered under site, or a zero
-// snapshot if none is.
-func (r *Registry) Gate(site string) GateStats {
-	if r == nil {
-		return GateStats{}
-	}
-	r.mmu.Lock()
-	defer r.mmu.Unlock()
-	for _, e := range r.gates {
-		if e.Site == site {
-			return e.Stats()
-		}
-	}
-	return GateStats{}
-}
-
-// Batcher returns the counter snapshot registered under site, or a zero
-// snapshot if none is.
-func (r *Registry) Batcher(site string) BatcherStats {
-	if r == nil {
-		return BatcherStats{}
-	}
-	r.mmu.Lock()
-	defer r.mmu.Unlock()
-	for _, e := range r.batchers {
-		if e.Site == site {
-			return e.Stats()
-		}
-	}
-	return BatcherStats{}
+	return zero
 }
 
 // Site returns the stats for one site, or nil if nothing was observed.
@@ -262,7 +169,8 @@ func (r *Registry) Elapsed() time.Duration {
 
 // Table renders the registry as one experiment-style table: a row per
 // observed site (count, p50, p99, max, bytes) followed by a row per
-// registered meter (ops, utilization ρ, queued fraction).
+// registered source that has counted anything (a meter's row is ops,
+// utilization ρ, queued fraction).
 func (r *Registry) Table(title string) *metrics.Table {
 	t := metrics.NewTable(title, "site", "count", "p50", "p99", "max", "bytes", "ρ", "queued%")
 	if r == nil {
@@ -274,63 +182,68 @@ func (r *Registry) Table(title string) *metrics.Table {
 			s.Hist.Max(), metrics.FormatBytes(s.Bytes()), "-", "-")
 	}
 	elapsed := r.Elapsed()
-	r.mmu.Lock()
-	meters := append([]MeterEntry(nil), r.meters...)
-	batchers := append([]BatcherEntry(nil), r.batchers...)
-	gates := append([]GateEntry(nil), r.gates...)
-	coherences := append([]CoherenceEntry(nil), r.coherences...)
-	r.mmu.Unlock()
-	for _, e := range meters {
-		if e.M.TotalOps() == 0 {
-			continue
+	r.smu.Lock()
+	sources := append([]source(nil), r.sources...)
+	r.smu.Unlock()
+	// Rows come out grouped meters, batchers, coherence, gates, each group in
+	// registration order; a source nothing has used yet has no row.
+	var groups [4][][]any
+	for _, e := range sources {
+		switch src := e.src.(type) {
+		case *Meter:
+			if src.TotalOps() == 0 {
+				continue
+			}
+			groups[0] = append(groups[0], []any{e.site, src.TotalOps(), "-", "-", "-", "-",
+				fmt.Sprintf("%.2f", src.Utilization(elapsed)),
+				fmt.Sprintf("%.0f%%", 100*src.QueuedFraction())})
+		case func() BatcherStats:
+			s := src()
+			if s.Flushes == 0 {
+				continue
+			}
+			// Batcher rows reuse the latency columns for flush-shape info:
+			// count = flushes, p50 column = mean occupancy, p99 column = max
+			// occupancy, max column = size/timeout split.
+			groups[1] = append(groups[1], []any{e.site, s.Flushes,
+				fmt.Sprintf("occ %.1f", s.MeanOccupancy()),
+				fmt.Sprintf("max %d", s.MaxOccupancy),
+				fmt.Sprintf("%ds/%dt", s.SizeFlushes, s.TimeoutFlushes),
+				"-", "-", "-"})
+		case func() CoherenceStats:
+			s := src()
+			if s.Publishes == 0 && s.StaleHits == 0 {
+				continue
+			}
+			// Coherence rows reuse the latency columns for protocol-shape
+			// info: count = publishes, p50 column = fan-out rounds, p99
+			// column = invalidations sent, max column = version bumps, bytes
+			// column = stale hits caught by validation.
+			groups[2] = append(groups[2], []any{e.site, s.Publishes,
+				fmt.Sprintf("rnd %d", s.Rounds),
+				fmt.Sprintf("inv %d", s.Invalidations),
+				fmt.Sprintf("bump %d", s.Bumps),
+				fmt.Sprintf("stale %d", s.StaleHits),
+				"-", "-"})
+		case func() GateStats:
+			s := src()
+			if s.Admitted+s.Shed == 0 {
+				continue
+			}
+			// Gate rows reuse the latency columns for admission-shape info:
+			// count = arrivals, p50 column = admitted, p99 column = shed,
+			// queued% column = shed fraction.
+			groups[3] = append(groups[3], []any{e.site, s.Admitted + s.Shed,
+				fmt.Sprintf("adm %d", s.Admitted),
+				fmt.Sprintf("shed %d", s.Shed),
+				"-", "-", "-",
+				fmt.Sprintf("%.0f%%", 100*s.ShedFraction())})
 		}
-		t.Row(e.Site, e.M.TotalOps(), "-", "-", "-", "-",
-			fmt.Sprintf("%.2f", e.M.Utilization(elapsed)),
-			fmt.Sprintf("%.0f%%", 100*e.M.QueuedFraction()))
 	}
-	for _, e := range batchers {
-		s := e.Stats()
-		if s.Flushes == 0 {
-			continue
+	for _, rows := range groups {
+		for _, row := range rows {
+			t.Row(row...)
 		}
-		// Batcher rows reuse the latency columns for flush-shape info:
-		// count = flushes, p50 column = mean occupancy, p99 column = max
-		// occupancy, max column = size/timeout split.
-		t.Row(e.Site, s.Flushes,
-			fmt.Sprintf("occ %.1f", s.MeanOccupancy()),
-			fmt.Sprintf("max %d", s.MaxOccupancy),
-			fmt.Sprintf("%ds/%dt", s.SizeFlushes, s.TimeoutFlushes),
-			"-", "-", "-")
-	}
-	for _, e := range coherences {
-		s := e.Stats()
-		if s.Publishes == 0 && s.StaleHits == 0 {
-			continue
-		}
-		// Coherence rows reuse the latency columns for protocol-shape
-		// info: count = publishes, p50 column = fan-out rounds, p99
-		// column = invalidations sent, max column = version bumps, bytes
-		// column = stale hits caught by validation.
-		t.Row(e.Site, s.Publishes,
-			fmt.Sprintf("rnd %d", s.Rounds),
-			fmt.Sprintf("inv %d", s.Invalidations),
-			fmt.Sprintf("bump %d", s.Bumps),
-			fmt.Sprintf("stale %d", s.StaleHits),
-			"-", "-")
-	}
-	for _, e := range gates {
-		s := e.Stats()
-		if s.Admitted+s.Shed == 0 {
-			continue
-		}
-		// Gate rows reuse the latency columns for admission-shape info:
-		// count = arrivals, p50 column = admitted, p99 column = shed,
-		// queued% column = shed fraction.
-		t.Row(e.Site, s.Admitted+s.Shed,
-			fmt.Sprintf("adm %d", s.Admitted),
-			fmt.Sprintf("shed %d", s.Shed),
-			"-", "-", "-",
-			fmt.Sprintf("%.0f%%", 100*s.ShedFraction()))
 	}
 	return t
 }

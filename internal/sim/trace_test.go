@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -88,7 +89,7 @@ func TestBeginEndNilSafe(t *testing.T) {
 	nilCfg.Begin(NewClock(), "x").End(0)
 	var nilReg *Registry
 	nilReg.Observe("x", time.Second, 1, time.Second)
-	nilReg.RegisterMeter("x", NewMeter(1))
+	nilReg.Register("x", NewMeter(1))
 	if nilReg.Site("x") != nil || nilReg.Sites() != nil || nilReg.Elapsed() != 0 {
 		t.Fatal("nil registry reads should be zero-valued")
 	}
@@ -143,7 +144,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	cfg.Stats = reg
 	m := NewMeter(2)
-	cfg.RegisterMeter("nic", m)
+	cfg.Register("nic", m)
 
 	sites := []string{"rdma.read", "rdma.write", "ssd.read"}
 	const workers, ops = 8, 500
@@ -170,6 +171,47 @@ func TestRegistryConcurrent(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRegistryOneSourceList: sources of every kind go through the one
+// Register, Snapshot finds a source by site AND kind (a directory and its
+// publication batcher share a site), and Table still groups rows meters,
+// batchers, coherence, gates, each group in registration order.
+func TestRegistryOneSourceList(t *testing.T) {
+	reg := NewRegistry()
+	m1, m2 := NewMeter(1), NewMeter(1)
+	m1.Charge(NewClock(), time.Microsecond)
+	m2.Charge(NewClock(), time.Microsecond)
+	reg.Register("gate.a", func() GateStats { return GateStats{Admitted: 3, Shed: 1} })
+	reg.Register("x.coherence", func() CoherenceStats { return CoherenceStats{Publishes: 7} })
+	reg.Register("meter.b", m2)
+	reg.Register("x.coherence", func() BatcherStats { return BatcherStats{Flushes: 2, Items: 4} })
+	reg.Register("meter.a", m1)
+	reg.Register("batch.idle", func() BatcherStats { return BatcherStats{} })
+
+	if got := Snapshot[CoherenceStats](reg, "x.coherence"); got.Publishes != 7 {
+		t.Errorf("coherence snapshot = %+v, want Publishes 7", got)
+	}
+	if got := Snapshot[BatcherStats](reg, "x.coherence"); got.Flushes != 2 {
+		t.Errorf("batcher snapshot under the shared site = %+v, want Flushes 2", got)
+	}
+	if got := Snapshot[GateStats](reg, "x.coherence"); got != (GateStats{}) {
+		t.Errorf("gate snapshot under a site with no gate = %+v, want zero", got)
+	}
+	if got := Snapshot[GateStats](nil, "gate.a"); got != (GateStats{}) {
+		t.Errorf("nil registry snapshot = %+v, want zero", got)
+	}
+
+	var sites []string
+	for _, line := range strings.Split(reg.Table("t").String(), "\n")[3:] {
+		if f := strings.Fields(line); len(f) > 0 {
+			sites = append(sites, f[0])
+		}
+	}
+	want := []string{"meter.b", "meter.a", "x.coherence", "x.coherence", "gate.a"}
+	if !reflect.DeepEqual(sites, want) {
+		t.Errorf("table rows %v, want %v (idle sources have no row)", sites, want)
 	}
 }
 
