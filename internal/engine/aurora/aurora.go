@@ -39,6 +39,8 @@ type Engine struct {
 	// applies in place.
 	pool    *buffer.Pool
 	readers []*buffer.Pool
+	// readerReads[i] is reader i's read path, built once beside its cache.
+	readerReads []engine.ReadFunc
 }
 
 // New creates the engine with the canonical volume, a writer cache of
@@ -53,7 +55,11 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, readers int) *Engine {
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, nil)
 	for i := 0; i < readers; i++ {
-		e.readers = append(e.readers, buffer.NewPool(cfg, poolPages, e.fetchPage, nil))
+		rp := buffer.NewPool(cfg, poolPages, e.fetchPage, nil)
+		e.readers = append(e.readers, rp)
+		e.readerReads = append(e.readerReads, func(c *sim.Clock, key uint64) ([]byte, error) {
+			return e.pipe.ReadPool(c, rp, key)
+		})
 	}
 	e.pipe = engine.NewPipeline(cfg, "aurora", layout, e.log, &e.stats, e.hooks())
 	e.pipe.Coherent(coherence.ModeInvalidate)
@@ -64,13 +70,14 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, readers int) *Engine {
 	return e
 }
 
-// hooks is the engine's row of the commit-pipeline table: the log becomes
+// hooks is the engine's row of the commit-pipeline table: reads are served
+// from the writer's cache over the volume, the log becomes
 // durable on the write quorum (and a volume below that quorum refuses a
 // write set before it is logged), only the writer's cached copies need
 // applying (storage materialises from the log), and the directory fans
 // invalidations to every other registered cache.
 func (e *Engine) hooks() engine.Hooks {
-	return engine.Hooks{Writable: e.Volume.WriteAvailable, Durable: e.durable, Apply: e.apply}
+	return engine.Hooks{Read: e.read, Writable: e.Volume.WriteAvailable, Durable: e.durable, Apply: e.apply}
 }
 
 // Peer creates an additional compute node attached to root's shared
@@ -142,12 +149,17 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	return data, nil
 }
 
+// read is the pipeline's read hook: the writer cache, filled by fetchPage.
+func (e *Engine) read(c *sim.Clock, key uint64) ([]byte, error) {
+	return e.pipe.ReadPool(c, e.pool, key)
+}
+
 // Execute implements engine.Engine (runs on the writer node). Read-only
 // work needs only the read quorum; a commit with writes needs the write
 // quorum, which the pipeline asks for (Hooks.Writable) before it logs
 // anything.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
+	return e.pipe.Execute(c, fn)
 }
 
 // durable ships ONLY log records (log-as-the-database) to the volume and
@@ -182,7 +194,7 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 // reads follow the same accounting invariant as Execute: every attempt
 // lands in exactly one of Commits/Aborts.
 func (e *Engine) ReadReplica(c *sim.Clock, idx int, fn func(tx engine.Tx) error) error {
-	return e.pipe.ReadOnly(e.pipe.PoolReader(c, e.readers[idx]), fn)
+	return e.pipe.ReadOnly(c, e.readerReads[idx], fn)
 }
 
 // Crash implements engine.Recoverer: the writer node dies; the volume and

@@ -232,7 +232,15 @@ func TestChaosCrashRecovery(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 1), 18, 3.25)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 1), 6, 2.25)
+}
+
+// TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
+// scratch (see enginetest.RecsRetentionGuard).
+func TestHooksMayNotKeepRecs(t *testing.T) {
+	enginetest.RecsRetentionGuard(t, func() engine.Engine {
+		return New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 1)
+	})
 }
 
 // TestMissAllocs bounds what one page miss allocates on the path aurora,
@@ -240,5 +248,5 @@ func TestCommitAllocs(t *testing.T) {
 // Replica.ReadPage's copy of the materialised page, which becomes the frame
 // (see enginetest.MissAllocGuard).
 func TestMissAllocs(t *testing.T) {
-	enginetest.MissAllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64, 0), 1)
+	enginetest.MissAllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64, 0), 0.25)
 }

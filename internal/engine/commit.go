@@ -1,8 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,20 +18,29 @@ import (
 	"github.com/disagglab/disagg/internal/wal"
 )
 
-// Hooks are the three places the surveyed OLTP architectures differ (the
-// tutorial's Figures 1 and 2): where the log becomes durable, where pages
-// are materialised, and which caches must hear about a commit. An engine
-// builds one Hooks value at construction from its own methods; everything
-// else about committing a transaction is Pipeline.Execute. Durable and Apply
-// are the first two and the caches the engine names with Pipeline.Cache the
-// third; Writable and Sequencer are components only one architecture each
-// has, nil elsewhere.
+// Hooks are the four places the surveyed OLTP architectures differ (the
+// tutorial's Figures 1 and 2): where a read is served, where the log becomes
+// durable, where pages are materialised, and which caches must hear about a
+// commit. An engine builds one Hooks value at construction from its own
+// methods; everything else about committing a transaction is
+// Pipeline.Execute. Read, Durable and Apply are the first three and the
+// caches the engine names with Pipeline.Cache the fourth; Writable and
+// Sequencer are components only one architecture each has, nil elsewhere.
 //
-// Both function hooks receive one transaction's records: an update record
-// per written key in ascending key order (LSN, TxID, PageID, Key and After
+// Durable and Apply receive one transaction's records: an update record per
+// written key in ascending key order (LSN, TxID, PageID, Key and After
 // filled in), then the commit record. The commit LSN — the stamp every
 // applied page carries — is the last record's.
+//
+// Ownership: recs is the transaction context's scratch, rewritten by the
+// next transaction, and valid only until the hook returns — a hook that
+// keeps records copies them. Each record's After is a fresh slice nobody
+// writes again; a hook may keep that by reference.
 type Hooks struct {
+	// Read serves one key on the node that runs read-write transactions
+	// (Execute): its cache tiers, then wherever this architecture
+	// materialises pages. The value it returns is the caller's.
+	Read ReadFunc
 	// Writable, for an architecture whose durable tier can refuse writes
 	// outright (a quorum volume below its write quorum), is asked before any
 	// LSN is assigned; false aborts with ErrUnavailable. The check inside
@@ -77,7 +87,7 @@ type Hooks struct {
 //  1. Count the attempt. Every attempt ends in exactly one of Commits,
 //     Aborts or Shed, so Attempts == Commits + Aborts + Shed. A crashed
 //     node sheds without doing work.
-//  2. Run fn against a StagedTx over the engine's read path. An fn error
+//  2. Run fn against a recycled StagedTx over the Read hook. An fn error
 //     aborts; an empty write set commits with nothing to log. A write set
 //     the durable tier is known to refuse (Writable) aborts as
 //     ErrUnavailable before anything reaches the log.
@@ -237,25 +247,31 @@ func (p *Pipeline) finish(err error) error {
 	return err
 }
 
-// Execute runs fn as one read-write transaction whose reads go through
-// read (see the step list on Pipeline).
-func (p *Pipeline) Execute(c *sim.Clock, read func(key uint64) ([]byte, error), fn func(tx Tx) error) error {
+// Execute runs fn as one read-write transaction whose reads go through the
+// Read hook (see the step list on Pipeline). The handle fn receives is
+// recycled when Execute returns.
+func (p *Pipeline) Execute(c *sim.Clock, fn func(tx Tx) error) error {
 	if p.crashed.Load() {
 		return p.Shed()
 	}
 	p.stats.Attempts.Add(1)
-	return p.finish(p.commit(c, NewStagedTx(read), fn))
+	st := NewStagedTx(c, p.Read)
+	err := p.commit(c, st, fn)
+	st.Release()
+	return p.finish(err)
 }
 
 // ReadOnly runs fn as a read-only transaction on a replica whose reads go
-// through read; staging a write aborts with ErrReadOnly.
-func (p *Pipeline) ReadOnly(read func(key uint64) ([]byte, error), fn func(tx Tx) error) error {
+// through read, a function the engine built with the replica; staging a
+// write aborts with ErrReadOnly.
+func (p *Pipeline) ReadOnly(c *sim.Clock, read ReadFunc, fn func(tx Tx) error) error {
 	p.stats.Attempts.Add(1)
-	st := NewStagedTx(read)
+	st := NewStagedTx(c, read)
 	err := fn(st)
 	if err == nil && !st.Empty() {
 		err = ErrReadOnly
 	}
+	st.Release()
 	return p.finish(err)
 }
 
@@ -264,8 +280,8 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 	if err := fn(st); err != nil {
 		return err
 	}
-	keys, writes := st.WriteSet()
-	if len(keys) == 0 {
+	writes := st.Writes()
+	if len(writes) == 0 {
 		return nil
 	}
 	if p.Writable != nil && !p.Writable() {
@@ -273,12 +289,12 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 	}
 	held := 0
 	defer func() {
-		for _, k := range keys[:held] {
-			p.locks.Unlock(txID, k, txn.Exclusive)
+		for _, w := range writes[:held] {
+			p.locks.Unlock(txID, w.Key, txn.Exclusive)
 		}
 	}()
-	for _, k := range keys {
-		if p.locks.Acquire(c, txID, k, txn.Exclusive, txn.DefaultAcquire) != nil {
+	for _, w := range writes {
+		if p.locks.Acquire(c, txID, w.Key, txn.Exclusive, txn.DefaultAcquire) != nil {
 			return ErrConflict
 		}
 		held++
@@ -287,18 +303,20 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 		p.Sequencer.Lock()
 		defer p.Sequencer.Unlock()
 	}
-	recs := make([]wal.Record, len(keys)+1)
-	for i, k := range keys {
-		recs[i] = wal.Record{Type: wal.TypeUpdate, TxID: txID, PageID: uint64(p.layout.PageOf(k)), Key: k, After: writes[k]}
-		recs[i].LSN = p.log.Append(recs[i])
+	for _, w := range writes {
+		r := wal.Record{Type: wal.TypeUpdate, TxID: txID, PageID: uint64(p.layout.PageOf(w.Key)), Key: w.Key, After: w.Val}
+		r.LSN = p.log.Append(r)
+		st.recs = append(st.recs, r)
 	}
-	commit := &recs[len(keys)]
-	*commit = wal.Record{Type: wal.TypeCommit, TxID: txID}
-	commit.LSN = p.log.Append(*commit)
+	commit := wal.Record{Type: wal.TypeCommit, TxID: txID}
+	commit.LSN = p.log.Append(commit)
+	st.recs = append(st.recs, commit)
+	recs := st.recs
 
 	if gc := p.gc; gc != nil {
 		// The flush ships every rider's records, accounts them, and
-		// advances the durable LSN to the group's high-water mark.
+		// advances the durable LSN to the group's high-water mark. The
+		// rider blocks until the flush has copied them.
 		if _, err := gc.Submit(c, recs); err != nil {
 			return Unavail(err)
 		}
@@ -311,7 +329,8 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 
 	err := p.Apply(c, recs)
 	if p.dir != nil {
-		p.dir.Publish(c, pageStamps(recs), p.own)
+		st.stamps = pageStamps(st.stamps, recs)
+		p.dir.Publish(c, st.stamps, p.own)
 	}
 	if err != nil {
 		// %v, not %w, for the cause: a lock or latch conflict inside Apply
@@ -327,10 +346,11 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 // storage-side materialisation of the page carries, so a refetched page
 // always validates — the commit LSN would permanently stale it). Keys
 // ascend and PageOf is monotone, so pages come out ascending with each
-// page's records adjacent: the same slice on every run, with no map.
-func pageStamps(recs []wal.Record) []coherence.PageStamp {
+// page's records adjacent: the same slice on every run, with no map. The
+// stamps are appended to dst[:0], the transaction context's scratch.
+func pageStamps(dst []coherence.PageStamp, recs []wal.Record) []coherence.PageStamp {
 	updates := recs[:len(recs)-1]
-	stamps := make([]coherence.PageStamp, 0, len(updates))
+	stamps := dst[:0]
 	for i := range updates {
 		id, lsn := page.ID(updates[i].PageID), uint64(updates[i].LSN)
 		if n := len(stamps); n > 0 && stamps[n-1].ID == id {
@@ -375,7 +395,7 @@ func (p *Pipeline) flushGroup(c *sim.Clock, groups [][]wal.Record, out []wal.LSN
 	for _, g := range groups {
 		recs = append(recs, g...)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].LSN < recs[j].LSN })
+	slices.SortFunc(recs, func(a, b wal.Record) int { return cmp.Compare(a.LSN, b.LSN) })
 	if err := p.Durable(c, recs); err != nil {
 		return err
 	}
@@ -407,25 +427,23 @@ func Encode(recs []wal.Record) []byte {
 	return out
 }
 
-// PoolReader is the read path of an engine whose compute cache is one
+// ReadPool is the read path of an engine whose compute cache is one
 // buffer.Pool: a validated hit is served by View in one step (a separate
 // Contains+Get pair raced invalidations between its two lock acquisitions
 // and counted a stale frame as a hit); anything else goes through the
 // pool's fetcher. ReadValue runs on the frame: only the value is copied out.
-func (p *Pipeline) PoolReader(c *sim.Clock, pool *buffer.Pool) func(key uint64) ([]byte, error) {
-	return func(key uint64) (val []byte, err error) {
-		id := p.layout.PageOf(key)
-		read := func(data []byte) { val, err = p.layout.ReadValue(data, key) }
-		if pool.View(c, id, read) {
-			p.stats.CacheHits.Add(1)
-			return val, err
-		}
-		p.stats.CacheMisses.Add(1)
-		if rerr := pool.Read(c, id, read); rerr != nil {
-			return nil, rerr
-		}
+func (p *Pipeline) ReadPool(c *sim.Clock, pool *buffer.Pool, key uint64) (val []byte, err error) {
+	id := p.layout.PageOf(key)
+	read := func(data []byte) { val, err = p.layout.ReadValue(data, key) }
+	if pool.View(c, id, read) {
+		p.stats.CacheHits.Add(1)
 		return val, err
 	}
+	p.stats.CacheMisses.Add(1)
+	if rerr := pool.Read(c, id, read); rerr != nil {
+		return nil, rerr
+	}
+	return val, err
 }
 
 // ApplyPool writes a commit's updates into pool, faulting absent pages in:

@@ -48,6 +48,7 @@ func newPipeEngine(t *testing.T) *pipeEngine {
 	}
 	e := &pipeEngine{layout: layout, tier: &recTier{}}
 	e.p = NewPipeline(sim.DefaultConfig(), "test", layout, wal.NewLog(), &e.stats, Hooks{
+		Read:    func(*sim.Clock, uint64) ([]byte, error) { return make([]byte, e.layout.ValSize), nil },
 		Durable: func(c *sim.Clock, recs []wal.Record) error { e.durables.Add(1); return e.durableErr },
 		Apply:   func(c *sim.Clock, recs []wal.Record) error { e.applies.Add(1); return e.applyErr },
 	})
@@ -60,7 +61,7 @@ func (e *pipeEngine) Name() string  { return "pipe" }
 func (e *pipeEngine) Stats() *Stats { return &e.stats }
 
 func (e *pipeEngine) Execute(c *sim.Clock, fn func(tx Tx) error) error {
-	return e.p.Execute(c, func(uint64) ([]byte, error) { return make([]byte, e.layout.ValSize), nil }, fn)
+	return e.p.Execute(c, fn)
 }
 
 // TestPipelineExitPaths drives every way out of Pipeline.Execute and holds
@@ -119,8 +120,8 @@ func TestPipelineExitPaths(t *testing.T) {
 					return nil
 				}
 			}
-			var handle Tx
-			err := e.Execute(sim.NewClock(), func(tx Tx) error { handle = tx; return fn(tx) })
+			var stamp uint64
+			err := e.Execute(sim.NewClock(), func(tx Tx) error { DeliverStamp(tx, &stamp); return fn(tx) })
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
@@ -131,10 +132,7 @@ func TestPipelineExitPaths(t *testing.T) {
 			if got := st.Attempts.Load(); got != 1 || got != st.Commits.Load()+st.Aborts.Load()+st.Shed.Load() {
 				t.Errorf("attempts = %d, want 1 = commits+aborts+shed", got)
 			}
-			stamp, stamped := uint64(0), false
-			if handle != nil {
-				stamp, stamped = CommitStampOf(handle)
-			}
+			stamped := stamp != 0
 			if stamped != tc.stamped {
 				t.Errorf("stamped = %v (stamp %d), want %v", stamped, stamp, tc.stamped)
 			}
@@ -161,11 +159,12 @@ func TestPipelineExitPaths(t *testing.T) {
 // write aborts with ErrReadOnly, and the accounting invariant holds.
 func TestPipelineReadOnly(t *testing.T) {
 	e := newPipeEngine(t)
-	read := func(uint64) ([]byte, error) { return []byte{7}, nil }
-	if err := e.p.ReadOnly(read, func(tx Tx) error { _, err := tx.Read(1); return err }); err != nil {
+	c := sim.NewClock()
+	read := func(*sim.Clock, uint64) ([]byte, error) { return []byte{7}, nil }
+	if err := e.p.ReadOnly(c, read, func(tx Tx) error { _, err := tx.Read(1); return err }); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.p.ReadOnly(read, func(tx Tx) error { return tx.Write(1, []byte{1}) }); !errors.Is(err, ErrReadOnly) {
+	if err := e.p.ReadOnly(c, read, func(tx Tx) error { return tx.Write(1, []byte{1}) }); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("err = %v, want ErrReadOnly", err)
 	}
 	st := &e.stats
@@ -183,10 +182,10 @@ func TestPipelineNoRetryAfterDurable(t *testing.T) {
 	e := newPipeEngine(t)
 	e.applyErr = ErrConflict
 	runs := 0
-	var handle Tx
+	var stamp uint64
 	err := Run(e, sim.NewClock(), RunOpts{Retries: 3}, func(tx Tx) error {
 		runs++
-		handle = tx
+		DeliverStamp(tx, &stamp)
 		return tx.Write(1, []byte{1})
 	})
 	if err == nil || errors.Is(err, ErrConflict) {
@@ -195,8 +194,7 @@ func TestPipelineNoRetryAfterDurable(t *testing.T) {
 	if runs != 1 {
 		t.Errorf("fn ran %d times, want 1: a durable transaction was re-executed", runs)
 	}
-	stamp, stamped := CommitStampOf(handle)
-	if !stamped {
+	if stamp == 0 {
 		t.Error("stamp dropped: history would classify the attempt Aborted, not Indeterminate")
 	}
 	if got := classifyOutcome(err, nil, stamp); got != history.Indeterminate {
@@ -239,7 +237,7 @@ func TestPipelinePublishOrder(t *testing.T) {
 		{LSN: 5, Type: wal.TypeCommit},
 	}
 	want := []coherence.PageStamp{{ID: 2, Stamp: 1}, {ID: 5, Stamp: 3}, {ID: 9, Stamp: 4}}
-	if got := pageStamps(recs); !reflect.DeepEqual(got, want) {
+	if got := pageStamps(nil, recs); !reflect.DeepEqual(got, want) {
 		t.Errorf("pageStamps = %v, want %v", got, want)
 	}
 }
@@ -303,6 +301,7 @@ type node struct {
 
 func (n *node) hooks() Hooks {
 	return Hooks{
+		Read:    func(c *sim.Clock, key uint64) ([]byte, error) { return n.p.ReadPool(c, n.pool, key) },
 		Durable: func(*sim.Clock, []wal.Record) error { return nil },
 		Apply:   func(c *sim.Clock, recs []wal.Record) error { n.p.ApplyCached(c, n.pool, recs); return nil },
 	}
@@ -339,7 +338,7 @@ func (n *node) peer(peerID int) *node {
 func (n *node) write(t *testing.T, key uint64) {
 	t.Helper()
 	c := sim.NewClock()
-	err := n.p.Execute(c, n.p.PoolReader(c, n.pool), func(tx Tx) error { return tx.Write(key, []byte{1}) })
+	err := n.p.Execute(c, func(tx Tx) error { return tx.Write(key, []byte{1}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,5 +470,57 @@ func TestPipelineSites(t *testing.T) {
 	want := map[string]bool{"x.coherence": true, "ckpt.x.flush": true, "ckpt.x.truncate": true, "x.groupcommit": true}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("sites = %v, want %v", got, want)
+	}
+}
+
+// TestRecordedStampIsTheAttemptsOwn: transaction contexts are recycled the
+// moment Execute returns, so the history wrapper cannot ask the handle for
+// its stamp afterwards — by then it is another worker's transaction. Eight
+// workers record concurrently; every committed attempt's stamp must be the
+// LSN of the commit record of the transaction that logged that attempt's
+// (unique) value.
+func TestRecordedStampIsTheAttemptsOwn(t *testing.T) {
+	e := newPipeEngine(t)
+	rec := history.NewRecorder()
+	const workers, txns = 8, 300
+	sim.RunGroup(workers, func(id int, c *sim.Clock) int {
+		for i := 0; i < txns; i++ {
+			val := []byte{byte(id + 1), byte(i), byte(i >> 8)}
+			err := Run(e, c, RunOpts{Record: rec, Session: id}, func(tx Tx) error {
+				return tx.Write(uint64(1000*id+i%5), val)
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}
+		return txns
+	})
+	txOf := map[uint64]uint64{}       // value fingerprint -> transaction id
+	commitLSN := map[uint64]wal.LSN{} // transaction id -> its commit record's LSN
+	if err := e.p.log.Range(0, ^wal.LSN(0), func(r *wal.Record) error {
+		switch r.Type {
+		case wal.TypeUpdate:
+			txOf[history.HashVal(r.After)] = r.TxID
+		case wal.TypeCommit:
+			commitLSN[r.TxID] = r.LSN
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	committed := 0
+	for _, op := range rec.Ops() {
+		a := op.Final()
+		if a.Outcome != history.Committed {
+			t.Errorf("op %d: %v %s", op.ID, a.Outcome, a.Err)
+			continue
+		}
+		committed++
+		if want := commitLSN[txOf[a.Events[0].Val]]; want == 0 || wal.LSN(a.Stamp) != want {
+			t.Fatalf("op %d (session %d): recorded stamp %d, its write's commit record is at LSN %d", op.ID, op.Session, a.Stamp, want)
+		}
+	}
+	if committed != workers*txns {
+		t.Errorf("%d committed attempts recorded, want %d", committed, workers*txns)
 	}
 }

@@ -3,8 +3,8 @@
 // Socrates, Taurus, PolarDB Serverless, LegoBase, PilotDB, Snowflake-KV) so
 // that workloads, failure drills, and experiments run unchanged across
 // architectures, and the one commit pipeline (commit.go) that nine of the
-// ten share: an engine supplies its read path and three hooks — where the
-// log becomes durable, where pages are materialised, which caches must
+// ten share: an engine supplies four hooks — where a read is served, where
+// the log becomes durable, where pages are materialised, which caches must
 // hear about it.
 package engine
 
@@ -57,13 +57,15 @@ type Reader interface {
 	ReadReplica(c *sim.Clock, idx int, fn func(tx Tx) error) error
 }
 
-// Stamper is implemented by transaction handles that expose the engine's
-// commit timestamp (commit-record LSN or commit sequence number).
+// Stamper is implemented by transaction handles that deliver the engine's
+// commit timestamp (commit-record LSN or commit sequence number) to a
+// destination registered from inside the transaction: the handle is only
+// valid until Execute returns, so the stamp cannot be asked for afterwards.
 // StagedTx implements it; engines stamp at their durability point. Run
 // uses it to fill history records: a stamped-but-errored attempt is
 // "durable but unacknowledged" — its effects may legally surface later.
 type Stamper interface {
-	CommitStamp() (stamp uint64, ok bool)
+	StampTo(dst *uint64)
 }
 
 // Checkpointer is implemented by engines that bound crash recovery: a
@@ -122,16 +124,15 @@ func Caps(e Engine) Capability {
 	return c
 }
 
-// CommitStampOf reports tx's commit stamp when the transaction handle is a
-// Stamper that was stamped at the engine's durability point. The
-// capability lives on Tx handles, not engines, so it is discovered
-// per-transaction rather than through Caps.
-func CommitStampOf(tx Tx) (stamp uint64, ok bool) {
-	s, isStamper := tx.(Stamper)
-	if !isStamper {
-		return 0, false
+// DeliverStamp asks tx, from inside its transaction, to write its commit
+// stamp to dst when the engine reaches its durability point; dst stays 0 if
+// it never does or the handle is not a Stamper. The capability lives on Tx
+// handles, not engines, so it is discovered per-transaction rather than
+// through Caps.
+func DeliverStamp(tx Tx, dst *uint64) {
+	if s, ok := tx.(Stamper); ok {
+		s.StampTo(dst)
 	}
-	return s.CommitStamp()
 }
 
 // Common engine errors.
@@ -425,17 +426,13 @@ func (t *recTx) Write(key uint64, val []byte) error {
 func recordAttempt(op *history.Op, st *Stats, c *sim.Clock,
 	exec func(*sim.Clock, func(tx Tx) error) error, fn func(tx Tx) error) error {
 	att := op.NewAttempt(c.Now())
-	var inner Tx
+	var stamp uint64
 	var fnErr error
 	err := exec(c, func(tx Tx) error {
-		inner = tx
+		DeliverStamp(tx, &stamp)
 		fnErr = fn(&recTx{inner: tx, att: att, c: c})
 		return fnErr
 	})
-	var stamp uint64
-	if v, set := CommitStampOf(inner); set {
-		stamp = v
-	}
 	att.Finish(classifyOutcome(err, fnErr, stamp), c.Now(), stamp, err)
 	if att.Outcome == history.Indeterminate {
 		st.Indeterminates.Add(1)

@@ -28,17 +28,21 @@ func raceBuild() bool {
 // count bound alone passed an 8 KB page copy per read). The bounds are what
 // this guard measures on Layout's 4 KB pages, the KB one rounded up:
 //
-//	monolithic      14  1.75 KB      polardb     22  2.54 KB
-//	shared-nothing  18  1.74 KB      socrates    15  2.92 KB
-//	legobase        14  2.24 KB      aurora      18  2.99 KB
-//	snowflake-kv    17  2.31 KB      taurus      23  6.58 KB
-//	pilotdb         15  2.70 KB      serverless  22  7.06 KB
+//	monolithic  2  0.75 KB      aurora      6  1.99 KB
+//	legobase    2  0.90 KB      polardb     7  1.49 KB
+//	socrates    3  1.95 KB      serverless  7  2.00 KB
+//	pilotdb     4  1.90 KB      taurus      9  4.88 KB
+//	snowflake-kv 5 1.27 KB      shared-nothing 8  0.91 KB
 //
-// Under one page wherever a commit copies no page: reads run on the cache
-// frame (buffer.Pool.View) and only the value leaves it. Serverless keeps
-// the one copy its apply mutates and installs as the new frame; taurus's is
-// its page-store gossip — periodic work is averaged in, as in the benchmark,
-// whose engine.<name>.allocs_per_txn reads 0–6 higher (its client closure).
+// Two of those are the transaction itself on every engine — the copy Read
+// hands the caller and the copy Write stages, which the log keeps; the rest
+// is what the engine's durable tier keeps (the transaction context and the
+// lock entry are recycled, see engine.StagedTx). Under one page wherever a
+// commit copies no page: reads run on the cache frame (buffer.Pool.View) and
+// only the value leaves it. Serverless's owned page copy comes from the page
+// free list; taurus's KB is its page-store gossip — periodic work is
+// averaged in, as in the benchmark, whose engine.<name>.allocs_per_txn reads
+// up to 1 higher.
 func AllocGuard(t *testing.T, e engine.Engine, max, maxKB float64) {
 	t.Helper()
 	const key, runs = 7, 512
@@ -69,14 +73,17 @@ func AllocGuard(t *testing.T, e engine.Engine, max, maxKB float64) {
 	// TotalAlloc only grows, so the delta is independent of GC timing;
 	// AllocsPerRun calls the function once more than runs, to warm up.
 	gotKB := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / 1024
-	// The race detector's instrumentation allocates on its own (snowflake-kv
-	// reads 18 against a bound of 17 under it): the count is bounded in the
-	// plain build only.
-	if got > max && !raceBuild() {
-		t.Errorf("%s: %.0f allocs per 1-key RMW commit, want <= %.0f", e.Name(), got, max)
-	}
-	if gotKB > maxKB {
-		t.Errorf("%s: %.2f KB allocated per 1-key RMW commit, want <= %.2f", e.Name(), gotKB, maxKB)
+	// Both bounds hold in the plain build only: under -race sync.Pool drops
+	// a share of what is put back (a fresh transaction context now and then),
+	// page.Alloc recycles nothing (serverless's page copy is a fresh 4 KB),
+	// and the detector's instrumentation allocates on its own.
+	if !raceBuild() {
+		if got > max {
+			t.Errorf("%s: %.0f allocs per 1-key RMW commit, want <= %.0f", e.Name(), got, max)
+		}
+		if gotKB > maxKB {
+			t.Errorf("%s: %.2f KB allocated per 1-key RMW commit, want <= %.2f", e.Name(), gotKB, maxKB)
+		}
 	}
 	t.Logf("%s: %.0f allocs, %.2f KB per 1-key RMW commit (bounds %.0f, %.2f)", e.Name(), got, gotKB, max, maxKB)
 }
@@ -97,10 +104,10 @@ func AllocGuard(t *testing.T, e engine.Engine, max, maxKB float64) {
 // miss allocated the page buffer that becomes the frame (and legobase and
 // serverless a second one for the probe of their remote tier):
 //
-//	monolithic  0.68 KB (4.68)   aurora      0.68 KB (4.78)   legobase  8.97 KB (12.97)
-//	polardb     0.68 KB (4.68)   serverless  0.75 KB (8.85)
+//	monolithic  0.18 KB (4.68)   aurora      0.18 KB (4.78)   legobase  8.48 KB (12.97)
+//	polardb     0.18 KB (4.68)   serverless  0.25 KB (8.85)
 //
-// That is the read-only transaction, the frame header and the LRU element:
+// That is the value handed to the caller, the frame header and the LRU element:
 // fetch paths fill a page.Alloc buffer, which is the one the previous miss
 // evicted (buffer.Pool releases it). Aurora's row is storagenode.Replica.
 // ReadPage, which socrates, taurus, pilotdb and serverless share. Legobase

@@ -139,7 +139,7 @@ func (e *snapshotEngine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) erro
 		snap[k] = v
 	}
 	e.mu.Unlock()
-	st := engine.NewStagedTx(func(key uint64) ([]byte, error) {
+	st := engine.NewStagedTx(c, func(_ *sim.Clock, key uint64) ([]byte, error) {
 		if v, ok := snap[key]; ok {
 			out := make([]byte, len(v))
 			copy(out, v)
@@ -151,12 +151,9 @@ func (e *snapshotEngine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) erro
 		e.stats.Aborts.Add(1)
 		return err
 	}
-	keys, writes := st.WriteSet()
 	e.mu.Lock()
-	for _, k := range keys {
-		cp := make([]byte, len(writes[k]))
-		copy(cp, writes[k])
-		e.vals[k] = cp
+	for _, w := range st.Writes() {
+		e.vals[w.Key] = w.Val
 	}
 	e.mu.Unlock()
 	e.stats.Commits.Add(1)

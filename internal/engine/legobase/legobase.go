@@ -75,7 +75,7 @@ func New(cfg *sim.Config, layout heap.Layout, localPages, remotePages int) *Engi
 	remote := buffer.NewRemotePool(cfg, mn.Node(), nil, base, remotePages, layout.PageSize)
 	e.Tiers = buffer.NewTwoTier(cfg, localPages, remote, e.fetchFromStorage)
 	e.pipe = engine.NewPipeline(cfg, "legobase", layout, e.log, &e.stats,
-		engine.Hooks{Durable: e.durable, Apply: e.apply})
+		engine.Hooks{Read: e.readKey, Durable: e.durable, Apply: e.apply})
 	e.pipe.Coherent(coherence.ModeBump)
 	// Both cache tiers register with the directory themselves, so the node
 	// has no own tier and none is excluded from a publish: the local tier's
@@ -124,21 +124,21 @@ func (e *Engine) fetchFromStorage(c *sim.Clock, id page.ID) ([]byte, error) {
 	return out, nil
 }
 
-func (e *Engine) readKey(c *sim.Clock) func(key uint64) ([]byte, error) {
-	return func(key uint64) (val []byte, err error) {
-		rerr := e.Tiers.Read(c, e.layout.PageOf(key), func(data []byte) {
-			val, err = e.layout.ReadValue(data, key)
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-		return val, err
+// readKey is the pipeline's read hook: the two-level cache, filled from
+// storage.
+func (e *Engine) readKey(c *sim.Clock, key uint64) (val []byte, err error) {
+	rerr := e.Tiers.Read(c, e.layout.PageOf(key), func(data []byte) {
+		val, err = e.layout.ReadValue(data, key)
+	})
+	if rerr != nil {
+		return nil, rerr
 	}
+	return val, err
 }
 
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, e.readKey(c), fn)
+	return e.pipe.Execute(c, fn)
 }
 
 // durable: network round trip to the log + SSD append.

@@ -114,7 +114,15 @@ func TestChaosCrashRecovery(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64, 4096), 14, 2.5)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64, 4096), 2, 1)
+}
+
+// TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
+// scratch (see enginetest.RecsRetentionGuard).
+func TestHooksMayNotKeepRecs(t *testing.T) {
+	enginetest.RecsRetentionGuard(t, func() engine.Engine {
+		return New(sim.DefaultConfig(), enginetest.Layout(t), 64, 4096)
+	})
 }
 
 // TestMissAllocs bounds what one storage miss allocates with 4,000 records
@@ -123,7 +131,7 @@ func TestCommitAllocs(t *testing.T) {
 func TestMissAllocs(t *testing.T) {
 	e := New(sim.DefaultConfig(), enginetest.Layout(t), 16, 64)
 	e.CheckpointStorageEvery = 0
-	enginetest.MissAllocGuard(t, e, 9.5)
+	enginetest.MissAllocGuard(t, e, 9)
 }
 
 // TestFetchFailsWhenRedoFails: fetchFromStorage used to drop WriteValue's

@@ -58,7 +58,7 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int) *Engine {
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, e.writebackPage)
 	e.pipe = engine.NewPipeline(cfg, "monolithic", layout, e.log, &e.stats,
-		engine.Hooks{Durable: e.durable, Apply: e.apply})
+		engine.Hooks{Read: e.read, Durable: e.durable, Apply: e.apply})
 	e.pipe.Coherent(coherence.ModeBump)
 	e.pipe.Cache("pool", e.pool)
 	return e
@@ -115,9 +115,14 @@ func (e *Engine) writebackPage(c *sim.Clock, id page.ID, data []byte) error {
 	return nil
 }
 
+// read is the pipeline's read hook: the buffer pool, filled by fetchPage.
+func (e *Engine) read(c *sim.Clock, key uint64) ([]byte, error) {
+	return e.pipe.ReadPool(c, e.pool, key)
+}
+
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
+	return e.pipe.Execute(c, fn)
 }
 
 // durable is the commit pipeline's durability hook: one group-commit

@@ -156,13 +156,21 @@ func TestChaosCrashRecovery(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 1024), 14, 2)
+	enginetest.AllocGuard(t, monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 1024), 2, 1)
+}
+
+// TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
+// scratch (see enginetest.RecsRetentionGuard).
+func TestHooksMayNotKeepRecs(t *testing.T) {
+	enginetest.RecsRetentionGuard(t, func() engine.Engine {
+		return monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 1024)
+	})
 }
 
 // TestMissAllocs bounds what one page miss allocates with 4,000 records in
 // the log (see enginetest.MissAllocGuard).
 func TestMissAllocs(t *testing.T) {
-	enginetest.MissAllocGuard(t, monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64), 1)
+	enginetest.MissAllocGuard(t, monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64), 0.25)
 }
 
 // TestFetchFailsWhenRedoFails: fetchPage used to stop at WriteValue's first

@@ -84,7 +84,7 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int, opt Options) *Engin
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, nil)
 	e.pipe = engine.NewPipeline(cfg, "pilotdb", layout, e.log, &e.stats,
-		engine.Hooks{Durable: e.durable, Apply: e.apply})
+		engine.Hooks{Read: e.read, Durable: e.durable, Apply: e.apply})
 	e.pipe.Coherent(coherence.ModeBump)
 	e.pipe.Cache("pool", e.pool)
 	return e
@@ -188,11 +188,16 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	return data, nil
 }
 
+// read is the pipeline's read hook: the compute cache, filled by fetchPage.
+func (e *Engine) read(c *sim.Clock, key uint64) ([]byte, error) {
+	return e.pipe.ReadPool(c, e.pool, key)
+}
+
 // Execute implements engine.Engine. The pool validates cached frames
 // against the directory itself, so the shared pool read path is also the
 // optimistic-read validation.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
+	return e.pipe.Execute(c, fn)
 }
 
 // durable: persistence on the PM layer.
@@ -222,11 +227,12 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 // batch goes out now (background), the new one waits, so optimistic
 // readers genuinely race materialization. The compute cache keeps its own
 // copies current; a frame that missed the update goes stale at the publish
-// and the next read repairs it via fetchPage.
+// and the next read repairs it via fetchPage. recs is the pipeline's scratch,
+// rewritten by the next transaction: the batch that waits is a copy.
 func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 	e.mu.Lock()
 	prev := e.pending
-	e.pending = recs
+	e.pending = slices.Clone(recs)
 	e.mu.Unlock()
 	if len(prev) > 0 {
 		e.PageStore.Ingest(sim.NewClock(), prev)

@@ -121,5 +121,30 @@ func TestChaosCrashRecoveryPilot(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, Pilot()), 15, 3)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, Pilot()), 4, 2)
+}
+
+// TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
+// scratch (see enginetest.RecsRetentionGuard). pilotdb is the engine that
+// keeps a batch across commits, and the one whose reads survive losing it
+// (an optimistic read repairs from the PM log, a checkpoint catches the page
+// store up from the authoritative log), so the guard alone cannot see it:
+// the page store must also have been sent the first commit's own records by
+// the time the second commit returns.
+func TestHooksMayNotKeepRecs(t *testing.T) {
+	enginetest.RecsRetentionGuard(t, func() engine.Engine {
+		return New(sim.DefaultConfig(), enginetest.Layout(t), 1024, Pilot())
+	})
+	e := New(sim.DefaultConfig(), enginetest.Layout(t), 1024, Pilot())
+	c := sim.NewClock()
+	for key := uint64(1); key <= 2; key++ {
+		if err := e.Execute(c, func(tx engine.Tx) error { return tx.Write(key, []byte{byte(key)}) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Commit 1 is LSNs 1-2, commit 2 LSNs 3-4 and still waiting.
+	if got := e.PageStore.HighLSN(); got != 2 {
+		t.Fatalf("after two commits the page store holds records up to LSN %d, want 2: "+
+			"the batch apply kept was not the first commit's any more when it was shipped", got)
+	}
 }

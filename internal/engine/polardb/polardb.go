@@ -66,12 +66,13 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int) *Engine {
 	return e
 }
 
-// hooks is the engine's row of the commit-pipeline table: the log becomes
+// hooks is the engine's row of the commit-pipeline table: reads are served
+// from the buffer pool over PolarFS images plus redo, the log becomes
 // durable as one PolarFS raft entry, pages are materialised in the buffer
 // pool and shipped to PolarFS as images, and the single cache is excluded
 // from its own publishes.
 func (e *Engine) hooks() engine.Hooks {
-	return engine.Hooks{Durable: e.durable, Apply: e.apply}
+	return engine.Hooks{Read: e.read, Durable: e.durable, Apply: e.apply}
 }
 
 // Peer creates an additional compute node attached to root's shared
@@ -154,8 +155,10 @@ func (e *Engine) shipPage(c *sim.Clock, id page.ID, data []byte) error {
 	e.mu.Lock()
 	e.pagesFS[id] = cp
 	e.mu.Unlock()
-	// 3-way replicated write over RDMA + NVMe.
-	if _, err := e.FS.Append(c, cp); err != nil {
+	// 3-way replicated write over RDMA + NVMe. It ships the caller's bytes:
+	// cp now belongs to pagesFS, where a checkpoint's RedoImages may write
+	// into it under e.mu.
+	if _, err := e.FS.Append(c, data); err != nil {
 		return err
 	}
 	e.stats.PageBytes.Add(int64(len(data)))
@@ -165,9 +168,14 @@ func (e *Engine) shipPage(c *sim.Clock, id page.ID, data []byte) error {
 	return nil
 }
 
+// read is the pipeline's read hook: the buffer pool, filled by fetchPage.
+func (e *Engine) read(c *sim.Clock, key uint64) ([]byte, error) {
+	return e.pipe.ReadPool(c, e.pool, key)
+}
+
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
+	return e.pipe.Execute(c, fn)
 }
 
 // durable: log shipping at commit — the encoded records go to PolarFS as

@@ -113,14 +113,22 @@ func TestChaosCrashRecovery(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024), 22, 2.75)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024), 7, 1.75)
+}
+
+// TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
+// scratch (see enginetest.RecsRetentionGuard).
+func TestHooksMayNotKeepRecs(t *testing.T) {
+	enginetest.RecsRetentionGuard(t, func() engine.Engine {
+		return New(sim.DefaultConfig(), enginetest.Layout(t), 1024)
+	})
 }
 
 // TestMissAllocs bounds what one page miss allocates with 4,000 records in
 // the log (see enginetest.MissAllocGuard). CheckpointEvery only ships page
 // images; it never truncates the log.
 func TestMissAllocs(t *testing.T) {
-	enginetest.MissAllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64), 1)
+	enginetest.MissAllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64), 0.25)
 }
 
 // TestFetchFailsWhenRedoFails: fetchPage used to drop WriteValue's error

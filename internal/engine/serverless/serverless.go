@@ -57,9 +57,18 @@ type Engine struct {
 }
 
 type computeNode struct {
-	cache   *buffer.Pool
-	qp      *rdma.QP
+	cache *buffer.Pool
+	qp    *rdma.QP
+	// read is the node's read path, built once with the node.
+	read    engine.ReadFunc
 	crashed atomic.Bool
+}
+
+// newNode builds a compute node with a local cache of localPages frames.
+func (e *Engine) newNode(localPages int) *computeNode {
+	n := &computeNode{qp: e.MemNode.Connect(nil), cache: buffer.NewPool(e.cfg, localPages, nil, nil)}
+	n.read = func(c *sim.Clock, key uint64) ([]byte, error) { return e.readKeyOn(c, n, key) }
+	return n
 }
 
 // New creates the engine with `nodes` compute nodes (>=1), a shared pool
@@ -82,7 +91,7 @@ func New(cfg *sim.Config, layout heap.Layout, nodes, localPages, sharedPages int
 	// LSN and stay fresh; every other node's cached copy goes stale and
 	// revalidates.
 	e.pipe = engine.NewPipeline(cfg, "serverless", layout, e.log, &e.stats,
-		engine.Hooks{Durable: e.durable, Apply: e.apply})
+		engine.Hooks{Read: e.readKey, Durable: e.durable, Apply: e.apply})
 	e.pipe.Coherent(coherence.ModeBump)
 	base, err := mn.Alloc(uint64(sharedPages * layout.PageSize))
 	if err != nil {
@@ -91,8 +100,7 @@ func New(cfg *sim.Config, layout heap.Layout, nodes, localPages, sharedPages int
 	e.Shared = buffer.NewRemotePool(cfg, mn.Node(), nil, base, sharedPages, layout.PageSize)
 	e.Shared.SetCoherence(e.pipe.Dir().Register("shared", e.Shared), engine.PageLSN)
 	for i := 0; i < nodes; i++ {
-		n := &computeNode{qp: mn.Connect(nil)}
-		n.cache = buffer.NewPool(cfg, localPages, nil, nil)
+		n := e.newNode(localPages)
 		n.cache.SetCoherence(e.pipe.Dir().Register(fmt.Sprintf("node%d", i), n.cache), engine.PageLSN)
 		e.nodes = append(e.nodes, n)
 	}
@@ -174,25 +182,28 @@ func minForPage(durable, want wal.LSN) wal.LSN {
 	return durable
 }
 
-func (e *Engine) readKeyOn(c *sim.Clock, n *computeNode) func(key uint64) ([]byte, error) {
-	return func(key uint64) (val []byte, err error) {
-		rerr := e.readPage(c, n, e.layout.PageOf(key), func(data []byte) {
-			val, err = e.layout.ReadValue(data, key)
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-		return val, err
+func (e *Engine) readKeyOn(c *sim.Clock, n *computeNode, key uint64) (val []byte, err error) {
+	rerr := e.readPage(c, n, e.layout.PageOf(key), func(data []byte) {
+		val, err = e.layout.ReadValue(data, key)
+	})
+	if rerr != nil {
+		return nil, rerr
 	}
+	return val, err
+}
+
+// readKey is the pipeline's read hook: read-write transactions read on
+// whichever node is the primary.
+func (e *Engine) readKey(c *sim.Clock, key uint64) ([]byte, error) {
+	return e.readKeyOn(c, e.nodes[e.primary.Load()], key)
 }
 
 // Execute implements engine.Engine: runs on the primary.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	n := e.nodes[e.primary.Load()]
-	if n.crashed.Load() {
+	if e.nodes[e.primary.Load()].crashed.Load() {
 		return e.pipe.Shed()
 	}
-	return e.pipe.Execute(c, e.readKeyOn(c, n), fn)
+	return e.pipe.Execute(c, fn)
 }
 
 // durable: log to the storage volume (inherited from the PolarDB/Aurora
@@ -248,17 +259,24 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 	}()
 	for i := 0; i < len(updates); {
 		id := page.ID(updates[i].PageID)
-		// The one owned copy: mutated here, then Install makes it the frame.
+		// The one owned copy: mutated here, then Install makes it the frame
+		// (and releases the frame it replaces); until then it is private, so
+		// an error on the way gives it back.
 		var data []byte
-		if err := e.readPage(c, n, id, func(d []byte) { data = append([]byte(nil), d...) }); err != nil {
+		if err := e.readPage(c, n, id, func(d []byte) {
+			data = page.Alloc(len(d))
+			copy(data, d)
+		}); err != nil {
 			return err
 		}
 		for ; i < len(updates) && page.ID(updates[i].PageID) == id; i++ {
 			if err := e.layout.WriteValue(data, updates[i].Key, updates[i].After, lsn); err != nil {
+				page.Release(data)
 				return err
 			}
 		}
 		if err := e.Shared.Put(c, id, data); err != nil {
+			page.Release(data)
 			return err
 		}
 		e.stats.NetBytes.Add(int64(len(data)))
@@ -275,7 +293,7 @@ func (e *Engine) ReadReplica(c *sim.Clock, idx int, fn func(tx engine.Tx) error)
 	if n.crashed.Load() {
 		return e.pipe.Shed()
 	}
-	return e.pipe.ReadOnly(e.readKeyOn(c, n), fn)
+	return e.pipe.ReadOnly(c, n.read, fn)
 }
 
 // Crash implements engine.Recoverer: the primary dies (its local cache is
@@ -350,8 +368,7 @@ func (e *Engine) Nodes() int { return len(e.nodes) }
 // AddNode scales out by attaching a fresh secondary: a metadata operation
 // (no data movement — the point of shared storage + shared memory).
 func (e *Engine) AddNode(c *sim.Clock, localPages int) int {
-	n := &computeNode{qp: e.MemNode.Connect(nil)}
-	n.cache = buffer.NewPool(e.cfg, localPages, nil, nil)
+	n := e.newNode(localPages)
 	c.Advance(e.cfg.RDMARPC.Cost(64))
 	e.mu.Lock()
 	e.nodes = append(e.nodes, n)

@@ -141,7 +141,15 @@ func TestChaosCrashRecovery(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 2, 64, 4096), 22, 7.5)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 2, 64, 4096), 7, 2.25)
+}
+
+// TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
+// scratch (see enginetest.RecsRetentionGuard).
+func TestHooksMayNotKeepRecs(t *testing.T) {
+	enginetest.RecsRetentionGuard(t, func() engine.Engine {
+		return New(sim.DefaultConfig(), enginetest.Layout(t), 2, 64, 4096)
+	})
 }
 
 // dropSite is a fault injector that drops every operation at one site
@@ -272,5 +280,5 @@ func TestSamePageCommitsWaitForTheLatch(t *testing.T) {
 // shared pool allocates: readPage's probe buffer, refilled by the volume
 // read (see enginetest.MissAllocGuard).
 func TestMissAllocs(t *testing.T) {
-	enginetest.MissAllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1, 16, 64), 1)
+	enginetest.MissAllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1, 16, 64), 0.5)
 }

@@ -113,7 +113,7 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 		}
 		return i
 	}
-	st := engine.NewStagedTx(func(key uint64) ([]byte, error) {
+	st := engine.NewStagedTx(c, func(c *sim.Clock, key uint64) ([]byte, error) {
 		i, p := e.partOf(key)
 		if touch(key) != coord || i != coord {
 			// Remote read: one network round trip.
@@ -133,23 +133,24 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 		copy(out, v)
 		return out, nil
 	})
+	defer st.Release()
 	if err := fn(st); err != nil {
 		e.stats.Aborts.Add(1)
 		return err
 	}
-	keys, writes := st.WriteSet()
-	if len(keys) == 0 {
+	writes := st.Writes()
+	if len(writes) == 0 {
 		e.stats.Commits.Add(1)
 		return nil
 	}
 	// Group write set by partition.
-	byPart := map[int][]uint64{}
-	for _, k := range keys {
-		i, _ := e.partOf(k)
+	byPart := map[int][]engine.Write{}
+	for _, w := range writes {
+		i, _ := e.partOf(w.Key)
 		if coord == -1 {
 			coord = i
 		}
-		byPart[i] = append(byPart[i], k)
+		byPart[i] = append(byPart[i], w)
 	}
 	// Lock per partition (sorted keys: deadlock-free).
 	type held struct {
@@ -163,13 +164,13 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 		}
 		e.stats.Aborts.Add(1)
 	}
-	for _, k := range keys {
-		_, p := e.partOf(k)
-		if err := p.locks.Acquire(c, txID, k, txn.Exclusive, txn.DefaultAcquire); err != nil {
+	for _, w := range writes {
+		_, p := e.partOf(w.Key)
+		if err := p.locks.Acquire(c, txID, w.Key, txn.Exclusive, txn.DefaultAcquire); err != nil {
 			abort()
 			return engine.ErrConflict
 		}
-		locks = append(locks, held{p, k})
+		locks = append(locks, held{p, w.Key})
 	}
 	defer func() {
 		for _, h := range locks {
@@ -211,13 +212,13 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 	// Commit records + apply, parallel across participants.
 	maxCommit := time.Duration(0)
 	var commitNet int64
-	for i, ks := range byPart {
+	for i, ws := range byPart {
 		probe := sim.NewClock()
 		p := e.parts[i]
 		logBytes := 0
 		var lastLSN wal.LSN
-		for _, k := range ks {
-			rec := wal.Record{Type: wal.TypeUpdate, TxID: txID, PageID: uint64(e.layout.PageOf(k)), Key: k, After: writes[k]}
+		for _, w := range ws {
+			rec := wal.Record{Type: wal.TypeUpdate, TxID: txID, PageID: uint64(e.layout.PageOf(w.Key)), Key: w.Key, After: w.Val}
 			lastLSN = p.log.Append(rec)
 			logBytes += rec.EncodedSize()
 		}
@@ -234,10 +235,8 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 		p.ssd.Write(probe, logBytes)
 		e.stats.LogBytes.Add(int64(logBytes))
 		p.mu.Lock()
-		for _, k := range ks {
-			cp := make([]byte, len(writes[k]))
-			copy(cp, writes[k])
-			p.data[k] = cp
+		for _, w := range ws {
+			p.data[w.Key] = w.Val // staged values are never written again
 		}
 		p.mu.Unlock()
 		if probe.Now() > maxCommit {

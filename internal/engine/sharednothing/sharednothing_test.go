@@ -120,5 +120,5 @@ func TestRebalanceMovesData(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 4), 18, 2)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 4), 8, 1)
 }

@@ -61,7 +61,7 @@ func NewKV(cfg *sim.Config, layout heap.Layout) *KV {
 	}
 	// No page cache, so no directory: nothing has to hear about a commit.
 	e.pipe = engine.NewPipeline(cfg, "snowflake", layout, e.log, &e.stats,
-		engine.Hooks{Durable: e.durable, Apply: e.apply, Sequencer: &e.commitMu})
+		engine.Hooks{Read: e.readKey, Durable: e.durable, Apply: e.apply, Sequencer: &e.commitMu})
 	return e
 }
 
@@ -74,7 +74,9 @@ func (e *KV) Stats() *engine.Stats { return &e.stats }
 // DurableLSN reports the highest object-durable commit LSN.
 func (e *KV) DurableLSN() wal.LSN { return e.pipe.DurableLSN() }
 
-func (e *KV) readKey(key uint64) ([]byte, error) {
+// readKey is the pipeline's read hook: the materialized view, which costs no
+// virtual time.
+func (e *KV) readKey(_ *sim.Clock, key uint64) ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	v, ok := e.vals[key]
@@ -88,7 +90,7 @@ func (e *KV) readKey(key uint64) ([]byte, error) {
 
 // Execute implements engine.Engine.
 func (e *KV) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, e.readKey, fn)
+	return e.pipe.Execute(c, fn)
 }
 
 // durable: one immutable segment upload, named by the commit LSN. A failed
@@ -111,7 +113,7 @@ func (e *KV) durable(c *sim.Clock, recs []wal.Record) error {
 func (e *KV) apply(c *sim.Clock, recs []wal.Record) error {
 	e.mu.Lock()
 	for _, r := range recs[:len(recs)-1] {
-		e.vals[r.Key] = append([]byte(nil), r.After...)
+		e.vals[r.Key] = r.After // immutable once staged; readKey copies out
 	}
 	e.mu.Unlock()
 	return nil

@@ -118,7 +118,7 @@ func TestKVSnapshotObjectIsTheViewInKeyOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for key, val := range want {
-		if got, _ := e.readKey(key); !bytes.Equal(got, val) {
+		if got, _ := e.readKey(nil, key); !bytes.Equal(got, val) {
 			t.Fatalf("key %d after recovery from the snapshot: %x, want %x", key, got[:1], val[:1])
 		}
 	}
@@ -128,5 +128,13 @@ func TestKVSnapshotObjectIsTheViewInKeyOrder(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, NewKV(sim.DefaultConfig(), enginetest.Layout(t)), 17, 2.5)
+	enginetest.AllocGuard(t, NewKV(sim.DefaultConfig(), enginetest.Layout(t)), 5, 1.5)
+}
+
+// TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
+// scratch (see enginetest.RecsRetentionGuard).
+func TestHooksMayNotKeepRecs(t *testing.T) {
+	enginetest.RecsRetentionGuard(t, func() engine.Engine {
+		return NewKV(sim.DefaultConfig(), enginetest.Layout(t))
+	})
 }

@@ -71,12 +71,13 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, nPageServers int) *Engi
 	return e
 }
 
-// hooks is the engine's row of the commit-pipeline table: the log becomes
+// hooks is the engine's row of the commit-pipeline table: reads are served
+// from the compute cache over the page servers, the log becomes
 // durable in XLOG alone, page servers and the compute cache are brought
 // up to date off the commit path, and the single cache is excluded from
 // its own publishes.
 func (e *Engine) hooks() engine.Hooks {
-	return engine.Hooks{Durable: e.durable, Apply: e.apply}
+	return engine.Hooks{Read: e.read, Durable: e.durable, Apply: e.apply}
 }
 
 // Peer creates an additional compute node attached to root's shared
@@ -144,9 +145,14 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	return nil, lastErr
 }
 
+// read is the pipeline's read hook: the compute cache, filled by fetchPage.
+func (e *Engine) read(c *sim.Clock, key uint64) ([]byte, error) {
+	return e.pipe.ReadPool(c, e.pool, key)
+}
+
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
+	return e.pipe.Execute(c, fn)
 }
 
 // durable: the commit waits ONLY for the XLOG append.

@@ -130,5 +130,13 @@ func TestChaosCrashRecovery(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 2), 15, 3.25)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 2), 3, 2.25)
+}
+
+// TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
+// scratch (see enginetest.RecsRetentionGuard).
+func TestHooksMayNotKeepRecs(t *testing.T) {
+	enginetest.RecsRetentionGuard(t, func() engine.Engine {
+		return New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 2)
+	})
 }

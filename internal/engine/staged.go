@@ -1,9 +1,34 @@
 package engine
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+	"sync"
 
-// StagedTx is the transaction staging helper shared by the engines: reads
-// go through the engine's read path (checking the transaction's own write
+	"github.com/disagglab/disagg/internal/buffer/coherence"
+	"github.com/disagglab/disagg/internal/sim"
+	"github.com/disagglab/disagg/internal/wal"
+)
+
+// ReadFunc is an engine read path: the current value of key, read on the
+// worker's clock. The slice it returns is the caller's.
+type ReadFunc func(c *sim.Clock, key uint64) ([]byte, error)
+
+// Write is one staged update. Val is a private copy made when it was
+// staged; it is never written again, so a log or a replica may keep it.
+type Write struct {
+	Key uint64
+	Val []byte
+}
+
+// pin locates one pinned read in the arena.
+type pin struct {
+	key    uint64
+	off, n int
+}
+
+// StagedTx is the transaction context shared by the engines: reads go
+// through the engine's read path (checking the transaction's own write
 // buffer first), writes are buffered until commit. Engines call Writes at
 // commit to obtain the write set in deterministic (sorted) key order —
 // which also makes commit-time lock acquisition deadlock-free.
@@ -16,41 +41,72 @@ import "slices"
 // the pin a transaction re-reading a key could observe another worker's
 // concurrent commit mid-transaction (a non-repeatable read the history
 // checker flags); with it, every transaction sees a stable read set.
+//
+// A context is recycled: the pipeline takes one per Execute and releases it
+// when Execute returns, so the handle a workload closure receives is valid
+// only until that closure's Execute returns. Write set and read set are
+// slices searched linearly (transactions here are 1–64 keys), pinned values
+// share one byte arena, and the records and page stamps a commit builds
+// live here too. What a transaction still allocates is what outlives it:
+// the copy Read hands the caller and the copy Write stages.
 type StagedTx struct {
-	read   func(key uint64) ([]byte, error)
-	writes map[uint64][]byte
-	cache  map[uint64][]byte
-	stamp  uint64
+	c    *sim.Clock
+	read ReadFunc
+
+	writes []Write
+	pins   []pin
+	arena  []byte
+
+	// Commit scratch (Pipeline.commit): valid until Release.
+	recs   []wal.Record
+	stamps []coherence.PageStamp
+
+	stampTo *uint64
 }
 
-// NewStagedTx wraps an engine read path.
-func NewStagedTx(read func(key uint64) ([]byte, error)) *StagedTx {
-	return &StagedTx{read: read, writes: make(map[uint64][]byte)}
+var stagedPool = sync.Pool{New: func() any { return new(StagedTx) }}
+
+// NewStagedTx returns an empty context whose external reads go through read
+// on c. The pipeline builds its own; this is for an engine that commits
+// some other way, which may Release the context once nothing refers to it.
+func NewStagedTx(c *sim.Clock, read ReadFunc) *StagedTx {
+	t := stagedPool.Get().(*StagedTx)
+	t.c, t.read = c, read
+	return t
+}
+
+// Release empties the context and hands it to the next transaction. Nothing
+// may use it afterwards: the read path is cleared with the rest, so a handle
+// kept past its Execute panics on its first read instead of reading through
+// another worker's transaction. Staged values are dropped, not reused — a
+// log may still hold them.
+func (t *StagedTx) Release() {
+	clear(t.writes)
+	clear(t.recs)
+	*t = StagedTx{writes: t.writes[:0], pins: t.pins[:0], arena: t.arena[:0],
+		recs: t.recs[:0], stamps: t.stamps[:0]}
+	stagedPool.Put(t)
 }
 
 // Read implements Tx: the transaction sees its own staged writes first,
 // then its pinned read set, then the engine read path.
 func (t *StagedTx) Read(key uint64) ([]byte, error) {
-	if v, ok := t.writes[key]; ok {
-		out := make([]byte, len(v))
-		copy(out, v)
-		return out, nil
+	for i := range t.writes {
+		if t.writes[i].Key == key {
+			return slices.Clone(t.writes[i].Val), nil
+		}
 	}
-	if v, ok := t.cache[key]; ok {
-		out := make([]byte, len(v))
-		copy(out, v)
-		return out, nil
+	for _, p := range t.pins {
+		if p.key == key {
+			return slices.Clone(t.arena[p.off : p.off+p.n]), nil
+		}
 	}
-	v, err := t.read(key)
+	v, err := t.read(t.c, key)
 	if err != nil {
 		return v, err
 	}
-	if t.cache == nil {
-		t.cache = make(map[uint64][]byte)
-	}
-	pin := make([]byte, len(v))
-	copy(pin, v)
-	t.cache[key] = pin
+	t.pins = append(t.pins, pin{key: key, off: len(t.arena), n: len(v)})
+	t.arena = append(t.arena, v...)
 	return v, nil
 }
 
@@ -58,31 +114,38 @@ func (t *StagedTx) Read(key uint64) ([]byte, error) {
 func (t *StagedTx) Write(key uint64, val []byte) error {
 	cp := make([]byte, len(val))
 	copy(cp, val)
-	t.writes[key] = cp
+	for i := range t.writes {
+		if t.writes[i].Key == key {
+			t.writes[i].Val = cp
+			return nil
+		}
+	}
+	t.writes = append(t.writes, Write{Key: key, Val: cp})
 	return nil
 }
 
-// WriteSet returns the staged writes in ascending key order.
-func (t *StagedTx) WriteSet() ([]uint64, map[uint64][]byte) {
-	keys := make([]uint64, 0, len(t.writes))
-	for k := range t.writes {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys, t.writes
+// Writes sorts the staged writes into ascending key order and returns them.
+// The slice is the context's own, valid until Release.
+func (t *StagedTx) Writes() []Write {
+	slices.SortFunc(t.writes, func(a, b Write) int { return cmp.Compare(a.Key, b.Key) })
+	return t.writes
 }
 
 // Empty reports whether the transaction staged no writes.
 func (t *StagedTx) Empty() bool { return len(t.writes) == 0 }
+
+// StampTo names where the commit stamp is delivered. The caller of Execute
+// cannot ask the handle afterwards (it has been released by then), so a
+// recorder registers a destination from inside the transaction instead.
+func (t *StagedTx) StampTo(dst *uint64) { t.stampTo = dst }
 
 // StampCommit records the engine-assigned commit timestamp (commit-record
 // LSN or commit sequence number). Engines call it at the durability point:
 // once stamped, the transaction's effects may survive a crash even if the
 // commit is never acknowledged, which is exactly the distinction the
 // history checker needs between "definitely aborted" and "indeterminate".
-func (t *StagedTx) StampCommit(stamp uint64) { t.stamp = stamp }
-
-// CommitStamp reports the commit timestamp, if the transaction reached
-// its engine's durability point. Implements the Stamper contract
-// engine.Run uses for history recording.
-func (t *StagedTx) CommitStamp() (uint64, bool) { return t.stamp, t.stamp != 0 }
+func (t *StagedTx) StampCommit(stamp uint64) {
+	if t.stampTo != nil {
+		*t.stampTo = stamp
+	}
+}

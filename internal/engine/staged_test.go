@@ -3,12 +3,15 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
+
+	"github.com/disagglab/disagg/internal/sim"
 )
 
 func TestStagedTxReadYourWrites(t *testing.T) {
 	backing := map[uint64][]byte{7: []byte("base")}
-	st := NewStagedTx(func(key uint64) ([]byte, error) {
+	st := NewStagedTx(nil, func(_ *sim.Clock, key uint64) ([]byte, error) {
 		v, ok := backing[key]
 		if !ok {
 			return nil, errors.New("missing")
@@ -31,23 +34,23 @@ func TestStagedTxReadYourWrites(t *testing.T) {
 }
 
 func TestStagedTxWriteSetSortedAndCopied(t *testing.T) {
-	st := NewStagedTx(func(uint64) ([]byte, error) { return nil, nil })
+	st := NewStagedTx(nil, func(*sim.Clock, uint64) ([]byte, error) { return nil, nil })
 	buf := []byte{1}
 	st.Write(30, buf)
 	st.Write(10, []byte{2})
 	st.Write(20, []byte{3})
 	buf[0] = 99 // caller mutates after staging
-	keys, writes := st.WriteSet()
-	if len(keys) != 3 || keys[0] != 10 || keys[1] != 20 || keys[2] != 30 {
-		t.Fatalf("keys = %v", keys)
+	writes := st.Writes()
+	if len(writes) != 3 || writes[0].Key != 10 || writes[1].Key != 20 || writes[2].Key != 30 {
+		t.Fatalf("writes = %v", writes)
 	}
-	if writes[30][0] != 1 {
+	if writes[2].Val[0] != 1 {
 		t.Fatal("Write aliased the caller's buffer")
 	}
 	if st.Empty() {
 		t.Fatal("Empty with staged writes")
 	}
-	if !NewStagedTx(nil).Empty() {
+	if !NewStagedTx(nil, nil).Empty() {
 		t.Fatal("fresh tx not empty")
 	}
 }
@@ -59,7 +62,7 @@ func TestStagedTxWriteSetSortedAndCopied(t *testing.T) {
 // value for the transaction's lifetime.
 func TestStagedTxRepeatableReads(t *testing.T) {
 	calls := 0
-	st := NewStagedTx(func(key uint64) ([]byte, error) {
+	st := NewStagedTx(nil, func(*sim.Clock, uint64) ([]byte, error) {
 		calls++
 		return []byte{byte(calls)}, nil // a concurrent committer per read
 	})
@@ -77,7 +80,7 @@ func TestStagedTxRepeatableReads(t *testing.T) {
 		t.Fatalf("second key read %d", v3[0])
 	}
 	// Reads return copies of the pin, not the pin itself.
-	v2[0] = 99
+	v1[0], v2[0] = 98, 99
 	v4, _ := st.Read(9)
 	if v4[0] != 1 {
 		t.Fatal("pinned buffer aliased to caller")
@@ -85,20 +88,21 @@ func TestStagedTxRepeatableReads(t *testing.T) {
 }
 
 func TestStagedTxCommitStamp(t *testing.T) {
-	st := NewStagedTx(nil)
-	if _, ok := st.CommitStamp(); ok {
+	st := NewStagedTx(nil, nil)
+	st.StampCommit(40) // nobody asked: dropped
+	var stamp uint64
+	DeliverStamp(st, &stamp) // StagedTx satisfies the Run recording contract
+	if stamp != 0 {
 		t.Fatal("fresh tx claims a commit stamp")
 	}
 	st.StampCommit(41)
-	stamp, ok := st.CommitStamp()
-	if !ok || stamp != 41 {
-		t.Fatalf("stamp = %d, %v", stamp, ok)
+	if stamp != 41 {
+		t.Fatalf("stamp = %d, want 41", stamp)
 	}
-	var _ Stamper = st // StagedTx satisfies the Run recording contract
 }
 
 func TestStagedTxReadReturnsCopy(t *testing.T) {
-	st := NewStagedTx(nil)
+	st := NewStagedTx(nil, nil)
 	st.Write(1, []byte{5})
 	v, _ := st.Read(1)
 	v[0] = 77
@@ -115,4 +119,114 @@ func TestStagedTxReadReturnsCopy(t *testing.T) {
 	if !bytes.Equal(v3, []byte{6}) {
 		t.Fatal("bad value")
 	}
+}
+
+// A transaction far past the few keys the context's slices start with (the
+// preload shape: 200 keys) still reads its own writes, keeps its pins apart
+// as the arena grows, and sorts.
+func TestStagedTxManyKeys(t *testing.T) {
+	const n = 200
+	st := NewStagedTx(nil, func(_ *sim.Clock, key uint64) ([]byte, error) {
+		return []byte{byte(key), byte(key >> 8)}, nil
+	})
+	for i := n; i > 0; i-- { // descending: Writes has sorting to do
+		k := uint64(3 * i)
+		if v, err := st.Read(k + 1); err != nil || v[0] != byte(k+1) {
+			t.Fatalf("read %d: %v %v", k+1, v, err)
+		}
+		st.Write(k, []byte{byte(i)})
+	}
+	for i := 1; i <= n; i++ {
+		k := uint64(3 * i)
+		if v, _ := st.Read(k); v[0] != byte(i) {
+			t.Fatalf("key %d: read %d back, wrote %d", k, v[0], byte(i))
+		}
+		if v, _ := st.Read(k + 1); v[0] != byte(k+1) || v[1] != byte((k+1)>>8) {
+			t.Fatalf("key %d: pinned value %v", k+1, v)
+		}
+	}
+	writes := st.Writes()
+	if len(writes) != n || !slices.IsSortedFunc(writes, func(a, b Write) int { return int(a.Key) - int(b.Key) }) {
+		t.Fatalf("%d writes, sorted %v", len(writes), len(writes) == n)
+	}
+	// Sorting moved the entries, not what they say.
+	if v, _ := st.Read(3 * n); v[0] != byte(n) {
+		t.Fatalf("after the sort key %d reads %d", 3*n, v[0])
+	}
+}
+
+// A recycled context carries nothing of its previous transaction: B, built
+// from what A released and reading A's keys through a different read path,
+// sees no pin, no write, no record, no page stamp and no stamp destination
+// of A's.
+func TestStagedTxRecycledContextIsEmpty(t *testing.T) {
+	e := newPipeEngine(t)
+	var stampA uint64
+	var a *StagedTx
+	err := e.Execute(sim.NewClock(), func(tx Tx) error {
+		a = tx.(*StagedTx)
+		DeliverStamp(tx, &stampA)
+		if _, err := tx.Read(1); err != nil {
+			return err
+		}
+		if err := tx.Write(2, []byte{0xA2}); err != nil {
+			return err
+		}
+		return tx.Write(uint64(e.layout.PerPage)*3, []byte{0xA3})
+	})
+	if err != nil || stampA == 0 {
+		t.Fatalf("transaction A: err %v, stamp %d", err, stampA)
+	}
+	// Execute released a. Everything it carried is gone, including what the
+	// spare capacity of its slices would still show.
+	if a.read != nil || a.c != nil || a.stampTo != nil {
+		t.Error("released context keeps its read path, clock or stamp destination")
+	}
+	if len(a.writes)+len(a.pins)+len(a.arena)+len(a.recs)+len(a.stamps) != 0 {
+		t.Errorf("released context is not empty: %d writes, %d pins, %d arena bytes, %d records, %d stamps",
+			len(a.writes), len(a.pins), len(a.arena), len(a.recs), len(a.stamps))
+	}
+	for _, w := range a.writes[:cap(a.writes)] {
+		if w.Val != nil {
+			t.Error("released context still references a staged value")
+		}
+	}
+	for _, r := range a.recs[:cap(a.recs)] {
+		if r.After != nil {
+			t.Error("released context still references a logged value")
+		}
+	}
+
+	// B runs on a context built the same way (very likely a itself), with
+	// its own read path serving different bytes for the same keys.
+	b := NewStagedTx(nil, func(_ *sim.Clock, key uint64) ([]byte, error) { return []byte{0xB0 + byte(key)}, nil })
+	if !b.Empty() {
+		t.Fatal("recycled context has staged writes")
+	}
+	for _, key := range []uint64{1, 2} {
+		if v, err := b.Read(key); err != nil || v[0] != 0xB0+byte(key) {
+			t.Errorf("B read key %d = %x, %v: a pin or write of A's survived", key, v, err)
+		}
+	}
+	b.StampCommit(99)
+	if stampA == 99 {
+		t.Error("B's stamp was delivered to A's destination")
+	}
+	b.Release()
+}
+
+// A handle kept past its Execute must fail loudly, not read through
+// whichever transaction the context serves next.
+func TestStagedTxReadAfterReleasePanics(t *testing.T) {
+	st := NewStagedTx(nil, func(*sim.Clock, uint64) ([]byte, error) { return []byte{1}, nil })
+	if _, err := st.Read(1); err != nil {
+		t.Fatal(err)
+	}
+	st.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("Read on a released context did not panic")
+		}
+	}()
+	st.Read(1)
 }

@@ -58,7 +58,7 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, nPageStores int) *Engin
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, nil)
 	e.pipe = engine.NewPipeline(cfg, "taurus", layout, e.log, &e.stats,
-		engine.Hooks{Durable: e.durable, Apply: e.apply})
+		engine.Hooks{Read: e.read, Durable: e.durable, Apply: e.apply})
 	e.pipe.Coherent(coherence.ModeBump)
 	e.pipe.Cache("pool", e.pool)
 	return e
@@ -99,9 +99,14 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	return nil, storagenode.ErrStaleReplica
 }
 
+// read is the pipeline's read hook: the compute cache, filled by fetchPage.
+func (e *Engine) read(c *sim.Clock, key uint64) ([]byte, error) {
+	return e.pipe.ReadPool(c, e.pool, key)
+}
+
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, e.pipe.PoolReader(c, e.pool), fn)
+	return e.pipe.Execute(c, fn)
 }
 
 // durable: quorum append to the log stores; all (3) receive the batch.

@@ -11,7 +11,7 @@ package raft
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -253,7 +253,7 @@ func (g *Group) AppendBatch(c *sim.Clock, datas [][]byte) (int, error) {
 		op.End(0)
 		return 0, ErrNoQuorum
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] < acks[j] })
+	slices.Sort(acks)
 	g.meter.Charge(c, acks[majority-1])
 
 	// Advance commit on leader and (lazily) followers.
@@ -390,7 +390,7 @@ func (g *Group) Elect(c *sim.Clock) (int, error) {
 		p.term = maxTerm + 1
 		p.mu.Unlock()
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] < acks[j] })
+	slices.Sort(acks)
 	g.meter.Charge(c, acks[len(g.peers)/2])
 	g.leader = best
 	// The new leader's committed prefix is authoritative; followers

@@ -213,7 +213,10 @@ func (q *QP) post(c *sim.Clock, site string, verbs []Verb) error {
 		}
 	}
 	op.End(moved)
-	return nil
+	// Node.Fail sets the flag and then wipes memory, so a verb that passed
+	// the check at the top may have read wiped bytes (or written bytes that
+	// are gone): like a real NIC, complete it in error.
+	return q.alive()
 }
 
 // PostN posts verbs as one doorbell-batched submission with a single
@@ -347,6 +350,11 @@ func (q *QP) Call(c *sim.Clock, name string, req []byte) ([]byte, error) {
 	q.node.NIC.Charge(c, q.cfg.RDMARPC.Cost(len(req)))
 	q.node.CPU.Charge(c, q.cfg.RemoteCPU)
 	resp := h(c, req)
+	// As in post: the handler may have run on memory a concurrent Fail wiped.
+	if err := q.alive(); err != nil {
+		op.End(0)
+		return nil, err
+	}
 	q.stats.BytesIn.Add(int64(len(resp)))
 	// Response transfer (bandwidth term only; the round trip base was
 	// charged with the request).
@@ -376,6 +384,10 @@ func (q *QP) CallPersist(c *sim.Clock, addr uint64, p []byte) error {
 	q.node.NIC.Charge(c, q.cfg.RDMARPC.Cost(len(p)))
 	q.node.CPU.Charge(c, q.cfg.RemoteCPU)
 	if err := q.node.Mem.Write(addr, p); err != nil {
+		op.End(0)
+		return err
+	}
+	if err := q.alive(); err != nil {
 		op.End(0)
 		return err
 	}

@@ -436,3 +436,59 @@ func TestPostNInBatchReadFlushesPM(t *testing.T) {
 	}
 	_ = cfg
 }
+
+// failAt fails a node from inside the fault decision of one site: the point
+// of post after its liveness check and before it touches memory.
+type failAt struct {
+	site string
+	node *Node
+}
+
+func (f failAt) Inject(_ *sim.Clock, site string) sim.FaultOutcome {
+	if site == f.site {
+		f.node.Fail()
+	}
+	return sim.FaultOutcome{}
+}
+
+// Regression (remotecache TestConcurrentGetsSurviveReclaim's "returned wrong
+// bytes during reclaim"): Node.Fail sets the flag and then wipes memory, and
+// post checked the flag once, at the top — a verb overlapping the failure
+// completed with a nil error over wiped memory. It must return what was
+// written or ErrNodeFailed, as must a two-sided call whose handler ran on the
+// wiped memory.
+func TestVerbOverlappingNodeFailCompletesInError(t *testing.T) {
+	want := []byte{1, 2, 3, 4}
+	cfg, node := newTestNode(false)
+	qp := Connect(cfg, node, nil)
+	c := sim.NewClock()
+	if err := qp.Write(c, 0, want); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Fault = failAt{"rdma.read", node}
+	got := make([]byte, len(want))
+	if err := qp.Read(c, 0, got); err == nil && !bytes.Equal(got, want) {
+		t.Fatalf("READ that overlapped Node.Fail returned nil error and wiped bytes %x", got)
+	} else if err != nil && err != ErrNodeFailed {
+		t.Fatalf("READ that overlapped Node.Fail: %v, want ErrNodeFailed", err)
+	}
+
+	cfg, node = newTestNode(false)
+	qp = Connect(cfg, node, nil)
+	node.Handle("peek", func(_ *sim.Clock, _ []byte) []byte {
+		b := make([]byte, len(want))
+		node.Mem.Read(0, b)
+		return b
+	})
+	if err := qp.Write(c, 0, want); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Fault = failAt{"rdma.call", node}
+	if resp, err := qp.Call(c, "peek", nil); err == nil && !bytes.Equal(resp, want) {
+		t.Fatalf("call that overlapped Node.Fail returned nil error and wiped bytes %x", resp)
+	}
+	node.Restart()
+	if err := qp.CallPersist(c, 0, want); err != ErrNodeFailed {
+		t.Fatalf("persist call that overlapped Node.Fail: %v, want ErrNodeFailed", err)
+	}
+}

@@ -346,7 +346,7 @@ func (g *LogStoreGroup) Append(c *sim.Clock, recs []wal.Record) error {
 		op.End(0)
 		return ErrNoQuorum
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	slices.Sort(lats)
 	g.meter.Charge(c, lats[g.Quorum-1])
 	op.End(int64(encodedSize(recs)))
 	return nil

@@ -8,9 +8,10 @@
 package storagenode
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/disagglab/disagg/internal/heap"
@@ -240,7 +241,7 @@ func (r *Replica) materializeLocked(c *sim.Clock, id page.ID) []byte {
 	}
 	// Gossip and repair can deliver records out of order; redo must be
 	// applied in LSN order for the page-LSN idempotence check to hold.
-	sort.Slice(pend, func(i, j int) bool { return pend[i].LSN < pend[j].LSN })
+	slices.SortFunc(pend, func(a, b wal.Record) int { return cmp.Compare(a.LSN, b.LSN) })
 	p := page.Wrap(data)
 	var keep []wal.Record
 	for _, rec := range pend {

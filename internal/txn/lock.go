@@ -34,6 +34,9 @@ const (
 
 const lockStripes = 256
 
+// lockEntry is stored in its shard's map by value: an exclusive lock and
+// unlock on a warm shard allocate nothing. sHold is made on the first Shared
+// hold of the entry.
 type lockEntry struct {
 	xHolder uint64 // tx holding exclusive, 0 if none
 	sCount  int
@@ -42,7 +45,7 @@ type lockEntry struct {
 
 type lockShard struct {
 	mu      sync.Mutex
-	entries map[uint64]*lockEntry
+	entries map[uint64]lockEntry
 }
 
 // LockTable is a striped in-memory lock table with try-lock semantics.
@@ -54,7 +57,7 @@ type LockTable struct {
 func NewLockTable() *LockTable {
 	lt := &LockTable{}
 	for i := range lt.shards {
-		lt.shards[i].entries = make(map[uint64]*lockEntry)
+		lt.shards[i].entries = make(map[uint64]lockEntry)
 	}
 	return lt
 }
@@ -70,19 +73,17 @@ func (lt *LockTable) TryLock(tx uint64, key uint64, m Mode) bool {
 	s := lt.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		e = &lockEntry{sHold: make(map[uint64]int)}
-		s.entries[key] = e
-	}
+	e := s.entries[key]
 	switch m {
 	case Shared:
 		if e.xHolder != 0 && e.xHolder != tx {
 			return false
 		}
+		if e.sHold == nil {
+			e.sHold = make(map[uint64]int)
+		}
 		e.sHold[tx]++
 		e.sCount++
-		return true
 	default: // Exclusive
 		if e.xHolder == tx {
 			return true
@@ -95,8 +96,9 @@ func (lt *LockTable) TryLock(tx uint64, key uint64, m Mode) bool {
 			return false
 		}
 		e.xHolder = tx
-		return true
 	}
+	s.entries[key] = e
+	return true
 }
 
 // Unlock releases tx's hold on key in the given mode.
@@ -125,6 +127,8 @@ func (lt *LockTable) Unlock(tx uint64, key uint64, m Mode) {
 	}
 	if e.xHolder == 0 && e.sCount == 0 {
 		delete(s.entries, key)
+	} else {
+		s.entries[key] = e
 	}
 }
 

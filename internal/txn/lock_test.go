@@ -187,3 +187,26 @@ func TestRemoteAcquireContention(t *testing.T) {
 		t.Fatalf("completed %d/400 acquisitions", res.TotalOps)
 	}
 }
+
+// The commit pipeline only ever locks Exclusive, once per written key per
+// transaction: on a shard whose map has grown that must cost no allocation
+// (entries are stored by value; the Shared-holder map is made on the first
+// Shared hold).
+func TestExclusiveLockUnlockAllocatesNothing(t *testing.T) {
+	lt := NewLockTable()
+	const key = 42
+	lt.TryLock(1, key, Exclusive) // warm the shard
+	lt.Unlock(1, key, Exclusive)
+	got := testing.AllocsPerRun(1000, func() {
+		if !lt.TryLock(7, key, Exclusive) {
+			t.Fatal("free key refused")
+		}
+		lt.Unlock(7, key, Exclusive)
+	})
+	if got != 0 {
+		t.Errorf("%.1f allocations per exclusive lock/unlock pair, want 0", got)
+	}
+	if lt.Held(key) {
+		t.Error("entry left behind")
+	}
+}
