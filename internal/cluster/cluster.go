@@ -121,10 +121,18 @@ type detacher interface{ Detach() }
 // which is what makes "flip the shard map, then warm the gainers" atomic
 // with respect to traffic: no transaction can be executing on the old
 // owner while the new owner starts taking writes for a moved slot.
+//
+// Dispatches and membership changes run inside sim.RunGroup workers, and a
+// dispatch may wait for its turn (a lock, a group commit) while holding R.
+// A worker that blocked its goroutine on mu would then stall the whole
+// group, so no fleet path blocks on mu: each try-locks and sim.Waits
+// (rlock, lock). A pending membership change holds new dispatches back, so
+// it lands as soon as the in-flight ones finish.
 type Fleet struct {
 	spec Spec
 
 	mu      sync.RWMutex
+	writers atomic.Int32    // membership changes waiting for mu
 	members map[int]*Member // every member ever, incl. crashed/retired
 	order   []int           // creation order, for deterministic iteration
 	shard   *ShardMap
@@ -269,7 +277,12 @@ type RunOpts struct {
 // their write set within one shard (the seeded fleet workloads use
 // single-key writes; cross-shard transactions are the shared-nothing
 // engine's department).
+//
+// Run is one turn of its sim.RunGroup worker: it yields on entry, before
+// taking the membership lock, and the yield at engine.Run's entry is held
+// back while the lock is held.
 func (f *Fleet) Run(c *sim.Clock, key uint64, opts RunOpts, fn func(tx engine.Tx) error) error {
+	sim.Yield(c)
 	retries := opts.FailoverRetries
 	if retries <= 0 {
 		retries = 3
@@ -303,7 +316,7 @@ func (f *Fleet) Run(c *sim.Clock, key uint64, opts RunOpts, fn func(tx engine.Tx
 // dispatch routes and executes one fleet attempt under the membership
 // read lock, recording telemetry on the routed member.
 func (f *Fleet) dispatch(c *sim.Clock, key uint64, opts *RunOpts, fn func(tx engine.Tx) error) (*Member, error) {
-	f.mu.RLock()
+	f.rlock(c)
 	m := f.routeLocked(key, opts)
 	if m == nil {
 		f.mu.RUnlock()
@@ -328,7 +341,9 @@ func (f *Fleet) dispatch(c *sim.Clock, key uint64, opts *RunOpts, fn func(tx eng
 		// own meters, so they are not re-billed here.
 		m.Meter.Charge(c, cc)
 	}
+	sim.Hold(c)
 	err := engine.Run(m.E, c, opts.RunOpts, fn)
+	sim.Unhold(c)
 	if f.spec.ComputeCost <= 0 {
 		m.Meter.Observe(c, c.Now()-start)
 	}
@@ -338,6 +353,23 @@ func (f *Fleet) dispatch(c *sim.Clock, key uint64, opts *RunOpts, fn func(tx eng
 	m.inflight.Add(-1)
 	f.mu.RUnlock()
 	return m, err
+}
+
+// tryRLock takes mu in R mode unless a membership change is pending.
+func (f *Fleet) tryRLock() bool { return f.writers.Load() == 0 && f.mu.TryRLock() }
+
+// rlock takes mu in R mode, waiting out any pending membership change.
+func (f *Fleet) rlock(c *sim.Clock) {
+	for !f.tryRLock() && !sim.Wait(c, f.tryRLock) {
+	}
+}
+
+// lock takes mu in W mode once the in-flight dispatches have finished.
+func (f *Fleet) lock(c *sim.Clock) {
+	f.writers.Add(1)
+	for !f.mu.TryLock() && !sim.Wait(c, f.mu.TryLock) {
+	}
+	f.writers.Add(-1)
 }
 
 // routeLocked picks the member for one transaction. Callers hold mu.R.
@@ -420,7 +452,7 @@ func (f *Fleet) ScaleTo(c *sim.Clock, n int) (added, retired []int) {
 	if n < 1 {
 		n = 1
 	}
-	f.mu.Lock()
+	f.lock(c)
 	defer f.mu.Unlock()
 	if f.partitioned != nil {
 		if n != f.parts {
@@ -453,7 +485,7 @@ func (f *Fleet) ScaleTo(c *sim.Clock, n int) (added, retired []int) {
 // to survivors (who warm on the caller's clock), and its sessions drain.
 // The crashed member's Stats stay in the fleet totals.
 func (f *Fleet) Crash(c *sim.Clock, id int) error {
-	f.mu.RLock()
+	f.rlock(c)
 	if f.partitioned != nil {
 		f.mu.RUnlock()
 		return fmt.Errorf("%w: partitioned fleets do not crash members", ErrUnsupported)
@@ -474,11 +506,11 @@ func (f *Fleet) Crash(c *sim.Clock, id int) error {
 	f.mu.RUnlock()
 	// Kill the node BEFORE taking the membership write lock: in-flight
 	// transactions on it fail fast with ErrUnavailable (engine-side shed)
-	// and their fleet.Run re-route blocks on the read lock until the
+	// and their fleet.Run re-route waits for the read lock until the
 	// takeover below has flipped the shard map to the survivors.
 	m.state.Store(int32(stateCrashed))
 	m.caps.Recoverer.Crash()
-	f.mu.Lock()
+	f.lock(c)
 	defer f.mu.Unlock()
 	f.retireLocked(c, id, stateCrashed)
 	return nil

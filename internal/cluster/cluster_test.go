@@ -225,6 +225,56 @@ func TestFleetSmoke(t *testing.T) {
 		tot.Commits, tot.Aborts, tot.Shed, unavailable.Load())
 }
 
+// TestCrashMidRunLandsBeforeTheWorkersFinish crashes a member from one
+// worker halfway through its stream while three others keep writing with
+// group commit on, so dispatches park inside a batch holding the membership
+// lock. The crash must wait only for the dispatches in flight — new ones
+// queue behind it — and so land while the others are still about halfway,
+// not after they drain.
+func TestCrashMidRunLandsBeforeTheWorkersFinish(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	layout := mustLayout(t)
+	spec := auroraSpec(cfg, layout)
+	build := spec.New
+	spec.New = func(id int) engine.Engine {
+		e := build(id)
+		e.(engine.GroupCommitter).EnableGroupCommit(4, 50*time.Microsecond)
+		return e
+	}
+	f := cluster.New(spec, sim.NewClock(), 2)
+	const workers, opsEach = 4, 40
+	var othersDone atomic.Int32
+	othersAtCrash := int32(-1)
+	sim.RunGroup(workers, func(id int, c *sim.Clock) int {
+		v := make([]byte, layout.ValSize)
+		for i := 0; i < opsEach; i++ {
+			if id == 0 && i == opsEach/2 {
+				if err := f.Crash(c, 1); err != nil {
+					t.Errorf("crash: %v", err)
+				}
+				othersAtCrash = othersDone.Load()
+			}
+			key := uint64(1000 + id*opsEach + i)
+			f.Run(c, key, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 8}}, func(tx engine.Tx) error {
+				return tx.Write(key, v)
+			})
+			if id != 0 {
+				othersDone.Add(1)
+			}
+		}
+		return opsEach
+	})
+	// The workers move in virtual-time lockstep, so at worker 0's halfway
+	// point each other worker is at most one op past its own.
+	if limit := int32((workers - 1) * (opsEach/2 + 1)); othersAtCrash < 0 || othersAtCrash > limit {
+		t.Fatalf("crash landed after the others finished %d ops, want at most %d of %d",
+			othersAtCrash, limit, (workers-1)*opsEach)
+	}
+	if got := f.Size(); got != 1 {
+		t.Fatalf("fleet size %d after the crash, want 1", got)
+	}
+}
+
 // TestFleetReadOnlyRouting exercises least-loaded/session-affinity reads:
 // an acked write on the shard owner must be visible to a read-only
 // session routed to any other member (the refresh closes the watermark

@@ -121,7 +121,13 @@ func TestPipelineExitPaths(t *testing.T) {
 				}
 			}
 			var stamp uint64
-			err := e.Execute(sim.NewClock(), func(tx Tx) error { DeliverStamp(tx, &stamp); return fn(tx) })
+			var err error
+			// A lone worker: a lock held by a foreign transaction can never
+			// be released, so the wait for it fails instead of polling.
+			sim.RunGroup(1, func(_ int, c *sim.Clock) int {
+				err = e.Execute(c, func(tx Tx) error { DeliverStamp(tx, &stamp); return fn(tx) })
+				return 1
+			})
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}

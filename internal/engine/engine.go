@@ -311,7 +311,11 @@ var defaultBackoff = admission.Default()
 // attempt, exactly one of Commits/Aborts (inside the engine) or Shed
 // (here, for admission refusals) to the engine's Stats, and Attempts
 // counts them all.
+//
+// Run begins with a sim.Yield: under sim.RunGroup each transaction is a turn,
+// started by whichever worker is earliest in virtual time.
 func Run(e Engine, c *sim.Clock, opts RunOpts, fn func(tx Tx) error) error {
+	sim.Yield(c)
 	if opts.Profile == nil {
 		return run(e, c, opts, fn)
 	}

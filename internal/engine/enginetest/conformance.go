@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,6 +171,13 @@ func checkValue(res *conformanceResult, key uint64, st *keyState, v []byte, wher
 // own key range. Transient errors are tolerated and counted; the per-key
 // history records which writes were acknowledged.
 func runConformanceWorkload(e engine.Engine, layout heap.Layout, seed int64) *conformanceResult {
+	res := newConformanceResult(layout)
+	extendConformanceWorkload(e, res, seed)
+	return res
+}
+
+// newConformanceResult is the empty history of the conformance key ranges.
+func newConformanceResult(layout heap.Layout) *conformanceResult {
 	res := &conformanceResult{layout: layout, keys: make(map[uint64]*keyState), box: profile.NewBlackbox()}
 	for id := 0; id < confWorkers; id++ {
 		lo, hi := workerKeys(id)
@@ -177,7 +185,6 @@ func runConformanceWorkload(e engine.Engine, layout heap.Layout, seed int64) *co
 			res.keys[k] = &keyState{owner: id}
 		}
 	}
-	extendConformanceWorkload(e, res, seed)
 	return res
 }
 
@@ -188,15 +195,40 @@ func runConformanceWorkload(e engine.Engine, layout heap.Layout, seed int64) *co
 // crash/recover verification spans checkpointed pages, the retained log
 // tail, and everything in between.
 func extendConformanceWorkload(e engine.Engine, res *conformanceResult, seed int64) {
+	extendConformanceWorkloadBeside(e, res, seed, nil)
+}
+
+// extendConformanceWorkloadBeside is extendConformanceWorkload with bg, when
+// non-nil, as one more member of the workers' group. bg's next blocks until
+// a worker has finished another operation and reports whether any worker is
+// still running; bg returns once it reports false.
+func extendConformanceWorkloadBeside(e engine.Engine, res *conformanceResult, seed int64, bg func(c *sim.Clock, next func() bool)) {
 	layout := res.layout
 	res.rounds++
 	round := res.rounds
-	sim.RunGroup(confWorkers, func(id int, c *sim.Clock) int {
+	var ops atomic.Int64
+	var left atomic.Int32
+	left.Store(confWorkers)
+	members := confWorkers
+	if bg != nil {
+		members++
+	}
+	sim.RunGroup(members, func(id int, c *sim.Clock) int {
+		if id == confWorkers {
+			bg(c, func() bool {
+				mark := ops.Load()
+				sim.Wait(c, func() bool { return left.Load() == 0 || ops.Load() != mark })
+				return left.Load() > 0
+			})
+			return 0
+		}
+		defer left.Add(-1)
 		c.SetEvents(res.box.Recorder(fmt.Sprintf("round %d worker %d", round, id), confFlightEvents))
 		rng := sim.NewRand(seed, id)
 		lo, _ := workerKeys(id)
 		done := 0
 		for op := 0; op < confOps; op++ {
+			ops.Add(1)
 			key := lo + uint64(rng.Intn(confKeysEach))
 			st := res.keys[key]
 			if rng.Intn(100) < confWriteFrac {

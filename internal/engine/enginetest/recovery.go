@@ -1,8 +1,6 @@
 package enginetest
 
 import (
-	"runtime"
-	"sync"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/engine"
@@ -121,43 +119,25 @@ func runConcurrentCheckpoint(t *testing.T, factory Factory, seed int64) {
 		t.Skip("engine does not implement Checkpointer")
 	}
 
-	// The checkpointer runs on its own goroutine inside the same worker
-	// group as the ops — yielding between rounds so the scheduler
-	// interleaves rounds with live commits rather than letting the short
-	// workload finish first. stop closes once both workload passes are
-	// done; the checkpointer keeps pace until then.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var mu sync.Mutex
+	// The checkpointer is one more member of the workload's group: a round,
+	// then a wait until a worker has finished another operation, until the
+	// workload is done — so rounds interleave with live commits.
 	rounds := 0
 	var firstErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := sim.NewClock()
+	checkpointer := func(c *sim.Clock, next func() bool) {
 		for {
-			if err := cp.Checkpoint(c); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
+			if err := cp.Checkpoint(c); err != nil && firstErr == nil {
+				firstErr = err
 			}
-			mu.Lock()
 			rounds++
-			mu.Unlock()
-			select {
-			case <-stop:
+			if !next() {
 				return
-			default:
-				runtime.Gosched()
 			}
 		}
-	}()
-	res := runConformanceWorkload(e, layout, seed)
-	extendConformanceWorkload(e, res, seed+1)
-	close(stop)
-	wg.Wait()
+	}
+	res := newConformanceResult(layout)
+	extendConformanceWorkloadBeside(e, res, seed, checkpointer)
+	extendConformanceWorkloadBeside(e, res, seed+1, checkpointer)
 
 	if firstErr != nil {
 		t.Errorf("concurrent checkpoint on clean fabric: %v", firstErr)

@@ -240,23 +240,22 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 			pages = append(pages, updates[i].PageID)
 		}
 	}
-	for _, id := range pages {
-		// The commit is already durable, so a busy latch is waited out,
-		// never surfaced as a conflict. The wait ends: latches are taken
-		// only here, in ascending page order (a holder waits only for
-		// higher pages), and the defer below releases them before apply
-		// returns. It has no bound on purpose: an Acquire round lasts
-		// microseconds of host time, a descheduled holder keeps its latch
-		// for milliseconds, and giving up would fail a durable commit on
-		// scheduler noise (TestSamePageCommitsWaitForTheLatch).
-		for e.latches.Acquire(c, txID, id, txn.Exclusive, txn.DefaultAcquire) != nil {
-		}
-	}
+	held := 0
 	defer func() {
-		for _, id := range pages {
+		for _, id := range pages[:held] {
 			e.latches.Unlock(txID, id, txn.Exclusive)
 		}
 	}()
+	for _, id := range pages {
+		// The commit is already durable, so a busy latch is waited out,
+		// never surfaced as a conflict. Latches are taken only here, in
+		// ascending page order, and released before apply returns, so the
+		// wait ends (TestSamePageCommitsWaitForTheLatch).
+		if err := e.latches.Acquire(c, txID, id, txn.Exclusive, txn.DefaultAcquire); err != nil {
+			return err
+		}
+		held++
+	}
 	for i := 0; i < len(updates); {
 		id := page.ID(updates[i].PageID)
 		// The one owned copy: mutated here, then Install makes it the frame

@@ -1,7 +1,10 @@
 package socrates
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/disagglab/disagg/internal/cluster"
 	"github.com/disagglab/disagg/internal/engine"
@@ -139,4 +142,65 @@ func TestHooksMayNotKeepRecs(t *testing.T) {
 	enginetest.RecsRetentionGuard(t, func() engine.Engine {
 		return New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 2)
 	})
+}
+
+// TestGroupRoundsStayFlat drives bench's oltp_group shape for 30 rounds:
+// eight clients under sim.RunGroup with group commit on, each resuming its
+// own clock every round, private keys plus 5% on shared hot keys. Group
+// commit must keep grouping however far apart the clients' clocks drift,
+// so flushes and allocations per commit in the last round match the second
+// (the first warms the cache).
+func TestGroupRoundsStayFlat(t *testing.T) {
+	layout := enginetest.Layout(t)
+	e := New(sim.DefaultConfig(), layout, 1024, 2)
+	e.EnableGroupCommit(8, 50*time.Microsecond)
+	const clients, perRound, rounds, keys, hot = 8, 100, 30, 64, 64
+	clocks := make([]time.Duration, clients)
+	rngs := make([]*rand.Rand, clients)
+	for id := range rngs {
+		rngs[id] = sim.NewRand(5, id)
+	}
+	val := make([]byte, layout.ValSize)
+	round := func() (allocsPerTxn, flushesPerTxn float64) {
+		flushes := e.Stats().GroupFlushes.Load()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sim.RunGroup(clients, func(id int, c *sim.Clock) int {
+			c.AdvanceTo(clocks[id])
+			for i := 0; i < perRound; i++ {
+				key := uint64(id*keys + rngs[id].Intn(keys))
+				if rngs[id].Intn(100) < 5 {
+					key = uint64(clients*keys + rngs[id].Intn(hot))
+				}
+				err := engine.Run(e, c, engine.RunOpts{Retries: 50}, func(tx engine.Tx) error {
+					if _, err := tx.Read(key); err != nil {
+						return err
+					}
+					return tx.Write(key, val)
+				})
+				if err != nil {
+					t.Errorf("client %d: %v", id, err)
+				}
+			}
+			clocks[id] = c.Now()
+			return perRound
+		})
+		runtime.ReadMemStats(&after)
+		n := float64(clients * perRound)
+		return float64(after.Mallocs-before.Mallocs) / n, float64(e.Stats().GroupFlushes.Load()-flushes) / n
+	}
+	round()
+	allocs2, flushes2 := round()
+	var allocsN, flushesN float64
+	for r := 2; r < rounds; r++ {
+		allocsN, flushesN = round()
+	}
+	t.Logf("round 2: %.2f allocs, %.3f flushes per commit; round %d: %.2f, %.3f",
+		allocs2, flushes2, rounds, allocsN, flushesN)
+	if flushesN > flushes2*1.1 {
+		t.Errorf("flushes per commit grew from %.3f to %.3f: groups split as clocks drift", flushes2, flushesN)
+	}
+	if allocsN > allocs2*1.05 {
+		t.Errorf("allocations per commit grew from %.2f to %.2f", allocs2, allocsN)
+	}
 }

@@ -32,10 +32,24 @@ func oltpLayout() heap.Layout {
 // runOLTP drives a TPC-C-lite workload with `workers` clients and reports
 // the group result plus per-transaction latency stats.
 func runOLTP(e engine.Engine, workers, txns int) (sim.GroupResult, metrics.Summary) {
+	return runOLTPBeside(e, workers, txns, nil)
+}
+
+// runOLTPBeside is runOLTP with bg, when non-nil, as one more member of the
+// clients' group, left out of the result.
+func runOLTPBeside(e engine.Engine, workers, txns int, bg func(c *sim.Clock)) (sim.GroupResult, metrics.Summary) {
 	var hist []time.Duration
 	histCh := make(chan time.Duration, workers*txns)
 	w := workload.DefaultTPCC()
-	res := sim.RunGroup(workers, func(id int, c *sim.Clock) int {
+	members := workers
+	if bg != nil {
+		members++
+	}
+	all := sim.RunGroup(members, func(id int, c *sim.Clock) int {
+		if id == workers {
+			bg(c)
+			return 0
+		}
 		g := w.NewGenerator(42, id)
 		done := 0
 		for i := 0; i < txns; i++ {
@@ -50,6 +64,11 @@ func runOLTP(e engine.Engine, workers, txns int) (sim.GroupResult, metrics.Summa
 	close(histCh)
 	for d := range histCh {
 		hist = append(hist, d)
+	}
+	res := sim.GroupResult{Workers: workers, TotalOps: all.TotalOps, PerWorker: all.PerWorker[:workers]}
+	for _, d := range res.PerWorker {
+		res.SumTime += d
+		res.MakeSpan = max(res.MakeSpan, d)
 	}
 	return res, metrics.Summarize(hist)
 }

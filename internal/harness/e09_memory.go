@@ -216,7 +216,7 @@ func runE11(cfg *sim.Config, s Scale) *Result {
 				for i := 0; i < opsPer; i++ {
 					op := g.Next()
 					if locked {
-						if err := lt.Acquire(c, lqp, uint64(id+1), op.Key, txn.AcquireOpts{Retries: 1000, Backoff: time.Microsecond}); err != nil {
+						if err := lt.Acquire(c, lqp, uint64(id+1), op.Key, txn.DefaultAcquire); err != nil {
 							continue
 						}
 					}

@@ -238,7 +238,7 @@ func runE20(cfg *sim.Config, s Scale) *Result {
 				k := uint64(rng.Int63n(int64(keys)))
 				if multiWriter {
 					// Lock via remote CAS, write, unlock.
-					if err := locks.Acquire(c, qp, tx, k, txn.AcquireOpts{Retries: 100, Backoff: time.Microsecond}); err != nil {
+					if err := locks.Acquire(c, qp, tx, k, txn.DefaultAcquire); err != nil {
 						continue
 					}
 					var val [8]byte

@@ -96,24 +96,22 @@ func runE22(cfg *sim.Config, s Scale) *Result {
 	runHTAP := func() (float64, time.Duration, time.Duration) {
 		e := build()
 		var scanTime time.Duration
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			// The analytical reader sweeps the whole keyspace on a
-			// secondary (fresh via the shared pool, no log replay).
-			c := sim.NewClock()
+		// The analytical reader sweeps the whole keyspace on a secondary
+		// (fresh via the shared pool, no log replay), one read-only
+		// transaction per page, as one more member of the OLTP clients'
+		// group.
+		scan := func(c *sim.Clock) {
 			w := workload.DefaultTPCC()
 			for k := uint64(0); k < w.TotalKeys(); k += uint64(layout.PerPage) {
 				key := k
-				e.ReadReplica(c, 1, func(tx engine.Tx) error {
+				engine.Run(e, c, engine.RunOpts{Replica: 2}, func(tx engine.Tx) error {
 					_, err := tx.Read(key)
 					return err
 				})
 			}
 			scanTime = c.Now()
-		}()
-		res, sum := runOLTP(e, 2, txns/2)
-		<-done
+		}
+		res, sum := runOLTPBeside(e, 2, txns/2, scan)
 		return res.Throughput(), sum.P99, scanTime
 	}
 	baseTput, baseP99 := runOLTPOnly()

@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -72,7 +73,8 @@ type e25Cell struct {
 	shed     int64         // engine-side shed (breaker/shedder refusals)
 	meanLat  time.Duration // mean engine attempt latency
 	makespan time.Duration
-	goodput  float64 // SLO-met commits per virtual second
+	lastGood time.Duration // virtual time the last SLO-met op completed
+	goodput  float64       // SLO-met commits per virtual second
 }
 
 // amplification is engine attempts per offered client op.
@@ -111,6 +113,7 @@ func e25Run(cfg *sim.Config, build func(*sim.Config) engine.Engine, workers, txn
 	}
 	e := build(cfg)
 	var latSum, latN atomic.Int64
+	lastGood := make([]time.Duration, workers)
 	res := sim.RunGroup(workers, func(id int, c *sim.Clock) int {
 		rng := sim.NewRand(e25Seed, id)
 		good, consecFails := 0, 0
@@ -136,6 +139,7 @@ func e25Run(cfg *sim.Config, build func(*sim.Config) engine.Engine, workers, txn
 				latN.Add(1)
 				if err == nil && d <= slo {
 					good++
+					lastGood[id] = c.Now()
 					failed = false
 					break
 				}
@@ -189,6 +193,7 @@ func e25Run(cfg *sim.Config, build func(*sim.Config) engine.Engine, workers, txn
 		attempts: st.Attempts.Load(),
 		shed:     st.Shed.Load(),
 		makespan: res.MakeSpan,
+		lastGood: slices.Max(lastGood),
 		goodput:  res.Throughput(),
 	}
 	if n := latN.Load(); n > 0 {
@@ -272,22 +277,16 @@ func runE25(cfg *sim.Config, s Scale) *Result {
 			raw[last].amplification(), adm[last].amplification(), wMax)
 	}
 
-	// Chaos arm: the fault profiles from the conformance suite. Under the
-	// virtual-time partition window the raw client is livelocked — failed
-	// zero-delay retries charge (almost) no virtual time, so its clock
-	// never reaches the healed epoch and the retry budget burns out inside
-	// the window. Backoff charges the clock, so the admitted client rides
-	// the window out, and the breaker converts the sustained
-	// ErrUnavailable burst into fast-fails.
 	// Chaos arm: seeded fault profiles on the conformance suite's injector.
 	// drop-storm loses half of all durable-append deliveries, so quorums
 	// fail often and the raw client's zero-delay retries amplify offered
-	// load; the partition profile blacks the fabric out for a virtual-time
-	// window [2ms, 6ms), which livelocks the raw client — its failed
-	// retries charge almost no virtual time, so its clock never reaches
-	// the heal epoch and the retry budget burns out inside the window.
-	// Backoff charges the clock, so the admitted client rides the window
-	// out, and the breaker converts the unavailability burst into
+	// load. The partition profile blacks the fabric out for a virtual-time
+	// window: a failed attempt inside it charges well under a microsecond,
+	// so the raw client abandons every op it offers there, 13 attempts
+	// each, and its clock never reaches the heal — it completes exactly the
+	// ops it finished before the window opened. Backoff charges the clock,
+	// so the admitted client rides the window out and lands ops after the
+	// heal, and the breaker converts the unavailability burst into
 	// fast-fails.
 	chaosW := 16
 	chaosTxns := pick(s, 96, 160)
@@ -321,19 +320,17 @@ func runE25(cfg *sim.Config, s Scale) *Result {
 				rc.amplification() >= 2*ac.amplification(),
 				"raw %.1f vs admitted %.1f attempts/op", rc.amplification(), ac.amplification())
 		case "partition":
-			rawGood := rc.good
-			if rawGood < 1 {
-				rawGood = 1
-			}
-			r.check("partition: backoff rides the window out — admitted completes >=2x the ops",
-				ac.good >= 2*rawGood,
-				"admitted %d/%d vs raw %d/%d SLO-met", ac.good, offered, rc.good, offered)
+			heal := p.Partitions[0].End
+			r.check("partition: backoff rides the window out — admitted lands ops after the heal, raw none",
+				ac.lastGood >= heal && rc.lastGood < heal && ac.good > rc.good,
+				"admitted %d/%d SLO-met, the last at %v; raw %d/%d, the last at %v; heal at %v",
+				ac.good, offered, ac.lastGood, rc.good, offered, rc.lastGood, heal)
 			r.check("partition: breaker trips and fast-fails during the window",
 				bs.Trips >= 1 && bs.FastFails > 0, "trips=%d fastFails=%d", bs.Trips, bs.FastFails)
 			r.check("partition: raw client is livelocked inside the window",
-				rc.makespan < 6*time.Millisecond && ac.makespan >= 6*time.Millisecond,
-				"raw makespan %v never reaches the heal epoch at 6ms; admitted %v does",
-				rc.makespan, ac.makespan)
+				rc.makespan < heal && ac.makespan >= heal,
+				"raw makespan %v never reaches the heal epoch at %v; admitted %v does",
+				rc.makespan, heal, ac.makespan)
 		}
 	}
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -71,6 +72,36 @@ func TestAllExperimentsPassAtQuickScale(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestQuickScaleRendersIdenticalBytes runs every experiment twice at quick
+// scale and requires the same rendered bytes: tables, notes and checks are
+// a function of the seed and the virtual clocks, never of the Go scheduler.
+func TestQuickScaleRendersIdenticalBytes(t *testing.T) {
+	render := func(e Experiment) string {
+		var buf bytes.Buffer
+		Render(&buf, e.Run(sim.DefaultConfig(), Quick))
+		return buf.String()
+	}
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			if a, b := render(e), render(e); a != b {
+				t.Fatalf("%s rendered differently on a second run:\n%s", e.ID, firstDiff(a, b))
+			}
+		})
+	}
+}
+
+// firstDiff shows the first line where a and b differ.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return "line " + strconv.Itoa(i+1) + ":\n  " + al[i] + "\n  " + bl[i]
+		}
+	}
+	return "one output is a prefix of the other"
 }
 
 func TestRenderIncludesTables(t *testing.T) {

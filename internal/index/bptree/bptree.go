@@ -13,8 +13,8 @@ package bptree
 import (
 	"encoding/binary"
 	"errors"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/disagglab/disagg/internal/memnode"
@@ -56,9 +56,9 @@ const maxKey = ^uint64(0)
 
 // Package errors.
 var (
-	ErrRetriesExhausted = errors.New("bptree: retries exhausted")
-	ErrFull             = errors.New("bptree: node unexpectedly full")
-	ErrCorrupt          = errors.New("bptree: corrupt node (lost remote memory?)")
+	ErrDeadlock = errors.New("bptree: wait deadlocked")
+	ErrFull     = errors.New("bptree: node unexpectedly full")
+	ErrCorrupt  = errors.New("bptree: corrupt node (lost remote memory?)")
 )
 
 // Options select which Sherman optimizations are active.
@@ -93,7 +93,8 @@ type Tree struct {
 	rootMu sync.RWMutex
 	root   uint64 // remote addr of root node
 
-	smo sync.Mutex
+	smo  sync.Mutex
+	smos atomic.Uint64 // structure modifications completed
 }
 
 // New allocates an empty tree (a single empty leaf as root).
@@ -181,8 +182,6 @@ type Client struct {
 	t  *Tree
 	qp *rdma.QP
 	id uint64
-	// Retries bounds optimistic-read and lock retry loops.
-	Retries int
 }
 
 // Attach creates a client; stats may be nil.
@@ -190,7 +189,7 @@ func (t *Tree) Attach(id uint64, stats *rdma.Stats) *Client {
 	if id == 0 {
 		id = 1
 	}
-	return &Client{t: t, qp: t.pool.Connect(stats), id: id, Retries: 1000}
+	return &Client{t: t, qp: t.pool.Connect(stats), id: id}
 }
 
 // lockCost is the latency of one lock CAS: cheaper with on-chip locks.
@@ -201,10 +200,12 @@ func (c *Client) lockCost() time.Duration {
 	return c.t.cfg.RDMA.Cost(8)
 }
 
-// lockNode spins on CAS(lock: 0 -> id).
+// lockNode takes the node's lock word with CAS(0 -> id). After a lost CAS
+// the client waits, uncharged, until the word reads free, then CASes again.
 func (c *Client) lockNode(clk *sim.Clock, addr uint64) error {
-	for i := 0; i < c.Retries; i++ {
-		ok, err := c.t.pool.Node().Mem.CAS64(addr+offLock, 0, c.id)
+	mem := c.t.pool.Node().Mem
+	for {
+		ok, err := mem.CAS64(addr+offLock, 0, c.id)
 		if err != nil {
 			return err
 		}
@@ -212,10 +213,13 @@ func (c *Client) lockNode(clk *sim.Clock, addr uint64) error {
 		if ok {
 			return nil
 		}
-		clk.Advance(c.t.cfg.RDMA.Base / 4) // backoff
-		runtime.Gosched()
+		if !sim.Wait(clk, func() bool {
+			w, err := mem.Load64(addr + offLock)
+			return err != nil || w == 0
+		}) {
+			return ErrDeadlock
+		}
 	}
-	return ErrRetriesExhausted
 }
 
 func (c *Client) unlockNode(clk *sim.Clock, addr uint64) error {
@@ -231,7 +235,7 @@ func (c *Client) unlockNode(clk *sim.Clock, addr uint64) error {
 // across the read (lock coupling).
 func (c *Client) readNode(clk *sim.Clock, addr uint64) (node, error) {
 	if c.t.opt.OptimisticReads {
-		for i := 0; i < c.Retries; i++ {
+		for {
 			buf := make([]byte, nodeSize)
 			if err := c.qp.Read(clk, addr, buf); err != nil {
 				return node{}, err
@@ -241,10 +245,11 @@ func (c *Client) readNode(clk *sim.Clock, addr uint64) (node, error) {
 			if front == back && front%2 == 0 {
 				return decodeNode(addr, buf), nil
 			}
-			clk.Advance(c.t.cfg.RDMA.Base / 4)
-			runtime.Gosched()
+			// Torn: wait, uncharged, until the version words agree.
+			if !sim.Wait(clk, func() bool { return c.settled(addr) }) {
+				return node{}, ErrDeadlock
+			}
 		}
-		return node{}, ErrRetriesExhausted
 	}
 	// Lock-coupled read.
 	if err := c.lockNode(clk, addr); err != nil {
@@ -284,43 +289,58 @@ func (c *Client) writeNode(clk *sim.Clock, n *node) error {
 	return c.qp.Write(clk, n.addr+offVerBack, buf[offVerBack:])
 }
 
+// settled reports, from the node's words read without a verb, whether its
+// front and back versions agree: the condition a torn reader waits for.
+func (c *Client) settled(addr uint64) bool {
+	mem := c.t.pool.Node().Mem
+	front, err := mem.Load64(addr + offVersion)
+	if err != nil {
+		return true
+	}
+	back, err := mem.Load64(addr + offVerBack)
+	return err != nil || front == back && front%2 == 0
+}
+
 func (t *Tree) rootAddr() uint64 {
 	t.rootMu.RLock()
 	defer t.rootMu.RUnlock()
 	return t.root
 }
 
-// Get returns the value stored for key. A leaf that no longer covers the
-// key (concurrent split moved it) triggers a retry from the root.
-func (c *Client) Get(clk *sim.Clock, key uint64) (uint64, bool, error) {
-	for attempt := 0; attempt < c.Retries; attempt++ {
-		addr := c.t.rootAddr()
-		for {
-			n, err := c.readNode(clk, addr)
-			if err != nil {
-				return 0, false, err
-			}
-			if n.leaf {
-				if !n.covers(key) {
-					clk.Advance(c.t.cfg.RDMA.Base / 4)
-					runtime.Gosched()
-					break // stale routing: retry from root
-				}
-				for i := 0; i < n.count; i++ {
-					if n.keys[i] == key {
-						return n.vals[i], true, nil
-					}
-				}
-				return 0, false, nil
-			}
-			next, err := childFor(&n, key)
-			if err != nil {
-				return 0, false, err
-			}
-			addr = next
-		}
+// waitSMO waits until a structure modification has completed since the
+// count seen. A descent that reached a leaf no longer covering its key ran
+// into a split in progress; until that split finishes, every descent takes
+// the same stale route.
+func (c *Client) waitSMO(clk *sim.Clock, seen uint64) error {
+	if c.t.smos.Load() == seen && !sim.Wait(clk, func() bool { return c.t.smos.Load() != seen }) {
+		return ErrDeadlock
 	}
-	return 0, false, ErrRetriesExhausted
+	return nil
+}
+
+// Get returns the value stored for key. A leaf that no longer covers the
+// key (concurrent split moved it) sends the reader back to the root once
+// the split has finished.
+func (c *Client) Get(clk *sim.Clock, key uint64) (uint64, bool, error) {
+	for {
+		smos := c.t.smos.Load()
+		n, err := c.descend(clk, key)
+		if err != nil {
+			return 0, false, err
+		}
+		if !n.covers(key) {
+			if err := c.waitSMO(clk, smos); err != nil {
+				return 0, false, err
+			}
+			continue
+		}
+		for i := 0; i < n.count; i++ {
+			if n.keys[i] == key {
+				return n.vals[i], true, nil
+			}
+		}
+		return 0, false, nil
+	}
 }
 
 // childFor picks the child pointer for key in an inner node: vals[i] leads
@@ -341,11 +361,13 @@ func childFor(n *node, key uint64) (uint64, error) {
 
 // Put inserts or updates key -> val.
 func (c *Client) Put(clk *sim.Clock, key, val uint64) error {
-	for attempt := 0; attempt < c.Retries; attempt++ {
-		leafAddr, err := c.descendToLeaf(clk, key)
+	for {
+		smos := c.t.smos.Load()
+		leaf, err := c.descend(clk, key)
 		if err != nil {
 			return err
 		}
+		leafAddr := leaf.addr
 		if err := c.lockNode(clk, leafAddr); err != nil {
 			return err
 		}
@@ -357,8 +379,12 @@ func (c *Client) Put(clk *sim.Clock, key, val uint64) error {
 		}
 		n := decodeNode(leafAddr, buf)
 		if !n.leaf || !n.covers(key) {
-			// Node was split/retargeted under us; retry from the root.
+			// Node was split/retargeted under us; retry from the root once
+			// the split has finished.
 			c.unlockNode(clk, leafAddr)
+			if err := c.waitSMO(clk, smos); err != nil {
+				return err
+			}
 			continue
 		}
 		// Update in place?
@@ -383,23 +409,22 @@ func (c *Client) Put(clk *sim.Clock, key, val uint64) error {
 		}
 		return nil
 	}
-	return ErrRetriesExhausted
 }
 
-// descendToLeaf walks inner nodes to the leaf that should hold key.
-func (c *Client) descendToLeaf(clk *sim.Clock, key uint64) (uint64, error) {
+// descend walks inner nodes to the leaf that should hold key.
+func (c *Client) descend(clk *sim.Clock, key uint64) (node, error) {
 	addr := c.t.rootAddr()
 	for {
 		n, err := c.readNode(clk, addr)
 		if err != nil {
-			return 0, err
+			return node{}, err
 		}
 		if n.leaf {
-			return addr, nil
+			return n, nil
 		}
 		addr, err = childFor(&n, key)
 		if err != nil {
-			return 0, err
+			return node{}, err
 		}
 	}
 }
@@ -420,8 +445,13 @@ func insertSorted(n *node, key, val uint64) {
 // mutex, then inserts the key. Serializing SMOs keeps the remote structure
 // consistent; leaf-level inserts stay concurrent.
 func (c *Client) splitAndInsert(clk *sim.Clock, key, val uint64) error {
-	c.t.smo.Lock()
+	// Node-lock waits happen under smo, so another splitter waits for it
+	// with sim.Wait rather than blocking its goroutine.
+	if !c.t.smo.TryLock() && !sim.Wait(clk, c.t.smo.TryLock) {
+		return ErrDeadlock
+	}
 	defer c.t.smo.Unlock()
+	defer c.t.smos.Add(1)
 	// A leaf can refill between our split and insert (concurrent
 	// non-SMO writers); retry the SMO insert a few times.
 	var err error

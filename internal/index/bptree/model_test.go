@@ -64,11 +64,7 @@ func TestFenceInvariants(t *testing.T) {
 	// are within the fences.
 	for i := uint64(1); i <= 1000; i++ {
 		key := i * 3
-		addr, err := cl.descendToLeaf(clk, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := cl.readNode(clk, addr)
+		n, err := cl.descend(clk, key)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"github.com/disagglab/disagg/internal/memnode"
@@ -116,13 +115,11 @@ type Client struct {
 	h  *Hash
 	qp *rdma.QP
 	id uint64
-	// Retries bounds CAS retry loops under contention.
-	Retries int
 }
 
 // Attach creates a client. stats may be nil.
 func (h *Hash) Attach(id uint64, stats *rdma.Stats) *Client {
-	return &Client{h: h, qp: h.pool.Connect(stats), id: id, Retries: 64}
+	return &Client{h: h, qp: h.pool.Connect(stats), id: id}
 }
 
 // lookupSub resolves the subtable and bucket address for a key from the
@@ -205,7 +202,7 @@ func (c *Client) Put(clk *sim.Clock, key uint64, val []byte) error {
 	}
 	newSlot := packSlot(fp, uint16(len(val)), uint32(blkAddr))
 
-	for attempt := 0; attempt < c.Retries; attempt++ {
+	for {
 		st, baddr := c.lookupSub(key)
 		slots, err := c.readBucket(clk, baddr)
 		if err != nil {
@@ -247,12 +244,13 @@ func (c *Client) Put(clk *sim.Clock, key uint64, val []byte) error {
 				if err := c.split(clk, st); err != nil {
 					return err
 				}
+				continue
 			}
 		}
-		clk.Advance(c.h.cfg.RDMA.Base / 2) // backoff
-		runtime.Gosched()
+		// A CAS lost to another writer: the slot it compared against has
+		// changed, so the re-read already sees something new — there is
+		// nothing to wait for.
 	}
-	return ErrTableFull
 }
 
 // tryReplace CASes the slot holding key (matched by fingerprint + key
@@ -285,7 +283,7 @@ func (c *Client) Delete(clk *sim.Clock, key uint64) (bool, error) {
 	if fp == 0 {
 		fp = 1
 	}
-	for attempt := 0; attempt < c.Retries; attempt++ {
+	for {
 		_, baddr := c.lookupSub(key)
 		slots, err := c.readBucket(clk, baddr)
 		if err != nil {
@@ -319,7 +317,6 @@ func (c *Client) Delete(clk *sim.Clock, key uint64) (bool, error) {
 			return false, nil
 		}
 	}
-	return false, ErrTableFull
 }
 
 // split doubles the directory (if needed) and splits st into two

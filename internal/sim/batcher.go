@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,8 +12,9 @@ type FlushReason int
 const (
 	// FlushSize: the batch reached BatchPolicy.MaxItems.
 	FlushSize FlushReason = iota
-	// FlushTimeout: the leader's join budget expired before the batch
-	// filled; the group is charged the virtual window instead.
+	// FlushTimeout: the batch could not fill — no other worker of the
+	// leader's group could run to join it, or the leader has no group — so
+	// the batch is charged the virtual window instead.
 	FlushTimeout
 )
 
@@ -35,17 +35,11 @@ type BatchPolicy struct {
 	// the group is charged as if the leader had waited Window after its
 	// own arrival, modeling a group-commit timer.
 	Window time.Duration
-	// JoinYields bounds the leader's real-time wait for joiners, counted
-	// in scheduler yields. It only affects which virtual trigger fires,
-	// never virtual time itself. 0 means a small default.
-	JoinYields int
 	// OnFlush, when non-nil, is called once per flush (after the flush
 	// function returns) with the batch occupancy and trigger; engines use
 	// it to feed their own counters. Called on the leader's goroutine.
 	OnFlush func(n int, reason FlushReason)
 }
-
-const defaultJoinYields = 240
 
 // FlushFunc performs one combined flush for a sealed batch. It runs on the
 // leader's clock, which has already been advanced to the latest arrival in
@@ -54,17 +48,29 @@ const defaultJoinYields = 240
 // participant in the batch.
 type FlushFunc[T, R any] func(c *Clock, items []T, out []R) error
 
-// batch is one combining group. done is closed by the leader after the
-// flush completes; followers then read end/err/out.
+// batch is one combining group. Its leader waits until filled (set by the
+// submission that takes the last slot), its followers until flushed (set by
+// the leader after the flush; they then read end/err/out).
 type batch[T, R any] struct {
-	items  []T
-	out    []R
-	arrive []time.Duration
-	sealed bool
-	done   chan struct{}
-	end    time.Duration
-	err    error
+	items   []T
+	out     []R
+	arrive  []time.Duration
+	sealed  bool
+	filled  atomic.Bool
+	flushed atomic.Bool
+	end     time.Duration
+	err     error
 }
+
+// batchFilled and batchFlushed are a batch seen as the condition its leader
+// and its followers wait for, so a wait builds nothing per submission.
+type (
+	batchFilled[T, R any]  batch[T, R]
+	batchFlushed[T, R any] batch[T, R]
+)
+
+func (b *batchFilled[T, R]) holds() bool  { return b.filled.Load() }
+func (b *batchFlushed[T, R]) holds() bool { return b.flushed.Load() }
 
 // single is the pooled scratch for the batch-of-1 (disabled) path.
 type single[T, R any] struct {
@@ -76,22 +82,22 @@ type single[T, R any] struct {
 // group-commit/doorbell-batching mechanism used by the log stores, raft,
 // the RDMA layer and the memory-node RPC path.
 //
-// The first submitter of a group becomes its leader. The leader briefly
-// yields the scheduler so concurrent submitters can join, then seals the
-// batch when it fills (FlushSize) or the yield budget expires
-// (FlushTimeout) and runs the flush once for everyone. In virtual time the
-// whole group pays max(arrival times) (+ Window on timeout) before the
-// flush cost, and every participant — leader and followers alike — wakes
-// at the same virtual completion time with the same error, which is what
-// makes "all commits in a group share one durable LSN" fall out naturally.
+// The first submitter of a group becomes its leader. The leader waits (a
+// sim.Wait, costing no virtual time) until the batch fills (FlushSize) or no
+// other worker of its RunGroup can run to join it (FlushTimeout), then runs
+// the flush once for everyone. Sealing on "full or the group is idle" rather
+// than on a virtual deadline keeps groups whole however far apart the
+// members' clocks are. A leader outside any group flushes at once. In
+// virtual time the whole group pays max(arrival times) (+ Window on timeout)
+// before the flush cost, and every participant — leader and followers alike
+// — wakes at the same virtual completion time with the same error, which is
+// what makes "all commits in a group share one durable LSN" fall out
+// naturally.
 //
-// Determinism: items flush in submission order (the order goroutines won
-// the batcher's lock), and each flush is a single substrate operation, so
-// a seeded fault injector sees one op per flush regardless of how the
-// group interleaved. Flush *contents* depend on goroutine scheduling;
-// flush *semantics* (ordering within a batch, single fault decision per
-// flush, shared outcome) do not, which is the property the conformance
-// suite's seed replay relies on.
+// Determinism: items flush in submission order, and each flush is a single
+// substrate operation, so a seeded fault injector sees one op per flush.
+// Under RunGroup the submission order, and so every flush's contents, is a
+// function of the workers' virtual clocks.
 type Batcher[T, R any] struct {
 	pol   BatchPolicy
 	flush FlushFunc[T, R]
@@ -165,10 +171,9 @@ func (b *Batcher[T, R]) note(n int, reason FlushReason) {
 	}
 }
 
-// Submit adds item to the current batch and blocks (in real time, via
-// scheduler yields or the leader's flush) until the batch containing it
-// has flushed. It returns the item's result and the flush error shared by
-// the whole group; the caller's clock lands at the group's virtual
+// Submit adds item to the current batch and blocks until the batch
+// containing it has flushed. It returns the item's result and the flush error
+// shared by the whole group; the caller's clock lands at the group's virtual
 // completion time.
 func (b *Batcher[T, R]) Submit(c *Clock, item T) (R, error) {
 	if b.pol.MaxItems <= 1 {
@@ -196,47 +201,40 @@ func (b *Batcher[T, R]) Submit(c *Clock, item T) (R, error) {
 		my = &batch[T, R]{
 			items:  make([]T, 0, b.pol.MaxItems),
 			arrive: make([]time.Duration, 0, b.pol.MaxItems),
-			done:   make(chan struct{}),
 		}
 		b.cur = my
 	}
 	idx := len(my.items)
 	my.items = append(my.items, item)
 	my.arrive = append(my.arrive, c.Now())
+	if len(my.items) == b.pol.MaxItems {
+		my.filled.Store(true)
+	}
+	b.mu.Unlock()
 	if idx > 0 {
-		// Follower: the leader flushes for us; join at the group's
-		// virtual completion time with the shared outcome.
-		b.mu.Unlock()
-		<-my.done
+		// Follower: the leader flushes for us and releases us at the
+		// group's virtual completion time. A follower never gives up — its
+		// item is in the flush.
+		for !wait(c, (*batchFlushed[T, R])(my), false) {
+		}
 		c.AdvanceTo(my.end)
 		return my.out[idx], my.err
 	}
 
-	// Leader: yield so concurrent submitters can pile on, bounded by the
-	// join budget. Yielding costs no virtual time.
-	budget := b.pol.JoinYields
-	if budget <= 0 {
-		budget = defaultJoinYields
-	}
-	reason := FlushTimeout
-	for yields := 0; ; yields++ {
-		if len(my.items) >= b.pol.MaxItems {
-			reason = FlushSize
-			break
-		}
-		if yields >= budget {
-			break
-		}
-		b.mu.Unlock()
-		runtime.Gosched()
-		b.mu.Lock()
-	}
+	// Leader: wait, at no virtual cost, until the batch fills or nobody
+	// else in the group can run to join it.
+	wait(c, (*batchFilled[T, R])(my), true)
+	b.mu.Lock()
 	my.sealed = true
 	if b.cur == my {
 		b.cur = nil
 	}
 	n := len(my.items)
 	b.mu.Unlock()
+	reason := FlushTimeout
+	if n >= b.pol.MaxItems {
+		reason = FlushSize
+	}
 
 	// The group completes no earlier than its latest arrival; a timeout
 	// flush additionally waits out the virtual window from the leader's
@@ -257,6 +255,7 @@ func (b *Batcher[T, R]) Submit(c *Clock, item T) (R, error) {
 	my.err = b.flush(c, my.items, my.out)
 	my.end = c.Now()
 	b.note(n, reason)
-	close(my.done)
+	my.flushed.Store(true)
+	notify(c)
 	return my.out[0], my.err
 }

@@ -29,45 +29,32 @@ func TestBatcherFlushOnSize(t *testing.T) {
 	b := NewBatcher(nil, "test", BatchPolicy{MaxItems: 4, Window: time.Millisecond},
 		countingFlush(10*time.Microsecond, &calls, &sizes))
 
+	// Eight workers at virtual time 0: the first four fill one batch, the
+	// next four another, and each batch wakes together after the flush.
 	const workers = 8
-	var wg sync.WaitGroup
 	ends := make([]time.Duration, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := NewClock()
-			r, err := b.Submit(c, w)
-			if err != nil {
-				t.Errorf("worker %d: %v", w, err)
-			}
-			if r != 2*w {
-				t.Errorf("worker %d: result %d, want %d", w, r, 2*w)
-			}
-			ends[w] = c.Now()
-		}(w)
-	}
-	wg.Wait()
+	RunGroup(workers, func(w int, c *Clock) int {
+		r, err := b.Submit(c, w)
+		if err != nil {
+			t.Errorf("worker %d: %v", w, err)
+		}
+		if r != 2*w {
+			t.Errorf("worker %d: result %d, want %d", w, r, 2*w)
+		}
+		ends[w] = c.Now()
+		return 1
+	})
 
 	s := b.Stats()
-	if s.Items != workers {
-		t.Fatalf("items = %d, want %d", s.Items, workers)
+	if s.Items != workers || s.SizeFlushes != 2 || s.TimeoutFlushes != 0 {
+		t.Fatalf("stats %+v, want 8 items in 2 size flushes", s)
 	}
-	if calls != int(s.Flushes) {
-		t.Fatalf("flush calls %d != recorded flushes %d", calls, s.Flushes)
+	if calls != 2 || len(sizes) != 2 || sizes[0] != 4 || sizes[1] != 4 {
+		t.Fatalf("flush sizes %v, want [4 4]", sizes)
 	}
-	if s.MaxOccupancy > 4 {
-		t.Fatalf("occupancy %d exceeds MaxItems", s.MaxOccupancy)
-	}
-	for _, n := range sizes {
-		if n < 1 || n > 4 {
-			t.Fatalf("flush size %d out of range", n)
-		}
-	}
-	// Everyone in a batch wakes at the same virtual time ≥ flush cost.
 	for w, e := range ends {
-		if e < 10*time.Microsecond {
-			t.Fatalf("worker %d ended at %v, before flush cost", w, e)
+		if e != 10*time.Microsecond {
+			t.Fatalf("worker %d ended at %v, want the flush end 10µs", w, e)
 		}
 	}
 }
@@ -76,11 +63,11 @@ func TestBatcherFlushOnTimeoutChargesWindow(t *testing.T) {
 	var calls int
 	var sizes []int
 	const window = 50 * time.Microsecond
-	b := NewBatcher(nil, "test", BatchPolicy{MaxItems: 8, Window: window, JoinYields: 4},
+	b := NewBatcher(nil, "test", BatchPolicy{MaxItems: 8, Window: window},
 		countingFlush(10*time.Microsecond, &calls, &sizes))
 
-	// A single submitter can never fill the batch: the leader must give
-	// up on its own (no hang) and charge the virtual window.
+	// A single submitter outside any group can never fill the batch: the
+	// leader flushes at once (no hang) and charges the virtual window.
 	c := NewClock()
 	r, err := b.Submit(c, 21)
 	if err != nil || r != 42 {
@@ -97,24 +84,22 @@ func TestBatcherFlushOnTimeoutChargesWindow(t *testing.T) {
 
 func TestBatcherSharedError(t *testing.T) {
 	boom := errors.New("flush failed")
-	b := NewBatcher(nil, "test", BatchPolicy{MaxItems: 4, JoinYields: 1 << 20},
+	b := NewBatcher(nil, "test", BatchPolicy{MaxItems: 4},
 		func(c *Clock, items []int, out []int) error { return boom })
 
 	const workers = 4
-	var wg sync.WaitGroup
 	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			_, errs[w] = b.Submit(NewClock(), w)
-		}(w)
-	}
-	wg.Wait()
+	RunGroup(workers, func(w int, c *Clock) int {
+		_, errs[w] = b.Submit(c, w)
+		return 1
+	})
 	for w, err := range errs {
 		if !errors.Is(err, boom) {
 			t.Fatalf("worker %d error = %v, want shared flush error", w, err)
 		}
+	}
+	if s := b.Stats(); s.Flushes != 1 {
+		t.Fatalf("%d flushes, want one shared flush", s.Flushes)
 	}
 }
 
@@ -122,7 +107,7 @@ func TestBatcherOnFlushCallback(t *testing.T) {
 	var reasons []FlushReason
 	var occs []int
 	b := NewBatcher(nil, "test", BatchPolicy{
-		MaxItems: 4, Window: time.Microsecond, JoinYields: 2,
+		MaxItems: 4, Window: time.Microsecond,
 		OnFlush: func(n int, r FlushReason) { occs = append(occs, n); reasons = append(reasons, r) },
 	}, func(c *Clock, items []int, out []int) error { return nil })
 
@@ -179,7 +164,7 @@ func TestBatcherDeterministicCounters(t *testing.T) {
 	run := func() (BatcherStats, time.Duration) {
 		var calls int
 		var sizes []int
-		b := NewBatcher(nil, "test", BatchPolicy{MaxItems: 4, Window: 20 * time.Microsecond, JoinYields: 2},
+		b := NewBatcher(nil, "test", BatchPolicy{MaxItems: 4, Window: 20 * time.Microsecond},
 			countingFlush(5*time.Microsecond, &calls, &sizes))
 		c := NewClock()
 		for i := 0; i < 16; i++ {

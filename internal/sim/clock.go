@@ -6,9 +6,15 @@
 // Clock that accumulates the modeled latency of every device and fabric
 // operation it performs. Shared resources (NICs, links, device queues) are
 // represented by Meters whose occupancy inflates the charged latency, so
-// contention effects are visible without a global event queue. Real Go
-// concurrency is still used for shared data structures, so conflicts and
-// retries are real; only time is virtual.
+// contention effects are visible without a global event queue.
+//
+// Concurrent workers run under RunGroup, which lets one of them run at a
+// time: each is a goroutine, but the baton passes only where a worker yields
+// (Yield, at every transaction) or must wait for another (Wait: a lock, a
+// batch), and always to the worker earliest in virtual time. Conflicts and
+// retries are real, and the interleaving that produced them is a function of
+// the virtual clocks, so a run replays byte for byte. A clock made by
+// NewClock belongs to no group; its Waits poll instead.
 package sim
 
 import (
@@ -23,9 +29,10 @@ type Clock struct {
 	epoch  int64
 	trace  *Trace
 	events EventSink
+	w      *worker // the RunGroup member owning the clock; nil: free-running
 }
 
-// NewClock returns a clock at virtual time zero.
+// NewClock returns a clock at virtual time zero, outside any group.
 func NewClock() *Clock { return &Clock{} }
 
 // Now reports the worker's current virtual time.

@@ -9,9 +9,8 @@
 //
 // Decisions are a pure function of (seed, site, per-site op index), so a
 // failing run is replayable from its seed: the n-th operation at a given
-// site always receives the same verdict regardless of goroutine
-// interleaving. (Which worker issues the n-th op can still vary across
-// runs; single-worker runs are fully deterministic.)
+// site always receives the same verdict. Under sim.RunGroup which worker
+// issues the n-th op is fixed too, so a group run replays as a whole.
 package fault
 
 import (

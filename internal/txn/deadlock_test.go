@@ -2,7 +2,6 @@ package txn
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,90 +11,88 @@ import (
 )
 
 // Two transactions acquiring the same pair of keys in opposite order must
-// not hang: the retry budget converts the deadlock into ErrDeadlock on at
-// least one side, and the survivor (if any) can finish.
+// not hang: once both wait, the group has no worker that can run, so the
+// earliest waiter (ties to the lower id) gets ErrDeadlock, releases its
+// first key, and the other finishes. The same run every time.
 func TestCrossTransactionDeadlockResolves(t *testing.T) {
-	lt := NewLockTable()
-	opts := AcquireOpts{Retries: 5, Backoff: time.Microsecond}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	acquire := func(idx int, tx, first, second uint64) {
-		defer wg.Done()
-		c := sim.NewClock()
-		if err := lt.Acquire(c, tx, first, Exclusive, opts); err != nil {
-			errs[idx] = err
-			return
+	for run := 0; run < 3; run++ {
+		lt := NewLockTable()
+		errs := make([]error, 2)
+		keys := [2][2]uint64{{100, 200}, {200, 100}}
+		sim.RunGroup(2, func(id int, c *sim.Clock) int {
+			tx, first, second := uint64(id+1), keys[id][0], keys[id][1]
+			if errs[id] = lt.Acquire(c, tx, first, Exclusive, DefaultAcquire); errs[id] != nil {
+				return 0
+			}
+			defer lt.Unlock(tx, first, Exclusive)
+			// Let the other side take its own first key before crossing.
+			c.Advance(time.Microsecond)
+			sim.Yield(c)
+			if errs[id] = lt.Acquire(c, tx, second, Exclusive, DefaultAcquire); errs[id] != nil {
+				return 0
+			}
+			lt.Unlock(tx, second, Exclusive)
+			return 1
+		})
+		if !errors.Is(errs[0], ErrDeadlock) || errs[1] != nil {
+			t.Fatalf("run %d: errs = %v, want ErrDeadlock for worker 0 and nil for worker 1", run, errs)
 		}
-		defer lt.Unlock(tx, first, Exclusive)
-		// Hold first long enough that the other side is already holding
-		// its own first key, then go for the crossing key.
-		time.Sleep(time.Millisecond)
-		if err := lt.Acquire(c, tx, second, Exclusive, opts); err != nil {
-			errs[idx] = err
-			return
+		if lt.Held(100) || lt.Held(200) {
+			t.Fatal("locks leaked after deadlock resolution")
 		}
-		lt.Unlock(tx, second, Exclusive)
-	}
-	wg.Add(2)
-	go acquire(0, 1, 100, 200)
-	go acquire(1, 2, 200, 100)
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("deadlocked: Acquire never timed out")
-	}
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("unexpected error kind: %v", err)
-		}
-	}
-	// Both keys must be fully released regardless of who aborted.
-	if lt.Held(100) || lt.Held(200) {
-		t.Fatal("locks leaked after deadlock resolution")
 	}
 }
 
-// The timeout path must charge the virtual clock for every backoff, so
-// contention is visible in simulated time, and report ErrDeadlock (not
-// hang, not nil).
-func TestAcquireTimeoutChargesClock(t *testing.T) {
+// A refused Acquire waits, charging nothing, and resumes at the virtual time
+// of the worker whose Unlock let it in.
+func TestAcquireLandsAtTheReleasersTime(t *testing.T) {
 	lt := NewLockTable()
-	if !lt.TryLock(1, 7, Exclusive) {
-		t.Fatal("setup lock failed")
-	}
-	c := sim.NewClock()
-	opts := AcquireOpts{Retries: 8, Backoff: 3 * time.Microsecond, AttemptCost: time.Microsecond}
-	err := lt.Acquire(c, 2, 7, Exclusive, opts)
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("want ErrDeadlock, got %v", err)
-	}
-	// 9 attempts at 1us each + backoffs 3,6,...,24us = 9 + 108.
-	want := 9*time.Microsecond + 108*time.Microsecond
-	if c.Now() != want {
-		t.Fatalf("clock charged %v, want %v", c.Now(), want)
+	var waiterAt time.Duration
+	sim.RunGroup(2, func(id int, c *sim.Clock) int {
+		if id == 0 {
+			lt.TryLock(1, 7, Exclusive)
+			c.Advance(time.Microsecond)
+			sim.Yield(c) // worker 1, earlier, runs and waits
+			c.Advance(6 * time.Microsecond)
+			lt.Unlock(1, 7, Exclusive)
+			return 1
+		}
+		if err := lt.Acquire(c, 2, 7, Exclusive, DefaultAcquire); err != nil {
+			t.Errorf("acquire: %v", err)
+		}
+		waiterAt = c.Now()
+		lt.Unlock(2, 7, Exclusive)
+		return 1
+	})
+	if waiterAt != 7*time.Microsecond {
+		t.Fatalf("waiter resumed at %v, want the releaser's 7µs", waiterAt)
 	}
 }
 
-// An upgrade attempt while another shared holder remains must burn its
-// retries and fail with ErrDeadlock, leaving the shared holds intact.
+// alone runs fn as the only worker of a group: a wait that cannot end
+// fails instead of polling forever.
+func alone(fn func(c *sim.Clock)) {
+	sim.RunGroup(1, func(_ int, c *sim.Clock) int { fn(c); return 1 })
+}
+
+// An upgrade attempt while another shared holder remains, with nobody left
+// to run, fails with ErrDeadlock, leaving the shared holds intact.
 func TestUpgradeBlockedBySecondSharedHolder(t *testing.T) {
 	lt := NewLockTable()
 	if !lt.TryLock(1, 42, Shared) || !lt.TryLock(2, 42, Shared) {
 		t.Fatal("setup shared locks failed")
 	}
-	c := sim.NewClock()
-	err := lt.Acquire(c, 1, 42, Exclusive, AcquireOpts{Retries: 3, Backoff: time.Microsecond})
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("upgrade with a co-holder: want ErrDeadlock, got %v", err)
-	}
-	// After the co-holder leaves, the upgrade succeeds.
-	lt.Unlock(2, 42, Shared)
-	if err := lt.Acquire(c, 1, 42, Exclusive, DefaultAcquire); err != nil {
-		t.Fatalf("upgrade as sole holder: %v", err)
-	}
+	alone(func(c *sim.Clock) {
+		err := lt.Acquire(c, 1, 42, Exclusive, DefaultAcquire)
+		if !errors.Is(err, ErrDeadlock) {
+			t.Errorf("upgrade with a co-holder: want ErrDeadlock, got %v", err)
+		}
+		// After the co-holder leaves, the upgrade succeeds.
+		lt.Unlock(2, 42, Shared)
+		if err := lt.Acquire(c, 1, 42, Exclusive, DefaultAcquire); err != nil {
+			t.Errorf("upgrade as sole holder: %v", err)
+		}
+	})
 	lt.Unlock(1, 42, Exclusive)
 	lt.Unlock(1, 42, Shared)
 	if lt.Held(42) {
@@ -126,8 +123,8 @@ func TestSharedReentrancyCounts(t *testing.T) {
 	}
 }
 
-// A remote Acquire against a lock that never frees must time out with
-// ErrDeadlock after burning its CAS budget.
+// A remote Acquire against a lock that never frees, with nobody left to
+// run, fails with ErrDeadlock having charged exactly its one failed CAS.
 func TestRemoteAcquireTimesOut(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	node := rdma.NewNode(cfg, "mem0", 1<<16)
@@ -138,10 +135,15 @@ func TestRemoteAcquireTimesOut(t *testing.T) {
 	if ok, err := rlt.TryLock(c, qp1, 1, 5); err != nil || !ok {
 		t.Fatalf("setup: %v %v", ok, err)
 	}
-	err := rlt.Acquire(sim.NewClock(), qp2, 2, 5, AcquireOpts{Retries: 4, Backoff: time.Microsecond})
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("want ErrDeadlock, got %v", err)
-	}
+	cas := c.Now()
+	alone(func(c *sim.Clock) {
+		if err := rlt.Acquire(c, qp2, 2, 5, DefaultAcquire); !errors.Is(err, ErrDeadlock) {
+			t.Errorf("want ErrDeadlock, got %v", err)
+		}
+		if c.Now() != cas {
+			t.Errorf("charged %v, want one CAS (%v)", c.Now(), cas)
+		}
+	})
 }
 
 // Injected fabric faults on the CAS path must surface as errors from
@@ -152,7 +154,7 @@ func TestRemoteAcquireSurfacesInjectedFault(t *testing.T) {
 	node := rdma.NewNode(cfg, "mem0", 1<<16)
 	rlt := NewRemoteLockTable(0, 16)
 	qp := rdma.Connect(cfg, node, nil)
-	err := rlt.Acquire(sim.NewClock(), qp, 1, 5, AcquireOpts{Retries: 2, Backoff: time.Microsecond})
+	err := rlt.Acquire(sim.NewClock(), qp, 1, 5, DefaultAcquire)
 	if err == nil {
 		t.Fatal("acquire succeeded across a fully dropped fabric")
 	}

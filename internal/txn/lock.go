@@ -1,24 +1,23 @@
 // Package txn provides transaction concurrency control: a striped local
-// lock table with shared/exclusive try-locks (two-phase locking with
-// bounded retry instead of blocking, so waiting time is charged on virtual
-// clocks), and a remote lock table living in disaggregated memory that is
-// acquired with one-sided RDMA CAS — the mechanism behind multi-writer
-// scalability on shared memory (§3.1, §4).
+// lock table with shared/exclusive try-locks (two-phase locking: a refused
+// acquisition waits with sim.Wait until the holder lets go, landing at the
+// holder's virtual time), and a remote lock table living in disaggregated
+// memory that is acquired with one-sided RDMA CAS — the mechanism behind
+// multi-writer scalability on shared memory (§3.1, §4).
 package txn
 
 import (
 	"errors"
-	"runtime"
 	"sync"
-	"time"
 
 	"github.com/disagglab/disagg/internal/rdma"
 	"github.com/disagglab/disagg/internal/sim"
 )
 
-// ErrDeadlock is returned when lock acquisition exhausts its retry budget;
-// callers abort and (typically) restart the transaction.
-var ErrDeadlock = errors.New("txn: lock acquisition timed out (possible deadlock)")
+// ErrDeadlock is returned when a lock wait cannot end: every worker of the
+// waiter's group is waiting too, and this waiter is the one that gives up.
+// Callers abort and (typically) restart the transaction.
+var ErrDeadlock = errors.New("txn: lock wait deadlocked")
 
 // ErrAborted marks a transaction aborted by conflict.
 var ErrAborted = errors.New("txn: aborted")
@@ -141,40 +140,31 @@ func (lt *LockTable) Held(key uint64) bool {
 	return ok
 }
 
-// AcquireOpts controls retrying acquisition.
-type AcquireOpts struct {
-	// Retries before giving up with ErrDeadlock.
-	Retries int
-	// Backoff charged on the clock per failed attempt.
-	Backoff time.Duration
-	// AttemptCost charged per attempt (e.g. a local lock-table probe is
-	// nearly free; a remote CAS costs a network op — the remote table
-	// charges that itself).
-	AttemptCost time.Duration
-}
+// AcquireOpts is the acquisition policy. It has no settings left: a wait
+// ends when the holder lets go, so there is no retry count or backoff to
+// choose.
+type AcquireOpts struct{}
 
-// DefaultAcquire is a sensible local-lock retry policy.
-var DefaultAcquire = AcquireOpts{Retries: 20, Backoff: 2 * time.Microsecond}
+// DefaultAcquire is the one policy.
+var DefaultAcquire = AcquireOpts{}
 
-// Acquire retries TryLock with backoff charged to the clock.
-func (lt *LockTable) Acquire(c *sim.Clock, tx uint64, key uint64, m Mode, o AcquireOpts) error {
-	for i := 0; ; i++ {
-		if o.AttemptCost > 0 {
-			c.Advance(o.AttemptCost)
-		}
-		if lt.TryLock(tx, key, m) {
-			return nil
-		}
-		if i >= o.Retries {
-			return ErrDeadlock
-		}
-		// Lock-wait backoff is critical-path time; bracket it so the
-		// profiler attributes it instead of folding it into residual.
-		sp := c.StartSpan("backoff")
-		c.Advance(o.Backoff * time.Duration(i+1))
-		c.FinishSpan(sp, 0)
-		runtime.Gosched()
+// Acquire takes key in mode m for tx, waiting while another transaction
+// holds it. The wait is a sim.Wait: the caller resumes at the virtual time
+// of the worker whose release let it in, or gets ErrDeadlock when its whole
+// group is waiting.
+func (lt *LockTable) Acquire(c *sim.Clock, tx uint64, key uint64, m Mode, _ AcquireOpts) error {
+	if lt.TryLock(tx, key, m) {
+		return nil
 	}
+	// Lock-wait time is critical-path time; bracket it so the profiler
+	// attributes it instead of folding it into residual.
+	sp := c.StartSpan("backoff")
+	ok := sim.Wait(c, func() bool { return lt.TryLock(tx, key, m) })
+	c.FinishSpan(sp, 0)
+	if !ok {
+		return ErrDeadlock
+	}
+	return nil
 }
 
 // RemoteLockTable is a global lock table resident in disaggregated memory,
@@ -221,23 +211,27 @@ func (r *RemoteLockTable) Unlock(c *sim.Clock, qp *rdma.QP, tx uint64, key uint6
 	return nil
 }
 
-// Acquire retries the remote CAS with backoff; each attempt costs a real
-// one-sided CAS on the fabric.
-func (r *RemoteLockTable) Acquire(c *sim.Clock, qp *rdma.QP, tx uint64, key uint64, o AcquireOpts) error {
-	for i := 0; ; i++ {
+// Acquire CASes the key's lock word until it wins. Every attempt costs a
+// one-sided CAS on the fabric; between a lost attempt and the next, the
+// caller waits, uncharged, until the word reads free.
+func (r *RemoteLockTable) Acquire(c *sim.Clock, qp *rdma.QP, tx uint64, key uint64, _ AcquireOpts) error {
+	for {
 		ok, err := r.TryLock(c, qp, tx, key)
-		if err != nil {
+		if err != nil || ok {
 			return err
 		}
-		if ok {
-			return nil
-		}
-		if i >= o.Retries {
+		sp := c.StartSpan("backoff")
+		ok = sim.Wait(c, func() bool { return r.free(qp, key) })
+		c.FinishSpan(sp, 0)
+		if !ok {
 			return ErrDeadlock
 		}
-		sp := c.StartSpan("backoff")
-		c.Advance(o.Backoff * time.Duration(i+1))
-		c.FinishSpan(sp, 0)
-		runtime.Gosched()
 	}
+}
+
+// free peeks at the key's lock word without a verb: it is the condition a
+// waiter waits for, not an access the model charges.
+func (r *RemoteLockTable) free(qp *rdma.QP, key uint64) bool {
+	w, err := qp.Node().Mem.Load64(r.addrOf(key))
+	return err != nil || w == 0
 }

@@ -86,21 +86,18 @@ func TestLockTableConcurrentMutex(t *testing.T) {
 	}
 }
 
-func TestAcquireRetriesThenDeadlock(t *testing.T) {
+func TestAcquireDeadlocksThenSucceedsAfterRelease(t *testing.T) {
 	lt := NewLockTable()
 	lt.TryLock(1, 42, Exclusive)
-	c := sim.NewClock()
-	err := lt.Acquire(c, 2, 42, Exclusive, AcquireOpts{Retries: 5, Backoff: 1000})
-	if err != ErrDeadlock {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-	if c.Now() == 0 {
-		t.Fatal("retry backoff not charged to clock")
-	}
-	lt.Unlock(1, 42, Exclusive)
-	if err := lt.Acquire(c, 2, 42, Exclusive, DefaultAcquire); err != nil {
-		t.Fatalf("acquire after release: %v", err)
-	}
+	alone(func(c *sim.Clock) {
+		if err := lt.Acquire(c, 2, 42, Exclusive, DefaultAcquire); err != ErrDeadlock {
+			t.Errorf("err = %v, want ErrDeadlock", err)
+		}
+		lt.Unlock(1, 42, Exclusive)
+		if err := lt.Acquire(c, 2, 42, Exclusive, DefaultAcquire); err != nil {
+			t.Errorf("acquire after release: %v", err)
+		}
+	})
 }
 
 func TestRemoteLockTable(t *testing.T) {
@@ -165,7 +162,7 @@ func TestRemoteAcquireContention(t *testing.T) {
 		tx := uint64(id + 1)
 		done := 0
 		for i := 0; i < 50; i++ {
-			if err := rlt.Acquire(c, qp, tx, 7, AcquireOpts{Retries: 10_000, Backoff: 100}); err != nil {
+			if err := rlt.Acquire(c, qp, tx, 7, DefaultAcquire); err != nil {
 				continue
 			}
 			mu.Lock()
