@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,20 +75,42 @@ func TestAllExperimentsPassAtQuickScale(t *testing.T) {
 	}
 }
 
-// TestQuickScaleRendersIdenticalBytes runs every experiment twice at quick
-// scale and requires the same rendered bytes: tables, notes and checks are
-// a function of the seed and the virtual clocks, never of the Go scheduler.
+// TestQuickScaleRendersIdenticalBytes renders every experiment at quick
+// scale and requires the bytes of its section of testdata/quick.golden:
+// tables, notes and checks are a function of the seed and the virtual
+// clocks, never of the Go scheduler, so a change that moves a simulated
+// number shows up here as a diff. The file is the CLI's output; regenerate
+// it with
+//
+//	go run ./cmd/disagg-bench -run all > internal/harness/testdata/quick.golden
 func TestQuickScaleRendersIdenticalBytes(t *testing.T) {
-	render := func(e Experiment) string {
-		var buf bytes.Buffer
-		Render(&buf, e.Run(sim.DefaultConfig(), Quick))
-		return buf.String()
+	golden, err := os.ReadFile("testdata/quick.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each section runs from its "==== E<n>: " header to the next one.
+	want := map[string]*strings.Builder{}
+	var section *strings.Builder
+	for _, line := range strings.SplitAfter(string(golden), "\n") {
+		if id, ok := strings.CutPrefix(line, "==== "); ok {
+			section = new(strings.Builder)
+			want[id[:strings.IndexByte(id, ':')]] = section
+		}
+		if section != nil {
+			section.WriteString(line)
+		}
 	}
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			if a, b := render(e), render(e); a != b {
-				t.Fatalf("%s rendered differently on a second run:\n%s", e.ID, firstDiff(a, b))
+			var buf bytes.Buffer
+			Render(&buf, e.Run(sim.DefaultConfig(), Quick))
+			w, ok := want[e.ID]
+			if !ok {
+				t.Fatalf("%s has no section in testdata/quick.golden", e.ID)
+			}
+			if got := buf.String(); got != w.String() {
+				t.Fatalf("%s differs from testdata/quick.golden:\n%s", e.ID, firstDiff(w.String(), got))
 			}
 		})
 	}
