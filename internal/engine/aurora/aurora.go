@@ -71,13 +71,12 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, readers int) *Engine {
 }
 
 // hooks is the engine's row of the commit-pipeline table: reads are served
-// from the writer's cache over the volume, the log becomes
-// durable on the write quorum (and a volume below that quorum refuses a
-// write set before it is logged), only the writer's cached copies need
-// applying (storage materialises from the log), and the directory fans
-// invalidations to every other registered cache.
+// from the writer's cache over the volume, the log becomes durable on the
+// write quorum, only the writer's cached copies need applying (storage
+// materialises from the log), and the directory fans invalidations to every
+// other registered cache.
 func (e *Engine) hooks() engine.Hooks {
-	return engine.Hooks{Read: e.read, Writable: e.Volume.WriteAvailable, Durable: e.durable, Apply: e.apply}
+	return engine.Hooks{Read: e.read, Durable: e.durable, Apply: e.apply}
 }
 
 // Peer creates an additional compute node attached to root's shared
@@ -156,8 +155,8 @@ func (e *Engine) read(c *sim.Clock, key uint64) ([]byte, error) {
 
 // Execute implements engine.Engine (runs on the writer node). Read-only
 // work needs only the read quorum; a commit with writes needs the write
-// quorum, which the pipeline asks for (Hooks.Writable) before it logs
-// anything.
+// quorum, and a volume below it refuses the append before delivering
+// anything — an ordinary failed prepare.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 	return e.pipe.Execute(c, fn)
 }

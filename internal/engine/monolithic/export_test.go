@@ -1,6 +1,10 @@
 package monolithic
 
-import "github.com/disagglab/disagg/internal/page"
+import (
+	"github.com/disagglab/disagg/internal/page"
+	"github.com/disagglab/disagg/internal/sim"
+	"github.com/disagglab/disagg/internal/wal"
+)
 
 // LogLen exposes the in-memory log length to the external test package.
 func (e *Engine) LogLen() int { return e.log.Len() }
@@ -9,6 +13,16 @@ func (e *Engine) LogLen() int { return e.log.Len() }
 // checkpoint's flush→truncate window — the window whose in-flight
 // commits the original Checkpoint ordering truncated away.
 func (e *Engine) SetBetweenFlushAndTruncate(fn func()) { e.testBetweenFlushAndTruncate = fn }
+
+// GateDurable makes every commit call gate inside its durable hook, before
+// the fsync.
+func (e *Engine) GateDurable(gate func()) {
+	durable := e.pipe.Durable
+	e.pipe.Durable = func(c *sim.Clock, recs []wal.Record) error {
+		gate()
+		return durable(c, recs)
+	}
+}
 
 // PlantDiskImage stores img as the durable on-disk image of page id.
 func (e *Engine) PlantDiskImage(id page.ID, img []byte) {

@@ -1,6 +1,8 @@
 package monolithic_test
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/engine"
@@ -132,6 +134,46 @@ func TestCommitDuringCheckpointSurvivesRestart(t *testing.T) {
 		if got[i] != 0xA5 {
 			t.Fatalf("acked commit lost across checkpoint+restart: byte %d = %#x", i, got[i])
 		}
+	}
+}
+
+// TestMissDuringDurableReadsPreCommitValue: a page miss redoes the page's
+// log chain, and that chain used to hold records whose Durable had not yet
+// returned — a read during another transaction's fsync served a value that
+// was not durable (G1a, and permanent had the fsync failed). The miss must
+// read the value committed before.
+func TestMissDuringDurableReadsPreCommitValue(t *testing.T) {
+	layout := enginetest.Layout(t)
+	e := monolithic.New(sim.DefaultConfig(), layout, 64)
+	const key = 5
+	val := func(b byte) []byte { return bytes.Repeat([]byte{b}, layout.ValSize) }
+	if err := engine.Run(e, sim.NewClock(), engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(key, val(1)) }); err != nil {
+		t.Fatal(err)
+	}
+	e.Pool().InvalidateAll() // the next read of the key misses
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e.GateDurable(func() { once.Do(func() { close(entered); <-release }) })
+	done := make(chan error)
+	go func() {
+		done <- engine.Run(e, sim.NewClock(), engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(key, val(2)) })
+	}()
+	<-entered
+	var got []byte
+	err := engine.Run(e, sim.NewClock(), engine.RunOpts{}, func(tx engine.Tx) error {
+		v, err := tx.Read(key)
+		got = v
+		return err
+	})
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 1 {
+		t.Fatalf("a miss during the commit's fsync read %d, want the committed 1", got[0])
 	}
 }
 

@@ -80,8 +80,7 @@ func (e *Engine) hooks() engine.Hooks {
 // space), and the page-coherence directory are shared; the cache, lock
 // table, page-image map, and stats are the peer's own. A peer that has
 // not shipped a page reads it by formatting a fresh image and replaying
-// the shared log up to its durable watermark — which is why the fleet
-// warms a fresh peer with Recover before routing to it. Peers rely on the
+// the shared log's decided records onto it. Peers rely on the
 // cluster router keeping concurrent writers to one key on one member
 // (independent lock tables); peerID stripes transaction IDs.
 func Peer(root *Engine, peerID, poolPages int) *Engine {
@@ -132,11 +131,9 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.stats.StorageOps.Add(1)
 	e.stats.NetMsgs.Add(1)
 	e.stats.NetBytes.Add(int64(len(data)))
-	// Replay this page's newer records from the durable log.
+	// Replay this page's newer records from the log: only decided ones,
+	// which are durable, are on its chain.
 	if err := e.log.RedoPage(uint64(id), wal.LSN(page.Wrap(data).LSN()), func(r *wal.Record) error {
-		if r.LSN > e.pipe.DurableLSN() {
-			return nil
-		}
 		applied, err := e.pipe.Redo(data, r)
 		if applied {
 			c.Advance(e.cfg.CPU.Cost(len(r.After)))
@@ -210,22 +207,16 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 func (e *Engine) Crash() { e.pipe.Crash() }
 
 // Recover implements engine.Recoverer: elect a PolarFS leader if needed,
-// learn the log high-water mark, then resume — pages and log are durable
-// in PolarFS, and pages are read on demand with log replay folded into
-// fetchPage. Advancing the watermark matters for fleet peers: without it
-// a takeover node would replay only its OWN commits onto fetched pages
-// and never surface records the crashed member made durable. Records past
-// the watermark that were never acknowledged may surface too, which is
-// legal — an unacked write may appear after recovery, a lost acked one
-// may not.
+// learn the shared log's decided prefix (for a takeover node, commits other
+// members made durable), then resume — pages and log are durable in
+// PolarFS, and pages are read on demand with log replay folded into
+// fetchPage.
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
 	if _, err := e.FS.Elect(c); err != nil {
 		return 0, err
 	}
-	if head := e.log.Head(); head > 1 {
-		e.pipe.AdvanceDurable(head - 1)
-	}
+	e.pipe.AdvanceDurable(e.log.Decided())
 	e.pipe.Up()
 	return c.Now() - start, nil
 }
