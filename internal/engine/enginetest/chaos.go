@@ -15,8 +15,7 @@ import (
 func RunChaos(t *testing.T, factory func(t *testing.T) engine.Engine) {
 	layout := Layout(t)
 	e := factory(t)
-	r := engine.Caps(e).Recoverer
-	if r == nil {
+	if engine.Caps(e).Recoverer == nil {
 		t.Skip("engine does not implement Recoverer")
 	}
 	c := sim.NewClock()
@@ -30,7 +29,7 @@ func RunChaos(t *testing.T, factory func(t *testing.T) engine.Engine) {
 			key := (gen%3)*10 + i
 			v := make([]byte, layout.ValSize)
 			binary.LittleEndian.PutUint64(v, gen)
-			if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(key, v) }); err != nil {
+			if err := writeKey(e, c, engine.RunOpts{}, key, v); err != nil {
 				t.Fatalf("gen %d key %d: %v", gen, key, err)
 			}
 			written[key] = gen
@@ -38,29 +37,19 @@ func RunChaos(t *testing.T, factory func(t *testing.T) engine.Engine) {
 	}
 	verifyAll := func(after string) {
 		for key, gen := range written {
-			key, gen := key, gen
-			err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
-				v, err := tx.Read(key)
-				if err != nil {
-					return err
-				}
-				if got := binary.LittleEndian.Uint64(v); got != gen {
-					t.Errorf("%s: key %d = gen %d, want %d", after, key, got, gen)
-				}
-				return nil
-			})
+			v, err := readKey(e, c, engine.RunOpts{}, key)
 			if err != nil {
 				t.Fatalf("%s: read key %d: %v", after, key, err)
+			}
+			if got := binary.LittleEndian.Uint64(v); got != gen {
+				t.Errorf("%s: key %d = gen %d, want %d", after, key, got, gen)
 			}
 		}
 	}
 
 	for gen := uint64(1); gen <= 5; gen++ {
 		writeGen(gen)
-		r.Crash()
-		if _, err := r.Recover(sim.NewClock()); err != nil {
-			t.Fatalf("recovery %d: %v", gen, err)
-		}
+		crashRecover(t, e)
 		verifyAll("after recovery")
 	}
 }

@@ -35,13 +35,11 @@ func FailedRedoGuard(t *testing.T, e engine.Engine, plant func(id page.ID, img [
 	c := sim.NewClock()
 	// Durable in the log whether or not the engine reports the apply, which
 	// cannot succeed either.
-	_ = engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(first+1, val(layout, 9)) })
+	_ = writeKey(e, c, engine.RunOpts{}, first+1, val(layout, 9))
 	drop()
 	read := func() error {
-		return engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
-			_, err := tx.Read(first)
-			return err
-		})
+		_, err := readKey(e, c, engine.RunOpts{}, first)
+		return err
 	}
 	if err := read(); !errors.Is(err, page.ErrBadSlot) {
 		t.Fatalf("%s: read of a page whose redo failed: err = %v, want the redo's %v (nil: the half-redone page was served)", e.Name(), err, page.ErrBadSlot)

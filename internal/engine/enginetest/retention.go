@@ -2,6 +2,7 @@ package enginetest
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/engine"
@@ -28,30 +29,19 @@ func RecsRetentionGuard(t *testing.T, newEngine func() engine.Engine) {
 			key uint64
 			val []byte
 		}{{k1, v1}, {k2, v2}} {
-			if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(w.key, w.val) }); err != nil {
+			if err := writeKey(e, c, engine.RunOpts{}, w.key, w.val); err != nil {
 				t.Fatalf("run %d: commit of key %d: %v", run, w.key, err)
 			}
 		}
-		caps := engine.Caps(e)
-		if caps.Checkpointer != nil {
-			if err := caps.Checkpointer.Checkpoint(c); err != nil {
+		if cp := engine.Caps(e).Checkpointer; cp != nil {
+			if err := cp.Checkpoint(c); err != nil {
 				t.Fatalf("run %d: checkpoint: %v", run, err)
 			}
 		}
-		if caps.Recoverer != nil {
-			caps.Recoverer.Crash()
-			if _, err := caps.Recoverer.Recover(c); err != nil {
-				t.Fatalf("run %d: recover: %v", run, err)
-			}
-		}
-		var got1, got2 []byte
-		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) (err error) {
-			if got1, err = tx.Read(k1); err != nil {
-				return err
-			}
-			got2, err = tx.Read(k2)
-			return err
-		}); err != nil {
+		crashRecover(t, e)
+		got1, err1 := readKey(e, c, engine.RunOpts{}, k1)
+		got2, err2 := readKey(e, c, engine.RunOpts{}, k2)
+		if err := errors.Join(err1, err2); err != nil {
 			t.Fatalf("run %d: read back: %v", run, err)
 		}
 		if !bytes.Equal(got1, v1) || !bytes.Equal(got2, v2) {

@@ -41,12 +41,7 @@ func runSiteLint(t *testing.T, factory Factory, seed int64) {
 			t.Fatalf("replica read: %v", err)
 		}
 	}
-	if caps.Recoverer != nil {
-		caps.Recoverer.Crash()
-		if _, err := caps.Recoverer.Recover(sim.NewClock()); err != nil {
-			t.Fatalf("recover: %v", err)
-		}
-	}
+	crashRecover(t, e)
 
 	sites := cfg.Stats.Sites()
 	if len(sites) == 0 {
