@@ -594,6 +594,9 @@ type TwoTier struct {
 	Local  *Pool
 	Remote *RemotePool
 	fetch  Fetcher
+	// Capture, when set, restamps a copy of every page demoted into the
+	// remote tier before it is written there (engine.Pipeline.Capture).
+	Capture func(img []byte)
 
 	localHits  atomic.Int64
 	remoteHits atomic.Int64
@@ -606,6 +609,13 @@ type TwoTier struct {
 func NewTwoTier(cfg *sim.Config, localCap int, remote *RemotePool, fetch Fetcher) *TwoTier {
 	t := &TwoTier{Remote: remote, fetch: fetch}
 	t.Local = NewPool(cfg, localCap, t.below, func(c *sim.Clock, id page.ID, data []byte) error {
+		if t.Capture != nil {
+			img := page.Alloc(len(data))
+			defer page.Release(img)
+			copy(img, data)
+			t.Capture(img)
+			data = img
+		}
 		return remote.Put(c, id, data)
 	})
 	return t

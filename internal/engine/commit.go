@@ -99,7 +99,10 @@ type Hooks struct {
 //     any failure below is "durable but unacknowledged" — history
 //     classifies it Indeterminate, and it must never look retryable (Run
 //     would execute the transaction a second time).
-//  5. Apply hook.
+//  5. Apply hook. Until it returns — or calls Applied, as a hook that
+//     flushes pages to storage does first — the applied prefix stays below
+//     the transaction's first LSN, and Capture stamps a cached page bound
+//     for storage no higher than that.
 //  6. Publish the written pages' new versions to the directory, ascending
 //     by page id, whether or not Apply succeeded: a cached copy that missed
 //     the update keeps its old stamp, the publish makes it stale, and the
@@ -130,6 +133,8 @@ type Pipeline struct {
 	crashed atomic.Bool
 	nextTx  atomic.Uint64
 	durable atomic.Uint64
+	// applying is shared with the node's peers, like the log.
+	applying *applying
 
 	// gc, when non-nil, combines concurrent Durable calls into shared
 	// flushes (EnableGroupCommit).
@@ -142,7 +147,8 @@ type Pipeline struct {
 // because it is not always the engine's Name.
 func NewPipeline(cfg *sim.Config, site string, layout heap.Layout, log *wal.Log, stats *Stats, h Hooks) *Pipeline {
 	return &Pipeline{Hooks: h, cfg: cfg, site: site, layout: layout, log: log,
-		locks: txn.NewLockTable(), stats: stats, ckpt: checkpoint.New(cfg, "ckpt."+site)}
+		locks: txn.NewLockTable(), stats: stats, ckpt: checkpoint.New(cfg, "ckpt."+site),
+		applying: &applying{}}
 }
 
 // Peer is an additional compute node on p's shared substrate: the log (one
@@ -152,7 +158,7 @@ func NewPipeline(cfg *sim.Config, site string, layout heap.Layout, log *wal.Log,
 // stripes the transaction-id space so members never collide in the log.
 func (p *Pipeline) Peer(peerID int, stats *Stats, h Hooks) *Pipeline {
 	q := &Pipeline{Hooks: h, cfg: p.cfg, site: p.site, layout: p.layout, log: p.log,
-		locks: txn.NewLockTable(), stats: stats, ckpt: p.ckpt, dir: p.dir}
+		locks: txn.NewLockTable(), stats: stats, ckpt: p.ckpt, dir: p.dir, applying: p.applying}
 	q.nextTx.Store(uint64(peerID) << 40)
 	return q
 }
@@ -305,7 +311,7 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 	}
 	st.recs = append(st.recs, wal.Record{Type: wal.TypeCommit, TxID: txID})
 	recs := st.recs
-	p.log.Reserve(recs)
+	p.applying.reserve(p.log, recs)
 	var err error
 	if gc := p.gc; gc != nil {
 		// The flush ships every rider's records, accounts them, and decides
@@ -319,6 +325,7 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 	}
 	if err != nil {
 		p.decide(recs, false)
+		p.Applied(recs)
 		return Unavail(err)
 	}
 
@@ -326,6 +333,7 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 	commit := recs[len(recs)-1].LSN
 	st.StampCommit(uint64(commit))
 	err = p.Apply(c, recs)
+	p.Applied(recs)
 	if p.dir != nil {
 		st.stamps = pageStamps(st.stamps, recs)
 		p.dir.Publish(c, st.stamps, p.own)
@@ -344,6 +352,66 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 // decided prefix, which deciding a slot may extend over later commits.
 func (p *Pipeline) decide(recs []wal.Record, commit bool) {
 	p.AdvanceDurable(p.log.Decide(recs, commit))
+}
+
+// applying is the set of transactions whose LSNs are reserved and whose
+// records have not yet reached the node's cache, by first LSN: at most one
+// entry per worker.
+type applying struct {
+	mu    sync.Mutex
+	first []wal.LSN
+}
+
+// reserve reserves recs' LSNs in log and enters the transaction in one
+// step, so no capture sees the LSNs without the entry.
+func (a *applying) reserve(log *wal.Log, recs []wal.Record) {
+	a.mu.Lock()
+	log.Reserve(recs)
+	a.first = append(a.first, recs[0].LSN)
+	a.mu.Unlock()
+}
+
+// Applied marks the transaction whose records recs are as applied to the
+// node's cache. The pipeline marks it when Apply returns; an Apply hook that
+// captures pages for storage after applying (a flush every N commits) marks
+// it first, so its own pages are not stamped below what they hold. Marking
+// it again is a no-op.
+func (p *Pipeline) Applied(recs []wal.Record) {
+	a := p.applying
+	a.mu.Lock()
+	if i := slices.Index(a.first, recs[0].LSN); i >= 0 {
+		a.first = slices.Delete(a.first, i, i+1)
+	}
+	a.mu.Unlock()
+}
+
+// appliedLSN is the end of the applied prefix: every record at or below it
+// was applied to the cache, or aborted, or was never the pipeline's to
+// apply. Applies run in whichever order their Durable calls return, so a
+// cached page can hold a higher LSN than the prefix.
+func (p *Pipeline) appliedLSN() wal.LSN {
+	a := p.applying
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	through := p.log.Head() - 1
+	for _, first := range a.first {
+		through = min(through, first-1)
+	}
+	return through
+}
+
+// Capture stamps img, a copy of a cached page bound for the node's durable
+// page store, with min(its page LSN, appliedLSN): the highest LSN it is
+// known to hold every record up to. A redo onto the stored image then
+// re-applies what the copy may lack — a commit to another key of the page
+// that was still inside Durable when a later one applied — instead of
+// taking the page LSN's word for it. The re-applied records reach each key
+// in LSN order (a key's lock spans its own apply), so that is idempotent.
+func (p *Pipeline) Capture(img []byte) {
+	pg := page.Wrap(img)
+	if through := uint64(p.appliedLSN()); through < pg.LSN() {
+		pg.SetLSN(through)
+	}
 }
 
 // pageStamps derives the publication from one transaction's records: each
@@ -397,7 +465,11 @@ func (p *Pipeline) noteFlush(n int, reason sim.FlushReason) {
 // wake with the same durable LSN (the group's high-water mark) or the same
 // error.
 func (p *Pipeline) flushGroup(c *sim.Clock, groups [][]wal.Record, out []wal.LSN) error {
-	var recs []wal.Record
+	n := 0
+	for _, g := range groups {
+		n += len(g)
+	}
+	recs := make([]wal.Record, 0, n)
 	for _, g := range groups {
 		recs = append(recs, g...)
 	}

@@ -28,18 +28,19 @@ func raceBuild() bool {
 // count bound alone passed an 8 KB page copy per read). The bounds are what
 // this guard measures on Layout's 4 KB pages, the KB one rounded up:
 //
-//	monolithic  2  0.75 KB      aurora      6  1.99 KB
-//	legobase    2  0.90 KB      polardb     7  1.49 KB
-//	socrates    3  1.95 KB      serverless  7  2.00 KB
-//	pilotdb     4  1.90 KB      taurus      9  4.88 KB
-//	snowflake-kv 5 1.27 KB      shared-nothing 7  0.87 KB
+//	monolithic  2  0.75 KB      aurora      2  1.87 KB
+//	legobase    2  0.90 KB      polardb     4  1.40 KB
+//	socrates    3  1.85 KB      serverless  3  1.88 KB
+//	pilotdb     4  1.90 KB      taurus      3  3.62 KB
+//	snowflake-kv 5 1.28 KB      shared-nothing 7  0.87 KB
 //
 // Two of those are the transaction itself on every engine — the copy Read
 // hands the caller and the copy Write stages, which the log keeps; the rest
 // is what the engine's durable tier keeps (the transaction context and the
-// lock entry are recycled, see engine.StagedTx). Under one page wherever a
-// commit copies no page: reads run on the cache frame (buffer.Pool.View) and
-// only the value leaves it. Serverless's owned page copy comes from the page
+// lock entry are recycled, see engine.StagedTx; storage replicas reuse their
+// pending lists and quorum appends keep their acks on the stack). Under one
+// page wherever a commit copies no page: reads run on the cache frame
+// (buffer.Pool.View) and only the value leaves it. Serverless's owned page copy comes from the page
 // free list; taurus's KB is its page-store gossip — periodic work is
 // averaged in, as in the benchmark, whose engine.<name>.allocs_per_txn reads
 // up to 1 higher.

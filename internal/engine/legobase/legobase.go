@@ -83,6 +83,7 @@ func New(cfg *sim.Config, layout heap.Layout, localPages, remotePages int) *Engi
 	// that predates the commit goes stale and is dropped on its next
 	// validated read.
 	e.Tiers.SetCoherence(e.pipe.Dir(), "legobase", engine.PageLSN)
+	e.Tiers.Capture = e.pipe.Capture
 	return e
 }
 
@@ -168,6 +169,7 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 			return err
 		}
 	}
+	e.pipe.Applied(recs) // before a checkpoint below captures the pages
 	n := e.commitCount.Add(1)
 	if e.CheckpointRemoteEvery > 0 && n%int64(e.CheckpointRemoteEvery) == 0 {
 		e.CheckpointRemote(c)
@@ -215,6 +217,7 @@ func (e *Engine) CheckpointRemote(c *sim.Clock) error {
 		if err != nil {
 			return err
 		}
+		e.pipe.Capture(data)
 		if err := e.Tiers.Remote.Put(c, id, data); err != nil {
 			return err
 		}

@@ -216,3 +216,17 @@ func TestCheckpointRemoteRacingCheckpointStorage(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoteCheckpointDuringEarlierDurableKeepsItsCommit: a remote-memory
+// checkpoint taken while an earlier commit is inside Durable must not stamp
+// the remote images past that commit (see enginetest.InFlightCaptureGuard).
+func TestRemoteCheckpointDuringEarlierDurableKeepsItsCommit(t *testing.T) {
+	e := New(sim.DefaultConfig(), enginetest.Layout(t), 8, 256)
+	enginetest.InFlightCaptureGuard(t, e, func(gate func()) {
+		durable := e.pipe.Durable
+		e.pipe.Durable = func(c *sim.Clock, recs []wal.Record) error {
+			gate()
+			return durable(c, recs)
+		}
+	}, e.CheckpointRemote)
+}

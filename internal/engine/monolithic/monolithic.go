@@ -104,9 +104,12 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	return out, nil
 }
 
+// writebackPage writes a dirty frame to its disk image, stamped with what it
+// is known to hold (engine.Pipeline.Capture).
 func (e *Engine) writebackPage(c *sim.Clock, id page.ID, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
+	e.pipe.Capture(cp)
 	e.mu.Lock()
 	e.disk[id] = cp
 	e.mu.Unlock()

@@ -221,3 +221,11 @@ func TestFetchFailsWhenRedoFails(t *testing.T) {
 	e := monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64)
 	enginetest.FailedRedoGuard(t, e, e.PlantDiskImage, e.Pool().InvalidateAll)
 }
+
+// TestImageWrittenBackDuringEarlierDurableKeepsItsCommit: a writeback during
+// an earlier commit's fsync must not stamp the disk image past that commit
+// (see enginetest.InFlightCaptureGuard).
+func TestImageWrittenBackDuringEarlierDurableKeepsItsCommit(t *testing.T) {
+	e := monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64)
+	enginetest.InFlightCaptureGuard(t, e, e.GateDurable, e.Pool().FlushAll)
+}

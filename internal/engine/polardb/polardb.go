@@ -145,10 +145,12 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	return data, nil
 }
 
-// shipPage persists a dirty page image into PolarFS (page shipping).
+// shipPage persists a dirty page image into PolarFS (page shipping), stamped
+// with what it is known to hold (engine.Pipeline.Capture).
 func (e *Engine) shipPage(c *sim.Clock, id page.ID, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
+	e.pipe.Capture(cp)
 	e.mu.Lock()
 	e.pagesFS[id] = cp
 	e.mu.Unlock()
@@ -197,6 +199,7 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 // retries.
 func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 	e.pipe.ApplyPool(c, e.pool, recs)
+	e.pipe.Applied(recs) // before the flush below captures the pages
 	if n := e.commitCount.Add(1); e.CheckpointEvery > 0 && n%int64(e.CheckpointEvery) == 0 {
 		_ = e.pool.FlushAll(c)
 	}

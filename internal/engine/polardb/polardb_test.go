@@ -8,6 +8,7 @@ import (
 	"github.com/disagglab/disagg/internal/engine/enginetest"
 	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
+	"github.com/disagglab/disagg/internal/wal"
 )
 
 func TestConformance(t *testing.T) {
@@ -113,7 +114,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024), 7, 1.75)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024), 4, 1.75)
 }
 
 // TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
@@ -136,4 +137,18 @@ func TestMissAllocs(t *testing.T) {
 func TestFetchFailsWhenRedoFails(t *testing.T) {
 	e := New(sim.DefaultConfig(), enginetest.Layout(t), 64)
 	enginetest.FailedRedoGuard(t, e, func(id page.ID, img []byte) { e.pagesFS[id] = img }, e.pool.InvalidateAll)
+}
+
+// TestImageShippedDuringEarlierDurableKeepsItsCommit: a flush that ships a
+// page while an earlier commit to it is still inside Durable must not stamp
+// the image past that commit (see enginetest.InFlightCaptureGuard).
+func TestImageShippedDuringEarlierDurableKeepsItsCommit(t *testing.T) {
+	e := New(sim.DefaultConfig(), enginetest.Layout(t), 64)
+	enginetest.InFlightCaptureGuard(t, e, func(gate func()) {
+		durable := e.pipe.Durable
+		e.pipe.Durable = func(c *sim.Clock, recs []wal.Record) error {
+			gate()
+			return durable(c, recs)
+		}
+	}, e.pool.FlushAll)
 }

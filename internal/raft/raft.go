@@ -173,7 +173,9 @@ func (g *Group) AppendBatch(c *sim.Clock, datas [][]byte) (int, error) {
 	g.mu.Unlock()
 
 	total := 0
-	entries := make([]Entry, len(datas))
+	for _, data := range datas {
+		total += len(data)
+	}
 	persisted := len(datas)
 	if f.Torn {
 		// Crash-point mid-flush: only a prefix of the group reaches the
@@ -189,11 +191,16 @@ func (g *Group) AppendBatch(c *sim.Clock, datas [][]byte) (int, error) {
 		return 0, ErrNotLeader
 	}
 	term := leader.term
-	for i, data := range datas {
-		entries[i] = Entry{Term: term, Data: append([]byte(nil), data...)}
-		total += len(data)
+	// Each entry owns a copy of its payload: a caller may reuse its bytes.
+	for _, data := range datas[:persisted] {
+		leader.log = append(leader.log, Entry{Term: term, Data: append([]byte(nil), data...)})
 	}
-	leader.log = append(leader.log, entries[:persisted]...)
+	// The followers copy the group from the leader's log. entries aliases
+	// the array the group was appended to, which nothing writes again: later
+	// appends go past it, compaction and snapshot installs move the log to
+	// a new array, and a newer leader overwriting this one's entries
+	// replaces the array first (below).
+	entries := leader.log[len(leader.log)-persisted:]
 	index := leader.logicalLenLocked() - persisted + 1 // first index of the group
 	last := leader.logicalLenLocked()
 	leader.mu.Unlock()
@@ -210,7 +217,10 @@ func (g *Group) AppendBatch(c *sim.Clock, datas [][]byte) (int, error) {
 	// combined payload — this amortization is the whole point of group
 	// commit.
 	persist := g.cfg.SSDWrite.Cost(total)
-	acks := []time.Duration{persist} // leader's own ack
+	// The leader's own ack, then one per follower: on the stack for up to
+	// eight peers.
+	var ackBuf [8]time.Duration
+	acks := append(ackBuf[:0], persist)
 	for _, p := range g.peers {
 		if p == leader {
 			continue
@@ -233,6 +243,9 @@ func (g *Group) AppendBatch(c *sim.Clock, datas [][]byte) (int, error) {
 			// trimmed.
 			for p.logicalLenLocked() < last {
 				p.log = append(p.log, Entry{})
+			}
+			if p.overwritesOlderTermLocked(index, term, len(entries)) {
+				p.log = slices.Clone(p.log)
 			}
 			if at := index - 1 - p.snap; at >= 0 {
 				copy(p.log[at:], entries)
@@ -271,6 +284,19 @@ func (g *Group) AppendBatch(c *sim.Clock, datas [][]byte) (int, error) {
 	}
 	op.End(int64(total))
 	return index, nil
+}
+
+// overwritesOlderTermLocked reports whether placing n entries of term at
+// index would overwrite an entry of an older term: a stale leader's
+// divergent suffix, which that leader's own AppendBatch may still be
+// reading. Callers hold p.mu.
+func (p *Peer) overwritesOlderTermLocked(index int, term uint64, n int) bool {
+	for i := max(index-1-p.snap, 0); i < min(index-1-p.snap+n, len(p.log)); i++ {
+		if t := p.log[i].Term; t != 0 && t < term {
+			return true
+		}
+	}
+	return false
 }
 
 // CommitIndex reports the leader's commit index.

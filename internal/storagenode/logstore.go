@@ -334,9 +334,13 @@ func (g *LogStoreGroup) Append(c *sim.Clock, recs []wal.Record) error {
 		return err
 	}
 	op := g.cfg.Begin(c, "logstore.quorum")
-	var lats []time.Duration
+	var latBuf [8]time.Duration // one per store, on the stack for up to eight
+	lats := latBuf[:0]
+	// Each store's append runs on its own fresh clock (the fan-out is
+	// parallel); a zeroed Clock is exactly what sim.NewClock returns.
+	probe := sim.NewClock()
 	for _, ls := range g.Stores {
-		probe := sim.NewClock()
+		*probe = sim.Clock{}
 		if err := ls.Append(probe, recs); err != nil {
 			continue
 		}

@@ -42,8 +42,11 @@ type Replica struct {
 	netScale float64
 	nic      *sim.Meter
 
-	mu      sync.Mutex
-	pages   map[page.ID][]byte
+	mu    sync.Mutex
+	pages map[page.ID][]byte
+	// pending holds each page's received, unmaterialised records. A list
+	// belongs to this replica alone and keeps its capacity when it empties
+	// (prunePendingLocked), so a page's next ingest appends into it.
 	pending map[page.ID][]wal.Record
 	highLSN wal.LSN
 	// prefixLSN is the highest L such that every LSN in [1, L] has been
@@ -127,6 +130,11 @@ func (r *Replica) AppliedRecords() int64 {
 // ingest buffers records without charging network cost (the volume layer
 // accounts transfer once per quorum write). Crashed replicas miss the
 // records — they must catch up via CatchUpFrom.
+//
+// Ownership: recs stays the caller's — every record is copied by value into
+// the page's pending list — but each record's After is kept by reference
+// until the record is materialised or dropped. That is the engine.Hooks
+// contract: After is a fresh slice nobody writes again.
 func (r *Replica) ingest(recs []wal.Record) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -243,13 +251,12 @@ func (r *Replica) materializeLocked(c *sim.Clock, id page.ID) []byte {
 	// applied in LSN order for the page-LSN idempotence check to hold.
 	slices.SortFunc(pend, func(a, b wal.Record) int { return cmp.Compare(a.LSN, b.LSN) })
 	p := page.Wrap(data)
-	var keep []wal.Record
-	for _, rec := range pend {
+	r.prunePendingLocked(id, func(rec *wal.Record) bool {
 		if rec.LSN <= r.horizon {
 			// Covered by the adopted checkpoint: the page image (local or
 			// adopted from a checkpointed peer) already reflects it. Drop
 			// rather than re-apply onto a possibly fresher image.
-			continue
+			return false
 		}
 		if rec.LSN > r.prefixLSN {
 			// Past a log hole: applying this record would stamp the page
@@ -257,11 +264,10 @@ func (r *Replica) materializeLocked(c *sim.Clock, id page.ID) []byte {
 			// then serve the page as fresh while a dropped record for
 			// another key on it is still missing). Hold it until the
 			// prefix catches up.
-			keep = append(keep, rec)
-			continue
+			return true
 		}
 		if rec.LSN <= wal.LSN(p.LSN()) {
-			continue
+			return false
 		}
 		// Redo: install the after-image.
 		if err := r.layout.WriteValue(data, rec.Key, rec.After, uint64(rec.LSN)); err == nil {
@@ -270,13 +276,28 @@ func (r *Replica) materializeLocked(c *sim.Clock, id page.ID) []byte {
 		if c != nil {
 			c.Advance(r.cfg.CPU.Cost(len(rec.After) + 16))
 		}
-	}
-	if len(keep) > 0 {
-		r.pending[id] = keep
-	} else {
-		delete(r.pending, id)
-	}
+		return false
+	})
 	return data
+}
+
+// prunePendingLocked keeps the records of page id's pending list that keep
+// reports true for, in order, compacting the list in place. The vacated
+// tail is cleared so the dropped records' After images can be collected,
+// and the list stays in r.pending, emptied or not, with its capacity.
+func (r *Replica) prunePendingLocked(id page.ID, keep func(rec *wal.Record) bool) {
+	pend := r.pending[id]
+	if len(pend) == 0 {
+		return
+	}
+	kept := pend[:0]
+	for i := range pend {
+		if keep(&pend[i]) {
+			kept = append(kept, pend[i])
+		}
+	}
+	clear(pend[len(kept):])
+	r.pending[id] = kept
 }
 
 // ReadPage returns the page materialized to at least minLSN, charging the
@@ -332,18 +353,8 @@ func (r *Replica) WritePage(c *sim.Clock, id page.ID, data []byte) error {
 		r.highLSN = lsn
 	}
 	// Page image supersedes pending records at or below its LSN.
-	pl := page.Wrap(cp).LSN()
-	var keep []wal.Record
-	for _, rec := range r.pending[id] {
-		if rec.LSN > wal.LSN(pl) {
-			keep = append(keep, rec)
-		}
-	}
-	if len(keep) > 0 {
-		r.pending[id] = keep
-	} else {
-		delete(r.pending, id)
-	}
+	pl := wal.LSN(page.Wrap(cp).LSN())
+	r.prunePendingLocked(id, func(rec *wal.Record) bool { return rec.LSN > pl })
 	return nil
 }
 
@@ -351,16 +362,24 @@ func (r *Replica) WritePage(c *sim.Clock, id page.ID, data []byte) error {
 // the given clock, which tests usually make a throwaway).
 func (r *Replica) MaterializeAll(c *sim.Clock) {
 	r.mu.Lock()
-	ids := make([]page.ID, 0, len(r.pending))
-	for id := range r.pending {
-		ids = append(ids, id)
-	}
+	ids := r.pendingPagesLocked()
 	r.mu.Unlock()
 	for _, id := range ids {
 		r.mu.Lock()
 		r.materializeLocked(c, id)
 		r.mu.Unlock()
 	}
+}
+
+// pendingPagesLocked lists the pages with unmaterialised records.
+func (r *Replica) pendingPagesLocked() []page.ID {
+	var ids []page.ID
+	for id, pend := range r.pending {
+		if len(pend) > 0 {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // PendingRecords reports buffered, unmaterialized records.
@@ -414,11 +433,7 @@ func (r *Replica) AdvanceHorizon(c *sim.Clock, h wal.LSN) {
 	// Materialize everything the new prefix completes BEFORE adopting the
 	// horizon: pending records at or below h must reach their pages now —
 	// after adoption they would be treated as covered and dropped.
-	ids := make([]page.ID, 0, len(r.pending))
-	for id := range r.pending {
-		ids = append(ids, id)
-	}
-	for _, id := range ids {
+	for _, id := range r.pendingPagesLocked() {
 		r.materializeLocked(c, id)
 	}
 	r.horizon = h
@@ -473,17 +488,7 @@ func (r *Replica) adoptCheckpoint(c *sim.Clock, peer *Replica, h wal.LSN) (int, 
 			r.highLSN = lsn
 		}
 		// The image supersedes pending records at or below its LSN.
-		var keep []wal.Record
-		for _, rec := range r.pending[id] {
-			if rec.LSN > lsn {
-				keep = append(keep, rec)
-			}
-		}
-		if len(keep) > 0 {
-			r.pending[id] = keep
-		} else {
-			delete(r.pending, id)
-		}
+		r.prunePendingLocked(id, func(rec *wal.Record) bool { return rec.LSN > lsn })
 		bytes += len(img)
 		copied++
 	}
@@ -529,8 +534,8 @@ func (r *Replica) CatchUpFrom(c *sim.Clock, peer *Replica, log *wal.Log) (int, e
 	}
 	// Ship exactly the records the peer holds and the receiver lacks
 	// (the receiver may have holes above its prefix).
-	var ship []wal.Record
-	if err := log.Range(from, ^wal.LSN(0), func(rec *wal.Record) error {
+	s := shipment{r: r}
+	err := log.Range(from, ^wal.LSN(0), func(rec *wal.Record) error {
 		peer.mu.Lock()
 		has := peer.hasLSN(rec.LSN)
 		peer.mu.Unlock()
@@ -541,19 +546,59 @@ func (r *Replica) CatchUpFrom(c *sim.Clock, peer *Replica, log *wal.Log) (int, e
 		lacks := !r.hasLSN(rec.LSN)
 		r.mu.Unlock()
 		if lacks {
-			ship = append(ship, *rec)
+			s.add(rec)
 		}
 		return nil
-	}); err != nil {
+	})
+	s.flush()
+	if err != nil {
 		return adopted, err
 	}
-	if len(ship) == 0 {
-		return adopted, nil
+	s.charge(c)
+	return adopted + s.records, nil
+}
+
+// shipment is one catch-up's delivery, made in fixed chunks: a full chunk
+// is ingested while the walk goes on, and the network is charged once, over
+// the encoded size of everything shipped, when it ends. Ingesting a chunk
+// early changes no later lacks-check of the walk (its LSNs ascend), and a
+// walk cut short keeps what it delivered: records extend the replica's log,
+// the prefix only over what it holds.
+type shipment struct {
+	r       *Replica
+	chunk   [64]wal.Record
+	n       int
+	records int
+	bytes   int
+}
+
+func (s *shipment) add(rec *wal.Record) {
+	s.chunk[s.n] = *rec
+	s.n++
+	s.records++
+	s.bytes += rec.EncodedSize()
+	if s.n == len(s.chunk) {
+		s.flush()
 	}
-	n := encodedSize(ship)
-	c.Advance(sim.LatencyModel{Base: r.cfg.TCP.Base, BytesPerSec: r.cfg.TCP.BytesPerSec}.Cost(n))
-	r.ingest(ship)
-	return adopted + len(ship), nil
+}
+
+// flush ingests the partial chunk and clears it, so the chunk keeps no
+// After image reachable.
+func (s *shipment) flush() {
+	if s.n == 0 {
+		return
+	}
+	s.r.ingest(s.chunk[:s.n])
+	clear(s.chunk[:s.n])
+	s.n = 0
+}
+
+// charge advances c by the transfer of everything shipped; an empty
+// shipment costs nothing.
+func (s *shipment) charge(c *sim.Clock) {
+	if s.records > 0 && c != nil {
+		c.Advance(sim.LatencyModel{Base: s.r.cfg.TCP.Base, BytesPerSec: s.r.cfg.TCP.BytesPerSec}.Cost(s.bytes))
+	}
 }
 
 // CatchUpFromLog ships every record the replica lacks straight from the
@@ -572,27 +617,23 @@ func (r *Replica) CatchUpFromLog(c *sim.Clock, log *wal.Log) int {
 	}
 	from := r.prefixLSN
 	r.mu.Unlock()
-	// A walk that meets the truncation floor ships nothing: the gap.
-	var ship []wal.Record
-	if err := log.Range(from, ^wal.LSN(0), func(rec *wal.Record) error {
+	// A walk that starts below the truncation floor ships nothing: the gap.
+	s := shipment{r: r}
+	err := log.Range(from, ^wal.LSN(0), func(rec *wal.Record) error {
 		r.mu.Lock()
 		lacks := !r.hasLSN(rec.LSN)
 		r.mu.Unlock()
 		if lacks {
-			ship = append(ship, *rec)
+			s.add(rec)
 		}
 		return nil
-	}); err != nil {
+	})
+	s.flush()
+	if err != nil {
 		return 0
 	}
-	if len(ship) == 0 {
-		return 0
-	}
-	if c != nil {
-		c.Advance(sim.LatencyModel{Base: r.cfg.TCP.Base, BytesPerSec: r.cfg.TCP.BytesPerSec}.Cost(encodedSize(ship)))
-	}
-	r.ingest(ship)
-	return len(ship)
+	s.charge(c)
+	return s.records
 }
 
 // String implements fmt.Stringer.

@@ -1,6 +1,7 @@
 package storagenode
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -105,7 +106,8 @@ func (v *Volume) AppendLog(c *sim.Clock, recs []wal.Record) error {
 		return ErrNoQuorum
 	}
 	n := encodedSize(recs)
-	var acks []float64
+	var ackBuf [8]float64 // one per replica, on the stack for up to eight
+	acks := ackBuf[:0]
 	var faultErr error
 	for _, r := range v.Replicas {
 		if r.Failed() {
@@ -139,7 +141,7 @@ func (v *Volume) AppendLog(c *sim.Clock, recs []wal.Record) error {
 		}
 		return ErrNoQuorum
 	}
-	sort.Float64s(acks)
+	slices.Sort(acks)
 	quorumLat := time.Duration(acks[v.WriteQ-1])
 	v.meter.Charge(c, quorumLat)
 	op.End(int64(n))
