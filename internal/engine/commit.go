@@ -207,13 +207,21 @@ func (p *Pipeline) Crash() {
 func (p *Pipeline) Up() { p.crashed.Store(false) }
 
 // Checkpoint runs one round on the node's coordinator. The horizon it
-// captures is the durable LSN unless the round captures more with it.
+// captures is CheckpointLSN unless the round captures more with it.
 func (p *Pipeline) Checkpoint(c *sim.Clock, r checkpoint.Round) error {
 	if r.Durable == nil {
-		r.Durable = p.DurableLSN
+		r.Durable = p.CheckpointLSN
 	}
 	return p.ckpt.Checkpoint(c, r)
 }
+
+// CheckpointLSN is the highest horizon a checkpoint round may capture: the
+// durable LSN, held below every transaction that is decided but not yet
+// applied. The durable LSN covers such a transaction, but a round's redo
+// into a cached page a later commit already stamped skips its records, and
+// Capture stamps the flushed image below it: only the log holds its update,
+// so truncation must not reach it.
+func (p *Pipeline) CheckpointLSN() wal.LSN { return min(p.DurableLSN(), p.appliedLSN()) }
 
 // Horizon reports the published recovery horizon of the node's log.
 func (p *Pipeline) Horizon() wal.LSN { return p.ckpt.Horizon() }

@@ -9,8 +9,8 @@ import (
 	"github.com/disagglab/disagg/internal/sim"
 )
 
-// raceBuild reports whether the test binary was built with -race.
-func raceBuild() bool {
+// RaceBuild reports whether the test binary was built with -race.
+func RaceBuild() bool {
 	bi, _ := debug.ReadBuildInfo()
 	for _, s := range bi.Settings {
 		if s.Key == "-race" {
@@ -29,7 +29,7 @@ func raceBuild() bool {
 // this guard measures on Layout's 4 KB pages, the KB one rounded up:
 //
 //	monolithic  2  0.75 KB      aurora      2  1.87 KB
-//	legobase    2  0.90 KB      polardb     4  1.40 KB
+//	legobase    2  0.78 KB      polardb     3  1.18 KB
 //	socrates    3  1.85 KB      serverless  3  1.88 KB
 //	pilotdb     4  1.90 KB      taurus      3  3.62 KB
 //	snowflake-kv 5 1.28 KB      shared-nothing 7  0.87 KB
@@ -38,8 +38,9 @@ func raceBuild() bool {
 // hands the caller and the copy Write stages, which the log keeps; the rest
 // is what the engine's durable tier keeps (the transaction context and the
 // lock entry are recycled, see engine.StagedTx; storage replicas reuse their
-// pending lists and quorum appends keep their acks on the stack). Under one
-// page wherever a commit copies no page: reads run on the cache frame
+// pending lists, quorum appends keep their acks on the stack, and raft keeps
+// the payload it is handed instead of a copy). Under one page wherever a
+// commit copies no page: reads run on the cache frame
 // (buffer.Pool.View) and only the value leaves it. Serverless's owned page copy comes from the page
 // free list; taurus's KB is its page-store gossip — periodic work is
 // averaged in, as in the benchmark, whose engine.<name>.allocs_per_txn reads
@@ -78,7 +79,7 @@ func AllocGuard(t *testing.T, e engine.Engine, max, maxKB float64) {
 	// a share of what is put back (a fresh transaction context now and then),
 	// page.Alloc recycles nothing (serverless's page copy is a fresh 4 KB),
 	// and the detector's instrumentation allocates on its own.
-	if !raceBuild() {
+	if !RaceBuild() {
 		if got > max {
 			t.Errorf("%s: %.0f allocs per 1-key RMW commit, want <= %.0f", e.Name(), got, max)
 		}
@@ -149,7 +150,7 @@ func MissAllocGuard(t *testing.T, e engine.Engine, maxKB float64) {
 		t.Fatalf("%s: %d page-store fetches for %d reads: the reads were not all misses", e.Name(), got, pages)
 	}
 	gotKB := float64(after.TotalAlloc-before.TotalAlloc) / pages / 1024
-	if gotKB > maxKB && !raceBuild() {
+	if gotKB > maxKB && !RaceBuild() {
 		t.Errorf("%s: %.2f KB allocated per cold 1-key read, want <= %.2f", e.Name(), gotKB, maxKB)
 	}
 	t.Logf("%s: %.2f KB per cold 1-key read (bound %.2f)", e.Name(), gotKB, maxKB)

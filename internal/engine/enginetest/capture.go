@@ -63,7 +63,20 @@ func InFlightCaptureGuard(t *testing.T, e engine.Engine, gate func(fn func()), s
 			t.Fatalf("%s: read key %d after recovery: %v", e.Name(), k, err)
 		}
 		if tag := binary.LittleEndian.Uint64(got); tag != 2 {
-			t.Fatalf("%s: key %d reads version %d after recovery, want the acked 2 (an image shipped while its commit was in flight skipped it)", e.Name(), k, tag)
+			t.Fatalf("%s: key %d reads version %d after recovery, want the acked 2 (an image shipped or a checkpoint taken while its commit was in flight skipped it)", e.Name(), k, tag)
 		}
 	}
+}
+
+// CheckpointDuringApplyGuard is InFlightCaptureGuard one step later: gate
+// holds A inside its Apply hook — decided and durable, but not yet in the
+// cache — while B commits and applies to the same page and a full checkpoint
+// round runs. A horizon at the durable LSN covers A, yet the round's redo
+// into the cached page skips A under the page-LSN guard (B's stamp is
+// higher) and its flush stamps the image below A, so truncating below the
+// horizon drops the only copy of A's update. The horizon must stay below
+// every decided commit that has not applied.
+func CheckpointDuringApplyGuard(t *testing.T, e engine.Engine, gate func(fn func())) {
+	t.Helper()
+	InFlightCaptureGuard(t, e, gate, engine.Caps(e).Checkpointer.Checkpoint)
 }

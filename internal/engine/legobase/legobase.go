@@ -203,22 +203,29 @@ func (e *Engine) redoTiers(c *sim.Clock, after, upto wal.LSN) error {
 // durable during the flush (applied only to the soon-to-die local cache,
 // or not applied at all) fell below the horizon without its pages in
 // remote memory, and Recover's from-horizon replay skipped it. The
-// capture-first ordering plus a log-tail redo closes both holes.
+// capture-first ordering plus a log-tail redo closes both holes. The
+// horizon is the checkpoint LSN, not the durable LSN, for the same reason:
+// a commit still on its way into the local cache is in no image this round
+// writes.
+//
+// Each dirty frame is copied into one recycled buffer, stamped and written
+// to remote memory, which keeps its own copy.
 func (e *Engine) CheckpointRemote(c *sim.Clock) error {
-	target := e.pipe.DurableLSN()
+	target := e.pipe.CheckpointLSN()
 	e.mu.Lock()
 	from := e.remoteCkptLSN
 	e.mu.Unlock()
 	if err := e.redoTiers(c, from, target); err != nil {
 		return err
 	}
+	img := page.Alloc(e.layout.PageSize)
+	defer page.Release(img)
 	for _, id := range e.Tiers.Local.DirtyIDs() {
-		data, err := e.Tiers.Local.Get(c, id)
-		if err != nil {
+		if err := e.Tiers.Local.Read(c, id, func(data []byte) { copy(img, data) }); err != nil {
 			return err
 		}
-		e.pipe.Capture(data)
-		if err := e.Tiers.Remote.Put(c, id, data); err != nil {
+		e.pipe.Capture(img)
+		if err := e.Tiers.Remote.Put(c, id, img); err != nil {
 			return err
 		}
 	}

@@ -24,6 +24,16 @@ func (e *Engine) GateDurable(gate func()) {
 	}
 }
 
+// GateApply makes every commit call gate inside its apply hook, before the
+// buffer pool sees its records.
+func (e *Engine) GateApply(gate func()) {
+	apply := e.pipe.Apply
+	e.pipe.Apply = func(c *sim.Clock, recs []wal.Record) error {
+		gate()
+		return apply(c, recs)
+	}
+}
+
 // PlantDiskImage stores img as the durable on-disk image of page id.
 func (e *Engine) PlantDiskImage(id page.ID, img []byte) {
 	e.mu.Lock()

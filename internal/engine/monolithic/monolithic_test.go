@@ -229,3 +229,11 @@ func TestImageWrittenBackDuringEarlierDurableKeepsItsCommit(t *testing.T) {
 	e := monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64)
 	enginetest.InFlightCaptureGuard(t, e, e.GateDurable, e.Pool().FlushAll)
 }
+
+// TestCheckpointDuringEarlierApplyKeepsItsCommit: a checkpoint round while
+// an earlier commit to a page is decided but not yet applied must not
+// truncate that commit's records (see enginetest.CheckpointDuringApplyGuard).
+func TestCheckpointDuringEarlierApplyKeepsItsCommit(t *testing.T) {
+	e := monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64)
+	enginetest.CheckpointDuringApplyGuard(t, e, e.GateApply)
+}

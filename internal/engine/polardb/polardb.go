@@ -146,18 +146,19 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 }
 
 // shipPage persists a dirty page image into PolarFS (page shipping), stamped
-// with what it is known to hold (engine.Pipeline.Capture).
+// with what it is known to hold (engine.Pipeline.Capture). The one copy of
+// the frame is the image pagesFS keeps and the payload raft replicates:
+// neither writes to it again (a checkpoint's RedoImages replaces an image it
+// changes).
 func (e *Engine) shipPage(c *sim.Clock, id page.ID, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	e.pipe.Capture(cp)
+	img := make([]byte, len(data))
+	copy(img, data)
+	e.pipe.Capture(img)
 	e.mu.Lock()
-	e.pagesFS[id] = cp
+	e.pagesFS[id] = img
 	e.mu.Unlock()
-	// 3-way replicated write over RDMA + NVMe. It ships the caller's bytes:
-	// cp now belongs to pagesFS, where a checkpoint's RedoImages may write
-	// into it under e.mu.
-	if _, err := e.FS.Append(c, data); err != nil {
+	// 3-way replicated write over RDMA + NVMe.
+	if _, err := e.FS.Append(c, img); err != nil {
 		return err
 	}
 	e.stats.PageBytes.Add(int64(len(data)))
@@ -178,7 +179,8 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 }
 
 // durable: log shipping at commit — the encoded records go to PolarFS as
-// one raft entry, replicated leader -> 2 followers over the fabric.
+// one raft entry, replicated leader -> 2 followers over the fabric. The
+// entry takes the encoding, which nothing else holds.
 func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 	encoded := engine.Encode(recs)
 	if _, err := e.FS.Append(c, encoded); err != nil {
@@ -240,7 +242,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 			e.mu.Lock()
 			defer e.mu.Unlock()
 			e.fsCompactTo = e.FS.CommitIndex()
-			return e.pipe.DurableLSN()
+			return e.pipe.CheckpointLSN()
 		},
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			e.mu.Lock()

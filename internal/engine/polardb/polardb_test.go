@@ -1,6 +1,7 @@
 package polardb
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/cluster"
@@ -114,7 +115,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024), 4, 1.75)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024), 3, 1.25)
 }
 
 // TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
@@ -139,6 +140,51 @@ func TestFetchFailsWhenRedoFails(t *testing.T) {
 	enginetest.FailedRedoGuard(t, e, func(id page.ID, img []byte) { e.pagesFS[id] = img }, e.pool.InvalidateAll)
 }
 
+// A shipped page image is one slice owned twice — by pagesFS and by the raft
+// entry that replicated it — so neither may ever change: a checkpoint whose
+// redo changes the page puts a new image in pagesFS and leaves the shipped
+// bytes as they were.
+func TestCheckpointRedoReplacesShippedImage(t *testing.T) {
+	layout := enginetest.Layout(t)
+	e := New(sim.DefaultConfig(), layout, 64)
+	e.CheckpointEvery = 0
+	c := sim.NewClock()
+	const key = 3
+	id := layout.PageOf(key)
+	write := func(b byte) {
+		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+			return tx.Write(key, bytes.Repeat([]byte{b}, layout.ValSize))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(1)
+	if err := e.pool.FlushAll(c); err != nil {
+		t.Fatal(err)
+	}
+	shipped := e.pagesFS[id]
+	entry, err := e.FS.Entry(c, e.FS.CommitIndex())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &entry.Data[0] != &shipped[0] {
+		t.Fatal("raft replicated a copy of the shipped image, want the image pagesFS keeps")
+	}
+	before := bytes.Clone(shipped)
+
+	write(2)
+	e.pool.InvalidateAll() // only the checkpoint's redo brings pagesFS up to date
+	if err := e.Checkpoint(c); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shipped, before) || !bytes.Equal(entry.Data, before) {
+		t.Fatal("the checkpoint's redo wrote into the shipped image")
+	}
+	if v, err := layout.ReadValue(e.pagesFS[id], key); err != nil || v[0] != 2 {
+		t.Fatalf("pagesFS holds %v (err %v) for key %d after the checkpoint, want the redone value 2", v, err, key)
+	}
+}
+
 // TestImageShippedDuringEarlierDurableKeepsItsCommit: a flush that ships a
 // page while an earlier commit to it is still inside Durable must not stamp
 // the image past that commit (see enginetest.InFlightCaptureGuard).
@@ -151,4 +197,18 @@ func TestImageShippedDuringEarlierDurableKeepsItsCommit(t *testing.T) {
 			return durable(c, recs)
 		}
 	}, e.pool.FlushAll)
+}
+
+// TestCheckpointDuringEarlierApplyKeepsItsCommit: a checkpoint round while
+// an earlier commit to a page is decided but not yet applied must not
+// truncate that commit's records (see enginetest.CheckpointDuringApplyGuard).
+func TestCheckpointDuringEarlierApplyKeepsItsCommit(t *testing.T) {
+	e := New(sim.DefaultConfig(), enginetest.Layout(t), 64)
+	enginetest.CheckpointDuringApplyGuard(t, e, func(gate func()) {
+		apply := e.pipe.Apply
+		e.pipe.Apply = func(c *sim.Clock, recs []wal.Record) error {
+			gate()
+			return apply(c, recs)
+		}
+	})
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/wal"
@@ -31,23 +33,37 @@ func (p *Pipeline) Redo(data []byte, r *wal.Record) (applied bool, err error) {
 // changed so the caller can charge their writes. wal.ErrTruncated means the
 // range reaches below the log's floor. The caller holds the lock guarding
 // images; the log's lock nests inside it, never the reverse.
+//
+// The store's images are immutable — one may also be the payload of a
+// replicated log entry — so the redo goes into a fresh copy of each image
+// it changes, and the copies replace the originals only once the whole
+// range has been redone: a failed round leaves the store as it was.
 func (p *Pipeline) RedoImages(images map[page.ID][]byte, after, upto wal.LSN) (changed int, err error) {
-	dirty := map[page.ID]bool{}
+	redone := map[page.ID][]byte{}
 	err = p.log.Range(after, upto, func(r *wal.Record) error {
 		if r.Type != wal.TypeUpdate {
 			return nil
 		}
 		id := page.ID(r.PageID)
-		img, ok := images[id]
+		img, ok := redone[id]
 		if !ok {
-			img = p.layout.FormatPage(id).Bytes()
-			images[id] = img
+			stored, held := images[id]
+			switch {
+			case !held:
+				img = p.layout.FormatPage(id).Bytes()
+			case uint64(r.LSN) > PageLSN(stored):
+				img = slices.Clone(stored)
+			default:
+				return nil // the stored image holds r already
+			}
+			redone[id] = img
 		}
-		applied, err := p.Redo(img, r)
-		if applied {
-			dirty[id] = true
-		}
+		_, err := p.Redo(img, r)
 		return err
 	})
-	return len(dirty), err
+	if err != nil {
+		return 0, err
+	}
+	maps.Copy(images, redone)
+	return len(redone), nil
 }

@@ -100,12 +100,16 @@ func TestRedoImages(t *testing.T) {
 	if err := e.layout.WriteValue(held, 2*per, redoVal(e, 4), 4); err != nil {
 		t.Fatal(err)
 	}
-	images := map[page.ID][]byte{0: e.layout.FormatPage(0).Bytes(), 2: held}
-	before := bytes.Clone(held)
+	stored0 := e.layout.FormatPage(0).Bytes()
+	images := map[page.ID][]byte{0: stored0, 2: held}
+	before, before0 := bytes.Clone(held), bytes.Clone(stored0)
 
 	changed, err := e.p.RedoImages(images, 0, 4)
 	if err != nil || changed != 2 {
 		t.Fatalf("RedoImages(0, 4) = %d changed, err %v; want 2 (pages 0 and 1)", changed, err)
+	}
+	if !bytes.Equal(stored0, before0) {
+		t.Fatal("page 0's stored image was written in place: images are immutable, a redo replaces them")
 	}
 	for key, b := range map[uint64]byte{0: 1, 1: 2, per: 3} {
 		if v, err := e.layout.ReadValue(images[e.layout.PageOf(key)], key); err != nil || !bytes.Equal(v, redoVal(e, b)) {

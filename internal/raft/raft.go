@@ -141,6 +141,9 @@ func (g *Group) alive() int {
 // before any peer persists it, or tear it: the leader persists the entry
 // but the caller sees an error before replication completes — an
 // unacknowledged write a later quorum commit may still surface.
+//
+// The group takes data: the entry holds the caller's slice, shared by every
+// peer that persists it, so the caller must never write to it again.
 func (g *Group) Append(c *sim.Clock, data []byte) (int, error) {
 	d := [1][]byte{data}
 	return g.AppendBatch(c, d[:])
@@ -152,7 +155,8 @@ func (g *Group) Append(c *sim.Clock, data []byte) (int, error) {
 // leader persist, one parallel follower fan-out, one fault decision. A
 // torn batch persists only a prefix of the entries on the leader before
 // the caller errors, so every rider of the flush must treat its commit as
-// unacknowledged.
+// unacknowledged. The group takes each payload, as Append does (the slice
+// datas itself stays the caller's).
 func (g *Group) AppendBatch(c *sim.Clock, datas [][]byte) (int, error) {
 	if len(datas) == 0 {
 		return 0, nil
@@ -191,9 +195,8 @@ func (g *Group) AppendBatch(c *sim.Clock, datas [][]byte) (int, error) {
 		return 0, ErrNotLeader
 	}
 	term := leader.term
-	// Each entry owns a copy of its payload: a caller may reuse its bytes.
 	for _, data := range datas[:persisted] {
-		leader.log = append(leader.log, Entry{Term: term, Data: append([]byte(nil), data...)})
+		leader.log = append(leader.log, Entry{Term: term, Data: data})
 	}
 	// The followers copy the group from the leader's log. entries aliases
 	// the array the group was appended to, which nothing writes again: later

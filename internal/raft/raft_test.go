@@ -30,6 +30,31 @@ func TestAppendCommitsAtMajority(t *testing.T) {
 	}
 }
 
+// The group takes an appended payload: every peer's entry holds the caller's
+// slice, and a warm Append allocates nothing but the logs' amortised growth.
+func TestAppendTakesItsPayload(t *testing.T) {
+	g := NewGroup(sim.DefaultConfig(), 3)
+	c := sim.NewClock()
+	data := []byte("payload")
+	idx, err := g.Append(c, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range g.Peers() {
+		if got := p.log[idx-1].Data; &got[0] != &data[0] {
+			t.Fatalf("peer %d holds a copy of the payload, want the appended slice", p.ID)
+		}
+	}
+	for i := 0; i < 1000; i++ { // past the logs' first growth steps
+		if _, err := g.Append(c, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { g.Append(c, data) }); n >= 1 {
+		t.Fatalf("%.2f allocations per warm Append, want < 1 (log growth only)", n)
+	}
+}
+
 func TestAppendSurvivesOneFollowerDown(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	g := NewGroup(cfg, 3)
