@@ -111,7 +111,8 @@ func (s *SSD) Write(c *sim.Clock, n int) {
 var ErrNoSuchObject = errors.New("device: no such object")
 
 // ObjectStore is an S3/XStore-like durable blob store: very high base
-// latency, decent streaming bandwidth, immutable-object semantics. Unlike
+// latency, decent streaming bandwidth, immutable-object semantics (Put takes
+// its payload, reads copy out). Unlike
 // the pure cost devices above it actually holds the bytes, because
 // Snowflake-style engines and the Socrates XStore tier store real data here.
 type ObjectStore struct {
@@ -133,6 +134,10 @@ func NewObjectStore(cfg *sim.Config) *ObjectStore {
 // fault injection an upload can fail before any bytes land (drop) or tear
 // mid-transfer, leaving a truncated object behind — readers must treat
 // short objects as torn tails (wal.DecodePrefix-style recovery).
+//
+// Put takes data: the object holds the caller's slice (a torn one a prefix
+// of it), so once Put is called the caller never writes those bytes again.
+// Get and GetRange copy out, so nothing outside the store aliases an object.
 func (o *ObjectStore) Put(c *sim.Clock, key string, data []byte) error {
 	op := o.cfg.Begin(c, "obj.put")
 	f := o.cfg.Inject(c, "obj.put")
@@ -140,16 +145,14 @@ func (o *ObjectStore) Put(c *sim.Clock, key string, data []byte) error {
 		op.End(0)
 		return f.FaultErr()
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	if f.Torn {
-		cp = cp[:len(cp)/2]
+		data = data[:len(data)/2]
 	}
 	o.mu.Lock()
-	o.objects[key] = cp
+	o.objects[key] = data
 	o.mu.Unlock()
-	o.meter.Charge(c, o.cfg.ObjPut.Cost(len(cp)))
-	op.End(int64(len(cp)))
+	o.meter.Charge(c, o.cfg.ObjPut.Cost(len(data)))
+	op.End(int64(len(data)))
 	if f.Torn {
 		return f.FaultErr()
 	}

@@ -75,21 +75,58 @@ func TestObjectStorePutGet(t *testing.T) {
 	}
 }
 
+// Reads copy out: a caller that writes to what Get or GetRange returned
+// never changes the object.
 func TestObjectStoreImmutability(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	o := NewObjectStore(cfg)
 	c := sim.NewClock()
-	src := []byte{1, 2, 3}
-	o.Put(c, "k", src)
-	src[0] = 99 // caller mutates its buffer after Put
+	o.Put(c, "k", []byte{1, 2, 3})
 	got, _ := o.Get(c, "k")
-	if got[0] != 1 {
-		t.Fatal("Put aliased caller buffer")
-	}
 	got[1] = 88 // caller mutates the returned buffer
+	part, _ := o.GetRange(c, "k", 2, 1)
+	part[0] = 77
 	again, _ := o.Get(c, "k")
-	if again[1] != 2 {
-		t.Fatal("Get aliased stored buffer")
+	if !bytes.Equal(again, []byte{1, 2, 3}) {
+		t.Fatalf("object after writes to read results = %v: a read aliased the stored bytes", again)
+	}
+}
+
+// tearPuts tears every obj.put and lets everything else through.
+type tearPuts struct{}
+
+func (tearPuts) Inject(_ *sim.Clock, site string) sim.FaultOutcome {
+	return sim.FaultOutcome{Torn: site == "obj.put"}
+}
+
+// Put takes its payload: the object is the caller's slice, not a copy of it,
+// and a torn upload keeps a prefix of that same slice.
+func TestObjectStorePutTakesItsPayload(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	o := NewObjectStore(cfg)
+	c := sim.NewClock()
+	src := []byte{1, 2, 3, 4}
+	if err := o.Put(c, "k", src); err != nil {
+		t.Fatal(err)
+	}
+	if held := o.objects["k"]; len(held) != len(src) || &held[0] != &src[0] {
+		t.Fatal("Put stored a copy of its payload")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { o.Put(c, "k", src) }); allocs != 0 {
+		t.Fatalf("warm Put allocates %.0f times, want 0", allocs)
+	}
+
+	cfg.Fault = tearPuts{}
+	torn := []byte{5, 6, 7, 8}
+	if err := o.Put(c, "t", torn); err == nil {
+		t.Fatal("torn Put reported success")
+	}
+	if held := o.objects["t"]; len(held) != len(torn)/2 || &held[0] != &torn[0] {
+		t.Fatalf("torn Put stored %v, want the first half of the caller's slice", held)
+	}
+	cfg.Fault = nil
+	if got, _ := o.Get(c, "t"); !bytes.Equal(got, []byte{5, 6}) {
+		t.Fatalf("torn object = %v, want [5 6]", got)
 	}
 }
 

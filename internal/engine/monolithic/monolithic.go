@@ -41,7 +41,8 @@ type Engine struct {
 	testBetweenFlushAndTruncate func()
 
 	mu sync.Mutex
-	// disk is the durable page store (post-checkpoint images).
+	// disk is the durable page store (post-checkpoint images), private to
+	// the engine: written in place and read, both under mu.
 	disk map[page.ID][]byte
 	// checkpointLSN is the LSN covered by on-disk pages.
 	checkpointLSN wal.LSN
@@ -71,16 +72,20 @@ func (e *Engine) Name() string { return "monolithic" }
 func (e *Engine) Stats() *engine.Stats { return &e.stats }
 
 func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
+	// writebackPage overwrites a disk image in place, so the image is copied
+	// out before e.mu is dropped.
+	out := page.Alloc(e.layout.PageSize)
 	e.mu.Lock()
-	data, ok := e.disk[id]
+	img, ok := e.disk[id]
+	if ok {
+		copy(out, img)
+	}
 	e.mu.Unlock()
 	e.stats.StorageOps.Add(1)
 	if !ok {
-		data = e.layout.FormatPage(id).Bytes()
+		copy(out, e.layout.FormatPage(id).Bytes())
 	}
 	e.ssd.Read(c, e.layout.PageSize)
-	out := page.Alloc(len(data))
-	copy(out, data)
 	// Redo this page's log chain: the disk image only reflects the last
 	// writeback/checkpoint, but the fsynced WAL may hold newer committed
 	// updates (e.g. after a failed in-pool apply staled the frame).
@@ -104,14 +109,19 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	return out, nil
 }
 
-// writebackPage writes a dirty frame to its disk image, stamped with what it
-// is known to hold (engine.Pipeline.Capture).
+// writebackPage writes a dirty frame over its disk image, stamped with what
+// it is known to hold (engine.Pipeline.Capture). Nobody but fetchPage reads
+// disk, and it copies out under e.mu, so the image is overwritten in place:
+// only a page's first writeback allocates one.
 func (e *Engine) writebackPage(c *sim.Clock, id page.ID, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	e.pipe.Capture(cp)
 	e.mu.Lock()
-	e.disk[id] = cp
+	img, ok := e.disk[id]
+	if !ok {
+		img = make([]byte, len(data))
+		e.disk[id] = img
+	}
+	copy(img, data)
+	e.pipe.Capture(img)
 	e.mu.Unlock()
 	e.ssd.Write(c, len(data))
 	e.stats.StorageOps.Add(1)

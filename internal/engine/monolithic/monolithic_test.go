@@ -8,6 +8,7 @@ import (
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/engine/enginetest"
 	"github.com/disagglab/disagg/internal/engine/monolithic"
+	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
 )
 
@@ -213,6 +214,79 @@ func TestHooksMayNotKeepRecs(t *testing.T) {
 // the log (see enginetest.MissAllocGuard).
 func TestMissAllocs(t *testing.T) {
 	enginetest.MissAllocGuard(t, monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64), 0.25)
+}
+
+// TestDirtyMissAllocs bounds what one write to an uncached page allocates
+// when its miss evicts a dirty frame: the writeback overwrites the page's disk
+// image instead of copying the frame into a new one (see
+// enginetest.DirtyMissAllocGuard).
+func TestDirtyMissAllocs(t *testing.T) {
+	enginetest.DirtyMissAllocGuard(t, monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64), 1.25)
+}
+
+// A miss on a page copies its disk image out while writebacks of the same
+// page — dirty evictions and FlushAll — overwrite that image in place. Run
+// under -race: the copy must happen under the engine's lock, and every
+// fetched value must be one whole value a commit wrote.
+func TestMissDuringWritebackOfThePage(t *testing.T) {
+	layout := enginetest.Layout(t)
+	e := monolithic.New(sim.DefaultConfig(), layout, 1)
+	p, q := uint64(layout.PerPage), 2*uint64(layout.PerPage) // first keys of pages 1 and 2
+	write := func(c *sim.Clock, key uint64, b byte) error {
+		v := bytes.Repeat([]byte{b}, layout.ValSize)
+		return engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(key, v) })
+	}
+	if err := write(sim.NewClock(), p, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Pool().FlushAll(sim.NewClock()); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		// One frame: each write to one page evicts the other page's dirty
+		// frame, and every fourth round flushes P's instead.
+		c := sim.NewClock()
+		for i := 2; i < 400; i++ {
+			if err := write(c, p, byte(i)); err != nil {
+				done <- err
+				return
+			}
+			if i%4 == 0 {
+				if err := e.Pool().FlushAll(c); err != nil {
+					done <- err
+					return
+				}
+			}
+			if err := write(c, q, byte(i)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	c := sim.NewClock()
+	for fetching := true; fetching; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetching = false
+		default:
+		}
+		img, err := e.FetchPage(c, page.ID(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := layout.ReadValue(img, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(v, bytes.Repeat(v[:1], len(v))) {
+			t.Fatalf("a miss during a writeback of its page read a torn value %x…", v[:8])
+		}
+	}
 }
 
 // TestFetchFailsWhenRedoFails: fetchPage used to stop at WriteValue's first

@@ -133,6 +133,16 @@ func TestMissAllocs(t *testing.T) {
 	enginetest.MissAllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 64), 0.25)
 }
 
+// TestDirtyMissAllocs bounds what one write to an uncached page allocates
+// when its miss evicts a dirty frame (see enginetest.DirtyMissAllocGuard):
+// the shipped image is the floor, one immutable copy per shipped page. With
+// no page-shipping cadence the eviction is the page's only shipment.
+func TestDirtyMissAllocs(t *testing.T) {
+	e := New(sim.DefaultConfig(), enginetest.Layout(t), 64)
+	e.CheckpointEvery = 0
+	enginetest.DirtyMissAllocGuard(t, e, 6)
+}
+
 // TestFetchFailsWhenRedoFails: fetchPage used to drop WriteValue's error
 // and serve the page (see enginetest.FailedRedoGuard).
 func TestFetchFailsWhenRedoFails(t *testing.T) {

@@ -1,7 +1,9 @@
 package snowflake
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -48,6 +50,16 @@ type KV struct {
 
 	mu   sync.Mutex
 	vals map[uint64][]byte // volatile materialized view
+
+	// snap is Checkpoint's view of vals, kept across rounds (the coordinator
+	// runs one at a time) and cleared after each so it pins no old value.
+	snap []kvPair
+}
+
+// kvPair is one entry of the materialized view.
+type kvPair struct {
+	key uint64
+	val []byte
 }
 
 // NewKV creates the engine with its own object store.
@@ -93,9 +105,10 @@ func (e *KV) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 	return e.pipe.Execute(c, fn)
 }
 
-// durable: one immutable segment upload, named by the commit LSN. A failed
-// or torn upload is an unacknowledged commit (the torn object's record
-// prefix may still surface at recovery).
+// durable: one immutable segment upload, named by the commit LSN; the
+// store keeps the encoding, which nothing else holds. A failed or torn
+// upload is an unacknowledged commit (the torn object's record prefix may
+// still surface at recovery).
 func (e *KV) durable(c *sim.Clock, recs []wal.Record) error {
 	encoded := engine.Encode(recs)
 	if err := e.Store.Put(c, segKey(recs[len(recs)-1].LSN), encoded); err != nil {
@@ -119,9 +132,23 @@ func (e *KV) apply(c *sim.Clock, recs []wal.Record) error {
 	return nil
 }
 
-func segKey(lsn wal.LSN) string { return fmt.Sprintf("%s%020d", segPrefix, uint64(lsn)) }
+func segKey(lsn wal.LSN) string { return objKey(segPrefix, lsn) }
 
-func ckptKey(lsn wal.LSN) string { return fmt.Sprintf("%s%020d", ckptPrefix, uint64(lsn)) }
+func ckptKey(lsn wal.LSN) string { return objKey(ckptPrefix, lsn) }
+
+// objKey is prefix followed by lsn zero-padded to 20 digits (every uint64
+// fits), so names sort in LSN order. It formats into a stack array rather
+// than through fmt, which boxes the LSN.
+func objKey(prefix string, lsn wal.LSN) string {
+	const digits = 20
+	var b [32]byte
+	n := copy(b[:], prefix)
+	name := b[:n+digits]
+	for i, v := len(name)-1, uint64(lsn); i >= n; i, v = i-1, v/10 {
+		name[i] = byte('0' + v%10)
+	}
+	return string(name)
+}
 
 // Checkpoint implements engine.Checkpointer: upload a consolidated
 // snapshot of the materialized view at the durable horizon, then delete
@@ -141,17 +168,33 @@ func (e *KV) Checkpoint(c *sim.Clock) error {
 			e.commitMu.Lock()
 			e.mu.Lock()
 			// apply replaces a value and never writes into one, so the
-			// records can share the view's values past the unlock.
-			recs := make([]wal.Record, 0, len(e.vals)+1)
+			// pairs can share the view's values past the unlock.
+			pairs := slices.Grow(e.snap[:0], len(e.vals))
 			for k, v := range e.vals {
-				recs = append(recs, wal.Record{LSN: h, Type: wal.TypeUpdate, Key: k, After: v})
+				pairs = append(pairs, kvPair{k, v})
 			}
 			e.mu.Unlock()
 			e.commitMu.Unlock()
-			sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
-			// Terminal marker: recovery only trusts a snapshot that ends
-			// with it (a torn upload loses the tail, marker included).
-			encoded := engine.Encode(append(recs, wal.Record{LSN: h, Type: wal.TypeCommit}))
+			slices.SortFunc(pairs, func(a, b kvPair) int { return cmp.Compare(a.key, b.key) })
+			// One update record per key at the horizon, then the terminal
+			// marker: recovery only trusts a snapshot that ends with it (a
+			// torn upload loses the tail, marker included). The object is
+			// sized exactly and handed to the store, which keeps it.
+			rec := wal.Record{LSN: h, Type: wal.TypeUpdate}
+			marker := wal.Record{LSN: h, Type: wal.TypeCommit}
+			size := marker.EncodedSize()
+			for _, p := range pairs {
+				rec.After = p.val
+				size += rec.EncodedSize()
+			}
+			encoded := make([]byte, 0, size)
+			for _, p := range pairs {
+				rec.Key, rec.After = p.key, p.val
+				encoded = rec.Encode(encoded)
+			}
+			encoded = marker.Encode(encoded)
+			clear(pairs)
+			e.snap = pairs[:0]
 			if err := e.Store.Put(c, ckptKey(h), encoded); err != nil {
 				return err
 			}

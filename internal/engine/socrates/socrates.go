@@ -186,6 +186,7 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 
 // snapshotToXStore pushes current page images of recently written pages to
 // XStore — the extra data movement the tutorial notes Socrates may incur.
+// XStore keeps the ReadPage copy it is handed; nothing releases it.
 func (e *Engine) snapshotToXStore(c *sim.Clock, recs []wal.Record) {
 	seen := map[page.ID]bool{}
 	for _, r := range recs[:len(recs)-1] {

@@ -2,7 +2,8 @@
 // hashing (§3.1): the hash structure lives entirely in disaggregated
 // memory, and compute-side clients search and update it with one-sided
 // verbs only — reads fetch whole buckets, inserts allocate a KV block,
-// write it, and publish it with a single 8-byte CAS into a bucket slot.
+// write it, publish it with a single 8-byte CAS into a bucket slot, and
+// re-read the bucket to resolve a racing insert of the same key.
 // Memory-node CPUs are never involved on the data path (lock-free).
 //
 // Extendible growth is modeled with a client-cached directory of subtables;
@@ -115,6 +116,10 @@ type Client struct {
 	h  *Hash
 	qp *rdma.QP
 	id uint64
+
+	// testBeforeInsert, when set (tests only), runs between Put's bucket
+	// read and its insert CAS.
+	testBeforeInsert func()
 }
 
 // Attach creates a client. stats may be nil.
@@ -224,6 +229,9 @@ func (c *Client) Put(clk *sim.Clock, key uint64, val []byte) error {
 		// publish a second slot for the same key.
 		if !found {
 			// Insert path: CAS the first empty slot.
+			if c.testBeforeInsert != nil {
+				c.testBeforeInsert()
+			}
 			full := true
 			for i := 0; i < BucketSlots; i++ {
 				if slots[i] != 0 {
@@ -235,7 +243,13 @@ func (c *Client) Put(clk *sim.Clock, key uint64, val []byte) error {
 					return err
 				}
 				if ok {
-					return nil
+					done, err := c.settleInsert(clk, baddr, key, fp, i, newSlot)
+					if err != nil || done {
+						return err
+					}
+					// Another slot held the key first and this one was
+					// withdrawn: publish as an update of that slot.
+					break
 				}
 				break // on CAS failure re-read the bucket
 			}
@@ -251,6 +265,86 @@ func (c *Client) Put(clk *sim.Clock, key uint64, val []byte) error {
 		// changed, so the re-read already sees something new — there is
 		// nothing to wait for.
 	}
+}
+
+// settleInsert re-reads the bucket after this client's insert CAS into slot
+// mine, as RACE does. Two inserts of one key can both succeed when each read
+// the bucket with the key absent — say one before and one after a delete of
+// another key freed a lower slot — so the key may now hold two slots. The
+// lowest slot holding the key survives. If that is mine, the higher
+// duplicates are CASed to zero by their exact word and done reports true;
+// otherwise mine is withdrawn the same way and the caller retries its write
+// as an update of the survivor. A key no slot holds any more was deleted
+// after the insert landed, which is done as well.
+func (c *Client) settleInsert(clk *sim.Clock, baddr, key uint64, fp uint16, mine int, newSlot uint64) (done bool, err error) {
+	for {
+		slots, err := c.readBucket(clk, baddr)
+		if err != nil {
+			return false, err
+		}
+		held, err := c.keySlots(clk, slots, key, fp, newSlot)
+		if err != nil {
+			return false, err
+		}
+		lowest := -1
+		for i := range held {
+			if held[i] {
+				lowest = i
+				break
+			}
+		}
+		if lowest < 0 {
+			return true, nil
+		}
+		if lowest != mine {
+			// Withdraw this client's slot, unless it no longer holds the
+			// key (the survivor's writer already cleared it).
+			if !held[mine] {
+				return false, nil
+			}
+			ok, err := c.qp.CAS(clk, baddr+uint64(mine*8), slots[mine], 0)
+			if err != nil || ok {
+				return false, err
+			}
+			continue // the slot changed under the CAS: look again
+		}
+		clean := true
+		for j := mine + 1; j < BucketSlots; j++ {
+			if !held[j] {
+				continue
+			}
+			ok, err := c.qp.CAS(clk, baddr+uint64(j*8), slots[j], 0)
+			if err != nil {
+				return false, err
+			}
+			clean = clean && ok
+		}
+		if clean {
+			return true, nil
+		}
+	}
+}
+
+// keySlots marks the slots of a bucket image that hold key, verified by
+// reading each fingerprint match's KV block header — except a slot holding
+// own, the word of a block this client wrote.
+func (c *Client) keySlots(clk *sim.Clock, slots [BucketSlots]uint64, key uint64, fp uint16, own uint64) (held [BucketSlots]bool, err error) {
+	for i := 0; i < BucketSlots; i++ {
+		sfp, _, kaddr := unpackSlot(slots[i])
+		if slots[i] == 0 || sfp != fp {
+			continue
+		}
+		if slots[i] == own {
+			held[i] = true
+			continue
+		}
+		hdr := make([]byte, kvHeader)
+		if err := c.qp.Read(clk, uint64(kaddr), hdr); err != nil {
+			return held, err
+		}
+		held[i] = binary.LittleEndian.Uint64(hdr) == key
+	}
+	return held, nil
 }
 
 // tryReplace CASes the slot holding key (matched by fingerprint + key

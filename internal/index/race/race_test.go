@@ -220,6 +220,61 @@ func TestConcurrentSameKeyOneSlot(t *testing.T) {
 	}
 }
 
+// A delete can free a lower slot between two inserts' bucket reads of one
+// key: W2 reads [A, 0, …] and is about to CAS slot 1, D deletes A, W1 reads
+// [0, 0, …] and is about to CAS slot 0. Both CASes succeed, so unless an
+// insert re-reads the bucket the key ends up in two slots. Whichever writer
+// CASes first, one slot must be left, holding the value of the writer that
+// returned last.
+func TestInsertRacingDeleteLeavesOneSlot(t *testing.T) {
+	for _, w1First := range []bool{false, true} {
+		t.Run(fmt.Sprintf("w1First=%v", w1First), func(t *testing.T) {
+			h := newHash(t, 0, 1) // one bucket, which every key shares
+			const a, key = 1, 2
+			other := h.Attach(99, nil)
+			if err := other.Put(sim.NewClock(), a, []byte("a")); err != nil {
+				t.Fatal(err)
+			}
+			// put starts cl's Put of key and returns once it has read the
+			// bucket; closing release lets it go on to its insert CAS.
+			put := func(cl *Client, v string) (release chan struct{}, done chan error) {
+				read, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+				var once sync.Once
+				cl.testBeforeInsert = func() { once.Do(func() { close(read); <-release }) }
+				go func() { done <- cl.Put(sim.NewClock(), key, []byte(v)) }()
+				<-read
+				return release, done
+			}
+			release2, done2 := put(h.Attach(2, nil), "w2") // read [A, 0, …]
+			if ok, err := other.Delete(sim.NewClock(), a); err != nil || !ok {
+				t.Fatalf("delete: %v %v", ok, err)
+			}
+			release1, done1 := put(h.Attach(1, nil), "w1") // read [0, 0, …]
+			order := []struct {
+				release chan struct{}
+				done    chan error
+				val     string
+			}{{release2, done2, "w2"}, {release1, done1, "w1"}}
+			if w1First {
+				order[0], order[1] = order[1], order[0]
+			}
+			for _, w := range order {
+				close(w.release)
+				if err := <-w.done; err != nil {
+					t.Fatalf("put %s: %v", w.val, err)
+				}
+			}
+			if n := keySlots(t, other, key); n != 1 {
+				t.Fatalf("key %d occupies %d slots of its bucket, want 1", key, n)
+			}
+			last := order[1].val
+			if v, ok, err := other.Get(sim.NewClock(), key); err != nil || !ok || string(v) != last {
+				t.Fatalf("get = %q %v %v, want %q, the value of the writer that returned last", v, ok, err, last)
+			}
+		})
+	}
+}
+
 func TestValueTooLarge(t *testing.T) {
 	h := newHash(t, 2, 16)
 	cl := h.Attach(1, nil)
