@@ -2,6 +2,7 @@ package aurora
 
 import (
 	"encoding/binary"
+	"sync"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/cluster"
@@ -197,6 +198,79 @@ func TestQuorumLossLeavesNoOrphanRecords(t *testing.T) {
 		v, err := tx.Read(7)
 		if err == nil && binary.LittleEndian.Uint64(v) != 1 {
 			t.Errorf("read %d: the aborted write surfaced after heal", binary.LittleEndian.Uint64(v))
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dropIngests drops the next n volume.ingest deliveries and lets every other
+// operation through.
+type dropIngests struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (d *dropIngests) Inject(_ *sim.Clock, site string) sim.FaultOutcome {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if site != "volume.ingest" || d.n == 0 {
+		return sim.FaultOutcome{}
+	}
+	d.n--
+	return sim.FaultOutcome{Drop: true}
+}
+
+// TestPartialQuorumAppendLeavesNothingBehind: an append that reaches W-1 = 3
+// of the six replicas fails, and the writer decides its records as aborts.
+// The three replicas that took the records used to keep them as received:
+// they materialised the aborted update and served it, and the healing that
+// ships the abort passed them over because they already held the LSN. They
+// now hold such records undecided until the writer's decision reaches them.
+func TestPartialQuorumAppendLeavesNothingBehind(t *testing.T) {
+	layout := enginetest.Layout(t)
+	inj := &dropIngests{}
+	cfg := sim.DefaultConfig()
+	cfg.Fault = inj
+	e := New(cfg, layout, 64, 0)
+	c := sim.NewClock()
+	put := func(n uint64) error {
+		v := make([]byte, layout.ValSize)
+		binary.LittleEndian.PutUint64(v, n)
+		return engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(7, v) })
+	}
+	if err := put(1); err != nil {
+		t.Fatal(err)
+	}
+	inj.mu.Lock()
+	inj.n = len(e.Volume.Replicas) - e.Volume.WriteQ + 1
+	inj.mu.Unlock()
+	if err := put(2); err == nil {
+		t.Fatal("an append that reached 3 of 6 replicas committed")
+	}
+	e.Volume.Heal(c, e.Log())
+	for _, r := range e.Volume.Replicas {
+		data, err := r.ReadPage(c, layout.PageOf(7), e.DurableLSN())
+		if err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		v, err := layout.ReadValue(data, 7)
+		if err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		if got := binary.LittleEndian.Uint64(v); got != 1 {
+			t.Errorf("%s serves %d after heal, want 1: the aborted write survived on it", r.Name, got)
+		}
+	}
+	if err := put(3); err != nil {
+		t.Fatal(err)
+	}
+	e.Pool().InvalidateAll() // force a storage read
+	if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+		v, err := tx.Read(7)
+		if err == nil && binary.LittleEndian.Uint64(v) != 3 {
+			t.Errorf("read %d after the next commit, want 3", binary.LittleEndian.Uint64(v))
 		}
 		return err
 	}); err != nil {

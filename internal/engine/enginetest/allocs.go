@@ -32,7 +32,7 @@ func RaceBuild() bool {
 //	legobase    2  0.78 KB      polardb     3  1.18 KB
 //	socrates    3  1.85 KB      serverless  3  1.88 KB
 //	pilotdb     4  1.90 KB      taurus      3  3.62 KB
-//	snowflake-kv 4 1.11 KB      shared-nothing 7  0.87 KB
+//	snowflake-kv 4 1.11 KB      shared-nothing 2  0.75 KB
 //
 // Two of those are the transaction itself on every engine — the copy Read
 // hands the caller and the copy Write stages, which the log keeps; the rest
@@ -106,18 +106,18 @@ func AllocGuard(t *testing.T, e engine.Engine, max, maxKB float64) {
 // miss allocated the page buffer that becomes the frame (and legobase and
 // serverless a second one for the probe of their remote tier):
 //
-//	monolithic  0.18 KB (4.68)   aurora      0.18 KB (4.78)   legobase  8.48 KB (12.97)
+//	monolithic  0.18 KB (4.68)   aurora      0.18 KB (4.78)   legobase  0.25 KB (12.97)
 //	polardb     0.18 KB (4.68)   serverless  0.25 KB (8.85)
 //
 // That is the value handed to the caller, the frame header and the LRU element:
 // fetch paths fill a page.Alloc buffer, which is the one the previous miss
 // evicted (buffer.Pool releases it). Aurora's row is storagenode.Replica.
-// ReadPage, which socrates, taurus, pilotdb and serverless share. Legobase
-// keeps two pages' worth that are not frames: FormatPage's zeroed page and
-// record encoding on every fetch, only because no storage checkpoint ever
-// gave the guard's pages a disk image. The race build recycles nothing
-// (page.Alloc is a plain make there), so under -race the guard runs the
-// reads and skips the bound.
+// ReadPage, which socrates, taurus, pilotdb and serverless share. No storage
+// checkpoint ever gives legobase's guard pages a disk image, so each of its
+// fetches formats the page: heap.Layout.Format writes it into the frame's
+// buffer (a FormatPage image and a record encoding per slot were 8.48 KB).
+// The race build recycles nothing (page.Alloc is a plain make there), so
+// under -race the guard runs the reads and skips the bound.
 func MissAllocGuard(t *testing.T, e engine.Engine, maxKB float64) {
 	t.Helper()
 	const commits, pages = 2000, 256

@@ -97,12 +97,11 @@ func (e *Engine) fetchFromStorage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.mu.Lock()
 	data, ok := e.disk[id]
 	e.mu.Unlock()
-	var out []byte
+	out := page.Alloc(e.layout.PageSize)
 	if ok {
-		out = page.Alloc(len(data))
 		copy(out, data)
 	} else {
-		out = e.layout.FormatPage(id).Bytes()
+		e.layout.Format(out, id)
 	}
 	// Storage is network-attached (TCP) + SSD.
 	op := e.cfg.Begin(c, "tcp.rpc")

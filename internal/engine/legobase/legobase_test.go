@@ -132,7 +132,7 @@ func TestHooksMayNotKeepRecs(t *testing.T) {
 func TestMissAllocs(t *testing.T) {
 	e := New(sim.DefaultConfig(), enginetest.Layout(t), 16, 64)
 	e.CheckpointStorageEvery = 0
-	enginetest.MissAllocGuard(t, e, 9)
+	enginetest.MissAllocGuard(t, e, 0.5)
 }
 
 // TestFetchFailsWhenRedoFails: fetchFromStorage used to drop WriteValue's

@@ -83,7 +83,7 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.mu.Unlock()
 	e.stats.StorageOps.Add(1)
 	if !ok {
-		copy(out, e.layout.FormatPage(id).Bytes())
+		e.layout.Format(out, id)
 	}
 	e.ssd.Read(c, e.layout.PageSize)
 	// Redo this page's log chain: the disk image only reflects the last

@@ -120,12 +120,11 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.mu.Lock()
 	img, ok := e.pagesFS[id]
 	e.mu.Unlock()
-	var data []byte
+	data := page.Alloc(e.layout.PageSize)
 	if ok {
-		data = page.Alloc(len(img))
 		copy(data, img)
 	} else {
-		data = e.layout.FormatPage(id).Bytes()
+		e.layout.Format(data, id)
 	}
 	c.Advance(e.cfg.RDMA.Cost(len(data)) + e.cfg.SSDRead.Cost(len(data)))
 	e.stats.StorageOps.Add(1)

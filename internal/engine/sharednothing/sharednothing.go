@@ -7,6 +7,7 @@
 package sharednothing
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -51,6 +52,9 @@ type Engine struct {
 	// ckpt bounds the per-partition logs: each node forces its shard
 	// image and truncates its local log below the captured head.
 	ckpt *checkpoint.Coordinator
+
+	// txs recycles Execute's scratch (txState).
+	txs sync.Pool
 }
 
 // New creates an engine with n partitions.
@@ -60,6 +64,11 @@ func New(cfg *sim.Config, layout heap.Layout, n int) *Engine {
 		e.parts = append(e.parts, newPartition(cfg))
 	}
 	e.ckpt = checkpoint.New(cfg, "ckpt.sharednothing")
+	e.txs.New = func() any {
+		s := &txState{e: e}
+		s.read = s.readKey
+		return s
+	}
 	return e
 }
 
@@ -108,27 +117,10 @@ func (e *Engine) partOf(key uint64) (int, *partition) {
 // write.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 	e.stats.Attempts.Add(1)
-	txID := e.nextTx.Add(1)
-	coord := -1
-	st := engine.NewStagedTx(c, func(c *sim.Clock, key uint64) ([]byte, error) {
-		i, p := e.partOf(key)
-		if coord == -1 {
-			coord = i
-		} else if i != coord {
-			// Remote read: one network round trip.
-			op := e.cfg.Begin(c, "tcp.rpc")
-			c.Advance(e.cfg.TCP.Cost(e.layout.ValSize + 16))
-			op.End(int64(e.layout.ValSize + 16))
-			e.stats.NetBytes.Add(int64(e.layout.ValSize + 16))
-			e.stats.NetMsgs.Add(1)
-		}
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if v, ok := p.data[key]; ok {
-			return slices.Clone(v), nil
-		}
-		return make([]byte, e.layout.ValSize), nil
-	})
+	s := e.txs.Get().(*txState)
+	defer s.release()
+	s.txID, s.coord = e.nextTx.Add(1), -1
+	st := engine.NewStagedTx(c, s.read)
 	defer st.Release()
 	if err := fn(st); err != nil {
 		e.stats.Aborts.Add(1)
@@ -139,61 +131,48 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 		e.stats.Commits.Add(1)
 		return nil
 	}
-	// Group write set by partition.
-	byPart := map[int][]engine.Write{}
 	for _, w := range writes {
-		i, _ := e.partOf(w.Key)
-		if coord == -1 {
-			coord = i
+		i, p := e.partOf(w.Key)
+		if s.coord == -1 {
+			s.coord = i
 		}
-		byPart[i] = append(byPart[i], w)
+		s.legs = append(s.legs, leg{part: i, p: p, w: w})
 	}
-	// Lock per partition (sorted keys: deadlock-free).
-	type held struct {
-		p *partition
-		k uint64
-	}
-	var locks []held
-	abort := func() {
-		for _, h := range locks {
-			h.p.locks.Unlock(txID, h.k, txn.Exclusive)
-		}
-		e.stats.Aborts.Add(1)
-	}
-	for _, w := range writes {
-		_, p := e.partOf(w.Key)
-		if err := p.locks.Acquire(c, txID, w.Key, txn.Exclusive, txn.DefaultAcquire); err != nil {
-			abort()
+	// Lock in key order (deadlock-free), then group the legs by participant:
+	// each participant's run keeps its writes in key order.
+	for n, l := range s.legs {
+		if err := l.p.locks.Acquire(c, s.txID, l.w.Key, txn.Exclusive, txn.DefaultAcquire); err != nil {
+			s.unlock(s.legs[:n])
+			e.stats.Aborts.Add(1)
 			return engine.ErrConflict
 		}
-		locks = append(locks, held{p, w.Key})
 	}
-	defer func() {
-		for _, h := range locks {
-			h.p.locks.Unlock(txID, h.k, txn.Exclusive)
-		}
-	}()
+	defer s.unlock(s.legs)
+	slices.SortFunc(s.legs, func(a, b leg) int { return cmp.Compare(a.part, b.part) })
+	legs := s.legs
 
 	// Commit: local fast path or 2PC.
-	participants := len(byPart)
+	participants := 0
+	for lo := 0; lo < len(legs); lo = run(legs, lo) {
+		participants++
+	}
 	if participants > 1 {
 		// Prepare: one parallel round trip to all remote participants,
 		// each force-logging a prepare record.
 		maxPrep := time.Duration(0)
 		var prepNet int64
-		for i, ks := range byPart {
-			probe := sim.NewClock()
-			logBytes := 64 * len(ks)
-			if i != coord {
+		for lo, hi := 0, 0; lo < len(legs); lo = hi {
+			hi = run(legs, lo)
+			probe := s.resetProbe()
+			logBytes := 64 * (hi - lo)
+			if legs[lo].part != s.coord {
 				probe.Advance(e.cfg.TCP.Cost(logBytes))
 				prepNet += int64(logBytes)
 				e.stats.NetBytes.Add(int64(logBytes))
 				e.stats.NetMsgs.Add(1)
 			}
-			e.parts[i].ssd.Write(probe, logBytes)
-			if probe.Now() > maxPrep {
-				maxPrep = probe.Now()
-			}
+			legs[lo].p.ssd.Write(probe, logBytes)
+			maxPrep = max(maxPrep, probe.Now())
 		}
 		// The joined parallel round (messaging + each participant's
 		// prepare force) rides the fan-out span: per-leg device time is
@@ -205,19 +184,20 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 	// Commit records + apply, parallel across participants.
 	maxCommit := time.Duration(0)
 	var commitNet int64
-	for i, ws := range byPart {
-		probe := sim.NewClock()
-		p := e.parts[i]
+	for lo, hi := 0, 0; lo < len(legs); lo = hi {
+		hi = run(legs, lo)
+		probe := s.resetProbe()
+		p := legs[lo].p
 		logBytes := 0
-		for _, w := range ws {
-			rec := wal.Record{Type: wal.TypeUpdate, TxID: txID, PageID: uint64(e.layout.PageOf(w.Key)), Key: w.Key, After: w.Val}
+		for _, l := range legs[lo:hi] {
+			rec := wal.Record{Type: wal.TypeUpdate, TxID: s.txID, PageID: uint64(e.layout.PageOf(l.w.Key)), Key: l.w.Key, After: l.w.Val}
 			p.log.Append(rec)
 			logBytes += rec.EncodedSize()
 		}
-		cm := wal.Record{Type: wal.TypeCommit, TxID: txID}
+		cm := wal.Record{Type: wal.TypeCommit, TxID: s.txID}
 		p.log.Append(cm)
 		logBytes += cm.EncodedSize()
-		if i != coord {
+		if legs[lo].part != s.coord {
 			probe.Advance(e.cfg.TCP.Cost(logBytes))
 			commitNet += int64(logBytes)
 			e.stats.NetBytes.Add(int64(logBytes))
@@ -226,13 +206,11 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 		p.ssd.Write(probe, logBytes)
 		e.stats.LogBytes.Add(int64(logBytes))
 		p.mu.Lock()
-		for _, w := range ws {
-			p.data[w.Key] = w.Val // staged values are never written again
+		for _, l := range legs[lo:hi] {
+			p.data[l.w.Key] = l.w.Val // staged values are never written again
 		}
 		p.mu.Unlock()
-		if probe.Now() > maxCommit {
-			maxCommit = probe.Now()
-		}
+		maxCommit = max(maxCommit, probe.Now())
 	}
 	// As with prepare: the joined commit round (messaging + per-node log
 	// force) is the protocol's latency.
@@ -242,6 +220,78 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 	st.StampCommit(e.commitSeq.Add(1))
 	e.stats.Commits.Add(1)
 	return nil
+}
+
+// txState is one Execute's scratch, recycled through Engine.txs so that a
+// transaction allocates none of it: the coordinator its first access picks,
+// the read path (built once per state, not per transaction), one leg per
+// write — which is also the list of locks it holds — and the clock each
+// participant's leg of a parallel round is timed on.
+type txState struct {
+	e     *Engine
+	txID  uint64
+	coord int
+	read  engine.ReadFunc
+	legs  []leg
+	probe sim.Clock
+}
+
+// leg is one write at its partition.
+type leg struct {
+	part int
+	p    *partition
+	w    engine.Write
+}
+
+// run returns the end of the participant's run of legs that starts at lo.
+func run(legs []leg, lo int) int {
+	hi := lo + 1
+	for hi < len(legs) && legs[hi].part == legs[lo].part {
+		hi++
+	}
+	return hi
+}
+
+// readKey is the transaction's read path. The first key touched picks the
+// coordinator; a read at any other partition is one network round trip.
+func (s *txState) readKey(c *sim.Clock, key uint64) ([]byte, error) {
+	e := s.e
+	i, p := e.partOf(key)
+	if s.coord == -1 {
+		s.coord = i
+	} else if i != s.coord {
+		op := e.cfg.Begin(c, "tcp.rpc")
+		c.Advance(e.cfg.TCP.Cost(e.layout.ValSize + 16))
+		op.End(int64(e.layout.ValSize + 16))
+		e.stats.NetBytes.Add(int64(e.layout.ValSize + 16))
+		e.stats.NetMsgs.Add(1)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if v, ok := p.data[key]; ok {
+		return slices.Clone(v), nil
+	}
+	return make([]byte, e.layout.ValSize), nil
+}
+
+// resetProbe returns the probe clock back at time zero, as a new clock.
+func (s *txState) resetProbe() *sim.Clock {
+	s.probe = sim.Clock{}
+	return &s.probe
+}
+
+// unlock releases the locks of legs.
+func (s *txState) unlock(legs []leg) {
+	for _, l := range legs {
+		l.p.locks.Unlock(s.txID, l.w.Key, txn.Exclusive)
+	}
+}
+
+// release empties the state, dropping what it refers to, and recycles it.
+func (s *txState) release() {
+	clear(s.legs)
+	s.legs = s.legs[:0]
+	s.e.txs.Put(s)
 }
 
 // Checkpoint implements engine.Checkpointer. Per-partition logs keep

@@ -72,10 +72,11 @@ func e29Sweep(e engine.Engine, layout heap.Layout, txns, ckptEvery int) (e29Arm,
 	cp := engine.Caps(e).Checkpointer
 	c := sim.NewClock()
 	acked := make(map[uint64]uint64, e29Keys)
+	// One value buffer for every transaction: Write stages a copy.
+	v := make([]byte, layout.ValSize)
 	for i := 0; i < txns; i++ {
 		key := e29Key(layout, i)
 		seq := uint64(i + 1)
-		v := make([]byte, layout.ValSize)
 		binary.LittleEndian.PutUint64(v, seq)
 		if err := engine.Run(e, c, engine.RunOpts{Retries: 8}, func(tx engine.Tx) error {
 			return tx.Write(key, v)

@@ -69,16 +69,30 @@ func (l Layout) DecodeRecord(cell []byte) (uint64, []byte, error) {
 // slot holds a zero-value record for its key. Engines use this to
 // pre-materialize tables.
 func (l Layout) FormatPage(id page.ID) *page.Page {
-	p := page.New(l.PageSize)
-	base := uint64(id) * uint64(l.PerPage)
-	zero := make([]byte, l.ValSize)
-	for s := 0; s < l.PerPage; s++ {
-		if _, err := p.Insert(l.EncodeRecord(base+uint64(s), zero)); err != nil {
-			// Layout guarantees fit; a failure here is a bug.
-			panic(fmt.Sprintf("heap: FormatPage overflow: %v", err))
-		}
+	buf := make([]byte, l.PageSize)
+	l.Format(buf, id)
+	return page.Wrap(buf)
+}
+
+// Format writes page id's formatted image, the one FormatPage returns, into
+// buf, a PageSize buffer, over whatever it held: the slot directory and
+// every cell in place, slot s holding the zero-value record of key
+// id*PerPage+s. It allocates nothing, so a fetch path formats straight into
+// the buffer that becomes its frame.
+func (l Layout) Format(buf []byte, id page.ID) {
+	if len(buf) != l.PageSize {
+		panic(fmt.Sprintf("heap: Format into %d bytes, page size %d", len(buf), l.PageSize))
 	}
-	return p
+	if err := page.Format(buf, l.PerPage, recordOverhead+l.ValSize); err != nil {
+		// Layout guarantees fit; a failure here is a bug.
+		panic(fmt.Sprintf("heap: Format overflow: %v", err))
+	}
+	p := page.Wrap(buf)
+	base := uint64(id) * uint64(l.PerPage)
+	for s := 0; s < l.PerPage; s++ {
+		cell, _ := p.Cell(s)
+		binary.LittleEndian.PutUint64(cell, base+uint64(s))
+	}
 }
 
 // ReadValue extracts the value for key from the page bytes.

@@ -63,6 +63,29 @@ func New(size int) *Page {
 	return p
 }
 
+// Format clears buf and lays it out as a page of n zeroed cells of size
+// bytes, byte for byte the page n Inserts of such cells into New(len(buf))
+// build: slot i's cell ends where slot i-1's begins. It fails, leaving buf
+// as it was, when the cells do not fit.
+func Format(buf []byte, n, size int) error {
+	if size >= deletedMark {
+		return ErrCellTooBig
+	}
+	if headerSize+n*(slotSize+size) > len(buf) {
+		return ErrPageFull
+	}
+	clear(buf)
+	p := Page{buf: buf}
+	off := len(buf)
+	for i := 0; i < n; i++ {
+		off -= size
+		p.setSlot(i, uint16(off), uint16(size))
+	}
+	p.setNumSlots(n)
+	p.setFreeOff(uint16(off))
+	return nil
+}
+
 // Wrap interprets an existing buffer as a page without validation. Use
 // Validate when the buffer came from an untrusted medium.
 func Wrap(buf []byte) *Page { return &Page{buf: buf} }

@@ -267,3 +267,32 @@ func TestCellTooBig(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCellTooBig", err)
 	}
 }
+
+// Format over a dirty buffer builds the page n Inserts of zeroed cells build
+// on a fresh one, up to a full page; one cell more fails and leaves the
+// buffer alone.
+func TestFormatMatchesInserts(t *testing.T) {
+	const size, cell = 256, 20
+	for n := 0; headerSize+n*(slotSize+cell) <= size; n++ {
+		want := New(size)
+		for i := 0; i < n; i++ {
+			if _, err := want.Insert(make([]byte, cell)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := bytes.Repeat([]byte{0xAA}, size)
+		if err := Format(buf, n, cell); err != nil {
+			t.Fatalf("%d cells: %v", n, err)
+		}
+		if !bytes.Equal(buf, want.Bytes()) {
+			t.Fatalf("%d cells: Format differs from %d Inserts", n, n)
+		}
+	}
+	buf := bytes.Repeat([]byte{0xAA}, size)
+	if err := Format(buf, (size-headerSize)/(slotSize+cell)+1, cell); err != ErrPageFull {
+		t.Fatalf("one cell too many: err = %v, want ErrPageFull", err)
+	}
+	if !bytes.Equal(buf, bytes.Repeat([]byte{0xAA}, size)) {
+		t.Fatal("a failed Format wrote to the buffer")
+	}
+}

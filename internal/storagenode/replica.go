@@ -48,7 +48,13 @@ type Replica struct {
 	// belongs to this replica alone and keeps its capacity when it empties
 	// (prunePendingLocked), so a page's next ingest appends into it.
 	pending map[page.ID][]wal.Record
-	highLSN wal.LSN
+	// undecided holds the records of quorum appends whose outcome has not
+	// reached the replica (hold): not received — no prefix, no high LSN,
+	// never materialised, never shipped — until the writer's commit decision
+	// promotes them (decide) or a decided record at their LSN, the commit or
+	// the abort healing ships, supersedes them. The list keeps its capacity.
+	undecided []wal.Record
+	highLSN   wal.LSN
 	// prefixLSN is the highest L such that every LSN in [1, L] has been
 	// received. Single-store feeds (Taurus page stores) leave holes, so
 	// freshness must be judged by the contiguous prefix, not the max.
@@ -141,31 +147,42 @@ func (r *Replica) ingest(recs []wal.Record) bool {
 	if r.failed {
 		return false
 	}
-	for _, rec := range recs {
-		if rec.LSN <= r.prefixLSN {
-			continue // duplicate delivery
-		}
-		if rec.LSN <= r.horizon {
-			// At or below the adopted recovery horizon: the checkpointed
-			// page images already cover this record. Re-materializing it
-			// (e.g. a gossip round re-delivering pre-checkpoint records)
-			// would stamp a freshly formatted page with a below-horizon
-			// LSN and serve it as if complete.
-			continue
-		}
-		if _, dup := r.holes[rec.LSN]; dup {
-			continue
-		}
-		switch rec.Type {
-		case wal.TypeUpdate, wal.TypeInsert, wal.TypeDelete:
-			r.pending[page.ID(rec.PageID)] = append(r.pending[page.ID(rec.PageID)], rec)
-		}
-		if rec.LSN > r.highLSN {
-			r.highLSN = rec.LSN
-		}
-		r.holes[rec.LSN] = struct{}{}
+	for i := range recs {
+		r.receiveLocked(&recs[i])
 	}
-	// Advance the contiguous prefix through any filled holes.
+	r.advancePrefixLocked()
+	r.dropSupersededLocked()
+	return true
+}
+
+// receiveLocked takes one decided record: a page change joins its page's
+// pending list, and its LSN counts as received.
+func (r *Replica) receiveLocked(rec *wal.Record) {
+	if !r.lacksLocked(rec.LSN) {
+		return
+	}
+	switch rec.Type {
+	case wal.TypeUpdate, wal.TypeInsert, wal.TypeDelete:
+		r.pending[page.ID(rec.PageID)] = append(r.pending[page.ID(rec.PageID)], *rec)
+	}
+	if rec.LSN > r.highLSN {
+		r.highLSN = rec.LSN
+	}
+	r.holes[rec.LSN] = struct{}{}
+}
+
+// lacksLocked reports whether a record at lsn is one the replica still has
+// to take: not a duplicate delivery, and above the adopted recovery horizon.
+// The checkpointed page images cover a record at or below the horizon;
+// re-materialising it (a gossip round re-delivering pre-checkpoint records)
+// would stamp a freshly formatted page with a below-horizon LSN and serve it
+// as if complete.
+func (r *Replica) lacksLocked(lsn wal.LSN) bool {
+	return !r.hasLSN(lsn) && lsn > r.horizon
+}
+
+// advancePrefixLocked advances the contiguous prefix through filled holes.
+func (r *Replica) advancePrefixLocked() {
 	for {
 		if _, ok := r.holes[r.prefixLSN+1]; !ok {
 			break
@@ -173,7 +190,67 @@ func (r *Replica) ingest(recs []wal.Record) bool {
 		delete(r.holes, r.prefixLSN+1)
 		r.prefixLSN++
 	}
+}
+
+// hold buffers the records of a quorum append undecided (Volume.AppendLog):
+// until the writer's decision reaches the replica, it neither counts nor
+// materialises nor ships them. Ownership is as for ingest.
+func (r *Replica) hold(recs []wal.Record) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.failed {
+		return false
+	}
+	for _, rec := range recs {
+		if r.lacksLocked(rec.LSN) {
+			r.undecided = append(r.undecided, rec)
+		}
+	}
 	return true
+}
+
+// decide delivers the writer's commit decision for recs, sorted by LSN: the
+// replica's undecided copies of them are received, as ingest would take
+// them. A replica that is down misses the decision, and healing later ships
+// it the log's records in their place.
+func (r *Replica) decide(recs []wal.Record) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.failed || len(r.undecided) == 0 {
+		return
+	}
+	r.pruneUndecidedLocked(func(u *wal.Record) bool {
+		if _, in := slices.BinarySearchFunc(recs, u.LSN, byLSN); !in {
+			return true
+		}
+		r.receiveLocked(u)
+		return false
+	})
+	r.advancePrefixLocked()
+}
+
+func byLSN(rec wal.Record, lsn wal.LSN) int { return cmp.Compare(rec.LSN, lsn) }
+
+// dropSupersededLocked forgets the undecided records whose LSN the replica
+// has since received decided — the writer's commit, or the abort healing
+// ships — or that its recovery horizon covers.
+func (r *Replica) dropSupersededLocked() {
+	if len(r.undecided) > 0 {
+		r.pruneUndecidedLocked(func(u *wal.Record) bool { return r.lacksLocked(u.LSN) })
+	}
+}
+
+// pruneUndecidedLocked keeps the undecided records keep reports true for,
+// in order, compacting the list in place and clearing its vacated tail.
+func (r *Replica) pruneUndecidedLocked(keep func(u *wal.Record) bool) {
+	kept := r.undecided[:0]
+	for i := range r.undecided {
+		if keep(&r.undecided[i]) {
+			kept = append(kept, r.undecided[i])
+		}
+	}
+	clear(r.undecided[len(kept):])
+	r.undecided = kept
 }
 
 // hasLSN reports whether the replica has received the record at lsn.
@@ -437,6 +514,7 @@ func (r *Replica) AdvanceHorizon(c *sim.Clock, h wal.LSN) {
 		r.materializeLocked(c, id)
 	}
 	r.horizon = h
+	r.dropSupersededLocked()
 	if h > r.highLSN {
 		r.highLSN = h
 	}

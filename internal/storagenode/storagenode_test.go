@@ -160,6 +160,61 @@ func TestReplicaCatchUpFrom(t *testing.T) {
 	}
 }
 
+// A record held undecided is neither counted, nor materialised, nor shipped
+// to a peer. The log's abort at its LSN supersedes it; the writer's commit
+// decision makes it an ordinary received record.
+func TestUndecidedRecordsWaitForTheDecision(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	layout := testLayout(t)
+	log := wal.NewLog()
+	a := NewReplica(cfg, "a", 0, layout, 1)
+	b := NewReplica(cfg, "b", 1, layout, 1)
+	c := sim.NewClock()
+	const key = 5
+	read := func(r *Replica) string {
+		t.Helper()
+		data, err := r.ReadPage(c, layout.PageOf(key), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := layout.ReadValue(data, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(bytes.TrimRight(v, "\x00"))
+	}
+	first := updateRec(0, key, layout, "v1")
+	first.LSN = log.Append(first)
+	a.ingest([]wal.Record{first})
+	b.ingest([]wal.Record{first})
+
+	aborted := []wal.Record{updateRec(0, key, layout, "aborted")}
+	log.Reserve(aborted)
+	a.hold(aborted)
+	if got := read(a); got != "v1" || a.PrefixLSN() != 1 || a.HighLSN() != 1 {
+		t.Fatalf("holding LSN 2 undecided: value %q, prefix %d, high %d; want v1, 1, 1", got, a.PrefixLSN(), a.HighLSN())
+	}
+	log.Decide(aborted, false)
+	if n, err := b.CatchUpFrom(c, a, log); err != nil || n != 0 {
+		t.Fatalf("catch-up from a peer holding LSN 2 undecided shipped %d records (err %v), want 0", n, err)
+	}
+	if n := a.CatchUpFromLog(c, log); n != 1 {
+		t.Fatalf("healing shipped %d records, want the abort at LSN 2", n)
+	}
+	if got := read(a); got != "v1" || a.PrefixLSN() != 2 || len(a.undecided) != 0 {
+		t.Fatalf("after the abort: value %q, prefix %d, %d undecided; want v1, 2, 0", got, a.PrefixLSN(), len(a.undecided))
+	}
+
+	committed := []wal.Record{updateRec(0, key, layout, "v3")}
+	log.Reserve(committed)
+	a.hold(committed)
+	a.hold(committed) // a duplicated delivery
+	a.decide(committed)
+	if got := read(a); got != "v3" || a.PrefixLSN() != 3 || len(a.undecided) != 0 {
+		t.Fatalf("after the commit decision: value %q, prefix %d, %d undecided; want v3, 3, 0", got, a.PrefixLSN(), len(a.undecided))
+	}
+}
+
 func TestVolumeQuorumWriteAndRead(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	layout := testLayout(t)

@@ -86,14 +86,22 @@ func (v *Volume) WriteAvailable() bool { return v.Alive() >= v.WriteQ }
 // ReadAvailable reports whether a read quorum is reachable.
 func (v *Volume) ReadAvailable() bool { return v.Alive() >= v.ReadQ }
 
-// AppendLog ships the encoded records to all alive replicas in parallel
-// and returns when the write quorum has acknowledged: the caller's clock
-// advances by the W-th fastest replica acknowledgement. Every alive
-// replica ultimately receives the records (slow acks are still in flight).
-// Fault injection acts per replica delivery: a dropped delivery loses that
-// replica's copy, a torn one lands only a prefix there — the append still
-// succeeds if W deliveries land whole, else the caller sees the fault (an
-// unacknowledged commit whose records may survive on some replicas).
+// AppendLog ships the encoded records, sorted by LSN, to all alive replicas
+// in parallel and returns when the write quorum has acknowledged: the
+// caller's clock advances by the W-th fastest replica acknowledgement. Every
+// alive replica ultimately receives the records (slow acks are still in
+// flight). Fault injection acts per replica delivery: a dropped delivery
+// loses that replica's copy, a torn one lands only a prefix there — the
+// append still succeeds if W deliveries land whole, else the caller sees the
+// fault.
+//
+// A replica holds what it is delivered undecided until the writer's
+// decision reaches it (Replica.hold). With W acks the decision is commit,
+// delivered at once to every replica holding the records, uncharged: it
+// rides the next message, as Aurora's durable point does. Without them the
+// writer decides the records as aborts, and Heal ships those aborts over
+// the held copies — a failed append leaves nothing a replica materialises
+// or serves.
 func (v *Volume) AppendLog(c *sim.Clock, recs []wal.Record) error {
 	// Admission gate on the volume's quorum meter: shed the append under
 	// overload before any per-replica delivery or charge.
@@ -123,11 +131,11 @@ func (v *Volume) AppendLog(c *sim.Clock, recs []wal.Record) error {
 			deliver = recs[:len(recs)/2]
 			faultErr = f.FaultErr()
 		}
-		if !r.ingest(deliver) {
+		if !r.hold(deliver) {
 			continue
 		}
 		if f.Duplicate {
-			r.ingest(deliver)
+			r.hold(deliver)
 		}
 		if f.Torn {
 			continue // prefix landed but this replica does not ack
@@ -140,6 +148,9 @@ func (v *Volume) AppendLog(c *sim.Clock, recs []wal.Record) error {
 			return faultErr
 		}
 		return ErrNoQuorum
+	}
+	for _, r := range v.Replicas {
+		r.decide(recs)
 	}
 	slices.Sort(acks)
 	quorumLat := time.Duration(acks[v.WriteQ-1])

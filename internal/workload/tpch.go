@@ -52,7 +52,7 @@ func (t TPCH) Generate() *Data {
 	nOrders := t.ScaleRows/4 + 1
 	nCust := t.ScaleRows/40 + 1
 
-	li := query.NewTable(LOrderKey, LQuantity, LPrice, LDiscount, LShipDate, LFlag)
+	li := sizedTable(t.ScaleRows, LOrderKey, LQuantity, LPrice, LDiscount, LShipDate, LFlag)
 	if t.Clustered {
 		// Generate shipdates sorted: clustered layout.
 		dates := make([]int64, t.ScaleRows)
@@ -61,27 +61,39 @@ func (t TPCH) Generate() *Data {
 		}
 		sortInt64s(dates)
 		for i := 0; i < t.ScaleRows; i++ {
-			li.AppendRow(rowFor(r, nOrders, dates[i])...)
+			row := rowFor(r, nOrders, dates[i])
+			li.AppendRow(row[:]...)
 		}
 	} else {
 		for i := 0; i < t.ScaleRows; i++ {
-			li.AppendRow(rowFor(r, nOrders, int64(r.Intn(2556)))...)
+			row := rowFor(r, nOrders, int64(r.Intn(2556)))
+			li.AppendRow(row[:]...)
 		}
 	}
 
-	ord := query.NewTable(OOrderKey, OCustKey, OOrderDate)
+	ord := sizedTable(nOrders, OOrderKey, OCustKey, OOrderDate)
 	for i := 0; i < nOrders; i++ {
 		ord.AppendRow(int64(i), int64(r.Intn(nCust)), int64(r.Intn(2556)))
 	}
-	cust := query.NewTable(CCustKey, CNation)
+	cust := sizedTable(nCust, CCustKey, CNation)
 	for i := 0; i < nCust; i++ {
 		cust.AppendRow(int64(i), int64(r.Intn(25)))
 	}
 	return &Data{Lineitem: li, Orders: ord, Customer: cust}
 }
 
-func rowFor(r *rand.Rand, nOrders int, date int64) []int64 {
-	return []int64{
+// sizedTable is query.NewTable with every column's capacity set to rows, so
+// generating the table grows no column.
+func sizedTable(rows int, cols ...string) *query.Table {
+	tb := query.NewTable(cols...)
+	for i := range tb.Cols {
+		tb.Cols[i] = make([]int64, 0, rows)
+	}
+	return tb
+}
+
+func rowFor(r *rand.Rand, nOrders int, date int64) [6]int64 {
+	return [6]int64{
 		int64(r.Intn(nOrders)),     // orderkey
 		int64(1 + r.Intn(50)),      // quantity
 		int64(100 + r.Intn(99900)), // price (cents)
