@@ -59,15 +59,22 @@ type Policy interface {
 // Errors.
 var ErrBadCapacity = errors.New("autoscale: per-node capacity must be positive")
 
+// Reactive's thresholds: scale out above reactiveHigh utilization, in
+// below reactiveLow.
+const (
+	reactiveHigh = 0.8
+	reactiveLow  = 0.3
+)
+
 // Reactive is the threshold autoscaler: scale out when utilization exceeds
-// High, in when below Low. It reacts only after load has already changed.
+// reactiveHigh, in when below reactiveLow. It reacts only after load has
+// already changed.
 type Reactive struct {
-	High, Low float64
-	nodes     int
+	nodes int
 }
 
 // NewReactive returns a reactive policy starting at one node.
-func NewReactive() *Reactive { return &Reactive{High: 0.8, Low: 0.3, nodes: 1} }
+func NewReactive() *Reactive { return &Reactive{nodes: 1} }
 
 // Decide implements Policy. When the observation carries a measured
 // utilization (live sim.Meter telemetry), that drives the threshold test;
@@ -81,53 +88,54 @@ func (r *Reactive) Decide(s Telemetry, perNode float64) Decision {
 		util = s.Util
 	}
 	switch {
-	case util > r.High:
-		r.nodes = int(s.Demand/(perNode*r.High)) + 1
-		return Decision{Nodes: r.nodes, Reason: fmt.Sprintf("util %.2f > %.2f: scale out", util, r.High)}
-	case util < r.Low && r.nodes > 1:
-		r.nodes = int(s.Demand/(perNode*r.High)) + 1
-		return Decision{Nodes: r.nodes, Reason: fmt.Sprintf("util %.2f < %.2f: scale in", util, r.Low)}
+	case util > reactiveHigh:
+		r.nodes = int(s.Demand/(perNode*reactiveHigh)) + 1
+		return Decision{Nodes: r.nodes, Reason: fmt.Sprintf("util %.2f > %.2f: scale out", util, reactiveHigh)}
+	case util < reactiveLow && r.nodes > 1:
+		r.nodes = int(s.Demand/(perNode*reactiveHigh)) + 1
+		return Decision{Nodes: r.nodes, Reason: fmt.Sprintf("util %.2f < %.2f: scale in", util, reactiveLow)}
 	default:
 		return Decision{Nodes: r.nodes, Reason: "steady"}
 	}
 }
 
+// Predictive regresses the last predictiveWindow samples and provisions
+// the predicted demand at predictiveHeadroom utilization.
+const (
+	predictiveWindow   = 16
+	predictiveHeadroom = 0.8
+)
+
 // Predictive fits demand(t) over a sliding window with least squares and
 // provisions for the EXTRAPOLATED demand one horizon ahead, so capacity is
 // ready when the load arrives.
 type Predictive struct {
-	// Window is the number of samples regressed.
-	Window int
-	// Horizon is how far ahead to provision.
-	Horizon time.Duration
-	// Headroom is the target utilization for the predicted demand.
-	Headroom float64
-
+	horizon time.Duration // how far ahead to provision
 	samples []Telemetry
 	nodes   int
 }
 
-// NewPredictive returns a predictive policy with a 16-sample window.
+// NewPredictive returns a predictive policy provisioning horizon ahead.
 func NewPredictive(horizon time.Duration) *Predictive {
-	return &Predictive{Window: 16, Horizon: horizon, Headroom: 0.8, nodes: 1}
+	return &Predictive{horizon: horizon, nodes: 1}
 }
 
 // Decide implements Policy.
 func (p *Predictive) Decide(s Telemetry, perNode float64) Decision {
 	p.samples = append(p.samples, s)
-	if len(p.samples) > p.Window {
-		p.samples = p.samples[len(p.samples)-p.Window:]
+	if len(p.samples) > predictiveWindow {
+		p.samples = p.samples[len(p.samples)-predictiveWindow:]
 	}
-	predicted := p.forecast(s.At + p.Horizon)
+	predicted := p.forecast(s.At + p.horizon)
 	if predicted < s.Demand {
 		predicted = s.Demand // never provision below observed load
 	}
-	want := int(predicted/(perNode*p.Headroom)) + 1
+	want := int(predicted/(perNode*predictiveHeadroom)) + 1
 	if want < 1 {
 		want = 1
 	}
 	p.nodes = want
-	return Decision{Nodes: want, Reason: fmt.Sprintf("forecast %.0f at +%v", predicted, p.Horizon)}
+	return Decision{Nodes: want, Reason: fmt.Sprintf("forecast %.0f at +%v", predicted, p.horizon)}
 }
 
 // forecast extrapolates the least-squares line through the window.

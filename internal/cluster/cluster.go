@@ -64,8 +64,6 @@ type Spec struct {
 	// re-partitions it, physically moving data. It returns the bytes
 	// moved. Shared-storage fleets leave it nil.
 	Rescale func(c *sim.Clock, n int) (movedBytes int64)
-	// Slots overrides the shard-map granularity (<=0: DefaultSlots).
-	Slots int
 	// ComputeCost, when positive, models each member as a finite compute
 	// node: every dispatched transaction first charges this much service
 	// demand through the member's Meter under processor-sharing semantics,
@@ -174,7 +172,7 @@ func New(spec Spec, c *sim.Clock, n int) *Fleet {
 		}
 		return f
 	}
-	f.shard = NewShardMap(spec.Slots)
+	f.shard = NewShardMap(DefaultSlots)
 	for i := 0; i < n; i++ {
 		m := f.newMemberLocked(c)
 		f.shard.Add(m.ID)
@@ -246,14 +244,6 @@ func (f *Fleet) SetSLO(s profile.SLO) { f.slo.Store(profile.NewSLOTracker(s)) }
 // SLO returns the fleet's tracker (nil when no objective is attached).
 func (f *Fleet) SLO() *profile.SLOTracker { return f.slo.Load() }
 
-// ShardOwner reports the member id owning key (routing introspection).
-func (f *Fleet) ShardOwner(key uint64) int {
-	if f.partitioned != nil {
-		return f.partitioned.ID
-	}
-	return f.shard.Owner(key)
-}
-
 // RunOpts extends engine.RunOpts with fleet routing controls.
 type RunOpts struct {
 	engine.RunOpts
@@ -263,12 +253,12 @@ type RunOpts struct {
 	// owner, refreshes its durable watermark first so the read cannot
 	// trail an acknowledged commit. The transaction must not write.
 	ReadOnly bool
-	// FailoverRetries bounds re-routing after a member failure mid-run
-	// (default 3). Each re-route consults the shard map again, so a
-	// transaction caught on a crashing member lands on the survivor that
-	// took over its slot.
-	FailoverRetries int
 }
+
+// failoverRetries bounds Run's re-routing after a member failure mid-run.
+// Each re-route consults the shard map again, so a transaction caught on a
+// crashing member lands on the survivor that took over its slot.
+const failoverRetries = 3
 
 // Run executes fn as one transaction on the member that owns key. It is
 // the fleet-mode replacement for engine.Run: same per-attempt accounting
@@ -283,13 +273,9 @@ type RunOpts struct {
 // back while the lock is held.
 func (f *Fleet) Run(c *sim.Clock, key uint64, opts RunOpts, fn func(tx engine.Tx) error) error {
 	sim.Yield(c)
-	retries := opts.FailoverRetries
-	if retries <= 0 {
-		retries = 3
-	}
 	var lastErr error
 	lastMember := -1
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt <= failoverRetries; attempt++ {
 		m, err := f.dispatch(c, key, &opts, fn)
 		if err == nil {
 			return nil

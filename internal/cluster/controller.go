@@ -20,22 +20,23 @@ import (
 type Controller struct {
 	Fleet  *Fleet
 	Policy autoscale.Policy
-	// PerNode is the demand one member serves at full utilization, in the
-	// meter's node-equivalent units. 1.0 means "a member is full when its
-	// virtual busy time equals the window" — the natural calibration for
-	// capacity-1 member meters; lower values keep headroom.
-	PerNode float64
-	// Min and Max clamp the executed fleet size (Min >= 1; Max <= 0
-	// means unbounded).
-	Min, Max int
+	// Max caps the executed fleet size (<= 0 means unbounded); the floor
+	// is always one member.
+	Max int
 
 	src autoscale.MeterSource
 }
 
-// NewController wires a controller with perNode calibration 0.8 (scale
-// out before members saturate) over the given policy.
+// perNode is the demand one member serves at full utilization, in the
+// meter's node-equivalent units. 1.0 would mean "a member is full when its
+// virtual busy time equals the window", the natural calibration for
+// capacity-1 member meters; 0.8 keeps headroom, so the fleet scales out
+// before members saturate.
+const perNode = 0.8
+
+// NewController wires a controller over the given policy.
 func NewController(f *Fleet, p autoscale.Policy) *Controller {
-	return &Controller{Fleet: f, Policy: p, PerNode: 0.8, Min: 1}
+	return &Controller{Fleet: f, Policy: p}
 }
 
 // TickResult reports one control interval's observation and action.
@@ -67,11 +68,8 @@ func (ctl *Controller) Tick(c *sim.Clock) TickResult {
 	f := ctl.Fleet
 	nodes := f.Size()
 	tel := ctl.src.Sample(c.Now(), nodes, f.Meters()...)
-	dec := ctl.Policy.Decide(tel, ctl.PerNode)
-	target := dec.Nodes
-	if target < ctl.Min {
-		target = ctl.Min
-	}
+	dec := ctl.Policy.Decide(tel, perNode)
+	target := max(dec.Nodes, 1)
 	if ctl.Max > 0 && target > ctl.Max {
 		target = ctl.Max
 	}

@@ -31,17 +31,14 @@ type ShardMap struct {
 	owner   []int // slot -> owning member id
 }
 
-// DefaultSlots is the shard granularity fleets use unless overridden:
-// fine enough that load spreads across a handful of members, coarse
-// enough that membership changes re-route a bounded key set.
+// DefaultSlots is the shard granularity every fleet uses: fine enough
+// that load spreads across a handful of members, coarse enough that
+// membership changes re-route a bounded key set.
 const DefaultSlots = 64
 
-// NewShardMap builds a map with the given slot count (<=0 selects
-// DefaultSlots) over the initial member set.
+// NewShardMap builds a map with the given (positive) slot count over the
+// initial member set.
 func NewShardMap(slots int, members ...int) *ShardMap {
-	if slots <= 0 {
-		slots = DefaultSlots
-	}
 	m := &ShardMap{slots: slots, owner: make([]int, slots)}
 	m.members = append(m.members, members...)
 	sort.Ints(m.members)

@@ -190,8 +190,7 @@ type Stats struct {
 	FlushOnSize    atomic.Int64 // flushes triggered by a full batch
 	FlushOnTimeout atomic.Int64 // flushes triggered by the virtual window
 	// Retry/backoff counters (filled by Run).
-	Retries     atomic.Int64 // conflict re-executions Run performed
-	Backoffs    atomic.Int64 // backoff waits charged before a retry
+	Retries     atomic.Int64 // conflict re-executions Run performed, each after a backoff
 	BackoffWait atomic.Int64 // total virtual ns spent backing off
 	// Indeterminates counts recorded attempts whose commit fate is
 	// unknown: the transaction reached its engine's durability point
@@ -226,7 +225,6 @@ func (s *Stats) Reset() {
 	s.FlushOnSize.Store(0)
 	s.FlushOnTimeout.Store(0)
 	s.Retries.Store(0)
-	s.Backoffs.Store(0)
 	s.BackoffWait.Store(0)
 	s.Indeterminates.Store(0)
 	s.Invalidations.Store(0)
@@ -249,7 +247,10 @@ func (s *Stats) BytesPerCommit() float64 {
 type RunOpts struct {
 	// Retries is the number of automatic re-executions after ErrConflict
 	// (so the transaction runs at most Retries+1 times). Other errors
-	// pass through immediately.
+	// pass through immediately. Every retry first waits out
+	// admission.Wait's backoff on the clock: zero-delay retrying livelocks
+	// the virtual-time model (failed attempts add meter demand without
+	// advancing the clock).
 	Retries int
 	// Replica, when > 0, runs the transaction read-only on read replica
 	// Replica-1 (the engine must implement Reader). 0 targets the
@@ -260,13 +261,6 @@ type RunOpts struct {
 	// which may re-route. Requesting a replica from an engine without
 	// read replicas sheds immediately with ErrUnavailable.
 	Replica int
-	// Backoff is the clock-charged delay policy applied before every
-	// conflict retry. nil selects admission.Default() whenever
-	// Retries > 0 — backoff is deliberately opt-out, because zero-delay
-	// retrying livelocks the virtual-time model (failed attempts add
-	// meter demand without advancing the clock). Pass
-	// admission.NoBackoff to opt out explicitly.
-	Backoff *admission.Backoff
 	// Budget, when non-nil, is the per-client retry budget: each Run
 	// earns it, each retry spends from it, and a dry budget surfaces the
 	// last error instead of retrying. Share one Budget across a client's
@@ -299,10 +293,6 @@ type RunOpts struct {
 	// Profile costs one branch — the disabled path stays zero-alloc.
 	Profile *profile.Profiler
 }
-
-// defaultBackoff is the policy Run applies when Retries > 0 and
-// opts.Backoff is nil (stateless, so one shared value suffices).
-var defaultBackoff = admission.Default()
 
 // Run executes fn as one transaction on e per opts. It is the single
 // entry point workloads, experiments, and the conformance suite use
@@ -366,10 +356,6 @@ func run(e Engine, c *sim.Clock, opts RunOpts, fn func(tx Tx) error) error {
 			return r.ReadReplica(c, idx, fn)
 		}
 	}
-	bo := opts.Backoff
-	if bo == nil && opts.Retries > 0 {
-		bo = defaultBackoff
-	}
 	opts.Budget.Earn()
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -393,12 +379,9 @@ func run(e Engine, c *sim.Clock, opts RunOpts, fn func(tx Tx) error) error {
 		// Bracket the wait so the profiler attributes it to the
 		// "backoff" component rather than residual time.
 		sp := c.StartSpan("backoff")
-		d := bo.Wait(c, attempt)
+		d := admission.Wait(c, attempt)
 		c.FinishSpan(sp, 0)
-		if d > 0 {
-			st.Backoffs.Add(1)
-			st.BackoffWait.Add(int64(d))
-		}
+		st.BackoffWait.Add(int64(d))
 	}
 }
 

@@ -153,26 +153,9 @@ func TestRunConflictRetryChargesClock(t *testing.T) {
 		t.Fatal("3 conflict retries advanced the clock by zero: the retry loop is free again")
 	}
 	st := e.Stats()
-	if st.Retries.Load() != 3 || st.Backoffs.Load() != 3 || st.BackoffWait.Load() != int64(c.Now()) {
-		t.Fatalf("retry telemetry = retries %d backoffs %d wait %d (clock %v)",
-			st.Retries.Load(), st.Backoffs.Load(), st.BackoffWait.Load(), c.Now())
-	}
-}
-
-// TestRunNoBackoffOptOut pins the explicit escape hatch: admission.NoBackoff
-// restores the pre-fix zero-delay behavior (experiments use it to exhibit
-// the retry storm on purpose).
-func TestRunNoBackoffOptOut(t *testing.T) {
-	e := &flakyEngine{failures: 3}
-	c := sim.NewClock()
-	if err := Run(e, c, RunOpts{Retries: 5, Backoff: admission.NoBackoff}, func(tx Tx) error { return nil }); err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	if c.Now() != 0 {
-		t.Fatalf("NoBackoff charged %v", c.Now())
-	}
-	if got := e.stats.Backoffs.Load(); got != 0 {
-		t.Fatalf("backoffs = %d, want 0", got)
+	if st.Retries.Load() != 3 || st.BackoffWait.Load() != int64(c.Now()) {
+		t.Fatalf("retry telemetry = retries %d wait %d (clock %v)",
+			st.Retries.Load(), st.BackoffWait.Load(), c.Now())
 	}
 }
 

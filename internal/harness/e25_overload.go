@@ -28,25 +28,18 @@ const (
 	e25HotKeys = 8
 	// e25SLOMult sets the client deadline as a multiple of the engine's
 	// calibrated uncontended per-op latency: past saturation the meter
-	// penalty stretches attempts beyond the deadline.
+	// penalty stretches attempts beyond the deadline. The admission gate's
+	// watermark, admission.GateMaxUtil, is the same multiple.
 	e25SLOMult = 4
 	// e25Attempts is the client-side retry cap (attempts = 1 + retries).
 	e25Attempts = 12
 	e25Seed     = 73
 )
 
-// e25Gate is the substrate admission policy for the controlled arm: shed
-// once a choke-point meter is 4x oversubscribed and queueing is endemic.
-// The watermark matches the SLO multiple — the meter penalty applies only
-// to the substrate leg of an op, so work admitted at ρ <= MaxUtil still
-// meets a deadline of e25SLOMult x the whole-op nominal latency.
-var e25Gate = admission.GateOpts{MaxUtil: 4, MinQueued: 0.5, Warmup: 200 * time.Microsecond}
-
 // e25Controls bundles the shared overload-control state for one admitted
 // cell: one budget/breaker/shedder per client fleet, as a service would
 // deploy them.
 type e25Controls struct {
-	backoff *admission.Backoff
 	budget  *admission.Budget
 	breaker *admission.Breaker
 	shed    *admission.Shedder
@@ -55,12 +48,11 @@ type e25Controls struct {
 
 func e25NewControls(cfg *sim.Config) *e25Controls {
 	return &e25Controls{
-		backoff: admission.Default(),
 		// 10% retry ratio: a storm cannot more than ~1.1x the offered load.
 		budget:  admission.NewBudget(0.1, 8),
 		breaker: admission.NewBreaker(8, 2*time.Millisecond),
 		shed:    admission.NewShedder(2 * cfg.NICSlots),
-		gate:    admission.NewGate(cfg, e25Gate),
+		gate:    admission.NewGate(cfg),
 	}
 }
 
@@ -96,7 +88,7 @@ func (c e25Cell) amplification() float64 {
 // pause when an op is abandoned, so a failing client stops offering load.
 func e25Run(cfg *sim.Config, build func(*sim.Config) engine.Engine, workers, txns int, slo time.Duration, admit bool) (e25Cell, *e25Controls) {
 	layout := oltpLayout()
-	opts := engine.RunOpts{Backoff: admission.NoBackoff}
+	var opts engine.RunOpts
 	var ctl *e25Controls
 	if admit {
 		acfg := cfg.Clone()
@@ -105,7 +97,6 @@ func e25Run(cfg *sim.Config, build func(*sim.Config) engine.Engine, workers, txn
 		cfg = acfg
 		opts = engine.RunOpts{
 			Retries: 2,
-			Backoff: ctl.backoff,
 			Budget:  ctl.budget,
 			Breaker: ctl.breaker,
 			Shed:    ctl.shed,
@@ -160,7 +151,7 @@ func e25Run(cfg *sim.Config, build func(*sim.Config) engine.Engine, workers, txn
 				if try >= e25Attempts || !ctl.budget.TrySpend() {
 					break
 				}
-				ctl.backoff.Wait(c, try)
+				admission.Wait(c, try)
 			}
 			if !admit {
 				continue
@@ -181,7 +172,7 @@ func e25Run(cfg *sim.Config, build func(*sim.Config) engine.Engine, workers, txn
 			if esc > 7 {
 				esc = 7
 			}
-			ctl.backoff.Wait(c, esc)
+			admission.Wait(c, esc)
 		}
 		return good
 	})
@@ -335,7 +326,7 @@ func runE25(cfg *sim.Config, s Scale) *Result {
 	}
 
 	r.note("admission gate: shed when a substrate meter reaches rho > %.0f with >= %.0f%% of ops queued; retry budget %.0f%%; breaker %d consecutive unavailables, %v cooldown",
-		e25Gate.MaxUtil, 100*e25Gate.MinQueued, 10.0, 8, 2*time.Millisecond)
+		admission.GateMaxUtil, 100*admission.GateMinQueued, 10.0, 8, 2*time.Millisecond)
 	r.note("goodput = commits meeting a %dx steady-state SLO per virtual second; late commits count as work, not goodput", e25SLOMult)
 	r.traceOp(cfg, "txn.write-aurora", func(c *sim.Clock) {
 		e := au.build(cfg)

@@ -9,57 +9,34 @@ import (
 )
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	b := &Backoff{Base: 10 * time.Microsecond, Cap: 100 * time.Microsecond, Factor: 2}
-	prev := time.Duration(0)
-	for attempt := 0; attempt < 8; attempt++ {
-		d := b.Delay(time.Millisecond, attempt)
-		nominal := float64(b.Base)
-		for i := 0; i < attempt; i++ {
-			nominal *= 2
+	nominal := backoffBase
+	for attempt := 0; attempt < 12; attempt++ {
+		d := Delay(time.Millisecond, attempt)
+		if d < nominal/2 || d >= nominal {
+			t.Fatalf("attempt %d: delay %v outside jitter range [%v, %v)", attempt, d, nominal/2, nominal)
 		}
-		if nominal > float64(b.Cap) {
-			nominal = float64(b.Cap)
-		}
-		if d < time.Duration(nominal/2) || d >= time.Duration(nominal) {
-			t.Fatalf("attempt %d: delay %v outside jitter range [%v, %v)",
-				attempt, d, time.Duration(nominal/2), time.Duration(nominal))
-		}
-		if attempt >= 5 && d > b.Cap {
-			t.Fatalf("attempt %d: delay %v exceeds cap %v", attempt, d, b.Cap)
-		}
-		_ = prev
-		prev = d
+		nominal = min(2*nominal, backoffCap)
+	}
+	if d := Delay(time.Millisecond, 1000); d >= backoffCap {
+		t.Fatalf("attempt 1000: delay %v not below cap %v", d, backoffCap)
 	}
 }
 
 func TestBackoffDeterministicJitter(t *testing.T) {
-	b := Default()
-	a := b.Delay(123*time.Microsecond, 3)
-	if got := b.Delay(123*time.Microsecond, 3); got != a {
+	a := Delay(123*time.Microsecond, 3)
+	if got := Delay(123*time.Microsecond, 3); got != a {
 		t.Fatalf("same (now, attempt) gave different delays: %v vs %v", a, got)
 	}
-	if got := b.Delay(124*time.Microsecond, 3); got == a {
+	if got := Delay(124*time.Microsecond, 3); got == a {
 		t.Fatalf("different now gave identical delay %v (jitter not mixing)", a)
 	}
 }
 
 func TestBackoffWaitChargesClock(t *testing.T) {
 	c := sim.NewClock()
-	b := Default()
-	d := b.Wait(c, 0)
+	d := Wait(c, 0)
 	if d <= 0 || c.Now() != d {
 		t.Fatalf("Wait charged %v, clock at %v", d, c.Now())
-	}
-}
-
-func TestNoBackoffChargesNothing(t *testing.T) {
-	c := sim.NewClock()
-	if d := NoBackoff.Wait(c, 5); d != 0 || c.Now() != 0 {
-		t.Fatalf("NoBackoff charged %v (clock %v)", d, c.Now())
-	}
-	var nilPolicy *Backoff
-	if d := nilPolicy.Wait(c, 0); d != 0 {
-		t.Fatalf("nil policy charged %v", d)
 	}
 }
 
@@ -183,22 +160,24 @@ func TestShedderWatermark(t *testing.T) {
 func TestGateShedsOverWatermark(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Stats = sim.NewRegistry()
-	g := NewGate(cfg, GateOpts{MaxUtil: 2, MinQueued: 0, Warmup: 10 * time.Microsecond})
+	g := NewGate(cfg)
 	cfg.Admission = g
 
+	// Another worker's demand: 10ms of busy time observed at 1µs, so
+	// every one of its ops queued.
 	m := sim.NewMeter(1)
+	other := sim.NewClock()
+	other.Advance(time.Microsecond)
+	for i := 0; i < 100; i++ {
+		m.Observe(other, 100*time.Microsecond)
+	}
 	c := sim.NewClock()
-	// Inside warmup: always admitted.
+	// Inside warmup: always admitted, however congested.
 	if err := cfg.Admit(c, "hot", m); err != nil {
 		t.Fatalf("warmup admit failed: %v", err)
 	}
-	// Drive the meter far past 2x oversubscription: lots of busy time
-	// from another worker, little elapsed on ours.
-	other := sim.NewClock()
-	for i := 0; i < 64; i++ {
-		m.Charge(other, 10*time.Microsecond)
-	}
-	c.Advance(20 * time.Microsecond)
+	// Past warmup, ρ = 10ms/300µs is far over the watermark.
+	c.Advance(300 * time.Microsecond)
 	err := cfg.Admit(c, "hot", m)
 	if !errors.Is(err, sim.ErrAdmission) {
 		t.Fatalf("congested admit = %v, want ErrAdmission", err)
@@ -218,7 +197,7 @@ func TestGateShedsOverWatermark(t *testing.T) {
 }
 
 func TestGateNilMeterAdmits(t *testing.T) {
-	g := NewGate(nil, DefaultGateOpts())
+	g := NewGate(nil)
 	c := sim.NewClock()
 	c.Advance(time.Second)
 	if err := g.Admit(c, "x", nil); err != nil {

@@ -15,39 +15,18 @@
 package admission
 
 import (
+	"math"
 	"time"
 
 	"github.com/disagglab/disagg/internal/sim"
 )
 
-// Backoff is a capped, jittered exponential backoff policy. The zero
-// value waits zero time on every attempt — that is the pre-admission
-// "retry immediately" behavior, available explicitly as NoBackoff for
-// experiments that want to exhibit the retry storm.
-//
-// Backoff is stateless (Wait is a pure function of the clock and attempt
-// number), so one policy value is safely shared by every worker.
-type Backoff struct {
-	// Base is the mean delay before the first retry (attempt 0).
-	Base time.Duration
-	// Cap bounds the exponential growth.
-	Cap time.Duration
-	// Factor is the per-attempt growth multiplier; values <= 1 keep the
-	// delay at Base.
-	Factor float64
-}
-
-// NoBackoff is the explicit zero-delay policy: retries are immediate and
-// charge no virtual time. Passing it to engine.RunOpts opts out of the
-// default backoff — this is what a retry storm looks like.
-var NoBackoff = &Backoff{}
-
-// Default returns the policy engine.Run applies when Retries > 0 and no
-// explicit Backoff is given: 5µs base (a few fabric round trips), doubling
-// per attempt, capped at 2ms.
-func Default() *Backoff {
-	return &Backoff{Base: 5 * time.Microsecond, Cap: 2 * time.Millisecond, Factor: 2}
-}
+// The one backoff schedule: the mean delay before retry attempt n
+// (0-based) is backoffBase·2ⁿ, capped at backoffCap.
+const (
+	backoffBase = 5 * time.Microsecond // a few fabric round trips
+	backoffCap  = 2 * time.Millisecond
+)
 
 // Delay returns the jittered delay for the given retry attempt (0-based)
 // at virtual time now, without charging it anywhere. The deterministic
@@ -55,36 +34,20 @@ func Default() *Backoff {
 // concurrent workers whose clocks have drifted apart — which contention
 // guarantees — decorrelate, while a replay of the same seeded workload
 // reproduces the exact schedule.
-func (b *Backoff) Delay(now time.Duration, attempt int) time.Duration {
-	if b == nil || b.Base <= 0 {
-		return 0
-	}
-	d := float64(b.Base)
-	if b.Factor > 1 {
-		for i := 0; i < attempt; i++ {
-			d *= b.Factor
-			if d >= float64(b.Cap) {
-				break
-			}
-		}
-	}
-	if b.Cap > 0 && d > float64(b.Cap) {
-		d = float64(b.Cap)
-	}
+func Delay(now time.Duration, attempt int) time.Duration {
+	d := min(math.Ldexp(float64(backoffBase), attempt), float64(backoffCap))
 	// Map the hash to [0.5, 1.0) of the computed delay.
 	u := float64(mix64(uint64(now)+0x9e3779b97f4a7c15*uint64(attempt+1))>>11) / float64(1<<53)
 	return time.Duration(d * (0.5 + 0.5*u))
 }
 
 // Wait charges the jittered delay for attempt to the worker's virtual
-// clock and returns what it charged. This is the whole point of the
-// policy: failed work must consume virtual time, or the meters see
-// infinite offered load at zero cost and the simulation livelocks.
-func (b *Backoff) Wait(c *sim.Clock, attempt int) time.Duration {
-	d := b.Delay(c.Now(), attempt)
-	if d > 0 {
-		c.Advance(d)
-	}
+// clock and returns what it charged. This is the whole point of backing
+// off: failed work must consume virtual time, or the meters see infinite
+// offered load at zero cost and the simulation livelocks.
+func Wait(c *sim.Clock, attempt int) time.Duration {
+	d := Delay(c.Now(), attempt)
+	c.Advance(d)
 	return d
 }
 

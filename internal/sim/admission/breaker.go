@@ -19,8 +19,8 @@ const (
 )
 
 // Breaker is a circuit breaker over sustained unavailability: after
-// Threshold consecutive failures it opens and fast-fails every request
-// for a virtual-time Cooldown, then lets a single half-open probe decide
+// threshold consecutive failures it opens and fast-fails every request
+// for a virtual-time cooldown, then lets a single half-open probe decide
 // whether to close again. Fast-failing converts queueing on a dead
 // dependency (each attempt burning timeouts and meter time) into an
 // immediate local error.
@@ -29,10 +29,8 @@ const (
 // sim.RunGroup start at zero together, so one worker's trip time is
 // comparable against another worker's now. A nil *Breaker allows all.
 type Breaker struct {
-	// Threshold is the consecutive-failure count that trips the breaker.
-	Threshold int
-	// Cooldown is the virtual time the breaker stays open before probing.
-	Cooldown time.Duration
+	threshold int64         // consecutive failures that trip the breaker
+	cooldown  time.Duration // virtual time spent open before probing
 
 	state    atomic.Int32
 	fails    atomic.Int64
@@ -48,7 +46,7 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	if threshold < 1 {
 		threshold = 1
 	}
-	return &Breaker{Threshold: threshold, Cooldown: cooldown}
+	return &Breaker{threshold: int64(threshold), cooldown: cooldown}
 }
 
 // Allow reports whether a request may proceed at the caller's virtual
@@ -62,7 +60,7 @@ func (b *Breaker) Allow(c *sim.Clock) bool {
 	case StateClosed:
 		return true
 	case StateOpen:
-		if c.Now() >= time.Duration(b.openedAt.Load())+b.Cooldown {
+		if c.Now() >= time.Duration(b.openedAt.Load())+b.cooldown {
 			// First caller past the cooldown becomes the probe.
 			if b.state.CompareAndSwap(StateOpen, StateHalfOpen) {
 				return true
@@ -90,7 +88,7 @@ func (b *Breaker) Record(c *sim.Clock, failed bool) {
 	}
 	n := b.fails.Add(1)
 	st := b.state.Load()
-	if st == StateHalfOpen || (st == StateClosed && n >= int64(b.Threshold)) {
+	if st == StateHalfOpen || (st == StateClosed && n >= b.threshold) {
 		b.openedAt.Store(int64(c.Now()))
 		if b.state.Swap(StateOpen) != StateOpen {
 			b.trips.Add(1)

@@ -9,31 +9,29 @@ import (
 	"github.com/disagglab/disagg/internal/sim"
 )
 
-// GateOpts tunes a congestion-watermark admission gate.
-type GateOpts struct {
-	// MaxUtil is the meter-ρ watermark: operations are shed while the
-	// resource's utilization (busy / capacity·elapsed) exceeds it. Values
-	// above 1 mean "tolerate this much oversubscription before shedding";
-	// the meter's processor-sharing penalty grows linearly with ρ up to
-	// its cap, so MaxUtil picks the stretch factor the gate defends.
-	MaxUtil float64
-	// MinQueued additionally requires the meter's queued fraction (share
-	// of charges that experienced contention) to reach this level, so a
-	// short ρ spike from one large transfer does not shed.
-	MinQueued float64
-	// Warmup suppresses shedding before this much virtual time on the
+// The gate's watermarks defend the meters' linear-penalty region: it
+// sheds while a resource is more than GateMaxUtil× oversubscribed and at
+// least GateMinQueued of its charges are queueing, once the caller's clock
+// is past GateWarmup.
+const (
+	// GateMaxUtil is the meter-ρ watermark: operations are shed while the
+	// resource's utilization (busy / capacity·elapsed) exceeds it. The
+	// meter's processor-sharing penalty grows linearly with ρ up to its
+	// cap, so the watermark is the stretch factor the gate defends. It
+	// matches E25's SLO multiple: the penalty applies only to the substrate
+	// leg of an op, so work admitted at ρ <= 4 still meets a deadline of 4×
+	// the whole op's nominal latency.
+	GateMaxUtil float64 = 4
+	// GateMinQueued additionally requires the meter's queued fraction
+	// (share of charges that experienced contention) to reach this level,
+	// so a short ρ spike from one large transfer does not shed.
+	GateMinQueued = 0.5
+	// GateWarmup suppresses shedding before this much virtual time on the
 	// caller's clock: early in a run elapsed is tiny and ρ estimates are
 	// noise (this also exempts the substrate-internal probe clocks that
 	// quorum appends use, which always sit near zero).
-	Warmup time.Duration
-}
-
-// DefaultGateOpts defends the meters' linear-penalty region: shed while a
-// resource is more than 4× oversubscribed and at least half its charges
-// are queueing, after 200µs of warmup.
-func DefaultGateOpts() GateOpts {
-	return GateOpts{MaxUtil: 4, MinQueued: 0.5, Warmup: 200 * time.Microsecond}
-}
+	GateWarmup = 200 * time.Microsecond
+)
 
 // gateSite is one site's admit/shed counters.
 type gateSite struct {
@@ -52,18 +50,16 @@ type gateSite struct {
 // is that refused work costs (virtually) nothing, while admitted work
 // sees a meter protected from the deep-penalty region.
 type Gate struct {
-	opts GateOpts
-	cfg  *sim.Config
+	cfg *sim.Config
 
 	mu    sync.Mutex
 	sites map[string]*gateSite
 }
 
-// NewGate builds a gate with the given watermarks and attaches its
-// per-site counters to cfg's stats registry. Install it with
-// cfg.Admission = g.
-func NewGate(cfg *sim.Config, o GateOpts) *Gate {
-	return &Gate{opts: o, cfg: cfg, sites: make(map[string]*gateSite)}
+// NewGate builds a gate and attaches its per-site counters to cfg's stats
+// registry. Install it with cfg.Admission = g.
+func NewGate(cfg *sim.Config) *Gate {
+	return &Gate{cfg: cfg, sites: make(map[string]*gateSite)}
 }
 
 // site returns (lazily creating and registering) the counters for site.
@@ -86,11 +82,11 @@ func (g *Gate) site(name string) *gateSite {
 // Admit implements sim.Admitter.
 func (g *Gate) Admit(c *sim.Clock, site string, m *sim.Meter) error {
 	s := g.site(site)
-	if m == nil || c.Now() < g.opts.Warmup {
+	if m == nil || c.Now() < GateWarmup {
 		s.admitted.Add(1)
 		return nil
 	}
-	if rho := m.Utilization(c.Now()); rho > g.opts.MaxUtil && m.QueuedFraction() >= g.opts.MinQueued {
+	if rho := m.Utilization(c.Now()); rho > GateMaxUtil && m.QueuedFraction() >= GateMinQueued {
 		s.shed.Add(1)
 		return fmt.Errorf("%w: %s ρ=%.2f", sim.ErrAdmission, site, rho)
 	}

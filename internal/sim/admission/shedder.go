@@ -2,7 +2,7 @@ package admission
 
 import "sync/atomic"
 
-// Shedder sheds load at a queue-depth watermark: at most Max requests may
+// Shedder sheds load at a queue-depth watermark: at most max requests may
 // be in flight at once, and arrivals beyond that are rejected immediately
 // instead of queueing. In the simulator "in flight" means concurrently
 // executing worker goroutines — the same concurrency the contention
@@ -11,8 +11,7 @@ import "sync/atomic"
 //
 // A nil *Shedder admits everything.
 type Shedder struct {
-	// Max is the in-flight watermark; values < 1 behave as 1.
-	Max int64
+	max int64 // the in-flight watermark
 
 	inflight atomic.Int64
 	admitted atomic.Int64
@@ -24,7 +23,7 @@ func NewShedder(max int) *Shedder {
 	if max < 1 {
 		max = 1
 	}
-	return &Shedder{Max: int64(max)}
+	return &Shedder{max: int64(max)}
 }
 
 // TryEnter claims an in-flight slot, reporting false when the watermark
@@ -33,7 +32,7 @@ func (s *Shedder) TryEnter() bool {
 	if s == nil {
 		return true
 	}
-	if s.inflight.Add(1) > s.Max {
+	if s.inflight.Add(1) > s.max {
 		s.inflight.Add(-1)
 		s.shed.Add(1)
 		return false
