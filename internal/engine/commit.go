@@ -85,13 +85,17 @@ type Hooks struct {
 //     aborts; an empty write set commits with nothing to log.
 //  3. Prepare: lock the write set exclusively in ascending key order
 //     (deadlock free; a refused lock releases the ones held and aborts with
-//     ErrConflict; locks are released when Execute returns), build one
-//     update record per key and a commit record, reserve their LSNs, and
-//     run the Durable hook (or ride the shared group flush). Until prepare
-//     returns no log reader sees the records — not Range, not RedoPage, so
-//     not a heal, a catch-up, a checkpoint's redo or a page miss's. A
-//     failure decides the slots as aborts, which every reader skips, and
-//     aborts as ErrUnavailable with nothing stamped, applied or published.
+//     ErrConflict; locks are released when Execute returns), then validate
+//     the read set: a pinned key whose version moved since it was read
+//     aborts with ErrConflict, so two read-modify-writes of one key cannot
+//     both commit (lock, then validate). A key that is read but not written
+//     is validated but not held. Build one update record per key and a
+//     commit record, reserve their LSNs, and run the Durable hook (or ride
+//     the shared group flush). Until prepare returns no log reader sees the
+//     records — not Range, not RedoPage, so not a heal, a catch-up, a
+//     checkpoint's redo or a page miss's. A failure decides the slots as
+//     aborts, which every reader skips, and aborts as ErrUnavailable with
+//     nothing stamped, applied or published.
 //  4. Commit: decide the slots, advance the durable LSN over the log's
 //     decided prefix (never past an undecided slot: a group flush decides
 //     every rider first), and stamp the transaction with its commit LSN.
@@ -268,6 +272,7 @@ func (p *Pipeline) Execute(c *sim.Clock, fn func(tx Tx) error) error {
 	}
 	p.stats.Attempts.Add(1)
 	st := NewStagedTx(c, p.Read)
+	st.pipe = p
 	err := p.commit(c, st, fn)
 	st.Release()
 	return p.finish(err)
@@ -307,6 +312,13 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 			return ErrConflict
 		}
 		held++
+	}
+	// Validate: a pinned key whose version moved since it was read may have
+	// had a commit land that this transaction's writes would overwrite.
+	for _, pn := range st.pins {
+		if p.version(pn.key) != pn.ver {
+			return ErrConflict
+		}
 	}
 	if p.Sequencer != nil {
 		p.Sequencer.Lock()
@@ -353,6 +365,20 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 		return fmt.Errorf("%w: commit durable at LSN %d but not applied: %v", Unavail(err), commit, err)
 	}
 	return nil
+}
+
+// version is the version commit validation compares a pinned read with:
+// the directory version of the key's page. It charges no time. A commit
+// publishes it after Apply and before it unlocks, so a read that saw a
+// version saw the bytes of every commit up to it, and a commit that landed
+// on the page since shows as a different version. A page is coarser than a
+// key: a commit to another key of the page fails the check too, and the
+// transaction retries.
+func (p *Pipeline) version(key uint64) uint64 {
+	if p.dir == nil {
+		return 0
+	}
+	return p.dir.Version(p.layout.PageOf(key))
 }
 
 // decide fills recs' slots — with the records once they are durable, with

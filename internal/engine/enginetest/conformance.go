@@ -401,6 +401,7 @@ func RunConformance(t *testing.T, factory Factory) {
 		})
 	}
 	t.Run("Isolation/Contended", func(t *testing.T) { runIsolation(t, factory, nil, true, false) })
+	t.Run("Isolation/LostUpdate", func(t *testing.T) { runLostUpdate(t, factory) })
 
 	// Coherence: the cross-tier stale-read probe — one writer bumping a
 	// hot key set, concurrent readers (primary and replica paths) holding

@@ -112,9 +112,9 @@ func (e *Engine) partOf(key uint64) (int, *partition) {
 // is a global sequence rather than an LSN, and prepare/commit are joined
 // parallel rounds. One pipeline per partition under a coordinator would
 // fit, but the coordinator and the partition wiring are more code than
-// this function. Records are appended only once every lock is held, and
-// the node's SSD force cannot fail, so no partition log holds an aborted
-// write.
+// this function. Records are appended only once every lock is held and
+// the read set is validated, and the node's SSD force cannot fail, so no
+// partition log holds an aborted write.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 	e.stats.Attempts.Add(1)
 	s := e.txs.Get().(*txState)
@@ -148,6 +148,14 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 		}
 	}
 	defer s.unlock(s.legs)
+	// Validate: a read whose key now holds another value array missed a
+	// commit that this transaction's writes would overwrite.
+	for _, r := range s.seen {
+		if _, p := e.partOf(r.key); p.head(r.key) != r.val {
+			e.stats.Aborts.Add(1)
+			return engine.ErrConflict
+		}
+	}
 	slices.SortFunc(s.legs, func(a, b leg) int { return cmp.Compare(a.part, b.part) })
 	legs := s.legs
 
@@ -224,16 +232,26 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 
 // txState is one Execute's scratch, recycled through Engine.txs so that a
 // transaction allocates none of it: the coordinator its first access picks,
-// the read path (built once per state, not per transaction), one leg per
-// write — which is also the list of locks it holds — and the clock each
-// participant's leg of a parallel round is timed on.
+// the read path (built once per state, not per transaction), what each read
+// saw, one leg per write — which is also the list of locks it holds — and
+// the clock each participant's leg of a parallel round is timed on.
 type txState struct {
 	e     *Engine
 	txID  uint64
 	coord int
 	read  engine.ReadFunc
+	seen  []readVal
 	legs  []leg
 	probe sim.Clock
+}
+
+// readVal is one key the transaction read and the value array it found there
+// (nil for none). Every commit stores a fresh array, and holding this one
+// keeps its address from being reused, so a different array at validation
+// is a commit the read missed: the array is the key's version.
+type readVal struct {
+	key uint64
+	val *byte
 }
 
 // leg is one write at its partition.
@@ -268,10 +286,27 @@ func (s *txState) readKey(c *sim.Clock, key uint64) ([]byte, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if v, ok := p.data[key]; ok {
+	v, ok := p.data[key]
+	s.seen = append(s.seen, readVal{key: key, val: first(v)})
+	if ok {
 		return slices.Clone(v), nil
 	}
 	return make([]byte, e.layout.ValSize), nil
+}
+
+// head returns the first byte of key's value array (nil for none).
+func (p *partition) head(key uint64) *byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return first(p.data[key])
+}
+
+// first is v's first byte, or nil for an empty v.
+func first(v []byte) *byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return &v[0]
 }
 
 // resetProbe returns the probe clock back at time zero, as a new clock.
@@ -289,6 +324,8 @@ func (s *txState) unlock(legs []leg) {
 
 // release empties the state, dropping what it refers to, and recycles it.
 func (s *txState) release() {
+	clear(s.seen)
+	s.seen = s.seen[:0]
 	clear(s.legs)
 	s.legs = s.legs[:0]
 	s.e.txs.Put(s)

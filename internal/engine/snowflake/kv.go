@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/disagglab/disagg/internal/buffer/coherence"
 	"github.com/disagglab/disagg/internal/checkpoint"
 	"github.com/disagglab/disagg/internal/device"
 	"github.com/disagglab/disagg/internal/engine"
@@ -71,9 +72,12 @@ func NewKV(cfg *sim.Config, layout heap.Layout) *KV {
 		log:    wal.NewLog(),
 		vals:   make(map[uint64][]byte),
 	}
-	// No page cache, so no directory: nothing has to hear about a commit.
 	e.pipe = engine.NewPipeline(cfg, "snowflake", layout, e.log, &e.stats,
 		engine.Hooks{Read: e.readKey, Durable: e.durable, Apply: e.apply, Sequencer: &e.commitMu})
+	// No page cache registers with the directory, so a publish invalidates
+	// nothing and charges nothing: it only keeps the page versions commit
+	// validation reads.
+	e.pipe.Coherent(coherence.ModeBump)
 	return e
 }
 

@@ -21,10 +21,12 @@ type Write struct {
 	Val []byte
 }
 
-// pin locates one pinned read in the arena.
+// pin locates one pinned read in the arena, with the version its key had
+// just before it was read.
 type pin struct {
 	key    uint64
 	off, n int
+	ver    uint64
 }
 
 // StagedTx is the transaction context shared by the engines: reads go
@@ -40,7 +42,9 @@ type pin struct {
 // and re-reads return the pinned copy. Reads take no locks, so without
 // the pin a transaction re-reading a key could observe another worker's
 // concurrent commit mid-transaction (a non-repeatable read the history
-// checker flags); with it, every transaction sees a stable read set.
+// checker flags); with it, every transaction sees a stable read set. In a
+// pipeline's transaction each pin also records its key's version, taken
+// before the read, which the commit validates once it holds its locks.
 //
 // A context is recycled: the pipeline takes one per Execute and releases it
 // when Execute returns, so the handle a workload closure receives is valid
@@ -52,6 +56,8 @@ type pin struct {
 type StagedTx struct {
 	c    *sim.Clock
 	read ReadFunc
+	// pipe, when set, is the pipeline whose commit validates the pins.
+	pipe *Pipeline
 
 	writes []Write
 	pins   []pin
@@ -101,11 +107,15 @@ func (t *StagedTx) Read(key uint64) ([]byte, error) {
 			return slices.Clone(t.arena[p.off : p.off+p.n]), nil
 		}
 	}
+	var ver uint64
+	if t.pipe != nil {
+		ver = t.pipe.version(key)
+	}
 	v, err := t.read(t.c, key)
 	if err != nil {
 		return v, err
 	}
-	t.pins = append(t.pins, pin{key: key, off: len(t.arena), n: len(v)})
+	t.pins = append(t.pins, pin{key: key, off: len(t.arena), n: len(v), ver: ver})
 	t.arena = append(t.arena, v...)
 	return v, nil
 }
