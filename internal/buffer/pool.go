@@ -141,14 +141,6 @@ func (p *Pool) ProbeMisses() int64 { return p.probeMisses.Load() }
 // StaleHits reports cached frames rejected by coherence validation.
 func (p *Pool) StaleHits() int64 { return p.staleHits.Load() }
 
-// ResetStats clears the hit/miss/probe/stale counters.
-func (p *Pool) ResetStats() {
-	p.hits.Store(0)
-	p.misses.Store(0)
-	p.probeMisses.Store(0)
-	p.staleHits.Store(0)
-}
-
 // removeLocked drops a frame and tells the directory.
 func (p *Pool) removeLocked(e *list.Element) {
 	f := e.Value.(*frame)

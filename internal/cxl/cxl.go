@@ -163,9 +163,6 @@ func (s *TieredSpace) Alloc(preferred Tier, size int) (*Region, bool) {
 // LocalFree reports remaining host-DRAM bytes.
 func (s *TieredSpace) LocalFree() uint64 { return s.local.Size() - s.localUsed }
 
-// CXLFree reports remaining expander bytes.
-func (s *TieredSpace) CXLFree() uint64 { return s.cxl.Size() - s.cxlUsed }
-
 // Read reads from the region with the given access pattern.
 func (r *Region) Read(c *sim.Clock, off uint64, p []byte, sequential bool) error {
 	switch r.Tier {

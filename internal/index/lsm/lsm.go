@@ -490,17 +490,6 @@ func (t *Tree) RunCount() int {
 	return n
 }
 
-// MemEntries reports buffered (unflushed) entries.
-func (t *Tree) MemEntries() int {
-	n := 0
-	for _, s := range t.shards {
-		s.mu.Lock()
-		n += len(s.mem)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // FlushAll flushes every shard's memtable (test/benchmark barrier).
 func (c *Client) FlushAll(clk *sim.Clock) error {
 	for _, s := range c.t.shards {

@@ -70,22 +70,6 @@ func (p *Peer) LogLen() int {
 	return p.logicalLenLocked()
 }
 
-// Retained reports the number of entries still physically held (the
-// replay tail a recovery must read).
-func (p *Peer) Retained() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.log)
-}
-
-// Compacted reports the compaction point: entries at or below it have
-// been discarded.
-func (p *Peer) Compacted() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.snap
-}
-
 // Failed reports crash state.
 func (p *Peer) Failed() bool {
 	p.mu.Lock()

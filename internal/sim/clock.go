@@ -64,9 +64,6 @@ func (c *Clock) Reset() {
 	c.epoch++
 }
 
-// Epoch reports the clock's reset generation (0 for a fresh clock).
-func (c *Clock) Epoch() int64 { return c.epoch }
-
 // SetTrace attaches a span tree to the clock: subsequent instrumented
 // operations on this clock record nested spans into t. Pass nil to detach.
 // A Trace must not be shared between clocks.

@@ -25,5 +25,4 @@ func (m LatencyModel) Cost(n int) time.Duration {
 const (
 	GB = 1e9
 	MB = 1e6
-	KB = 1e3
 )

@@ -136,11 +136,3 @@ func (m *Meter) QueuedFraction() float64 {
 	}
 	return float64(m.queuedOps.Load()) / float64(t)
 }
-
-// ResetStats clears the accumulated demand and counters, starting a fresh
-// virtual epoch. Call between experiment phases that reset worker clocks.
-func (m *Meter) ResetStats() {
-	m.busy.Store(0)
-	m.totalOps.Store(0)
-	m.queuedOps.Store(0)
-}

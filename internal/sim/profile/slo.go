@@ -115,9 +115,6 @@ func (t *SLOTracker) Snapshot(now time.Duration) Status {
 	return st
 }
 
-// BurnRate is shorthand for Snapshot(now).Burn.
-func (t *SLOTracker) BurnRate(now time.Duration) float64 { return t.Snapshot(now).Burn }
-
 func (s Status) String() string {
 	return fmt.Sprintf("good %d bad %d err %.3f%% burn %.2fx", s.Good, s.Bad, 100*s.ErrFrac, s.Burn)
 }

@@ -137,16 +137,6 @@ func TestMeterCapacityFloor(t *testing.T) {
 	}
 }
 
-func TestMeterResetStats(t *testing.T) {
-	m := NewMeter(1)
-	c := NewClock()
-	m.Charge(c, time.Microsecond)
-	m.ResetStats()
-	if m.Busy() != 0 || m.QueuedFraction() != 0 {
-		t.Fatal("ResetStats did not clear state")
-	}
-}
-
 func TestMeterProcessorSharing(t *testing.T) {
 	// 8 workers sharing a 2-slot resource must each run ~4x slower than
 	// a lone worker.

@@ -217,9 +217,8 @@ func TestRegistryOneSourceList(t *testing.T) {
 
 func TestMeterEpochGuardAcrossPhaseReset(t *testing.T) {
 	// Regression: Charge divides accumulated demand by the caller's elapsed
-	// virtual time. A phase boundary that Resets worker clocks without
-	// ResetStats used to divide a whole phase's demand by a near-zero
-	// elapsed time, charging the first post-reset ops the full 16x penalty
+	// virtual time. A phase boundary that Resets worker clocks used to
+	// divide a whole phase's demand by a near-zero elapsed time, charging the first post-reset ops the full 16x penalty
 	// cap. The clock epoch guard rolls the demand forward instead.
 	const workers = 4
 	m := NewMeter(1)
@@ -246,7 +245,7 @@ func TestMeterEpochGuardAcrossPhaseReset(t *testing.T) {
 	}
 
 	for _, c := range clocks {
-		c.Reset() // phase boundary WITHOUT m.ResetStats()
+		c.Reset() // phase boundary; the meter is left as it is
 	}
 	p2 := phase()
 	if p2 > 8*time.Microsecond {

@@ -23,9 +23,7 @@ import (
 // Package errors.
 var (
 	ErrReplicaDown  = errors.New("storagenode: replica down")
-	ErrStalePage    = errors.New("storagenode: page not yet at requested LSN")
 	ErrNoQuorum     = errors.New("storagenode: quorum unavailable")
-	ErrUnknownPage  = errors.New("storagenode: unknown page")
 	ErrStaleReplica = errors.New("storagenode: replica behind requested LSN")
 )
 
@@ -433,19 +431,6 @@ func (r *Replica) WritePage(c *sim.Clock, id page.ID, data []byte) error {
 	pl := wal.LSN(page.Wrap(cp).LSN())
 	r.prunePendingLocked(id, func(rec *wal.Record) bool { return rec.LSN > pl })
 	return nil
-}
-
-// MaterializeAll applies every pending record (background work; charged to
-// the given clock, which tests usually make a throwaway).
-func (r *Replica) MaterializeAll(c *sim.Clock) {
-	r.mu.Lock()
-	ids := r.pendingPagesLocked()
-	r.mu.Unlock()
-	for _, id := range ids {
-		r.mu.Lock()
-		r.materializeLocked(c, id)
-		r.mu.Unlock()
-	}
 }
 
 // pendingPagesLocked lists the pages with unmaterialised records.
