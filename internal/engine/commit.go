@@ -127,8 +127,9 @@ type Pipeline struct {
 	// ckpt owns the recovery horizon and dir the page versions; both belong
 	// to the log, so a Peer shares its root's. own is the node's own cache
 	// tier (the first one Cache registered): it applies commits in place and
-	// is left out of their fan-out. An architecture with no page cache has
-	// no directory.
+	// is left out of their fan-out. Every engine names a directory, because
+	// commit validation reads its page versions; one with no page cache
+	// registers no tier with it.
 	ckpt    *checkpoint.Coordinator
 	dir     *coherence.Directory
 	own     *coherence.Handle

@@ -21,8 +21,8 @@ import (
 	"github.com/disagglab/disagg/internal/sim"
 )
 
-// The one backoff schedule: the mean delay before retry attempt n
-// (0-based) is backoffBase·2ⁿ, capped at backoffCap.
+// The one backoff schedule: the delay before retry attempt n (0-based) is
+// drawn from [d/2, d), where d is backoffBase·2ⁿ capped at backoffCap.
 const (
 	backoffBase = 5 * time.Microsecond // a few fabric round trips
 	backoffCap  = 2 * time.Millisecond
