@@ -251,7 +251,7 @@ func (p *Pipeline) AdvanceDurable(lsn wal.LSN) {
 func (p *Pipeline) Shed() error {
 	p.stats.Attempts.Add(1)
 	p.stats.Shed.Add(1)
-	return ErrUnavailable
+	return errDown
 }
 
 // finish lands an executed attempt in exactly one outcome counter.

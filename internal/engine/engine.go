@@ -149,6 +149,10 @@ var (
 	ErrShed = errors.New("engine: shed by admission control")
 )
 
+// errDown is a crashed compute node's refusal (Pipeline.Shed): callers see
+// ErrUnavailable, and Run records a shed, as the node's Stats count it.
+var errDown = fmt.Errorf("%w: compute node down", ErrUnavailable)
+
 // Unavail maps a substrate failure surfaced during commit to the engine
 // error contract: the caller sees ErrUnavailable either way, but an
 // admission-control shed keeps its sim.ErrAdmission sentinel in the chain.
@@ -438,6 +442,8 @@ func classifyOutcome(err, fnErr error, stamp uint64) history.Outcome {
 	switch {
 	case err == nil:
 		return history.Committed
+	case errors.Is(err, errDown):
+		return history.Shed
 	case stamp != 0:
 		return history.Indeterminate
 	case errors.Is(err, ErrConflict), errors.Is(err, ErrReadOnly):

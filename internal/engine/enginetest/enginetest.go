@@ -7,6 +7,7 @@ package enginetest
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/engine"
@@ -245,7 +246,7 @@ func Run(t *testing.T, factory func(t *testing.T) engine.Engine) {
 			}
 		}
 		r.Crash()
-		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return nil }); err != engine.ErrUnavailable {
+		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return nil }); !errors.Is(err, engine.ErrUnavailable) {
 			t.Fatalf("crashed engine accepted work: %v", err)
 		}
 		rc := sim.NewClock()

@@ -42,8 +42,8 @@ const (
 	// Indeterminate: the attempt failed with unknown outcome (commit-path
 	// unavailability, or any error after the durability point).
 	Indeterminate
-	// Shed: admission control refused the attempt before it reached the
-	// engine; it performed no reads or writes.
+	// Shed: admission control or a crashed node refused the attempt
+	// before it ran; it performed no reads or writes.
 	Shed
 )
 
