@@ -83,18 +83,18 @@ func TestSuiteCatchesBrokenEngine(t *testing.T) {
 	layout := Layout(t)
 	seed := Seed()
 	res := runConformanceWorkload(e, layout, seed)
-	if res.commits == 0 {
+	if res.commits.Load() == 0 {
 		t.Fatal("workload made no progress on the broken engine")
 	}
 	// Pre-crash the state is fine (the bug is durability, not visibility).
-	if v := verifyFinalState(e, res); len(v) != 0 {
+	if v := verifyFinalState(res); len(v) != 0 {
 		t.Fatalf("unexpected pre-crash violations: %v", v)
 	}
 	e.Crash()
 	if _, err := e.Recover(sim.NewClock()); err != nil {
 		t.Fatal(err)
 	}
-	violations := verifyFinalState(e, res)
+	violations := verifyFinalState(res)
 	if len(violations) == 0 {
 		t.Fatal("conformance checker passed an engine that loses every acked write on recovery")
 	}

@@ -3,6 +3,7 @@ package enginetest
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"github.com/disagglab/disagg/internal/engine"
+	"github.com/disagglab/disagg/internal/engine/history"
 	"github.com/disagglab/disagg/internal/engine/monolithic"
 	"github.com/disagglab/disagg/internal/heap"
 	"github.com/disagglab/disagg/internal/sim"
@@ -27,6 +29,15 @@ var seedFlag = flag.Int64("seed", 20260806, "seed for randomized conformance/cha
 // Seed reports the suite seed (the -seed flag).
 func Seed() int64 { return *seedFlag }
 
+// isoSeedsFlag is the schedule-exploration width: the drill sweeps this many
+// derived seeds per fabric profile, so each engine is checked against that
+// many distinct interleavings and fault schedules. A failing seed is printed
+// with every violation for exact replay.
+var isoSeedsFlag = flag.Int("isoseeds", 8, "seeds swept per Drill conformance variant")
+
+// isoSeed derives the i-th sweep seed from the suite seed.
+func isoSeed(base int64, i int) int64 { return base + int64(i)*7919 }
+
 // Factory builds a fresh engine on the given substrate config. The suite
 // attaches fault injectors through cfg.Fault, so engines must thread cfg
 // into every simulated component they build.
@@ -36,16 +47,19 @@ type Factory func(t *testing.T, cfg *sim.Config) engine.Engine
 // the suite checks it never moves backwards across recovery.
 type durableLSNer interface{ DurableLSN() wal.LSN }
 
-// Conformance workload shape: each worker owns a disjoint key range, so
-// every key has exactly one writer and a per-key total order of intended
-// writes — which is what makes the invariants checkable under concurrency.
+// Conformance workload shape: each worker owns confKeysEach keys, so every
+// key has exactly one writer and a per-key total order of intended writes —
+// which is what makes the invariants checkable under concurrency. A worker's
+// keys sit confKeyStride apart, one per page (64 values fill a 4 KiB page),
+// and every page holds one key of each worker, so commits fan invalidations
+// out per page to every cache holding it.
 const (
 	confWorkers   = 4
-	confOps       = 48
-	confKeysEach  = 8
+	confOps       = 10
+	confKeysEach  = 4
+	confKeyStride = 64
 	confKeyBase   = 10_000
 	confRetries   = 25
-	confWriteFrac = 70 // percent of ops that are writes
 
 	// confFlightEvents bounds each worker's always-on flight recorder:
 	// the last N substrate events (ops, fault decisions, retries, sheds,
@@ -98,31 +112,39 @@ func confDecode(v []byte) (key, worker, seq uint64, zero, ok bool) {
 	return key, worker, seq, zero, sum == mix64(key^mix64(worker<<32^seq))
 }
 
-// keyState is the per-key intended history. Only the owning worker mutates
-// it during the workload; verification reads it afterwards.
+// keyState is one key's intended history. Only the owner writes it; every
+// worker reads it to hold foreign reads to the key's acked floor.
 type keyState struct {
+	key    uint64
 	owner  int
-	issued uint64 // highest seq handed to a write (acked or not)
-	acked  uint64 // highest seq whose commit was acknowledged
+	issued atomic.Uint64 // highest seq handed to a write (acked or not)
+	acked  atomic.Uint64 // highest seq whose commit was acknowledged
 }
 
-// conformanceResult captures a finished workload: the per-key histories
-// plus violations observed in flight (read-your-writes, torn values).
+// runner runs fn as one transaction on key. opts.Replica > 0 asks for the
+// read-only path: a read replica, or a fleet's read-only dispatch.
+type runner func(c *sim.Clock, key uint64, opts engine.RunOpts, fn func(tx engine.Tx) error) error
+
+// conformanceResult is the workload's state across its phases: the per-key
+// histories, the recorded history when rec is set, and the violations
+// observed in flight.
 type conformanceResult struct {
-	layout heap.Layout
-	keys   map[uint64]*keyState
+	layout  heap.Layout
+	run     runner
+	replica bool // the runner offers a read-only path
+	rec     *history.Recorder
+	keys    []*keyState // worker-major: keys[w*confKeysEach+i]
 
 	// box aggregates the workers' flight recorders; on an invariant
 	// failure the suite dumps every retained timeline. rounds counts
-	// workload extensions (recorder labels stay distinguishable).
+	// workload phases (recorder labels stay distinguishable).
 	box    *profile.Blackbox
 	rounds int
 
+	commits, writeErrs, readErrs atomic.Int64
+
 	mu         sync.Mutex
 	violations []string
-	writeErrs  int
-	readErrs   int
-	commits    int
 }
 
 func (r *conformanceResult) violate(format string, args ...any) {
@@ -131,79 +153,111 @@ func (r *conformanceResult) violate(format string, args ...any) {
 	r.mu.Unlock()
 }
 
-func workerKeys(id int) (lo, hi uint64) {
-	lo = confKeyBase + uint64(id)*confKeysEach
-	return lo, lo + confKeysEach
+// newConformanceResult is the empty history of the conformance keys, driven
+// through run.
+func newConformanceResult(layout heap.Layout, run runner, replica bool) *conformanceResult {
+	res := &conformanceResult{layout: layout, run: run, replica: replica, box: profile.NewBlackbox()}
+	for w := 0; w < confWorkers; w++ {
+		for i := 0; i < confKeysEach; i++ {
+			res.keys = append(res.keys, &keyState{key: confKeyBase + uint64(i*confKeyStride+w), owner: w})
+		}
+	}
+	return res
 }
 
-// checkValue applies the per-key invariants to one observed value.
-// Committed writes must be visible (seq >= acked), no value may be torn
-// (checksum), and no value may come from outside the intended history
-// (owner and seq bounds). where names the observation point in messages.
-func checkValue(res *conformanceResult, key uint64, st *keyState, v []byte, where string) {
+// engineResult is newConformanceResult driven through engine.Run on e, its
+// read-only path e's first read replica.
+func engineResult(e engine.Engine, layout heap.Layout) *conformanceResult {
+	run := func(c *sim.Clock, _ uint64, opts engine.RunOpts, fn func(tx engine.Tx) error) error {
+		return engine.Run(e, c, opts, fn)
+	}
+	return newConformanceResult(layout, run, engine.Caps(e).Reader != nil)
+}
+
+// check applies the per-key invariants to one observed value. floor is the
+// key's acked seq loaded before the read was issued: a value below it is a
+// stale serve, whatever tier it hid in. No value may be torn (checksum) or
+// come from outside the intended history (owner and seq bounds).
+func (r *conformanceResult) check(where string, st *keyState, floor uint64, v []byte) {
 	k, w, seq, zero, ok := confDecode(v)
-	if !ok {
-		res.violate("%s: key %d: torn/garbled value %x", where, key, v[:32])
-		return
-	}
-	if zero {
-		if st.acked > 0 {
-			res.violate("%s: key %d: lost acked write seq %d (value is zero)", where, key, st.acked)
-		}
-		return
-	}
-	if k != key || w != uint64(st.owner) {
-		res.violate("%s: key %d: foreign value (key=%d worker=%d)", where, key, k, w)
-		return
-	}
-	if seq > st.issued {
-		res.violate("%s: key %d: fabricated seq %d (issued %d)", where, key, seq, st.issued)
-		return
-	}
-	if seq < st.acked {
-		res.violate("%s: key %d: stale seq %d < acked %d", where, key, seq, st.acked)
+	switch {
+	case !ok:
+		r.violate("%s: key %d: torn/garbled value %x", where, st.key, v[:min(len(v), 32)])
+	case zero && floor > 0:
+		r.violate("%s: key %d: lost acked write seq %d (value is zero)", where, st.key, floor)
+	case zero:
+	case k != st.key || w != uint64(st.owner):
+		r.violate("%s: key %d: foreign value (key=%d worker=%d)", where, st.key, k, w)
+	case seq > st.issued.Load():
+		r.violate("%s: key %d: fabricated seq %d (issued %d)", where, st.key, seq, st.issued.Load())
+	case seq < floor:
+		r.violate("%s: key %d: stale seq %d < acked %d", where, st.key, seq, floor)
 	}
 }
 
-// runConformanceWorkload drives the seeded concurrent workload: each worker
-// issues a deterministic mix of writes (fresh seq per key) and reads
-// (validated in flight for read-your-writes and value integrity) over its
-// own key range. Transient errors are tolerated and counted; the per-key
-// history records which writes were acknowledged.
+// access runs one recorded transaction for session on st's key: a checked
+// read when read is set, then a write of v when v is non-nil.
+func (r *conformanceResult) access(c *sim.Clock, session int, st *keyState, replica int, read bool, v []byte, where string) error {
+	floor := st.acked.Load()
+	opts := engine.RunOpts{Retries: confRetries, Replica: replica, Record: r.rec, Session: session}
+	return r.run(c, st.key, opts, func(tx engine.Tx) error {
+		if read {
+			got, err := tx.Read(st.key)
+			if err != nil {
+				return err
+			}
+			r.check(where, st, floor, got)
+		}
+		if v == nil {
+			return nil
+		}
+		return tx.Write(st.key, v)
+	})
+}
+
+// write issues the next seq of st as a read-modify-write or a blind write.
+// An unacknowledged write's outcome is unknown (it may still surface, like a
+// timed-out commit in a real system), so its seq stays issued-only.
+func (r *conformanceResult) write(c *sim.Clock, st *keyState, rmw bool) {
+	seq := st.issued.Add(1)
+	v := confVal(r.layout, st.key, uint64(st.owner), seq)
+	if err := r.access(c, st.owner, st, 0, rmw, v, "read-modify-write"); err != nil {
+		r.writeErrs.Add(1)
+		return
+	}
+	st.acked.Store(seq)
+	r.commits.Add(1)
+}
+
+// read is one checked single-key read on the primary or the read-only path.
+func (r *conformanceResult) read(c *sim.Clock, session int, st *keyState, replica int) {
+	where := "read"
+	if replica > 0 {
+		where = "replica read"
+	}
+	if r.access(c, session, st, replica, true, nil, where) != nil {
+		r.readErrs.Add(1)
+	}
+}
+
+// runConformanceWorkload runs one workload phase on e from an empty history.
 func runConformanceWorkload(e engine.Engine, layout heap.Layout, seed int64) *conformanceResult {
-	res := newConformanceResult(layout)
-	extendConformanceWorkload(e, res, seed)
+	res := engineResult(e, layout)
+	extendConformanceWorkload(res, seed, nil)
 	return res
 }
 
-// newConformanceResult is the empty history of the conformance key ranges.
-func newConformanceResult(layout heap.Layout) *conformanceResult {
-	res := &conformanceResult{layout: layout, keys: make(map[uint64]*keyState), box: profile.NewBlackbox()}
-	for id := 0; id < confWorkers; id++ {
-		lo, hi := workerKeys(id)
-		for k := lo; k < hi; k++ {
-			res.keys[k] = &keyState{owner: id}
-		}
-	}
-	return res
-}
-
-// extendConformanceWorkload continues a workload on the same engine and
-// history: each worker issues another confOps operations over its own
-// keys, advancing the per-key sequences where they left off. The recovery
-// drills use it to land commits between checkpoint rounds, so the
-// crash/recover verification spans checkpointed pages, the retained log
-// tail, and everything in between.
-func extendConformanceWorkload(e engine.Engine, res *conformanceResult, seed int64) {
-	extendConformanceWorkloadBeside(e, res, seed, nil)
-}
-
-// extendConformanceWorkloadBeside is extendConformanceWorkload with bg, when
-// non-nil, as one more member of the workers' group. bg's next blocks until
-// a worker has finished another operation and reports whether any worker is
-// still running; bg returns once it reports false.
-func extendConformanceWorkloadBeside(e engine.Engine, res *conformanceResult, seed int64, bg func(c *sim.Clock, next func() bool)) {
-	layout := res.layout
+// extendConformanceWorkload runs one more phase of the seeded workload on
+// res: each worker issues confOps operations — read-modify-write or blind
+// write of an own key, a read of a foreign key, or a read of an own key on
+// the read-only path when there is one — advancing the per-key sequences
+// where they left off. Every read is checked in flight.
+//
+// bg, when non-nil, is one more member of the workers' group. Its next
+// blocks until a worker has begun another operation and returns how many
+// have begun in this phase, or 0 once every worker has finished; bg returns
+// once it reads 0 or has no more to do.
+func extendConformanceWorkload(res *conformanceResult, seed int64, bg func(c *sim.Clock, next func() int64)) {
 	res.rounds++
 	round := res.rounds
 	var ops atomic.Int64
@@ -215,77 +269,70 @@ func extendConformanceWorkloadBeside(e engine.Engine, res *conformanceResult, se
 	}
 	sim.RunGroup(members, func(id int, c *sim.Clock) int {
 		if id == confWorkers {
-			bg(c, func() bool {
+			bg(c, func() int64 {
 				mark := ops.Load()
 				sim.Wait(c, func() bool { return left.Load() == 0 || ops.Load() != mark })
-				return left.Load() > 0
+				if left.Load() == 0 {
+					return 0
+				}
+				return ops.Load()
 			})
 			return 0
 		}
 		defer left.Add(-1)
 		c.SetEvents(res.box.Recorder(fmt.Sprintf("round %d worker %d", round, id), confFlightEvents))
 		rng := sim.NewRand(seed, id)
-		lo, _ := workerKeys(id)
-		done := 0
 		for op := 0; op < confOps; op++ {
 			ops.Add(1)
-			key := lo + uint64(rng.Intn(confKeysEach))
-			st := res.keys[key]
-			if rng.Intn(100) < confWriteFrac {
-				st.issued++
-				seq := st.issued
-				v := confVal(layout, key, uint64(id), seq)
-				if err := writeKey(e, c, engine.RunOpts{Retries: confRetries}, key, v); err != nil {
-					// Unacknowledged commit: outcome unknown (it may
-					// still surface — like a timed-out commit in a real
-					// system). The history keeps seq as issued-only.
-					res.mu.Lock()
-					res.writeErrs++
-					res.mu.Unlock()
-					continue
-				}
-				st.acked = seq
-				res.mu.Lock()
-				res.commits++
-				res.mu.Unlock()
-				done++
-				continue
+			// Every draw is made whatever the roll, so an engine with and one
+			// without a read-only path issue the same writes.
+			roll := rng.Intn(100)
+			own := res.keys[id*confKeysEach+rng.Intn(confKeysEach)]
+			other := (id + 1 + rng.Intn(confWorkers-1)) % confWorkers
+			foreign := res.keys[other*confKeysEach+rng.Intn(confKeysEach)]
+			switch {
+			case roll < 55:
+				res.write(c, own, true)
+			case roll < 70:
+				res.write(c, own, false)
+			case roll < 90 || !res.replica:
+				res.read(c, id, foreign, 0)
+			default:
+				res.read(c, id, own, 1)
 			}
-			got, err := readKey(e, c, engine.RunOpts{Retries: confRetries}, key)
-			if err != nil {
-				res.mu.Lock()
-				res.readErrs++
-				res.mu.Unlock()
-				continue
-			}
-			checkValue(res, key, st, got, "workload read")
-			done++
 		}
-		return done
+		return confOps
 	})
 }
 
-// verifyFinalState re-reads every workload key (with bounded retries, on a
-// healed fabric) and applies the invariants, returning the violations. It
-// also appends any violations recorded during the workload itself.
-func verifyFinalState(e engine.Engine, res *conformanceResult) []string {
+// verifyFinalState is the verifier session: it re-reads every key on every
+// read path (with bounded retries, on a healed fabric), recorded as session
+// confWorkers, and returns the violations — those recorded in flight too.
+// Reads are single-key on purpose: the engines offer no multi-key read
+// snapshots, so a multi-key verifier transaction could legitimately observe
+// a fractured state.
+func verifyFinalState(res *conformanceResult) []string {
 	c := sim.NewClock()
-	if res.box != nil {
-		c.SetEvents(res.box.Recorder(fmt.Sprintf("verify pass %d", res.box.Size()), confFlightEvents))
+	c.SetEvents(res.box.Recorder(fmt.Sprintf("verify pass %d", res.box.Size()), confFlightEvents))
+	paths := 1
+	if res.replica {
+		paths = 2
 	}
-	for key, st := range res.keys {
-		var got []byte
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			if got, err = readKey(e, c, engine.RunOpts{Retries: confRetries}, key); err == nil {
-				break
+	for _, st := range res.keys {
+		for replica := 0; replica < paths; replica++ {
+			where := fmt.Sprintf("final read (replica=%d)", replica)
+			var err error
+			for attempt := 0; attempt < 3; attempt++ {
+				if err = res.access(c, confWorkers, st, replica, true, nil, where); err == nil {
+					break
+				}
+			}
+			// A read-only path that refuses service serves nothing stale: a
+			// failover may leave the old primary, one of the replicas, down.
+			if err != nil && (replica == 0 || !errors.Is(err, engine.ErrUnavailable)) {
+				res.violate("%s: key %d: %v", where, st.key, err)
 			}
 		}
-		if err != nil {
-			res.violate("final read: key %d: %v", key, err)
-			continue
-		}
-		checkValue(res, key, st, got, "final read")
 	}
 	res.mu.Lock()
 	defer res.mu.Unlock()
@@ -328,14 +375,37 @@ func crashRecoverVerify(t *testing.T, e engine.Engine, res *conformanceResult, s
 			res.violate("recovery LSN moved backwards: %d -> %d", before, after)
 		}
 	}
-	reportViolations(t, seed, profile+"+crash", verifyFinalState(e, res))
+	reportViolations(t, seed, profile+"+crash", verifyFinalState(res))
+}
+
+// eachProfile runs fn as subtest prefix+"Clean" on a clean fabric (p nil),
+// then as prefix+"Fault/<name>" under every standard fault profile.
+func eachProfile(t *testing.T, prefix string, fn func(t *testing.T, p *fault.Profile)) {
+	t.Run(prefix+"Clean", func(t *testing.T) { fn(t, nil) })
+	for _, p := range fault.Profiles() {
+		t.Run(prefix+"Fault/"+p.Name, func(t *testing.T) { fn(t, &p) })
+	}
+}
+
+// faultConfig is a fresh substrate config with a stats registry and, unless
+// p is nil, p's injector attached; label names the fabric in messages.
+func faultConfig(p *fault.Profile, seed int64) (cfg *sim.Config, inj *fault.Injector, label string) {
+	cfg = sim.DefaultConfig()
+	cfg.Stats = sim.NewRegistry()
+	if p == nil {
+		return cfg, nil, "clean"
+	}
+	inj = fault.New(seed, *p)
+	cfg.Fault = inj
+	return cfg, inj, p.Name
 }
 
 // RunConformance executes the full cross-engine suite: the semantic tests
 // (Run), a differential check against the monolithic baseline on the same
-// seeded workload, and the seeded chaos workloads — one per standard fault
-// profile — each followed by invariant verification on a healed fabric and
-// a crash/recovery drill.
+// seeded workload, the drill (Drill, and Batched/Drill on group-commit
+// engines) and the contended storm under a clean fabric and every standard
+// fault profile, and the lost-update, log-lifecycle and group-commit
+// regressions.
 //
 // factory must build a FRESH engine on the provided config each call (the
 // suite attaches a fault.Injector via cfg.Fault).
@@ -353,8 +423,8 @@ func RunConformance(t *testing.T, factory Factory) {
 		base := monolithic.New(sim.DefaultConfig(), layout, 64)
 		resE := runConformanceWorkload(e, layout, seed)
 		resB := runConformanceWorkload(base, layout, seed)
-		reportViolations(t, seed, "differential/engine", verifyFinalState(e, resE))
-		reportViolations(t, seed, "differential/baseline", verifyFinalState(base, resB))
+		reportViolations(t, seed, "differential/engine", verifyFinalState(resE))
+		reportViolations(t, seed, "differential/baseline", verifyFinalState(resB))
 		// Fault-free and with one writer per key, both engines must
 		// converge to byte-identical final values.
 		diffs := diffFinalStates(e, base, resE)
@@ -366,69 +436,15 @@ func RunConformance(t *testing.T, factory Factory) {
 		}
 	})
 
-	t.Run("SiteLint", func(t *testing.T) {
-		runSiteLint(t, factory, seed)
+	eachProfile(t, "Drill/", func(t *testing.T, p *fault.Profile) {
+		for i := 0; i < *isoSeedsFlag; i++ {
+			seed := isoSeed(seed, i)
+			t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) { runDrill(t, factory, p, seed, false) })
+		}
 	})
-
-	for _, p := range fault.Profiles() {
-		p := p
-		t.Run("Fault/"+p.Name, func(t *testing.T) {
-			runFaultProfile(t, factory, p, seed, false)
-		})
-	}
-
-	// Overload: a hot-key contention storm under each fault profile with
-	// the full admission stack engaged (backoff, retry budget, shedder) —
-	// checks liveness (bounded virtual makespan; the pre-fix zero-delay
-	// retry loop livelocked here) and attempts-accounting conservation.
-	for _, p := range fault.Profiles() {
-		p := p
-		t.Run("Overload/"+p.Name, func(t *testing.T) {
-			runOverloadProfile(t, factory, p, seed)
-		})
-	}
-
-	// Isolation: the history-checked variants. Every transaction of a
-	// seeded workload is recorded (reads, writes, retry lineage, commit
-	// stamps) and the history is checked for dependency cycles and Adya
-	// anomalies — on a clean fabric, under every fault profile, and under
-	// hot-key contention with the admission stack.
-	t.Run("Isolation/Clean", func(t *testing.T) { runIsolation(t, factory, nil, false, false) })
-	for _, p := range fault.Profiles() {
-		p := p
-		t.Run("Isolation/Fault/"+p.Name, func(t *testing.T) {
-			runIsolation(t, factory, &p, false, false)
-		})
-	}
-	t.Run("Isolation/Contended", func(t *testing.T) { runIsolation(t, factory, nil, true, false) })
+	eachProfile(t, "Contended/", func(t *testing.T, p *fault.Profile) { runContended(t, factory, p, seed) })
 	t.Run("Isolation/LostUpdate", func(t *testing.T) { runLostUpdate(t, factory) })
 
-	// Coherence: the cross-tier stale-read probe — one writer bumping a
-	// hot key set, concurrent readers (primary and replica paths) holding
-	// the engine to a floor captured before each read. A value decoding
-	// below the floor is a stale cache serve, whatever tier it hid in.
-	t.Run("Coherence/Clean", func(t *testing.T) { runCoherenceProbe(t, factory, nil, false) })
-	for _, p := range fault.Profiles() {
-		p := p
-		t.Run("Coherence/Fault/"+p.Name, func(t *testing.T) {
-			runCoherenceProbe(t, factory, &p, false)
-		})
-	}
-
-	// Recovery: the log-lifecycle drills. Checkpoint rounds interleave
-	// with commits (clean, under every fault profile, and racing the
-	// workload from a concurrent goroutine), truncation is held open by a
-	// dedicated fault profile, and every variant ends in a crash/recover
-	// cycle that must surface all acked commits — from checkpointed pages
-	// and from the retained log tail alike — and no write the durable tier
-	// refused.
-	t.Run("Recovery/Clean", func(t *testing.T) { runRecoveryDrill(t, factory, nil, seed) })
-	for _, p := range fault.Profiles() {
-		p := p
-		t.Run("Recovery/Fault/"+p.Name, func(t *testing.T) {
-			runRecoveryDrill(t, factory, &p, seed)
-		})
-	}
 	t.Run("Recovery/ConcurrentCheckpoint", func(t *testing.T) {
 		runConcurrentCheckpoint(t, factory, seed)
 	})
@@ -439,26 +455,21 @@ func RunConformance(t *testing.T, factory Factory) {
 		runFailedDurable(t, factory, seed)
 	})
 
-	// Batched variants: engines supporting group commit re-run the seeded
-	// suite with batching enabled, so fault replays also cover grouped
-	// flushes (one substrate fault decision shared by every rider).
+	// Batched variants: engines supporting group commit re-run the drill
+	// with batching enabled, so fault replays also cover grouped flushes
+	// (one substrate fault decision shared by every rider).
 	if engine.Caps(factory(t, sim.DefaultConfig())).GroupCommitter == nil {
 		return
 	}
-	t.Run("Isolation/Batched", func(t *testing.T) { runIsolation(t, factory, nil, false, true) })
-	t.Run("Coherence/Batched", func(t *testing.T) { runCoherenceProbe(t, factory, nil, true) })
 	t.Run("Batched/Semantics", func(t *testing.T) {
 		Run(t, func(t *testing.T) engine.Engine { return batched(factory(t, sim.DefaultConfig())) })
 	})
 	t.Run("Batched/Chaos", func(t *testing.T) {
 		RunChaos(t, func(t *testing.T) engine.Engine { return batched(factory(t, sim.DefaultConfig())) })
 	})
-	for _, p := range fault.Profiles() {
-		p := p
-		t.Run("Batched/Fault/"+p.Name, func(t *testing.T) {
-			runFaultProfile(t, factory, p, seed, true)
-		})
-	}
+	eachProfile(t, "Batched/Drill/", func(t *testing.T, p *fault.Profile) {
+		runDrill(t, factory, p, seed, true)
+	})
 	t.Run("Batched/TimeoutFlushDurable", func(t *testing.T) {
 		timeoutFlushDurable(t, factory)
 	})
@@ -483,45 +494,6 @@ const (
 func batched(e engine.Engine) engine.Engine {
 	engine.Caps(e).GroupCommitter.EnableGroupCommit(batchGroupSize, batchWindow)
 	return e
-}
-
-// runFaultProfile drives one seeded chaos workload under the profile,
-// verifies invariants on a healed fabric, and drills crash/recovery —
-// with or without group commit enabled.
-func runFaultProfile(t *testing.T, factory Factory, p fault.Profile, seed int64, batch bool) {
-	t.Helper()
-	layout := Layout(t)
-	inj := fault.New(seed, p)
-	cfg := sim.DefaultConfig()
-	cfg.Fault = inj
-	// Per-site telemetry shares the fault injector's site labels;
-	// on an invariant failure the table shows where latency and
-	// bytes went under this profile.
-	cfg.Stats = sim.NewRegistry()
-	e := factory(t, cfg)
-	label := p.Name
-	if batch {
-		e = batched(e)
-		label = "batched/" + p.Name
-	}
-	res := runConformanceWorkload(e, layout, seed)
-	// Verification runs on a healed fabric: the invariants are
-	// about what the engine acknowledged, not about reads racing
-	// live faults.
-	inj.Heal()
-	t.Logf("profile %s: commits=%d writeErrs=%d readErrs=%d faults={drops=%d dups=%d tears=%d delays=%d}",
-		label, res.commits, res.writeErrs, res.readErrs,
-		inj.Drops.Load(), inj.Dups.Load(), inj.Tears.Load(), inj.Delays.Load())
-	if res.commits == 0 {
-		t.Errorf("no transaction committed under profile %q (seed %d): fault rates starve the workload", label, seed)
-	}
-	reportViolations(t, seed, label, verifyFinalState(e, res))
-	crashRecoverVerify(t, e, res, seed, label)
-	checkConservation(t, e, label, seed)
-	if t.Failed() {
-		t.Logf("per-site telemetry under profile %q:\n%s", label, cfg.Stats.String())
-		t.Logf("flight-recorder timelines under profile %q:\n%s", label, res.box.Dump())
-	}
 }
 
 // timeoutFlushDurable is the flush-on-timeout regression: a lone commit
@@ -570,10 +542,10 @@ func flushFailureNotAcked(t *testing.T, factory Factory, seed int64, p fault.Pro
 	cfg.Fault = inj
 	e := batched(factory(t, cfg))
 	res := runConformanceWorkload(e, layout, seed)
-	if res.commits != 0 {
-		t.Errorf("%d commit(s) acked while every durable append failed (profile %q)", res.commits, p.Name)
+	if n := res.commits.Load(); n != 0 {
+		t.Errorf("%d commit(s) acked while every durable append failed (profile %q)", n, p.Name)
 	}
-	if res.writeErrs == 0 {
+	if res.writeErrs.Load() == 0 {
 		t.Fatal("workload issued no writes — the regression is vacuous")
 	}
 	// Read-only transactions also count as Commits, so the write-path
@@ -583,7 +555,7 @@ func flushFailureNotAcked(t *testing.T, factory Factory, seed int64, p fault.Pro
 	}
 	// Healed: nothing may surface as acked-but-lost or torn.
 	inj.Heal()
-	reportViolations(t, seed, "batched/"+p.Name, verifyFinalState(e, res))
+	reportViolations(t, seed, "batched/"+p.Name, verifyFinalState(res))
 	// The engine must still accept commits on the healed fabric...
 	c := sim.NewClock()
 	key := uint64(confKeyBase - 1)
@@ -608,13 +580,13 @@ func diffFinalStates(a, b engine.Engine, res *conformanceResult) []string {
 	var diffs []string
 	c := sim.NewClock()
 	opts := engine.RunOpts{Retries: confRetries}
-	for key := range res.keys {
-		va, _ := readKey(a, c, opts, key)
-		vb, _ := readKey(b, c, opts, key)
+	for _, st := range res.keys {
+		va, _ := readKey(a, c, opts, st.key)
+		vb, _ := readKey(b, c, opts, st.key)
 		if !bytes.Equal(va, vb) {
 			_, _, seqA, _, _ := confDecode(va)
 			_, _, seqB, _, _ := confDecode(vb)
-			diffs = append(diffs, fmt.Sprintf("key %d: engine seq %d != baseline seq %d", key, seqA, seqB))
+			diffs = append(diffs, fmt.Sprintf("key %d: engine seq %d != baseline seq %d", st.key, seqA, seqB))
 		}
 	}
 	return diffs

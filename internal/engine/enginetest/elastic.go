@@ -6,7 +6,6 @@ import (
 
 	"github.com/disagglab/disagg/internal/cluster"
 	"github.com/disagglab/disagg/internal/engine"
-	"github.com/disagglab/disagg/internal/heap"
 	"github.com/disagglab/disagg/internal/sim"
 	"github.com/disagglab/disagg/internal/sim/fault"
 )
@@ -16,19 +15,18 @@ import (
 // component so the suite's fault injector reaches the fabric.
 type SpecFactory func(t *testing.T, cfg *sim.Config) cluster.Spec
 
-// Elastic workload shape: the conformance key ranges and value encoding,
-// driven through cluster.Fleet.Run instead of engine.Run, with membership
-// churn injected mid-stream — a scale-out from one worker and a crash
-// drill from another. Reads split between owner-routed and read-only
-// (session-affinity) dispatch, so the cross-member freshness refresh is
-// exercised under the same invariants as ordinary reads.
+// Elastic workload shape: the conformance workload driven through
+// cluster.Fleet.Run instead of engine.Run, its read-only path the fleet's
+// read-only (session-affinity) dispatch, so the cross-member freshness
+// refresh is held to the same floors as ordinary reads. Membership churn
+// runs beside the workers of the first of the drill's phases: a scale-out
+// once a quarter of its operations have begun, a crash drill at half.
 const (
-	elasticStart    = 2 // initial fleet size
-	elasticScaleTo  = 3 // mid-workload scale-out target
-	elasticCrashID  = 1 // the member the crash drill kills
-	elasticScaleOp  = confOps / 4
-	elasticCrashOp  = confOps / 2
-	elasticReadFrac = 50 // percent of reads that go read-only routed
+	elasticStart   = 2 // initial fleet size
+	elasticScaleTo = 3 // mid-workload scale-out target
+	elasticCrashID = 1 // the member the crash drill kills
+	elasticScaleOp = confWorkers * confOps / 4
+	elasticCrashOp = confWorkers * confOps / 2
 )
 
 // RunElastic executes the fleet-mode conformance variants: a seeded
@@ -43,164 +41,56 @@ const (
 func RunElastic(t *testing.T, specFor SpecFactory) {
 	seed := Seed()
 	t.Logf("elastic seed=%d (override with -seed)", seed)
-	t.Run("Clean", func(t *testing.T) { runElasticProfile(t, specFor, nil, seed) })
-	for _, p := range fault.Profiles() {
-		p := p
-		t.Run("Fault/"+p.Name, func(t *testing.T) {
-			runElasticProfile(t, specFor, &p, seed)
+	eachProfile(t, "", func(t *testing.T, p *fault.Profile) {
+		cfg, inj, label := faultConfig(p, seed)
+		label = "elastic/" + label
+		f := cluster.New(specFor(t, cfg), sim.NewClock(), elasticStart)
+		run := func(c *sim.Clock, key uint64, opts engine.RunOpts, fn func(tx engine.Tx) error) error {
+			fo := cluster.RunOpts{RunOpts: opts, ReadOnly: opts.Replica > 0}
+			fo.Replica = 0
+			return f.Run(c, key, fo, fn)
+		}
+		res := newConformanceResult(Layout(t), run, true)
+		// Both drills tolerate architectures that cannot run them
+		// (partitioned fleets, engines without a Recoverer).
+		extendConformanceWorkload(res, seed, func(c *sim.Clock, next func() int64) {
+			scaled := false
+			for n := next(); n > 0; n = next() {
+				if !scaled && n >= elasticScaleOp {
+					f.ScaleTo(c, elasticScaleTo)
+					scaled = true
+				}
+				if n >= elasticCrashOp {
+					err := f.Crash(c, elasticCrashID)
+					if err != nil && !errors.Is(err, cluster.ErrUnsupported) && !errors.Is(err, cluster.ErrNoMembers) {
+						t.Errorf("crash drill: %v", err)
+					}
+					return
+				}
+			}
 		})
-	}
-}
-
-// runElasticProfile drives one seeded elastic workload, optionally under a
-// fault profile, and verifies the invariants on the healed fabric.
-func runElasticProfile(t *testing.T, specFor SpecFactory, p *fault.Profile, seed int64) {
-	t.Helper()
-	layout := Layout(t)
-	cfg := sim.DefaultConfig()
-	var inj *fault.Injector
-	label := "elastic/clean"
-	if p != nil {
-		inj = fault.New(seed, *p)
-		cfg.Fault = inj
-		label = "elastic/" + p.Name
-	}
-	f := cluster.New(specFor(t, cfg), sim.NewClock(), elasticStart)
-	res := runElasticWorkload(t, f, layout, seed)
-	if inj != nil {
-		// Verification runs on a healed fabric: the invariants are about
-		// what the fleet acknowledged, not about reads racing live faults.
-		inj.Heal()
-	}
-	t.Logf("profile %s: commits=%d writeErrs=%d readErrs=%d size=%d",
-		label, res.commits, res.writeErrs, res.readErrs, f.Size())
-	if res.commits == 0 {
-		t.Errorf("no transaction committed under profile %q (seed %d): churn plus faults starve the workload", label, seed)
-	}
-	reportViolations(t, seed, label, verifyElasticFinal(f, res))
-
-	// Drain back to a single member: retirement reassigns shards and must
-	// not lose a single acked write. (Partitioned fleets physically move
-	// their data back into one partition here.)
-	f.ScaleTo(sim.NewClock(), 1)
-	reportViolations(t, seed, label+"+drain", verifyElasticFinal(f, res))
-
-	tot := f.Totals()
-	if !tot.Conserved() {
-		t.Errorf("fleet accounting broken under profile %q: attempts %d != commits %d + aborts %d + shed %d (seed %d)",
-			label, tot.Attempts, tot.Commits, tot.Aborts, tot.Shed, seed)
-	}
-}
-
-// runElasticWorkload is runConformanceWorkload routed through the fleet,
-// with membership churn injected from inside the worker stream: worker 0
-// scales the fleet out, worker 1 fires the crash drill. Both tolerate
-// architectures that cannot run the drill (partitioned fleets, engines
-// without a Recoverer).
-func runElasticWorkload(t *testing.T, f *cluster.Fleet, layout heap.Layout, seed int64) *conformanceResult {
-	t.Helper()
-	res := &conformanceResult{layout: layout, keys: make(map[uint64]*keyState)}
-	for id := 0; id < confWorkers; id++ {
-		lo, hi := workerKeys(id)
-		for k := lo; k < hi; k++ {
-			res.keys[k] = &keyState{owner: id}
+		for phase := 1; phase < drillPhases; phase++ {
+			extendConformanceWorkload(res, seed+int64(phase), nil)
 		}
-	}
-	sim.RunGroup(confWorkers, func(id int, c *sim.Clock) int {
-		rng := sim.NewRand(seed, id)
-		lo, _ := workerKeys(id)
-		done := 0
-		for op := 0; op < confOps; op++ {
-			if id == 0 && op == elasticScaleOp {
-				f.ScaleTo(c, elasticScaleTo)
-			}
-			if id == 1 && op == elasticCrashOp {
-				err := f.Crash(c, elasticCrashID)
-				if err != nil && !errors.Is(err, cluster.ErrUnsupported) && !errors.Is(err, cluster.ErrNoMembers) {
-					t.Errorf("crash drill: %v", err)
-				}
-			}
-			key := lo + uint64(rng.Intn(confKeysEach))
-			st := res.keys[key]
-			if rng.Intn(100) < confWriteFrac {
-				st.issued++
-				seq := st.issued
-				v := confVal(layout, key, uint64(id), seq)
-				err := f.Run(c, key, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: confRetries}}, func(tx engine.Tx) error {
-					return tx.Write(key, v)
-				})
-				if err != nil {
-					res.mu.Lock()
-					res.writeErrs++
-					res.mu.Unlock()
-					continue
-				}
-				st.acked = seq
-				res.mu.Lock()
-				res.commits++
-				res.mu.Unlock()
-				done++
-				continue
-			}
-			opts := cluster.RunOpts{RunOpts: engine.RunOpts{Retries: confRetries}}
-			if rng.Intn(100) < elasticReadFrac {
-				// Read-only dispatch: session-affinity routing, with the
-				// freshness refresh when the pin is off the owner.
-				opts.ReadOnly = true
-				opts.Session = id
-			}
-			var got []byte
-			err := f.Run(c, key, opts, func(tx engine.Tx) error {
-				v, rerr := tx.Read(key)
-				if rerr != nil {
-					return rerr
-				}
-				got = v
-				return nil
-			})
-			if err != nil {
-				res.mu.Lock()
-				res.readErrs++
-				res.mu.Unlock()
-				continue
-			}
-			checkValue(res, key, st, got, "workload read")
-			done++
+		if inj != nil {
+			inj.Heal()
 		}
-		return done
+		t.Logf("profile %s: commits=%d writeErrs=%d readErrs=%d size=%d",
+			label, res.commits.Load(), res.writeErrs.Load(), res.readErrs.Load(), f.Size())
+		if res.commits.Load() == 0 {
+			t.Errorf("no transaction committed under profile %q (seed %d): churn plus faults starve the workload", label, seed)
+		}
+		reportViolations(t, seed, label, verifyFinalState(res))
+
+		// Drain back to a single member: retirement reassigns shards and must
+		// not lose a single acked write. (Partitioned fleets physically move
+		// their data back into one partition here.)
+		f.ScaleTo(sim.NewClock(), 1)
+		reportViolations(t, seed, label+"+drain", verifyFinalState(res))
+
+		if tot := f.Totals(); !tot.Conserved() {
+			t.Errorf("fleet accounting broken under profile %q: attempts %d != commits %d + aborts %d + shed %d (seed %d)",
+				label, tot.Attempts, tot.Commits, tot.Aborts, tot.Shed, seed)
+		}
 	})
-	return res
-}
-
-// verifyElasticFinal re-reads every workload key through the fleet router
-// (with bounded retries, on a healed fabric) and applies the per-key
-// invariants, returning the violations including any recorded in flight.
-func verifyElasticFinal(f *cluster.Fleet, res *conformanceResult) []string {
-	c := sim.NewClock()
-	for key, st := range res.keys {
-		var got []byte
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			k := key
-			err = f.Run(c, k, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: confRetries}}, func(tx engine.Tx) error {
-				v, rerr := tx.Read(k)
-				if rerr != nil {
-					return rerr
-				}
-				got = v
-				return nil
-			})
-			if err == nil {
-				break
-			}
-		}
-		if err != nil {
-			res.violate("final read: key %d: %v", key, err)
-			continue
-		}
-		checkValue(res, key, st, got, "final read")
-	}
-	res.mu.Lock()
-	defer res.mu.Unlock()
-	return append([]string(nil), res.violations...)
 }

@@ -29,11 +29,11 @@ func TestFlightDumpOnForcedInvariantFailure(t *testing.T) {
 	// some key the workload actually touched. Every re-read of that key
 	// now observes "stale seq < acked" — a guaranteed invariant failure.
 	var forged uint64
-	for key, st := range res.keys {
-		if st.issued > 0 {
-			st.acked = st.issued + 1
-			st.issued = st.acked
-			forged = key
+	for _, st := range res.keys {
+		if n := st.issued.Load(); n > 0 {
+			st.acked.Store(n + 1)
+			st.issued.Store(n + 1)
+			forged = st.key
 			break
 		}
 	}
@@ -41,7 +41,7 @@ func TestFlightDumpOnForcedInvariantFailure(t *testing.T) {
 		t.Fatalf("workload issued no writes to forge")
 	}
 
-	violations := verifyFinalState(e, res)
+	violations := verifyFinalState(res)
 	if len(violations) == 0 {
 		t.Fatalf("forged history produced no violations — the invariant check is dead")
 	}

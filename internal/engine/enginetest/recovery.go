@@ -25,85 +25,14 @@ const ckptRetries = 5
 // the last error (nil on success). Retrying is safe by construction: a
 // failed flush leaves the horizon unchanged and a failed truncation is
 // idempotent debt the next round retires.
-func checkpointWithRetry(cp engine.Checkpointer, c *sim.Clock, attempts int) error {
+func checkpointWithRetry(cp engine.Checkpointer, c *sim.Clock) error {
 	var err error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < ckptRetries; i++ {
 		if err = cp.Checkpoint(c); err == nil {
 			return nil
 		}
 	}
 	return err
-}
-
-// runRecoveryDrill is the core variant: workload, checkpoint, more
-// commits, second checkpoint, a final unchecked tail, then crash/recover
-// and full invariant verification on a healed fabric. Under a fault
-// profile the checkpoint rounds themselves run against the faulty fabric;
-// a round may fail, but whatever horizon it published must never cost an
-// acked commit.
-func runRecoveryDrill(t *testing.T, factory Factory, p *fault.Profile, seed int64) {
-	t.Helper()
-	layout := Layout(t)
-	cfg := sim.DefaultConfig()
-	var inj *fault.Injector
-	label := "recovery/clean"
-	if p != nil {
-		inj = fault.New(seed, *p)
-		cfg.Fault = inj
-		cfg.Stats = sim.NewRegistry()
-		label = "recovery/" + p.Name
-	}
-	e := factory(t, cfg)
-	cp := engine.Caps(e).Checkpointer
-	if cp == nil {
-		t.Skip("engine does not implement Checkpointer")
-	}
-	if engine.Caps(e).Recoverer == nil {
-		t.Skip("engine does not implement Recoverer")
-	}
-
-	// Phase 1: seeded workload, then a checkpoint round.
-	res := runConformanceWorkload(e, layout, seed)
-	ckptErr := checkpointWithRetry(cp, sim.NewClock(), ckptRetries)
-	h1 := cp.RecoveryHorizon()
-	if p == nil {
-		if ckptErr != nil {
-			t.Fatalf("checkpoint on clean fabric: %v", ckptErr)
-		}
-		if h1 == 0 {
-			t.Fatal("checkpoint published no recovery horizon despite durable commits")
-		}
-	}
-
-	// Phase 2: commits above the horizon, a second round, then a tail
-	// that stays deliberately unchecked — recovery must stitch all three
-	// regions back together.
-	extendConformanceWorkload(e, res, seed+1)
-	checkpointWithRetry(cp, sim.NewClock(), ckptRetries)
-	h2 := cp.RecoveryHorizon()
-	if h2 < h1 {
-		t.Errorf("recovery horizon moved backwards: %d -> %d", h1, h2)
-	}
-	extendConformanceWorkload(e, res, seed+2)
-
-	if inj != nil {
-		inj.Heal()
-	}
-	if d, ok := e.(durableLSNer); ok && h2 > d.DurableLSN() {
-		t.Errorf("recovery horizon %d above durable LSN %d: truncation could discard unflushed commits", h2, d.DurableLSN())
-	}
-	reportViolations(t, seed, label, verifyFinalState(e, res))
-	crashRecoverVerify(t, e, res, seed, label)
-	if after := cp.RecoveryHorizon(); after < h2 {
-		t.Errorf("recovery horizon moved backwards across crash: %d -> %d", h2, after)
-	}
-	checkConservation(t, e, label, seed)
-	if t.Failed() {
-		if cfg.Stats != nil {
-			t.Logf("per-site telemetry under %q:\n%s", label, cfg.Stats.String())
-		}
-		t.Logf("flight-recorder timelines under %q:\n%s", label, res.box.Dump())
-	}
 }
 
 // runConcurrentCheckpoint races checkpoint rounds against the live
@@ -120,24 +49,24 @@ func runConcurrentCheckpoint(t *testing.T, factory Factory, seed int64) {
 	}
 
 	// The checkpointer is one more member of the workload's group: a round,
-	// then a wait until a worker has finished another operation, until the
+	// then a wait until a worker has begun another operation, until the
 	// workload is done — so rounds interleave with live commits.
 	rounds := 0
 	var firstErr error
-	checkpointer := func(c *sim.Clock, next func() bool) {
+	checkpointer := func(c *sim.Clock, next func() int64) {
 		for {
 			if err := cp.Checkpoint(c); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			rounds++
-			if !next() {
+			if next() == 0 {
 				return
 			}
 		}
 	}
-	res := newConformanceResult(layout)
-	extendConformanceWorkloadBeside(e, res, seed, checkpointer)
-	extendConformanceWorkloadBeside(e, res, seed+1, checkpointer)
+	res := engineResult(e, layout)
+	extendConformanceWorkload(res, seed, checkpointer)
+	extendConformanceWorkload(res, seed+1, checkpointer)
 
 	if firstErr != nil {
 		t.Errorf("concurrent checkpoint on clean fabric: %v", firstErr)
@@ -151,7 +80,7 @@ func runConcurrentCheckpoint(t *testing.T, factory Factory, seed int64) {
 	if cp.RecoveryHorizon() == 0 {
 		t.Error("no recovery horizon published after racing rounds plus a quiesced round")
 	}
-	reportViolations(t, seed, "recovery/concurrent", verifyFinalState(e, res))
+	reportViolations(t, seed, "recovery/concurrent", verifyFinalState(res))
 	crashRecoverVerify(t, e, res, seed, "recovery/concurrent")
 	checkConservation(t, e, "recovery/concurrent", seed)
 }
@@ -186,7 +115,7 @@ func runFailedDurable(t *testing.T, factory Factory, seed int64) {
 		t.Skip("the durable tier has no append site: the write committed")
 	}
 	if cp := engine.Caps(e).Checkpointer; cp != nil {
-		if err := checkpointWithRetry(cp, c, ckptRetries); err != nil {
+		if err := checkpointWithRetry(cp, c); err != nil {
 			t.Fatalf("checkpoint after the refused write: %v", err)
 		}
 	}
@@ -254,8 +183,8 @@ func runTornTruncation(t *testing.T, factory Factory, seed int64) {
 
 	// Healed: more commits, and the next round must retire the retained
 	// log debt (truncation is idempotent and retryable).
-	extendConformanceWorkload(e, res, seed+1)
-	if err := checkpointWithRetry(cp, sim.NewClock(), ckptRetries); err != nil {
+	extendConformanceWorkload(res, seed+1, nil)
+	if err := checkpointWithRetry(cp, sim.NewClock()); err != nil {
 		t.Errorf("healed checkpoint did not retire truncation debt: %v", err)
 	}
 	crashRecoverVerify(t, e, res, seed, "recovery/torn-truncation+healed")

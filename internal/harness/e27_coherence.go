@@ -128,7 +128,7 @@ func e27Seq(v []byte) uint64 {
 // writes, so invalidation (and stale-validation) traffic genuinely tracks
 // the write rate instead of racing the goroutine scheduler. Concurrency is
 // exercised separately: by e27BatchedCell here (round coalescing needs
-// concurrent committers) and by the enginetest coherence probe (stale reads
+// concurrent committers) and by the enginetest conformance drill (stale reads
 // under real interleavings and faults).
 func e27Cell(eng e27Engine, writeFrac, ops int) e27CellResult {
 	layout := oltpLayout()
