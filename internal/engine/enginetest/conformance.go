@@ -29,11 +29,12 @@ var seedFlag = flag.Int64("seed", 20260806, "seed for randomized conformance/cha
 // Seed reports the suite seed (the -seed flag).
 func Seed() int64 { return *seedFlag }
 
-// isoSeedsFlag is the schedule-exploration width: the drill sweeps this many
-// derived seeds per fabric profile, so each engine is checked against that
-// many distinct interleavings and fault schedules. A failing seed is printed
-// with every violation for exact replay.
-var isoSeedsFlag = flag.Int("isoseeds", 8, "seeds swept per Drill conformance variant")
+// isoSeedsFlag is the schedule-exploration width: the drill, the contended
+// storm and the batched drill sweep this many derived seeds per fabric
+// profile, so each engine is checked against that many distinct
+// interleavings and fault schedules. A failing seed is printed with every
+// violation for exact replay.
+var isoSeedsFlag = flag.Int("isoseeds", 8, "seeds swept per Drill, Contended and Batched/Drill profile")
 
 // isoSeed derives the i-th sweep seed from the suite seed.
 func isoSeed(base int64, i int) int64 { return base + int64(i)*7919 }
@@ -387,6 +388,15 @@ func eachProfile(t *testing.T, prefix string, fn func(t *testing.T, p *fault.Pro
 	}
 }
 
+// eachSeed runs fn as subtest "seed<i>" for each of the -isoseeds seeds
+// derived from seed.
+func eachSeed(t *testing.T, seed int64, fn func(t *testing.T, seed int64)) {
+	for i := 0; i < *isoSeedsFlag; i++ {
+		seed := isoSeed(seed, i)
+		t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) { fn(t, seed) })
+	}
+}
+
 // faultConfig is a fresh substrate config with a stats registry and, unless
 // p is nil, p's injector attached; label names the fabric in messages.
 func faultConfig(p *fault.Profile, seed int64) (cfg *sim.Config, inj *fault.Injector, label string) {
@@ -437,12 +447,11 @@ func RunConformance(t *testing.T, factory Factory) {
 	})
 
 	eachProfile(t, "Drill/", func(t *testing.T, p *fault.Profile) {
-		for i := 0; i < *isoSeedsFlag; i++ {
-			seed := isoSeed(seed, i)
-			t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) { runDrill(t, factory, p, seed, false) })
-		}
+		eachSeed(t, seed, func(t *testing.T, seed int64) { runDrill(t, factory, p, seed, false) })
 	})
-	eachProfile(t, "Contended/", func(t *testing.T, p *fault.Profile) { runContended(t, factory, p, seed) })
+	eachProfile(t, "Contended/", func(t *testing.T, p *fault.Profile) {
+		eachSeed(t, seed, func(t *testing.T, seed int64) { runContended(t, factory, p, seed) })
+	})
 	t.Run("Isolation/LostUpdate", func(t *testing.T) { runLostUpdate(t, factory) })
 
 	t.Run("Recovery/ConcurrentCheckpoint", func(t *testing.T) {
@@ -468,7 +477,7 @@ func RunConformance(t *testing.T, factory Factory) {
 		RunChaos(t, func(t *testing.T) engine.Engine { return batched(factory(t, sim.DefaultConfig())) })
 	})
 	eachProfile(t, "Batched/Drill/", func(t *testing.T, p *fault.Profile) {
-		runDrill(t, factory, p, seed, true)
+		eachSeed(t, seed, func(t *testing.T, seed int64) { runDrill(t, factory, p, seed, true) })
 	})
 	t.Run("Batched/TimeoutFlushDurable", func(t *testing.T) {
 		timeoutFlushDurable(t, factory)
