@@ -53,10 +53,13 @@ type durableLSNer interface{ DurableLSN() wal.LSN }
 // which is what makes the invariants checkable under concurrency. A worker's
 // keys sit confKeyStride apart, one per page (64 values fill a 4 KiB page),
 // and every page holds one key of each worker, so commits fan invalidations
-// out per page to every cache holding it.
+// out per page to every cache holding it. A phase is confOps operations per
+// worker; the drill's phases are drillOps long, since it sweeps every seed
+// under every profile.
 const (
 	confWorkers   = 4
-	confOps       = 10
+	confOps       = 48
+	drillOps      = 6
 	confKeysEach  = 4
 	confKeyStride = 64
 	confKeyBase   = 10_000
@@ -76,6 +79,21 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
+}
+
+// confRand is a splitmix64 stream of workload draws. Seeding it is free,
+// where a math/rand source costs more to seed than a phase costs to draw.
+type confRand uint64
+
+func newConfRand(seed int64, id int) *confRand {
+	r := confRand(mix64(uint64(seed)) + uint64(id)*0x9e3779b97f4a7c15)
+	return &r
+}
+
+// Intn returns a draw in [0, n).
+func (r *confRand) Intn(n int) int {
+	*r += 0x9e3779b97f4a7c15
+	return int(mix64(uint64(*r)) % uint64(n))
 }
 
 // confVal encodes (key, worker, seq, checksum) into a layout-sized value.
@@ -136,11 +154,15 @@ type conformanceResult struct {
 	rec     *history.Recorder
 	keys    []*keyState // worker-major: keys[w*confKeysEach+i]
 
-	// box aggregates the workers' flight recorders; on an invariant
-	// failure the suite dumps every retained timeline. rounds counts
-	// workload phases (recorder labels stay distinguishable).
+	// crashed is set once the engine has crashed and recovered: a failover
+	// may leave the old primary, one of the read replicas, down for good.
+	crashed bool
+
+	// box aggregates the flight recorders, one per worker kept across
+	// phases and one per verifier pass; on an invariant failure the suite
+	// dumps every retained timeline.
 	box    *profile.Blackbox
-	rounds int
+	flight [confWorkers]*profile.FlightRecorder
 
 	commits, writeErrs, readErrs atomic.Int64
 
@@ -241,27 +263,27 @@ func (r *conformanceResult) read(c *sim.Clock, session int, st *keyState, replic
 	}
 }
 
-// runConformanceWorkload runs one workload phase on e from an empty history.
+// runConformanceWorkload runs one confOps workload phase on e from an empty
+// history.
 func runConformanceWorkload(e engine.Engine, layout heap.Layout, seed int64) *conformanceResult {
 	res := engineResult(e, layout)
-	extendConformanceWorkload(res, seed, nil)
+	extendConformanceWorkload(res, seed, confOps, nil)
 	return res
 }
 
 // extendConformanceWorkload runs one more phase of the seeded workload on
-// res: each worker issues confOps operations — read-modify-write or blind
-// write of an own key, a read of a foreign key, or a read of an own key on
-// the read-only path when there is one — advancing the per-key sequences
-// where they left off. Every read is checked in flight.
+// res: each worker issues ops operations — read-modify-write or blind write
+// of an own key, a read of a foreign key (every other one on the read-only
+// path when there is one), or a read of an own key on the read-only path —
+// advancing the per-key sequences where they left off. Every read is
+// checked in flight.
 //
 // bg, when non-nil, is one more member of the workers' group. Its next
 // blocks until a worker has begun another operation and returns how many
 // have begun in this phase, or 0 once every worker has finished; bg returns
 // once it reads 0 or has no more to do.
-func extendConformanceWorkload(res *conformanceResult, seed int64, bg func(c *sim.Clock, next func() int64)) {
-	res.rounds++
-	round := res.rounds
-	var ops atomic.Int64
+func extendConformanceWorkload(res *conformanceResult, seed int64, ops int, bg func(c *sim.Clock, next func() int64)) {
+	var begun atomic.Int64
 	var left atomic.Int32
 	left.Store(confWorkers)
 	members := confWorkers
@@ -271,20 +293,23 @@ func extendConformanceWorkload(res *conformanceResult, seed int64, bg func(c *si
 	sim.RunGroup(members, func(id int, c *sim.Clock) int {
 		if id == confWorkers {
 			bg(c, func() int64 {
-				mark := ops.Load()
-				sim.Wait(c, func() bool { return left.Load() == 0 || ops.Load() != mark })
+				mark := begun.Load()
+				sim.Wait(c, func() bool { return left.Load() == 0 || begun.Load() != mark })
 				if left.Load() == 0 {
 					return 0
 				}
-				return ops.Load()
+				return begun.Load()
 			})
 			return 0
 		}
 		defer left.Add(-1)
-		c.SetEvents(res.box.Recorder(fmt.Sprintf("round %d worker %d", round, id), confFlightEvents))
-		rng := sim.NewRand(seed, id)
-		for op := 0; op < confOps; op++ {
-			ops.Add(1)
+		if res.flight[id] == nil {
+			res.flight[id] = res.box.Recorder(fmt.Sprintf("worker %d", id), confFlightEvents)
+		}
+		c.SetEvents(res.flight[id])
+		rng := newConfRand(seed, id)
+		for op := 0; op < ops; op++ {
+			begun.Add(1)
 			// Every draw is made whatever the roll, so an engine with and one
 			// without a read-only path issue the same writes.
 			roll := rng.Intn(100)
@@ -296,13 +321,15 @@ func extendConformanceWorkload(res *conformanceResult, seed int64, bg func(c *si
 				res.write(c, own, true)
 			case roll < 70:
 				res.write(c, own, false)
-			case roll < 90 || !res.replica:
+			case !res.replica:
 				res.read(c, id, foreign, 0)
+			case roll < 90:
+				res.read(c, id, foreign, op%2)
 			default:
 				res.read(c, id, own, 1)
 			}
 		}
-		return confOps
+		return ops
 	})
 }
 
@@ -328,9 +355,9 @@ func verifyFinalState(res *conformanceResult) []string {
 					break
 				}
 			}
-			// A read-only path that refuses service serves nothing stale: a
-			// failover may leave the old primary, one of the replicas, down.
-			if err != nil && (replica == 0 || !errors.Is(err, engine.ErrUnavailable)) {
+			// Every read must succeed, but a failover after the crash may
+			// leave a read-only path down: it refuses, serving nothing stale.
+			if err != nil && (replica == 0 || !res.crashed || !errors.Is(err, engine.ErrUnavailable)) {
 				res.violate("%s: key %d: %v", where, st.key, err)
 			}
 		}
@@ -368,6 +395,7 @@ func crashRecoverVerify(t *testing.T, e engine.Engine, res *conformanceResult, s
 		before = d.DurableLSN()
 	}
 	r.Crash()
+	res.crashed = true
 	if _, err := r.Recover(sim.NewClock()); err != nil {
 		t.Fatalf("recovery under profile %q failed: %v (replay: -seed=%d)", profile, err, seed)
 	}

@@ -41,7 +41,7 @@ func runDrill(t *testing.T, factory Factory, p *fault.Profile, seed int64, batch
 	cp := engine.Caps(e).Checkpointer
 	var horizon wal.LSN
 	for phase := 0; phase < drillPhases; phase++ {
-		extendConformanceWorkload(res, seed+int64(phase), nil)
+		extendConformanceWorkload(res, seed+int64(phase), drillOps, nil)
 		if cp == nil || phase == drillPhases-1 {
 			continue
 		}
@@ -111,7 +111,7 @@ func runDrill(t *testing.T, factory Factory, p *fault.Profile, seed int64, batch
 const (
 	ovWorkers   = 8
 	ovHotKeys   = 2
-	ovOps       = 24
+	ovOps       = 6
 	ovKeyBase   = 90_000
 	ovRetries   = 12
 	ovTimeBound = 30 * time.Second // virtual; a livelocked run never gets here
@@ -148,7 +148,7 @@ func runContended(t *testing.T, factory Factory, p *fault.Profile, seed int64) {
 		})
 	}
 	res := sim.RunGroup(ovWorkers, func(id int, c *sim.Clock) int {
-		rng := sim.NewRand(seed, id)
+		rng := newConfRand(seed, id)
 		done := 0
 		for op := 0; op < ovOps; op++ {
 			key := ovKeyBase + uint64(rng.Intn(ovHotKeys))

@@ -19,8 +19,8 @@ type SpecFactory func(t *testing.T, cfg *sim.Config) cluster.Spec
 // cluster.Fleet.Run instead of engine.Run, its read-only path the fleet's
 // read-only (session-affinity) dispatch, so the cross-member freshness
 // refresh is held to the same floors as ordinary reads. Membership churn
-// runs beside the workers of the first of the drill's phases: a scale-out
-// once a quarter of its operations have begun, a crash drill at half.
+// runs beside one confOps phase: a scale-out once a quarter of its
+// operations have begun, a crash drill at half.
 const (
 	elasticStart   = 2 // initial fleet size
 	elasticScaleTo = 3 // mid-workload scale-out target
@@ -53,7 +53,7 @@ func RunElastic(t *testing.T, specFor SpecFactory) {
 		res := newConformanceResult(Layout(t), run, true)
 		// Both drills tolerate architectures that cannot run them
 		// (partitioned fleets, engines without a Recoverer).
-		extendConformanceWorkload(res, seed, func(c *sim.Clock, next func() int64) {
+		extendConformanceWorkload(res, seed, confOps, func(c *sim.Clock, next func() int64) {
 			scaled := false
 			for n := next(); n > 0; n = next() {
 				if !scaled && n >= elasticScaleOp {
@@ -69,9 +69,6 @@ func RunElastic(t *testing.T, specFor SpecFactory) {
 				}
 			}
 		})
-		for phase := 1; phase < drillPhases; phase++ {
-			extendConformanceWorkload(res, seed+int64(phase), nil)
-		}
 		if inj != nil {
 			inj.Heal()
 		}

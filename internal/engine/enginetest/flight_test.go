@@ -50,7 +50,7 @@ func TestFlightDumpOnForcedInvariantFailure(t *testing.T) {
 	if dump == "" {
 		t.Fatalf("invariant failure with an empty flight-recorder dump")
 	}
-	for _, want := range []string{"--- round 1 worker 0 ---", "--- verify pass", "retained of"} {
+	for _, want := range []string{"--- worker 0 ---", "--- verify pass", "retained of"} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("dump missing %q", want)
 		}

@@ -65,8 +65,8 @@ func runConcurrentCheckpoint(t *testing.T, factory Factory, seed int64) {
 		}
 	}
 	res := engineResult(e, layout)
-	extendConformanceWorkload(res, seed, checkpointer)
-	extendConformanceWorkload(res, seed+1, checkpointer)
+	extendConformanceWorkload(res, seed, confOps, checkpointer)
+	extendConformanceWorkload(res, seed+1, confOps, checkpointer)
 
 	if firstErr != nil {
 		t.Errorf("concurrent checkpoint on clean fabric: %v", firstErr)
@@ -183,7 +183,7 @@ func runTornTruncation(t *testing.T, factory Factory, seed int64) {
 
 	// Healed: more commits, and the next round must retire the retained
 	// log debt (truncation is idempotent and retryable).
-	extendConformanceWorkload(res, seed+1, nil)
+	extendConformanceWorkload(res, seed+1, confOps, nil)
 	if err := checkpointWithRetry(cp, sim.NewClock()); err != nil {
 		t.Errorf("healed checkpoint did not retire truncation debt: %v", err)
 	}
