@@ -136,7 +136,8 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 		// Injected drops can leave the same log hole on every
 		// replica (no peer can fill it); heal from the writer's
 		// authoritative log and retry once.
-		e.Volume.Heal(sim.NewClock(), e.log)
+		bg := c.Fork()
+		e.Volume.Heal(&bg, e.log)
 		data, err = e.Volume.ReadPage(c, id, e.pipe.DurableLSN())
 	}
 	if err != nil {

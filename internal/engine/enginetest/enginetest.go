@@ -8,7 +8,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/heap"
@@ -231,6 +233,39 @@ func Run(t *testing.T, factory func(t *testing.T) engine.Engine) {
 		v, _ := readKey(e, sim.NewClock(), engine.RunOpts{}, 999)
 		if got := tag(v); got != uint64(res.TotalOps) {
 			t.Errorf("counter %d after %d commits: lost updates", got, res.TotalOps)
+		}
+	})
+
+	// A lone client's commit latency must not drift: every leg an engine
+	// runs beside the client forks the client's clock, so no meter divides
+	// the client's own demand by a younger clock's elapsed time.
+	t.Run("LoneClientSteadyLatency", func(t *testing.T) {
+		e, c := factory(t), sim.NewClock()
+		// Two pages, and two shared-nothing partitions: a two-leg commit.
+		keys := [2]uint64{1, 1 + uint64(layout.PerPage)}
+		lat := make([]time.Duration, 400)
+		for i := range lat {
+			before := c.Now()
+			if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+				for _, k := range keys {
+					v, err := tx.Read(k)
+					if err == nil {
+						err = tx.Write(k, val(layout, tag(v)+1))
+					}
+					if err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatalf("commit %d: %v", i, err)
+			}
+			lat[i] = c.Now() - before
+		}
+		early := slices.Sorted(slices.Values(lat[10:110]))[50]
+		late := slices.Sorted(slices.Values(lat[300:400]))[50]
+		if d := late - early; d > early/100 || -d > early/100 {
+			t.Errorf("commit latency drifts: median %v over commits 10-109, %v over 300-399", early, late)
 		}
 	})
 

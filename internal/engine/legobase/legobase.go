@@ -230,7 +230,8 @@ func (e *Engine) CheckpointRemote(c *sim.Clock) error {
 	}
 	// The pages are now safe in remote memory; mark them clean locally
 	// so they are not re-demoted.
-	e.Tiers.Local.FlushAll(sim.NewClock())
+	bg := c.Fork()
+	e.Tiers.Local.FlushAll(&bg)
 	e.mu.Lock()
 	if target > e.remoteCkptLSN {
 		e.remoteCkptLSN = target

@@ -176,7 +176,8 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 		// Dropped asynchronous deliveries can leave the store
 		// permanently stale; re-ship the delta from the authoritative
 		// log and retry once.
-		e.PageStore.CatchUpFromLog(sim.NewClock(), e.log)
+		bg := c.Fork()
+		e.PageStore.CatchUpFromLog(&bg, e.log)
 		data, err = e.PageStore.ReadPage(c, id, want)
 	}
 	if err != nil {
@@ -212,7 +213,8 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 	} else {
 		// Server-driven: a two-sided RPC engages the PM server CPU.
 		c.Advance(e.cfg.RDMARPC.Cost(n) + e.cfg.RemoteCPU)
-		if err := e.PMLog.Append(sim.NewClock(), recs); err != nil {
+		server := c.Fork()
+		if err := e.PMLog.Append(&server, recs); err != nil {
 			return err
 		}
 		c.Advance(e.cfg.PMWrite.Cost(n))
@@ -235,7 +237,8 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 	e.pending = slices.Clone(recs)
 	e.mu.Unlock()
 	if len(prev) > 0 {
-		e.PageStore.Ingest(sim.NewClock(), prev)
+		bg := c.Fork()
+		e.PageStore.Ingest(&bg, prev)
 	}
 	e.pipe.ApplyCached(c, e.pool, recs)
 	return nil

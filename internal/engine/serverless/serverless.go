@@ -155,7 +155,8 @@ func (e *Engine) readPage(c *sim.Clock, n *computeNode, id page.ID, fn func(data
 		if err != nil {
 			// Injected drops can leave the same log hole on every replica;
 			// heal from the authoritative log and retry once.
-			e.Volume.Heal(sim.NewClock(), e.log)
+			bg := c.Fork()
+			e.Volume.Heal(&bg, e.log)
 			buf, err = e.Volume.ReadPage(c, id, minForPage(min, want))
 		}
 		if err != nil {

@@ -171,7 +171,7 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 		var prepNet int64
 		for lo, hi := 0, 0; lo < len(legs); lo = hi {
 			hi = run(legs, lo)
-			probe := s.resetProbe()
+			probe := s.forkProbe(c)
 			logBytes := 64 * (hi - lo)
 			if legs[lo].part != s.coord {
 				probe.Advance(e.cfg.TCP.Cost(logBytes))
@@ -180,7 +180,7 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 				e.stats.NetMsgs.Add(1)
 			}
 			legs[lo].p.ssd.Write(probe, logBytes)
-			maxPrep = max(maxPrep, probe.Now())
+			maxPrep = max(maxPrep, probe.Now()-c.Now())
 		}
 		// The joined parallel round (messaging + each participant's
 		// prepare force) rides the fan-out span: per-leg device time is
@@ -194,7 +194,7 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 	var commitNet int64
 	for lo, hi := 0, 0; lo < len(legs); lo = hi {
 		hi = run(legs, lo)
-		probe := s.resetProbe()
+		probe := s.forkProbe(c)
 		p := legs[lo].p
 		logBytes := 0
 		for _, l := range legs[lo:hi] {
@@ -218,7 +218,7 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 			p.data[l.w.Key] = l.w.Val // staged values are never written again
 		}
 		p.mu.Unlock()
-		maxCommit = max(maxCommit, probe.Now())
+		maxCommit = max(maxCommit, probe.Now()-c.Now())
 	}
 	// As with prepare: the joined commit round (messaging + per-node log
 	// force) is the protocol's latency.
@@ -309,9 +309,9 @@ func first(v []byte) *byte {
 	return &v[0]
 }
 
-// resetProbe returns the probe clock back at time zero, as a new clock.
-func (s *txState) resetProbe() *sim.Clock {
-	s.probe = sim.Clock{}
+// forkProbe returns the probe clock as a fresh fork of c.
+func (s *txState) forkProbe(c *sim.Clock) *sim.Clock {
+	s.probe = c.Fork()
 	return &s.probe
 }
 

@@ -137,9 +137,10 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 		// Dropped background dissemination can leave every page server
 		// with the same log hole; re-ship the delta from the
 		// authoritative log (what XLOG replay does) and retry once.
-		bg := sim.NewClock()
+		var bg sim.Clock
 		for _, ps := range e.PageServers {
-			ps.CatchUpFromLog(bg, e.log)
+			bg = c.Fork()
+			ps.CatchUpFromLog(&bg, e.log)
 		}
 	}
 	return nil, lastErr
@@ -173,9 +174,10 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 // own copies current; every SnapshotEvery commits the written pages'
 // images go to XStore.
 func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
-	bg := sim.NewClock()
+	var bg sim.Clock
 	for _, ps := range e.PageServers {
-		ps.Ingest(bg, recs)
+		bg = c.Fork()
+		ps.Ingest(&bg, recs)
 	}
 	e.pipe.ApplyCached(c, e.pool, recs)
 	if n := e.commitCount.Add(1); e.SnapshotEvery > 0 && n%int64(e.SnapshotEvery) == 0 {
@@ -195,8 +197,8 @@ func (e *Engine) snapshotToXStore(c *sim.Clock, recs []wal.Record) {
 			continue
 		}
 		seen[id] = true
-		bg := sim.NewClock() // read page server on background clock
-		data, err := e.PageServers[0].ReadPage(bg, id, 0)
+		bg := c.Fork() // read the page server beside the commit
+		data, err := e.PageServers[0].ReadPage(&bg, id, 0)
 		if err != nil {
 			continue
 		}

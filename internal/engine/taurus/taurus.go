@@ -136,7 +136,8 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 	e.pipe.ApplyCached(c, e.pool, recs)
 	if n := e.commitCount.Add(1); e.GossipEvery > 0 && n%int64(e.GossipEvery) == 0 {
 		// Background anti-entropy (not charged to the writer).
-		e.PageStores.GossipRound(sim.NewClock())
+		bg := c.Fork()
+		e.PageStores.GossipRound(&bg)
 	}
 	return nil
 }

@@ -181,7 +181,6 @@ func (v *Validator) CommitBlock(c *sim.Clock, block []*Tx, parallel bool) ([]int
 	// slowest member (subject to worker count), and time accrues level
 	// by level.
 	for _, level := range levels {
-		levelStart := c.Now()
 		var worst time.Duration
 		for gi := 0; gi < len(level); gi += v.Parallelism {
 			end := gi + v.Parallelism
@@ -190,19 +189,18 @@ func (v *Validator) CommitBlock(c *sim.Clock, block []*Tx, parallel bool) ([]int
 			}
 			var waveWorst time.Duration
 			for _, tx := range level[gi:end] {
-				probe := sim.NewClock()
-				probe.AdvanceTo(levelStart)
-				ok, err := v.validateOne(probe, tx)
+				probe := c.Fork()
+				ok, err := v.validateOne(&probe, tx)
 				if err != nil {
 					return nil, err
 				}
 				if ok {
-					if err := v.applyTx(probe, tx); err != nil {
+					if err := v.applyTx(&probe, tx); err != nil {
 						return nil, err
 					}
 					validIDs = append(validIDs, tx.ID)
 				}
-				if d := probe.Now() - levelStart; d > waveWorst {
+				if d := probe.Now() - c.Now(); d > waveWorst {
 					waveWorst = d
 				}
 			}

@@ -186,8 +186,9 @@ func runE2(cfg *sim.Config, s Scale) *Result {
 
 	t := r.table("E2: failure drill (6 replicas / 3 AZs, W=4 R=3)",
 		"scenario", "alive", "writes", "reads")
+	c := sim.NewClock()
+	c.AdvanceTo(res.MakeSpan)
 	probe := func(scenario string) {
-		c := sim.NewClock()
 		werr := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(1, make([]byte, layout.ValSize)) })
 		e.Pool().InvalidateAll()
 		rerr := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { _, err := tx.Read(1); return err })
@@ -211,17 +212,17 @@ func runE2(cfg *sim.Config, s Scale) *Result {
 
 	// Crash recovery: aurora (quorum poll) vs monolithic (ARIES redo).
 	mono := monolithic.New(cfg, layout, 1024)
-	runOLTP(mono, 2, txns/2)
+	monoRes, _ := runOLTP(mono, 2, txns/2)
 	mono.Crash()
 	mc := sim.NewClock()
+	mc.AdvanceTo(monoRes.MakeSpan)
 	monoTime, err := mono.Recover(mc)
 	if err != nil {
 		r.check("monolithic recovers", false, "%v", err)
 		return r
 	}
 	e.Crash()
-	ac := sim.NewClock()
-	auroraTime, err := e.Recover(ac)
+	auroraTime, err := e.Recover(c)
 	if err != nil {
 		r.check("aurora recovers", false, "%v", err)
 		return r
@@ -239,11 +240,11 @@ func runE2(cfg *sim.Config, s Scale) *Result {
 	for i := uint64(0); i < 20; i++ {
 		engine.Run(e2, c3, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(i, make([]byte, layout.ValSize)) })
 	}
-	rc := sim.NewClock()
-	n, err := e2.Volume.RepairReplica(rc, 5, e2.Log())
+	before := c3.Now()
+	n, err := e2.Volume.RepairReplica(c3, 5, e2.Log())
 	r.check("failed replica repairs from peers", err == nil && n > 0 &&
 		e2.Volume.Replicas[5].PrefixLSN() == e2.DurableLSN(),
-		"shipped %d records in %v", n, rc.Now())
+		"shipped %d records in %v", n, c3.Now()-before)
 	r.traceOp(cfg, "txn.write-quorum", func(c *sim.Clock) {
 		engine.Run(e2, c, engine.RunOpts{}, func(tx engine.Tx) error {
 			return tx.Write(99, make([]byte, layout.ValSize))
@@ -269,13 +270,14 @@ func runE3(cfg *sim.Config, s Scale) *Result {
 		copies string
 	}
 	var rows []row
-	run := func(name string, e engine.Engine, copies string) {
-		_, sum := runOLTP(e, workers, txns)
+	run := func(name string, e engine.Engine, copies string) sim.GroupResult {
+		res, sum := runOLTP(e, workers, txns)
 		rows = append(rows, row{name, sum, e.Stats(), copies})
+		return res
 	}
 	run("aurora", au, "6x log+pages")
 	run("socrates", so, "1x XLOG + 2 page servers + XStore")
-	run("taurus", ta, "3x log stores + 3 page stores (async)")
+	taRes := run("taurus", ta, "3x log stores + 3 page stores (async)")
 
 	t := r.table("E3: commit path and replication cost",
 		"engine", "commit p50", "commit p99", "net B/txn", "durable copies")
@@ -285,6 +287,7 @@ func runE3(cfg *sim.Config, s Scale) *Result {
 	// Taurus staleness is bounded and converges by gossip.
 	lagBefore := ta.MaxPageLag()
 	bg := sim.NewClock()
+	bg.AdvanceTo(taRes.MakeSpan)
 	for i := 0; i < 6 && ta.MaxPageLag() > 0; i++ {
 		ta.PageStores.GossipRound(bg)
 	}

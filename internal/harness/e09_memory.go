@@ -87,7 +87,7 @@ func runE9(cfg *sim.Config, s Scale) *Result {
 		g := workload.TPCCLite{Warehouses: 8, Customers: 5000, ValueSize: layout.ValSize}.NewGenerator(1, 0)
 		g.RunOn(e, c, pick(s, 300, 2000))
 		e.Crash()
-		fast, err := e.Recover(sim.NewClock())
+		fast, err := e.Recover(c)
 		if err != nil {
 			panic(err)
 		}
@@ -95,9 +95,10 @@ func runE9(cfg *sim.Config, s Scale) *Result {
 		e2.CheckpointRemoteEvery = 32
 		e2.CheckpointStorageEvery = 100_000
 		g2 := workload.TPCCLite{Warehouses: 8, Customers: 5000, ValueSize: layout.ValSize}.NewGenerator(1, 0)
-		g2.RunOn(e2, sim.NewClock(), pick(s, 300, 2000))
+		c2 := sim.NewClock()
+		g2.RunOn(e2, c2, pick(s, 300, 2000))
 		e2.Crash()
-		slow, err := e2.RecoverFromStorageOnly(sim.NewClock())
+		slow, err := e2.RecoverFromStorageOnly(c2)
 		if err != nil {
 			panic(err)
 		}
@@ -151,21 +152,20 @@ func runE10(cfg *sim.Config, s Scale) *Result {
 	// Failover: serverless promotes into a warm shared pool; aurora's
 	// new writer starts cold (recovery itself is fast for both; the
 	// difference is the post-failover warm-up).
-	measureFailover := func(e engine.Engine, rec engine.Recoverer) (time.Duration, time.Duration) {
+	measureFailover := func(e engine.Engine, rec engine.Recoverer, c *sim.Clock) (time.Duration, time.Duration) {
 		rec.Crash()
-		rc := sim.NewClock()
-		d, err := rec.Recover(rc)
+		d, err := rec.Recover(c)
 		if err != nil {
 			panic(err)
 		}
 		// First 50 transactions after failover (cache warm-up cost).
-		wc := sim.NewClock()
+		before := c.Now()
 		gw := g.NewGenerator(9, 1)
-		gw.RunOn(e, wc, 50)
-		return d, wc.Now()
+		gw.RunOn(e, c, 50)
+		return d, c.Now() - before
 	}
-	svFail, svWarm := measureFailover(sv, sv)
-	auFail, auWarm := measureFailover(au, au)
+	svFail, svWarm := measureFailover(sv, sv, c)
+	auFail, auWarm := measureFailover(au, au, c2)
 	t := r.table("E10: failover and warm-up", "engine", "failover", "first-50-txn time")
 	t.Row("polardb-serverless", svFail, svWarm)
 	t.Row("aurora (cold writer cache)", auFail, auWarm)
@@ -173,10 +173,10 @@ func runE10(cfg *sim.Config, s Scale) *Result {
 		"%v vs %v", svWarm, auWarm)
 
 	// Resize: adding a compute node is metadata-only.
-	rc := sim.NewClock()
-	sv.AddNode(rc, 32)
-	r.check("scale-out is metadata-only", rc.Now() < time.Millisecond,
-		"AddNode took %v, no pages moved", rc.Now())
+	before := c.Now()
+	sv.AddNode(c, 32)
+	r.check("scale-out is metadata-only", c.Now()-before < time.Millisecond,
+		"AddNode took %v, no pages moved", c.Now()-before)
 	r.traceOp(cfg, "txn.write-serverless", func(c *sim.Clock) {
 		engine.Run(sv, c, engine.RunOpts{}, func(tx engine.Tx) error {
 			return tx.Write(78, val)
@@ -209,7 +209,7 @@ func runE11(cfg *sim.Config, s Scale) *Result {
 		lockNode := memnode.New(cfg, "locks", 1<<20)
 
 		run := func(locked bool) float64 {
-			res := sim.RunGroup(n, func(id int, c *sim.Clock) int {
+			ops, span := runPhase(sc, n, func(id int, c *sim.Clock) int {
 				cl := h.Attach(uint64(id+1), nil)
 				lqp := lockNode.Connect(nil)
 				g := workload.YCSBB(uint64(prefill)).NewGenerator(11, id)
@@ -231,7 +231,7 @@ func runE11(cfg *sim.Config, s Scale) *Result {
 				}
 				return opsPer
 			})
-			return res.Throughput()
+			return float64(ops) / span.Seconds()
 		}
 		rf := run(false)
 		lf := run(true)
@@ -261,7 +261,7 @@ func runE11(cfg *sim.Config, s Scale) *Result {
 			for i := uint64(1); i <= uint64(prefill); i++ {
 				seed.Put(sc, i, i)
 			}
-			res := sim.RunGroup(n, func(id int, c *sim.Clock) int {
+			ops, span := runPhase(sc, n, func(id int, c *sim.Clock) int {
 				cl := tr.Attach(uint64(id+1), nil)
 				g := sim.NewRand(13, id)
 				for i := 0; i < opsPer; i++ {
@@ -274,7 +274,7 @@ func runE11(cfg *sim.Config, s Scale) *Result {
 				}
 				return opsPer
 			})
-			return res.Throughput()
+			return float64(ops) / span.Seconds()
 		}
 		sh := run(bptree.Sherman())
 		na := run(bptree.Naive())

@@ -115,12 +115,10 @@ type e28Ack struct {
 // e28RunArm drives the diurnal ramp through one fleet. When ctl is non-nil
 // the controller ticks between phases (the autoscaled arm); otherwise the
 // fleet stays at its initial size (the fixed arm). crashAt >= 0 fires the
-// failover drill from worker 0 at that phase's midpoint. All worker clocks
-// share one virtual epoch: each phase's workers pre-advance to the wall
-// time where the previous phase ended, so the fleet's meters see one
-// continuous timeline.
-func e28RunArm(f *cluster.Fleet, ctl *cluster.Controller, demands []int, txns, valSize int, slo time.Duration, crashAt int) ([]e28Phase, []e28Ack, error) {
-	wall := sim.NewClock()
+// failover drill from worker 0 at that phase's midpoint. Each phase
+// continues wall, where the previous phase ended, so the fleet's meters
+// see one continuous timeline.
+func e28RunArm(wall *sim.Clock, f *cluster.Fleet, ctl *cluster.Controller, demands []int, txns, valSize int, slo time.Duration, crashAt int) ([]e28Phase, []e28Ack, error) {
 	phases := make([]e28Phase, 0, len(demands))
 	var acks []e28Ack
 	var ackMu sync.Mutex
@@ -129,10 +127,8 @@ func e28RunArm(f *cluster.Fleet, ctl *cluster.Controller, demands []int, txns, v
 		if workers < 1 {
 			workers = 1
 		}
-		start := wall.Now()
 		hist := metrics.NewHist()
-		res := sim.RunGroup(workers, func(id int, c *sim.Clock) int {
-			c.AdvanceTo(start)
+		met, span := runPhase(wall, workers, func(id int, c *sim.Clock) int {
 			good := 0
 			for i := 0; i < txns; i++ {
 				if pi == crashAt && id == 0 && i == txns/2 {
@@ -167,14 +163,13 @@ func e28RunArm(f *cluster.Fleet, ctl *cluster.Controller, demands []int, txns, v
 			}
 			return good
 		})
-		wall.AdvanceTo(res.MakeSpan)
 		ph := e28Phase{
 			demand:  workers,
 			nodes:   f.Size(),
-			good:    res.TotalOps,
+			good:    met,
 			offered: workers * txns,
 			p99:     hist.Quantile(0.99),
-			dur:     wall.Now() - start,
+			dur:     span,
 		}
 		if ctl != nil {
 			ph.warmTime = ctl.Tick(wall).WarmTime
@@ -214,8 +209,7 @@ func e28Calibrate(name string, cfg *sim.Config, txns int) (mean, p99 time.Durati
 
 // e28Verify re-reads every acknowledged write through the fleet and
 // reports how many are lost (unreadable or carrying an older sequence).
-func e28Verify(f *cluster.Fleet, acks []e28Ack) (lost int) {
-	c := sim.NewClock()
+func e28Verify(c *sim.Clock, f *cluster.Fleet, acks []e28Ack) (lost int) {
 	// Later acks overwrite earlier ones per key; audit the newest only.
 	latest := make(map[uint64]uint64, len(acks))
 	for _, a := range acks {
@@ -274,13 +268,13 @@ func runE28(cfg *sim.Config, s Scale) *Result {
 
 		// Fixed arm: one node for the whole trace.
 		fixed := cluster.New(e28Spec(name, cfg, compute), sim.NewClock(), 1)
-		fixedPh, _, _ := e28RunArm(fixed, nil, demands, txns, layout.ValSize, slo, -1)
+		fixedPh, _, _ := e28RunArm(sim.NewClock(), fixed, nil, demands, txns, layout.ValSize, slo, -1)
 
 		// Autoscaled arm: reactive policy over live meters, fresh substrate.
 		scaledF := cluster.New(e28Spec(name, cfg, compute), sim.NewClock(), 1)
 		ctl := cluster.NewController(scaledF, autoscale.NewReactive())
 		ctl.Max = e28MaxNodes
-		scaledPh, _, _ := e28RunArm(scaledF, ctl, demands, txns, layout.ValSize, slo, -1)
+		scaledPh, _, _ := e28RunArm(sim.NewClock(), scaledF, ctl, demands, txns, layout.ValSize, slo, -1)
 
 		t := r.table(fmt.Sprintf("E28: %s — diurnal ramp, SLO = %d x unloaded p99 %v, compute %v/op, max %d nodes",
 			name, e28SLOMult, tail+compute, compute, e28MaxNodes),
@@ -317,8 +311,9 @@ func runE28(cfg *sim.Config, s Scale) *Result {
 		crashF := cluster.New(e28Spec(name, cfg, compute), sim.NewClock(), 1)
 		cctl := cluster.NewController(crashF, autoscale.NewReactive())
 		cctl.Max = e28MaxNodes
-		crashPh, acks, crashErr := e28RunArm(crashF, cctl, demands, txns, layout.ValSize, slo, peakAt)
-		lost := e28Verify(crashF, acks)
+		wall := sim.NewClock()
+		crashPh, acks, crashErr := e28RunArm(wall, crashF, cctl, demands, txns, layout.ValSize, slo, peakAt)
+		lost := e28Verify(wall, crashF, acks)
 		tot := crashF.Totals()
 		r.check(fmt.Sprintf("%s: mid-peak crash loses zero acked commits", name),
 			crashErr == nil && lost == 0,

@@ -91,11 +91,7 @@ func e29Sweep(e engine.Engine, layout heap.Layout, txns, ckptEvery int) (e29Arm,
 		}
 	}
 	r.Crash()
-	// The replacement node starts a fresh meter epoch: recovery time must
-	// measure replay work, not the dead node's accumulated queue backlog.
-	rc := sim.NewClock()
-	rc.Reset()
-	d, err := r.Recover(rc)
+	d, err := r.Recover(c)
 	if err != nil {
 		return arm, fmt.Errorf("recover: %w", err)
 	}
@@ -151,15 +147,14 @@ func e29RebuildArm(cfg *sim.Config, txns, ckptEvery int) (time.Duration, error) 
 		}
 	}
 	fresh := storagenode.NewReplica(cfg, "replacement", 1, layout, 1)
-	rc := sim.NewClock()
-	rc.Reset() // fresh epoch: rebuild time, not the survivor's queue backlog
-	if _, err := fresh.CatchUpFrom(rc, survivor, log); err != nil {
+	rc := c.Fork() // the rebuild runs beside the survivor's timeline
+	if _, err := fresh.CatchUpFrom(&rc, survivor, log); err != nil {
 		return 0, err
 	}
 	// The replacement must actually serve the newest value, whichever
 	// source (adopted image or tail replay) carried it.
 	lastKey := e29Key(layout, txns-1)
-	data, err := fresh.ReadPage(rc, layout.PageOf(lastKey), 0)
+	data, err := fresh.ReadPage(&rc, layout.PageOf(lastKey), 0)
 	if err != nil {
 		return 0, err
 	}
@@ -171,7 +166,7 @@ func e29RebuildArm(cfg *sim.Config, txns, ckptEvery int) (time.Duration, error) 
 	if got := binary.LittleEndian.Uint64(v); got != want {
 		return 0, fmt.Errorf("replacement replica serves seq %d, want %d", got, want)
 	}
-	return rc.Now(), nil
+	return rc.Now() - c.Now(), nil
 }
 
 func runE29(cfg *sim.Config, s Scale) *Result {

@@ -36,6 +36,19 @@ func pick[T any](s Scale, q, f T) T {
 	return q
 }
 
+// runPhase runs body under sim.RunGroup as the phase after wall: workers
+// start at wall's time and wall moves to the phase's end, so meters see one
+// timeline. It returns the workers' ops and the phase's own span.
+func runPhase(wall *sim.Clock, n int, body func(id int, c *sim.Clock) int) (ops int, span time.Duration) {
+	start := wall.Now()
+	res := sim.RunGroup(n, func(id int, c *sim.Clock) int {
+		c.AdvanceTo(start)
+		return body(id, c)
+	})
+	wall.AdvanceTo(res.MakeSpan)
+	return res.TotalOps, res.MakeSpan - start
+}
+
 // Check is one shape assertion an experiment makes about its own results.
 type Check struct {
 	Name   string

@@ -17,16 +17,12 @@
 // NewClock belongs to no group; its Waits poll instead.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Clock is a per-worker virtual clock. It is not safe for concurrent use;
 // each worker owns exactly one Clock.
 type Clock struct {
 	now    time.Duration
-	epoch  int64
 	trace  *Trace
 	events EventSink
 	w      *worker // the RunGroup member owning the clock; nil: free-running
@@ -55,14 +51,10 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 	}
 }
 
-// Reset rewinds the clock to zero and starts a new epoch. Meters notice
-// the epoch change on the next Charge and roll their accumulated demand
-// forward, so a phase reset cannot manufacture a spurious utilization
-// spike (busy time from the old epoch divided by a rewound clock).
-func (c *Clock) Reset() {
-	c.now = 0
-	c.epoch++
-}
+// Fork returns a clock at c's time with no group, trace or event sink, for
+// work that runs beside c (a fan-out leg, background work c does not wait
+// for); the leg's latency is leg.Now() - c.Now(). See Meter.
+func (c *Clock) Fork() Clock { return Clock{now: c.now} }
 
 // SetTrace attaches a span tree to the clock: subsequent instrumented
 // operations on this clock record nested spans into t. Pass nil to detach.
@@ -91,8 +83,4 @@ func (c *Clock) FinishSpan(sp *Span, bytes int64) {
 		return
 	}
 	c.trace.pop(sp, c.now, bytes)
-}
-
-func (c *Clock) String() string {
-	return fmt.Sprintf("sim.Clock(%v)", c.now)
 }

@@ -17,16 +17,16 @@ import (
 // every operation is stretched by ρ — the processor-sharing slowdown —
 // capped so a badly oversubscribed resource degrades gracefully.
 //
-// Workers in one experiment share a virtual epoch (all clocks start at
-// zero), which makes the caller's clock a valid elapsed-time proxy.
-// Meter is safe for concurrent use.
+// The caller's clock is a valid elapsed-time proxy only if every clock
+// that charges the meter shares one timeline: a clock starts at its
+// parent's time (Clock.Fork) and never rewinds, and a later phase
+// continues the previous phase's clock. Meter is safe for concurrent use.
 type Meter struct {
 	capacity   int64
 	busy       atomic.Int64 // total demanded busy time, ns
 	maxPenalty float64
 	totalOps   atomic.Int64
 	queuedOps  atomic.Int64
-	epoch      atomic.Int64 // latest clock epoch seen (see Charge)
 }
 
 // NewMeter returns a meter with the given number of service slots.
@@ -38,25 +38,12 @@ func NewMeter(capacity int) *Meter {
 	return &Meter{capacity: int64(capacity), maxPenalty: 16}
 }
 
-// Capacity reports the number of service slots.
-func (m *Meter) Capacity() int { return int(m.capacity) }
-
 // Charge accounts one operation of modeled duration d against the meter on
 // the worker's clock, inflating d by the current utilization penalty.
 // It returns the charged (possibly inflated) duration.
 func (m *Meter) Charge(c *Clock, d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
-	}
-	// Epoch guard: a worker whose clock was Reset for a new experiment
-	// phase arrives with a rewound elapsed time. Dividing the old epoch's
-	// accumulated demand by the new epoch's tiny elapsed time would read
-	// as a max-penalty utilization spike, so when a newer epoch first
-	// touches the meter the accumulated demand rolls forward to zero.
-	if e := c.epoch; e > m.epoch.Load() {
-		if old := m.epoch.Load(); e > old && m.epoch.CompareAndSwap(old, e) {
-			m.busy.Store(0)
-		}
 	}
 	m.totalOps.Add(1)
 	// Utilization is computed over *charged* (stretched) time on both
@@ -92,11 +79,6 @@ func (m *Meter) Charge(c *Clock, d time.Duration) time.Duration {
 func (m *Meter) Observe(c *Clock, d time.Duration) {
 	if d <= 0 {
 		return
-	}
-	if e := c.epoch; e > m.epoch.Load() {
-		if old := m.epoch.Load(); e > old && m.epoch.CompareAndSwap(old, e) {
-			m.busy.Store(0)
-		}
 	}
 	m.totalOps.Add(1)
 	busy := m.busy.Add(int64(d))

@@ -40,13 +40,40 @@ func TestClockAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestClockReset(t *testing.T) {
+func TestForkChargeSharesParentTimeline(t *testing.T) {
+	// The parent keeps a one-slot meter half busy. A leg forked from it
+	// shares its timeline, so its charge sees ρ ≈ 0.5 and is not
+	// stretched; a leg started at zero would divide the parent's demand
+	// by its own tiny elapsed time and pay the penalty cap.
+	m := NewMeter(1)
 	c := NewClock()
-	c.Advance(time.Second)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("Reset left clock at %v", c.Now())
+	for i := 0; i < 100; i++ {
+		m.Charge(c, time.Microsecond)
+		c.Advance(time.Microsecond)
 	}
+	leg := c.Fork()
+	if d := m.Charge(&leg, time.Microsecond); d != time.Microsecond {
+		t.Fatalf("fork's charge stretched to %v on a meter at ρ≈0.5", d)
+	}
+	if got, want := leg.Now()-c.Now(), time.Microsecond; got != want {
+		t.Fatalf("leg latency %v, want %v", got, want)
+	}
+}
+
+func TestForkCarriesOnlyTheTime(t *testing.T) {
+	RunGroup(1, func(_ int, c *Clock) int {
+		c.Advance(7 * time.Microsecond)
+		c.SetTrace(NewTrace("parent"))
+		c.SetEvents(&captureSink{})
+		leg := c.Fork()
+		if leg.Now() != c.Now() {
+			t.Errorf("fork at %v, parent at %v", leg.Now(), c.Now())
+		}
+		if leg.w != nil || leg.trace != nil || leg.events != nil {
+			t.Errorf("fork kept group %v, trace %v or sink %v", leg.w, leg.trace, leg.events)
+		}
+		return 0
+	})
 }
 
 func TestLatencyModelBaseOnly(t *testing.T) {
@@ -132,7 +159,7 @@ func TestMeterZeroDurationFree(t *testing.T) {
 }
 
 func TestMeterCapacityFloor(t *testing.T) {
-	if got := NewMeter(0).Capacity(); got != 1 {
+	if got := NewMeter(0).capacity; got != 1 {
 		t.Fatalf("capacity floor = %d, want 1", got)
 	}
 }
@@ -140,10 +167,6 @@ func TestMeterCapacityFloor(t *testing.T) {
 func TestMeterProcessorSharing(t *testing.T) {
 	// 8 workers sharing a 2-slot resource must each run ~4x slower than
 	// a lone worker.
-	work := func(m *Meter) GroupResult {
-		return GroupResult{}
-	}
-	_ = work
 	solo := RunGroup(1, func(id int, c *Clock) int {
 		m := NewMeter(2)
 		for i := 0; i < 1000; i++ {

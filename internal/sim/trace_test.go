@@ -214,50 +214,3 @@ func TestRegistryOneSourceList(t *testing.T) {
 		t.Errorf("table rows %v, want %v (idle sources have no row)", sites, want)
 	}
 }
-
-func TestMeterEpochGuardAcrossPhaseReset(t *testing.T) {
-	// Regression: Charge divides accumulated demand by the caller's elapsed
-	// virtual time. A phase boundary that Resets worker clocks used to
-	// divide a whole phase's demand by a near-zero elapsed time, charging the first post-reset ops the full 16x penalty
-	// cap. The clock epoch guard rolls the demand forward instead.
-	const workers = 4
-	m := NewMeter(1)
-	clocks := make([]*Clock, workers)
-	for i := range clocks {
-		clocks[i] = NewClock()
-	}
-	phase := func() time.Duration {
-		var worst time.Duration
-		for i := 0; i < 400; i++ {
-			for _, c := range clocks {
-				if d := m.Charge(c, time.Microsecond); d > worst {
-					worst = d
-				}
-			}
-		}
-		return worst
-	}
-
-	p1 := phase()
-	// Steady state: each 1µs op is stretched ~N/cap = 4x.
-	if p1 < 2*time.Microsecond || p1 > 8*time.Microsecond {
-		t.Fatalf("phase-1 worst charge %v, want the ~4µs processor-sharing band", p1)
-	}
-
-	for _, c := range clocks {
-		c.Reset() // phase boundary; the meter is left as it is
-	}
-	p2 := phase()
-	if p2 > 8*time.Microsecond {
-		t.Fatalf("post-reset worst charge %v: spurious max-penalty spike (epoch guard broken)", p2)
-	}
-
-	// And the penalty still converges to ~N/cap within the new phase.
-	var last time.Duration
-	for _, c := range clocks {
-		last = m.Charge(c, time.Microsecond)
-	}
-	if last < 2*time.Microsecond || last > 6*time.Microsecond {
-		t.Fatalf("steady-state charge after reset = %v, want ~4µs", last)
-	}
-}

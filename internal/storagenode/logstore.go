@@ -336,15 +336,13 @@ func (g *LogStoreGroup) Append(c *sim.Clock, recs []wal.Record) error {
 	op := g.cfg.Begin(c, "logstore.quorum")
 	var latBuf [8]time.Duration // one per store, on the stack for up to eight
 	lats := latBuf[:0]
-	// Each store's append runs on its own fresh clock (the fan-out is
-	// parallel); a zeroed Clock is exactly what sim.NewClock returns.
-	probe := sim.NewClock()
+	var leg sim.Clock
 	for _, ls := range g.Stores {
-		*probe = sim.Clock{}
-		if err := ls.Append(probe, recs); err != nil {
+		leg = c.Fork()
+		if err := ls.Append(&leg, recs); err != nil {
 			continue
 		}
-		lats = append(lats, probe.Now())
+		lats = append(lats, leg.Now()-c.Now())
 	}
 	if len(lats) < g.Quorum {
 		op.End(0)
@@ -357,24 +355,23 @@ func (g *LogStoreGroup) Append(c *sim.Clock, recs []wal.Record) error {
 }
 
 // TruncateBefore fans the truncation horizon out to every store in
-// parallel (probe clocks; the caller pays the slowest store's RPC, it is
-// background work either way). Truncation needs no quorum — a store that
-// misses the horizon retains extra records and retries next round — but
-// total failure is surfaced so coordinators can count it.
+// parallel (a fork of c per store; the caller pays the slowest store's
+// RPC, it is background work either way). Truncation needs no quorum — a
+// store that misses the horizon retains extra records and retries next
+// round — but total failure is surfaced so coordinators can count it.
 func (g *LogStoreGroup) TruncateBefore(c *sim.Clock, upTo wal.LSN) error {
 	op := g.cfg.Begin(c, "logstore.truncate.fanout")
 	var slowest time.Duration
 	okCount := 0
 	var lastErr error
+	var leg sim.Clock
 	for _, ls := range g.Stores {
-		probe := sim.NewClock()
-		if err := ls.TruncateBefore(probe, upTo); err != nil {
+		leg = c.Fork()
+		if err := ls.TruncateBefore(&leg, upTo); err != nil {
 			lastErr = err
 			continue
 		}
-		if probe.Now() > slowest {
-			slowest = probe.Now()
-		}
+		slowest = max(slowest, leg.Now()-c.Now())
 		okCount++
 	}
 	g.meter.Charge(c, slowest)

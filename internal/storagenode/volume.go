@@ -39,18 +39,6 @@ func NewAuroraVolume(cfg *sim.Config, layout heap.Layout) *Volume {
 	return v
 }
 
-// NewVolume builds a volume with custom replication.
-func NewVolume(cfg *sim.Config, layout heap.Layout, replicas, azs, writeQ, readQ int) *Volume {
-	v := &Volume{cfg: cfg, WriteQ: writeQ, ReadQ: readQ, meter: sim.NewMeter(cfg.NICSlots)}
-	for i := 0; i < replicas; i++ {
-		az := i % azs
-		scale := 1.0 + 0.25*float64(az)
-		v.Replicas = append(v.Replicas, NewReplica(cfg, replicaName(i), az, layout, scale))
-	}
-	v.sortNearest()
-	return v
-}
-
 func (v *Volume) sortNearest() {
 	v.nearest = append([]*Replica(nil), v.Replicas...)
 	sort.Slice(v.nearest, func(i, j int) bool { return v.nearest[i].netScale < v.nearest[j].netScale })

@@ -28,9 +28,6 @@ func YCSBA(keys uint64) YCSB { return YCSB{Keys: keys, ReadFrac: 0.5, Theta: 1.1
 // YCSBB returns the 95/5 read-heavy mix.
 func YCSBB(keys uint64) YCSB { return YCSB{Keys: keys, ReadFrac: 0.95, Theta: 1.1, ValueSize: 100} }
 
-// YCSBC returns the read-only mix.
-func YCSBC(keys uint64) YCSB { return YCSB{Keys: keys, ReadFrac: 1.0, Theta: 1.1, ValueSize: 100} }
-
 // Op is one generated operation.
 type Op struct {
 	Read bool
