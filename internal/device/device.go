@@ -8,7 +8,6 @@ package device
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"github.com/disagglab/disagg/internal/sim"
 )
@@ -34,10 +33,10 @@ func (d *DRAM) Access(c *sim.Clock, n int) {
 	op.End(int64(n))
 }
 
-// PM is a persistent-memory device (Optane-like). Reads are near-DRAM;
-// persisted writes are limited by a much lower write bandwidth. The device
-// tracks whether it is being accessed through a legacy I/O stack (per the
-// Exadata observation, §2.3: syscall overheads can dwarf the medium).
+// PM is a persistent-memory device (Optane-like), read at near-DRAM cost.
+// The device tracks whether it is being accessed through a legacy I/O stack
+// (per the Exadata observation, §2.3: syscall overheads can dwarf the
+// medium).
 type PM struct {
 	cfg         *sim.Config
 	meter       *sim.Meter
@@ -57,19 +56,6 @@ func (p *PM) Read(c *sim.Clock, n int) {
 	op := p.cfg.Begin(c, "pm.read")
 	p.cfg.Inject(c, "pm.read")
 	d := p.cfg.PMRead.Cost(n)
-	if p.LegacyStack {
-		d += p.cfg.LocalPMSyscall
-	}
-	p.meter.Charge(c, d)
-	op.End(int64(n))
-}
-
-// WritePersist charges a write of n bytes that reaches the persistence
-// domain before returning.
-func (p *PM) WritePersist(c *sim.Clock, n int) {
-	op := p.cfg.Begin(c, "pm.write")
-	p.cfg.Inject(c, "pm.write")
-	d := p.cfg.PMWrite.Cost(n)
 	if p.LegacyStack {
 		d += p.cfg.LocalPMSyscall
 	}
@@ -137,7 +123,7 @@ func NewObjectStore(cfg *sim.Config) *ObjectStore {
 //
 // Put takes data: the object holds the caller's slice (a torn one a prefix
 // of it), so once Put is called the caller never writes those bytes again.
-// Get and GetRange copy out, so nothing outside the store aliases an object.
+// Get copies out, so nothing outside the store aliases an object.
 func (o *ObjectStore) Put(c *sim.Clock, key string, data []byte) error {
 	op := o.cfg.Begin(c, "obj.put")
 	f := o.cfg.Inject(c, "obj.put")
@@ -177,36 +163,6 @@ func (o *ObjectStore) Get(c *sim.Clock, key string) ([]byte, error) {
 	op.End(int64(len(data)))
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	return cp, nil
-}
-
-// GetRange fetches length bytes at offset (cheap partial read, used for
-// columnar pruning where only some column chunks are fetched).
-func (o *ObjectStore) GetRange(c *sim.Clock, key string, off, length int) ([]byte, error) {
-	op := o.cfg.Begin(c, "obj.get")
-	if f := o.cfg.Inject(c, "obj.get"); f.Drop || f.Torn {
-		op.End(0)
-		return nil, f.FaultErr()
-	}
-	o.mu.RLock()
-	data, ok := o.objects[key]
-	o.mu.RUnlock()
-	if !ok {
-		op.End(0)
-		return nil, ErrNoSuchObject
-	}
-	if off < 0 || off > len(data) {
-		op.End(0)
-		return nil, ErrNoSuchObject
-	}
-	end := off + length
-	if end > len(data) {
-		end = len(data)
-	}
-	o.meter.Charge(c, o.cfg.ObjGet.Cost(end-off))
-	op.End(int64(end - off))
-	cp := make([]byte, end-off)
-	copy(cp, data[off:end])
 	return cp, nil
 }
 
@@ -257,25 +213,3 @@ func (o *ObjectStore) TotalBytes() int64 {
 	}
 	return n
 }
-
-// AccessTimer exposes rough device timing for planners that reason about
-// tiers (e.g. Pond's placement predictor compares DRAM vs CXL penalties).
-type AccessTimer interface {
-	// TypicalLatency reports the modeled latency of one n-byte access.
-	TypicalLatency(n int) time.Duration
-}
-
-// TypicalLatency implements AccessTimer for DRAM.
-func (d *DRAM) TypicalLatency(n int) time.Duration { return d.cfg.DRAM.Cost(n) }
-
-// TypicalLatency implements AccessTimer for PM (read path).
-func (p *PM) TypicalLatency(n int) time.Duration {
-	d := p.cfg.PMRead.Cost(n)
-	if p.LegacyStack {
-		d += p.cfg.LocalPMSyscall
-	}
-	return d
-}
-
-// TypicalLatency implements AccessTimer for SSD (read path).
-func (s *SSD) TypicalLatency(n int) time.Duration { return s.cfg.SSDRead.Cost(n) }

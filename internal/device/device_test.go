@@ -17,17 +17,6 @@ func TestDRAMAccessCharges(t *testing.T) {
 	}
 }
 
-func TestPMReadWriteAsymmetry(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	p := NewPM(cfg, 4, false)
-	rc, wc := sim.NewClock(), sim.NewClock()
-	p.Read(rc, 4096)
-	p.WritePersist(wc, 4096)
-	if !(rc.Now() < wc.Now()) {
-		t.Fatalf("PM read (%v) should be cheaper than persisted write (%v)", rc.Now(), wc.Now())
-	}
-}
-
 func TestPMLegacyStackOverhead(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	direct := NewPM(cfg, 4, false)
@@ -75,8 +64,8 @@ func TestObjectStorePutGet(t *testing.T) {
 	}
 }
 
-// Reads copy out: a caller that writes to what Get or GetRange returned
-// never changes the object.
+// Reads copy out: a caller that writes to what Get returned never changes
+// the object.
 func TestObjectStoreImmutability(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	o := NewObjectStore(cfg)
@@ -84,8 +73,6 @@ func TestObjectStoreImmutability(t *testing.T) {
 	o.Put(c, "k", []byte{1, 2, 3})
 	got, _ := o.Get(c, "k")
 	got[1] = 88 // caller mutates the returned buffer
-	part, _ := o.GetRange(c, "k", 2, 1)
-	part[0] = 77
 	again, _ := o.Get(c, "k")
 	if !bytes.Equal(again, []byte{1, 2, 3}) {
 		t.Fatalf("object after writes to read results = %v: a read aliased the stored bytes", again)
@@ -130,40 +117,6 @@ func TestObjectStorePutTakesItsPayload(t *testing.T) {
 	}
 }
 
-func TestObjectStoreGetRange(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	o := NewObjectStore(cfg)
-	c := sim.NewClock()
-	o.Put(c, "k", []byte("0123456789"))
-	got, err := o.GetRange(c, "k", 2, 3)
-	if err != nil || !bytes.Equal(got, []byte("234")) {
-		t.Fatalf("range = %q, %v", got, err)
-	}
-	got, err = o.GetRange(c, "k", 8, 100) // clamped tail
-	if err != nil || !bytes.Equal(got, []byte("89")) {
-		t.Fatalf("tail range = %q, %v", got, err)
-	}
-	if _, err := o.GetRange(c, "k", -1, 2); err == nil {
-		t.Fatal("negative offset should fail")
-	}
-	if _, err := o.GetRange(c, "nope", 0, 1); err == nil {
-		t.Fatal("missing key should fail")
-	}
-}
-
-func TestObjectStoreRangeCheaperThanFull(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	o := NewObjectStore(cfg)
-	setup := sim.NewClock()
-	o.Put(setup, "big", make([]byte, 1<<24))
-	full, partial := sim.NewClock(), sim.NewClock()
-	o.Get(full, "big")
-	o.GetRange(partial, "big", 0, 4096)
-	if !(partial.Now() < full.Now()) {
-		t.Fatalf("range read (%v) should be cheaper than full read (%v)", partial.Now(), full.Now())
-	}
-}
-
 func TestObjectStoreDelete(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	o := NewObjectStore(cfg)
@@ -178,15 +131,18 @@ func TestObjectStoreDelete(t *testing.T) {
 	}
 }
 
-func TestTypicalLatencyOrdering(t *testing.T) {
+// An SSD write costs the write model's base plus its bytes at the write
+// bandwidth, so a larger write costs more.
+func TestSSDWriteCharges(t *testing.T) {
 	cfg := sim.DefaultConfig()
-	var timers = []AccessTimer{NewDRAM(cfg, 1), NewPM(cfg, 1, false), NewSSD(cfg, 1)}
-	prev := timers[0].TypicalLatency(4096)
-	for _, at := range timers[1:] {
-		cur := at.TypicalLatency(4096)
-		if cur <= prev {
-			t.Fatalf("tier ordering violated: %v then %v", prev, cur)
-		}
-		prev = cur
+	s := NewSSD(cfg, 32)
+	small, large := sim.NewClock(), sim.NewClock()
+	s.Write(small, 4096)
+	s.Write(large, 1<<20)
+	if small.Now() != cfg.SSDWrite.Cost(4096) {
+		t.Fatalf("4 KiB write charged %v, want %v", small.Now(), cfg.SSDWrite.Cost(4096))
+	}
+	if !(small.Now() < large.Now()) {
+		t.Fatalf("1 MiB write (%v) should cost more than 4 KiB (%v)", large.Now(), small.Now())
 	}
 }

@@ -144,7 +144,6 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 		return nil, err
 	}
 	e.stats.StorageOps.Add(1)
-	e.stats.NetMsgs.Add(1)
 	e.stats.NetBytes.Add(int64(len(data)))
 	return data, nil
 }
@@ -172,7 +171,6 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 	}
 	fanout := int64(e.Volume.Alive())
 	n := int64(engine.LogBytes(recs))
-	e.stats.NetMsgs.Add(fanout)
 	e.stats.LogBytes.Add(n)
 	e.stats.NetBytes.Add(n * fanout)
 	return nil
@@ -225,15 +223,13 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 func (e *Engine) Checkpoint(c *sim.Clock) error {
 	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
-			shipped := e.Volume.Heal(c, e.log)
-			e.stats.NetMsgs.Add(int64(shipped))
+			e.Volume.Heal(c, e.log)
 			advanced := e.Volume.AdvanceHorizon(c, h)
 			if advanced < e.Volume.WriteQ {
 				// Fewer than a write quorum hold the checkpoint; keep the
 				// full tail so repair can still replay from the log.
 				return storagenode.ErrNoQuorum
 			}
-			e.stats.NetMsgs.Add(int64(advanced))
 			return nil
 		},
 		Truncate: func(c *sim.Clock, h wal.LSN) error {

@@ -42,11 +42,11 @@ type Hooks struct {
 	// materialises pages. The value it returns is the caller's.
 	Read ReadFunc
 	// Durable ships recs to wherever this architecture's log becomes
-	// durable and accounts the traffic that took (LogBytes, NetBytes,
-	// NetMsgs including the engine's replication fan-out). A nil return IS
-	// the durability point; an error aborts the transaction, whose records
-	// then never become visible in the log. Under group commit it is called
-	// once per shared flush with several transactions' records merged in LSN
+	// durable and accounts the traffic that took (LogBytes, and NetBytes
+	// including the engine's replication fan-out). A nil return IS the
+	// durability point; an error aborts the transaction, whose records then
+	// never become visible in the log. Under group commit it is called once
+	// per shared flush with several transactions' records merged in LSN
 	// order, so all accounting must be a function of recs alone.
 	Durable func(c *sim.Clock, recs []wal.Record) error
 	// Apply materialises the now-durable commit wherever this architecture

@@ -182,7 +182,6 @@ type Stats struct {
 	// (open breaker, full shedder, replica routing to a non-Reader).
 	Shed        atomic.Int64
 	NetBytes    atomic.Int64 // bytes crossing the network fabric
-	NetMsgs     atomic.Int64
 	LogBytes    atomic.Int64 // bytes of log shipped
 	PageBytes   atomic.Int64 // bytes of full pages shipped
 	StorageOps  atomic.Int64
@@ -218,7 +217,6 @@ func (s *Stats) Reset() {
 	s.Aborts.Store(0)
 	s.Shed.Store(0)
 	s.NetBytes.Store(0)
-	s.NetMsgs.Store(0)
 	s.LogBytes.Store(0)
 	s.PageBytes.Store(0)
 	s.StorageOps.Store(0)

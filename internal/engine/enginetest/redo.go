@@ -27,11 +27,14 @@ func FailedRedoGuard(t *testing.T, e engine.Engine, plant func(id page.ID, img [
 	layout := Layout(t)
 	const id = 3
 	first := uint64(id) * uint64(layout.PerPage)
-	img := page.New(layout.PageSize)
-	if _, err := img.Insert(layout.EncodeRecord(first, val(layout, 0))); err != nil {
+	img := make([]byte, layout.PageSize)
+	if err := page.Format(img, 1, len(layout.EncodeRecord(first, nil))); err != nil {
 		t.Fatal(err)
 	}
-	plant(id, img.Bytes())
+	if err := layout.WriteValue(img, first, val(layout, 0), 0); err != nil {
+		t.Fatal(err)
+	}
+	plant(id, img)
 	c := sim.NewClock()
 	// Durable in the log whether or not the engine reports the apply, which
 	// cannot succeed either.

@@ -110,7 +110,6 @@ func (e *Engine) fetchFromStorage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.ssd.Read(c, len(out))
 	e.stats.StorageOps.Add(1)
 	e.stats.NetBytes.Add(int64(len(out)))
-	e.stats.NetMsgs.Add(1)
 	// Replay this page's log chain newer than the page image.
 	if err := e.log.RedoPage(uint64(id), wal.LSN(page.Wrap(out).LSN()), func(r *wal.Record) error {
 		applied, err := e.pipe.Redo(out, r)
@@ -150,7 +149,6 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 	e.ssd.Write(c, n)
 	e.stats.LogBytes.Add(int64(n))
 	e.stats.NetBytes.Add(int64(n))
-	e.stats.NetMsgs.Add(1)
 	return nil
 }
 

@@ -118,7 +118,6 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 		}
 		e.stats.StorageOps.Add(1)
 		e.stats.NetBytes.Add(int64(len(data)))
-		e.stats.NetMsgs.Add(1)
 		e.Validations.Add(1)
 		if wal.LSN(page.Wrap(data).LSN()) >= want {
 			return data, nil
@@ -185,7 +184,6 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	}
 	e.stats.StorageOps.Add(1)
 	e.stats.NetBytes.Add(int64(len(data)))
-	e.stats.NetMsgs.Add(1)
 	return data, nil
 }
 
@@ -221,7 +219,6 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 	}
 	e.stats.LogBytes.Add(int64(n))
 	e.stats.NetBytes.Add(int64(n))
-	e.stats.NetMsgs.Add(1)
 	return nil
 }
 
@@ -280,8 +277,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 			if e.PageStore.Failed() {
 				return storagenode.ErrStaleReplica
 			}
-			shipped := e.PageStore.CatchUpFromLog(c, e.log)
-			e.stats.NetMsgs.Add(int64(shipped))
+			e.PageStore.CatchUpFromLog(c, e.log)
 			e.PageStore.AdvanceHorizon(c, h)
 			return nil
 		},

@@ -128,7 +128,6 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	}
 	c.Advance(e.cfg.RDMA.Cost(len(data)) + e.cfg.SSDRead.Cost(len(data)))
 	e.stats.StorageOps.Add(1)
-	e.stats.NetMsgs.Add(1)
 	e.stats.NetBytes.Add(int64(len(data)))
 	// Replay this page's newer records from the log: only decided ones,
 	// which are durable, are on its chain.
@@ -162,7 +161,6 @@ func (e *Engine) shipPage(c *sim.Clock, id page.ID, data []byte) error {
 	}
 	e.stats.PageBytes.Add(int64(len(data)))
 	e.stats.NetBytes.Add(int64(len(data)))
-	e.stats.NetMsgs.Add(1)
 	e.stats.StorageOps.Add(1)
 	return nil
 }
@@ -186,7 +184,6 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 		return err
 	}
 	n := int64(len(encoded))
-	e.stats.NetMsgs.Add(3)
 	e.stats.LogBytes.Add(n)
 	e.stats.NetBytes.Add(n * 3)
 	return nil
@@ -255,7 +252,6 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 				c.Advance(e.cfg.RDMA.Cost(n) + e.cfg.SSDWrite.Cost(n))
 				e.stats.PageBytes.Add(int64(n))
 				e.stats.NetBytes.Add(int64(n))
-				e.stats.NetMsgs.Add(1)
 				e.stats.StorageOps.Add(1)
 			}
 			// Regular page shipping of whatever is dirty in the cache; a

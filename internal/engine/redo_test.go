@@ -80,8 +80,8 @@ func TestRedoIdempotent(t *testing.T) {
 // A record that cannot be applied is an error, not an applied record.
 func TestRedoReportsFailedWrite(t *testing.T) {
 	e := newPipeEngine(t)
-	img := page.New(e.layout.PageSize) // no slots at all
-	ok, err := e.p.Redo(img.Bytes(), &wal.Record{LSN: 7, Type: wal.TypeUpdate, PageID: 0, Key: 1, After: redoVal(e, 1)})
+	img := make([]byte, e.layout.PageSize) // no slots at all
+	ok, err := e.p.Redo(img, &wal.Record{LSN: 7, Type: wal.TypeUpdate, PageID: 0, Key: 1, After: redoVal(e, 1)})
 	if ok || !errors.Is(err, page.ErrBadSlot) {
 		t.Fatalf("Redo onto a page without the slot: applied %v, err %v; want false and %v", ok, err, page.ErrBadSlot)
 	}

@@ -147,7 +147,6 @@ func (e *Engine) readPage(c *sim.Clock, n *computeNode, id page.ID, fn func(data
 	}
 	if ok {
 		e.stats.NetBytes.Add(int64(len(buf)))
-		e.stats.NetMsgs.Add(1)
 	} else {
 		// Shared-pool miss: fetch from storage, populate the shared pool.
 		min := e.pipe.DurableLSN()
@@ -164,7 +163,6 @@ func (e *Engine) readPage(c *sim.Clock, n *computeNode, id page.ID, fn func(data
 		}
 		e.stats.StorageOps.Add(1)
 		e.stats.NetBytes.Add(int64(len(buf)))
-		e.stats.NetMsgs.Add(1)
 		if err := e.Shared.Put(c, id, buf); err != nil {
 			return err
 		}
@@ -216,7 +214,6 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 	n := int64(engine.LogBytes(recs))
 	e.stats.LogBytes.Add(n)
 	e.stats.NetBytes.Add(n)
-	e.stats.NetMsgs.Add(1)
 	return nil
 }
 
@@ -280,7 +277,6 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 			return err
 		}
 		e.stats.NetBytes.Add(int64(len(data)))
-		e.stats.NetMsgs.Add(1)
 		n.cache.Install(c, id, data, false)
 	}
 	return nil
@@ -343,13 +339,11 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 func (e *Engine) Checkpoint(c *sim.Clock) error {
 	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
-			shipped := e.Volume.Heal(c, e.log)
-			e.stats.NetMsgs.Add(int64(shipped))
+			e.Volume.Heal(c, e.log)
 			advanced := e.Volume.AdvanceHorizon(c, h)
 			if advanced < e.Volume.WriteQ {
 				return storagenode.ErrNoQuorum
 			}
-			e.stats.NetMsgs.Add(int64(advanced))
 			return nil
 		},
 		Truncate: func(c *sim.Clock, h wal.LSN) error {

@@ -177,7 +177,6 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 				probe.Advance(e.cfg.TCP.Cost(logBytes))
 				prepNet += int64(logBytes)
 				e.stats.NetBytes.Add(int64(logBytes))
-				e.stats.NetMsgs.Add(1)
 			}
 			legs[lo].p.ssd.Write(probe, logBytes)
 			maxPrep = max(maxPrep, probe.Now()-c.Now())
@@ -209,7 +208,6 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 			probe.Advance(e.cfg.TCP.Cost(logBytes))
 			commitNet += int64(logBytes)
 			e.stats.NetBytes.Add(int64(logBytes))
-			e.stats.NetMsgs.Add(1)
 		}
 		p.ssd.Write(probe, logBytes)
 		e.stats.LogBytes.Add(int64(logBytes))
@@ -282,7 +280,6 @@ func (s *txState) readKey(c *sim.Clock, key uint64) ([]byte, error) {
 		c.Advance(e.cfg.TCP.Cost(e.layout.ValSize + 16))
 		op.End(int64(e.layout.ValSize + 16))
 		e.stats.NetBytes.Add(int64(e.layout.ValSize + 16))
-		e.stats.NetMsgs.Add(1)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

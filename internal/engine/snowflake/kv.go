@@ -120,7 +120,6 @@ func (e *KV) durable(c *sim.Clock, recs []wal.Record) error {
 	}
 	e.stats.LogBytes.Add(int64(len(encoded)))
 	e.stats.NetBytes.Add(int64(len(encoded)))
-	e.stats.NetMsgs.Add(1)
 	e.stats.StorageOps.Add(1)
 	return nil
 }
@@ -204,7 +203,6 @@ func (e *KV) Checkpoint(c *sim.Clock) error {
 			}
 			e.stats.PageBytes.Add(int64(len(encoded)))
 			e.stats.NetBytes.Add(int64(len(encoded)))
-			e.stats.NetMsgs.Add(1)
 			e.stats.StorageOps.Add(1)
 			return nil
 		},
@@ -225,7 +223,6 @@ func (e *KV) Checkpoint(c *sim.Clock) error {
 					continue
 				}
 				e.stats.StorageOps.Add(1)
-				e.stats.NetMsgs.Add(1)
 			}
 			e.log.TruncateBefore(h + 1)
 			return firstErr

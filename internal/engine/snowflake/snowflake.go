@@ -9,7 +9,6 @@ package snowflake
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/disagglab/disagg/internal/device"
@@ -20,71 +19,32 @@ import (
 // ErrNoTable is returned for queries on unknown tables.
 var ErrNoTable = errors.New("snowflake: no such table")
 
-// Service is the cloud-services + storage layer. Besides metadata it hosts
-// the global RESULT CACHE: because micro-partitions are immutable, a query
-// result keyed by (query signature, table versions) stays valid until a
-// table is reloaded — Snowflake serves repeat queries without touching any
-// warehouse.
+// Service is the cloud-services + storage layer: the object store holding
+// every table's immutable micro-partitions and the metadata that names them.
 type Service struct {
 	cfg   *sim.Config
 	Store *device.ObjectStore
 
-	mu       sync.Mutex
-	tables   map[string]*query.ObjectSource
-	versions map[string]int
-	results  map[string]*query.Batch
-	nextWH   int
-
-	resultHits   int64
-	resultMisses int64
+	mu     sync.Mutex
+	tables map[string]*query.ObjectSource
+	nextWH int
 }
 
 // NewService creates the service with its own object store.
 func NewService(cfg *sim.Config) *Service {
 	return &Service{
-		cfg:      cfg,
-		Store:    device.NewObjectStore(cfg),
-		tables:   make(map[string]*query.ObjectSource),
-		versions: make(map[string]int),
-		results:  make(map[string]*query.Batch),
+		cfg:    cfg,
+		Store:  device.NewObjectStore(cfg),
+		tables: make(map[string]*query.ObjectSource),
 	}
 }
 
-// LoadTable ingests a table as immutable micro-partition objects, bumping
-// the table version (which invalidates cached results that read it).
+// LoadTable ingests a table as immutable micro-partition objects.
 func (s *Service) LoadTable(name string, t *query.Table) {
 	src := query.NewObjectSource(s.cfg, s.Store, t, name)
 	s.mu.Lock()
 	s.tables[name] = src
-	s.versions[name]++
-	// Result keys embed every table version, so bumping one version
-	// orphans stale entries; drop them all (coarse but correct).
-	s.results = make(map[string]*query.Batch)
 	s.mu.Unlock()
-}
-
-// resultKey builds the cache key: the caller-supplied query signature plus
-// every table version.
-func (s *Service) resultKey(signature string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.versions))
-	for name := range s.versions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	key := signature
-	for _, name := range names {
-		key += fmt.Sprintf("|%s@%d", name, s.versions[name])
-	}
-	return key
-}
-
-// ResultCacheStats reports (hits, misses).
-func (s *Service) ResultCacheStats() (int64, int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resultHits, s.resultMisses
 }
 
 // Warehouse is one elastic compute cluster with a local block cache.
@@ -138,37 +98,6 @@ func (w *Warehouse) Run(c *sim.Clock, build func(src func(string) (query.Source,
 		return nil, err
 	}
 	return query.Collect(c, op)
-}
-
-// RunCached executes the query through the service result cache: a repeat
-// of the same signature against unchanged tables costs one metadata round
-// trip instead of a warehouse execution.
-func (w *Warehouse) RunCached(c *sim.Clock, signature string, build func(src func(string) (query.Source, error)) (query.Operator, error)) (*query.Batch, error) {
-	svc := w.svc
-	key := svc.resultKey(signature)
-	svc.mu.Lock()
-	cached, ok := svc.results[key]
-	if ok {
-		svc.resultHits++
-	} else {
-		svc.resultMisses++
-	}
-	svc.mu.Unlock()
-	// Metadata/service round trip either way.
-	op := svc.cfg.Begin(c, "tcp.rpc")
-	c.Advance(svc.cfg.TCP.Cost(128))
-	op.End(128)
-	if ok {
-		return cached, nil
-	}
-	out, err := w.Run(c, build)
-	if err != nil {
-		return nil, err
-	}
-	svc.mu.Lock()
-	svc.results[key] = out
-	svc.mu.Unlock()
-	return out, nil
 }
 
 // CacheHitRatio reports the warehouse's block-cache hit ratio for a table.

@@ -126,72 +126,38 @@ func TestPruningReducesQ6Cost(t *testing.T) {
 	}
 }
 
-func TestResultCacheServesRepeatsWithoutExecution(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	svc, _ := newLoaded(t, 30_000)
-	wh := svc.AddWarehouse(sim.NewClock(), 0) // no block cache: isolate the result cache
-	build := func(src func(string) (query.Source, error)) (query.Operator, error) {
-		li, err := src("lineitem")
-		if err != nil {
-			return nil, err
-		}
-		return workload.Q6(cfg, li, 100, 465, 2, 5, true)
-	}
-	cold := sim.NewClock()
-	first, err := wh.RunCached(cold, "q6/w1", build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := sim.NewClock()
-	second, err := wh.RunCached(warm, "q6/w1", build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cols[0][0] != second.Cols[0][0] {
-		t.Fatal("cached result differs")
-	}
-	if !(warm.Now() < cold.Now()/20) {
-		t.Fatalf("cached run (%v) should be ≫ cheaper than execution (%v)", warm.Now(), cold.Now())
-	}
-	if h, m := svc.ResultCacheStats(); h != 1 || m != 1 {
-		t.Fatalf("stats = %d/%d", h, m)
-	}
-	// Even a DIFFERENT warehouse hits the shared service-level cache.
-	wh2 := svc.AddWarehouse(sim.NewClock(), 0)
-	other := sim.NewClock()
-	if _, err := wh2.RunCached(other, "q6/w1", build); err != nil {
-		t.Fatal(err)
-	}
-	if !(other.Now() < cold.Now()/20) {
-		t.Fatal("result cache not shared across warehouses")
+// A plan that fails to build fails the run with the builder's error.
+func TestWarehouseRunReturnsPlanError(t *testing.T) {
+	svc, _ := newLoaded(t, 5000)
+	wh := svc.AddWarehouse(sim.NewClock(), 16)
+	c := sim.NewClock()
+	out, err := wh.Run(c, func(src func(string) (query.Source, error)) (query.Operator, error) {
+		_, err := src("nope")
+		return nil, err
+	})
+	if err != ErrNoTable || out != nil {
+		t.Fatalf("Run = %v, %v; want nil, ErrNoTable", out, err)
 	}
 }
 
-func TestResultCacheInvalidatedByReload(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	svc, _ := newLoaded(t, 10_000)
-	wh := svc.AddWarehouse(sim.NewClock(), 0)
-	build := func(src func(string) (query.Source, error)) (query.Operator, error) {
-		li, err := src("lineitem")
-		if err != nil {
-			return nil, err
-		}
-		return workload.Q6(cfg, li, 0, 2556, 0, 11, false)
-	}
-	r1, err := wh.RunCached(sim.NewClock(), "q6/full", build)
+// A warehouse keeps one cached view per table: repeated lookups share its
+// cache, and a table never read reports no hits.
+func TestWarehouseSourceIsOneViewPerTable(t *testing.T) {
+	svc, _ := newLoaded(t, 5000)
+	wh := svc.AddWarehouse(sim.NewClock(), 16)
+	a, err := wh.Source("lineitem")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reload the table with different data: the cached result must not
-	// be served.
-	d2 := workload.TPCH{ScaleRows: 5000, Seed: 99}.Generate()
-	svc.LoadTable("lineitem", d2.Lineitem)
-	wh2 := svc.AddWarehouse(sim.NewClock(), 0) // fresh warehouse: no stale block cache
-	r2, err := wh2.RunCached(sim.NewClock(), "q6/full", build)
-	if err != nil {
-		t.Fatal(err)
+	b, _ := wh.Source("lineitem")
+	o, _ := wh.Source("orders")
+	if a != b || a == o {
+		t.Fatal("a table's lookups do not share one view, or two tables share it")
 	}
-	if r1.Cols[1][0] == r2.Cols[1][0] {
-		t.Fatal("stale result served after table reload (counts should differ)")
+	if r := wh.CacheHitRatio("orders"); r != 0 {
+		t.Fatalf("unread table's hit ratio = %v, want 0", r)
+	}
+	if r := wh.CacheHitRatio("nope"); r != 0 {
+		t.Fatalf("unknown table's hit ratio = %v, want 0", r)
 	}
 }

@@ -128,7 +128,6 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 			data, err := ps.ReadPage(c, id, min)
 			if err == nil {
 				e.stats.StorageOps.Add(1)
-				e.stats.NetMsgs.Add(1)
 				e.stats.NetBytes.Add(int64(len(data)))
 				return data, nil
 			}
@@ -162,7 +161,6 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 		return err
 	}
 	n := int64(engine.LogBytes(recs))
-	e.stats.NetMsgs.Add(1)
 	e.stats.LogBytes.Add(n)
 	e.stats.NetBytes.Add(n)
 	return nil
@@ -205,7 +203,6 @@ func (e *Engine) snapshotToXStore(c *sim.Clock, recs []wal.Record) {
 		e.XStore.Put(c, fmt.Sprintf("page/%d", id), data)
 		e.stats.PageBytes.Add(int64(len(data)))
 		e.stats.NetBytes.Add(int64(len(data)))
-		e.stats.NetMsgs.Add(1)
 	}
 }
 
@@ -239,8 +236,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 				if ps.Failed() {
 					continue
 				}
-				shipped := ps.CatchUpFromLog(c, e.log)
-				e.stats.NetMsgs.Add(int64(shipped))
+				ps.CatchUpFromLog(c, e.log)
 				ps.AdvanceHorizon(c, h)
 				advanced++
 			}

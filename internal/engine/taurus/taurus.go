@@ -85,7 +85,6 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 		data, err := e.PageStores.ReadPage(c, id, min)
 		if err == nil {
 			e.stats.StorageOps.Add(1)
-			e.stats.NetMsgs.Add(1)
 			e.stats.NetBytes.Add(int64(len(data)))
 			return data, nil
 		}
@@ -116,7 +115,6 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 	}
 	copies := int64(len(e.LogStores.Stores))
 	n := int64(engine.LogBytes(recs))
-	e.stats.NetMsgs.Add(copies)
 	e.stats.LogBytes.Add(n)
 	e.stats.NetBytes.Add(n * copies)
 	return nil
@@ -132,7 +130,6 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 		return err
 	}
 	e.stats.NetBytes.Add(int64(engine.LogBytes(recs)))
-	e.stats.NetMsgs.Add(1)
 	e.pipe.ApplyCached(c, e.pool, recs)
 	if n := e.commitCount.Add(1); e.GossipEvery > 0 && n%int64(e.GossipEvery) == 0 {
 		// Background anti-entropy (not charged to the writer).
@@ -168,8 +165,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 func (e *Engine) Checkpoint(c *sim.Clock) error {
 	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
-			shipped := e.PageStores.GossipRound(c)
-			e.stats.NetMsgs.Add(int64(shipped))
+			e.PageStores.GossipRound(c)
 			if e.PageStores.AdvanceHorizon(c, h) == 0 {
 				return storagenode.ErrNoQuorum
 			}

@@ -9,23 +9,30 @@ import (
 	"github.com/disagglab/disagg/internal/page"
 )
 
-// referencePage builds page id the way FormatPage used to: one EncodeRecord
-// and one Insert per slot into a fresh page.
+// referencePage builds page id from its parts: the page layout's cells,
+// each holding the EncodeRecord cell of its key.
 func referencePage(t *testing.T, l heap.Layout, id page.ID) []byte {
 	t.Helper()
-	p := page.New(l.PageSize)
+	buf := make([]byte, l.PageSize)
+	cell := len(l.EncodeRecord(0, nil))
+	if err := page.Format(buf, l.PerPage, cell); err != nil {
+		t.Fatal(err)
+	}
+	p := page.Wrap(buf)
 	base := uint64(id) * uint64(l.PerPage)
 	for s := 0; s < l.PerPage; s++ {
-		if _, err := p.Insert(l.EncodeRecord(base+uint64(s), nil)); err != nil {
+		c, err := p.Cell(s)
+		if err != nil {
 			t.Fatal(err)
 		}
+		copy(c, l.EncodeRecord(base+uint64(s), nil))
 	}
-	return p.Bytes()
+	return buf
 }
 
 // Format writes the reference image byte for byte, over whatever the buffer
 // held, on E29's layout and two test layouts; FormatPage returns the same.
-func TestFormatMatchesInsertedRecords(t *testing.T) {
+func TestFormatMatchesEncodedRecords(t *testing.T) {
 	for _, sz := range []struct{ page, val int }{{8192, 1536}, {4096, 32}, {1024, 16}} {
 		l, err := heap.NewLayout(sz.page, sz.val)
 		if err != nil {
@@ -36,10 +43,10 @@ func TestFormatMatchesInsertedRecords(t *testing.T) {
 			buf := bytes.Repeat([]byte{0xAA}, l.PageSize)
 			l.Format(buf, id)
 			if !bytes.Equal(buf, want) {
-				t.Errorf("%d/%d page %d: Format differs from the EncodeRecord+Insert image", sz.page, sz.val, id)
+				t.Errorf("%d/%d page %d: Format differs from the EncodeRecord image", sz.page, sz.val, id)
 			}
 			if !bytes.Equal(l.FormatPage(id).Bytes(), want) {
-				t.Errorf("%d/%d page %d: FormatPage differs from the EncodeRecord+Insert image", sz.page, sz.val, id)
+				t.Errorf("%d/%d page %d: FormatPage differs from the EncodeRecord image", sz.page, sz.val, id)
 			}
 		}
 	}

@@ -43,11 +43,6 @@ func (l Layout) PageOf(key uint64) page.ID { return page.ID(key / uint64(l.PerPa
 // SlotOf maps a key to its slot within the page.
 func (l Layout) SlotOf(key uint64) int { return int(key % uint64(l.PerPage)) }
 
-// NumPages reports the number of pages needed for n keys.
-func (l Layout) NumPages(n uint64) uint64 {
-	return (n + uint64(l.PerPage) - 1) / uint64(l.PerPage)
-}
-
 // EncodeRecord builds a cell: key followed by the fixed-size value
 // (padded/truncated to ValSize).
 func (l Layout) EncodeRecord(key uint64, val []byte) []byte {
@@ -118,23 +113,22 @@ func (l Layout) ReadValue(data []byte, key uint64) ([]byte, error) {
 // raises the page LSN to lsn. It never lowers it: commits to different keys
 // of one page may apply out of LSN order, and under a lowered page LSN a
 // redo guard (skip records at or below it) re-applies an older record over
-// the newer value. A cell of the layout's size is rewritten where it lies,
-// byte for byte what EncodeRecord would build; any other size goes through
-// Update.
+// the newer value. The cell is rewritten where it lies, byte for byte what
+// EncodeRecord would build. Format gives every cell the layout's size, so a
+// cell of any other size is a corrupt page: WriteValue refuses it and leaves
+// the page as it was.
 func (l Layout) WriteValue(data []byte, key uint64, val []byte, lsn uint64) error {
 	p := page.Wrap(data)
-	slot := l.SlotOf(key)
-	cell, err := p.Cell(slot)
+	cell, err := p.Cell(l.SlotOf(key))
 	if err != nil {
 		return err
 	}
-	if len(cell) == recordOverhead+l.ValSize {
-		binary.LittleEndian.PutUint64(cell, key)
-		n := copy(cell[recordOverhead:], val)
-		clear(cell[recordOverhead+n:])
-	} else if err := p.Update(slot, l.EncodeRecord(key, val)); err != nil {
-		return err
+	if len(cell) != recordOverhead+l.ValSize {
+		return fmt.Errorf("%w: cell size %d, want %d", page.ErrCorruptPage, len(cell), recordOverhead+l.ValSize)
 	}
+	binary.LittleEndian.PutUint64(cell, key)
+	n := copy(cell[recordOverhead:], val)
+	clear(cell[recordOverhead+n:])
 	if lsn > p.LSN() {
 		p.SetLSN(lsn)
 	}

@@ -44,9 +44,6 @@ func TestKeyMapping(t *testing.T) {
 	if l.SlotOf(per+3) != 3 {
 		t.Fatal("slot mapping")
 	}
-	if l.NumPages(0) != 0 || l.NumPages(1) != 1 || l.NumPages(per) != 1 || l.NumPages(per+1) != 2 {
-		t.Fatal("NumPages rounding")
-	}
 }
 
 func TestRecordCodec(t *testing.T) {
@@ -132,67 +129,73 @@ func TestPropertyWriteReadAnyKey(t *testing.T) {
 }
 
 // WriteValue rewrites a cell where it lies; the page it leaves must be byte
-// for byte the one the EncodeRecord + page.Update path builds, including the
-// zeroed tail of a short value over a longer old one, the truncation of an
-// over-long value, and the Update fallback for a cell of another size.
-func TestWriteValueMatchesEncodeThenUpdate(t *testing.T) {
+// for byte the one copying EncodeRecord's cell over the old one builds,
+// including the zeroed tail of a short value over a longer old one and the
+// truncation of an over-long value.
+func TestWriteValueMatchesEncodeRecord(t *testing.T) {
 	l, _ := NewLayout(1024, 16)
 	const key = 3
 	reference := func(data []byte, val []byte, lsn uint64) error {
 		p := page.Wrap(data)
-		if err := p.Update(l.SlotOf(key), l.EncodeRecord(key, val)); err != nil {
+		cell, err := p.Cell(l.SlotOf(key))
+		if err != nil {
 			return err
 		}
+		copy(cell, l.EncodeRecord(key, val))
 		if lsn > 0 {
 			p.SetLSN(lsn)
 		}
 		return nil
 	}
 	full := bytes.Repeat([]byte{0xAB}, 16)
-	// Five records and free space behind them, so the fallback's growing
-	// Update has room (a FormatPage page is packed full).
-	sparse := func() []byte {
-		p := page.New(l.PageSize)
-		for k := uint64(0); k < 5; k++ {
-			if _, err := p.Insert(l.EncodeRecord(k, nil)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return p.Bytes()
-	}
 	for _, tc := range []struct {
-		name   string
-		shrink bool // the cell was replaced by a shorter one first
-		val    []byte
-		lsn    uint64
+		name string
+		val  []byte
+		lsn  uint64
 	}{
 		{name: "short", val: []byte("abc"), lsn: 9},
 		{name: "empty", val: nil, lsn: 9},
 		{name: "exact", val: []byte("0123456789abcdef"), lsn: 9},
 		{name: "over-long", val: []byte("0123456789abcdefXYZ"), lsn: 9},
 		{name: "no stamp", val: []byte("abc")},
-		{name: "other cell size", shrink: true, val: []byte("abc"), lsn: 9},
 	} {
-		got, want := sparse(), sparse()
+		got, want := l.FormatPage(0).Bytes(), l.FormatPage(0).Bytes()
 		for _, data := range [][]byte{got, want} {
 			if err := reference(data, full, 5); err != nil {
 				t.Fatal(err)
 			}
-			if tc.shrink {
-				if err := page.Wrap(data).Update(l.SlotOf(key), []byte{1, 2, 3}); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
 		if g, w := l.WriteValue(got, key, tc.val, tc.lsn), reference(want, tc.val, tc.lsn); g != w {
-			t.Errorf("%s: err = %v, EncodeRecord+Update path returns %v", tc.name, g, w)
+			t.Errorf("%s: err = %v, EncodeRecord path returns %v", tc.name, g, w)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: page differs from the EncodeRecord+Update path", tc.name)
+			t.Errorf("%s: page differs from the EncodeRecord path", tc.name)
 		}
 	}
-	if err := l.WriteValue(page.New(1024).Bytes(), key, nil, 1); !errors.Is(err, page.ErrBadSlot) {
-		t.Fatalf("empty page: err = %v, want ErrBadSlot", err)
+	if err := l.WriteValue(make([]byte, 1024), key, nil, 1); !errors.Is(err, page.ErrBadSlot) {
+		t.Fatalf("page without slots: err = %v, want ErrBadSlot", err)
+	}
+}
+
+// Format gives every cell the layout's size, so a cell of another size is a
+// corrupt page: WriteValue must refuse it and leave every byte as it was,
+// the page LSN included.
+func TestWriteValueRefusesCellOfAnotherSize(t *testing.T) {
+	l, _ := NewLayout(1024, 16)
+	const key = 3
+	for _, size := range []int{recordOverhead + l.ValSize - 1, recordOverhead + l.ValSize + 1, 3} {
+		data := make([]byte, l.PageSize)
+		if err := page.Format(data, 8, size); err != nil {
+			t.Fatal(err)
+		}
+		page.Wrap(data).SetLSN(5)
+		before := bytes.Clone(data)
+		if err := l.WriteValue(data, key, []byte("abc"), 9); !errors.Is(err, page.ErrCorruptPage) {
+			t.Errorf("cell of %d bytes: err = %v, want ErrCorruptPage", size, err)
+		}
+		if !bytes.Equal(data, before) {
+			t.Errorf("cell of %d bytes: refused write changed the page", size)
+		}
 	}
 }
 

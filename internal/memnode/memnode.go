@@ -1,8 +1,7 @@
-// Package memnode implements the disaggregated memory pool of §3: one or
-// more RDMA-attached memory nodes with a registered region, a first-fit
+// Package memnode implements the disaggregated memory pool of §3: an
+// RDMA-attached memory node with a registered region and a first-fit
 // allocator with an RPC allocation interface (control-plane operations go
-// through two-sided RPC; data-plane accesses are one-sided), and a
-// multi-node pool abstraction for capacity aggregation.
+// through two-sided RPC; data-plane accesses are one-sided).
 package memnode
 
 import (
@@ -32,9 +31,9 @@ type Pool struct {
 
 type span struct{ addr, size uint64 }
 
-// New creates a memory node with the given capacity. Allocation RPC
-// handlers ("alloc", "free") are registered so remote compute nodes can
-// manage memory with two-sided calls.
+// New creates a memory node with the given capacity. The "allocn" RPC
+// handler is registered so remote compute nodes allocate with two-sided
+// calls (Coalescer).
 func New(cfg *sim.Config, name string, size int) *Pool {
 	p := &Pool{
 		cfg:  cfg,
@@ -42,26 +41,6 @@ func New(cfg *sim.Config, name string, size int) *Pool {
 		free: []span{{0, uint64(size)}},
 		used: make(map[uint64]uint64),
 	}
-	p.node.Handle("alloc", func(c *sim.Clock, req []byte) []byte {
-		var out [16]byte
-		if len(req) != 8 {
-			binary.LittleEndian.PutUint64(out[8:], 1)
-			return out[:]
-		}
-		addr, err := p.Alloc(binary.LittleEndian.Uint64(req))
-		if err != nil {
-			binary.LittleEndian.PutUint64(out[8:], 1)
-			return out[:]
-		}
-		binary.LittleEndian.PutUint64(out[:8], addr)
-		return out[:]
-	})
-	p.node.Handle("free", func(c *sim.Clock, req []byte) []byte {
-		if len(req) == 8 {
-			p.Free(binary.LittleEndian.Uint64(req))
-		}
-		return nil
-	})
 	// Coalesced allocation: k sizes in, k (addr, status) pairs out, one
 	// RPC round trip for the lot. Per-item failures (fragmentation, OOM)
 	// are reported per item, not for the whole batch.
@@ -90,7 +69,7 @@ func (p *Pool) Connect(stats *rdma.Stats) *rdma.QP {
 }
 
 // Alloc reserves size bytes (8-byte aligned) and returns the address.
-// This is the node-local operation; remote callers use AllocRemote.
+// This is the node-local operation; remote callers use a Coalescer.
 func (p *Pool) Alloc(size uint64) (uint64, error) {
 	if size == 0 {
 		size = 8
@@ -157,36 +136,6 @@ func (p *Pool) UsedBytes() uint64 {
 	return n
 }
 
-// AllocRemote performs an allocation from a compute node over the fabric
-// (control-plane RPC).
-func AllocRemote(c *sim.Clock, qp *rdma.QP, size uint64) (uint64, error) {
-	op := qp.Config().Begin(c, "memnode.alloc")
-	var req [8]byte
-	binary.LittleEndian.PutUint64(req[:], size)
-	resp, err := qp.Call(c, "alloc", req[:])
-	op.End(int64(size))
-	if err != nil {
-		return 0, err
-	}
-	if len(resp) != 16 {
-		return 0, fmt.Errorf("memnode: bad alloc response (%d bytes)", len(resp))
-	}
-	if binary.LittleEndian.Uint64(resp[8:]) != 0 {
-		return 0, ErrOutOfMemory
-	}
-	return binary.LittleEndian.Uint64(resp[:8]), nil
-}
-
-// FreeRemote releases an allocation over the fabric.
-func FreeRemote(c *sim.Clock, qp *rdma.QP, addr uint64) error {
-	op := qp.Config().Begin(c, "memnode.free")
-	var req [8]byte
-	binary.LittleEndian.PutUint64(req[:], addr)
-	_, err := qp.Call(c, "free", req[:])
-	op.End(0)
-	return err
-}
-
 type allocResult struct {
 	addr uint64
 	ok   bool
@@ -250,44 +199,3 @@ func (co *Coalescer) Alloc(c *sim.Clock, size uint64) (uint64, error) {
 
 // Stats snapshots the coalescer's flush counters.
 func (co *Coalescer) Stats() sim.BatcherStats { return co.b.Stats() }
-
-// Cluster aggregates several memory nodes into one logical pool with
-// capacity-based placement (the "near-infinite memory illusion" of §1).
-type Cluster struct {
-	cfg   *sim.Config
-	Pools []*Pool
-}
-
-// NewCluster builds n nodes of size bytes each.
-func NewCluster(cfg *sim.Config, n, size int) *Cluster {
-	cl := &Cluster{cfg: cfg}
-	for i := 0; i < n; i++ {
-		cl.Pools = append(cl.Pools, New(cfg, fmt.Sprintf("mem-%d", i), size))
-	}
-	return cl
-}
-
-// Alloc places the allocation on the node with the most free capacity.
-func (cl *Cluster) Alloc(size uint64) (*Pool, uint64, error) {
-	var best *Pool
-	var bestFree uint64
-	for _, p := range cl.Pools {
-		if f := p.FreeBytes(); best == nil || f > bestFree {
-			best, bestFree = p, f
-		}
-	}
-	if best == nil {
-		return nil, 0, ErrOutOfMemory
-	}
-	addr, err := best.Alloc(size)
-	return best, addr, err
-}
-
-// TotalFree reports aggregate free capacity.
-func (cl *Cluster) TotalFree() uint64 {
-	var n uint64
-	for _, p := range cl.Pools {
-		n += p.FreeBytes()
-	}
-	return n
-}

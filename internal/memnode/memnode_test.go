@@ -1,6 +1,7 @@
 package memnode
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 	"testing"
@@ -99,65 +100,6 @@ func TestAllocFreeProperty(t *testing.T) {
 	}
 }
 
-func TestRemoteAllocFree(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	p := New(cfg, "m0", 4096)
-	qp := p.Connect(nil)
-	c := sim.NewClock()
-	addr, err := AllocRemote(c, qp, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Now() < cfg.RDMARPC.Base {
-		t.Fatal("remote alloc did not charge an RPC")
-	}
-	// Data-plane: one-sided write/read to the allocation.
-	if err := qp.Write(c, addr, []byte("payload!")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 8)
-	qp.Read(c, addr, buf)
-	if string(buf) != "payload!" {
-		t.Fatalf("read back %q", buf)
-	}
-	if err := FreeRemote(c, qp, addr); err != nil {
-		t.Fatal(err)
-	}
-	if p.FreeBytes() != 4096 {
-		t.Fatalf("free bytes = %d", p.FreeBytes())
-	}
-	// Exhausted remote alloc surfaces ErrOutOfMemory.
-	if _, err := AllocRemote(c, qp, 1<<20); err != ErrOutOfMemory {
-		t.Fatalf("oversize remote alloc: %v", err)
-	}
-}
-
-func TestClusterPlacement(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cl := NewCluster(cfg, 3, 1024)
-	if cl.TotalFree() != 3072 {
-		t.Fatalf("total = %d", cl.TotalFree())
-	}
-	// Placements should spread by free capacity.
-	used := make(map[*Pool]int)
-	for i := 0; i < 6; i++ {
-		p, _, err := cl.Alloc(512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		used[p]++
-	}
-	if len(used) != 3 {
-		t.Fatalf("allocations landed on %d/3 nodes", len(used))
-	}
-	if cl.TotalFree() != 0 {
-		t.Fatalf("total free = %d", cl.TotalFree())
-	}
-	if _, _, err := cl.Alloc(8); err != ErrOutOfMemory {
-		t.Fatalf("alloc beyond cluster: %v", err)
-	}
-}
-
 func TestCoalescerAllocatesAndAmortizes(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	p := New(cfg, "mem0", 1<<20)
@@ -233,5 +175,51 @@ func TestAllocNHandlerMixedOutcomes(t *testing.T) {
 	}
 	if binary.LittleEndian.Uint64(resp[24:32]) == 0 {
 		t.Fatal("second alloc should fail per-item")
+	}
+}
+
+// An address the coalescer allocates is the pool's: one-sided writes to it
+// read back, the pool counts it used, and Free returns it.
+func TestCoalescedAllocIsRemotelyAddressable(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	p := New(cfg, "mem0", 1<<16)
+	qp := p.Connect(nil)
+	co := NewCoalescer(qp, 1, 0)
+	c := sim.NewClock()
+	addr, err := co.Alloc(c, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.UsedBytes() != 64 {
+		t.Fatalf("used = %d, want 64", p.UsedBytes())
+	}
+	want := bytes.Repeat([]byte{0x5A}, 64)
+	if err := qp.Write(c, addr, want); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 64)
+	if err := qp.Read(c, addr, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("one-sided read differs from the write")
+	}
+	p.Free(addr)
+	if p.FreeBytes() != 1<<16 {
+		t.Fatalf("free = %d after Free, want the whole pool", p.FreeBytes())
+	}
+}
+
+// With the memory node down the coalesced RPC fails and allocates nothing.
+func TestCoalescerFailsWhenTheNodeIsDown(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	p := New(cfg, "mem0", 1<<16)
+	co := NewCoalescer(p.Connect(nil), 1, 0)
+	p.Node().Fail()
+	if _, err := co.Alloc(sim.NewClock(), 64); err == nil || err == ErrOutOfMemory {
+		t.Fatalf("alloc on a failed node: err = %v, want the RPC's error", err)
+	}
+	if p.UsedBytes() != 0 {
+		t.Fatalf("used = %d, want 0", p.UsedBytes())
 	}
 }

@@ -80,30 +80,6 @@ func (h *Hist) Record(d time.Duration) {
 	}
 }
 
-// Merge folds all of o's observations into h. o may be nil or empty. Like
-// Quantile, Merge reads o bucket-by-bucket without a global snapshot, so
-// merging a histogram that is being recorded into concurrently yields some
-// consistent interleaving, not a point-in-time copy.
-func (h *Hist) Merge(o *Hist) {
-	if o == nil {
-		return
-	}
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	om := o.max.Load()
-	for {
-		cur := h.max.Load()
-		if om <= cur || h.max.CompareAndSwap(cur, om) {
-			break
-		}
-	}
-}
-
 // Count reports the number of observations.
 func (h *Hist) Count() int64 { return h.count.Load() }
 

@@ -237,3 +237,30 @@ func TestSummarizeQuantileRanks(t *testing.T) {
 		}
 	}
 }
+
+func TestHistEmptyMeanIsZero(t *testing.T) {
+	var h Hist
+	if h.Mean() != 0 || h.Count() != 0 {
+		t.Fatalf("empty histogram: mean %v, count %d", h.Mean(), h.Count())
+	}
+}
+
+// Table cells render floats compactly: millions as M, thousands as k, one
+// decimal from ten up, three below.
+func TestTableFormatsFloats(t *testing.T) {
+	cases := map[float64]string{
+		0:     "0",
+		2.5e6: "2.50M",
+		-3e6:  "-3.00M",
+		1234:  "1.2k",
+		-1500: "-1.5k",
+		12.34: "12.3",
+		0.125: "0.125",
+		-0.5:  "-0.500",
+	}
+	for v, want := range cases {
+		if got := formatCell(v); got != want {
+			t.Errorf("formatCell(%v) = %q, want %q", v, got, want)
+		}
+	}
+}

@@ -2,297 +2,126 @@ package page
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
-	"testing/quick"
-
-	"github.com/disagglab/disagg/internal/sim"
 )
 
-func TestInsertAndCell(t *testing.T) {
-	p := New(256)
-	s1, err := p.Insert([]byte("hello"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := p.Insert([]byte("world!"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 == s2 {
-		t.Fatal("duplicate slot numbers")
-	}
-	c1, _ := p.Cell(s1)
-	c2, _ := p.Cell(s2)
-	if string(c1) != "hello" || string(c2) != "world!" {
-		t.Fatalf("cells = %q, %q", c1, c2)
-	}
-	if p.LiveCells() != 2 {
-		t.Fatalf("live = %d", p.LiveCells())
-	}
-}
-
 func TestLSNRoundTrip(t *testing.T) {
-	p := New(128)
+	p := Wrap(make([]byte, 128))
 	p.SetLSN(0xDEADBEEF12345678)
 	if p.LSN() != 0xDEADBEEF12345678 {
 		t.Fatalf("LSN = %x", p.LSN())
 	}
 }
 
-func TestPageFull(t *testing.T) {
-	p := New(64)
-	var err error
-	inserted := 0
-	for {
-		_, err = p.Insert([]byte("0123456789"))
-		if err != nil {
-			break
-		}
-		inserted++
+// packed builds the page Format promises, field by field from the layout in
+// the package doc: n zeroed cells of size bytes packed from the back.
+func packed(pageSize, n, size int) []byte {
+	buf := make([]byte, pageSize)
+	off := pageSize
+	for i := 0; i < n; i++ {
+		off -= size
+		binary.LittleEndian.PutUint16(buf[headerSize+i*slotSize:], uint16(off))
+		binary.LittleEndian.PutUint16(buf[headerSize+i*slotSize+2:], uint16(size))
 	}
-	if err != ErrPageFull {
-		t.Fatalf("err = %v, want ErrPageFull", err)
-	}
-	if inserted == 0 {
-		t.Fatal("nothing fit in page")
-	}
+	binary.LittleEndian.PutUint16(buf[8:], uint16(n))
+	binary.LittleEndian.PutUint16(buf[10:], uint16(off))
+	return buf
 }
 
-func TestDeleteAndSlotReuse(t *testing.T) {
-	p := New(256)
-	s0, _ := p.Insert([]byte("aaa"))
-	s1, _ := p.Insert([]byte("bbb"))
-	if err := p.Delete(s0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Cell(s0); err != ErrBadSlot {
-		t.Fatalf("deleted cell readable: %v", err)
-	}
-	if err := p.Delete(s0); err != ErrBadSlot {
-		t.Fatal("double delete should fail")
-	}
-	// Slot numbers stay stable for survivors.
-	c, _ := p.Cell(s1)
-	if string(c) != "bbb" {
-		t.Fatalf("survivor = %q", c)
-	}
-	// New insert reuses the deleted slot.
-	s2, _ := p.Insert([]byte("ccc"))
-	if s2 != s0 {
-		t.Fatalf("slot not reused: got %d, want %d", s2, s0)
-	}
-}
-
-func TestUpdateInPlaceAndGrow(t *testing.T) {
-	p := New(256)
-	s, _ := p.Insert([]byte("abcdef"))
-	if err := p.Update(s, []byte("xyz")); err != nil { // shrink in place
-		t.Fatal(err)
-	}
-	c, _ := p.Cell(s)
-	if string(c) != "xyz" {
-		t.Fatalf("after shrink = %q", c)
-	}
-	if err := p.Update(s, []byte("a much longer cell value")); err != nil {
-		t.Fatal(err)
-	}
-	c, _ = p.Cell(s)
-	if string(c) != "a much longer cell value" {
-		t.Fatalf("after grow = %q", c)
-	}
-}
-
-func TestUpdateBadSlot(t *testing.T) {
-	p := New(128)
-	if err := p.Update(0, []byte("x")); err != ErrBadSlot {
-		t.Fatal("update of missing slot should fail")
-	}
-	if err := p.Update(-1, nil); err != ErrBadSlot {
-		t.Fatal("negative slot should fail")
-	}
-}
-
-func TestCompactReclaimsHoles(t *testing.T) {
-	p := New(256)
-	var slots []int
-	for i := 0; i < 8; i++ {
-		s, err := p.Insert(bytes.Repeat([]byte{byte('a' + i)}, 16))
-		if err != nil {
-			t.Fatal(err)
-		}
-		slots = append(slots, s)
-	}
-	freeBefore := p.FreeSpace()
-	for i := 0; i < 8; i += 2 {
-		p.Delete(slots[i])
-	}
-	p.Compact()
-	if p.FreeSpace() <= freeBefore {
-		t.Fatalf("compact did not reclaim: before %d after %d", freeBefore, p.FreeSpace())
-	}
-	// Survivors intact.
-	for i := 1; i < 8; i += 2 {
-		c, err := p.Cell(slots[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(c, bytes.Repeat([]byte{byte('a' + i)}, 16)) {
-			t.Fatalf("slot %d corrupted after compact: %q", slots[i], c)
-		}
-	}
-}
-
-func TestValidate(t *testing.T) {
-	p := New(128)
-	p.Insert([]byte("ok"))
-	if err := p.Validate(); err != nil {
-		t.Fatalf("valid page rejected: %v", err)
-	}
-	// Corrupt the slot count.
-	bad := p.Clone()
-	bad.Bytes()[8] = 0xFF
-	bad.Bytes()[9] = 0xFF
-	if err := bad.Validate(); err == nil {
-		t.Fatal("corrupt slot count accepted")
-	}
-	if err := Wrap([]byte{1, 2}).Validate(); err == nil {
-		t.Fatal("tiny buffer accepted")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	p := New(128)
-	s, _ := p.Insert([]byte("orig"))
-	q := p.Clone()
-	p.Update(s, []byte("mut!"))
-	c, _ := q.Cell(s)
-	if string(c) != "orig" {
-		t.Fatal("clone aliases original")
-	}
-}
-
-func TestPropertyInsertedCellsReadable(t *testing.T) {
-	f := func(cells [][]byte) bool {
-		p := New(4096)
-		var want [][]byte
-		var slots []int
-		for _, c := range cells {
-			if len(c) > 512 {
-				c = c[:512]
-			}
-			s, err := p.Insert(c)
-			if err != nil {
-				break
-			}
-			slots = append(slots, s)
-			want = append(want, c)
-		}
-		if p.Validate() != nil {
-			return false
-		}
-		for i, s := range slots {
-			got, err := p.Cell(s)
-			if err != nil || !bytes.Equal(got, want[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyRandomOpsStayValid(t *testing.T) {
-	// Random interleavings of insert/update/delete/compact keep the page
-	// structurally valid and the model map consistent.
-	const seed = 11
-	t.Logf("seed=%d", seed)
-	r := sim.NewRand(seed, 0)
-	p := New(1024)
-	model := make(map[int][]byte)
-	for step := 0; step < 5000; step++ {
-		switch r.Intn(4) {
-		case 0: // insert
-			c := make([]byte, 1+r.Intn(40))
-			r.Read(c)
-			if s, err := p.Insert(c); err == nil {
-				model[s] = append([]byte(nil), c...)
-			}
-		case 1: // update
-			for s := range model {
-				c := make([]byte, 1+r.Intn(40))
-				r.Read(c)
-				if err := p.Update(s, c); err == nil {
-					model[s] = append([]byte(nil), c...)
-				}
-				break
-			}
-		case 2: // delete
-			for s := range model {
-				if err := p.Delete(s); err != nil {
-					t.Fatalf("step %d: delete live slot: %v", step, err)
-				}
-				delete(model, s)
-				break
-			}
-		case 3:
-			p.Compact()
-		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-	}
-	for s, want := range model {
-		got, err := p.Cell(s)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("slot %d diverged from model: %q vs %q (%v)", s, got, want, err)
-		}
-	}
-	if p.LiveCells() != len(model) {
-		t.Fatalf("live cells %d, model %d", p.LiveCells(), len(model))
-	}
-}
-
-func TestTinyPageDefaultsToStandardSize(t *testing.T) {
-	p := New(4)
-	if p.Size() != DefaultSize {
-		t.Fatalf("size = %d", p.Size())
-	}
-}
-
-func TestCellTooBig(t *testing.T) {
-	p := New(8192)
-	if _, err := p.Insert(make([]byte, 0xFFFF)); err != ErrCellTooBig {
-		t.Fatalf("err = %v, want ErrCellTooBig", err)
-	}
-}
-
-// Format over a dirty buffer builds the page n Inserts of zeroed cells build
-// on a fresh one, up to a full page; one cell more fails and leaves the
-// buffer alone.
-func TestFormatMatchesInserts(t *testing.T) {
+// Format over a dirty buffer builds the packed page, up to a full page, and
+// every cell reads back as its own zeroed slice.
+func TestFormatPacksCellsFromTheBack(t *testing.T) {
 	const size, cell = 256, 20
 	for n := 0; headerSize+n*(slotSize+cell) <= size; n++ {
-		want := New(size)
-		for i := 0; i < n; i++ {
-			if _, err := want.Insert(make([]byte, cell)); err != nil {
-				t.Fatal(err)
-			}
-		}
 		buf := bytes.Repeat([]byte{0xAA}, size)
 		if err := Format(buf, n, cell); err != nil {
 			t.Fatalf("%d cells: %v", n, err)
 		}
-		if !bytes.Equal(buf, want.Bytes()) {
-			t.Fatalf("%d cells: Format differs from %d Inserts", n, n)
+		if !bytes.Equal(buf, packed(size, n, cell)) {
+			t.Fatalf("%d cells: Format differs from the packed layout", n)
+		}
+		p := Wrap(buf)
+		for i := 0; i < n; i++ {
+			c, err := p.Cell(i)
+			if err != nil || len(c) != cell || &c[0] != &buf[size-(i+1)*cell] {
+				t.Fatalf("%d cells: slot %d = %d bytes, %v; want the %d bytes before slot %d's", n, i, len(c), err, cell, i-1)
+			}
 		}
 	}
+}
+
+// One cell more than fits fails with ErrPageFull and leaves the buffer
+// alone.
+func TestPageFull(t *testing.T) {
+	const size, cell = 256, 20
 	buf := bytes.Repeat([]byte{0xAA}, size)
 	if err := Format(buf, (size-headerSize)/(slotSize+cell)+1, cell); err != ErrPageFull {
 		t.Fatalf("one cell too many: err = %v, want ErrPageFull", err)
 	}
 	if !bytes.Equal(buf, bytes.Repeat([]byte{0xAA}, size)) {
 		t.Fatal("a failed Format wrote to the buffer")
+	}
+}
+
+// A cell whose length would read as the no-cell marker, or longer, fails
+// with ErrCellTooBig however large the buffer, and leaves it alone.
+func TestCellTooBig(t *testing.T) {
+	buf := bytes.Repeat([]byte{0xAA}, 2*noCell)
+	for _, cell := range []int{noCell, noCell + 1} {
+		if err := Format(buf, 1, cell); err != ErrCellTooBig {
+			t.Fatalf("cell of %d bytes: err = %v, want ErrCellTooBig", cell, err)
+		}
+	}
+	if !bytes.Equal(buf, bytes.Repeat([]byte{0xAA}, 2*noCell)) {
+		t.Fatal("a failed Format wrote to the buffer")
+	}
+}
+
+// Wrap reads an image in place: Bytes is the wrapped buffer, and a page
+// LSN set through one wrapper is the image's, read by any other.
+func TestWrapReadsTheImageInPlace(t *testing.T) {
+	buf := make([]byte, 128)
+	if err := Format(buf, 2, 16); err != nil {
+		t.Fatal(err)
+	}
+	p := Wrap(buf)
+	if &p.Bytes()[0] != &buf[0] || len(p.Bytes()) != len(buf) {
+		t.Fatal("Bytes is not the wrapped buffer")
+	}
+	p.SetLSN(42)
+	if q := Wrap(buf); q.LSN() != 42 || q.NumSlots() != 2 {
+		t.Fatalf("second wrapper reads LSN %d, %d slots; want 42, 2", q.LSN(), q.NumSlots())
+	}
+	c, _ := p.Cell(1)
+	c[0] = 7
+	if buf[len(buf)-32] != 7 {
+		t.Fatal("a cell write did not land in the wrapped buffer")
+	}
+}
+
+// Cell refuses a slot outside the directory or holding no cell, and a slot
+// whose cell runs past the buffer (a torn or poisoned image).
+func TestCellChecksBounds(t *testing.T) {
+	buf := make([]byte, 128)
+	if err := Format(buf, 3, 8); err != nil {
+		t.Fatal(err)
+	}
+	p := Wrap(buf)
+	for _, slot := range []int{-1, 3} {
+		if _, err := p.Cell(slot); err != ErrBadSlot {
+			t.Fatalf("slot %d of 3: err = %v, want ErrBadSlot", slot, err)
+		}
+	}
+	p.setSlot(1, 0, noCell)
+	if _, err := p.Cell(1); err != ErrBadSlot {
+		t.Fatalf("slot of length %#x: err = %v, want ErrBadSlot", noCell, err)
+	}
+	p.setSlot(2, 124, 8)
+	if _, err := p.Cell(2); err != ErrCorruptPage {
+		t.Fatalf("cell past the buffer: err = %v, want ErrCorruptPage", err)
+	}
+	if _, err := Wrap(bytes.Repeat([]byte{0xFF}, 128)).Cell(0); err != ErrBadSlot {
+		t.Fatalf("released (0xFF-poisoned) buffer: err = %v, want ErrBadSlot", err)
 	}
 }

@@ -134,92 +134,6 @@ func (s *Scan) pruned(b int) bool {
 	return false
 }
 
-// Project reorders/subsets columns of its input.
-type Project struct {
-	in   Operator
-	cols []string
-	idx  []int
-}
-
-// NewProject builds a projection.
-func NewProject(in Operator, cols ...string) (*Project, error) {
-	p := &Project{in: in, cols: cols}
-	for _, c := range cols {
-		i, err := in.Schema().ColIndex(c)
-		if err != nil {
-			return nil, err
-		}
-		p.idx = append(p.idx, i)
-	}
-	return p, nil
-}
-
-// Schema implements Operator.
-func (p *Project) Schema() Schema { return Schema{Cols: p.cols} }
-
-// Next implements Operator.
-func (p *Project) Next(c *sim.Clock) (*Batch, error) {
-	b, err := p.in.Next(c)
-	if err != nil || b == nil {
-		return nil, err
-	}
-	out := &Batch{Cols: make([][]int64, len(p.idx))}
-	for i, ci := range p.idx {
-		out.Cols[i] = b.Cols[ci]
-	}
-	return out, nil
-}
-
-// Filter applies a predicate to an operator's output (post-scan residual
-// filtering).
-type Filter struct {
-	cfg  *sim.Config
-	in   Operator
-	pred Predicate
-	idx  int
-}
-
-// NewFilter builds a filter.
-func NewFilter(cfg *sim.Config, in Operator, pred Predicate) (*Filter, error) {
-	i, err := in.Schema().ColIndex(pred.Col)
-	if err != nil {
-		return nil, err
-	}
-	return &Filter{cfg: cfg, in: in, pred: pred, idx: i}, nil
-}
-
-// Schema implements Operator.
-func (f *Filter) Schema() Schema { return f.in.Schema() }
-
-// Next implements Operator.
-func (f *Filter) Next(c *sim.Clock) (*Batch, error) {
-	for {
-		b, err := f.in.Next(c)
-		if err != nil || b == nil {
-			return nil, err
-		}
-		c.Advance(f.cfg.CPU.Cost(b.Len() * 8))
-		var sel []int
-		for r := 0; r < b.Len(); r++ {
-			if f.pred.Matches(b.Cols[f.idx][r]) {
-				sel = append(sel, r)
-			}
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		out := &Batch{Cols: make([][]int64, len(b.Cols))}
-		for i := range b.Cols {
-			vals := make([]int64, len(sel))
-			for j, r := range sel {
-				vals[j] = b.Cols[i][r]
-			}
-			out.Cols[i] = vals
-		}
-		return out, nil
-	}
-}
-
 // AggSpec is one aggregate: SUM(col) or COUNT(*) (Col == "").
 type AggSpec struct {
 	Col string

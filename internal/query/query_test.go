@@ -107,24 +107,6 @@ func TestScanPruningSkipsBlocks(t *testing.T) {
 	}
 }
 
-func TestProjectAndFilter(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	src := NewLocalSource(cfg, testTable(100))
-	scan, _ := NewScan(cfg, src, []string{"id", "dbl"}, nil, false)
-	proj, err := NewProject(scan, "dbl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	filt, err := NewFilter(cfg, proj, Predicate{Col: "dbl", Lo: 0, Hi: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := Collect(sim.NewClock(), filt)
-	if out.Len() != 5 || len(out.Cols) != 1 {
-		t.Fatalf("got %d rows x %d cols", out.Len(), len(out.Cols))
-	}
-}
-
 func TestHashAggGrouped(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	src := NewLocalSource(cfg, testTable(1000))

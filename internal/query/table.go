@@ -2,7 +2,8 @@
 // experiments: columnar tables with block-level zone maps (min-max
 // pruning, §2.2), column sources backed by local DRAM, disaggregated
 // memory, CXL, or object storage, and pull-based vectorized operators
-// (scan, filter, project, hash join with spilling, hash aggregation).
+// (a scan that filters and projects, hash join with spilling, hash
+// aggregation).
 package query
 
 import (

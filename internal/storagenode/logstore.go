@@ -264,49 +264,6 @@ func (ls *LogStore) Len() int {
 	return len(ls.records)
 }
 
-// Since returns records with LSN > after (replay on recovery), charging
-// network transfer for the shipped bytes. Requests reaching below the
-// truncation floor fail with wal.ErrTruncated rather than yielding a
-// silent partial prefix — recovery must start from checkpointed state at
-// or above the floor.
-func (ls *LogStore) Since(c *sim.Clock, after wal.LSN) ([]wal.Record, error) {
-	op := ls.cfg.Begin(c, "logstore.read")
-	if f := ls.cfg.Inject(c, "logstore.read"); f.Drop || f.Torn {
-		op.End(0)
-		return nil, f.FaultErr()
-	}
-	ls.mu.Lock()
-	if ls.failed {
-		ls.mu.Unlock()
-		op.End(0)
-		return nil, ErrReplicaDown
-	}
-	if after+1 < ls.floor {
-		floor := ls.floor
-		ls.mu.Unlock()
-		op.End(0)
-		return nil, fmt.Errorf("%w: since %d, floor %d", wal.ErrTruncated, after, floor)
-	}
-	var out []wal.Record
-	for _, r := range ls.records {
-		if r.LSN > after {
-			out = append(out, r)
-		}
-	}
-	ls.mu.Unlock()
-	var read time.Duration
-	n := encodedSize(out)
-	switch ls.medium {
-	case MediumPM:
-		read = ls.cfg.RDMA.Cost(n)
-	default:
-		read = ls.cfg.TCP.Cost(n) + ls.cfg.SSDRead.Cost(n)
-	}
-	ls.meter.Charge(c, read)
-	op.End(int64(n))
-	return out, nil
-}
-
 // LogStoreGroup replicates a log store N ways with a write quorum — the
 // Taurus log-store arrangement (synchronously replicated logs; frugal
 // asynchronous pages).

@@ -392,7 +392,7 @@ func (r *Replica) ReadPage(c *sim.Clock, id page.ID, minLSN wal.LSN) ([]byte, er
 	}
 	data := r.materializeLocked(c, id)
 	// Fresh enough if the log prefix covers minLSN, or the materialized
-	// page itself is already at minLSN (e.g. installed via WritePage).
+	// page itself is already at minLSN (e.g. copied by adoptCheckpoint).
 	if r.prefixLSN < minLSN && wal.LSN(page.Wrap(data).LSN()) < minLSN {
 		op.End(0)
 		return nil, ErrStaleReplica
@@ -403,34 +403,6 @@ func (r *Replica) ReadPage(c *sim.Clock, id page.ID, minLSN wal.LSN) ([]byte, er
 	out := page.Alloc(len(data))
 	copy(out, data)
 	return out, nil
-}
-
-// WritePage installs a full page image (page-shipping path used by PolarDB
-// alongside log shipping, and by checkpointers).
-func (r *Replica) WritePage(c *sim.Clock, id page.ID, data []byte) error {
-	op := r.cfg.Begin(c, "replica.write")
-	if f := r.cfg.Inject(c, "replica.write"); f.Drop || f.Torn {
-		op.End(0)
-		return f.FaultErr()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.failed {
-		op.End(0)
-		return ErrReplicaDown
-	}
-	r.nic.Charge(c, sim.LatencyModel{Base: r.cfg.TCP.Base, BytesPerSec: r.cfg.TCP.BytesPerSec}.Cost(len(data)))
-	op.End(int64(len(data)))
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	r.pages[id] = cp
-	if lsn := wal.LSN(page.Wrap(cp).LSN()); lsn > r.highLSN {
-		r.highLSN = lsn
-	}
-	// Page image supersedes pending records at or below its LSN.
-	pl := wal.LSN(page.Wrap(cp).LSN())
-	r.prunePendingLocked(id, func(rec *wal.Record) bool { return rec.LSN > pl })
-	return nil
 }
 
 // pendingPagesLocked lists the pages with unmaterialised records.
@@ -465,7 +437,7 @@ func (r *Replica) Horizon() wal.LSN {
 // AdvanceHorizon adopts a new recovery horizon: the caller (a checkpoint
 // coordinator) asserts this replica's state covers every LSN <= h —
 // either the records have all been delivered (converged via catch-up) or
-// checkpointed page images were installed via WritePage. The replica
+// checkpointed page images were copied by adoptCheckpoint. The replica
 // materializes what the horizon completes, advances its contiguous
 // prefix to h, and drops bookkeeping at or below it; subsequent
 // re-deliveries at or below h are absorbed rather than re-materialized.
@@ -671,7 +643,7 @@ func (s *shipment) charge(c *sim.Clock) {
 // truncated past this replica's prefix the gap is unrecoverable from the
 // log: the replica ships nothing (rather than silently skipping the gap
 // and later serving partially materialized pages) and must instead adopt
-// checkpointed page images via CatchUpFrom/WritePage.
+// checkpointed page images via CatchUpFrom.
 func (r *Replica) CatchUpFromLog(c *sim.Clock, log *wal.Log) int {
 	r.mu.Lock()
 	if r.failed {

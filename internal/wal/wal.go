@@ -145,20 +145,6 @@ func DecodePrefix(p []byte) ([]Record, int, error) {
 	return out, used, nil
 }
 
-// DecodeAll parses a concatenation of records.
-func DecodeAll(p []byte) ([]Record, error) {
-	var out []Record
-	for len(p) > 0 {
-		r, n, err := Decode(p)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-		p = p[n:]
-	}
-	return out, nil
-}
-
 // ErrTruncated is returned by Range when the requested range reaches
 // below the truncation floor: records there were discarded by a
 // checkpoint, so a replay from that point would silently miss updates.

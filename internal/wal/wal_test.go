@@ -92,24 +92,6 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	}
 }
 
-func TestDecodeAllConcatenation(t *testing.T) {
-	var buf []byte
-	for i := 0; i < 5; i++ {
-		r := sampleRecord()
-		r.LSN = LSN(i + 1)
-		buf = r.Encode(buf)
-	}
-	rs, err := DecodeAll(buf)
-	if err != nil || len(rs) != 5 {
-		t.Fatalf("decoded %d records, err %v", len(rs), err)
-	}
-	for i, r := range rs {
-		if r.LSN != LSN(i+1) {
-			t.Fatalf("record %d LSN %d", i, r.LSN)
-		}
-	}
-}
-
 func TestLogAppendAssignsMonotonicLSNs(t *testing.T) {
 	l := NewLog()
 	l1 := l.Append(Record{Type: TypeUpdate})

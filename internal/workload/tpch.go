@@ -8,9 +8,9 @@ import (
 	"github.com/disagglab/disagg/internal/sim"
 )
 
-// TPCH generates a TPC-H-lite schema: lineitem, orders and customer tables
-// with the columns the Q1/Q3/Q5/Q6-shaped queries need. Values are scaled
-// to int64 (prices in cents, dates as day numbers).
+// TPCH generates a TPC-H-lite schema: lineitem and orders tables with the
+// columns the Q1/Q3/Q6-shaped queries need, plus a customer table. Values
+// are scaled to int64 (prices in cents, dates as day numbers).
 type TPCH struct {
 	// ScaleRows is the lineitem row count; orders = ScaleRows/4,
 	// customers = ScaleRows/40.
@@ -134,46 +134,6 @@ func Q1(cfg *sim.Config, src query.Source, dateHi int64) (query.Operator, error)
 		return nil, err
 	}
 	return query.NewHashAgg(cfg, scan, LFlag, query.AggSpec{Col: LPrice}, query.AggSpec{Col: LQuantity}, query.AggSpec{}), nil
-}
-
-// Q3Top builds the full Q3 shape including the ORDER BY revenue LIMIT k
-// tail on top of the join+aggregate.
-func Q3Top(cfg *sim.Config, li query.Source, ord query.Source, cutoff int64, k int, budget *query.MemoryBudget) (query.Operator, error) {
-	agg, err := Q3(cfg, li, ord, cutoff, budget)
-	if err != nil {
-		return nil, err
-	}
-	return query.NewTopK(cfg, agg, "sum_"+LPrice, k, false), nil
-}
-
-// Q5 builds the TPC-H Q5-shaped plan: lineitem ⋈ orders ⋈ customer,
-// revenue grouped by customer nation for orders in a date window.
-//
-//	SELECT c_nationkey, sum(l_extendedprice)
-//	FROM lineitem JOIN orders JOIN customer
-//	WHERE o_orderdate in [dateLo, dateHi) GROUP BY c_nationkey
-func Q5(cfg *sim.Config, li, ord, cust query.Source, dateLo, dateHi int64, budget *query.MemoryBudget) (query.Operator, error) {
-	ordScan, err := query.NewScan(cfg, ord, []string{OOrderKey, OCustKey}, []query.Predicate{
-		{Col: OOrderDate, Lo: dateLo, Hi: dateHi},
-	}, true)
-	if err != nil {
-		return nil, err
-	}
-	custScan, err := query.NewScan(cfg, cust, []string{CCustKey, CNation}, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	// customer ⋈ orders on custkey (customer is the small build side).
-	co := query.NewHashJoin(cfg, custScan, ordScan, CCustKey, OCustKey, nil)
-	// (customer ⋈ orders) ⋈ lineitem on orderkey.
-	liScan, err := query.NewScan(cfg, li, []string{LOrderKey, LPrice}, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	col := query.NewHashJoin(cfg, co, liScan, OOrderKey, LOrderKey, budget)
-	// Joined schema: lineitem cols, then b_-prefixed (customer⋈orders)
-	// cols — the nation arrives as b_b_c_nationkey.
-	return query.NewHashAgg(cfg, col, "b_b_"+CNation, query.AggSpec{Col: LPrice}), nil
 }
 
 // Q3 builds the TPC-H Q3-shaped plan: join lineitem with orders (budgeted,

@@ -22,9 +22,6 @@ type YCSB struct {
 	ValueSize int
 }
 
-// YCSBA returns the classic 50/50 update-heavy mix.
-func YCSBA(keys uint64) YCSB { return YCSB{Keys: keys, ReadFrac: 0.5, Theta: 1.1, ValueSize: 100} }
-
 // YCSBB returns the 95/5 read-heavy mix.
 func YCSBB(keys uint64) YCSB { return YCSB{Keys: keys, ReadFrac: 0.95, Theta: 1.1, ValueSize: 100} }
 

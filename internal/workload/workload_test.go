@@ -21,8 +21,8 @@ func TestYCSBMixRatio(t *testing.T) {
 }
 
 func TestYCSBDeterministicPerWorker(t *testing.T) {
-	a := YCSBA(1000).NewGenerator(7, 3)
-	b := YCSBA(1000).NewGenerator(7, 3)
+	a := YCSB{Keys: 1000, ReadFrac: 0.5, Theta: 1.1, ValueSize: 100}.NewGenerator(7, 3)
+	b := YCSB{Keys: 1000, ReadFrac: 0.5, Theta: 1.1, ValueSize: 100}.NewGenerator(7, 3)
 	for i := 0; i < 100; i++ {
 		if a.Next() != b.Next() {
 			t.Fatal("generators diverge for same (seed,worker)")
@@ -31,7 +31,7 @@ func TestYCSBDeterministicPerWorker(t *testing.T) {
 }
 
 func TestYCSBKeysInRange(t *testing.T) {
-	g := YCSBA(64).NewGenerator(2, 1)
+	g := YCSB{Keys: 64, ReadFrac: 0.5, Theta: 1.1, ValueSize: 100}.NewGenerator(2, 1)
 	for i := 0; i < 1000; i++ {
 		if op := g.Next(); op.Key >= 64 {
 			t.Fatalf("key %d out of range", op.Key)
@@ -207,7 +207,7 @@ func TestQ3JoinMatchesNaive(t *testing.T) {
 func TestRunOnEngineStub(t *testing.T) {
 	// Exercise RunOn against a trivial in-memory engine.
 	e := &stubEngine{data: map[uint64][]byte{}}
-	g := YCSBA(100).NewGenerator(1, 0)
+	g := YCSB{Keys: 100, ReadFrac: 0.5, Theta: 1.1, ValueSize: 100}.NewGenerator(1, 0)
 	c := sim.NewClock()
 	if n := g.RunOn(e, c, 500); n != 500 {
 		t.Fatalf("committed %d/500", n)
@@ -221,77 +221,31 @@ func TestRunOnEngineStub(t *testing.T) {
 	}
 }
 
-func TestQ5MatchesNaive(t *testing.T) {
+// Each query plan resolves its columns when it is built: a source without
+// them fails the build instead of the run.
+func TestQueriesRejectSourcesWithoutTheirColumns(t *testing.T) {
 	cfg := sim.DefaultConfig()
-	d := TPCH{ScaleRows: 8000, Seed: 6}.Generate()
-	op, err := Q5(cfg,
-		query.NewLocalSource(cfg, d.Lineitem),
-		query.NewLocalSource(cfg, d.Orders),
-		query.NewLocalSource(cfg, d.Customer),
-		200, 1200, nil)
-	if err != nil {
-		t.Fatal(err)
+	d := TPCH{ScaleRows: 1000, Seed: 5}.Generate()
+	li := query.NewLocalSource(cfg, d.Lineitem)
+	ord := query.NewLocalSource(cfg, d.Orders)
+	wrong := query.NewLocalSource(cfg, query.NewTable("x"))
+	plans := map[string]func() (query.Operator, error){
+		"q6":          func() (query.Operator, error) { return Q6(cfg, wrong, 0, 10, 0, 10, true) },
+		"q1":          func() (query.Operator, error) { return Q1(cfg, wrong, 10) },
+		"q3-orders":   func() (query.Operator, error) { return Q3(cfg, li, wrong, 10, nil) },
+		"q3-lineitem": func() (query.Operator, error) { return Q3(cfg, wrong, ord, 10, nil) },
 	}
-	out, err := query.Collect(sim.NewClock(), op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Naive evaluation.
-	oi, _ := d.Orders.Schema.ColIndex(OOrderKey)
-	oc, _ := d.Orders.Schema.ColIndex(OCustKey)
-	od, _ := d.Orders.Schema.ColIndex(OOrderDate)
-	orderCust := map[int64]int64{}
-	for r := 0; r < d.Orders.NumRows(); r++ {
-		if dte := d.Orders.Cols[od][r]; dte >= 200 && dte < 1200 {
-			orderCust[d.Orders.Cols[oi][r]] = d.Orders.Cols[oc][r]
-		}
-	}
-	ci, _ := d.Customer.Schema.ColIndex(CCustKey)
-	cn, _ := d.Customer.Schema.ColIndex(CNation)
-	custNation := map[int64]int64{}
-	for r := 0; r < d.Customer.NumRows(); r++ {
-		custNation[d.Customer.Cols[ci][r]] = d.Customer.Cols[cn][r]
-	}
-	lo, _ := d.Lineitem.Schema.ColIndex(LOrderKey)
-	lp, _ := d.Lineitem.Schema.ColIndex(LPrice)
-	want := map[int64]int64{}
-	for r := 0; r < d.Lineitem.NumRows(); r++ {
-		if custKey, ok := orderCust[d.Lineitem.Cols[lo][r]]; ok {
-			want[custNation[custKey]] += d.Lineitem.Cols[lp][r]
-		}
-	}
-	if out.Len() != len(want) {
-		t.Fatalf("groups = %d, want %d", out.Len(), len(want))
-	}
-	for i := 0; i < out.Len(); i++ {
-		nation, rev := out.Cols[0][i], out.Cols[1][i]
-		if want[nation] != rev {
-			t.Fatalf("nation %d revenue %d, want %d", nation, rev, want[nation])
-		}
+	for name, build := range plans {
+		t.Run(name, func(t *testing.T) {
+			if op, err := build(); err == nil {
+				t.Fatalf("built %T over a source without the query's columns", op)
+			}
+		})
 	}
 }
 
-func TestQ3TopReturnsKHottestDates(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	d := TPCH{ScaleRows: 8000, Seed: 7}.Generate()
-	op, err := Q3Top(cfg,
-		query.NewLocalSource(cfg, d.Lineitem),
-		query.NewLocalSource(cfg, d.Orders),
-		2000, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := query.Collect(sim.NewClock(), op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 5 {
-		t.Fatalf("rows = %d", out.Len())
-	}
-	rev := out.Cols[1]
-	for i := 1; i < len(rev); i++ {
-		if rev[i] > rev[i-1] {
-			t.Fatalf("revenues not descending: %v", rev)
-		}
+func TestTPCCLiteString(t *testing.T) {
+	if got := DefaultTPCC().String(); got != "tpcc-lite(w=16,c=100000)" {
+		t.Fatalf("DefaultTPCC() = %q", got)
 	}
 }
