@@ -45,6 +45,40 @@ func TestVolumeAppendLogAllocatesNothingWarm(t *testing.T) {
 	}
 }
 
+// TestLogStoreSteadyStateAllocatesNothing: a store that is appended to and
+// truncated in rounds that each span three segments reuses the segments the
+// last round emptied, so after one warm-up round it allocates nothing.
+func TestLogStoreSteadyStateAllocatesNothing(t *testing.T) {
+	layout := testLayout(t)
+	ls := NewLogStore(sim.DefaultConfig(), MediumPM)
+	c := sim.NewClock()
+	batch := make([]wal.Record, 32)
+	val := updateRec(0, 0, layout, "v").After
+	var lsn wal.LSN
+	round := func() {
+		for range 3 * 512 / len(batch) {
+			for i := range batch {
+				lsn++
+				batch[i] = wal.Record{LSN: lsn, Type: wal.TypeUpdate, TxID: 1, PageID: uint64(lsn % 64), After: val}
+			}
+			batch[len(batch)-1].Type = wal.TypeCommit
+			if err := ls.Append(c, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ls.TruncateBefore(c, lsn-100); err != nil { // keeps a tail
+			t.Fatal(err)
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(10, round); n != 0 {
+		t.Fatalf("a warm round of 1536 appends and a truncation allocates %.1f objects, want 0", n)
+	}
+	if ls.Len() != 101 {
+		t.Fatalf("%d records retained, want 101", ls.Len())
+	}
+}
+
 // TestCatchUpFromShipsChunksOverHoles: a catch-up of more than two chunks
 // ships exactly what the peer holds and the receiver lacks, leaves the
 // receiver's prefix at the peer's first hole, and charges one transfer over

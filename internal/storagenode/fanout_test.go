@@ -3,6 +3,8 @@ package storagenode
 import (
 	"bytes"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/heap"
@@ -192,6 +194,40 @@ func TestLogStoreTruncateIsMonotonic(t *testing.T) {
 	}
 }
 
+// A late redelivery of a record below the truncation floor is absorbed as
+// a duplicate is: the truncation discarded it for good, and nothing below
+// the floor is served again.
+func TestLogStoreAbsorbsRedeliveryBelowFloor(t *testing.T) {
+	layout := testLayout(t)
+	ls := NewLogStore(sim.DefaultConfig(), MediumSSD)
+	c := sim.NewClock()
+	recs := appendLogged(wal.NewLog(), layout, 10, "r")
+	if err := ls.Append(c, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.TruncateBefore(c, 6); err != nil {
+		t.Fatal(err)
+	}
+	if ls.Len() != 5 {
+		t.Fatalf("after truncating below 6: %d records, want 5", ls.Len())
+	}
+	if err := ls.Append(c, recs[2:3]); err != nil { // LSN 3 again
+		t.Fatal(err)
+	}
+	if ls.Len() != 5 {
+		t.Fatalf("a redelivered LSN 3 below floor %d was stored again: %d records, want 5", ls.Floor(), ls.Len())
+	}
+	got, err := ls.SincePage(c, recs[2].PageID, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range got {
+		if r.LSN < 6 {
+			t.Fatalf("SincePage(%d, 5) served LSN %d below floor 6", recs[2].PageID, r.LSN)
+		}
+	}
+}
+
 // A failed store refuses truncation and keeps its records.
 func TestLogStoreTruncateOnFailedStore(t *testing.T) {
 	cfg := sim.DefaultConfig()
@@ -257,5 +293,77 @@ func TestLogStoreGroupTruncateWithAllStoresDown(t *testing.T) {
 	}
 	if g.Floor() != 1 {
 		t.Fatalf("group floor = %d, want 1", g.Floor())
+	}
+}
+
+// Appenders, page readers and a truncater share one store (run with
+// -race): truncations compact the segments and hand emptied ones to the
+// appends that follow, and a reader still sees only its page's records,
+// each once, none below the floor it read against.
+func TestLogStoreConcurrent(t *testing.T) {
+	ls := NewLogStore(sim.DefaultConfig(), MediumPM)
+	var next atomic.Uint64
+	var appenders, others sync.WaitGroup
+	var done atomic.Bool
+	for a := 0; a < 4; a++ {
+		appenders.Add(1)
+		go func() {
+			defer appenders.Done()
+			c := sim.NewClock()
+			batch := make([]wal.Record, 8)
+			for range 200 {
+				for i := range batch {
+					lsn := wal.LSN(next.Add(1))
+					batch[i] = wal.Record{LSN: lsn, Type: wal.TypeUpdate, PageID: uint64(lsn % 4)}
+				}
+				if err := ls.Append(c, batch); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	for pg := uint64(0); pg < 2; pg++ {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			c := sim.NewClock()
+			for !done.Load() {
+				after := ls.Floor() - 1
+				recs, err := ls.SincePage(c, pg, after)
+				if errors.Is(err, wal.ErrTruncated) {
+					continue // a truncation overtook the read
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen := make(map[wal.LSN]bool, len(recs))
+				for _, r := range recs {
+					if r.PageID != pg || r.LSN <= after || seen[r.LSN] {
+						t.Errorf("SincePage(%d, %d) returned LSN %d of page %d (again: %v)", pg, after, r.LSN, r.PageID, seen[r.LSN])
+						return
+					}
+					seen[r.LSN] = true
+				}
+			}
+		}()
+	}
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		c := sim.NewClock()
+		for !done.Load() {
+			if head := wal.LSN(next.Load()); head > 600 {
+				if err := ls.TruncateBefore(c, head-600); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}()
+	appenders.Wait()
+	done.Store(true)
+	others.Wait()
+	if ls.HighLSN() != 6400 || ls.Len() > 6400-int(ls.Floor())+1 {
+		t.Fatalf("high LSN %d, %d records above floor %d", ls.HighLSN(), ls.Len(), ls.Floor())
 	}
 }

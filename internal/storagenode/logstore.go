@@ -30,13 +30,13 @@ type LogStore struct {
 	meter  *sim.Meter
 
 	mu      sync.Mutex
-	records []wal.Record
-	// prev and last chain each page's records for SincePage. Records can
-	// arrive out of LSN order, so a link is a position in records plus one
-	// (0: none): prev[i] is the previous record of records[i]'s page, last[p]
-	// page p's newest. Commit and abort records are not chained.
-	prev    []int32
-	last    map[uint64]int32
+	records wal.Segments
+	// Each slot's Link and last chain each page's records for SincePage.
+	// Records can arrive out of LSN order, so a link is a position in
+	// records plus one (0: none): slot i's link is the previous record of
+	// its page, last[p] page p's newest. Commit and abort records are not
+	// chained.
+	last    map[uint64]uint64
 	seen    map[wal.LSN]struct{}
 	highLSN wal.LSN
 	// floor is the lowest LSN guaranteed retained (1 until the first
@@ -46,26 +46,26 @@ type LogStore struct {
 	failed bool
 }
 
-// hasLSNLocked reports whether the record at lsn is already durable here.
+// hasLSNLocked reports whether the record at lsn is already durable here,
+// or was until a truncation discarded it.
 func (ls *LogStore) hasLSNLocked(lsn wal.LSN) bool {
 	_, ok := ls.seen[lsn]
-	return ok
+	return ok || lsn < ls.floor
 }
 
-// storeLocked retains r and links it into its page's chain.
-func (ls *LogStore) storeLocked(r wal.Record) {
-	ls.records = append(ls.records, r)
-	var prev int32
-	if r.Type != wal.TypeCommit && r.Type != wal.TypeAbort {
-		prev = ls.last[r.PageID]
-		ls.last[r.PageID] = int32(len(ls.records))
+// linkLocked links the record in slot i into its page's chain.
+func (ls *LogStore) linkLocked(i int) {
+	sl := ls.records.At(i)
+	sl.Link = 0
+	if r := &sl.Rec; r.Type != wal.TypeCommit && r.Type != wal.TypeAbort {
+		sl.Link = ls.last[r.PageID]
+		ls.last[r.PageID] = uint64(i) + 1
 	}
-	ls.prev = append(ls.prev, prev)
 }
 
 // NewLogStore creates a log store on the given medium.
 func NewLogStore(cfg *sim.Config, medium Medium) *LogStore {
-	return &LogStore{cfg: cfg, medium: medium, meter: sim.NewMeter(cfg.NICSlots), last: make(map[uint64]int32), seen: make(map[wal.LSN]struct{}), floor: 1}
+	return &LogStore{cfg: cfg, medium: medium, meter: sim.NewMeter(cfg.NICSlots), last: make(map[uint64]uint64), seen: make(map[wal.LSN]struct{}), floor: 1}
 }
 
 // Fail crashes the store (records are durable across Restart).
@@ -84,7 +84,8 @@ func (ls *LogStore) Restart() {
 
 // Append durably stores the records: one network round trip plus the
 // medium's persist cost for the payload. Appends are idempotent per LSN
-// (duplicate deliveries of already-durable records are absorbed), and
+// (duplicate deliveries of already-durable records are absorbed, and so are
+// late ones of records below the truncation floor), and
 // fault injection can tear an append mid-batch: a prefix of the records
 // is durable, the rest is lost, and the caller sees an error — the
 // crash-point-mid-WAL-append case engines must treat as an unacknowledged
@@ -117,7 +118,8 @@ func (ls *LogStore) Append(c *sim.Clock, recs []wal.Record) error {
 			continue // duplicate delivery of a durable record
 		}
 		ls.seen[r.LSN] = struct{}{}
-		ls.storeLocked(r)
+		ls.records.Push().Rec = r
+		ls.linkLocked(ls.records.Len() - 1)
 		if r.LSN > ls.highLSN {
 			ls.highLSN = r.LSN
 		}
@@ -170,18 +172,22 @@ func (ls *LogStore) TruncateBefore(c *sim.Clock, upTo wal.LSN) error {
 	dropped := 0
 	if target > ls.floor {
 		ls.floor = target
-		// Compact in place; positions shift, so the chains are rebuilt.
-		old := ls.records
-		ls.records, ls.prev = old[:0], ls.prev[:0]
+		// Compact in place and cut the tail; positions shift, so the chains
+		// are rebuilt.
 		clear(ls.last)
-		for _, r := range old {
-			if r.LSN >= target {
-				ls.storeLocked(r)
-			} else {
-				delete(ls.seen, r.LSN)
+		kept := 0
+		for i := range ls.records.Len() {
+			sl := ls.records.At(i)
+			if sl.Rec.LSN < target {
+				delete(ls.seen, sl.Rec.LSN)
 				dropped++
+				continue
 			}
+			ls.records.At(kept).Rec = sl.Rec
+			ls.linkLocked(kept)
+			kept++
 		}
+		ls.records.Cut(kept)
 	}
 	ls.mu.Unlock()
 	var persist time.Duration
@@ -230,10 +236,12 @@ func (ls *LogStore) SincePage(c *sim.Clock, pageID uint64, after wal.LSN) ([]wal
 		return nil, fmt.Errorf("%w: page %d since %d, floor %d", wal.ErrTruncated, pageID, after, floor)
 	}
 	var out []wal.Record
-	for i := ls.last[pageID]; i > 0; i = ls.prev[i-1] {
-		if r := &ls.records[i-1]; r.LSN > after {
-			out = append(out, *r)
+	for i := ls.last[pageID]; i > 0; {
+		sl := ls.records.At(int(i - 1))
+		if sl.Rec.LSN > after {
+			out = append(out, sl.Rec)
 		}
+		i = sl.Link
 	}
 	slices.Reverse(out)
 	ls.mu.Unlock()
@@ -261,7 +269,7 @@ func (ls *LogStore) HighLSN() wal.LSN {
 func (ls *LogStore) Len() int {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	return len(ls.records)
+	return ls.records.Len()
 }
 
 // LogStoreGroup replicates a log store N ways with a write quorum — the

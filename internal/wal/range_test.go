@@ -2,6 +2,8 @@ package wal
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -139,4 +141,110 @@ func TestRangeAllocatesOneRecord(t *testing.T) {
 	if got := testing.AllocsPerRun(20, func() { _ = l.Range(4000, toHead, count) }); got != 0 {
 		t.Errorf("Range over an empty tail: %.1f allocs, want 0", got)
 	}
+}
+
+// A log grown past three segments, with undecided and aborted slots among
+// its records, is truncated at the cuts the segment arithmetic turns on —
+// a segment's worth give or take one, half of one, two of them — and grown
+// again into the segments it emptied. Range and RedoPage must see exactly
+// what a plain slice of the records says: Range the decided run from its
+// start, RedoPage each page's retained changes in LSN order.
+func TestRangeAndRedoPageAcrossSegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	l := NewLog()
+	var model []Record     // model[lsn-1]: as decided so far, zero while undecided
+	var pending [][]Record // reserved, undecided
+	grow := func(n int) {
+		for range n {
+			pg := uint64(rng.Intn(chainPages))
+			switch rng.Intn(6) {
+			case 0, 1, 2:
+				r := Record{Type: TypeUpdate, PageID: pg, Key: uint64(len(model))}
+				r.LSN = l.Append(r)
+				model = append(model, r)
+			case 3:
+				r := Record{Type: TypeCommit, TxID: uint64(len(model))}
+				r.LSN = l.Append(r)
+				model = append(model, r)
+			case 4:
+				recs := []Record{{Type: TypeInsert, PageID: pg, TxID: 9}, {Type: TypeCommit, TxID: 9}}
+				l.Reserve(recs)
+				model = append(model, Record{}, Record{})
+				pending = append(pending, recs)
+			case 5:
+				if len(pending) == 0 {
+					continue
+				}
+				j := rng.Intn(len(pending))
+				commit := rng.Intn(3) != 0
+				for _, r := range pending[j] {
+					if !commit {
+						r = Record{LSN: r.LSN, Type: TypeAbort, TxID: r.TxID}
+					}
+					model[r.LSN-1] = r
+				}
+				l.Decide(pending[j], commit)
+				pending = slices.Delete(pending, j, j+1)
+			}
+		}
+	}
+	check := func(cut int) {
+		t.Helper()
+		floor, head := l.Floor(), l.Head()
+		if got := LSN(l.Len()); got != head-floor {
+			t.Fatalf("cut %d: %d records between floor %d and head %d", cut, got, floor, head)
+		}
+		for _, after := range []LSN{floor - 2, floor - 1, floor, floor + segLen - 1, floor + segLen, floor + segLen + 1, (floor + head) / 2, head - 1, head} {
+			if after > head { // floor - 2 wrapped
+				continue
+			}
+			got, err := collect(l, after, toHead)
+			if after+1 < floor {
+				if !errors.Is(err, ErrTruncated) {
+					t.Fatalf("cut %d: Range(%d, head) below floor %d: err %v", cut, after, floor, err)
+				}
+				continue
+			}
+			var want []Record
+			for lsn := after + 1; lsn < head && model[lsn-1].Type != 0; lsn++ {
+				want = append(want, model[lsn-1])
+			}
+			if err != nil || !sameLSNs(got, want) {
+				t.Fatalf("cut %d: Range(%d, head) = %d records from %v, err %v; want %d (floor %d, head %d)",
+					cut, after, len(got), firstLSN(got), err, len(want), floor, head)
+			}
+			for pg := uint64(0); pg < chainPages; pg++ {
+				want = want[:0]
+				for _, r := range model[min(max(after, floor-1), LSN(len(model))):] {
+					if r.PageID == pg && chained(r.Type) {
+						want = append(want, r)
+					}
+				}
+				got = got[:0]
+				_ = l.RedoPage(pg, after, func(r *Record) error { got = append(got, *r); return nil })
+				if !sameLSNs(got, want) {
+					t.Fatalf("cut %d: RedoPage(%d, %d) = %d records, want %d (floor %d, head %d)", cut, pg, after, len(got), len(want), floor, head)
+				}
+			}
+		}
+	}
+	for _, cut := range []int{segLen - 1, segLen, segLen + 1, segLen / 2, 2 * segLen, 2*segLen + segLen/3} {
+		grow(max(0, 3*segLen+100-l.Len()))
+		check(0)
+		l.TruncateBefore(l.Floor() + LSN(cut))
+		check(cut)
+	}
+}
+
+func sameLSNs(a, b []Record) bool {
+	return slices.EqualFunc(a, b, func(x, y Record) bool {
+		return x.LSN == y.LSN && x.Type == y.Type && x.PageID == y.PageID && x.Key == y.Key
+	})
+}
+
+func firstLSN(rs []Record) LSN {
+	if len(rs) == 0 {
+		return 0
+	}
+	return rs[0].LSN
 }

@@ -157,7 +157,7 @@ var ErrTruncated = errors.New("wal: requested range below truncation floor")
 // tiers / storage nodes and only then acknowledge commits).
 //
 // Records are dense and LSN-ordered (Append and Reserve assign next++,
-// TruncateBefore keeps a suffix): the record at lsn is records[lsn-first()].
+// TruncateBefore keeps a suffix): the record at lsn is slot lsn-first().
 //
 // A transaction reaches the log in two steps. Reserve assigns its records
 // LSNs and chains them on their pages, but leaves their slots undecided —
@@ -168,15 +168,14 @@ var ErrTruncated = errors.New("wal: requested range below truncation floor")
 // contiguous decided prefix.
 type Log struct {
 	mu      sync.Mutex
-	records []Record
-	// prev and last are the per-page redo chain (RedoPage). prev parallels
-	// records: for an update, insert or delete, the LSN of the previous such
+	records Segments
+	// Each slot's Link and last are the per-page redo chain (RedoPage). For
+	// an update, insert or delete, the link is the LSN of the previous such
 	// record of the same page, else 0 — commit, abort and checkpoint records
 	// carry PageID 0, a real page, and are not chained. last[p] is the LSN
 	// of page p's newest chained record. A link below first() ends the
 	// chain. The links sit beside the records, not in them: a Record is
 	// copied by value on every commit.
-	prev  []LSN
 	last  map[uint64]LSN
 	chain []LSN // RedoPage's scratch: one page's LSNs, newest first
 	next  LSN
@@ -190,8 +189,11 @@ type Log struct {
 // NewLog returns an empty log whose first LSN is 1.
 func NewLog() *Log { return &Log{next: 1, floor: 1, last: make(map[uint64]LSN)} }
 
-// first is the LSN records[0] has, or would have; the caller holds l.mu.
-func (l *Log) first() LSN { return l.next - LSN(len(l.records)) }
+// first is the LSN slot 0 has, or would have; the caller holds l.mu.
+func (l *Log) first() LSN { return l.next - LSN(l.records.Len()) }
+
+// slot returns the slot of a retained lsn; the caller holds l.mu.
+func (l *Log) slot(lsn LSN) *Slot { return l.records.At(int(lsn - l.first())) }
 
 // chained reports whether records of type t change a page, and so sit on
 // its redo chain.
@@ -201,8 +203,7 @@ func chained(t Type) bool { return t == TypeUpdate || t == TypeInsert || t == Ty
 func (l *Log) Append(r Record) LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.reserve(&r)
-	l.records[len(l.records)-1] = r
+	l.reserve(&r).Rec = r
 	l.settle()
 	return r.LSN
 }
@@ -217,18 +218,17 @@ func (l *Log) Reserve(recs []Record) {
 	}
 }
 
-// reserve assigns r the next LSN, chains it on its page and appends an
-// undecided slot for it; the caller holds l.mu.
-func (l *Log) reserve(r *Record) {
+// reserve assigns r the next LSN, chains it on its page and returns the
+// undecided slot it appends for it; the caller holds l.mu.
+func (l *Log) reserve(r *Record) *Slot {
 	r.LSN = l.next
 	l.next++
-	var prev LSN
+	sl := l.records.Push()
 	if chained(r.Type) {
-		prev = l.last[r.PageID]
+		sl.Link = uint64(l.last[r.PageID])
 		l.last[r.PageID] = r.LSN
 	}
-	l.records = append(l.records, Record{})
-	l.prev = append(l.prev, prev)
+	return sl
 }
 
 // Decide fills the reserved slots of recs: with the records themselves when
@@ -239,13 +239,17 @@ func (l *Log) Decide(recs []Record, commit bool) LSN {
 	defer l.mu.Unlock()
 	first := l.first()
 	for _, r := range recs {
-		if r.LSN < first || l.records[r.LSN-first].Type != 0 {
+		if r.LSN < first {
+			continue
+		}
+		sl := l.slot(r.LSN)
+		if sl.Rec.Type != 0 {
 			continue
 		}
 		if !commit {
 			r = Record{LSN: r.LSN, Type: TypeAbort, TxID: r.TxID}
 		}
-		l.records[r.LSN-first] = r
+		sl.Rec = r
 	}
 	l.settle()
 	return l.decided
@@ -262,7 +266,7 @@ func (l *Log) Decided() LSN {
 // l.mu.
 func (l *Log) settle() {
 	l.decided = max(l.decided, l.first()-1)
-	for l.decided+1 < l.next && l.records[l.decided+1-l.first()].Type != 0 {
+	for l.decided+1 < l.next && l.slot(l.decided+1).Rec.Type != 0 {
 		l.decided++
 	}
 }
@@ -278,7 +282,7 @@ func (l *Log) Head() LSN {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.records)
+	return l.records.Len()
 }
 
 // Range calls fn on every record with after < LSN <= upto, in LSN order;
@@ -303,14 +307,14 @@ func (l *Log) Range(after, upto LSN, fn func(*Record) error) error {
 			l.mu.Unlock()
 			return fmt.Errorf("%w: walk at %d, floor %d", ErrTruncated, next, floor)
 		}
-		if next >= l.next || l.records[next-l.first()].Type == 0 {
+		if next >= l.next || l.slot(next).Rec.Type == 0 {
 			l.mu.Unlock()
 			return nil
 		}
 		if rec == nil {
 			rec = new(Record)
 		}
-		*rec = l.records[next-l.first()]
+		*rec = l.slot(next).Rec
 		l.mu.Unlock()
 		if err := fn(rec); err != nil {
 			return err
@@ -334,13 +338,15 @@ func (l *Log) RedoPage(pageID uint64, after LSN, fn func(*Record) error) error {
 	defer l.mu.Unlock()
 	first := l.first()
 	l.chain = l.chain[:0]
-	for lsn := l.last[pageID]; lsn > after && lsn >= first; lsn = l.prev[lsn-first] {
-		if chained(l.records[lsn-first].Type) { // not undecided, not aborted
+	for lsn := l.last[pageID]; lsn > after && lsn >= first; {
+		sl := l.slot(lsn)
+		if chained(sl.Rec.Type) { // not undecided, not aborted
 			l.chain = append(l.chain, lsn)
 		}
+		lsn = LSN(sl.Link)
 	}
 	for i := len(l.chain) - 1; i >= 0; i-- {
-		if err := fn(&l.records[l.chain[i]-first]); err != nil {
+		if err := fn(&l.slot(l.chain[i]).Rec); err != nil {
 			return err
 		}
 	}
@@ -357,8 +363,9 @@ func (l *Log) Floor() LSN {
 
 // TruncateBefore discards records with LSN < upTo (checkpointing) and
 // raises the truncation floor to upTo. The floor is monotonic: truncating
-// below the current floor is a no-op. The kept suffix moves to the front of
-// the same arrays: a regularly checkpointed log stops allocating.
+// below the current floor is a no-op. The dropped records' slots are
+// cleared and their emptied segments reused: a regularly checkpointed log
+// stops allocating.
 func (l *Log) TruncateBefore(upTo LSN) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -372,12 +379,7 @@ func (l *Log) TruncateBefore(upTo LSN) {
 		}
 	}
 	// Records are dense, so the cut is an index (first() <= the old floor <
-	// upTo; upTo may lie past the head). The vacated slots are cleared so the
-	// dropped records' images do not stay reachable behind len.
-	cut := min(uint64(upTo-l.first()), uint64(len(l.records)))
-	n := copy(l.records, l.records[cut:])
-	clear(l.records[n:])
-	l.records = l.records[:n]
-	l.prev = l.prev[:copy(l.prev, l.prev[cut:])]
+	// upTo; upTo may lie past the head).
+	l.records.DropFront(int(min(uint64(upTo-l.first()), uint64(l.records.Len()))))
 	l.settle()
 }
