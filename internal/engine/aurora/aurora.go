@@ -170,7 +170,7 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 		return err
 	}
 	fanout := int64(e.Volume.Alive())
-	n := int64(engine.LogBytes(recs))
+	n := int64(wal.Size(recs))
 	e.stats.LogBytes.Add(n)
 	e.stats.NetBytes.Add(n * fanout)
 	return nil
@@ -223,8 +223,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 func (e *Engine) Checkpoint(c *sim.Clock) error {
 	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
-			e.Volume.Heal(c, e.log)
-			advanced := e.Volume.AdvanceHorizon(c, h)
+			advanced, _ := storagenode.Converge(c, e.Volume.Replicas, e.log, h)
 			if advanced < e.Volume.WriteQ {
 				// Fewer than a write quorum hold the checkpoint; keep the
 				// full tail so repair can still replay from the log.

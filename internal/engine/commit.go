@@ -520,20 +520,10 @@ func (p *Pipeline) flushGroup(c *sim.Clock, groups [][]wal.Record, out []wal.LSN
 	return nil
 }
 
-// LogBytes is the wire size of recs, the quantity Durable hooks charge and
-// account.
-func LogBytes(recs []wal.Record) int {
-	n := 0
-	for i := range recs {
-		n += recs[i].EncodedSize()
-	}
-	return n
-}
-
 // Encode is the wire form of recs back to back, for the engines whose
 // durable tier stores bytes rather than records.
 func Encode(recs []wal.Record) []byte {
-	out := make([]byte, 0, LogBytes(recs))
+	out := make([]byte, 0, wal.Size(recs))
 	for i := range recs {
 		out = recs[i].Encode(out)
 	}

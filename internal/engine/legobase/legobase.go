@@ -142,7 +142,7 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 
 // durable: network round trip to the log + SSD append.
 func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
-	n := engine.LogBytes(recs)
+	n := wal.Size(recs)
 	op := e.cfg.Begin(c, "tcp.rpc")
 	c.Advance(e.cfg.TCP.Cost(n))
 	op.End(int64(n))

@@ -141,7 +141,7 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 // durable is the commit pipeline's durability hook: one group-commit
 // fsync of the transaction's records to the local SSD log. No network.
 func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
-	n := engine.LogBytes(recs)
+	n := wal.Size(recs)
 	e.ssd.Write(c, n)
 	e.stats.LogBytes.Add(int64(n))
 	return nil

@@ -201,7 +201,7 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 
 // durable: persistence on the PM layer.
 func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
-	n := engine.LogBytes(recs)
+	n := wal.Size(recs)
 	if e.opt.ComputeDrivenLogging {
 		// One-sided RDMA append (the LogStore PM medium charges
 		// exactly that).

@@ -1,11 +1,14 @@
 package pilotdb
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/engine/enginetest"
 	"github.com/disagglab/disagg/internal/sim"
+	"github.com/disagglab/disagg/internal/wal"
 )
 
 func TestConformancePilot(t *testing.T) {
@@ -54,6 +57,87 @@ func TestOptimisticReadsRepairStalePages(t *testing.T) {
 	}
 	if e.Repairs.Load() == 0 {
 		t.Fatal("no repairs happened — the staleness path was never exercised")
+	}
+}
+
+// tearNth tears the nth logstore.append and lets every other operation
+// through.
+type tearNth struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (f *tearNth) Inject(_ *sim.Clock, site string) sim.FaultOutcome {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if site != "logstore.append" {
+		return sim.FaultOutcome{}
+	}
+	f.n--
+	return sim.FaultOutcome{Torn: f.n == 0}
+}
+
+// TestOptimisticRepairSkipsTornAppend: a torn PM-log append lands a prefix
+// of an aborted transaction's records. The PM log used to link that prefix
+// into its page chain, so SincePage handed the aborted update to a repairing
+// optimistic read, which redid it and served the aborted write. The log
+// store now holds a torn prefix undecided and never serves it.
+func TestOptimisticRepairSkipsTornAppend(t *testing.T) {
+	layout := enginetest.Layout(t)
+	cfg := sim.DefaultConfig()
+	cfg.Fault = &tearNth{n: 2}
+	e := New(cfg, layout, 2, Pilot())
+	c := sim.NewClock()
+	write := func(key uint64, b byte) error {
+		v := make([]byte, layout.ValSize)
+		v[0] = b
+		var stamp uint64
+		err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+			engine.DeliverStamp(tx, &stamp)
+			return tx.Write(key, v)
+		})
+		if err != nil && stamp != 0 {
+			t.Errorf("write of %#x failed (%v) but was stamped %d", b, err, stamp)
+		}
+		return err
+	}
+	if err := write(0, 0x01); err != nil {
+		t.Fatal(err)
+	}
+	aborts := e.Stats().Aborts.Load()
+	if err := write(0, 0xAB); !errors.Is(err, engine.ErrUnavailable) {
+		t.Fatalf("write over a torn append: %v, want ErrUnavailable", err)
+	}
+	if got := e.Stats().Aborts.Load(); got != aborts+1 {
+		t.Fatalf("the torn write moved Aborts by %d, want 1", got-aborts)
+	}
+	if err := e.log.Range(0, ^wal.LSN(0), func(r *wal.Record) error {
+		if r.Type == wal.TypeUpdate && r.After[0] == 0xAB {
+			t.Errorf("the torn write's update is visible in the log at LSN %d", r.LSN)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if layout.PageOf(1) != layout.PageOf(0) {
+		t.Fatal("keys 0 and 1 must share a page")
+	}
+	if err := write(1, 0x02); err != nil {
+		t.Fatal(err)
+	}
+	e.Pool().InvalidateAll()
+	repairs := e.Repairs.Load()
+	if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+		v, err := tx.Read(0)
+		if err == nil && v[0] != 0x01 {
+			t.Errorf("key 0 = %#x, want 0x01: the repair redid the torn append's aborted update", v[0])
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Repairs.Load(); got != repairs+1 {
+		t.Fatalf("the read made %d repairs, want 1: the stale-page path was not exercised", got-repairs)
 	}
 }
 

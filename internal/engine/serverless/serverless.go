@@ -211,7 +211,7 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 	if err := e.Volume.AppendLog(c, recs); err != nil {
 		return err
 	}
-	n := int64(engine.LogBytes(recs))
+	n := int64(wal.Size(recs))
 	e.stats.LogBytes.Add(n)
 	e.stats.NetBytes.Add(n)
 	return nil
@@ -339,8 +339,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 func (e *Engine) Checkpoint(c *sim.Clock) error {
 	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
-			e.Volume.Heal(c, e.log)
-			advanced := e.Volume.AdvanceHorizon(c, h)
+			advanced, _ := storagenode.Converge(c, e.Volume.Replicas, e.log, h)
 			if advanced < e.Volume.WriteQ {
 				return storagenode.ErrNoQuorum
 			}

@@ -136,11 +136,8 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 		// Dropped background dissemination can leave every page server
 		// with the same log hole; re-ship the delta from the
 		// authoritative log (what XLOG replay does) and retry once.
-		var bg sim.Clock
-		for _, ps := range e.PageServers {
-			bg = c.Fork()
-			ps.CatchUpFromLog(&bg, e.log)
-		}
+		bg := c.Fork()
+		storagenode.Converge(&bg, e.PageServers, e.log, 0)
 	}
 	return nil, lastErr
 }
@@ -160,7 +157,7 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 	if err := e.XLOG.Append(c, recs); err != nil {
 		return err
 	}
-	n := int64(engine.LogBytes(recs))
+	n := int64(wal.Size(recs))
 	e.stats.LogBytes.Add(n)
 	e.stats.NetBytes.Add(n)
 	return nil
@@ -231,16 +228,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 func (e *Engine) Checkpoint(c *sim.Clock) error {
 	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
-			advanced := 0
-			for _, ps := range e.PageServers {
-				if ps.Failed() {
-					continue
-				}
-				ps.CatchUpFromLog(c, e.log)
-				ps.AdvanceHorizon(c, h)
-				advanced++
-			}
-			if advanced == 0 {
+			if advanced, _ := storagenode.Converge(c, e.PageServers, e.log, h); advanced == 0 {
 				return storagenode.ErrNoQuorum
 			}
 			return nil

@@ -114,7 +114,7 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 		return err
 	}
 	copies := int64(len(e.LogStores.Stores))
-	n := int64(engine.LogBytes(recs))
+	n := int64(wal.Size(recs))
 	e.stats.LogBytes.Add(n)
 	e.stats.NetBytes.Add(n * copies)
 	return nil
@@ -129,7 +129,7 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 	if err := e.PageStores.WriteToOne(c, recs); err != nil {
 		return err
 	}
-	e.stats.NetBytes.Add(int64(engine.LogBytes(recs)))
+	e.stats.NetBytes.Add(int64(wal.Size(recs)))
 	e.pipe.ApplyCached(c, e.pool, recs)
 	if n := e.commitCount.Add(1); e.GossipEvery > 0 && n%int64(e.GossipEvery) == 0 {
 		// Background anti-entropy (not charged to the writer).
@@ -166,7 +166,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 	return e.pipe.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			e.PageStores.GossipRound(c)
-			if e.PageStores.AdvanceHorizon(c, h) == 0 {
+			if advanced, _ := storagenode.Converge(c, e.PageStores.Stores, nil, h); advanced == 0 {
 				return storagenode.ErrNoQuorum
 			}
 			return nil

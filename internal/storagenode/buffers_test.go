@@ -130,7 +130,7 @@ func TestCatchUpFromShipsChunksOverHoles(t *testing.T) {
 	if r.PendingRecords() != n-1 {
 		t.Fatalf("pending %d, want every record but the peer's hole (%d)", r.PendingRecords(), n-1)
 	}
-	charge := sim.LatencyModel{Base: cfg.TCP.Base, BytesPerSec: cfg.TCP.BytesPerSec}.Cost(encodedSize(want))
+	charge := cfg.TCP.Cost(wal.Size(want))
 	if c.Now() != charge {
 		t.Fatalf("clock advanced %v, want one charge over the delta: %v", c.Now(), charge)
 	}
@@ -194,10 +194,11 @@ func TestMaterializeKeepsRecordsPastAHole(t *testing.T) {
 	}
 
 	// A record at or below an adopted horizon is covered by the page image:
-	// dropped, not applied (the horizon is set directly, as a peer's
-	// checkpoint image covering LSN 6 would leave it).
+	// dropped, not applied (the ledger covers 6 and the horizon is set
+	// directly, as a peer's checkpoint image covering LSN 6 would leave them).
 	r.ingest([]wal.Record{updateRec(6, a, layout, "a6"), updateRec(8, b, layout, "b8")})
 	r.mu.Lock()
+	r.led.cover(6)
 	r.horizon = 6
 	r.mu.Unlock()
 	if got := materialize(); !slices.Equal(got, []wal.LSN{8}) {

@@ -73,8 +73,8 @@ func TestVolumeHealSkipsFailedReplicas(t *testing.T) {
 	}
 }
 
-// AdvanceHorizon reaches every alive replica, materializing what they hold
-// below it, and skips failed ones.
+// Converge's horizon reaches every alive replica of a volume, materializing
+// what they hold below it, and skips failed ones.
 func TestVolumeAdvanceHorizonSkipsFailedReplicas(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	layout := testLayout(t)
@@ -86,7 +86,7 @@ func TestVolumeAdvanceHorizonSkipsFailedReplicas(t *testing.T) {
 	}
 	v.Replicas[0].Fail()
 	v.Replicas[3].Fail()
-	if n := v.AdvanceHorizon(c, 4); n != 4 {
+	if n, _ := Converge(c, v.Replicas, nil, 4); n != 4 {
 		t.Fatalf("advanced %d replicas, want the 4 alive", n)
 	}
 	for i, r := range v.Replicas {
@@ -142,7 +142,7 @@ func TestPageStoreGroupWriteToOneSkipsFailedStores(t *testing.T) {
 	}
 }
 
-// The group's horizon reaches the alive stores only.
+// Converge's horizon reaches a page-store group's alive stores only.
 func TestPageStoreGroupAdvanceHorizonSkipsFailedStores(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	layout := testLayout(t)
@@ -155,7 +155,7 @@ func TestPageStoreGroupAdvanceHorizonSkipsFailedStores(t *testing.T) {
 		}
 	}
 	g.Stores[1].Fail()
-	if n := g.AdvanceHorizon(c, 1); n != 2 {
+	if n, _ := Converge(c, g.Stores, nil, 1); n != 2 {
 		t.Fatalf("advanced %d stores, want 2", n)
 	}
 	if g.Stores[0].Horizon() != 1 || g.Stores[1].Horizon() != 0 || g.Stores[2].Horizon() != 1 {
@@ -225,6 +225,65 @@ func TestLogStoreAbsorbsRedeliveryBelowFloor(t *testing.T) {
 		if r.LSN < 6 {
 			t.Fatalf("SincePage(%d, 5) served LSN %d below floor 6", recs[2].PageID, r.LSN)
 		}
+	}
+}
+
+// tearNext tears the next operation at site and lets every other through.
+type tearNext struct{ site string }
+
+func (f *tearNext) Inject(_ *sim.Clock, site string) sim.FaultOutcome {
+	if site != f.site {
+		return sim.FaultOutcome{}
+	}
+	f.site = ""
+	return sim.FaultOutcome{Torn: true}
+}
+
+// A torn append's writer sees it fail, so the prefix that landed is held
+// undecided: no read, high LSN or length sees it, and a truncation past it
+// forgets it.
+func TestLogStoreHoldsATornPrefixUndecided(t *testing.T) {
+	layout := testLayout(t)
+	cfg := sim.DefaultConfig()
+	ls := NewLogStore(cfg, MediumSSD)
+	c := sim.NewClock()
+	log := wal.NewLog()
+	if err := ls.Append(c, appendLogged(log, layout, 2, "a")); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Fault = &tearNext{site: "logstore.append"}
+	torn := appendLogged(log, layout, 4, "torn") // LSNs 3-6; 3 and 4 land
+	if err := ls.Append(c, torn); err == nil {
+		t.Fatal("a torn append succeeded")
+	}
+	if ls.HighLSN() != 2 || ls.Len() != 2 {
+		t.Fatalf("after a torn append: high %d, %d records; want 2, 2", ls.HighLSN(), ls.Len())
+	}
+	for _, rec := range torn[:2] {
+		got, err := ls.SincePage(c, rec.PageID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range got {
+			if r.LSN > 2 {
+				t.Fatalf("SincePage(%d, 0) served LSN %d of the torn append", rec.PageID, r.LSN)
+			}
+		}
+	}
+	ls.mu.Lock()
+	held := len(ls.led.undecided)
+	ls.mu.Unlock()
+	if held != 2 {
+		t.Fatalf("%d records held undecided, want the torn prefix's 2", held)
+	}
+	if err := ls.TruncateBefore(c, 5); err != nil {
+		t.Fatal(err)
+	}
+	ls.mu.Lock()
+	held = len(ls.led.undecided)
+	ls.mu.Unlock()
+	if held != 0 || ls.Len() != 0 {
+		t.Fatalf("after truncating past the torn prefix: %d undecided, %d records; want 0, 0", held, ls.Len())
 	}
 }
 

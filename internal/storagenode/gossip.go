@@ -70,13 +70,8 @@ func (g *PageStoreGroup) GossipRound(c *sim.Clock) int {
 			}
 		}
 	}
-	for _, s := range g.Stores {
-		if s.Failed() {
-			continue
-		}
-		total += s.CatchUpFromLog(c, g.log)
-	}
-	return total
+	_, shipped := Converge(c, g.Stores, g.log, 0)
+	return total + shipped
 }
 
 // ReadPage serves a page at minLSN from any fresh-enough store, preferring
@@ -95,22 +90,6 @@ func (g *PageStoreGroup) ReadPage(c *sim.Clock, id page.ID, minLSN wal.LSN) ([]b
 		return nil, ErrStaleReplica
 	}
 	return best.ReadPage(c, id, minLSN)
-}
-
-// AdvanceHorizon publishes a checkpoint horizon to every alive page
-// store (see Replica.AdvanceHorizon). Stores that are down adopt the
-// horizon later through gossip's CatchUpFrom image-adoption path.
-// Returns the number of stores advanced.
-func (g *PageStoreGroup) AdvanceHorizon(c *sim.Clock, h wal.LSN) int {
-	n := 0
-	for _, s := range g.Stores {
-		if s.Failed() {
-			continue
-		}
-		s.AdvanceHorizon(c, h)
-		n++
-	}
-	return n
 }
 
 // MaxLag reports the LSN distance between the freshest and stalest healthy

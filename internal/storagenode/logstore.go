@@ -29,28 +29,23 @@ type LogStore struct {
 	medium Medium
 	meter  *sim.Meter
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// led is what the store has received, and the prefixes of torn appends
+	// it holds undecided: their writer saw the append fail, so they never
+	// reach records.
+	led     ledger
 	records wal.Segments
 	// Each slot's Link and last chain each page's records for SincePage.
 	// Records can arrive out of LSN order, so a link is a position in
 	// records plus one (0: none): slot i's link is the previous record of
 	// its page, last[p] page p's newest. Commit and abort records are not
 	// chained.
-	last    map[uint64]uint64
-	seen    map[wal.LSN]struct{}
-	highLSN wal.LSN
+	last map[uint64]uint64
 	// floor is the lowest LSN guaranteed retained (1 until the first
 	// truncation). Reads reaching below it fail with wal.ErrTruncated
 	// instead of silently yielding a partial prefix.
 	floor  wal.LSN
 	failed bool
-}
-
-// hasLSNLocked reports whether the record at lsn is already durable here,
-// or was until a truncation discarded it.
-func (ls *LogStore) hasLSNLocked(lsn wal.LSN) bool {
-	_, ok := ls.seen[lsn]
-	return ok || lsn < ls.floor
 }
 
 // linkLocked links the record in slot i into its page's chain.
@@ -65,7 +60,7 @@ func (ls *LogStore) linkLocked(i int) {
 
 // NewLogStore creates a log store on the given medium.
 func NewLogStore(cfg *sim.Config, medium Medium) *LogStore {
-	return &LogStore{cfg: cfg, medium: medium, meter: sim.NewMeter(cfg.NICSlots), last: make(map[uint64]uint64), seen: make(map[wal.LSN]struct{}), floor: 1}
+	return &LogStore{cfg: cfg, medium: medium, meter: sim.NewMeter(cfg.NICSlots), led: newLedger(), last: make(map[uint64]uint64), floor: 1}
 }
 
 // Fail crashes the store (records are durable across Restart).
@@ -87,9 +82,10 @@ func (ls *LogStore) Restart() {
 // (duplicate deliveries of already-durable records are absorbed, and so are
 // late ones of records below the truncation floor), and
 // fault injection can tear an append mid-batch: a prefix of the records
-// is durable, the rest is lost, and the caller sees an error — the
+// lands, the rest is lost, and the caller sees an error — the
 // crash-point-mid-WAL-append case engines must treat as an unacknowledged
-// commit.
+// commit. The store holds the prefix undecided, so no read, high LSN or
+// length sees it, and a truncation past it forgets it.
 func (ls *LogStore) Append(c *sim.Clock, recs []wal.Record) error {
 	// Admission gate on the store's service meter: under overload the
 	// append is shed before the fault decision and any charge. (Quorum
@@ -113,36 +109,42 @@ func (ls *LogStore) Append(c *sim.Clock, recs []wal.Record) error {
 		ls.mu.Unlock()
 		return ErrReplicaDown
 	}
-	for _, r := range persistRecs {
-		if ls.hasLSNLocked(r.LSN) {
-			continue // duplicate delivery of a durable record
-		}
-		ls.seen[r.LSN] = struct{}{}
-		ls.records.Push().Rec = r
-		ls.linkLocked(ls.records.Len() - 1)
-		if r.LSN > ls.highLSN {
-			ls.highLSN = r.LSN
+	for i := range persistRecs {
+		switch r := &persistRecs[i]; {
+		case f.Torn:
+			ls.led.hold(r)
+		case ls.led.receive(r.LSN): // false: a duplicate delivery
+			ls.records.Push().Rec = *r
+			ls.linkLocked(ls.records.Len() - 1)
 		}
 	}
+	ls.led.decide(nil, nil) // forget the undecided copies these supersede
 	ls.mu.Unlock()
 	if f.Torn {
-		op.End(int64(encodedSize(persistRecs)))
+		op.End(int64(wal.Size(persistRecs)))
 		return f.FaultErr()
 	}
 
-	n := encodedSize(recs)
-	var persist time.Duration
-	switch ls.medium {
-	case MediumPM:
-		// Compute-node-driven one-sided RDMA append + PM drain
-		// (PilotDB, §2.3).
-		persist = ls.cfg.RDMA.Cost(n) + sim.LatencyModel{BytesPerSec: ls.cfg.PMWrite.BytesPerSec}.Cost(n)
-	default:
-		persist = ls.cfg.TCP.Cost(n) + ls.cfg.SSDWrite.Cost(n)
-	}
-	ls.meter.Charge(c, persist)
+	n := wal.Size(recs)
+	ls.meter.Charge(c, ls.cost(n, true))
 	op.End(int64(n))
 	return nil
+}
+
+// cost is one request moving n bytes to (write) or from the store's medium.
+// PM is reached by compute-node-driven one-sided RDMA and drains at its
+// write bandwidth (PilotDB, §2.3); SSD behind a TCP round trip.
+func (ls *LogStore) cost(n int, write bool) time.Duration {
+	if ls.medium == MediumPM {
+		if !write {
+			return ls.cfg.RDMA.Cost(n)
+		}
+		return ls.cfg.RDMA.Cost(n) + sim.LatencyModel{BytesPerSec: ls.cfg.PMWrite.BytesPerSec}.Cost(n)
+	}
+	if !write {
+		return ls.cfg.TCP.Cost(n) + ls.cfg.SSDRead.Cost(n)
+	}
+	return ls.cfg.TCP.Cost(n) + ls.cfg.SSDWrite.Cost(n)
 }
 
 // TruncateBefore durably discards records with LSN < upTo and raises the
@@ -172,6 +174,7 @@ func (ls *LogStore) TruncateBefore(c *sim.Clock, upTo wal.LSN) error {
 	dropped := 0
 	if target > ls.floor {
 		ls.floor = target
+		ls.led.cover(target - 1)
 		// Compact in place and cut the tail; positions shift, so the chains
 		// are rebuilt.
 		clear(ls.last)
@@ -179,25 +182,17 @@ func (ls *LogStore) TruncateBefore(c *sim.Clock, upTo wal.LSN) error {
 		for i := range ls.records.Len() {
 			sl := ls.records.At(i)
 			if sl.Rec.LSN < target {
-				delete(ls.seen, sl.Rec.LSN)
-				dropped++
 				continue
 			}
 			ls.records.At(kept).Rec = sl.Rec
 			ls.linkLocked(kept)
 			kept++
 		}
+		dropped = ls.records.Len() - kept
 		ls.records.Cut(kept)
 	}
 	ls.mu.Unlock()
-	var persist time.Duration
-	switch ls.medium {
-	case MediumPM:
-		persist = ls.cfg.RDMA.Cost(24) + sim.LatencyModel{BytesPerSec: ls.cfg.PMWrite.BytesPerSec}.Cost(24)
-	default:
-		persist = ls.cfg.TCP.Cost(24) + ls.cfg.SSDWrite.Cost(24)
-	}
-	ls.meter.Charge(c, persist)
+	ls.meter.Charge(c, ls.cost(24, true))
 	op.End(int64(dropped))
 	if f.Torn {
 		return f.FaultErr()
@@ -245,15 +240,8 @@ func (ls *LogStore) SincePage(c *sim.Clock, pageID uint64, after wal.LSN) ([]wal
 	}
 	slices.Reverse(out)
 	ls.mu.Unlock()
-	n := encodedSize(out)
-	var read time.Duration
-	switch ls.medium {
-	case MediumPM:
-		read = ls.cfg.RDMA.Cost(n)
-	default:
-		read = ls.cfg.TCP.Cost(n) + ls.cfg.SSDRead.Cost(n)
-	}
-	ls.meter.Charge(c, read)
+	n := wal.Size(out)
+	ls.meter.Charge(c, ls.cost(n, false))
 	op.End(int64(n))
 	return out, nil
 }
@@ -262,7 +250,7 @@ func (ls *LogStore) SincePage(c *sim.Clock, pageID uint64, after wal.LSN) ([]wal
 func (ls *LogStore) HighLSN() wal.LSN {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	return ls.highLSN
+	return ls.led.high
 }
 
 // Len reports stored record count.
@@ -315,7 +303,7 @@ func (g *LogStoreGroup) Append(c *sim.Clock, recs []wal.Record) error {
 	}
 	slices.Sort(lats)
 	g.meter.Charge(c, lats[g.Quorum-1])
-	op.End(int64(encodedSize(recs)))
+	op.End(int64(wal.Size(recs)))
 	return nil
 }
 

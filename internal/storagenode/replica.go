@@ -46,20 +46,11 @@ type Replica struct {
 	// belongs to this replica alone and keeps its capacity when it empties
 	// (prunePendingLocked), so a page's next ingest appends into it.
 	pending map[page.ID][]wal.Record
-	// undecided holds the records of quorum appends whose outcome has not
-	// reached the replica (hold): not received — no prefix, no high LSN,
-	// never materialised, never shipped — until the writer's commit decision
-	// promotes them (decide) or a decided record at their LSN, the commit or
-	// the abort healing ships, supersedes them. The list keeps its capacity.
-	undecided []wal.Record
-	highLSN   wal.LSN
-	// prefixLSN is the highest L such that every LSN in [1, L] has been
-	// received. Single-store feeds (Taurus page stores) leave holes, so
-	// freshness must be judged by the contiguous prefix, not the max.
-	prefixLSN wal.LSN
-	// holes holds received LSNs beyond the prefix (bounded by the number
-	// of gaps, drained as the prefix advances).
-	holes map[wal.LSN]struct{}
+	// led is what the replica has received, and the quorum appends whose
+	// outcome has not reached it, held undecided (hold) until the writer's
+	// commit decision receives them (decide) or a decided record at their
+	// LSN, the commit or the abort healing ships, supersedes them.
+	led ledger
 	// horizon is the recovery horizon this replica has adopted: every
 	// LSN <= horizon is covered by checkpointed page state, the source
 	// log below horizon+1 may be truncated, and re-deliveries at or
@@ -85,7 +76,7 @@ func NewReplica(cfg *sim.Config, name string, az int, layout heap.Layout, netSca
 		nic:      sim.NewMeter(cfg.NICSlots),
 		pages:    make(map[page.ID][]byte),
 		pending:  make(map[page.ID][]wal.Record),
-		holes:    make(map[wal.LSN]struct{}),
+		led:      newLedger(),
 	}
 }
 
@@ -121,7 +112,7 @@ func (r *Replica) Failed() bool {
 func (r *Replica) HighLSN() wal.LSN {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.highLSN
+	return r.led.high
 }
 
 // AppliedRecords reports how many records have been materialized.
@@ -146,47 +137,25 @@ func (r *Replica) ingest(recs []wal.Record) bool {
 		return false
 	}
 	for i := range recs {
-		r.receiveLocked(&recs[i])
+		if r.led.receive(recs[i].LSN) {
+			r.pendLocked(&recs[i])
+		}
 	}
-	r.advancePrefixLocked()
-	r.dropSupersededLocked()
+	r.led.decide(nil, nil) // forget the undecided copies these supersede
 	return true
 }
 
-// receiveLocked takes one decided record: a page change joins its page's
-// pending list, and its LSN counts as received.
-func (r *Replica) receiveLocked(rec *wal.Record) {
-	if !r.lacksLocked(rec.LSN) {
-		return
-	}
+// pendLocked takes one record the ledger newly received: a page change
+// joins its page's pending list. A duplicate delivery never gets here, and
+// neither does a record at or below the adopted recovery horizon, which the
+// ledger covers: the checkpointed page images hold it, and re-materialising
+// it (a gossip round re-delivering pre-checkpoint records) would stamp a
+// freshly formatted page with a below-horizon LSN and serve it as if
+// complete.
+func (r *Replica) pendLocked(rec *wal.Record) {
 	switch rec.Type {
 	case wal.TypeUpdate, wal.TypeInsert, wal.TypeDelete:
 		r.pending[page.ID(rec.PageID)] = append(r.pending[page.ID(rec.PageID)], *rec)
-	}
-	if rec.LSN > r.highLSN {
-		r.highLSN = rec.LSN
-	}
-	r.holes[rec.LSN] = struct{}{}
-}
-
-// lacksLocked reports whether a record at lsn is one the replica still has
-// to take: not a duplicate delivery, and above the adopted recovery horizon.
-// The checkpointed page images cover a record at or below the horizon;
-// re-materialising it (a gossip round re-delivering pre-checkpoint records)
-// would stamp a freshly formatted page with a below-horizon LSN and serve it
-// as if complete.
-func (r *Replica) lacksLocked(lsn wal.LSN) bool {
-	return !r.hasLSN(lsn) && lsn > r.horizon
-}
-
-// advancePrefixLocked advances the contiguous prefix through filled holes.
-func (r *Replica) advancePrefixLocked() {
-	for {
-		if _, ok := r.holes[r.prefixLSN+1]; !ok {
-			break
-		}
-		delete(r.holes, r.prefixLSN+1)
-		r.prefixLSN++
 	}
 }
 
@@ -199,10 +168,8 @@ func (r *Replica) hold(recs []wal.Record) bool {
 	if r.failed {
 		return false
 	}
-	for _, rec := range recs {
-		if r.lacksLocked(rec.LSN) {
-			r.undecided = append(r.undecided, rec)
-		}
+	for i := range recs {
+		r.led.hold(&recs[i])
 	}
 	return true
 }
@@ -214,50 +181,9 @@ func (r *Replica) hold(recs []wal.Record) bool {
 func (r *Replica) decide(recs []wal.Record) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.failed || len(r.undecided) == 0 {
-		return
+	if !r.failed {
+		r.led.decide(recs, r.pendLocked)
 	}
-	r.pruneUndecidedLocked(func(u *wal.Record) bool {
-		if _, in := slices.BinarySearchFunc(recs, u.LSN, byLSN); !in {
-			return true
-		}
-		r.receiveLocked(u)
-		return false
-	})
-	r.advancePrefixLocked()
-}
-
-func byLSN(rec wal.Record, lsn wal.LSN) int { return cmp.Compare(rec.LSN, lsn) }
-
-// dropSupersededLocked forgets the undecided records whose LSN the replica
-// has since received decided — the writer's commit, or the abort healing
-// ships — or that its recovery horizon covers.
-func (r *Replica) dropSupersededLocked() {
-	if len(r.undecided) > 0 {
-		r.pruneUndecidedLocked(func(u *wal.Record) bool { return r.lacksLocked(u.LSN) })
-	}
-}
-
-// pruneUndecidedLocked keeps the undecided records keep reports true for,
-// in order, compacting the list in place and clearing its vacated tail.
-func (r *Replica) pruneUndecidedLocked(keep func(u *wal.Record) bool) {
-	kept := r.undecided[:0]
-	for i := range r.undecided {
-		if keep(&r.undecided[i]) {
-			kept = append(kept, r.undecided[i])
-		}
-	}
-	clear(r.undecided[len(kept):])
-	r.undecided = kept
-}
-
-// hasLSN reports whether the replica has received the record at lsn.
-func (r *Replica) hasLSN(lsn wal.LSN) bool {
-	if lsn <= r.prefixLSN {
-		return true
-	}
-	_, ok := r.holes[lsn]
-	return ok
 }
 
 // PrefixLSN reports the highest LSN up to which the replica has a complete,
@@ -265,7 +191,7 @@ func (r *Replica) hasLSN(lsn wal.LSN) bool {
 func (r *Replica) PrefixLSN() wal.LSN {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.prefixLSN
+	return r.led.prefix
 }
 
 // Ingest delivers records directly to this replica, charging its network
@@ -284,8 +210,8 @@ func (r *Replica) Ingest(c *sim.Clock, recs []wal.Record) error {
 	if f.Torn {
 		deliver = recs[:len(recs)/2]
 	}
-	n := encodedSize(deliver)
-	r.nic.Charge(c, sim.LatencyModel{Base: r.cfg.TCP.Base, BytesPerSec: r.cfg.TCP.BytesPerSec}.Cost(n))
+	n := wal.Size(deliver)
+	r.nic.Charge(c, r.cfg.TCP.Cost(n))
 	if !r.ingest(deliver) {
 		op.End(0)
 		return ErrReplicaDown
@@ -298,14 +224,6 @@ func (r *Replica) Ingest(c *sim.Clock, recs []wal.Record) error {
 		return f.FaultErr()
 	}
 	return nil
-}
-
-func encodedSize(recs []wal.Record) int {
-	n := 0
-	for i := range recs {
-		n += recs[i].EncodedSize()
-	}
-	return n
 }
 
 // materializeLocked applies pending records to the page, formatting it
@@ -333,7 +251,7 @@ func (r *Replica) materializeLocked(c *sim.Clock, id page.ID) []byte {
 			// rather than re-apply onto a possibly fresher image.
 			return false
 		}
-		if rec.LSN > r.prefixLSN {
+		if rec.LSN > r.led.prefix {
 			// Past a log hole: applying this record would stamp the page
 			// with an LSN that overstates completeness (ReadPage would
 			// then serve the page as fresh while a dropped record for
@@ -393,11 +311,11 @@ func (r *Replica) ReadPage(c *sim.Clock, id page.ID, minLSN wal.LSN) ([]byte, er
 	data := r.materializeLocked(c, id)
 	// Fresh enough if the log prefix covers minLSN, or the materialized
 	// page itself is already at minLSN (e.g. copied by adoptCheckpoint).
-	if r.prefixLSN < minLSN && wal.LSN(page.Wrap(data).LSN()) < minLSN {
+	if r.led.prefix < minLSN && wal.LSN(page.Wrap(data).LSN()) < minLSN {
 		op.End(0)
 		return nil, ErrStaleReplica
 	}
-	r.nic.Charge(c, sim.LatencyModel{Base: r.cfg.TCP.Base, BytesPerSec: r.cfg.TCP.BytesPerSec}.Cost(len(data)))
+	r.nic.Charge(c, r.cfg.TCP.Cost(len(data)))
 	op.End(int64(len(data)))
 	// The copy becomes a compute node's cache frame (buffer.Fetcher).
 	out := page.Alloc(len(data))
@@ -449,21 +367,7 @@ func (r *Replica) AdvanceHorizon(c *sim.Clock, h wal.LSN) {
 		op.End(0)
 		return
 	}
-	for lsn := range r.holes {
-		if lsn <= h {
-			delete(r.holes, lsn)
-		}
-	}
-	if h > r.prefixLSN {
-		r.prefixLSN = h
-	}
-	for {
-		if _, ok := r.holes[r.prefixLSN+1]; !ok {
-			break
-		}
-		delete(r.holes, r.prefixLSN+1)
-		r.prefixLSN++
-	}
+	r.led.cover(h)
 	// Materialize everything the new prefix completes BEFORE adopting the
 	// horizon: pending records at or below h must reach their pages now —
 	// after adoption they would be treated as covered and dropped.
@@ -471,10 +375,6 @@ func (r *Replica) AdvanceHorizon(c *sim.Clock, h wal.LSN) {
 		r.materializeLocked(c, id)
 	}
 	r.horizon = h
-	r.dropSupersededLocked()
-	if h > r.highLSN {
-		r.highLSN = h
-	}
 	r.mu.Unlock()
 	op.End(int64(h))
 }
@@ -489,7 +389,7 @@ func (r *Replica) adoptCheckpoint(c *sim.Clock, peer *Replica, h wal.LSN) (int, 
 		peer.mu.Unlock()
 		return 0, ErrReplicaDown
 	}
-	if peer.prefixLSN < h && peer.horizon < h {
+	if peer.led.prefix < h && peer.horizon < h {
 		peer.mu.Unlock()
 		return 0, ErrStaleReplica
 	}
@@ -519,16 +419,14 @@ func (r *Replica) adoptCheckpoint(c *sim.Clock, peer *Replica, h wal.LSN) (int, 
 			continue
 		}
 		r.pages[id] = img
-		if lsn > r.highLSN {
-			r.highLSN = lsn
-		}
+		r.led.high = max(r.led.high, lsn)
 		// The image supersedes pending records at or below its LSN.
 		r.prunePendingLocked(id, func(rec *wal.Record) bool { return rec.LSN > lsn })
 		bytes += len(img)
 		copied++
 	}
 	r.mu.Unlock()
-	c.Advance(sim.LatencyModel{Base: r.cfg.TCP.Base, BytesPerSec: r.cfg.TCP.BytesPerSec}.Cost(bytes))
+	c.Advance(r.cfg.TCP.Cost(bytes))
 	r.AdvanceHorizon(c, h)
 	return copied, nil
 }
@@ -549,7 +447,7 @@ func (r *Replica) CatchUpFrom(c *sim.Clock, peer *Replica, log *wal.Log) (int, e
 		r.mu.Unlock()
 		return 0, ErrReplicaDown
 	}
-	from := r.prefixLSN
+	from := r.led.prefix
 	r.mu.Unlock()
 	adopted := 0
 	if floor := log.Floor(); from+1 < floor {
@@ -572,13 +470,13 @@ func (r *Replica) CatchUpFrom(c *sim.Clock, peer *Replica, log *wal.Log) (int, e
 	s := shipment{r: r}
 	err := log.Range(from, ^wal.LSN(0), func(rec *wal.Record) error {
 		peer.mu.Lock()
-		has := peer.hasLSN(rec.LSN)
+		has := peer.led.has(rec.LSN)
 		peer.mu.Unlock()
 		if !has {
 			return nil
 		}
 		r.mu.Lock()
-		lacks := !r.hasLSN(rec.LSN)
+		lacks := !r.led.has(rec.LSN)
 		r.mu.Unlock()
 		if lacks {
 			s.add(rec)
@@ -632,7 +530,7 @@ func (s *shipment) flush() {
 // shipment costs nothing.
 func (s *shipment) charge(c *sim.Clock) {
 	if s.records > 0 && c != nil {
-		c.Advance(sim.LatencyModel{Base: s.r.cfg.TCP.Base, BytesPerSec: s.r.cfg.TCP.BytesPerSec}.Cost(s.bytes))
+		c.Advance(s.r.cfg.TCP.Cost(s.bytes))
 	}
 }
 
@@ -650,13 +548,13 @@ func (r *Replica) CatchUpFromLog(c *sim.Clock, log *wal.Log) int {
 		r.mu.Unlock()
 		return 0
 	}
-	from := r.prefixLSN
+	from := r.led.prefix
 	r.mu.Unlock()
 	// A walk that starts below the truncation floor ships nothing: the gap.
 	s := shipment{r: r}
 	err := log.Range(from, ^wal.LSN(0), func(rec *wal.Record) error {
 		r.mu.Lock()
-		lacks := !r.hasLSN(rec.LSN)
+		lacks := !r.led.has(rec.LSN)
 		r.mu.Unlock()
 		if lacks {
 			s.add(rec)

@@ -179,8 +179,8 @@ func TestUndecidedRecordsWaitForTheDecision(t *testing.T) {
 	if n := a.CatchUpFromLog(c, log); n != 1 {
 		t.Fatalf("healing shipped %d records, want the abort at LSN 2", n)
 	}
-	if got := read(a); got != "v1" || a.PrefixLSN() != 2 || len(a.undecided) != 0 {
-		t.Fatalf("after the abort: value %q, prefix %d, %d undecided; want v1, 2, 0", got, a.PrefixLSN(), len(a.undecided))
+	if got := read(a); got != "v1" || a.PrefixLSN() != 2 || len(a.led.undecided) != 0 {
+		t.Fatalf("after the abort: value %q, prefix %d, %d undecided; want v1, 2, 0", got, a.PrefixLSN(), len(a.led.undecided))
 	}
 
 	committed := []wal.Record{updateRec(0, key, layout, "v3")}
@@ -188,8 +188,8 @@ func TestUndecidedRecordsWaitForTheDecision(t *testing.T) {
 	a.hold(committed)
 	a.hold(committed) // a duplicated delivery
 	a.decide(committed)
-	if got := read(a); got != "v3" || a.PrefixLSN() != 3 || len(a.undecided) != 0 {
-		t.Fatalf("after the commit decision: value %q, prefix %d, %d undecided; want v3, 3, 0", got, a.PrefixLSN(), len(a.undecided))
+	if got := read(a); got != "v3" || a.PrefixLSN() != 3 || len(a.led.undecided) != 0 {
+		t.Fatalf("after the commit decision: value %q, prefix %d, %d undecided; want v3, 3, 0", got, a.PrefixLSN(), len(a.led.undecided))
 	}
 }
 

@@ -101,7 +101,7 @@ func (v *Volume) AppendLog(c *sim.Clock, recs []wal.Record) error {
 		op.End(0)
 		return ErrNoQuorum
 	}
-	n := encodedSize(recs)
+	n := wal.Size(recs)
 	var ackBuf [8]float64 // one per replica, on the stack for up to eight
 	acks := ackBuf[:0]
 	var faultErr error
@@ -198,31 +198,30 @@ func (v *Volume) FindHighLSN(c *sim.Clock) (wal.LSN, error) {
 // restoring quorum freshness after injected drops or torn deliveries left
 // holes no peer can fill. Returns the total records shipped.
 func (v *Volume) Heal(c *sim.Clock, log *wal.Log) int {
-	total := 0
-	for _, r := range v.Replicas {
-		if r.Failed() {
-			continue
-		}
-		total += r.CatchUpFromLog(c, log)
-	}
-	return total
+	_, shipped := Converge(c, v.Replicas, log, 0)
+	return shipped
 }
 
-// AdvanceHorizon publishes a checkpoint horizon to every alive replica:
-// each one materializes its pending records at or below h and stops
-// accepting re-deliveries of that prefix (see Replica.AdvanceHorizon).
-// Failed replicas learn the horizon later through RepairReplica's
-// checkpoint-image adoption. Returns the number of replicas advanced.
-func (v *Volume) AdvanceHorizon(c *sim.Clock, h wal.LSN) int {
-	n := 0
-	for _, r := range v.Replicas {
+// Converge brings every alive replica of a group up to date, one after
+// another on c: each catches up from log (CatchUpFromLog; none when log is
+// nil), then adopts the checkpoint horizon h (AdvanceHorizon; none when h
+// is 0). Replicas that are down learn both later, through repair or
+// gossip's CatchUpFrom image adoption. Returns the replicas reached and the
+// records shipped.
+func Converge(c *sim.Clock, rs []*Replica, log *wal.Log, h wal.LSN) (alive, shipped int) {
+	for _, r := range rs {
 		if r.Failed() {
 			continue
 		}
-		r.AdvanceHorizon(c, h)
-		n++
+		alive++
+		if log != nil {
+			shipped += r.CatchUpFromLog(c, log)
+		}
+		if h > 0 {
+			r.AdvanceHorizon(c, h)
+		}
 	}
-	return n
+	return alive, shipped
 }
 
 // RepairReplica restores a crashed replica and catches it up from the

@@ -69,6 +69,15 @@ const recordHeader = 8 + 1 + 8 + 8 + 8 + 4 + 4 // lsn type tx page key blen alen
 // EncodedSize reports the record's wire size.
 func (r *Record) EncodedSize() int { return recordHeader + len(r.Before) + len(r.After) }
 
+// Size reports the wire size of recs back to back.
+func Size(recs []Record) int {
+	n := 0
+	for i := range recs {
+		n += recs[i].EncodedSize()
+	}
+	return n
+}
+
 // Encode appends the record's wire form to dst and returns the result.
 func (r *Record) Encode(dst []byte) []byte {
 	var hdr [recordHeader]byte
