@@ -122,7 +122,7 @@ type Directory struct {
 	mu       sync.Mutex
 	mode     Mode
 	tiers    []*tierEntry
-	versions map[page.ID]uint64
+	versions map[page.ID]version
 
 	bat *sim.Batcher[pub, struct{}]
 
@@ -140,7 +140,7 @@ func NewDirectory(cfg *sim.Config, site string, mode Mode) *Directory {
 		cfg:      cfg,
 		site:     site,
 		mode:     mode,
-		versions: make(map[page.ID]uint64),
+		versions: make(map[page.ID]version),
 	}
 	cfg.Register(site, d.Stats)
 	return d
@@ -205,15 +205,8 @@ func (d *Directory) Deregister(h *Handle) {
 // EnableBatching routes publications through a leader-combining batcher
 // with the given size/window policy so concurrent committers share one
 // coherence round — engines call this alongside EnableGroupCommit so one
-// group-commit flush is one coherence round. maxItems <= 1 disables
-// grouping.
+// group-commit flush is one coherence round.
 func (d *Directory) EnableBatching(maxItems int, window time.Duration) {
-	if maxItems <= 1 {
-		d.mu.Lock()
-		d.bat = nil
-		d.mu.Unlock()
-		return
-	}
 	b := sim.NewBatcher(d.cfg, d.site,
 		sim.BatchPolicy{MaxItems: maxItems, Window: window},
 		func(c *sim.Clock, pubs []pub, out []struct{}) error {
@@ -225,12 +218,26 @@ func (d *Directory) EnableBatching(maxItems int, window time.Duration) {
 	d.mu.Unlock()
 }
 
-// Version reports the page's current directory version (0 if never
-// published). Safe to call while holding a tier lock.
+// version is one page's directory entry: the highest stamp published for
+// it and the number of stamps published for it.
+type version struct{ stamp, pubs uint64 }
+
+// Version reports the page's current directory version, its highest
+// published stamp (0 if never published). Safe to call while holding a
+// tier lock.
 func (d *Directory) Version(id page.ID) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.versions[id]
+	return d.versions[id].stamp
+}
+
+// Publications reports how many stamps have been published for the page.
+// Unlike Version it moves on every publication, one below the page's
+// highest stamp included.
+func (d *Directory) Publications(id page.ID) uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.versions[id].pubs
 }
 
 // Publish makes the written pages' new stamps visible at the durability
@@ -273,10 +280,13 @@ func (d *Directory) round(c *sim.Clock, pubs []pub) {
 	mode := d.mode
 	for _, p := range pubs {
 		for _, ps := range p.stamps {
-			if ps.Stamp > d.versions[ps.ID] {
-				d.versions[ps.ID] = ps.Stamp
+			v := d.versions[ps.ID]
+			v.pubs++
+			if ps.Stamp > v.stamp {
+				v.stamp = ps.Stamp
 				bumped++
 			}
+			d.versions[ps.ID] = v
 		}
 	}
 	if mode == ModeInvalidate {

@@ -4,10 +4,8 @@
 //
 // The fleet is the single entry point in fleet mode — workloads call
 // Fleet.Run instead of engine.Run, and the Router maps each transaction to
-// a member: writes go to the key's shard owner (a rendezvous-hash shard
-// map, so per-member lock tables stay sufficient — one writer per key),
-// read-only transactions may ride least-loaded/session-affinity routing
-// with an explicit freshness refresh when they land off the owner.
+// the key's shard owner (a rendezvous-hash shard map, so per-member lock
+// tables stay sufficient — one writer per key).
 //
 // Elasticity is the payoff disaggregation buys (arXiv:2411.01269): a
 // scaled-out member is stateless — it attaches to the shared log/volume,
@@ -35,7 +33,6 @@ import (
 
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/sim"
-	"github.com/disagglab/disagg/internal/sim/profile"
 )
 
 // Cluster errors.
@@ -93,8 +90,7 @@ type Member struct {
 	// Meter accumulates the member's virtual busy time (capacity 1: one
 	// compute node) via non-charging Observe calls — the ρ/queue telemetry
 	// the Controller feeds into autoscale decisions.
-	Meter    *sim.Meter
-	inflight atomic.Int64
+	Meter *sim.Meter
 	// WarmTime is the recovery time charged when the member attached or
 	// took over shards (0 for the root).
 	WarmTime time.Duration
@@ -102,10 +98,6 @@ type Member struct {
 
 // Active reports whether the member is routable.
 func (m *Member) Active() bool { return memberState(m.state.Load()) == stateActive }
-
-// InFlight reports the member's currently dispatched transaction count
-// (the least-loaded routing signal).
-func (m *Member) InFlight() int64 { return m.inflight.Load() }
 
 // detacher is the optional engine hook for leaving the shared coherence
 // directory on retirement.
@@ -135,22 +127,12 @@ type Fleet struct {
 	order   []int           // creation order, for deterministic iteration
 	shard   *ShardMap
 	nextID  int
-	// sessions pins read-only sessions to members (session affinity). It
-	// has its own lock because pins are created during dispatch, which
-	// holds mu only in R mode.
-	sessMu   sync.Mutex
-	sessions map[int]int
 	// meters is append-only (retired members' counters stop moving but
 	// stay in the set) so autoscale.MeterSource deltas never go negative.
 	meters []*sim.Meter
 	// partitioned is the single engine of a Rescale fleet.
 	partitioned *Member
 	parts       int
-	// slo, when set, scores every dispatched transaction against the
-	// fleet's latency objective; the controller surfaces its burn rate
-	// each tick so scaling decisions can be audited against SLO burn.
-	// Atomic so SetSLO needs no ordering against in-flight dispatches.
-	slo atomic.Pointer[profile.SLOTracker]
 }
 
 // New builds a fleet with n initial members (n < 1 is treated as 1),
@@ -159,11 +141,7 @@ func New(spec Spec, c *sim.Clock, n int) *Fleet {
 	if n < 1 {
 		n = 1
 	}
-	f := &Fleet{
-		spec:     spec,
-		members:  make(map[int]*Member),
-		sessions: make(map[int]int),
-	}
+	f := &Fleet{spec: spec, members: make(map[int]*Member)}
 	if spec.Rescale != nil {
 		f.partitioned = f.newMemberLocked(c)
 		f.parts = n
@@ -236,23 +214,10 @@ func (f *Fleet) Meters() []*sim.Meter {
 	return append([]*sim.Meter(nil), f.meters...)
 }
 
-// SetSLO attaches a latency objective to the fleet: every dispatched
-// transaction is scored against it, and Controller.Tick reports the
-// window's burn rate alongside the scaling decision.
-func (f *Fleet) SetSLO(s profile.SLO) { f.slo.Store(profile.NewSLOTracker(s)) }
-
-// SLO returns the fleet's tracker (nil when no objective is attached).
-func (f *Fleet) SLO() *profile.SLOTracker { return f.slo.Load() }
-
-// RunOpts extends engine.RunOpts with fleet routing controls.
+// RunOpts holds one fleet transaction's options: the engine.RunOpts the
+// routed member runs it with.
 type RunOpts struct {
 	engine.RunOpts
-	// ReadOnly routes the transaction by load instead of by key: the
-	// fleet picks the session's pinned member (or the least-loaded active
-	// member on first use) and, when that member is not the key's shard
-	// owner, refreshes its durable watermark first so the read cannot
-	// trail an acknowledged commit. The transaction must not write.
-	ReadOnly bool
 }
 
 // failoverRetries bounds Run's re-routing after a member failure mid-run.
@@ -276,7 +241,7 @@ func (f *Fleet) Run(c *sim.Clock, key uint64, opts RunOpts, fn func(tx engine.Tx
 	var lastErr error
 	lastMember := -1
 	for attempt := 0; attempt <= failoverRetries; attempt++ {
-		m, err := f.dispatch(c, key, &opts, fn)
+		m, err := f.dispatch(c, key, opts.RunOpts, fn)
 		if err == nil {
 			return nil
 		}
@@ -301,24 +266,13 @@ func (f *Fleet) Run(c *sim.Clock, key uint64, opts RunOpts, fn func(tx engine.Tx
 
 // dispatch routes and executes one fleet attempt under the membership
 // read lock, recording telemetry on the routed member.
-func (f *Fleet) dispatch(c *sim.Clock, key uint64, opts *RunOpts, fn func(tx engine.Tx) error) (*Member, error) {
+func (f *Fleet) dispatch(c *sim.Clock, key uint64, opts engine.RunOpts, fn func(tx engine.Tx) error) (*Member, error) {
 	f.rlock(c)
-	m := f.routeLocked(key, opts)
+	m := f.routeLocked(key)
 	if m == nil {
 		f.mu.RUnlock()
 		return nil, ErrNoMembers
 	}
-	if opts.ReadOnly {
-		if err := f.refreshLocked(c, m, key); err != nil {
-			// The member cannot prove freshness, so it must not serve the
-			// read. Unpin the session and surface unavailability; the
-			// retry loop may land the session somewhere healthier.
-			f.unpin(opts.Session)
-			f.mu.RUnlock()
-			return m, err
-		}
-	}
-	m.inflight.Add(1)
 	start := c.Now()
 	if cc := f.spec.ComputeCost; cc > 0 {
 		// The member's compute share: oversubscription stretches this
@@ -328,15 +282,11 @@ func (f *Fleet) dispatch(c *sim.Clock, key uint64, opts *RunOpts, fn func(tx eng
 		m.Meter.Charge(c, cc)
 	}
 	sim.Hold(c)
-	err := engine.Run(m.E, c, opts.RunOpts, fn)
+	err := engine.Run(m.E, c, opts, fn)
 	sim.Unhold(c)
 	if f.spec.ComputeCost <= 0 {
 		m.Meter.Observe(c, c.Now()-start)
 	}
-	if t := f.slo.Load(); t != nil {
-		t.Observe(c.Now(), c.Now()-start, err == nil)
-	}
-	m.inflight.Add(-1)
 	f.mu.RUnlock()
 	return m, err
 }
@@ -358,76 +308,16 @@ func (f *Fleet) lock(c *sim.Clock) {
 	f.writers.Add(-1)
 }
 
-// routeLocked picks the member for one transaction. Callers hold mu.R.
-func (f *Fleet) routeLocked(key uint64, opts *RunOpts) *Member {
+// routeLocked picks the key's shard owner. Callers hold mu.R.
+func (f *Fleet) routeLocked(key uint64) *Member {
 	if f.partitioned != nil {
 		return f.partitioned
-	}
-	if opts.ReadOnly {
-		f.sessMu.Lock()
-		defer f.sessMu.Unlock()
-		if id, ok := f.sessions[opts.Session]; ok {
-			if m := f.members[id]; m != nil && m.Active() {
-				return m
-			}
-			delete(f.sessions, opts.Session)
-		}
-		if m := f.leastLoadedLocked(); m != nil {
-			f.sessions[opts.Session] = m.ID
-			return m
-		}
-		return nil
 	}
 	owner := f.shard.Owner(key)
 	if owner < 0 {
 		return nil
 	}
 	return f.members[owner]
-}
-
-// leastLoadedLocked picks the active member with the fewest in-flight
-// transactions (ties break to the lowest id, keeping routing
-// deterministic under equal load).
-func (f *Fleet) leastLoadedLocked() *Member {
-	var best *Member
-	for _, id := range f.order {
-		m := f.members[id]
-		if !m.Active() {
-			continue
-		}
-		if best == nil || m.InFlight() < best.InFlight() {
-			best = m
-		}
-	}
-	return best
-}
-
-// refreshLocked makes a read-only dispatch to a non-owner member safe: the
-// member's durable watermark is advanced to the substrate's high-water
-// mark (one recovery-style round trip, charged to the caller's clock)
-// before the read, so no acknowledged commit on the owner can trail the
-// reader's floor. On the owner — or when the architecture has no
-// Recoverer — it is a no-op; the owner's floor already covers its own
-// acked commits. A refresh failure is surfaced as unavailability: a
-// member that cannot prove freshness must not serve the read.
-func (f *Fleet) refreshLocked(c *sim.Clock, m *Member, key uint64) error {
-	if f.partitioned != nil || m.caps.Recoverer == nil || !m.Active() {
-		return nil
-	}
-	if f.shard.Owner(key) == m.ID {
-		return nil
-	}
-	if _, err := m.caps.Recoverer.Recover(c); err != nil {
-		return fmt.Errorf("%w: freshness refresh on member %d: %v", engine.ErrUnavailable, m.ID, err)
-	}
-	return nil
-}
-
-// unpin drops a read-only session's member pin.
-func (f *Fleet) unpin(session int) {
-	f.sessMu.Lock()
-	delete(f.sessions, session)
-	f.sessMu.Unlock()
 }
 
 // ScaleTo grows or shrinks the fleet to n active members, charging
@@ -467,9 +357,9 @@ func (f *Fleet) ScaleTo(c *sim.Clock, n int) (added, retired []int) {
 	return added, retired
 }
 
-// Crash kills member id: volatile state is lost, its keyspace re-routes
-// to survivors (who warm on the caller's clock), and its sessions drain.
-// The crashed member's Stats stay in the fleet totals.
+// Crash kills member id: volatile state is lost and its keyspace re-routes
+// to survivors (who warm on the caller's clock). The crashed member's Stats
+// stay in the fleet totals.
 func (f *Fleet) Crash(c *sim.Clock, id int) error {
 	f.rlock(c)
 	if f.partitioned != nil {
@@ -505,8 +395,8 @@ func (f *Fleet) Crash(c *sim.Clock, id int) error {
 // retireLocked removes a member from routing (crashed or drained): the
 // shard map reassigns its slots, each gaining survivor warms to the
 // substrate high-water mark (so takeover reads cover every commit the
-// leaver acknowledged), sessions unpin, and the leaver's cache tier
-// detaches from the coherence directory. Callers hold mu.W.
+// leaver acknowledged), and the leaver's cache tier detaches from the
+// coherence directory. Callers hold mu.W.
 func (f *Fleet) retireLocked(c *sim.Clock, id int, to memberState) {
 	m := f.members[id]
 	m.state.Store(int32(to))
@@ -524,13 +414,6 @@ func (f *Fleet) retireLocked(c *sim.Clock, id int, to memberState) {
 			g.WarmTime += d
 		}
 	}
-	f.sessMu.Lock()
-	for sess, sid := range f.sessions {
-		if sid == id {
-			delete(f.sessions, sess)
-		}
-	}
-	f.sessMu.Unlock()
 	if to == stateRetired {
 		if d, ok := m.E.(detacher); ok {
 			d.Detach()

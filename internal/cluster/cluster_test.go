@@ -13,7 +13,6 @@ import (
 	"github.com/disagglab/disagg/internal/engine/sharednothing"
 	"github.com/disagglab/disagg/internal/heap"
 	"github.com/disagglab/disagg/internal/sim"
-	"github.com/disagglab/disagg/internal/sim/profile"
 )
 
 // mustLayout builds the standard 4 KiB-page / 64-byte-value layout.
@@ -275,43 +274,6 @@ func TestCrashMidRunLandsBeforeTheWorkersFinish(t *testing.T) {
 	}
 }
 
-// TestFleetReadOnlyRouting exercises least-loaded/session-affinity reads:
-// an acked write on the shard owner must be visible to a read-only
-// session routed to any other member (the refresh closes the watermark
-// gap).
-func TestFleetReadOnlyRouting(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	layout := mustLayout(t)
-	f := cluster.New(auroraSpec(cfg, layout), sim.NewClock(), 3)
-	c := sim.NewClock()
-	key := uint64(4242)
-	want := make([]byte, layout.ValSize)
-	want[0] = 0xAB
-	if err := f.Run(c, key, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 4}}, func(tx engine.Tx) error {
-		return tx.Write(key, want)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Several sessions: each pins a member; all must see the commit.
-	for sess := 0; sess < 6; sess++ {
-		var got []byte
-		err := f.Run(c, key, cluster.RunOpts{
-			RunOpts:  engine.RunOpts{Retries: 4, Session: sess},
-			ReadOnly: true,
-		}, func(tx engine.Tx) error {
-			v, rerr := tx.Read(key)
-			got = v
-			return rerr
-		})
-		if err != nil {
-			t.Fatalf("session %d read: %v", sess, err)
-		}
-		if got[0] != 0xAB {
-			t.Fatalf("session %d: stale read %x (cross-member refresh failed)", sess, got[0])
-		}
-	}
-}
-
 func TestControllerScalesOutAndBackIn(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	layout := mustLayout(t)
@@ -384,58 +346,5 @@ func TestPartitionedFleetRescales(t *testing.T) {
 	// Crash drills are unsupported on partitioned fleets.
 	if err := f.Crash(c, 0); !errors.Is(err, cluster.ErrUnsupported) {
 		t.Fatalf("crash on partitioned fleet: %v", err)
-	}
-}
-
-// TestFleetSLOSurfacedThroughController attaches a latency objective to
-// a fleet, drives transactions through the router (some fast, some
-// failing), and checks the controller's tick surfaces the window's burn
-// rate — and that a fleet without an objective is distinguishable from
-// one burning at 0x.
-func TestFleetSLOSurfacedThroughController(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	layout := mustLayout(t)
-	f := cluster.New(auroraSpec(cfg, layout), sim.NewClock(), 1)
-	ctl := cluster.NewController(f, autoscale.NewReactive())
-
-	c := sim.NewClock()
-	if res := ctl.Tick(c); res.SLOAttached {
-		t.Fatalf("tick reports an objective before SetSLO: %+v", res.SLO)
-	}
-
-	// 90% objective: with 8 clean commits and 2 forced failures the
-	// window's error fraction is 0.2 and the burn 2x.
-	f.SetSLO(profile.SLO{Target: 50 * time.Millisecond, Objective: 0.9, Window: 10 * time.Millisecond})
-	v := make([]byte, layout.ValSize)
-	boom := errors.New("boom")
-	for i := 0; i < 10; i++ {
-		key := uint64(100 + i)
-		fail := i >= 8
-		err := f.Run(c, key, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 2}}, func(tx engine.Tx) error {
-			if fail {
-				return boom
-			}
-			return tx.Write(key, v)
-		})
-		if fail != (err != nil) {
-			t.Fatalf("op %d: err = %v, want failure=%v", i, err, fail)
-		}
-	}
-
-	res := ctl.Tick(c)
-	if !res.SLOAttached {
-		t.Fatalf("objective attached but tick reports none")
-	}
-	if res.SLO.Good != 8 || res.SLO.Bad != 2 {
-		t.Fatalf("window counted good=%d bad=%d, want 8/2", res.SLO.Good, res.SLO.Bad)
-	}
-	if res.SLO.Burn < 1.9 || res.SLO.Burn > 2.1 {
-		t.Fatalf("burn = %.2fx, want ~2x (errFrac 0.2 against a 0.1 budget)", res.SLO.Burn)
-	}
-
-	// A tick far past the window sees an empty (healthy) window.
-	c.Advance(time.Second)
-	if res := ctl.Tick(c); !res.SLOAttached || res.SLO.Bad != 0 || res.SLO.Burn != 0 {
-		t.Fatalf("stale window leaked into the snapshot: %+v", res.SLO)
 	}
 }

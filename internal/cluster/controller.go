@@ -5,7 +5,6 @@ import (
 
 	"github.com/disagglab/disagg/internal/autoscale"
 	"github.com/disagglab/disagg/internal/sim"
-	"github.com/disagglab/disagg/internal/sim/profile"
 )
 
 // Controller closes the provisioning loop of §4: each Tick samples the
@@ -50,14 +49,6 @@ type TickResult struct {
 	// WarmTime is the recovery time charged for this tick's attach/warm
 	// work (0 when membership did not change).
 	WarmTime time.Duration
-	// SLO is the fleet's burn-rate evaluation over the window ending at
-	// this tick (zero unless Fleet.SetSLO attached an objective). It lets
-	// a scaling audit line up "burn > 1" intervals with the decisions
-	// taken inside them.
-	SLO profile.Status
-	// SLOAttached reports whether the fleet has an objective, so a zero
-	// Status is distinguishable from "not tracked".
-	SLOAttached bool
 }
 
 // Tick runs one control interval at virtual time c.Now(): sample, decide,
@@ -74,10 +65,6 @@ func (ctl *Controller) Tick(c *sim.Clock) TickResult {
 		target = ctl.Max
 	}
 	res := TickResult{Telemetry: tel, Decision: dec, Target: target}
-	if t := f.SLO(); t != nil {
-		res.SLO = t.Snapshot(c.Now())
-		res.SLOAttached = true
-	}
 	if target != nodes {
 		before := c.Now()
 		res.Added, res.Retired = f.ScaleTo(c, target)

@@ -369,17 +369,19 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 }
 
 // version is the version commit validation compares a pinned read with:
-// the directory version of the key's page. It charges no time. A commit
-// publishes it after Apply and before it unlocks, so a read that saw a
-// version saw the bytes of every commit up to it, and a commit that landed
-// on the page since shows as a different version. A page is coarser than a
-// key: a commit to another key of the page fails the check too, and the
-// transaction retries.
+// the number of publications to the key's page. It charges no time. A
+// commit publishes after Apply and before it unlocks, so a read that saw a
+// count saw the bytes of every commit counted, and any commit published to
+// the page since changes the count. The page's highest stamp would not do:
+// two members of one substrate can publish to a page out of LSN order, and
+// a publish below the highest stamp leaves it where it is. A page is
+// coarser than a key: a commit to another key of the page fails the check
+// too, and the transaction retries.
 func (p *Pipeline) version(key uint64) uint64 {
 	if p.dir == nil {
 		return 0
 	}
-	return p.dir.Version(p.layout.PageOf(key))
+	return p.dir.Publications(p.layout.PageOf(key))
 }
 
 // decide fills recs' slots — with the records once they are durable, with
@@ -472,15 +474,11 @@ func pageStamps(dst []coherence.PageStamp, recs []wal.Record) []coherence.PageSt
 
 // EnableGroupCommit makes commits ride shared Durable flushes of up to
 // maxItems transactions or the virtual window, whichever triggers first
-// (the body of engine.GroupCommitter); maxItems <= 1 restores the direct
-// per-commit path. Coherence publications piggyback on the same cadence:
-// one durable group flush, one publication round for the whole group.
+// (the body of engine.GroupCommitter). Coherence publications piggyback on
+// the same cadence: one durable group flush, one publication round for the
+// whole group.
 func (p *Pipeline) EnableGroupCommit(maxItems int, window time.Duration) {
 	p.dir.EnableBatching(maxItems, window)
-	if maxItems <= 1 {
-		p.gc = nil
-		return
-	}
 	p.gc = sim.NewBatcher(p.cfg, p.site+".groupcommit",
 		sim.BatchPolicy{MaxItems: maxItems, Window: window, OnFlush: p.noteFlush},
 		p.flushGroup)

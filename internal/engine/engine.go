@@ -94,7 +94,6 @@ type Checkpointer interface {
 type GroupCommitter interface {
 	// EnableGroupCommit turns on commit batching: flushes trigger at
 	// maxItems riders or after the virtual window, whichever first.
-	// maxItems <= 1 keeps the direct per-commit path.
 	EnableGroupCommit(maxItems int, window time.Duration)
 }
 

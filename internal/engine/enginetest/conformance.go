@@ -141,7 +141,7 @@ type keyState struct {
 }
 
 // runner runs fn as one transaction on key. opts.Replica > 0 asks for the
-// read-only path: a read replica, or a fleet's read-only dispatch.
+// read-only path, a read replica.
 type runner func(c *sim.Clock, key uint64, opts engine.RunOpts, fn func(tx engine.Tx) error) error
 
 // conformanceResult is the workload's state across its phases: the per-key
@@ -506,6 +506,9 @@ func RunConformance(t *testing.T, factory Factory) {
 	})
 	eachProfile(t, "Batched/Drill/", func(t *testing.T, p *fault.Profile) {
 		eachSeed(t, seed, func(t *testing.T, seed int64) { runDrill(t, factory, p, seed, true) })
+	})
+	t.Run("Batched/Isolation/LostUpdate", func(t *testing.T) {
+		runLostUpdate(t, func(t *testing.T, cfg *sim.Config) engine.Engine { return batched(factory(t, cfg)) })
 	})
 	t.Run("Batched/TimeoutFlushDurable", func(t *testing.T) {
 		timeoutFlushDurable(t, factory)

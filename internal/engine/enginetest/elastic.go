@@ -2,7 +2,9 @@ package enginetest
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/disagglab/disagg/internal/cluster"
 	"github.com/disagglab/disagg/internal/engine"
@@ -16,9 +18,8 @@ import (
 type SpecFactory func(t *testing.T, cfg *sim.Config) cluster.Spec
 
 // Elastic workload shape: the conformance workload driven through
-// cluster.Fleet.Run instead of engine.Run, its read-only path the fleet's
-// read-only (session-affinity) dispatch, so the cross-member freshness
-// refresh is held to the same floors as ordinary reads. Membership churn
+// cluster.Fleet.Run instead of engine.Run, every transaction routed to its
+// key's shard owner and every read held to its key's floor. Membership churn
 // runs beside one confOps phase: a scale-out once a quarter of its
 // operations have begun, a crash drill at half.
 const (
@@ -36,6 +37,9 @@ const (
 // key is re-verified through the (post-failover) router, the fleet drains
 // back to a single member and is verified again, and the fleet-wide
 // accounting invariant Attempts == Commits + Aborts + Shed is checked.
+// Isolation/OutOfOrderPublish holds a root and a peer to commit validation
+// when their publishes to one page reach the shared directory out of LSN
+// order.
 //
 // specFor must build a FRESH Spec on the provided config each call.
 func RunElastic(t *testing.T, specFor SpecFactory) {
@@ -46,11 +50,9 @@ func RunElastic(t *testing.T, specFor SpecFactory) {
 		label = "elastic/" + label
 		f := cluster.New(specFor(t, cfg), sim.NewClock(), elasticStart)
 		run := func(c *sim.Clock, key uint64, opts engine.RunOpts, fn func(tx engine.Tx) error) error {
-			fo := cluster.RunOpts{RunOpts: opts, ReadOnly: opts.Replica > 0}
-			fo.Replica = 0
-			return f.Run(c, key, fo, fn)
+			return f.Run(c, key, cluster.RunOpts{RunOpts: opts}, fn)
 		}
-		res := newConformanceResult(Layout(t), run, true)
+		res := newConformanceResult(Layout(t), run, false)
 		// Both drills tolerate architectures that cannot run them
 		// (partitioned fleets, engines without a Recoverer).
 		extendConformanceWorkload(res, seed, confOps, func(c *sim.Clock, next func() int64) {
@@ -90,4 +92,72 @@ func RunElastic(t *testing.T, specFor SpecFactory) {
 				label, tot.Attempts, tot.Commits, tot.Aborts, tot.Shed, seed)
 		}
 	})
+	t.Run("Isolation/OutOfOrderPublish", func(t *testing.T) {
+		runOutOfOrderPublish(t, specFor(t, sim.DefaultConfig()))
+	})
+}
+
+// runOutOfOrderPublish is the lost update two members of one substrate
+// could let through when their publishes to one page reach the shared
+// coherence directory out of LSN order. Root A commits under group commit
+// (groups of two), so w0's increment of k waits in its group holding k's
+// lock. Meanwhile w1 commits a write to another key of k's page on peer B
+// with a higher LSN, and w3's write to another page on B fills w1's
+// coherence round, so w1's publish lands first. w2 then reads k on A, pins
+// the page as w1 left it and sees k's bytes from before w0's commit, and
+// waits for k's lock. w0's publish comes last, below w1's stamp: unless
+// validation sees it, w2 writes back an increment of the old value.
+// Partitioned fleets (one engine) and roots without group commit skip.
+func runOutOfOrderPublish(t *testing.T, spec cluster.Spec) {
+	if spec.Rescale != nil {
+		t.Skip("partitioned fleet: one engine, no peers")
+	}
+	layout := Layout(t)
+	a, b := spec.New(0), spec.New(1)
+	gc := engine.Caps(a).GroupCommitter
+	if gc == nil {
+		t.Skip("root has no group commit")
+	}
+	gc.EnableGroupCommit(2, 50*time.Microsecond)
+	per := uint64(layout.PerPage)
+	k, sibling, other := 40*per, 40*per+1, 42*per
+	opts := engine.RunOpts{Retries: 4}
+	incr := func(c *sim.Clock) error {
+		return engine.Run(a, c, opts, func(tx engine.Tx) error {
+			v, err := tx.Read(k)
+			if err != nil {
+				return err
+			}
+			return tx.Write(k, val(layout, tag(v)+1))
+		})
+	}
+	var written atomic.Bool
+	errs := make([]error, 4)
+	sim.RunGroup(4, func(id int, c *sim.Clock) int {
+		switch id {
+		case 0:
+			errs[id] = incr(c)
+		case 1:
+			errs[id] = writeKey(b, c, opts, sibling, val(layout, 7))
+			written.Store(true)
+		case 2:
+			sim.Wait(c, written.Load)
+			errs[id] = incr(c)
+		case 3:
+			errs[id] = writeKey(b, c, opts, other, val(layout, 7))
+		}
+		return 1
+	})
+	for id, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", id, err)
+		}
+	}
+	v, err := readKey(a, sim.NewClock(), opts, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tag(v); got != 2 {
+		t.Errorf("k = %d after two committed increments: lost update", got)
+	}
 }

@@ -30,7 +30,7 @@ func TestRedoSkipsByPageLSN(t *testing.T) {
 		{LSN: 1, Type: wal.TypeUpdate, Key: 0, After: redoVal(e, 1)}, // the image holds it
 		{LSN: 2, Type: wal.TypeCommit},
 		{LSN: 3, Type: wal.TypeUpdate, Key: 1, After: redoVal(e, 3)},
-		{LSN: 4, Type: wal.TypeCheckpoint},
+		{LSN: 4, Type: wal.TypeCommit},
 		{LSN: 5, Type: wal.TypeAbort},
 	} {
 		ok, err := e.p.Redo(data, &r)

@@ -149,8 +149,8 @@ type Coalescer struct {
 	b  *sim.Batcher[uint64, allocResult]
 }
 
-// NewCoalescer builds a coalescer over qp. maxItems <= 1 keeps the
-// direct one-RPC-per-alloc path (through the same choke point).
+// NewCoalescer builds a coalescer over qp that flushes at maxItems
+// allocations or after the virtual window.
 func NewCoalescer(qp *rdma.QP, maxItems int, window time.Duration) *Coalescer {
 	co := &Coalescer{qp: qp}
 	co.b = sim.NewBatcher(qp.Config(), "memnode.allocn",

@@ -1,6 +1,6 @@
 // Package metrics provides the small measurement toolkit used by the
-// experiment harness: log-bucketed latency histograms, atomic counters, and
-// plain-text table rendering for paper-style result output.
+// experiment harness: log-bucketed latency histograms and plain-text table
+// rendering for paper-style result output.
 package metrics
 
 import (
@@ -132,18 +132,6 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	}
 	return h.Max()
 }
-
-// Counter is an atomic int64 with a name-friendly API.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.v.Store(0) }
 
 // Table renders aligned plain-text tables in the style of the tables the
 // experiments print (one header row, any number of data rows).

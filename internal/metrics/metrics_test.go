@@ -135,19 +135,6 @@ func TestQuantileBoundsObservation(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(5)
-	c.Add(-2)
-	if c.Load() != 3 {
-		t.Fatalf("counter = %d", c.Load())
-	}
-	c.Reset()
-	if c.Load() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("T1: demo", "engine", "tput", "p99")
 	tb.Row("aurora", 1234.0, 250*time.Microsecond)

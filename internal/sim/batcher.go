@@ -27,9 +27,8 @@ func (r FlushReason) String() string {
 
 // BatchPolicy configures a Batcher.
 type BatchPolicy struct {
-	// MaxItems is the size trigger. Values <= 1 disable grouping: every
-	// Submit flushes a batch of one on the caller's clock (the disabled
-	// path is allocation-free in steady state).
+	// MaxItems is the size trigger; 1 flushes every Submit as a batch of
+	// one at once.
 	MaxItems int
 	// Window is the virtual-time trigger: when a batch flushes on timeout
 	// the group is charged as if the leader had waited Window after its
@@ -72,12 +71,6 @@ type (
 func (b *batchFilled[T, R]) holds() bool  { return b.filled.Load() }
 func (b *batchFlushed[T, R]) holds() bool { return b.flushed.Load() }
 
-// single is the pooled scratch for the batch-of-1 (disabled) path.
-type single[T, R any] struct {
-	items [1]T
-	out   [1]R
-}
-
 // Batcher combines concurrent submissions into shared flushes — the one
 // group-commit/doorbell-batching mechanism used by the log stores, raft,
 // the RDMA layer and the memory-node RPC path.
@@ -104,8 +97,6 @@ type Batcher[T, R any] struct {
 
 	mu  sync.Mutex
 	cur *batch[T, R]
-
-	singles sync.Pool
 
 	flushes        atomic.Int64
 	items          atomic.Int64
@@ -176,25 +167,6 @@ func (b *Batcher[T, R]) note(n int, reason FlushReason) {
 // shared by the whole group; the caller's clock lands at the group's virtual
 // completion time.
 func (b *Batcher[T, R]) Submit(c *Clock, item T) (R, error) {
-	if b.pol.MaxItems <= 1 {
-		// Disabled path: flush a batch of one on pooled scratch so the
-		// choke point (fault injection, tracing, counters) is identical
-		// but no grouping — and no allocation — happens.
-		s, _ := b.singles.Get().(*single[T, R])
-		if s == nil {
-			s = new(single[T, R])
-		}
-		s.items[0] = item
-		err := b.flush(c, s.items[:], s.out[:])
-		r := s.out[0]
-		var zt T
-		var zr R
-		s.items[0], s.out[0] = zt, zr
-		b.singles.Put(s)
-		b.note(1, FlushSize)
-		return r, err
-	}
-
 	b.mu.Lock()
 	my := b.cur
 	if my == nil || my.sealed || len(my.items) >= b.pol.MaxItems {

@@ -120,42 +120,6 @@ func TestBatcherOnFlushCallback(t *testing.T) {
 	}
 }
 
-func TestBatcherDisabledPathZeroAlloc(t *testing.T) {
-	b := NewBatcher(nil, "test", BatchPolicy{MaxItems: 1},
-		func(c *Clock, items []int, out []int) error {
-			out[0] = items[0] + 1
-			return nil
-		})
-	c := NewClock()
-	// Warm the pool.
-	if r, err := b.Submit(c, 1); err != nil || r != 2 {
-		t.Fatalf("Submit = %d, %v", r, err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := b.Submit(c, 7); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled path allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func BenchmarkBatcherDisabled(b *testing.B) {
-	bt := NewBatcher(nil, "bench", BatchPolicy{MaxItems: 1},
-		func(c *Clock, items []int, out []int) error {
-			out[0] = items[0]
-			return nil
-		})
-	c := NewClock()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bt.Submit(c, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestBatcherDeterministicCounters replays the same single-threaded
 // submission sequence twice and requires identical counters and identical
 // virtual completion times — the reproducibility property seeded fault

@@ -153,8 +153,7 @@ func (r *Replica) ingest(recs []wal.Record) bool {
 // freshly formatted page with a below-horizon LSN and serve it as if
 // complete.
 func (r *Replica) pendLocked(rec *wal.Record) {
-	switch rec.Type {
-	case wal.TypeUpdate, wal.TypeInsert, wal.TypeDelete:
+	if rec.Type == wal.TypeUpdate {
 		r.pending[page.ID(rec.PageID)] = append(r.pending[page.ID(rec.PageID)], *rec)
 	}
 }

@@ -419,7 +419,7 @@ func TestLogStoreSincePageMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ls := NewLogStore(sim.DefaultConfig(), MediumPM)
 	c := sim.NewClock()
-	types := []wal.Type{wal.TypeUpdate, wal.TypeInsert, wal.TypeDelete, wal.TypeCheckpoint, wal.TypeCommit, wal.TypeAbort}
+	types := []wal.Type{wal.TypeUpdate, wal.TypeUpdate, wal.TypeUpdate, wal.TypeUpdate, wal.TypeCommit, wal.TypeAbort}
 	const seg = 512
 	keeps := []int{2*seg + 1, 2 * seg, 2*seg - 1, seg + 1, seg, seg - 1, seg + seg/2, seg / 2}
 	next := wal.LSN(1)

@@ -1,5 +1,5 @@
 // Package txn provides transaction concurrency control: a striped local
-// lock table with shared/exclusive try-locks (two-phase locking: a refused
+// lock table with exclusive try-locks (two-phase locking: a refused
 // acquisition waits with sim.Wait until the holder lets go, landing at the
 // holder's virtual time), and a remote lock table living in disaggregated
 // memory that is acquired with one-sided RDMA CAS — the mechanism behind
@@ -22,29 +22,18 @@ var ErrDeadlock = errors.New("txn: lock wait deadlocked")
 // ErrAborted marks a transaction aborted by conflict.
 var ErrAborted = errors.New("txn: aborted")
 
-// Mode is a lock mode.
+// Mode is a lock mode. Reads take no lock (commits validate what they
+// read), so every lock is exclusive.
 type Mode int
 
-// Lock modes.
-const (
-	Shared Mode = iota
-	Exclusive
-)
+// Exclusive is the one lock mode.
+const Exclusive Mode = 1
 
 const lockStripes = 256
 
-// lockEntry is stored in its shard's map by value: an exclusive lock and
-// unlock on a warm shard allocate nothing. sHold is made on the first Shared
-// hold of the entry.
-type lockEntry struct {
-	xHolder uint64 // tx holding exclusive, 0 if none
-	sCount  int
-	sHold   map[uint64]int // shared holders (count for re-entrancy)
-}
-
 type lockShard struct {
 	mu      sync.Mutex
-	entries map[uint64]lockEntry
+	holders map[uint64]uint64 // key -> the tx holding it
 }
 
 // LockTable is a striped in-memory lock table with try-lock semantics.
@@ -56,7 +45,7 @@ type LockTable struct {
 func NewLockTable() *LockTable {
 	lt := &LockTable{}
 	for i := range lt.shards {
-		lt.shards[i].entries = make(map[uint64]lockEntry)
+		lt.shards[i].holders = make(map[uint64]uint64)
 	}
 	return lt
 }
@@ -65,69 +54,26 @@ func (lt *LockTable) shard(key uint64) *lockShard {
 	return &lt.shards[((key*0x9E3779B97F4A7C15)>>56)%lockStripes]
 }
 
-// TryLock attempts to acquire key in the given mode for tx. Re-entrant:
-// a holder re-acquiring compatibly succeeds; a shared holder may upgrade
-// to exclusive when it is the only holder.
-func (lt *LockTable) TryLock(tx uint64, key uint64, m Mode) bool {
+// TryLock attempts to acquire key for tx. Re-entrant: the holder
+// re-acquiring succeeds.
+func (lt *LockTable) TryLock(tx uint64, key uint64, _ Mode) bool {
 	s := lt.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entries[key]
-	switch m {
-	case Shared:
-		if e.xHolder != 0 && e.xHolder != tx {
-			return false
-		}
-		if e.sHold == nil {
-			e.sHold = make(map[uint64]int)
-		}
-		e.sHold[tx]++
-		e.sCount++
-	default: // Exclusive
-		if e.xHolder == tx {
-			return true
-		}
-		if e.xHolder != 0 {
-			return false
-		}
-		// Upgrade allowed only if tx is the sole shared holder.
-		if e.sCount > 0 && (len(e.sHold) > 1 || e.sHold[tx] == 0) {
-			return false
-		}
-		e.xHolder = tx
+	if h, ok := s.holders[key]; ok {
+		return h == tx
 	}
-	s.entries[key] = e
+	s.holders[key] = tx
 	return true
 }
 
-// Unlock releases tx's hold on key in the given mode.
-func (lt *LockTable) Unlock(tx uint64, key uint64, m Mode) {
+// Unlock releases tx's hold on key.
+func (lt *LockTable) Unlock(tx uint64, key uint64, _ Mode) {
 	s := lt.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return
-	}
-	switch m {
-	case Shared:
-		if n := e.sHold[tx]; n > 0 {
-			if n == 1 {
-				delete(e.sHold, tx)
-			} else {
-				e.sHold[tx] = n - 1
-			}
-			e.sCount--
-		}
-	default:
-		if e.xHolder == tx {
-			e.xHolder = 0
-		}
-	}
-	if e.xHolder == 0 && e.sCount == 0 {
-		delete(s.entries, key)
-	} else {
-		s.entries[key] = e
+	if s.holders[key] == tx {
+		delete(s.holders, key)
 	}
 }
 
@@ -136,7 +82,7 @@ func (lt *LockTable) Held(key uint64) bool {
 	s := lt.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.entries[key]
+	_, ok := s.holders[key]
 	return ok
 }
 
@@ -148,7 +94,7 @@ type AcquireOpts struct{}
 // DefaultAcquire is the one policy.
 var DefaultAcquire = AcquireOpts{}
 
-// Acquire takes key in mode m for tx, waiting while another transaction
+// Acquire takes key for tx, waiting while another transaction
 // holds it. The wait is a sim.Wait: the caller resumes at the virtual time
 // of the worker whose release let it in, or gets ErrDeadlock when its whole
 // group is waiting.

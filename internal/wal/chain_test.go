@@ -45,7 +45,7 @@ func checkChain(t *testing.T, l *Log, after LSN) {
 		}
 		i := 0
 		for _, r := range tail {
-			if r.PageID != pg || !chained(r.Type) {
+			if r.PageID != pg || r.Type != TypeUpdate {
 				continue
 			}
 			if i >= len(got) || got[i].LSN != r.LSN || got[i].Type != r.Type || got[i].PageID != pg || got[i].Key != r.Key {

@@ -167,7 +167,7 @@ func TestRangeAndRedoPageAcrossSegments(t *testing.T) {
 				r.LSN = l.Append(r)
 				model = append(model, r)
 			case 4:
-				recs := []Record{{Type: TypeInsert, PageID: pg, TxID: 9}, {Type: TypeCommit, TxID: 9}}
+				recs := []Record{{Type: TypeUpdate, PageID: pg, TxID: 9}, {Type: TypeCommit, TxID: 9}}
 				l.Reserve(recs)
 				model = append(model, Record{}, Record{})
 				pending = append(pending, recs)
@@ -216,7 +216,7 @@ func TestRangeAndRedoPageAcrossSegments(t *testing.T) {
 			for pg := uint64(0); pg < chainPages; pg++ {
 				want = want[:0]
 				for _, r := range model[min(max(after, floor-1), LSN(len(model))):] {
-					if r.PageID == pg && chained(r.Type) {
+					if r.PageID == pg && r.Type == TypeUpdate {
 						want = append(want, r)
 					}
 				}

@@ -28,9 +28,6 @@ const (
 	TypeUpdate Type = iota + 1
 	TypeCommit
 	TypeAbort
-	TypeCheckpoint
-	TypeInsert
-	TypeDelete
 )
 
 func (t Type) String() string {
@@ -41,27 +38,21 @@ func (t Type) String() string {
 		return "commit"
 	case TypeAbort:
 		return "abort"
-	case TypeCheckpoint:
-		return "checkpoint"
-	case TypeInsert:
-		return "insert"
-	case TypeDelete:
-		return "delete"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
 }
 
-// Record is one log record. Update/Insert/Delete records carry the page,
-// key and images; Commit/Abort/Checkpoint carry only transaction metadata.
+// Record is one log record. Update records carry the page, key and images;
+// Commit/Abort carry only transaction metadata.
 type Record struct {
 	LSN    LSN
 	Type   Type
 	TxID   uint64
 	PageID uint64
 	Key    uint64
-	Before []byte // undo image (nil for inserts)
-	After  []byte // redo image (nil for deletes)
+	Before []byte // undo image
+	After  []byte // redo image
 }
 
 const recordHeader = 8 + 1 + 8 + 8 + 8 + 4 + 4 // lsn type tx page key blen alen
@@ -109,7 +100,7 @@ func Decode(p []byte) (Record, int, error) {
 	var r Record
 	r.LSN = LSN(binary.LittleEndian.Uint64(p[0:]))
 	r.Type = Type(p[8])
-	if r.Type < TypeUpdate || r.Type > TypeDelete {
+	if r.Type < TypeUpdate || r.Type > TypeAbort {
 		return Record{}, 0, fmt.Errorf("%w: type %d", ErrBadRecord, p[8])
 	}
 	r.TxID = binary.LittleEndian.Uint64(p[9:])
@@ -179,10 +170,9 @@ type Log struct {
 	mu      sync.Mutex
 	records Segments
 	// Each slot's Link and last are the per-page redo chain (RedoPage). For
-	// an update, insert or delete, the link is the LSN of the previous such
-	// record of the same page, else 0 — commit, abort and checkpoint records
-	// carry PageID 0, a real page, and are not chained. last[p] is the LSN
-	// of page p's newest chained record. A link below first() ends the
+	// an update, the link is the LSN of the previous update of the same
+	// page, else 0 — commit and abort records carry PageID 0, a real page,
+	// and are not chained. last[p] is the LSN of page p's newest update. A link below first() ends the
 	// chain. The links sit beside the records, not in them: a Record is
 	// copied by value on every commit.
 	last  map[uint64]LSN
@@ -203,10 +193,6 @@ func (l *Log) first() LSN { return l.next - LSN(l.records.Len()) }
 
 // slot returns the slot of a retained lsn; the caller holds l.mu.
 func (l *Log) slot(lsn LSN) *Slot { return l.records.At(int(lsn - l.first())) }
-
-// chained reports whether records of type t change a page, and so sit on
-// its redo chain.
-func chained(t Type) bool { return t == TypeUpdate || t == TypeInsert || t == TypeDelete }
 
 // Append assigns r the next LSN and stores it decided, returning the LSN.
 func (l *Log) Append(r Record) LSN {
@@ -233,7 +219,7 @@ func (l *Log) reserve(r *Record) *Slot {
 	r.LSN = l.next
 	l.next++
 	sl := l.records.Push()
-	if chained(r.Type) {
+	if r.Type == TypeUpdate {
 		sl.Link = uint64(l.last[r.PageID])
 		l.last[r.PageID] = r.LSN
 	}
@@ -333,11 +319,11 @@ func (l *Log) Range(after, upto LSN, fn func(*Record) error) error {
 	return nil
 }
 
-// RedoPage calls fn on every retained, decided update, insert and delete
-// record of pageID with LSN > after, in ascending LSN order, found through
-// the page's chain instead of by walking the whole tail. Unlike Range it does
-// not check the truncation floor; a caller that must not miss truncated
-// records also checks Floor.
+// RedoPage calls fn on every retained, decided update record of pageID
+// with LSN > after, in ascending LSN order, found through the page's chain
+// instead of by walking the whole tail. Unlike Range it does not check the
+// truncation floor; a caller that must not miss truncated records also
+// checks Floor.
 //
 // fn runs under the log's lock, on the log's own records: it must not
 // retain or modify the record (its images included) and must not call back
@@ -349,7 +335,7 @@ func (l *Log) RedoPage(pageID uint64, after LSN, fn func(*Record) error) error {
 	l.chain = l.chain[:0]
 	for lsn := l.last[pageID]; lsn > after && lsn >= first; {
 		sl := l.slot(lsn)
-		if chained(sl.Rec.Type) { // not undecided, not aborted
+		if sl.Rec.Type == TypeUpdate { // not undecided, not aborted
 			l.chain = append(l.chain, lsn)
 		}
 		lsn = LSN(sl.Link)

@@ -68,7 +68,7 @@ func TestDecodeErrors(t *testing.T) {
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(tx, pg, key uint64, before, after []byte, typeSel uint8) bool {
 		r := Record{
-			Type:   Type(typeSel%6) + TypeUpdate,
+			Type:   Type(typeSel%3) + TypeUpdate,
 			TxID:   tx,
 			PageID: pg,
 			Key:    key,
