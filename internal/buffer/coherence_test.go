@@ -390,6 +390,39 @@ func TestPublishBatchingCoalescesRounds(t *testing.T) {
 	}
 }
 
+// Two writers can publish to one page out of stamp order. The page's
+// version stays at its highest stamp, but its publication count moves on
+// every publish, the lower one included: commit validation reads the
+// count, so a read pinned before either publish cannot pass as fresh.
+func TestDirectoryCountsOutOfOrderPublications(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	dir := coherence.NewDirectory(cfg, "test.coherence", coherence.ModeInvalidate)
+	c := sim.NewClock()
+	const pg, other = page.ID(3), page.ID(4)
+	if v, n := dir.Version(pg), dir.Publications(pg); v != 0 || n != 0 {
+		t.Fatalf("unpublished page: version %d, publications %d, want 0, 0", v, n)
+	}
+	dir.Publish(c, []coherence.PageStamp{{ID: pg, Stamp: 10}}, nil)
+	dir.Publish(c, []coherence.PageStamp{{ID: pg, Stamp: 5}}, nil)
+	if v, n := dir.Version(pg), dir.Publications(pg); v != 10 || n != 2 {
+		t.Fatalf("after stamps 10 then 5: version %d, publications %d, want 10, 2", v, n)
+	}
+	if v, n := dir.Version(other), dir.Publications(other); v != 0 || n != 0 {
+		t.Fatalf("untouched page: version %d, publications %d, want 0, 0", v, n)
+	}
+
+	// Batched: a lower stamp that shares a round with a higher one is
+	// counted too.
+	dir.EnableBatching(2, 10*time.Microsecond)
+	sim.RunGroup(2, func(id int, c *sim.Clock) int {
+		dir.Publish(c, []coherence.PageStamp{{ID: pg, Stamp: uint64(20 - 12*id)}}, nil)
+		return 1
+	})
+	if v, n := dir.Version(pg), dir.Publications(pg); v != 20 || n != 4 {
+		t.Fatalf("after a round of stamps 20 and 8: version %d, publications %d, want 20, 4", v, n)
+	}
+}
+
 // --- Satellite: TwoTier demotion/invalidation interleavings ---
 
 // A dirty local frame holding pre-publish bytes is evicted AFTER a newer
