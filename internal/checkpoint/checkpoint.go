@@ -104,7 +104,8 @@ func (co *Coordinator) publish(h wal.LSN) {
 	co.mu.Unlock()
 }
 
-// Checkpoint runs one round: capture, flush, publish, truncate.
+// Checkpoint runs one round: capture, flush, publish, truncate. Between a
+// successful flush and the publish it reaches sim.PointFlushed.
 // A round whose target does not advance past the published horizon is a
 // no-op. Flush errors abort the round with the horizon unchanged;
 // truncate errors are returned after the horizon has published (the
@@ -123,6 +124,7 @@ func (co *Coordinator) Checkpoint(c *sim.Clock, r Round) error {
 		return err
 	}
 	op.End(int64(target - co.Horizon()))
+	co.cfg.Reach(c, sim.PointFlushed)
 	co.publish(target)
 	co.Rounds.Add(1)
 	if c.Events() != nil {

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -59,6 +60,30 @@ func TestFlushErrorAbortsWithHorizonUnchanged(t *testing.T) {
 	}
 	if n := co.Rounds.Load(); n != 0 {
 		t.Fatalf("failed round counted as complete (%d)", n)
+	}
+}
+
+// TestRoundReachesFlushedOnce: a round reaches sim.PointFlushed once, after
+// its flush and before its horizon publishes; a round whose flush fails and
+// a no-op round reach none.
+func TestRoundReachesFlushedOnce(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	co := New(cfg, "ckpt.test")
+	var seen []wal.LSN // the published horizon at each point a round reaches
+	cfg.At = func(*sim.Clock, sim.Point) { seen = append(seen, co.Horizon()) }
+	boom := errors.New("quorum lost")
+	for _, flushErr := range []error{boom, nil, nil} { // the second nil is a no-op round
+		err := co.Checkpoint(sim.NewClock(), Round{
+			Durable:  func() wal.LSN { return 5 },
+			Flush:    func(*sim.Clock, wal.LSN) error { return flushErr },
+			Truncate: func(*sim.Clock, wal.LSN) error { return nil },
+		})
+		if !errors.Is(err, flushErr) {
+			t.Fatalf("err = %v, want %v", err, flushErr)
+		}
+	}
+	if !slices.Equal(seen, []wal.LSN{0}) {
+		t.Fatalf("PointFlushed reached at published horizons %v, want [0]: once, before horizon 5 publishes", seen)
 	}
 }
 

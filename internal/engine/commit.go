@@ -82,7 +82,9 @@ type Hooks struct {
 //     Aborts or Shed, so Attempts == Commits + Aborts + Shed. A crashed
 //     node sheds without doing work.
 //  2. Run fn against a recycled StagedTx over the Read hook. An fn error
-//     aborts; an empty write set commits with nothing to log.
+//     aborts. An empty write set commits with nothing to log once its read
+//     set validates as in step 3: reads that straddle a commit (read skew)
+//     abort with ErrConflict.
 //  3. Prepare: lock the write set exclusively in ascending key order
 //     (deadlock free; a refused lock releases the ones held and aborts with
 //     ErrConflict; locks are released when Execute returns), then validate
@@ -90,12 +92,12 @@ type Hooks struct {
 //     aborts with ErrConflict, so two read-modify-writes of one key cannot
 //     both commit (lock, then validate). A key that is read but not written
 //     is validated but not held. Build one update record per key and a
-//     commit record, reserve their LSNs, and run the Durable hook (or ride
-//     the shared group flush). Until prepare returns no log reader sees the
-//     records — not Range, not RedoPage, so not a heal, a catch-up, a
-//     checkpoint's redo or a page miss's. A failure decides the slots as
-//     aborts, which every reader skips, and aborts as ErrUnavailable with
-//     nothing stamped, applied or published.
+//     commit record, reserve their LSNs, reach sim.PointDurable, and run
+//     the Durable hook (or ride the shared group flush). Until prepare
+//     returns no log reader sees the records — not Range, not RedoPage, so
+//     not a heal, a catch-up, a checkpoint's redo or a page miss's. A
+//     failure decides the slots as aborts, which every reader skips, and
+//     aborts as ErrUnavailable with nothing stamped, applied or published.
 //  4. Commit: decide the slots, advance the durable LSN over the log's
 //     decided prefix (never past an undecided slot: a group flush decides
 //     every rider first), and stamp the transaction with its commit LSN.
@@ -103,10 +105,10 @@ type Hooks struct {
 //     any failure below is "durable but unacknowledged" — history
 //     classifies it Indeterminate, and it must never look retryable (Run
 //     would execute the transaction a second time).
-//  5. Apply hook. Until it returns — or calls Applied, as a hook that
-//     flushes pages to storage does first — the applied prefix stays below
-//     the transaction's first LSN, and Capture stamps a cached page bound
-//     for storage no higher than that.
+//  5. Reach sim.PointApply, then run the Apply hook. Until it returns — or
+//     calls Applied, as a hook that flushes pages to storage does first —
+//     the applied prefix stays below the transaction's first LSN, and
+//     Capture stamps a cached page bound for storage no higher than that.
 //  6. Publish the written pages' new versions to the directory, ascending
 //     by page id, whether or not Apply succeeded: a cached copy that missed
 //     the update keeps its old stamp, the publish makes it stale, and the
@@ -299,9 +301,6 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 		return err
 	}
 	writes := st.Writes()
-	if len(writes) == 0 {
-		return nil
-	}
 	held := 0
 	defer func() {
 		for _, w := range writes[:held] {
@@ -315,11 +314,15 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 		held++
 	}
 	// Validate: a pinned key whose version moved since it was read may have
-	// had a commit land that this transaction's writes would overwrite.
+	// had a commit land that this transaction's other reads saw or its
+	// writes would overwrite.
 	for _, pn := range st.pins {
 		if p.version(pn.key) != pn.ver {
 			return ErrConflict
 		}
+	}
+	if len(writes) == 0 {
+		return nil
 	}
 	if p.Sequencer != nil {
 		p.Sequencer.Lock()
@@ -333,6 +336,7 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 	st.recs = append(st.recs, wal.Record{Type: wal.TypeCommit, TxID: txID})
 	recs := st.recs
 	p.applying.reserve(p.log, recs)
+	p.cfg.Reach(c, sim.PointDurable)
 	var err error
 	if gc := p.gc; gc != nil {
 		// The flush ships every rider's records, accounts them, and decides
@@ -353,6 +357,7 @@ func (p *Pipeline) commit(c *sim.Clock, st *StagedTx, fn func(tx Tx) error) erro
 	// Commit: the records are decided and visible.
 	commit := recs[len(recs)-1].LSN
 	st.StampCommit(uint64(commit))
+	p.cfg.Reach(c, sim.PointApply)
 	err = p.Apply(c, recs)
 	p.Applied(recs)
 	if p.dir != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,9 +68,10 @@ func (e *pipeEngine) Execute(c *sim.Clock, fn func(tx Tx) error) error {
 // TestPipelineExitPaths drives every way out of Pipeline.Execute and holds
 // each to the skeleton's invariants: the attempt lands in exactly one
 // outcome counter, the transaction is stamped iff the durable hook
-// returned nil, nothing is reserved unless the durable hook is reached, a
-// log reader sees its records iff it was stamped, every slot it reserved is
-// decided, and no write-set lock outlives the call.
+// returned nil, nothing is reserved unless the durable hook is reached, it
+// reaches sim.PointDurable and sim.PointApply right before the hooks they
+// name, a log reader sees its records iff it was stamped, every slot it
+// reserved is decided, and no write-set lock outlives the call.
 func TestPipelineExitPaths(t *testing.T) {
 	errFn := errors.New("fn failed")
 	errDurable := errors.New("log tier down")
@@ -111,6 +113,8 @@ func TestPipelineExitPaths(t *testing.T) {
 			if tc.setup != nil {
 				tc.setup(e)
 			}
+			var points []sim.Point
+			e.p.cfg.At = func(_ *sim.Clock, pt sim.Point) { points = append(points, pt) }
 			fn := tc.fn
 			if fn == nil {
 				fn = func(tx Tx) error {
@@ -149,6 +153,9 @@ func TestPipelineExitPaths(t *testing.T) {
 			}
 			if d, a := e.durables.Load(), e.applies.Load(); d != tc.wantDurable || a != tc.wantApply {
 				t.Errorf("durable/apply calls = %d/%d, want %d/%d", d, a, tc.wantDurable, tc.wantApply)
+			}
+			if want := []sim.Point{sim.PointDurable, sim.PointApply}[:tc.wantDurable+tc.wantApply]; !slices.Equal(points, want) {
+				t.Errorf("points reached %v, want %v", points, want)
 			}
 			if head := e.p.log.Head(); tc.wantDurable == 0 && head != 1 {
 				t.Errorf("log head %d: LSNs reserved for a transaction the durable hook never saw", head)
@@ -352,8 +359,9 @@ func TestPipelinePublishOrder(t *testing.T) {
 }
 
 // TestPipelineGroupCommit: riders of a shared flush go through one Durable
-// call with their records merged in LSN order, and every rider is stamped
-// with its own commit LSN.
+// call with their records merged in LSN order, every rider is stamped
+// with its own commit LSN, and each reaches sim.PointDurable, then
+// sim.PointApply, once.
 func TestPipelineGroupCommit(t *testing.T) {
 	e := newPipeEngine(t)
 	var mu sync.Mutex
@@ -365,11 +373,16 @@ func TestPipelineGroupCommit(t *testing.T) {
 		return nil
 	}
 	e.p.EnableGroupCommit(4, 0)
+	points := map[*sim.Clock][]sim.Point{} // written by the worker holding the baton
+	e.p.cfg.At = func(c *sim.Clock, pt sim.Point) { points[c] = append(points[c], pt) }
 	const workers = 4
 	res := sim.RunGroup(workers, func(id int, c *sim.Clock) int {
 		if err := e.Execute(c, func(tx Tx) error { return tx.Write(uint64(1000*id), []byte{byte(id)}) }); err != nil {
 			t.Error(err)
 			return 0
+		}
+		if want := []sim.Point{sim.PointDurable, sim.PointApply}; !slices.Equal(points[c], want) {
+			t.Errorf("rider %d reached %v, want %v", id, points[c], want)
 		}
 		return 1
 	})

@@ -481,6 +481,7 @@ func RunConformance(t *testing.T, factory Factory) {
 		eachSeed(t, seed, func(t *testing.T, seed int64) { runContended(t, factory, p, seed) })
 	})
 	t.Run("Isolation/LostUpdate", func(t *testing.T) { runLostUpdate(t, factory) })
+	t.Run("Isolation/ReadSkew", func(t *testing.T) { runReadSkew(t, factory) })
 
 	t.Run("Recovery/ConcurrentCheckpoint", func(t *testing.T) {
 		runConcurrentCheckpoint(t, factory, seed)

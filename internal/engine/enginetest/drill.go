@@ -185,36 +185,30 @@ func runContended(t *testing.T, factory Factory, p *fault.Profile, seed int64) {
 	}
 }
 
-// runLostUpdate is the lost-update regression: two workers read-modify-
-// write one key, the first held by a sim.Wait between its read and its
-// commit until the second has committed. Reads take no locks, so both read
-// the same version; the first commit must then fail validation and retry on
-// the second's value instead of overwriting it. Checked at Serializable.
-func runLostUpdate(t *testing.T, factory Factory) {
-	layout := Layout(t)
+// runHeld runs held and other as two workers' transactions under
+// sim.RunGroup. held calls hold between two of its operations, and waits
+// there the first time until other has run; other starts once held waits.
+// held must fail validation once and retry. The history is checked at
+// Serializable, in program order too when every key has a single writer.
+func runHeld(t *testing.T, factory Factory, label string, singleWriter bool, held func(tx engine.Tx, hold func()) error, other func(tx engine.Tx) error) {
 	e := factory(t, sim.DefaultConfig())
 	rec := history.NewRecorder()
-	const key = ovKeyBase
-	var read, committed atomic.Bool
+	var holding, done atomic.Bool
 	errs := make([]error, 2)
 	sim.RunGroup(2, func(id int, c *sim.Clock) int {
-		hold := id == 0
-		if !hold {
-			sim.Wait(c, read.Load)
+		opts := engine.RunOpts{Retries: 1, Record: rec, Session: id}
+		if id == 1 {
+			sim.Wait(c, holding.Load)
+			errs[id] = engine.Run(e, c, opts, other)
+			done.Store(true)
+			return 1
 		}
-		v := confVal(layout, key, uint64(id), 1)
-		errs[id] = engine.Run(e, c, engine.RunOpts{Retries: 1, Record: rec, Session: id}, func(tx engine.Tx) error {
-			if _, err := tx.Read(key); err != nil {
-				return err
+		hold := func() {
+			if !holding.Swap(true) {
+				sim.Wait(c, done.Load)
 			}
-			if hold {
-				hold = false
-				read.Store(true)
-				sim.Wait(c, committed.Load)
-			}
-			return tx.Write(key, v)
-		})
-		committed.Store(true)
+		}
+		errs[id] = engine.Run(e, c, opts, func(tx engine.Tx) error { return held(tx, hold) })
 		return 1
 	})
 	for id, err := range errs {
@@ -223,9 +217,51 @@ func runLostUpdate(t *testing.T, factory Factory) {
 		}
 	}
 	if got := e.Stats().Retries.Load(); got != 1 {
-		t.Errorf("%d retries, want 1: the held read-modify-write must fail validation once", got)
+		t.Errorf("%d retries, want 1: the held transaction must fail validation once", got)
 	}
-	checkIsolationHistory(t, rec, "lost-update", Seed(), false)
+	checkIsolationHistory(t, rec, label, Seed(), singleWriter)
+}
+
+// runLostUpdate is the lost-update regression: two workers read-modify-
+// write one key, the first held between its read and its commit until the
+// second has committed. Reads take no locks, so both read the same version;
+// the first commit must then fail validation and retry on the second's
+// value instead of overwriting it.
+func runLostUpdate(t *testing.T, factory Factory) {
+	layout := Layout(t)
+	const key = ovKeyBase
+	rmw := func(tx engine.Tx, writer uint64, hold func()) error {
+		if _, err := tx.Read(key); err != nil {
+			return err
+		}
+		hold()
+		return tx.Write(key, confVal(layout, key, writer, 1))
+	}
+	runHeld(t, factory, "lost-update", false,
+		func(tx engine.Tx, hold func()) error { return rmw(tx, 0, hold) },
+		func(tx engine.Tx) error { return rmw(tx, 1, func() {}) })
+}
+
+// runReadSkew is the read-skew regression: a read-only transaction reads x,
+// is held until another has committed a write of x and y, then reads y. It
+// saw x before that commit and y after it, so it must fail validation and
+// retry.
+func runReadSkew(t *testing.T, factory Factory) {
+	layout := Layout(t)
+	const x, y = ovKeyBase, ovKeyBase + 1
+	runHeld(t, factory, "read-skew", true, func(tx engine.Tx, hold func()) error {
+		if _, err := tx.Read(x); err != nil {
+			return err
+		}
+		hold()
+		_, err := tx.Read(y)
+		return err
+	}, func(tx engine.Tx) error {
+		if err := tx.Write(x, confVal(layout, x, 1, 1)); err != nil {
+			return err
+		}
+		return tx.Write(y, confVal(layout, y, 1, 1))
+	})
 }
 
 // checkIsolationHistory runs the checker over the recorded ops at

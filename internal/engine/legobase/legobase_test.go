@@ -259,26 +259,16 @@ func TestCheckpointRemoteAllocatesNoPagePerDirtyPage(t *testing.T) {
 // checkpoint taken while an earlier commit is inside Durable must not stamp
 // the remote images past that commit (see enginetest.InFlightCaptureGuard).
 func TestRemoteCheckpointDuringEarlierDurableKeepsItsCommit(t *testing.T) {
-	e := New(sim.DefaultConfig(), enginetest.Layout(t), 8, 256)
-	enginetest.InFlightCaptureGuard(t, e, func(gate func()) {
-		durable := e.pipe.Durable
-		e.pipe.Durable = func(c *sim.Clock, recs []wal.Record) error {
-			gate()
-			return durable(c, recs)
-		}
-	}, e.CheckpointRemote)
+	cfg := sim.DefaultConfig()
+	e := New(cfg, enginetest.Layout(t), 8, 256)
+	enginetest.InFlightCaptureGuard(t, e, cfg, sim.PointDurable, e.CheckpointRemote)
 }
 
 // TestCheckpointDuringEarlierApplyKeepsItsCommit: a checkpoint round while
 // an earlier commit to a page is decided but not yet applied must not
-// truncate that commit's records (see enginetest.CheckpointDuringApplyGuard).
+// truncate that commit's records (see enginetest.InFlightCaptureGuard).
 func TestCheckpointDuringEarlierApplyKeepsItsCommit(t *testing.T) {
-	e := New(sim.DefaultConfig(), enginetest.Layout(t), 8, 256)
-	enginetest.CheckpointDuringApplyGuard(t, e, func(gate func()) {
-		apply := e.pipe.Apply
-		e.pipe.Apply = func(c *sim.Clock, recs []wal.Record) error {
-			gate()
-			return apply(c, recs)
-		}
-	})
+	cfg := sim.DefaultConfig()
+	e := New(cfg, enginetest.Layout(t), 8, 256)
+	enginetest.InFlightCaptureGuard(t, e, cfg, sim.PointApply, e.Checkpoint)
 }

@@ -35,11 +35,6 @@ type Engine struct {
 	stats engine.Stats
 	pipe  *engine.Pipeline
 
-	// testBetweenFlushAndTruncate, when set (tests only), runs in the
-	// checkpoint's flush→truncate window — the window whose in-flight
-	// commits the original Checkpoint ordering lost.
-	testBetweenFlushAndTruncate func()
-
 	mu sync.Mutex
 	// disk is the durable page store (post-checkpoint images), private to
 	// the engine: written in place and read, both under mu.
@@ -189,9 +184,6 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 				e.checkpointLSN = h
 			}
 			e.mu.Unlock()
-			if e.testBetweenFlushAndTruncate != nil {
-				e.testBetweenFlushAndTruncate()
-			}
 			return nil
 		},
 		Truncate: func(c *sim.Clock, h wal.LSN) error {

@@ -2,7 +2,6 @@ package monolithic_test
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/engine"
@@ -105,11 +104,13 @@ func TestCommitDuringCheckpointSurvivesRestart(t *testing.T) {
 		late[i] = 0xA5
 	}
 	lateErr := error(nil)
-	e.SetBetweenFlushAndTruncate(func() {
-		lateErr = engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
-			return tx.Write(7, late)
-		})
-	})
+	cfg.At = func(_ *sim.Clock, pt sim.Point) {
+		if pt == sim.PointFlushed {
+			lateErr = engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+				return tx.Write(7, late)
+			})
+		}
+	}
 	if err := e.Checkpoint(c); err != nil {
 		t.Fatal(err)
 	}
@@ -145,19 +146,24 @@ func TestCommitDuringCheckpointSurvivesRestart(t *testing.T) {
 // read the value committed before.
 func TestMissDuringDurableReadsPreCommitValue(t *testing.T) {
 	layout := enginetest.Layout(t)
-	e := monolithic.New(sim.DefaultConfig(), layout, 64)
+	cfg := sim.DefaultConfig()
+	e := monolithic.New(cfg, layout, 64)
 	const key = 5
 	val := func(b byte) []byte { return bytes.Repeat([]byte{b}, layout.ValSize) }
 	if err := engine.Run(e, sim.NewClock(), engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(key, val(1)) }); err != nil {
 		t.Fatal(err)
 	}
 	e.Pool().InvalidateAll() // the next read of the key misses
-	entered, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	e.GateDurable(func() { once.Do(func() { close(entered); <-release }) })
+	held, entered, release := sim.NewClock(), make(chan struct{}), make(chan struct{})
+	cfg.At = func(c *sim.Clock, pt sim.Point) {
+		if c == held && pt == sim.PointDurable {
+			close(entered)
+			<-release
+		}
+	}
 	done := make(chan error)
 	go func() {
-		done <- engine.Run(e, sim.NewClock(), engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(key, val(2)) })
+		done <- engine.Run(e, held, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(key, val(2)) })
 	}()
 	<-entered
 	var got []byte
@@ -300,14 +306,16 @@ func TestFetchFailsWhenRedoFails(t *testing.T) {
 // an earlier commit's fsync must not stamp the disk image past that commit
 // (see enginetest.InFlightCaptureGuard).
 func TestImageWrittenBackDuringEarlierDurableKeepsItsCommit(t *testing.T) {
-	e := monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64)
-	enginetest.InFlightCaptureGuard(t, e, e.GateDurable, e.Pool().FlushAll)
+	cfg := sim.DefaultConfig()
+	e := monolithic.New(cfg, enginetest.Layout(t), 64)
+	enginetest.InFlightCaptureGuard(t, e, cfg, sim.PointDurable, e.Pool().FlushAll)
 }
 
 // TestCheckpointDuringEarlierApplyKeepsItsCommit: a checkpoint round while
 // an earlier commit to a page is decided but not yet applied must not
-// truncate that commit's records (see enginetest.CheckpointDuringApplyGuard).
+// truncate that commit's records (see enginetest.InFlightCaptureGuard).
 func TestCheckpointDuringEarlierApplyKeepsItsCommit(t *testing.T) {
-	e := monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64)
-	enginetest.CheckpointDuringApplyGuard(t, e, e.GateApply)
+	cfg := sim.DefaultConfig()
+	e := monolithic.New(cfg, enginetest.Layout(t), 64)
+	enginetest.InFlightCaptureGuard(t, e, cfg, sim.PointApply, e.Checkpoint)
 }

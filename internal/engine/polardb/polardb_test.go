@@ -9,7 +9,6 @@ import (
 	"github.com/disagglab/disagg/internal/engine/enginetest"
 	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
-	"github.com/disagglab/disagg/internal/wal"
 )
 
 func TestConformance(t *testing.T) {
@@ -199,26 +198,16 @@ func TestCheckpointRedoReplacesShippedImage(t *testing.T) {
 // page while an earlier commit to it is still inside Durable must not stamp
 // the image past that commit (see enginetest.InFlightCaptureGuard).
 func TestImageShippedDuringEarlierDurableKeepsItsCommit(t *testing.T) {
-	e := New(sim.DefaultConfig(), enginetest.Layout(t), 64)
-	enginetest.InFlightCaptureGuard(t, e, func(gate func()) {
-		durable := e.pipe.Durable
-		e.pipe.Durable = func(c *sim.Clock, recs []wal.Record) error {
-			gate()
-			return durable(c, recs)
-		}
-	}, e.pool.FlushAll)
+	cfg := sim.DefaultConfig()
+	e := New(cfg, enginetest.Layout(t), 64)
+	enginetest.InFlightCaptureGuard(t, e, cfg, sim.PointDurable, e.pool.FlushAll)
 }
 
 // TestCheckpointDuringEarlierApplyKeepsItsCommit: a checkpoint round while
 // an earlier commit to a page is decided but not yet applied must not
-// truncate that commit's records (see enginetest.CheckpointDuringApplyGuard).
+// truncate that commit's records (see enginetest.InFlightCaptureGuard).
 func TestCheckpointDuringEarlierApplyKeepsItsCommit(t *testing.T) {
-	e := New(sim.DefaultConfig(), enginetest.Layout(t), 64)
-	enginetest.CheckpointDuringApplyGuard(t, e, func(gate func()) {
-		apply := e.pipe.Apply
-		e.pipe.Apply = func(c *sim.Clock, recs []wal.Record) error {
-			gate()
-			return apply(c, recs)
-		}
-	})
+	cfg := sim.DefaultConfig()
+	e := New(cfg, enginetest.Layout(t), 64)
+	enginetest.InFlightCaptureGuard(t, e, cfg, sim.PointApply, e.Checkpoint)
 }

@@ -127,10 +127,6 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 		return err
 	}
 	writes := st.Writes()
-	if len(writes) == 0 {
-		e.stats.Commits.Add(1)
-		return nil
-	}
 	for _, w := range writes {
 		i, p := e.partOf(w.Key)
 		if s.coord == -1 {
@@ -149,12 +145,17 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 	}
 	defer s.unlock(s.legs)
 	// Validate: a read whose key now holds another value array missed a
-	// commit that this transaction's writes would overwrite.
+	// commit that this transaction's other reads saw or its writes would
+	// overwrite.
 	for _, r := range s.seen {
 		if _, p := e.partOf(r.key); p.head(r.key) != r.val {
 			e.stats.Aborts.Add(1)
 			return engine.ErrConflict
 		}
+	}
+	if len(s.legs) == 0 {
+		e.stats.Commits.Add(1)
+		return nil
 	}
 	slices.SortFunc(s.legs, func(a, b leg) int { return cmp.Compare(a.part, b.part) })
 	legs := s.legs

@@ -116,10 +116,6 @@ type Client struct {
 	h  *Hash
 	qp *rdma.QP
 	id uint64
-
-	// testBeforeInsert, when set (tests only), runs between Put's bucket
-	// read and its insert CAS.
-	testBeforeInsert func()
 }
 
 // Attach creates a client. stats may be nil.
@@ -229,9 +225,7 @@ func (c *Client) Put(clk *sim.Clock, key uint64, val []byte) error {
 		// publish a second slot for the same key.
 		if !found {
 			// Insert path: CAS the first empty slot.
-			if c.testBeforeInsert != nil {
-				c.testBeforeInsert()
-			}
+			c.h.cfg.Reach(clk, sim.PointInsert)
 			full := true
 			for i := 0; i < BucketSlots; i++ {
 				if slots[i] != 0 {

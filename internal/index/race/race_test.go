@@ -235,15 +235,25 @@ func TestInsertRacingDeleteLeavesOneSlot(t *testing.T) {
 			if err := other.Put(sim.NewClock(), a, []byte("a")); err != nil {
 				t.Fatal(err)
 			}
-			// put starts cl's Put of key and returns once it has read the
-			// bucket; closing release lets it go on to its insert CAS.
+			// put starts cl's Put of key on its own clock and returns once
+			// the Put has read the bucket and reached sim.PointInsert;
+			// closing release lets it go on to its insert CAS.
+			type gate struct {
+				read, release chan struct{}
+				once          sync.Once
+			}
+			gates := map[*sim.Clock]*gate{} // filled before each Put starts
+			h.cfg.At = func(c *sim.Clock, pt sim.Point) {
+				if g := gates[c]; g != nil && pt == sim.PointInsert {
+					g.once.Do(func() { close(g.read); <-g.release })
+				}
+			}
 			put := func(cl *Client, v string) (release chan struct{}, done chan error) {
-				read, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
-				var once sync.Once
-				cl.testBeforeInsert = func() { once.Do(func() { close(read); <-release }) }
-				go func() { done <- cl.Put(sim.NewClock(), key, []byte(v)) }()
-				<-read
-				return release, done
+				c, g := sim.NewClock(), &gate{read: make(chan struct{}), release: make(chan struct{})}
+				gates[c], done = g, make(chan error, 1)
+				go func() { done <- cl.Put(c, key, []byte(v)) }()
+				<-g.read
+				return g.release, done
 			}
 			release2, done2 := put(h.Attach(2, nil), "w2") // read [A, 0, …]
 			if ok, err := other.Delete(sim.NewClock(), a); err != nil || !ok {

@@ -71,6 +71,10 @@ type Config struct {
 	// read it; they trace whenever the worker's clock has a Trace
 	// attached.
 	Trace bool
+	// At, when non-nil, is called with the worker's clock at every Point
+	// a worker reaches (Reach). A test sets it before its workers start, to
+	// hold one of them at a step.
+	At func(c *Clock, pt Point)
 }
 
 // Register registers a counter source (a *Meter or a snapshot func, see
@@ -78,6 +82,23 @@ type Config struct {
 func (c *Config) Register(site string, src any) {
 	if c.Stats != nil {
 		c.Stats.Register(site, src)
+	}
+}
+
+// Point names a step where a test holds a worker while others run.
+type Point uint8
+
+const (
+	PointDurable Point = iota // a commit's LSNs are reserved; Durable has not run
+	PointApply                // a commit is decided and stamped; Apply has not run
+	PointFlushed              // a checkpoint's flush covers its horizon, not yet published
+	PointInsert               // a RACE insert has read its bucket; its CAS has not run
+)
+
+// Reach calls the At hook, if any, for the worker whose clock is clk at pt.
+func (c *Config) Reach(clk *Clock, pt Point) {
+	if c.At != nil {
+		c.At(clk, pt)
 	}
 }
 
