@@ -511,6 +511,9 @@ func RunConformance(t *testing.T, factory Factory) {
 	t.Run("Batched/Isolation/LostUpdate", func(t *testing.T) {
 		runLostUpdate(t, func(t *testing.T, cfg *sim.Config) engine.Engine { return batched(factory(t, cfg)) })
 	})
+	t.Run("Batched/Isolation/WriteSkew", func(t *testing.T) {
+		runWriteSkew(t, func(t *testing.T, cfg *sim.Config) engine.Engine { return batched(factory(t, cfg)) })
+	})
 	t.Run("Batched/TimeoutFlushDurable", func(t *testing.T) {
 		timeoutFlushDurable(t, factory)
 	})

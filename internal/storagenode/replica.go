@@ -27,9 +27,11 @@ var (
 	ErrStaleReplica = errors.New("storagenode: replica behind requested LSN")
 )
 
-// Replica is one storage server: durable pages plus a buffer of received
-// log records that are applied ("materialized") to pages lazily, off the
-// commit path — the core Aurora storage-engine idea.
+// Replica is one storage server: a buffer of received log records that are
+// applied ("materialized") to pages lazily, off the commit path — the core
+// Aurora storage-engine idea — plus the durable images of the pages it has
+// records for. A page nobody has logged to has no stored state: a read
+// formats it blank into the caller's frame.
 type Replica struct {
 	cfg    *sim.Config
 	Name   string
@@ -61,8 +63,9 @@ type Replica struct {
 	appliedRecords int64
 }
 
-// NewReplica creates an empty replica. The layout is used to format pages
-// on demand when the first log record for a page arrives.
+// NewReplica creates an empty replica. The layout is used to format a page
+// when its first log record is materialized, and to format a blank page
+// straight into the frame of a read that finds no record for it.
 func NewReplica(cfg *sim.Config, name string, az int, layout heap.Layout, netScale float64) *Replica {
 	if netScale <= 0 {
 		netScale = 1
@@ -225,19 +228,22 @@ func (r *Replica) Ingest(c *sim.Clock, recs []wal.Record) error {
 	return nil
 }
 
-// materializeLocked applies pending records to the page, formatting it
-// first if needed. CPU cost is charged to the caller performing the read
-// (Aurora charges this to background appliers; charging the reader is the
-// conservative choice and only matters when reads outpace materialization).
+// materializeLocked applies pending records to the page, formatting and
+// storing its image first if it has none. A page with neither an image nor
+// pending records has nothing to apply: it returns nil and stores nothing,
+// so the replica holds only the pages it has records for. CPU cost is
+// charged to the caller performing the read (Aurora charges this to
+// background appliers; charging the reader is the conservative choice and
+// only matters when reads outpace materialization).
 func (r *Replica) materializeLocked(c *sim.Clock, id page.ID) []byte {
 	data, ok := r.pages[id]
-	if !ok {
-		data = r.layout.FormatPage(id).Bytes()
-		r.pages[id] = data
-	}
 	pend := r.pending[id]
 	if len(pend) == 0 {
 		return data
+	}
+	if !ok {
+		data = r.layout.FormatPage(id).Bytes()
+		r.pages[id] = data
 	}
 	// Gossip and repair can deliver records out of order; redo must be
 	// applied in LSN order for the page-LSN idempotence check to hold.
@@ -309,16 +315,26 @@ func (r *Replica) ReadPage(c *sim.Clock, id page.ID, minLSN wal.LSN) ([]byte, er
 	}
 	data := r.materializeLocked(c, id)
 	// Fresh enough if the log prefix covers minLSN, or the materialized
-	// page itself is already at minLSN (e.g. copied by adoptCheckpoint).
-	if r.led.prefix < minLSN && wal.LSN(page.Wrap(data).LSN()) < minLSN {
+	// page itself is already at minLSN (e.g. copied by adoptCheckpoint). A
+	// page with no image is blank, at LSN 0.
+	var lsn wal.LSN
+	if data != nil {
+		lsn = wal.LSN(page.Wrap(data).LSN())
+	}
+	if r.led.prefix < minLSN && lsn < minLSN {
 		op.End(0)
 		return nil, ErrStaleReplica
 	}
-	r.nic.Charge(c, r.cfg.TCP.Cost(len(data)))
-	op.End(int64(len(data)))
-	// The copy becomes a compute node's cache frame (buffer.Fetcher).
-	out := page.Alloc(len(data))
-	copy(out, data)
+	size := r.layout.PageSize
+	r.nic.Charge(c, r.cfg.TCP.Cost(size))
+	op.End(int64(size))
+	// The frame becomes a compute node's cache frame (buffer.Fetcher).
+	out := page.Alloc(size)
+	if data == nil {
+		r.layout.Format(out, id)
+	} else {
+		copy(out, data)
+	}
 	return out, nil
 }
 
@@ -380,8 +396,8 @@ func (r *Replica) AdvanceHorizon(c *sim.Clock, h wal.LSN) {
 
 // adoptCheckpoint copies the peer's checkpointed page images needed to
 // cover horizon h onto this replica (the truncated range below h cannot
-// be replayed from any log). The peer must itself cover h. Returns pages
-// copied.
+// be replayed from any log): those of the pages the peer has records for.
+// The peer must itself cover h. Returns pages copied.
 func (r *Replica) adoptCheckpoint(c *sim.Clock, peer *Replica, h wal.LSN) (int, error) {
 	peer.mu.Lock()
 	if peer.failed {
@@ -404,6 +420,9 @@ func (r *Replica) adoptCheckpoint(c *sim.Clock, peer *Replica, h wal.LSN) (int, 
 	}
 	for _, id := range ids {
 		data := peer.materializeLocked(nil, id)
+		if data == nil {
+			continue
+		}
 		cp := make([]byte, len(data))
 		copy(cp, data)
 		images[id] = cp
