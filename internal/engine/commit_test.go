@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/disagglab/disagg/internal/buffer"
 	"github.com/disagglab/disagg/internal/buffer/coherence"
@@ -177,7 +178,7 @@ func TestPipelineExitPaths(t *testing.T) {
 			}
 			e.p.locks.Unlock(foreignTx, keys[1], txn.Exclusive)
 			for _, k := range keys {
-				if e.p.locks.Held(k) {
+				if e.p.locks.HeldByOther(0, k) {
 					t.Errorf("key %d still locked", k)
 				}
 			}
@@ -410,6 +411,72 @@ func TestPipelineGroupCommit(t *testing.T) {
 	}
 	if e.p.DurableLSN() != wal.LSN(2*workers) {
 		t.Errorf("durable LSN %d, want %d", e.p.DurableLSN(), 2*workers)
+	}
+}
+
+// TestValidationWaitsHoldingNothing: a writer whose validation finds a
+// pinned key locked waits for it only once it has released its own write
+// locks. T1 reads y and writes x and z; T2 writes y, w and z, so it locks y
+// and then waits for w, which a third transaction holds. T1 locks x and z
+// and finds y held. Had T1 waited there, T2 would take w, wait for z, and
+// the two would wait on each other until no other worker of the group could
+// run: a bystander that keeps running would see neither finish.
+func TestValidationWaitsHoldingNothing(t *testing.T) {
+	e := newPipeEngine(t)
+	per := uint64(e.layout.PerPage)
+	x, y, w, z := per, 2*per, 3*per, 4*per
+	const foreignTx = 1 << 60
+	e.p.locks.TryLock(foreignTx, w, txn.Exclusive)
+	val := make([]byte, e.layout.ValSize)
+	write := func(tx Tx, keys ...uint64) error {
+		for _, k := range keys {
+			if err := tx.Write(k, val); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	t1 := func(tx Tx) error {
+		if _, err := tx.Read(y); err != nil {
+			return err
+		}
+		return write(tx, x, z)
+	}
+	var finished atomic.Int32
+	errs := make([]error, 2)
+	sim.RunGroup(3, func(id int, c *sim.Clock) int {
+		switch id {
+		case 0:
+			errs[0] = e.Execute(c, func(tx Tx) error { return write(tx, y, w, z) })
+		case 1:
+			if err := e.Execute(c, t1); !errors.Is(err, ErrConflict) {
+				errs[1] = fmt.Errorf("first attempt: %v, want ErrConflict", err)
+			} else {
+				errs[1] = e.Execute(c, t1)
+			}
+		default:
+			e.p.locks.Unlock(foreignTx, w, txn.Exclusive)
+			for i := 0; i < 100 && finished.Load() < 2; i++ {
+				c.Advance(time.Microsecond)
+				sim.Yield(c)
+			}
+			if n := finished.Load(); n < 2 {
+				t.Errorf("%d of 2 transactions finished while a third worker ran: they wait on each other", n)
+			}
+			return 0
+		}
+		finished.Add(1)
+		return 1
+	})
+	for id, err := range errs {
+		if err != nil {
+			t.Errorf("T%d: %v", 2-id, err)
+		}
+	}
+	for _, k := range []uint64{x, y, w, z} {
+		if e.p.locks.HeldByOther(0, k) {
+			t.Errorf("key %d still locked", k)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func TestCrossTransactionDeadlockResolves(t *testing.T) {
 		if !errors.Is(errs[0], ErrDeadlock) || errs[1] != nil {
 			t.Fatalf("run %d: errs = %v, want ErrDeadlock for worker 0 and nil for worker 1", run, errs)
 		}
-		if lt.Held(100) || lt.Held(200) {
+		if lt.HeldByOther(0, 100) || lt.HeldByOther(0, 200) {
 			t.Fatal("locks leaked after deadlock resolution")
 		}
 	}
@@ -98,7 +98,7 @@ func TestAcquireReentrantForHolder(t *testing.T) {
 		}
 	})
 	lt.Unlock(2, 42, Exclusive)
-	if lt.Held(42) {
+	if lt.HeldByOther(0, 42) {
 		t.Fatal("lock leaked after the re-entry cycle")
 	}
 }
