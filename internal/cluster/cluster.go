@@ -42,6 +42,8 @@ var (
 	// ErrUnsupported is returned for drills the architecture cannot run
 	// (e.g. Crash on a fleet without engine.Recoverer).
 	ErrUnsupported = errors.New("cluster: unsupported by this architecture")
+	// ErrCrossShard is returned for a fleet write to another member's key.
+	ErrCrossShard = errors.New("cluster: write outside the routed member's shard")
 )
 
 // Spec describes how to build one architecture's fleet members. The
@@ -228,10 +230,10 @@ const failoverRetries = 3
 // Run executes fn as one transaction on the member that owns key. It is
 // the fleet-mode replacement for engine.Run: same per-attempt accounting
 // (delegated to the routed member's Stats), plus routing, telemetry, and
-// failover re-routing. Transactions that write multiple keys must keep
-// their write set within one shard (the seeded fleet workloads use
-// single-key writes; cross-shard transactions are the shared-nothing
-// engine's department).
+// failover re-routing. Members keep separate lock tables, so a write to a
+// key another member owns fails with ErrCrossShard (cross-shard
+// transactions are the shared-nothing engine's department; a partitioned
+// fleet routes every key to its one engine).
 //
 // Run is one turn of its sim.RunGroup worker: it yields on entry, before
 // taking the membership lock, and the yield at engine.Run's entry is held
@@ -281,6 +283,12 @@ func (f *Fleet) dispatch(c *sim.Clock, key uint64, opts engine.RunOpts, fn func(
 		// own meters, so they are not re-billed here.
 		m.Meter.Charge(c, cc)
 	}
+	if f.partitioned == nil {
+		t := shardTxs.Get().(*shardTx)
+		defer func() { t.Tx, t.fn = nil, nil; shardTxs.Put(t) }()
+		t.fn, t.shard, t.owner = fn, f.shard, m.ID
+		fn = t.run
+	}
 	sim.Hold(c)
 	err := engine.Run(m.E, c, opts, fn)
 	sim.Unhold(c)
@@ -289,6 +297,30 @@ func (f *Fleet) dispatch(c *sim.Clock, key uint64, opts engine.RunOpts, fn func(
 	}
 	f.mu.RUnlock()
 	return m, err
+}
+
+// shardTx refuses a write to a key another member owns. The dispatch holds
+// mu.R throughout, so the shard map does not move under it.
+type shardTx struct {
+	engine.Tx
+	fn    func(tx engine.Tx) error
+	run   func(tx engine.Tx) error // fn on t, bound once
+	shard *ShardMap
+	owner int
+}
+
+// shardTxs recycles the guards, so a fleet transaction allocates none.
+var shardTxs = sync.Pool{New: func() any {
+	t := new(shardTx)
+	t.run = func(tx engine.Tx) error { t.Tx = tx; return t.fn(t) }
+	return t
+}}
+
+func (t *shardTx) Write(key uint64, val []byte) error {
+	if owner := t.shard.Owner(key); owner != t.owner {
+		return fmt.Errorf("%w: key %d is member %d's, not %d's", ErrCrossShard, key, owner, t.owner)
+	}
+	return t.Tx.Write(key, val)
 }
 
 // tryRLock takes mu in R mode unless a membership change is pending.

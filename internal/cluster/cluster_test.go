@@ -140,6 +140,64 @@ func auroraSpec(cfg *sim.Config, layout heap.Layout) cluster.Spec {
 	}
 }
 
+// A fleet transaction writes only within the shard of the member it was
+// routed to: members keep separate lock tables, so a write to another
+// member's key fails and the transaction commits nothing. A partitioned
+// fleet routes every key to its one engine, which may write across its
+// partitions.
+func TestFleetRefusesACrossShardWrite(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	layout := mustLayout(t)
+	c := sim.NewClock()
+	f := cluster.New(auroraSpec(cfg, layout), c, 2)
+	shards := cluster.NewShardMap(cluster.DefaultSlots, 0, 1) // the fleet's map: rendezvous hashing ignores join order
+	keys := [2]uint64{}
+	for k, found := uint64(0), 0; found < 3; k++ {
+		if o := shards.Owner(k); found&(1<<o) == 0 {
+			keys[o] = k
+			found |= 1 << o
+		}
+	}
+	v := make([]byte, layout.ValSize)
+	v[0] = 1
+	writeBoth := func(tx engine.Tx) error {
+		for _, k := range keys {
+			if err := tx.Write(k, v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	opts := cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 4}}
+	if err := f.Run(c, keys[0], opts, writeBoth); !errors.Is(err, cluster.ErrCrossShard) {
+		t.Fatalf("a write to member 0's key %d and member 1's key %d: err %v, want ErrCrossShard", keys[0], keys[1], err)
+	}
+	for _, k := range keys {
+		if err := f.Run(c, k, opts, func(tx engine.Tx) error {
+			got, err := tx.Read(k)
+			if err == nil && got[0] != 0 {
+				t.Errorf("key %d reads %d after the refused transaction, want 0", k, got[0])
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var e *sharednothing.Engine
+	pf := cluster.New(cluster.Spec{
+		Name: "shared-nothing",
+		New: func(int) engine.Engine {
+			e = sharednothing.New(cfg, layout, 1)
+			return e
+		},
+		Rescale: func(c *sim.Clock, n int) int64 { return e.Rebalance(c, n) },
+	}, c, 2)
+	if err := pf.Run(c, keys[0], opts, writeBoth); err != nil {
+		t.Fatalf("a partitioned fleet's two-key write: %v", err)
+	}
+}
+
 // TestFleetSmoke is the -race smoke test: concurrent workers drive keyed
 // writes through the router while the fleet scales out and a member
 // crashes mid-run; afterwards every acked write must be readable and the

@@ -253,8 +253,7 @@ func (g *Group) AppendBatch(c *sim.Clock, datas [][]byte) (int, error) {
 		op.End(0)
 		return 0, ErrNoQuorum
 	}
-	slices.Sort(acks)
-	g.meter.Charge(c, acks[majority-1])
+	g.meter.ChargeQuorum(c, acks, majority)
 
 	// Advance commit on leader and (lazily) followers.
 	leader.mu.Lock()
@@ -403,8 +402,7 @@ func (g *Group) Elect(c *sim.Clock) (int, error) {
 		p.term = maxTerm + 1
 		p.mu.Unlock()
 	}
-	slices.Sort(acks)
-	g.meter.Charge(c, acks[len(g.peers)/2])
+	g.meter.ChargeQuorum(c, acks, len(g.peers)/2+1)
 	g.leader = best
 	// The new leader's committed prefix is authoritative; followers
 	// truncate divergent suffixes on their next append (handled in

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -67,6 +68,14 @@ func (m *Meter) Charge(c *Clock, d time.Duration) time.Duration {
 	m.busy.Add(int64(d))
 	c.Advance(d)
 	return d
+}
+
+// ChargeQuorum charges the k-th fastest of acks, 1 <= k <= len(acks): the
+// latency of a fan-out to len(acks) servers that returns at a quorum of k.
+// It sorts acks in place and returns the charged duration.
+func (m *Meter) ChargeQuorum(c *Clock, acks []time.Duration, k int) time.Duration {
+	slices.Sort(acks)
+	return m.Charge(c, acks[k-1])
 }
 
 // Observe accounts one operation of modeled duration d against the meter

@@ -3,6 +3,7 @@ package storagenode
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -303,6 +304,47 @@ func TestLogStoreTruncateOnFailedStore(t *testing.T) {
 	ls.Restart()
 	if ls.Floor() != 1 || ls.Len() != 3 {
 		t.Fatalf("floor %d, %d records; want 1, 3", ls.Floor(), ls.Len())
+	}
+}
+
+// A store decides the records it holds by LSN, not by their order in the
+// batch: a whole append out of LSN order stores every record, in the order
+// it arrived.
+func TestLogStoreAppendStoresABatchOutOfLSNOrder(t *testing.T) {
+	ls := NewLogStore(sim.DefaultConfig(), MediumSSD)
+	batch := []wal.Record{{LSN: 4}, {LSN: 1}, {LSN: 3}, {LSN: 5}, {LSN: 2}}
+	if err := ls.Append(sim.NewClock(), batch); err != nil {
+		t.Fatal(err)
+	}
+	var got []wal.LSN
+	for _, r := range storedRecords(ls) {
+		got = append(got, r.LSN)
+	}
+	if want := []wal.LSN{4, 1, 3, 5, 2}; !slices.Equal(got, want) || ls.HighLSN() != 5 {
+		t.Fatalf("stored LSNs %v, high %d; want %v, 5", got, ls.HighLSN(), want)
+	}
+}
+
+// An append refused by a failed store still closes its span: the next
+// operation on the clock is a sibling root, not a child of the refused
+// append, and the registry counts the append.
+func TestLogStoreAppendOnFailedStoreClosesItsSpan(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Stats = sim.NewRegistry()
+	ls := NewLogStore(cfg, MediumSSD)
+	tr := sim.NewTrace("append")
+	c := sim.NewClock()
+	c.SetTrace(tr)
+	ls.Fail()
+	if err := ls.Append(c, appendLogged(wal.NewLog(), testLayout(t), 1, "x")); err != ErrReplicaDown {
+		t.Fatalf("append on a failed store: err = %v, want ErrReplicaDown", err)
+	}
+	cfg.Begin(c, "next").End(0)
+	if roots := tr.Roots(); len(roots) != 2 || roots[1].Site != "next" || len(roots[0].Children) != 0 {
+		t.Fatalf("trace after a refused append:\n%s\nwant two childless roots, logstore.append then next", tr)
+	}
+	if st := cfg.Stats.Site("logstore.append"); st == nil || st.Hist.Count() != 1 {
+		t.Fatal("the registry did not count the refused logstore.append once")
 	}
 }
 

@@ -1,18 +1,93 @@
 package storagenode
 
 import (
-	"cmp"
-	"slices"
+	"sync"
 
 	"github.com/disagglab/disagg/internal/wal"
 )
+
+// server is the storage-server core a Replica and a LogStore embed: what it
+// stores survives a crash, and while down it takes no delivery or decision.
+type server struct {
+	mu     sync.Mutex
+	failed bool
+	led    ledger
+}
+
+// Fail crashes the server.
+func (s *server) Fail() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.failed = true
+}
+
+// Restart brings the server back with its durable contents.
+func (s *server) Restart() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.failed = false
+}
+
+// Failed reports crash state.
+func (s *server) Failed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failed
+}
+
+// HighLSN reports the highest LSN the server has received.
+func (s *server) HighLSN() wal.LSN {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.led.high
+}
+
+// PrefixLSN reports the highest LSN up to which the server's log is gap-free.
+func (s *server) PrefixLSN() wal.LSN {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.led.prefix
+}
+
+// has reports whether the server has received the record at lsn.
+func (s *server) has(lsn wal.LSN) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.led.has(lsn)
+}
+
+// hold keeps the records of an append undecided: until the writer's
+// decision reaches the server, it neither counts nor stores nor serves
+// them. It reports false, holding nothing, when the server is down.
+// Ownership is as for ledger.hold.
+func (s *server) hold(recs []wal.Record) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.failed {
+		return false
+	}
+	for i := range recs {
+		s.led.hold(&recs[i])
+	}
+	return true
+}
+
+// decide delivers the writer's commit decision for recs: the server's
+// undecided copies of them are received, each handed to take under the
+// lock. A server that is down misses the decision.
+func (s *server) decide(recs []wal.Record, take func(rec *wal.Record)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.failed {
+		s.led.decide(recs, take)
+	}
+}
 
 // ledger is what a storage server holds of the log, by LSN: the records it
 // has received, the highest of them, and the records it holds undecided
 // until the writer's decision reaches it. An undecided record is not
 // received — it is never counted, served or shipped — until a commit
 // decision receives it or a decided record at its LSN supersedes it.
-// Replica and LogStore each keep one under their own lock.
 type ledger struct {
 	// prefix is the highest L such that every LSN in [1, L] has been
 	// received. Single-store feeds (Taurus page stores) and aborted LSNs a
@@ -73,19 +148,19 @@ func (l *ledger) hold(rec *wal.Record) {
 	}
 }
 
-// decide receives the undecided records whose LSN is in committed, sorted
-// by LSN, handing each newly received one to take, and forgets every other
-// undecided record received since it was held.
+// decide receives the undecided records whose LSN is in committed, handing
+// each newly received one to take, and forgets every other undecided record
+// received since it was held.
 func (l *ledger) decide(committed []wal.Record, take func(rec *wal.Record)) {
 	if len(l.undecided) == 0 {
 		return
 	}
 	kept := l.undecided[:0]
+	at := 0 // search on from the last match: holds mostly follow committed's order
 	for i := range l.undecided {
 		u := &l.undecided[i]
-		if _, in := slices.BinarySearchFunc(committed, u.LSN, func(rec wal.Record, lsn wal.LSN) int {
-			return cmp.Compare(rec.LSN, lsn)
-		}); in {
+		if j := indexFrom(committed, u.LSN, at); j >= 0 {
+			at = j + 1
 			if l.receive(u.LSN) {
 				take(u)
 			}
@@ -95,6 +170,17 @@ func (l *ledger) decide(committed []wal.Record, take func(rec *wal.Record)) {
 	}
 	clear(l.undecided[len(kept):])
 	l.undecided = kept
+}
+
+// indexFrom returns the index of the record at lsn in recs, or -1,
+// searching from recs[from] on and wrapping around.
+func indexFrom(recs []wal.Record, lsn wal.LSN, from int) int {
+	for k := range recs {
+		if j := (from + k) % len(recs); recs[j].LSN == lsn {
+			return j
+		}
+	}
+	return -1
 }
 
 // cover counts every LSN up to h as received: a recovery horizon or a

@@ -3,8 +3,6 @@ package storagenode
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 	"time"
 
 	"github.com/disagglab/disagg/internal/sim"
@@ -29,11 +27,11 @@ type LogStore struct {
 	medium Medium
 	meter  *sim.Meter
 
-	mu sync.Mutex
-	// led is what the store has received, and the prefixes of torn appends
-	// it holds undecided: their writer saw the append fail, so they never
-	// reach records.
-	led     ledger
+	// server's ledger holds each delivery undecided until the writer's
+	// decision reaches it: a decided record joins records, one whose writer
+	// saw the append fail (a torn prefix, a group append short of its
+	// quorum) never does. Its lock guards the fields below.
+	server
 	records wal.Segments
 	// Each slot's Link and last chain each page's records for SincePage.
 	// Records can arrive out of LSN order, so a link is a position in
@@ -44,8 +42,13 @@ type LogStore struct {
 	// floor is the lowest LSN guaranteed retained (1 until the first
 	// truncation). Reads reaching below it fail with wal.ErrTruncated
 	// instead of silently yielding a partial prefix.
-	floor  wal.LSN
-	failed bool
+	floor wal.LSN
+}
+
+// pushLocked stores one record the ledger newly received.
+func (ls *LogStore) pushLocked(rec *wal.Record) {
+	ls.records.Push().Rec = *rec
+	ls.linkLocked(ls.records.Len() - 1)
 }
 
 // linkLocked links the record in slot i into its page's chain.
@@ -60,21 +63,7 @@ func (ls *LogStore) linkLocked(i int) {
 
 // NewLogStore creates a log store on the given medium.
 func NewLogStore(cfg *sim.Config, medium Medium) *LogStore {
-	return &LogStore{cfg: cfg, medium: medium, meter: sim.NewMeter(cfg.NICSlots), led: newLedger(), last: make(map[uint64]uint64), floor: 1}
-}
-
-// Fail crashes the store (records are durable across Restart).
-func (ls *LogStore) Fail() {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	ls.failed = true
-}
-
-// Restart brings the store back with its durable contents.
-func (ls *LogStore) Restart() {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	ls.failed = false
+	return &LogStore{cfg: cfg, medium: medium, meter: sim.NewMeter(cfg.NICSlots), server: server{led: newLedger()}, last: make(map[uint64]uint64), floor: 1}
 }
 
 // Append durably stores the records: one network round trip plus the
@@ -87,10 +76,19 @@ func (ls *LogStore) Restart() {
 // commit. The store holds the prefix undecided, so no read, high LSN or
 // length sees it, and a truncation past it forgets it.
 func (ls *LogStore) Append(c *sim.Clock, recs []wal.Record) error {
+	err := ls.deliver(c, recs)
+	if err == nil {
+		ls.decide(recs, ls.pushLocked)
+	}
+	return err
+}
+
+// deliver is the one way records reach a store: admit, inject, hold what
+// lands undecided, and charge the persist. Only a whole delivery succeeds;
+// a torn one holds a prefix, uncharged. The decision is the caller's.
+func (ls *LogStore) deliver(c *sim.Clock, recs []wal.Record) error {
 	// Admission gate on the store's service meter: under overload the
-	// append is shed before the fault decision and any charge. (Quorum
-	// probes arrive on fresh clocks and pass inside the gate's warmup;
-	// the group-level gate below covers that path.)
+	// append is shed before the fault decision and any charge.
 	if err := ls.cfg.Admit(c, "logstore.append", ls.meter); err != nil {
 		return err
 	}
@@ -104,27 +102,14 @@ func (ls *LogStore) Append(c *sim.Clock, recs []wal.Record) error {
 	if f.Torn {
 		persistRecs = recs[:len(recs)/2]
 	}
-	ls.mu.Lock()
-	if ls.failed {
-		ls.mu.Unlock()
+	if !ls.hold(persistRecs) {
+		op.End(0)
 		return ErrReplicaDown
 	}
-	for i := range persistRecs {
-		switch r := &persistRecs[i]; {
-		case f.Torn:
-			ls.led.hold(r)
-		case ls.led.receive(r.LSN): // false: a duplicate delivery
-			ls.records.Push().Rec = *r
-			ls.linkLocked(ls.records.Len() - 1)
-		}
-	}
-	ls.led.decide(nil, nil) // forget the undecided copies these supersede
-	ls.mu.Unlock()
 	if f.Torn {
 		op.End(int64(wal.Size(persistRecs)))
 		return f.FaultErr()
 	}
-
 	n := wal.Size(recs)
 	ls.meter.Charge(c, ls.cost(n, true))
 	op.End(int64(n))
@@ -246,13 +231,6 @@ func (ls *LogStore) SincePage(c *sim.Clock, pageID uint64, after wal.LSN) ([]wal
 	return out, nil
 }
 
-// HighLSN reports the highest durable LSN.
-func (ls *LogStore) HighLSN() wal.LSN {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.led.high
-}
-
 // Len reports stored record count.
 func (ls *LogStore) Len() int {
 	ls.mu.Lock()
@@ -281,28 +259,32 @@ func NewLogStoreGroup(cfg *sim.Config, n, quorum int, medium Medium) *LogStoreGr
 
 // Append replicates the records, returning at quorum: the clock advances
 // by the quorum-th fastest store's persist latency (appends fan out in
-// parallel).
+// parallel). As on a Volume, each store holds its delivery undecided, and
+// only Quorum whole deliveries decide it, on every store at once and
+// uncharged: a failed append leaves nothing counted or served.
 func (g *LogStoreGroup) Append(c *sim.Clock, recs []wal.Record) error {
 	if err := g.cfg.Admit(c, "logstore.quorum", g.meter); err != nil {
 		return err
 	}
 	op := g.cfg.Begin(c, "logstore.quorum")
-	var latBuf [8]time.Duration // one per store, on the stack for up to eight
-	lats := latBuf[:0]
+	var ackBuf [8]time.Duration // one per store, on the stack for up to eight
+	acks := ackBuf[:0]
 	var leg sim.Clock
 	for _, ls := range g.Stores {
 		leg = c.Fork()
-		if err := ls.Append(&leg, recs); err != nil {
+		if err := ls.deliver(&leg, recs); err != nil {
 			continue
 		}
-		lats = append(lats, leg.Now()-c.Now())
+		acks = append(acks, leg.Now()-c.Now())
 	}
-	if len(lats) < g.Quorum {
+	if len(acks) < g.Quorum {
 		op.End(0)
 		return ErrNoQuorum
 	}
-	slices.Sort(lats)
-	g.meter.Charge(c, lats[g.Quorum-1])
+	for _, ls := range g.Stores {
+		ls.decide(recs, ls.pushLocked)
+	}
+	g.meter.ChargeQuorum(c, acks, g.Quorum)
 	op.End(int64(wal.Size(recs)))
 	return nil
 }
@@ -350,13 +332,13 @@ func (g *LogStoreGroup) Floor() wal.LSN {
 
 // HighLSN reports the highest LSN durable at a quorum of stores.
 func (g *LogStoreGroup) HighLSN() wal.LSN {
-	var lsns []wal.LSN
-	for _, ls := range g.Stores {
-		lsns = append(lsns, ls.HighLSN())
-	}
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] > lsns[j] })
-	if len(lsns) < g.Quorum {
+	if len(g.Stores) < g.Quorum {
 		return 0
 	}
-	return lsns[g.Quorum-1]
+	lsns := make([]wal.LSN, len(g.Stores))
+	for i, ls := range g.Stores {
+		lsns[i] = ls.HighLSN()
+	}
+	slices.Sort(lsns)
+	return lsns[len(lsns)-g.Quorum]
 }

@@ -12,7 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
+	"time"
 
 	"github.com/disagglab/disagg/internal/heap"
 	"github.com/disagglab/disagg/internal/page"
@@ -42,23 +42,21 @@ type Replica struct {
 	netScale float64
 	nic      *sim.Meter
 
-	mu    sync.Mutex
+	// server's ledger holds quorum appends undecided (hold) until the
+	// writer's commit decision receives them (decide) or a decided record at
+	// their LSN, the abort healing ships, supersedes them. Its lock guards
+	// the fields below.
+	server
 	pages map[page.ID][]byte
 	// pending holds each page's received, unmaterialised records. A list
 	// belongs to this replica alone and keeps its capacity when it empties
 	// (prunePendingLocked), so a page's next ingest appends into it.
 	pending map[page.ID][]wal.Record
-	// led is what the replica has received, and the quorum appends whose
-	// outcome has not reached it, held undecided (hold) until the writer's
-	// commit decision receives them (decide) or a decided record at their
-	// LSN, the commit or the abort healing ships, supersedes them.
-	led ledger
 	// horizon is the recovery horizon this replica has adopted: every
 	// LSN <= horizon is covered by checkpointed page state, the source
 	// log below horizon+1 may be truncated, and re-deliveries at or
 	// below it are dropped rather than re-materialized.
 	horizon wal.LSN
-	failed  bool
 	// appliedRecords counts materialized records (for tests/metrics).
 	appliedRecords int64
 }
@@ -77,45 +75,16 @@ func NewReplica(cfg *sim.Config, name string, az int, layout heap.Layout, netSca
 		layout:   layout,
 		netScale: netScale,
 		nic:      sim.NewMeter(cfg.NICSlots),
+		server:   server{led: newLedger()},
 		pages:    make(map[page.ID][]byte),
 		pending:  make(map[page.ID][]wal.Record),
-		led:      newLedger(),
 	}
 }
 
 // netCost models one message of n bytes from the writer to this replica,
 // before queueing.
-func (r *Replica) netCost(n int) float64 {
-	return float64(r.cfg.TCP.Cost(n)) * r.netScale
-}
-
-// Fail crashes the replica. Pages and buffered log records are durable
-// (they were acknowledged only after reaching persistent media).
-func (r *Replica) Fail() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.failed = true
-}
-
-// Restart brings the replica back.
-func (r *Replica) Restart() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.failed = false
-}
-
-// Failed reports crash state.
-func (r *Replica) Failed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.failed
-}
-
-// HighLSN reports the highest LSN this replica has received.
-func (r *Replica) HighLSN() wal.LSN {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.led.high
+func (r *Replica) netCost(n int) time.Duration {
+	return time.Duration(float64(r.cfg.TCP.Cost(n)) * r.netScale)
 }
 
 // AppliedRecords reports how many records have been materialized.
@@ -159,41 +128,6 @@ func (r *Replica) pendLocked(rec *wal.Record) {
 	if rec.Type == wal.TypeUpdate {
 		r.pending[page.ID(rec.PageID)] = append(r.pending[page.ID(rec.PageID)], *rec)
 	}
-}
-
-// hold buffers the records of a quorum append undecided (Volume.AppendLog):
-// until the writer's decision reaches the replica, it neither counts nor
-// materialises nor ships them. Ownership is as for ingest.
-func (r *Replica) hold(recs []wal.Record) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.failed {
-		return false
-	}
-	for i := range recs {
-		r.led.hold(&recs[i])
-	}
-	return true
-}
-
-// decide delivers the writer's commit decision for recs, sorted by LSN: the
-// replica's undecided copies of them are received, as ingest would take
-// them. A replica that is down misses the decision, and healing later ships
-// it the log's records in their place.
-func (r *Replica) decide(recs []wal.Record) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.failed {
-		r.led.decide(recs, r.pendLocked)
-	}
-}
-
-// PrefixLSN reports the highest LSN up to which the replica has a complete,
-// gap-free log.
-func (r *Replica) PrefixLSN() wal.LSN {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.led.prefix
 }
 
 // Ingest delivers records directly to this replica, charging its network
@@ -460,53 +394,57 @@ func (r *Replica) adoptCheckpoint(c *sim.Clock, peer *Replica, h wal.LSN) (int, 
 // below-horizon records onto pages whose checkpointed images live
 // elsewhere.
 func (r *Replica) CatchUpFrom(c *sim.Clock, peer *Replica, log *wal.Log) (int, error) {
-	r.mu.Lock()
-	if r.failed {
-		r.mu.Unlock()
+	if r.Failed() {
 		return 0, ErrReplicaDown
 	}
-	from := r.led.prefix
-	r.mu.Unlock()
-	adopted := 0
+	from, adopted := r.PrefixLSN(), 0
 	if floor := log.Floor(); from+1 < floor {
 		n, err := r.adoptCheckpoint(c, peer, floor-1)
 		if err != nil {
 			return 0, err
 		}
-		adopted = n
-		from = floor - 1
+		adopted, from = n, floor-1
 	}
-
-	peer.mu.Lock()
-	peerFailed := peer.failed
-	peer.mu.Unlock()
-	if peerFailed {
+	if peer.Failed() {
 		return adopted, ErrReplicaDown
 	}
-	// Ship exactly the records the peer holds and the receiver lacks
-	// (the receiver may have holes above its prefix).
+	n, err := r.ship(c, log, from, peer)
+	return adopted + n, err
+}
+
+// CatchUpFromLog ships every record the replica lacks straight from the
+// authoritative log (heal path: injected drops and torn deliveries can
+// leave LSN holes no peer holds either, which would stall the prefix
+// forever). Returns the number of records shipped. When the log has been
+// truncated past this replica's prefix the gap is unrecoverable from the
+// log: the replica ships nothing (rather than silently skipping the gap
+// and later serving partially materialized pages) and must instead adopt
+// checkpointed page images via CatchUpFrom.
+func (r *Replica) CatchUpFromLog(c *sim.Clock, log *wal.Log) int {
+	if r.Failed() {
+		return 0
+	}
+	n, _ := r.ship(c, log, r.PrefixLSN(), nil)
+	return n
+}
+
+// ship is the one catch-up walk: it delivers the records of log above from
+// that the replica lacks and peer (if any) holds, charging c. A walk the
+// truncation floor cuts short fails uncharged, keeping what it delivered.
+func (r *Replica) ship(c *sim.Clock, log *wal.Log, from wal.LSN, peer *Replica) (int, error) {
 	s := shipment{r: r}
 	err := log.Range(from, ^wal.LSN(0), func(rec *wal.Record) error {
-		peer.mu.Lock()
-		has := peer.led.has(rec.LSN)
-		peer.mu.Unlock()
-		if !has {
-			return nil
-		}
-		r.mu.Lock()
-		lacks := !r.led.has(rec.LSN)
-		r.mu.Unlock()
-		if lacks {
+		if (peer == nil || peer.has(rec.LSN)) && !r.has(rec.LSN) {
 			s.add(rec)
 		}
 		return nil
 	})
 	s.flush()
 	if err != nil {
-		return adopted, err
+		return 0, err
 	}
 	s.charge(c)
-	return adopted + s.records, nil
+	return s.records, nil
 }
 
 // shipment is one catch-up's delivery, made in fixed chunks: a full chunk
@@ -550,41 +488,6 @@ func (s *shipment) charge(c *sim.Clock) {
 	if s.records > 0 && c != nil {
 		c.Advance(s.r.cfg.TCP.Cost(s.bytes))
 	}
-}
-
-// CatchUpFromLog ships every record the replica lacks straight from the
-// authoritative log (heal path: injected drops and torn deliveries can
-// leave LSN holes no peer holds either, which would stall the prefix
-// forever). Returns the number of records shipped. When the log has been
-// truncated past this replica's prefix the gap is unrecoverable from the
-// log: the replica ships nothing (rather than silently skipping the gap
-// and later serving partially materialized pages) and must instead adopt
-// checkpointed page images via CatchUpFrom.
-func (r *Replica) CatchUpFromLog(c *sim.Clock, log *wal.Log) int {
-	r.mu.Lock()
-	if r.failed {
-		r.mu.Unlock()
-		return 0
-	}
-	from := r.led.prefix
-	r.mu.Unlock()
-	// A walk that starts below the truncation floor ships nothing: the gap.
-	s := shipment{r: r}
-	err := log.Range(from, ^wal.LSN(0), func(rec *wal.Record) error {
-		r.mu.Lock()
-		lacks := !r.led.has(rec.LSN)
-		r.mu.Unlock()
-		if lacks {
-			s.add(rec)
-		}
-		return nil
-	})
-	s.flush()
-	if err != nil {
-		return 0
-	}
-	s.charge(c)
-	return s.records
 }
 
 // String implements fmt.Stringer.

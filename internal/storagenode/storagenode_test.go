@@ -187,7 +187,7 @@ func TestUndecidedRecordsWaitForTheDecision(t *testing.T) {
 	log.Reserve(committed)
 	a.hold(committed)
 	a.hold(committed) // a duplicated delivery
-	a.decide(committed)
+	a.decide(committed, a.pendLocked)
 	if got := read(a); got != "v3" || a.PrefixLSN() != 3 || len(a.led.undecided) != 0 {
 		t.Fatalf("after the commit decision: value %q, prefix %d, %d undecided; want v3, 3, 0", got, a.PrefixLSN(), len(a.led.undecided))
 	}
@@ -284,7 +284,7 @@ func TestVolumeQuorumLatencyCheaperThanAllReplicas(t *testing.T) {
 	// The slowest replica is in AZ 2 (scale 1.5): waiting for all 6
 	// would cost at least that; quorum must be cheaper.
 	slowest := v.Replicas[5].netCost(rec[0].EncodedSize())
-	if float64(qc.Now()) >= slowest {
+	if qc.Now() >= slowest {
 		t.Fatalf("quorum latency %v not cheaper than slowest replica %v", qc.Now(), slowest)
 	}
 }

@@ -1,7 +1,6 @@
 package storagenode
 
 import (
-	"slices"
 	"sort"
 	"time"
 
@@ -102,7 +101,7 @@ func (v *Volume) AppendLog(c *sim.Clock, recs []wal.Record) error {
 		return ErrNoQuorum
 	}
 	n := wal.Size(recs)
-	var ackBuf [8]float64 // one per replica, on the stack for up to eight
+	var ackBuf [8]time.Duration // one per replica, on the stack for up to eight
 	acks := ackBuf[:0]
 	var faultErr error
 	for _, r := range v.Replicas {
@@ -138,11 +137,9 @@ func (v *Volume) AppendLog(c *sim.Clock, recs []wal.Record) error {
 		return ErrNoQuorum
 	}
 	for _, r := range v.Replicas {
-		r.decide(recs)
+		r.decide(recs, r.pendLocked)
 	}
-	slices.Sort(acks)
-	quorumLat := time.Duration(acks[v.WriteQ-1])
-	v.meter.Charge(c, quorumLat)
+	v.meter.ChargeQuorum(c, acks, v.WriteQ)
 	op.End(int64(n))
 	return nil
 }
@@ -169,28 +166,19 @@ func (v *Volume) ReadPage(c *sim.Clock, id page.ID, minLSN wal.LSN) ([]byte, err
 // reached W replicas and Rq intersects every W). The caller's clock pays
 // one round trip to the Rq-th fastest replica.
 func (v *Volume) FindHighLSN(c *sim.Clock) (wal.LSN, error) {
-	if !v.ReadAvailable() {
-		return 0, ErrNoQuorum
-	}
-	var acks []float64
+	var acks []time.Duration
 	var high wal.LSN
-	polled := 0
 	for _, r := range v.Replicas {
 		if r.Failed() {
 			continue
 		}
 		acks = append(acks, r.netCost(16))
-		if h := r.HighLSN(); h > high {
-			high = h
-		}
-		polled++
+		high = max(high, r.HighLSN())
 	}
-	sort.Float64s(acks)
-	idx := v.ReadQ - 1
-	if idx >= len(acks) {
-		idx = len(acks) - 1
+	if len(acks) < v.ReadQ {
+		return 0, ErrNoQuorum
 	}
-	v.meter.Charge(c, time.Duration(acks[idx]))
+	v.meter.ChargeQuorum(c, acks, v.ReadQ)
 	return high, nil
 }
 
