@@ -151,8 +151,12 @@ type conformanceResult struct {
 	layout  heap.Layout
 	run     runner
 	replica bool // the runner offers a read-only path
-	rec     *history.Recorder
-	keys    []*keyState // worker-major: keys[w*confKeysEach+i]
+	// routed is set when run routes a transaction to its key's owner (a
+	// fleet), which serves only its own keys fresh: every transaction then
+	// keeps to one key, and the multi-key shapes run as their one-key part.
+	routed bool
+	rec    *history.Recorder
+	keys   []*keyState // worker-major: keys[w*confKeysEach+i]
 
 	// crashed is set once the engine has crashed and recovered: a failover
 	// may leave the old primary, one of the read replicas, down for good.
@@ -165,6 +169,12 @@ type conformanceResult struct {
 	flight [confWorkers]*profile.FlightRecorder
 
 	commits, writeErrs, readErrs atomic.Int64
+	// finished counts the workload operations the workers have ended, and
+	// idle the workers of the phase that are handing the turn over or done:
+	// a multi-key transaction hands the turn over until finished moves or
+	// every worker is idle.
+	finished atomic.Int64
+	idle     atomic.Int32
 
 	mu         sync.Mutex
 	violations []string
@@ -218,33 +228,73 @@ func (r *conformanceResult) check(where string, st *keyState, floor uint64, v []
 	}
 }
 
-// access runs one recorded transaction for session on st's key: a checked
-// read when read is set, then a write of v when v is non-nil.
-func (r *conformanceResult) access(c *sim.Clock, session int, st *keyState, replica int, read bool, v []byte, where string) error {
-	floor := st.acked.Load()
+// access runs one recorded transaction for session on the path replica: a
+// checked read of each key in reads, then a write of v to w when v is
+// non-nil. It is routed by w's key, else by the first read's. A transaction
+// that reads more than one key hands the turn over between its operations
+// (handOver).
+func (r *conformanceResult) access(c *sim.Clock, session, replica int, reads []*keyState, w *keyState, v []byte, where string) error {
+	var floors [2]uint64 // a transaction reads at most two keys
+	for i, st := range reads {
+		floors[i] = st.acked.Load()
+	}
+	route := w
+	if route == nil {
+		route = reads[0]
+	}
+	hand := len(reads) > 1
 	opts := engine.RunOpts{Retries: confRetries, Replica: replica, Record: r.rec, Session: session}
-	return r.run(c, st.key, opts, func(tx engine.Tx) error {
-		if read {
+	return r.run(c, route.key, opts, func(tx engine.Tx) error {
+		for i, st := range reads {
+			if hand && i > 0 {
+				r.handOver(c, v != nil)
+			}
 			got, err := tx.Read(st.key)
 			if err != nil {
 				return err
 			}
-			r.check(where, st, floor, got)
+			r.check(where, st, floors[i], got)
 		}
 		if v == nil {
 			return nil
 		}
-		return tx.Write(st.key, v)
+		if hand {
+			r.handOver(c, true)
+		}
+		return tx.Write(w.key, v)
 	})
 }
 
-// write issues the next seq of st as a read-modify-write or a blind write.
-// An unacknowledged write's outcome is unknown (it may still surface, like a
-// timed-out commit in a real system), so its seq stays issued-only.
-func (r *conformanceResult) write(c *sim.Clock, st *keyState, rmw bool) {
+// handOver is a workload worker's turn boundary between the operations of
+// a multi-key transaction. A writing transaction yields: it stays in flight
+// beside the others, so two that read each other's written keys can both
+// reach commit (write skew). A read-only one waits until another worker has
+// finished an operation, or until every worker is idle: a bare yield lets
+// run only the workers behind it in virtual time, seldom far enough behind
+// to commit between its reads (read skew).
+func (r *conformanceResult) handOver(c *sim.Clock, writes bool) {
+	if writes {
+		sim.Yield(c)
+		return
+	}
+	mark := r.finished.Load()
+	r.idle.Add(1)
+	sim.Wait(c, func() bool { return r.finished.Load() != mark || r.idle.Load() == confWorkers })
+	r.idle.Add(-1)
+}
+
+// write issues the next seq of st after checked reads of reads: a blind
+// write when there are none, a read-modify-write when reads is st alone.
+// An unacknowledged write's outcome is unknown (it may still surface, like
+// a timed-out commit in a real system), so its seq stays issued-only.
+func (r *conformanceResult) write(c *sim.Clock, st *keyState, reads ...*keyState) {
 	seq := st.issued.Add(1)
 	v := confVal(r.layout, st.key, uint64(st.owner), seq)
-	if err := r.access(c, st.owner, st, 0, rmw, v, "read-modify-write"); err != nil {
+	where := "read-modify-write"
+	if len(reads) > 1 {
+		where = "read-two-write-one"
+	}
+	if err := r.access(c, st.owner, 0, reads, st, v, where); err != nil {
 		r.writeErrs.Add(1)
 		return
 	}
@@ -252,13 +302,17 @@ func (r *conformanceResult) write(c *sim.Clock, st *keyState, rmw bool) {
 	r.commits.Add(1)
 }
 
-// read is one checked single-key read on the primary or the read-only path.
-func (r *conformanceResult) read(c *sim.Clock, session int, st *keyState, replica int) {
+// read is one checked read-only transaction over keys on the primary or
+// the read-only path.
+func (r *conformanceResult) read(c *sim.Clock, session, replica int, keys ...*keyState) {
 	where := "read"
 	if replica > 0 {
 		where = "replica read"
 	}
-	if r.access(c, session, st, replica, true, nil, where) != nil {
+	if len(keys) > 1 {
+		where = "two-key " + where
+	}
+	if r.access(c, session, replica, keys, nil, nil, where) != nil {
 		r.readErrs.Add(1)
 	}
 }
@@ -274,9 +328,14 @@ func runConformanceWorkload(e engine.Engine, layout heap.Layout, seed int64) *co
 // extendConformanceWorkload runs one more phase of the seeded workload on
 // res: each worker issues ops operations — read-modify-write or blind write
 // of an own key, a read of a foreign key (every other one on the read-only
-// path when there is one), or a read of an own key on the read-only path —
-// advancing the per-key sequences where they left off. Every read is
-// checked in flight.
+// path when there is one), a read of an own key on the read-only path, or
+// one of two multi-key shapes that hand the turn over between their
+// operations (handOver): a read of two keys of one foreign worker, and a
+// read of an own and a foreign key then a write of the own key — advancing
+// the per-key sequences where they left off. Every read is checked in
+// flight. The multi-key shapes are built as Elle's rw-register transactions
+// are (Kingsbury and Alvaro, VLDB 2020): with them, a history holds read
+// skew and write skew when an engine lets either through.
 //
 // bg, when non-nil, is one more member of the workers' group. Its next
 // blocks until a worker has begun another operation and returns how many
@@ -286,6 +345,7 @@ func extendConformanceWorkload(res *conformanceResult, seed int64, ops int, bg f
 	var begun atomic.Int64
 	var left atomic.Int32
 	left.Store(confWorkers)
+	res.idle.Store(0)
 	members := confWorkers
 	if bg != nil {
 		members++
@@ -303,6 +363,7 @@ func extendConformanceWorkload(res *conformanceResult, seed int64, ops int, bg f
 			return 0
 		}
 		defer left.Add(-1)
+		defer res.idle.Add(1)
 		if res.flight[id] == nil {
 			res.flight[id] = res.box.Recorder(fmt.Sprintf("worker %d", id), confFlightEvents)
 		}
@@ -315,19 +376,30 @@ func extendConformanceWorkload(res *conformanceResult, seed int64, ops int, bg f
 			roll := rng.Intn(100)
 			own := res.keys[id*confKeysEach+rng.Intn(confKeysEach)]
 			other := (id + 1 + rng.Intn(confWorkers-1)) % confWorkers
-			foreign := res.keys[other*confKeysEach+rng.Intn(confKeysEach)]
-			switch {
-			case roll < 55:
-				res.write(c, own, true)
-			case roll < 70:
-				res.write(c, own, false)
-			case !res.replica:
-				res.read(c, id, foreign, 0)
-			case roll < 90:
-				res.read(c, id, foreign, op%2)
-			default:
-				res.read(c, id, own, 1)
+			fi := rng.Intn(confKeysEach)
+			foreign := res.keys[other*confKeysEach+fi]
+			sibling := res.keys[other*confKeysEach+(fi+1+rng.Intn(confKeysEach-1))%confKeysEach]
+			rw, pair := []*keyState{own, foreign}, []*keyState{foreign, sibling}
+			if res.routed {
+				rw, pair = rw[:1], pair[:1]
 			}
+			switch {
+			case roll < 45:
+				res.write(c, own, own)
+			case roll < 58:
+				res.write(c, own)
+			case roll < 70:
+				res.write(c, own, rw...)
+			case roll < 80:
+				res.read(c, id, 0, pair...)
+			case !res.replica:
+				res.read(c, id, 0, foreign)
+			case roll < 92:
+				res.read(c, id, op%2, foreign)
+			default:
+				res.read(c, id, 1, own)
+			}
+			res.finished.Add(1)
 		}
 		return ops
 	})
@@ -336,9 +408,8 @@ func extendConformanceWorkload(res *conformanceResult, seed int64, ops int, bg f
 // verifyFinalState is the verifier session: it re-reads every key on every
 // read path (with bounded retries, on a healed fabric), recorded as session
 // confWorkers, and returns the violations — those recorded in flight too.
-// Reads are single-key on purpose: the engines offer no multi-key read
-// snapshots, so a multi-key verifier transaction could legitimately observe
-// a fractured state.
+// It reads one key a transaction, as a fleet serves fresh only the keys of
+// the member it routes to.
 func verifyFinalState(res *conformanceResult) []string {
 	c := sim.NewClock()
 	c.SetEvents(res.box.Recorder(fmt.Sprintf("verify pass %d", res.box.Size()), confFlightEvents))
@@ -346,12 +417,12 @@ func verifyFinalState(res *conformanceResult) []string {
 	if res.replica {
 		paths = 2
 	}
-	for _, st := range res.keys {
+	for i, st := range res.keys {
 		for replica := 0; replica < paths; replica++ {
 			where := fmt.Sprintf("final read (replica=%d)", replica)
 			var err error
 			for attempt := 0; attempt < 3; attempt++ {
-				if err = res.access(c, confWorkers, st, replica, true, nil, where); err == nil {
+				if err = res.access(c, confWorkers, replica, res.keys[i:i+1], nil, nil, where); err == nil {
 					break
 				}
 			}

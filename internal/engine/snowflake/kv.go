@@ -282,9 +282,10 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 			// it never deleted anything — try the previous snapshot.
 			continue
 		}
+		// Decode's images are fresh slices, held by this recovery alone.
 		for _, r := range recs {
 			if r.Type == wal.TypeUpdate {
-				vals[r.Key] = append([]byte(nil), r.After...)
+				vals[r.Key] = r.After
 			}
 		}
 		snapLSN = recs[len(recs)-1].LSN
@@ -311,9 +312,7 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 		}
 		for _, r := range recs {
 			if r.Type == wal.TypeUpdate {
-				cp := make([]byte, len(r.After))
-				copy(cp, r.After)
-				vals[r.Key] = cp
+				vals[r.Key] = r.After
 			}
 			if r.LSN > high {
 				high = r.LSN

@@ -166,6 +166,41 @@ func TestKVWarmCheckpointAllocatesTheSnapshotOnce(t *testing.T) {
 	t.Logf("warm checkpoint: %.2f× the %.0f B snapshot", ratio, snapshot)
 }
 
+// Recovery keeps each value as Decode returned it: a value is allocated
+// once by the object read and once by the decode, and not copied again into
+// the view.
+func TestKVRecoverCopiesEachValueTwice(t *testing.T) {
+	e := NewKV(sim.DefaultConfig(), enginetest.Layout(t))
+	c := sim.NewClock()
+	const segs, size = 256, 4096
+	want := make(map[uint64][]byte, segs)
+	for i := uint64(1); i <= segs; i++ {
+		val := bytes.Repeat([]byte{byte(i)}, size)
+		want[i] = val
+		rec := wal.Record{LSN: wal.LSN(i), Type: wal.TypeUpdate, TxID: i, Key: i, After: val}
+		if err := e.Store.Put(c, segKey(rec.LSN), rec.Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Crash()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := e.Recover(sim.NewClock()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	for key, val := range want {
+		if got, _ := e.readKey(nil, key); !bytes.Equal(got, val) {
+			t.Fatalf("key %d after recovery: %x, want %x", key, got[:1], val[:1])
+		}
+	}
+	copies := float64(after.TotalAlloc-before.TotalAlloc) / (segs * size)
+	if copies >= 2.5 && !enginetest.RaceBuild() {
+		t.Errorf("recovering %d one-record segments allocated %.2f× their values, want < 2.5× (the read and the decode)", segs, copies)
+	}
+	t.Logf("recovery: %.2f× the values", copies)
+}
+
 // TestCommitAllocs bounds the host allocations of one cache-resident
 // single-key RMW commit (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/disagglab/disagg/internal/sim"
 	"github.com/disagglab/disagg/internal/wal"
@@ -213,5 +214,13 @@ func TestMaterializeKeepsRecordsPastAHole(t *testing.T) {
 	}
 	if r.PrefixLSN() != 8 {
 		t.Fatalf("prefix %d, want 8", r.PrefixLSN())
+	}
+}
+
+// A pending list keeps what redo reads of an update, not a copy of the
+// record: 40 B an entry where a wal.Record is 64.
+func TestPendingUpdateLayout(t *testing.T) {
+	if got := unsafe.Sizeof(pendingUpdate{}); got != 40 {
+		t.Fatalf("pendingUpdate is %d B, want 40", got)
 	}
 }

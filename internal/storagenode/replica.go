@@ -48,10 +48,11 @@ type Replica struct {
 	// the fields below.
 	server
 	pages map[page.ID][]byte
-	// pending holds each page's received, unmaterialised records. A list
-	// belongs to this replica alone and keeps its capacity when it empties
-	// (prunePendingLocked), so a page's next ingest appends into it.
-	pending map[page.ID][]wal.Record
+	// pending holds each page's received, unmaterialised updates, as what
+	// redo reads of them. A list belongs to this replica alone and keeps its
+	// capacity when it empties (prunePendingLocked), so a page's next ingest
+	// appends into it.
+	pending map[page.ID][]pendingUpdate
 	// horizon is the recovery horizon this replica has adopted: every
 	// LSN <= horizon is covered by checkpointed page state, the source
 	// log below horizon+1 may be truncated, and re-deliveries at or
@@ -77,8 +78,17 @@ func NewReplica(cfg *sim.Config, name string, az int, layout heap.Layout, netSca
 		nic:      sim.NewMeter(cfg.NICSlots),
 		server:   server{led: newLedger()},
 		pages:    make(map[page.ID][]byte),
-		pending:  make(map[page.ID][]wal.Record),
+		pending:  make(map[page.ID][]pendingUpdate),
 	}
+}
+
+// pendingUpdate is one received, unmaterialised update record: the fields
+// redo reads. Its page is the pending map's key, and only updates are
+// pended, so the rest of the record is not kept.
+type pendingUpdate struct {
+	LSN   wal.LSN
+	Key   uint64
+	After []byte
 }
 
 // netCost models one message of n bytes from the writer to this replica,
@@ -98,9 +108,9 @@ func (r *Replica) AppliedRecords() int64 {
 // accounts transfer once per quorum write). Crashed replicas miss the
 // records — they must catch up via CatchUpFrom.
 //
-// Ownership: recs stays the caller's — every record is copied by value into
-// the page's pending list — but each record's After is kept by reference
-// until the record is materialised or dropped. That is the engine.Hooks
+// Ownership: recs stays the caller's — an update's LSN and key are copied
+// into its page's pending list — but each update's After is kept by
+// reference until it is materialised or dropped. That is the engine.Hooks
 // contract: After is a fresh slice nobody writes again.
 func (r *Replica) ingest(recs []wal.Record) bool {
 	r.mu.Lock()
@@ -126,7 +136,8 @@ func (r *Replica) ingest(recs []wal.Record) bool {
 // complete.
 func (r *Replica) pendLocked(rec *wal.Record) {
 	if rec.Type == wal.TypeUpdate {
-		r.pending[page.ID(rec.PageID)] = append(r.pending[page.ID(rec.PageID)], *rec)
+		id := page.ID(rec.PageID)
+		r.pending[id] = append(r.pending[id], pendingUpdate{LSN: rec.LSN, Key: rec.Key, After: rec.After})
 	}
 }
 
@@ -181,9 +192,9 @@ func (r *Replica) materializeLocked(c *sim.Clock, id page.ID) []byte {
 	}
 	// Gossip and repair can deliver records out of order; redo must be
 	// applied in LSN order for the page-LSN idempotence check to hold.
-	slices.SortFunc(pend, func(a, b wal.Record) int { return cmp.Compare(a.LSN, b.LSN) })
+	slices.SortFunc(pend, func(a, b pendingUpdate) int { return cmp.Compare(a.LSN, b.LSN) })
 	p := page.Wrap(data)
-	r.prunePendingLocked(id, func(rec *wal.Record) bool {
+	r.prunePendingLocked(id, func(rec *pendingUpdate) bool {
 		if rec.LSN <= r.horizon {
 			// Covered by the adopted checkpoint: the page image (local or
 			// adopted from a checkpointed peer) already reflects it. Drop
@@ -213,11 +224,11 @@ func (r *Replica) materializeLocked(c *sim.Clock, id page.ID) []byte {
 	return data
 }
 
-// prunePendingLocked keeps the records of page id's pending list that keep
+// prunePendingLocked keeps the updates of page id's pending list that keep
 // reports true for, in order, compacting the list in place. The vacated
-// tail is cleared so the dropped records' After images can be collected,
+// tail is cleared so the dropped updates' After images can be collected,
 // and the list stays in r.pending, emptied or not, with its capacity.
-func (r *Replica) prunePendingLocked(id page.ID, keep func(rec *wal.Record) bool) {
+func (r *Replica) prunePendingLocked(id page.ID, keep func(rec *pendingUpdate) bool) {
 	pend := r.pending[id]
 	if len(pend) == 0 {
 		return
@@ -373,7 +384,7 @@ func (r *Replica) adoptCheckpoint(c *sim.Clock, peer *Replica, h wal.LSN) (int, 
 		r.pages[id] = img
 		r.led.high = max(r.led.high, lsn)
 		// The image supersedes pending records at or below its LSN.
-		r.prunePendingLocked(id, func(rec *wal.Record) bool { return rec.LSN > lsn })
+		r.prunePendingLocked(id, func(rec *pendingUpdate) bool { return rec.LSN > lsn })
 		bytes += len(img)
 		copied++
 	}

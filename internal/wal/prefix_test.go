@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -16,7 +17,7 @@ func encodeStream(recs []Record) []byte {
 func sampleRecords() []Record {
 	return []Record{
 		{LSN: 1, Type: TypeUpdate, TxID: 1, PageID: 3, Key: 10, After: []byte("after-1")},
-		{LSN: 2, Type: TypeUpdate, TxID: 1, PageID: 3, Key: 11, Before: []byte("b"), After: []byte("after-2")},
+		{LSN: 2, Type: TypeUpdate, TxID: 1, PageID: 3, Key: 11, After: []byte("after-2")},
 		{LSN: 3, Type: TypeCommit, TxID: 1},
 	}
 }
@@ -87,4 +88,25 @@ func TestDecodePrefixEmpty(t *testing.T) {
 	if err != nil || len(recs) != 0 || used != 0 {
 		t.Fatalf("empty: %d recs, used %d, %v", len(recs), used, err)
 	}
+}
+
+// Any byte string decodes to a clean prefix whose re-encoding is that prefix
+// byte for byte: the codec keeps every header field and drops nothing.
+func FuzzDecodePrefix(f *testing.F) {
+	stream := encodeStream(sampleRecords())
+	f.Add(stream)
+	f.Add(stream[:len(stream)-3])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		recs, used, err := DecodePrefix(p)
+		if used < 0 || used > len(p) {
+			t.Fatalf("used %d of %d bytes", used, len(p))
+		}
+		if err != nil && !errors.Is(err, ErrBadRecord) {
+			t.Fatalf("error %v, want nil or ErrBadRecord", err)
+		}
+		if got := encodeStream(recs); !bytes.Equal(got, p[:used]) {
+			t.Fatalf("re-encoded %d records to %x, want the %d-byte prefix %x", len(recs), got, used, p[:used])
+		}
+	})
 }

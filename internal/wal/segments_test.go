@@ -8,7 +8,7 @@ import (
 func isZero(sl *Slot) bool {
 	r := &sl.Rec
 	return sl.Link == 0 && r.LSN == 0 && r.Type == 0 && r.TxID == 0 && r.PageID == 0 && r.Key == 0 &&
-		r.Before == nil && r.After == nil
+		r.After == nil
 }
 
 // checkSegments holds the store to a slice model: the same slots in the

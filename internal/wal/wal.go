@@ -43,22 +43,26 @@ func (t Type) String() string {
 	}
 }
 
-// Record is one log record. Update records carry the page, key and images;
-// Commit/Abort carry only transaction metadata.
+// Record is one log record. Update records carry the page, key and the
+// redo image only: the engines log redo, never undo, so a record holds no
+// before-image. Commit/Abort carry only transaction metadata.
 type Record struct {
 	LSN    LSN
 	Type   Type
 	TxID   uint64
 	PageID uint64
 	Key    uint64
-	Before []byte // undo image
 	After  []byte // redo image
 }
 
-const recordHeader = 8 + 1 + 8 + 8 + 8 + 4 + 4 // lsn type tx page key blen alen
+// recordHeader is the wire header: lsn type tx page key ulen alen. The
+// undo-length word ulen is always 0, as the engines log redo only; the
+// header keeps it because the simulated network and log byte counts are
+// charged by wire size.
+const recordHeader = 8 + 1 + 8 + 8 + 8 + 4 + 4
 
 // EncodedSize reports the record's wire size.
-func (r *Record) EncodedSize() int { return recordHeader + len(r.Before) + len(r.After) }
+func (r *Record) EncodedSize() int { return recordHeader + len(r.After) }
 
 // Size reports the wire size of recs back to back.
 func Size(recs []Record) int {
@@ -77,10 +81,8 @@ func (r *Record) Encode(dst []byte) []byte {
 	binary.LittleEndian.PutUint64(hdr[9:], r.TxID)
 	binary.LittleEndian.PutUint64(hdr[17:], r.PageID)
 	binary.LittleEndian.PutUint64(hdr[25:], r.Key)
-	binary.LittleEndian.PutUint32(hdr[33:], uint32(len(r.Before)))
-	binary.LittleEndian.PutUint32(hdr[37:], uint32(len(r.After)))
+	binary.LittleEndian.PutUint32(hdr[37:], uint32(len(r.After))) // hdr[33:37], ulen, stays 0
 	dst = append(dst, hdr[:]...)
-	dst = append(dst, r.Before...)
 	dst = append(dst, r.After...)
 	return dst
 }
@@ -92,7 +94,7 @@ var (
 )
 
 // Decode parses one record from p, returning the record and the number of
-// bytes consumed.
+// bytes consumed. A nonzero undo length is a bad record.
 func Decode(p []byte) (Record, int, error) {
 	if len(p) < recordHeader {
 		return Record{}, 0, ErrShortRecord
@@ -106,17 +108,16 @@ func Decode(p []byte) (Record, int, error) {
 	r.TxID = binary.LittleEndian.Uint64(p[9:])
 	r.PageID = binary.LittleEndian.Uint64(p[17:])
 	r.Key = binary.LittleEndian.Uint64(p[25:])
-	blen := int(binary.LittleEndian.Uint32(p[33:]))
-	alen := int(binary.LittleEndian.Uint32(p[37:]))
-	total := recordHeader + blen + alen
-	if blen < 0 || alen < 0 || len(p) < total {
+	if ulen := binary.LittleEndian.Uint32(p[33:]); ulen != 0 {
+		return Record{}, 0, fmt.Errorf("%w: undo length %d", ErrBadRecord, ulen)
+	}
+	alen := binary.LittleEndian.Uint32(p[37:])
+	if uint64(len(p)-recordHeader) < uint64(alen) {
 		return Record{}, 0, ErrShortRecord
 	}
-	if blen > 0 {
-		r.Before = append([]byte(nil), p[recordHeader:recordHeader+blen]...)
-	}
-	if alen > 0 {
-		r.After = append([]byte(nil), p[recordHeader+blen:total]...)
+	total := recordHeader + int(alen)
+	if total > recordHeader {
+		r.After = append([]byte(nil), p[recordHeader:total]...)
 	}
 	return r, total, nil
 }
@@ -125,7 +126,8 @@ func Decode(p []byte) (Record, int, error) {
 // tolerating a torn tail: a trailing partial record (short header or
 // truncated payload — what a crash mid-append leaves behind) is discarded
 // rather than reported as an error. A structurally bad record (invalid
-// type byte) still fails: that is corruption, not a crash artifact.
+// type byte, nonzero undo length) still fails: that is corruption, not a
+// crash artifact.
 // Returns the records and the number of bytes consumed.
 func DecodePrefix(p []byte) ([]Record, int, error) {
 	var out []Record

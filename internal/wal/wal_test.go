@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"sync"
@@ -16,7 +17,6 @@ func sampleRecord() Record {
 		TxID:   7,
 		PageID: 13,
 		Key:    99,
-		Before: []byte("old"),
 		After:  []byte("newer"),
 	}
 }
@@ -65,18 +65,39 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// The wire header keeps its undo-length word, always 0: a record that sets
+// it is corrupt, and its bytes are neither accepted nor copied.
+func TestDecodeRejectsAnUndoImage(t *testing.T) {
+	r := sampleRecord()
+	buf := append(r.Encode(nil), "undo"...)
+	binary.LittleEndian.PutUint32(buf[33:], 4)
+	if got, n, err := Decode(buf); !errors.Is(err, ErrBadRecord) || n != 0 || got.After != nil {
+		t.Fatalf("undo length 4: %+v, n=%d, %v; want ErrBadRecord", got, n, err)
+	}
+}
+
+// A record's wire size is the 41-byte header and its redo image, whatever
+// its type.
+func TestEncodedSizeIsHeaderPlusRedo(t *testing.T) {
+	for _, typ := range []Type{TypeUpdate, TypeCommit, TypeAbort} {
+		for _, after := range [][]byte{nil, []byte("v"), make([]byte, 100)} {
+			r := Record{LSN: 5, Type: typ, TxID: 2, PageID: 3, Key: 4, After: after}
+			if got, want := r.EncodedSize(), 41+len(after); got != want || len(r.Encode(nil)) != want {
+				t.Fatalf("%v with %d-byte image: EncodedSize %d, encoded %d, want %d",
+					typ, len(after), got, len(r.Encode(nil)), want)
+			}
+		}
+	}
+}
+
 func TestEncodeDecodeProperty(t *testing.T) {
-	f := func(tx, pg, key uint64, before, after []byte, typeSel uint8) bool {
+	f := func(tx, pg, key uint64, after []byte, typeSel uint8) bool {
 		r := Record{
 			Type:   Type(typeSel%3) + TypeUpdate,
 			TxID:   tx,
 			PageID: pg,
 			Key:    key,
-			Before: before,
 			After:  after,
-		}
-		if len(r.Before) == 0 {
-			r.Before = nil
 		}
 		if len(r.After) == 0 {
 			r.After = nil
@@ -85,7 +106,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		return err == nil && n == r.EncodedSize() &&
 			got.Type == r.Type && got.TxID == r.TxID &&
 			got.PageID == r.PageID && got.Key == r.Key &&
-			bytes.Equal(got.Before, r.Before) && bytes.Equal(got.After, r.After)
+			bytes.Equal(got.After, r.After)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
