@@ -220,12 +220,15 @@ func TestCheckpointRemoteRacingCheckpointStorage(t *testing.T) {
 
 // A warm CheckpointRemote copies every dirty frame through one recycled page
 // buffer: over many dirty pages it allocates less than one page in total.
+// TotalAlloc is process-wide, so a single round can catch an allocation made
+// meanwhile by another goroutine (a runtime or test-framework one); the
+// guard re-dirties the pages for several rounds and bounds the least.
 func TestCheckpointRemoteAllocatesNoPagePerDirtyPage(t *testing.T) {
 	layout := enginetest.Layout(t)
 	e := New(sim.DefaultConfig(), layout, 64, 256)
 	e.CheckpointRemoteEvery, e.CheckpointStorageEvery = 0, 0
 	c := sim.NewClock()
-	const pages = 32
+	const pages, rounds = 32, 5
 	dirty := func() {
 		for i := 0; i < pages; i++ {
 			key := uint64(i * layout.PerPage)
@@ -238,21 +241,26 @@ func TestCheckpointRemoteAllocatesNoPagePerDirtyPage(t *testing.T) {
 	if err := e.CheckpointRemote(c); err != nil { // maps every page in remote memory
 		t.Fatal(err)
 	}
-	dirty()
-	if n := len(e.Tiers.Local.DirtyIDs()); n != pages {
-		t.Fatalf("%d dirty pages before the measured round, want %d", n, pages)
+	var least uint64
+	for r := 0; r < rounds; r++ {
+		dirty()
+		if n := len(e.Tiers.Local.DirtyIDs()); n != pages {
+			t.Fatalf("%d dirty pages before measured round %d, want %d", n, r, pages)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := e.CheckpointRemote(c); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; r == 0 || got < least {
+			least = got
+		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := e.CheckpointRemote(c); err != nil {
-		t.Fatal(err)
+	if least >= uint64(layout.PageSize) && !enginetest.RaceBuild() { // page.Alloc recycles nothing under -race
+		t.Fatalf("CheckpointRemote over %d dirty pages allocated at least %d bytes in each of %d rounds, want < one %d-byte page", pages, least, rounds, layout.PageSize)
 	}
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	if got >= uint64(layout.PageSize) && !enginetest.RaceBuild() { // page.Alloc recycles nothing under -race
-		t.Fatalf("CheckpointRemote over %d dirty pages allocated %d bytes, want < one %d-byte page", pages, got, layout.PageSize)
-	}
-	t.Logf("CheckpointRemote over %d dirty pages: %d bytes", pages, got)
+	t.Logf("CheckpointRemote over %d dirty pages: %d bytes (least of %d rounds)", pages, least, rounds)
 }
 
 // TestRemoteCheckpointDuringEarlierDurableKeepsItsCommit: a remote-memory

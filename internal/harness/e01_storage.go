@@ -323,9 +323,13 @@ func runE4(cfg *sim.Config, s Scale) *Result {
 	sn := sharednothing.New(cfg, layout, 4)
 	keys := pick(s, 50_000, 500_000)
 	c := sim.NewClock()
-	for i := 0; i < keys; i++ {
-		key := uint64(i)
-		engine.Run(sn, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(key, make([]byte, layout.ValSize)) })
+	// One value buffer and one closure for every load transaction: Write
+	// stages a copy.
+	var key uint64
+	val := make([]byte, layout.ValSize)
+	load := func(tx engine.Tx) error { return tx.Write(key, val) }
+	for ; key < uint64(keys); key++ {
+		engine.Run(sn, c, engine.RunOpts{}, load)
 	}
 	rc := sim.NewClock()
 	moved := sn.Rebalance(rc, 8)

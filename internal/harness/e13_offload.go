@@ -44,7 +44,7 @@ func runE13(cfg *sim.Config, s Scale) *Result {
 	r := &Result{ID: "E13", Title: "Compute pushdown"}
 	rows := pick(s, 100_000, 1_000_000)
 	pool := memnode.New(cfg, "mem0", 1<<30)
-	tbl := query.NewTable("pred", "val")
+	tbl := query.NewSizedTable(rows, "pred", "val")
 	rng := sim.NewRand(21, 0)
 	for i := 0; i < rows; i++ {
 		tbl.AppendRow(int64(rng.Intn(1000)), int64(i))
@@ -119,7 +119,7 @@ func runE14(cfg *sim.Config, s Scale) *Result {
 	r := &Result{ID: "E14", Title: "Operator-stack offloading"}
 	rows := pick(s, 100_000, 1_000_000)
 	pool := memnode.New(cfg, "fv0", 1<<30)
-	tbl := query.NewTable("grp", "val", "flt")
+	tbl := query.NewSizedTable(rows, "grp", "val", "flt")
 	rng := sim.NewRand(23, 0)
 	for i := 0; i < rows; i++ {
 		tbl.AppendRow(int64(rng.Intn(16)), int64(i), int64(rng.Intn(100)))

@@ -148,54 +148,136 @@ func (rc *RemoteColumns) Sync(c *sim.Clock, qp *rdma.QP) error {
 // per-page round trip, not one bulk transfer.
 const pagingGranule = 4096
 
-// PullFilterSum is the NO-pushdown baseline: page the columns in over the
-// fabric (4KB remote-paging granularity, as in the disaggregated OSes
-// TELEPORT builds on) and evaluate locally. Local dirty values are merged
-// for free (they are local).
-func (rc *RemoteColumns) PullFilterSum(c *sim.Clock, qp *rdma.QP, predCol string, lo, hi int64, sumCol string) (sum int64, count int64, err error) {
+// window is one paging granule of a column, held on the stack: a scan
+// streams a column through a window instead of copying the column.
+type window struct {
+	buf  [pagingGranule]byte
+	rows int
+}
+
+// windowRows is how many values one window holds.
+const windowRows = pagingGranule / 8
+
+func (w *window) at(i int) int64 { return int64(binary.LittleEndian.Uint64(w.buf[i*8:])) }
+
+// readWindow fills w with the values of rows [row0, row0+windowRows) of
+// the column at addr, as far as the column goes. With qp nil it is the
+// memory node reading its own memory in place; otherwise it is the compute
+// side paging the granule in with one qp.Read, and a row's value is the
+// compute side's own where dirty holds one.
+func (rc *RemoteColumns) readWindow(c *sim.Clock, qp *rdma.QP, w *window, addr uint64, row0 int, dirty map[int]int64) error {
+	w.rows = min(windowRows, rc.rows-row0)
+	p, at := w.buf[:w.rows*8], addr+uint64(row0*8)
+	if qp == nil {
+		return rc.pool.Node().Mem.Read(at, p)
+	}
+	if err := qp.Read(c, at, p); err != nil {
+		return err
+	}
+	if len(dirty) > 0 {
+		for i := range w.rows {
+			if v, ok := dirty[row0+i]; ok {
+				binary.LittleEndian.PutUint64(p[i*8:], uint64(v))
+			}
+		}
+	}
+	return nil
+}
+
+// selection marks the rows a scan keeps, one bit a row: a filter carries
+// 1/64 of a column from its predicate pass to its value pass.
+type selection []uint64
+
+// newSelection keeps every row.
+func newSelection(rows int) selection {
+	s := make(selection, (rows+63)/64)
+	for i := range s {
+		s[i] = ^uint64(0)
+	}
+	return s
+}
+
+func (s selection) unset(i int)    { s[i/64] &^= 1 << (i % 64) }
+func (s selection) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
+
+// narrow is a predicate pass: it reads the column at addr window by window
+// (see readWindow) and keeps in sel only the rows whose value lies in
+// [lo,hi), returning how many it kept.
+func (rc *RemoteColumns) narrow(c *sim.Clock, qp *rdma.QP, sel selection, addr uint64, dirty map[int]int64, lo, hi int64) (int, error) {
+	var w window
+	kept := 0
+	for row0 := 0; row0 < rc.rows; row0 += windowRows {
+		if err := rc.readWindow(c, qp, &w, addr, row0, dirty); err != nil {
+			return 0, err
+		}
+		for i := range w.rows {
+			if !sel.has(row0 + i) {
+				continue
+			}
+			if v := w.at(i); v >= lo && v < hi {
+				kept++
+			} else {
+				sel.unset(row0 + i)
+			}
+		}
+	}
+	return kept, nil
+}
+
+// filter runs a filter on the memory node (qp nil) or pulls it over the
+// fabric: a predicate pass over predCol selects the rows whose value lies
+// in [lo,hi) and reports their count to sized (when set), then a value
+// pass over valCol calls fn with each selected row's value, in row order.
+// Pulled, both columns are paged in whole, and the compute side's dirty
+// values are merged for free (they are local).
+func (rc *RemoteColumns) filter(c *sim.Clock, qp *rdma.QP, predCol string, lo, hi int64, valCol string, sized func(n int), fn func(v int64)) error {
 	pa, err := rc.addrOf(predCol)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
-	sa, err := rc.addrOf(sumCol)
+	va, err := rc.addrOf(valCol)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
-	pbuf := make([]byte, rc.rows*8)
-	sbuf := make([]byte, rc.rows*8)
-	for _, col := range []struct {
-		addr uint64
-		buf  []byte
-	}{{pa, pbuf}, {sa, sbuf}} {
-		for off := 0; off < len(col.buf); off += pagingGranule {
-			end := off + pagingGranule
-			if end > len(col.buf) {
-				end = len(col.buf)
-			}
-			if err := qp.Read(c, col.addr+uint64(off), col.buf[off:end]); err != nil {
-				return 0, 0, err
+	var pd, vd map[int]int64
+	if qp != nil {
+		rc.mu.Lock()
+		pd, vd = rc.localDirty[predCol], rc.localDirty[valCol]
+		rc.mu.Unlock()
+	}
+	sel := newSelection(rc.rows)
+	n, err := rc.narrow(c, qp, sel, pa, pd, lo, hi)
+	if err != nil {
+		return err
+	}
+	if sized != nil {
+		sized(n)
+	}
+	var w window
+	for row0 := 0; row0 < rc.rows; row0 += windowRows {
+		if err := rc.readWindow(c, qp, &w, va, row0, vd); err != nil {
+			return err
+		}
+		for i := range w.rows {
+			if sel.has(row0 + i) {
+				fn(w.at(i))
 			}
 		}
+	}
+	return nil
+}
+
+// PullFilterSum is the NO-pushdown baseline: page the columns in over the
+// fabric (4KB remote-paging granularity, as in the disaggregated OSes
+// TELEPORT builds on) and evaluate locally.
+func (rc *RemoteColumns) PullFilterSum(c *sim.Clock, qp *rdma.QP, predCol string, lo, hi int64, sumCol string) (sum int64, count int64, err error) {
+	if err := rc.filter(c, qp, predCol, lo, hi, sumCol, nil, func(v int64) {
+		sum += v
+		count++
+	}); err != nil {
+		return 0, 0, err
 	}
 	c.Advance(rc.cfg.CPU.Cost(rc.rows * 16))
-	rc.mu.Lock()
-	pd := rc.localDirty[predCol]
-	sd := rc.localDirty[sumCol]
-	rc.mu.Unlock()
-	for i := 0; i < rc.rows; i++ {
-		pv := int64(binary.LittleEndian.Uint64(pbuf[i*8:]))
-		if v, ok := pd[i]; ok {
-			pv = v
-		}
-		if pv >= lo && pv < hi {
-			sv := int64(binary.LittleEndian.Uint64(sbuf[i*8:]))
-			if v, ok := sd[i]; ok {
-				sv = v
-			}
-			sum += sv
-			count++
-		}
-	}
 	return sum, count, nil
 }
 
@@ -261,29 +343,17 @@ func (rc *RemoteColumns) handleFilterSum(c *sim.Clock, req []byte) []byte {
 	if err != nil {
 		return nil
 	}
-	pa, err1 := rc.addrOf(predCol)
-	sa, err2 := rc.addrOf(sumCol)
-	if err1 != nil || err2 != nil {
-		return nil
-	}
-	mem := rc.pool.Node().Mem
-	pbuf := make([]byte, rc.rows*8)
-	sbuf := make([]byte, rc.rows*8)
-	if mem.Read(pa, pbuf) != nil || mem.Read(sa, sbuf) != nil {
+	var sum, count int64
+	if rc.filter(c, nil, predCol, lo, hi, sumCol, nil, func(v int64) {
+		sum += v
+		count++
+	}) != nil {
 		return nil
 	}
 	// Memory-side work: a simple filter+sum vectorizes and streams at
 	// DRAM bandwidth (TELEPORT targets exactly these light-weight,
 	// memory-intensive operators).
 	c.Advance(rc.cfg.DRAM.Cost(rc.rows * 16))
-	var sum, count int64
-	for i := 0; i < rc.rows; i++ {
-		pv := int64(binary.LittleEndian.Uint64(pbuf[i*8:]))
-		if pv >= lo && pv < hi {
-			sum += int64(binary.LittleEndian.Uint64(sbuf[i*8:]))
-			count++
-		}
-	}
 	resp := make([]byte, 16)
 	binary.LittleEndian.PutUint64(resp, uint64(sum))
 	binary.LittleEndian.PutUint64(resp[8:], uint64(count))
@@ -388,47 +458,22 @@ func (rc *RemoteColumns) handleStack(c *sim.Clock, req []byte) []byte {
 	if err != nil {
 		return nil
 	}
-	mem := rc.pool.Node().Mem
-	readCol := func(col string) ([]int64, bool) {
-		a, err := rc.addrOf(col)
-		if err != nil {
-			return nil, false
-		}
-		buf := make([]byte, rc.rows*8)
-		if mem.Read(a, buf) != nil {
-			return nil, false
-		}
-		vals := make([]int64, rc.rows)
-		for i := range vals {
-			vals[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-		return vals, true
-	}
 	// Evaluate: selected rows flow through the stack.
-	selected := make([]bool, rc.rows)
-	for i := range selected {
-		selected[i] = true
-	}
+	sel := newSelection(rc.rows)
 	liveRows := rc.rows
-	var stageCosts []time.Duration
+	stageCosts := make([]time.Duration, 0, len(stages))
 	var groupCol, aggCol string
 	for _, s := range stages {
 		cost := rc.cfg.DRAM.Cost(liveRows * 8)
 		switch s.Kind {
 		case StageSelect:
-			vals, ok := readCol(s.Col)
-			if !ok {
+			a, err := rc.addrOf(s.Col)
+			if err != nil {
 				return nil
 			}
-			live := 0
-			for i := range selected {
-				if selected[i] && vals[i] >= s.Lo && vals[i] < s.Hi {
-					live++
-				} else {
-					selected[i] = false
-				}
+			if liveRows, err = rc.narrow(c, nil, sel, a, nil, s.Lo, s.Hi); err != nil {
+				return nil
 			}
-			liveRows = live
 		case StageProject:
 			// Narrowing: subsequent stages touch fewer bytes.
 		case StageGroupBy:
@@ -460,45 +505,49 @@ func (rc *RemoteColumns) handleStack(c *sim.Clock, req []byte) []byte {
 		}
 		c.Advance(total)
 	}
-	// Compute the result (group -> sum).
-	var groups, aggs []int64
+	// Compute the result (group -> sum, or -> count without an Agg
+	// stage), reading the group and aggregate columns in lockstep.
+	var ga, aa uint64
 	if groupCol != "" {
-		g, ok := readCol(groupCol)
-		if !ok {
+		if ga, err = rc.addrOf(groupCol); err != nil {
 			return nil
 		}
-		groups = g
 	}
 	if aggCol != "" {
-		a, ok := readCol(aggCol)
-		if !ok {
+		if aa, err = rc.addrOf(aggCol); err != nil {
 			return nil
 		}
-		aggs = a
 	}
+	var gw, aw window
 	out := make(map[int64]int64)
-	for i := 0; i < rc.rows; i++ {
-		if !selected[i] {
-			continue
+	for row0 := 0; row0 < rc.rows; row0 += windowRows {
+		if groupCol != "" && rc.readWindow(c, nil, &gw, ga, row0, nil) != nil {
+			return nil
 		}
-		var g, v int64
-		if groups != nil {
-			g = groups[i]
+		if aggCol != "" && rc.readWindow(c, nil, &aw, aa, row0, nil) != nil {
+			return nil
 		}
-		if aggs != nil {
-			v = aggs[i]
-		} else {
-			v = 1
+		for i := range min(windowRows, rc.rows-row0) {
+			if !sel.has(row0 + i) {
+				continue
+			}
+			g, v := int64(0), int64(1)
+			if groupCol != "" {
+				g = gw.at(i)
+			}
+			if aggCol != "" {
+				v = aw.at(i)
+			}
+			out[g] += v
 		}
-		out[g] += v
 	}
-	resp := make([]byte, 4, 4+len(out)*16)
+	resp := make([]byte, 4+len(out)*16)
 	binary.LittleEndian.PutUint32(resp, uint32(len(out)))
+	p := resp[4:]
 	for g, v := range out {
-		var b [16]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(g))
-		binary.LittleEndian.PutUint64(b[8:], uint64(v))
-		resp = append(resp, b[:]...)
+		binary.LittleEndian.PutUint64(p, uint64(g))
+		binary.LittleEndian.PutUint64(p[8:], uint64(v))
+		p = p[16:]
 	}
 	return resp
 }

@@ -16,41 +16,18 @@ func (rc *RemoteColumns) registerRowHandlers() {
 	rc.pool.Node().Handle("teleport.filterrows", rc.handleFilterRows)
 }
 
-// PullFilterRows pages both columns in and returns the sum-column values
+// PullFilterRows pages both columns in and returns the out-column values
 // of matching rows (client-side evaluation).
 func (rc *RemoteColumns) PullFilterRows(c *sim.Clock, qp *rdma.QP, predCol string, lo, hi int64, outCol string) ([]int64, error) {
-	pa, err := rc.addrOf(predCol)
-	if err != nil {
+	var out []int64
+	if err := rc.filter(c, qp, predCol, lo, hi, outCol, func(n int) {
+		out = make([]int64, 0, n)
+	}, func(v int64) {
+		out = append(out, v)
+	}); err != nil {
 		return nil, err
-	}
-	sa, err := rc.addrOf(outCol)
-	if err != nil {
-		return nil, err
-	}
-	pbuf := make([]byte, rc.rows*8)
-	sbuf := make([]byte, rc.rows*8)
-	for _, col := range []struct {
-		addr uint64
-		buf  []byte
-	}{{pa, pbuf}, {sa, sbuf}} {
-		for off := 0; off < len(col.buf); off += pagingGranule {
-			end := off + pagingGranule
-			if end > len(col.buf) {
-				end = len(col.buf)
-			}
-			if err := qp.Read(c, col.addr+uint64(off), col.buf[off:end]); err != nil {
-				return nil, err
-			}
-		}
 	}
 	c.Advance(rc.cfg.CPU.Cost(rc.rows * 16))
-	var out []int64
-	for i := 0; i < rc.rows; i++ {
-		pv := int64(binary.LittleEndian.Uint64(pbuf[i*8:]))
-		if pv >= lo && pv < hi {
-			out = append(out, int64(binary.LittleEndian.Uint64(sbuf[i*8:])))
-		}
-	}
 	return out, nil
 }
 
@@ -82,27 +59,17 @@ func (rc *RemoteColumns) handleFilterRows(c *sim.Clock, req []byte) []byte {
 	if err != nil {
 		return nil
 	}
-	pa, err1 := rc.addrOf(predCol)
-	sa, err2 := rc.addrOf(outCol)
-	if err1 != nil || err2 != nil {
-		return nil
-	}
-	mem := rc.pool.Node().Mem
-	pbuf := make([]byte, rc.rows*8)
-	sbuf := make([]byte, rc.rows*8)
-	if mem.Read(pa, pbuf) != nil || mem.Read(sa, sbuf) != nil {
+	var resp, vals []byte
+	if rc.filter(c, nil, predCol, lo, hi, outCol, func(n int) {
+		resp = make([]byte, 4+n*8)
+		binary.LittleEndian.PutUint32(resp, uint32(n))
+		vals = resp[4:]
+	}, func(v int64) {
+		binary.LittleEndian.PutUint64(vals, uint64(v))
+		vals = vals[8:]
+	}) != nil {
 		return nil
 	}
 	c.Advance(rc.cfg.DRAM.Cost(rc.rows * 16))
-	resp := make([]byte, 4)
-	n := 0
-	for i := 0; i < rc.rows; i++ {
-		pv := int64(binary.LittleEndian.Uint64(pbuf[i*8:]))
-		if pv >= lo && pv < hi {
-			resp = append(resp, sbuf[i*8:i*8+8]...)
-			n++
-		}
-	}
-	binary.LittleEndian.PutUint32(resp, uint32(n))
 	return resp
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/disagglab/disagg/internal/sim"
 )
@@ -19,10 +20,18 @@ type Scan struct {
 	cfg     *sim.Config
 	src     Source
 	cols    []string
-	colIdx  []int
 	preds   []Predicate
 	predIdx []int
 	prune   bool
+
+	// The column plan, built once: need lists the distinct source columns
+	// a block read fetches (projected, then predicate), and colAt/predAt
+	// place each projected and predicate column in it.
+	need   []int
+	colAt  []int
+	predAt []int
+	// sel is the selection vector, reused by every block.
+	sel []int
 
 	block         int
 	BlocksRead    int
@@ -33,19 +42,31 @@ type Scan struct {
 // min-max block skipping.
 func NewScan(cfg *sim.Config, src Source, cols []string, preds []Predicate, prune bool) (*Scan, error) {
 	s := &Scan{cfg: cfg, src: src, cols: cols, preds: preds, prune: prune}
+	place := func(name string) (int, error) {
+		ci, err := src.Schema().ColIndex(name)
+		if err != nil {
+			return 0, err
+		}
+		if at := slices.Index(s.need, ci); at >= 0 {
+			return at, nil
+		}
+		s.need = append(s.need, ci)
+		return len(s.need) - 1, nil
+	}
 	for _, c := range cols {
-		i, err := src.Schema().ColIndex(c)
+		at, err := place(c)
 		if err != nil {
 			return nil, err
 		}
-		s.colIdx = append(s.colIdx, i)
+		s.colAt = append(s.colAt, at)
 	}
 	for _, p := range preds {
-		i, err := src.Schema().ColIndex(p.Col)
+		at, err := place(p.Col)
 		if err != nil {
 			return nil, err
 		}
-		s.predIdx = append(s.predIdx, i)
+		s.predIdx = append(s.predIdx, s.need[at])
+		s.predAt = append(s.predAt, at)
 	}
 	return s, nil
 }
@@ -64,31 +85,23 @@ func (s *Scan) Next(c *sim.Clock) (*Batch, error) {
 			continue
 		}
 		s.BlocksRead++
-		// Fetch predicate columns and projected columns (dedup).
-		need := make([]int, 0, len(s.colIdx)+len(s.predIdx))
-		seen := make(map[int]int)
-		for _, ci := range append(append([]int{}, s.colIdx...), s.predIdx...) {
-			if _, ok := seen[ci]; !ok {
-				seen[ci] = len(need)
-				need = append(need, ci)
-			}
-		}
-		data, err := s.src.ReadBlock(c, b, need)
+		data, err := s.src.ReadBlock(c, b, s.need)
 		if err != nil {
 			return nil, err
 		}
 		rows := len(data[0])
-		c.Advance(s.cfg.CPU.Cost(rows * 8 * len(need)))
-		// Filter.
+		c.Advance(s.cfg.CPU.Cost(rows * 8 * len(s.need)))
+		// Filter (a nil selection keeps every row).
 		var sel []int
-		if len(s.preds) == 0 {
-			sel = nil // all rows
-		} else {
-			sel = make([]int, 0, rows)
+		if len(s.preds) > 0 {
+			if cap(s.sel) < rows {
+				s.sel = make([]int, 0, BlockRows)
+			}
+			sel = s.sel[:0]
 			for r := 0; r < rows; r++ {
 				ok := true
 				for pi, p := range s.preds {
-					if !p.Matches(data[seen[s.predIdx[pi]]][r]) {
+					if !p.Matches(data[s.predAt[pi]][r]) {
 						ok = false
 						break
 					}
@@ -101,9 +114,9 @@ func (s *Scan) Next(c *sim.Clock) (*Batch, error) {
 				continue
 			}
 		}
-		out := &Batch{Cols: make([][]int64, len(s.colIdx))}
-		for i, ci := range s.colIdx {
-			src := data[seen[ci]]
+		out := &Batch{Cols: make([][]int64, len(s.colAt))}
+		for i, at := range s.colAt {
+			src := data[at]
 			if sel == nil {
 				vals := make([]int64, rows)
 				copy(vals, src)

@@ -45,6 +45,16 @@ func NewTable(cols ...string) *Table {
 	return t
 }
 
+// NewSizedTable is NewTable with every column's capacity set to rows, so
+// appending that many rows grows no column.
+func NewSizedTable(rows int, cols ...string) *Table {
+	t := NewTable(cols...)
+	for i := range t.Cols {
+		t.Cols[i] = make([]int64, 0, rows)
+	}
+	return t
+}
+
 // AppendRow adds one row.
 func (t *Table) AppendRow(vals ...int64) error {
 	if len(vals) != len(t.Cols) {

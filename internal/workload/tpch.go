@@ -52,7 +52,7 @@ func (t TPCH) Generate() *Data {
 	nOrders := t.ScaleRows/4 + 1
 	nCust := t.ScaleRows/40 + 1
 
-	li := sizedTable(t.ScaleRows, LOrderKey, LQuantity, LPrice, LDiscount, LShipDate, LFlag)
+	li := query.NewSizedTable(t.ScaleRows, LOrderKey, LQuantity, LPrice, LDiscount, LShipDate, LFlag)
 	if t.Clustered {
 		// Generate shipdates sorted: clustered layout.
 		dates := make([]int64, t.ScaleRows)
@@ -71,25 +71,15 @@ func (t TPCH) Generate() *Data {
 		}
 	}
 
-	ord := sizedTable(nOrders, OOrderKey, OCustKey, OOrderDate)
+	ord := query.NewSizedTable(nOrders, OOrderKey, OCustKey, OOrderDate)
 	for i := 0; i < nOrders; i++ {
 		ord.AppendRow(int64(i), int64(r.Intn(nCust)), int64(r.Intn(2556)))
 	}
-	cust := sizedTable(nCust, CCustKey, CNation)
+	cust := query.NewSizedTable(nCust, CCustKey, CNation)
 	for i := 0; i < nCust; i++ {
 		cust.AppendRow(int64(i), int64(r.Intn(25)))
 	}
 	return &Data{Lineitem: li, Orders: ord, Customer: cust}
-}
-
-// sizedTable is query.NewTable with every column's capacity set to rows, so
-// generating the table grows no column.
-func sizedTable(rows int, cols ...string) *query.Table {
-	tb := query.NewTable(cols...)
-	for i := range tb.Cols {
-		tb.Cols[i] = make([]int64, 0, rows)
-	}
-	return tb
 }
 
 func rowFor(r *rand.Rand, nOrders int, date int64) [6]int64 {
