@@ -7,8 +7,9 @@
 // cached before a remote commit is never served after the commit's
 // durability point.
 //
-// A local pool recycles its frames through page.Release / page.Alloc; the
-// ownership rule that makes this safe is on Pool, Fetcher and Writeback.
+// A local pool hands every frame it drops to page.Release, for some later
+// page.Alloc; the ownership rule that makes this safe is on Pool, Fetcher and
+// Writeback.
 package buffer
 
 import (
@@ -61,11 +62,11 @@ type frame struct {
 // and is otherwise under the same rule.
 //
 // The pool owns its frames' bytes, whether a Fetcher returned them or Install
-// took them. An evicted frame, and one Install replaces, goes to page.Release
-// under the pool lock and becomes the buffer of some later miss, in this pool
-// or another: a reference kept past a callback reads another page's image.
-// Frames dropped by Invalidate, InvalidateAll or a stale validation, and a
-// victim whose writeback failed, are left to the garbage collector.
+// took them. Every frame it drops (evicted, replaced by Install, dropped by
+// Invalidate, InvalidateAll or a stale validation) goes to page.Release under
+// the pool lock and becomes the buffer of some later miss, in this pool or
+// another: a reference kept past a callback reads another page's image. A
+// victim whose writeback failed stays resident.
 type Pool struct {
 	cfg       *sim.Config
 	capacity  int
@@ -141,7 +142,7 @@ func (p *Pool) ProbeMisses() int64 { return p.probeMisses.Load() }
 // StaleHits reports cached frames rejected by coherence validation.
 func (p *Pool) StaleHits() int64 { return p.staleHits.Load() }
 
-// removeLocked drops a frame and tells the directory.
+// removeLocked drops a frame, tells the directory and releases its bytes.
 func (p *Pool) removeLocked(e *list.Element) {
 	f := e.Value.(*frame)
 	p.lru.Remove(e)
@@ -149,6 +150,7 @@ func (p *Pool) removeLocked(e *list.Element) {
 	if p.coh != nil {
 		p.coh.Forget(f.id)
 	}
+	page.Release(f.data)
 }
 
 // locked is the one lookup body: the page's fresh frame, charged one DRAM
@@ -219,7 +221,6 @@ func (p *Pool) evictIfFullLocked(c *sim.Clock) error {
 			}
 		}
 		p.removeLocked(e)
-		page.Release(f.data)
 	}
 	return nil
 }
@@ -349,17 +350,14 @@ func (p *Pool) Invalidate(id page.ID) {
 	}
 }
 
-// InvalidateAll empties the pool without writeback (crash simulation).
+// InvalidateAll empties the pool without writeback (a crash, or a retired
+// compute node handing its frames back).
 func (p *Pool) InvalidateAll() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.coh != nil {
-		for id := range p.frames {
-			p.coh.Forget(id)
-		}
+	for e := p.lru.Front(); e != nil; e = p.lru.Front() {
+		p.removeLocked(e)
 	}
-	p.lru.Init()
-	p.frames = make(map[page.ID]*list.Element)
 }
 
 // FlushAll writes back every dirty page. A failed writeback keeps that

@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"github.com/disagglab/disagg/internal/buffer/coherence"
 	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
 )
@@ -98,16 +99,38 @@ func TestInstallReleasesTheBytesItReplacesOnce(t *testing.T) {
 	}
 }
 
-func TestInvalidatedFramesAreNotReleased(t *testing.T) {
+// Every path that drops a frame without writeback hands it to page.Release:
+// Invalidate, InvalidateAll and a stale validation. Each drop is checked
+// before the next, since the free list returns the last release first.
+func TestDroppedFramesAreReleased(t *testing.T) {
 	const size = 303
 	cfg, c := sim.DefaultConfig(), sim.NewClock()
-	p := NewPool(cfg, 2, nil, nil)
-	a, b := pageOf(size, 1), pageOf(size, 2)
+	dir := coherence.NewDirectory(cfg, "recycle.coherence", coherence.ModeBump)
+	p := NewPool(cfg, 4, nil, nil)
+	p.SetCoherence(dir.Register("p", p), nil)
+	a, b, stale := pageOf(size, 1), pageOf(size, 2), pageOf(size, 3)
+
 	p.Install(c, 1, a, false)
-	p.Install(c, 2, b, false)
 	p.Invalidate(1)
+	if !released(a) {
+		t.Fatal("Invalidate did not release the frame")
+	}
+
+	p.Install(c, 2, b, false)
 	p.InvalidateAll()
-	if released(a) || released(b) {
-		t.Fatal("Invalidate / InvalidateAll released a frame")
+	if !released(b) {
+		t.Fatal("InvalidateAll did not release the frame")
+	}
+
+	p.Install(c, 3, stale, false)
+	dir.Publish(c, []coherence.PageStamp{{ID: 3, Stamp: 7}}, nil)
+	if p.View(c, 3, nil) {
+		t.Fatal("a frame stamped below the directory version was served")
+	}
+	if !released(stale) {
+		t.Fatal("the stale-validation drop did not release the frame")
+	}
+	if p.Len() != 0 {
+		t.Fatalf("%d frames resident after every drop", p.Len())
 	}
 }

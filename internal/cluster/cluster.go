@@ -209,6 +209,15 @@ func (f *Fleet) Members() []*Member {
 	return out
 }
 
+// Owner reports the member a transaction on key routes to now, or -1 when
+// the fleet has no member. A membership change may move the key later.
+func (f *Fleet) Owner(key uint64) int {
+	if f.partitioned != nil {
+		return f.partitioned.ID
+	}
+	return f.shard.Owner(key)
+}
+
 // Meters returns the append-only meter set for autoscale.MeterSource.
 func (f *Fleet) Meters() []*sim.Meter {
 	f.mu.RLock()

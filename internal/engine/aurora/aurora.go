@@ -199,6 +199,13 @@ func (e *Engine) ReadReplica(c *sim.Clock, idx int, fn func(tx engine.Tx) error)
 // its materialized pages survive.
 func (e *Engine) Crash() { e.pipe.Crash() }
 
+// Close implements io.Closer: the compute node retires and its caches hand
+// their frames back (engine.Pipeline.Close).
+func (e *Engine) Close() error {
+	e.pipe.Close()
+	return nil
+}
+
 // Recover implements engine.Recoverer: Aurora recovery — poll a read
 // quorum for the durable volume LSN; no compute-side redo (storage nodes
 // materialize on demand).

@@ -69,8 +69,8 @@ type Hooks struct {
 // with 2PC on its own Execute.)
 //
 // Besides the commit path below it owns what every such node has: the crash
-// flag Execute sheds behind (Crash, Up), the page-coherence directory and
-// the caches registered with it (Coherent, Cache, Detach), the checkpoint
+// flag Execute sheds behind (Crash, Up, Close), the page-coherence directory
+// and the caches registered with it (Coherent, Cache, Detach), the checkpoint
 // coordinator and its recovery horizon (Checkpoint, Horizon), and the site
 // names all of these report under, derived from the one site the engine
 // passes to NewPipeline. A fleet member is a Peer of the root's pipeline:
@@ -140,6 +140,8 @@ type Pipeline struct {
 	dir     *coherence.Directory
 	own     *coherence.Handle
 	ownPool *buffer.Pool
+	// caches is every pool Cache registered, for Close.
+	caches []cache
 
 	crashed atomic.Bool
 	nextTx  atomic.Uint64
@@ -190,15 +192,23 @@ func (p *Pipeline) Dir() *coherence.Directory { return p.dir }
 // cache tier of a pipeline engine validates against the directory.
 func PageLSN(data []byte) uint64 { return page.Wrap(data).LSN() }
 
+// cache is one pool Cache registered and its directory handle.
+type cache struct {
+	h    *coherence.Handle
+	pool *buffer.Pool
+}
+
 // Cache registers pool with the directory under name. The first pool
 // registered is the node's own tier: excluded from the node's publishes,
-// emptied by Crash, unregistered by Detach.
+// emptied by Crash, unregistered by Detach. Close empties and unregisters
+// every one.
 func (p *Pipeline) Cache(name string, pool *buffer.Pool) {
 	h := p.dir.Register(name, pool)
 	pool.SetCoherence(h, PageLSN)
 	if p.own == nil {
 		p.own, p.ownPool = h, pool
 	}
+	p.caches = append(p.caches, cache{h, pool})
 }
 
 // Detach unregisters the node's own cache from the (shared) directory, so a
@@ -216,6 +226,19 @@ func (p *Pipeline) Crash() {
 
 // Up brings the node back; the engine's Recover calls it last.
 func (p *Pipeline) Up() { p.crashed.Store(false) }
+
+// Close retires the compute node for good: Execute sheds with
+// ErrUnavailable instead of refilling a cold cache, and every pool Cache
+// registered leaves the directory and hands its frames to page.Release,
+// without writeback. The node's cache is a soft copy of its durable tier, so
+// nothing is lost that a successor cannot fetch again.
+func (p *Pipeline) Close() {
+	p.crashed.Store(true)
+	for _, c := range p.caches {
+		p.dir.Deregister(c.h)
+		c.pool.InvalidateAll()
+	}
+}
 
 // Checkpoint runs one round on the node's coordinator. The horizon it
 // captures is CheckpointLSN unless the round captures more with it.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -581,6 +582,52 @@ func TestPipelineCrashEmptiesOwnCacheOnly(t *testing.T) {
 	n.p.Crash()
 	if n.pool.Len() != 0 || reader.Len() != 1 {
 		t.Errorf("after Crash own cache holds %d pages, reader %d; want 0 and 1", n.pool.Len(), reader.Len())
+	}
+}
+
+// TestPipelineCloseRetiresTheNode: Close sheds every later attempt, takes
+// every cache Cache registered out of the directory, and hands their frames
+// to page.Release: the next page.Alloc calls of the page length return them
+// (the race build poisons them instead).
+func TestPipelineCloseRetiresTheNode(t *testing.T) {
+	root := newRoot(t, sim.DefaultConfig(), "test")
+	reader := newPool(root.p.cfg, root.p.layout)
+	root.p.Cache("reader", reader)
+	peer := root.peer(1)
+	var frames [][]byte
+	for _, pool := range []*buffer.Pool{root.pool, reader} {
+		// The frame is kept past the callback only to watch it be released.
+		if err := pool.Read(sim.NewClock(), 3, func(data []byte) { frames = append(frames, data) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root.p.Close()
+	if root.pool.Len() != 0 || reader.Len() != 0 {
+		t.Fatalf("after Close the caches hold %d and %d pages", root.pool.Len(), reader.Len())
+	}
+	reused := map[*byte]bool{}
+	for range frames {
+		reused[&page.Alloc(root.p.layout.PageSize)[0]] = true
+	}
+	poison := bytes.Repeat([]byte{0xFF}, root.p.layout.PageSize)
+	for i, f := range frames {
+		if !reused[&f[0]] && !bytes.Equal(f, poison) {
+			t.Errorf("frame %d of the closed caches was not released", i)
+		}
+	}
+
+	err := root.p.Execute(sim.NewClock(), func(tx Tx) error { return tx.Write(1, []byte{1}) })
+	if !errors.Is(err, ErrUnavailable) || root.stats.Shed.Load() != 1 {
+		t.Fatalf("Execute on a closed node: err = %v, shed %d; want ErrUnavailable, 1", err, root.stats.Shed.Load())
+	}
+
+	// A closed cache refilled by hand no longer hears the directory.
+	if err := reader.Read(sim.NewClock(), 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	peer.write(t, uint64(3*root.p.layout.PerPage))
+	if !reader.Contains(3) {
+		t.Error("a cache of a closed node was still sent an invalidation")
 	}
 }
 

@@ -152,9 +152,12 @@ type conformanceResult struct {
 	run     runner
 	replica bool // the runner offers a read-only path
 	// routed is set when run routes a transaction to its key's owner (a
-	// fleet), which serves only its own keys fresh: every transaction then
-	// keeps to one key, and the multi-key shapes run as their one-key part.
+	// fleet; owner reports that member now), which serves only its own keys
+	// fresh: every transaction then keeps to one key, and the multi-key
+	// shapes run as their one-key part, but for a write of two keys owner
+	// gives one member.
 	routed bool
+	owner  func(key uint64) int
 	rec    *history.Recorder
 	keys   []*keyState // worker-major: keys[w*confKeysEach+i]
 
@@ -229,25 +232,25 @@ func (r *conformanceResult) check(where string, st *keyState, floor uint64, v []
 }
 
 // access runs one recorded transaction for session on the path replica: a
-// checked read of each key in reads, then a write of v to w when v is
-// non-nil. It is routed by w's key, else by the first read's. A transaction
-// that reads more than one key hands the turn over between its operations
-// (handOver).
-func (r *conformanceResult) access(c *sim.Clock, session, replica int, reads []*keyState, w *keyState, v []byte, where string) error {
+// checked read of each key in reads, then a write of vals[i] to each
+// writes[i]. It is routed by the first written key, else by the first read
+// one. A transaction that reads or writes more than one key hands the turn
+// over between its operations (handOver).
+func (r *conformanceResult) access(c *sim.Clock, session, replica int, reads, writes []*keyState, vals [][]byte, where string) error {
 	var floors [2]uint64 // a transaction reads at most two keys
 	for i, st := range reads {
 		floors[i] = st.acked.Load()
 	}
-	route := w
-	if route == nil {
-		route = reads[0]
+	route := reads
+	if len(writes) > 0 {
+		route = writes
 	}
-	hand := len(reads) > 1
+	hand := len(reads) > 1 || len(writes) > 1
 	opts := engine.RunOpts{Retries: confRetries, Replica: replica, Record: r.rec, Session: session}
-	return r.run(c, route.key, opts, func(tx engine.Tx) error {
+	return r.run(c, route[0].key, opts, func(tx engine.Tx) error {
 		for i, st := range reads {
 			if hand && i > 0 {
-				r.handOver(c, v != nil)
+				r.handOver(c, len(writes) > 0)
 			}
 			got, err := tx.Read(st.key)
 			if err != nil {
@@ -255,13 +258,15 @@ func (r *conformanceResult) access(c *sim.Clock, session, replica int, reads []*
 			}
 			r.check(where, st, floors[i], got)
 		}
-		if v == nil {
-			return nil
+		for i, st := range writes {
+			if hand && (i > 0 || len(reads) > 0) {
+				r.handOver(c, true)
+			}
+			if err := tx.Write(st.key, vals[i]); err != nil {
+				return err
+			}
 		}
-		if hand {
-			r.handOver(c, true)
-		}
-		return tx.Write(w.key, v)
+		return nil
 	})
 }
 
@@ -283,22 +288,33 @@ func (r *conformanceResult) handOver(c *sim.Clock, writes bool) {
 	r.idle.Add(-1)
 }
 
-// write issues the next seq of st after checked reads of reads: a blind
-// write when there are none, a read-modify-write when reads is st alone.
-// An unacknowledged write's outcome is unknown (it may still surface, like
-// a timed-out commit in a real system), so its seq stays issued-only.
-func (r *conformanceResult) write(c *sim.Clock, st *keyState, reads ...*keyState) {
-	seq := st.issued.Add(1)
-	v := confVal(r.layout, st.key, uint64(st.owner), seq)
+// write issues the next seq of every key in writes, all in one transaction
+// of their owner, after checked reads of reads: a blind write when there are
+// none, a read-modify-write when reads is the one written key. An
+// unacknowledged write's outcome is unknown (it may still surface, like a
+// timed-out commit in a real system), so its seqs stay issued-only; but it
+// surfaces whole or not at all, which the history holds it to.
+func (r *conformanceResult) write(c *sim.Clock, writes []*keyState, reads ...*keyState) {
+	var seqs [2]uint64 // a transaction writes at most two keys
+	vals := make([][]byte, len(writes))
+	for i, st := range writes {
+		seqs[i] = st.issued.Add(1)
+		vals[i] = confVal(r.layout, st.key, uint64(st.owner), seqs[i])
+	}
 	where := "read-modify-write"
-	if len(reads) > 1 {
+	switch {
+	case len(writes) > 1:
+		where = "write-two"
+	case len(reads) > 1:
 		where = "read-two-write-one"
 	}
-	if err := r.access(c, st.owner, 0, reads, st, v, where); err != nil {
+	if err := r.access(c, writes[0].owner, 0, reads, writes, vals, where); err != nil {
 		r.writeErrs.Add(1)
 		return
 	}
-	st.acked.Store(seq)
+	for i, st := range writes {
+		st.acked.Store(seqs[i])
+	}
 	r.commits.Add(1)
 }
 
@@ -329,13 +345,15 @@ func runConformanceWorkload(e engine.Engine, layout heap.Layout, seed int64) *co
 // res: each worker issues ops operations — read-modify-write or blind write
 // of an own key, a read of a foreign key (every other one on the read-only
 // path when there is one), a read of an own key on the read-only path, or
-// one of two multi-key shapes that hand the turn over between their
-// operations (handOver): a read of two keys of one foreign worker, and a
-// read of an own and a foreign key then a write of the own key — advancing
-// the per-key sequences where they left off. Every read is checked in
-// flight. The multi-key shapes are built as Elle's rw-register transactions
-// are (Kingsbury and Alvaro, VLDB 2020): with them, a history holds read
-// skew and write skew when an engine lets either through.
+// one of three multi-key shapes that hand the turn over between their
+// operations (handOver): a write of two own keys on different pages, a read
+// of two keys of one foreign worker, and a read of an own and a foreign key
+// then a write of the own key — advancing the per-key sequences where they
+// left off. Every read is checked in flight. The multi-key shapes are built
+// as Elle's rw-register transactions are (Kingsbury and Alvaro, VLDB 2020):
+// with them, a history holds read skew, write skew and half a transaction
+// when an engine lets any through. In a fleet the two written keys must
+// share a shard owner, else the shape writes one.
 //
 // bg, when non-nil, is one more member of the workers' group. Its next
 // blocks until a worker has begun another operation and returns how many
@@ -369,27 +387,37 @@ func extendConformanceWorkload(res *conformanceResult, seed int64, ops int, bg f
 		}
 		c.SetEvents(res.flight[id])
 		rng := newConfRand(seed, id)
+		mine := res.keys[id*confKeysEach : (id+1)*confKeysEach]
 		for op := 0; op < ops; op++ {
 			begun.Add(1)
 			// Every draw is made whatever the roll, so an engine with and one
 			// without a read-only path issue the same writes.
 			roll := rng.Intn(100)
-			own := res.keys[id*confKeysEach+rng.Intn(confKeysEach)]
+			// twin, the key after own, is drawn from no stream of its own, so
+			// every other shape draws what it drew before twin existed.
+			oi := rng.Intn(confKeysEach)
+			own, twin := mine[oi], mine[(oi+1)%confKeysEach]
 			other := (id + 1 + rng.Intn(confWorkers-1)) % confWorkers
 			fi := rng.Intn(confKeysEach)
 			foreign := res.keys[other*confKeysEach+fi]
 			sibling := res.keys[other*confKeysEach+(fi+1+rng.Intn(confKeysEach-1))%confKeysEach]
+			one, two := []*keyState{own}, []*keyState{own, twin}
 			rw, pair := []*keyState{own, foreign}, []*keyState{foreign, sibling}
 			if res.routed {
 				rw, pair = rw[:1], pair[:1]
+				if res.owner(own.key) != res.owner(twin.key) {
+					two = one
+				}
 			}
 			switch {
-			case roll < 45:
-				res.write(c, own, own)
+			case roll < 40:
+				res.write(c, one, own)
+			case roll < 50:
+				res.write(c, one)
 			case roll < 58:
-				res.write(c, own)
+				res.write(c, two)
 			case roll < 70:
-				res.write(c, own, rw...)
+				res.write(c, one, rw...)
 			case roll < 80:
 				res.read(c, id, 0, pair...)
 			case !res.replica:
@@ -409,7 +437,8 @@ func extendConformanceWorkload(res *conformanceResult, seed int64, ops int, bg f
 // read path (with bounded retries, on a healed fabric), recorded as session
 // confWorkers, and returns the violations — those recorded in flight too.
 // It reads one key a transaction, as a fleet serves fresh only the keys of
-// the member it routes to.
+// the member it routes to; session order still ties its reads into one
+// history, where half a transaction surfaced is a cycle.
 func verifyFinalState(res *conformanceResult) []string {
 	c := sim.NewClock()
 	c.SetEvents(res.box.Recorder(fmt.Sprintf("verify pass %d", res.box.Size()), confFlightEvents))

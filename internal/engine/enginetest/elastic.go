@@ -19,9 +19,10 @@ type SpecFactory func(t *testing.T, cfg *sim.Config) cluster.Spec
 
 // Elastic workload shape: the conformance workload driven through
 // cluster.Fleet.Run instead of engine.Run, every transaction routed to its
-// key's shard owner and kept to that one key, and every read held to its
-// key's floor. Membership churn runs beside one confOps phase: a scale-out
-// once a quarter of its operations have begun, a crash drill at half.
+// key's shard owner and kept to that one key (or two keys of that owner),
+// and every read held to its key's floor. Membership churn runs beside one
+// confOps phase: a scale-out once a quarter of its operations have begun, a
+// crash drill at half.
 const (
 	elasticStart   = 2 // initial fleet size
 	elasticScaleTo = 3 // mid-workload scale-out target
@@ -53,7 +54,7 @@ func RunElastic(t *testing.T, specFor SpecFactory) {
 			return f.Run(c, key, cluster.RunOpts{RunOpts: opts}, fn)
 		}
 		res := newConformanceResult(Layout(t), run, false)
-		res.routed = true
+		res.routed, res.owner = true, f.Owner
 		// Both drills tolerate architectures that cannot run them
 		// (partitioned fleets, engines without a Recoverer).
 		extendConformanceWorkload(res, seed, confOps, func(c *sim.Clock, next func() int64) {

@@ -109,11 +109,13 @@ type edge struct {
 
 // node is one transaction in the dependency graph: a committed attempt,
 // or an indeterminate attempt whose writes may be (and for edge purposes
-// were) observed.
+// were) observed. observed marks an indeterminate attempt a committed
+// transaction read from: it took effect, and took effect whole.
 type node struct {
 	op        *Op
 	att       *Attempt
 	committed bool
+	observed  bool
 	out       []edge
 }
 
@@ -308,12 +310,27 @@ func Check(ops []*Op, opts Opts) (*Report, error) {
 		}
 	}
 
-	// nextCommitted returns the first committed node in key's chain at a
-	// position > from (-1 = start of chain), or -1.
+	// An indeterminate attempt that a committed transaction read from is
+	// no longer in doubt: a reader of an older version of any key it wrote
+	// anti-depends on it, as on a committed writer, so an engine that
+	// surfaces half of an unacknowledged transaction leaves a cycle.
+	for _, n := range nodes {
+		if !n.committed {
+			continue
+		}
+		for _, e := range n.att.Events {
+			if ref, ok := valIndex[e.Val]; ok && e.Kind == ReadEvent && ref.key == e.Key && ref.node >= 0 {
+				nodes[ref.node].observed = true
+			}
+		}
+	}
+
+	// nextCommitted returns the first committed or observed node in key's
+	// chain at a position > from (-1 = start of chain), or -1.
 	nextCommitted := func(key uint64, from int) int {
 		chain := versions[key]
 		for j := from + 1; j < len(chain); j++ {
-			if nodes[chain[j]].committed {
+			if n := nodes[chain[j]]; n.committed || n.observed {
 				return chain[j]
 			}
 		}

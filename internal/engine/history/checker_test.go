@@ -280,6 +280,31 @@ func TestIndeterminateWriteMayVanish(t *testing.T) {
 	}
 }
 
+func TestObservedIndeterminateWriteSurfacesWhole(t *testing.T) {
+	// An unacknowledged transaction wrote two keys. A reader that sees it
+	// on one key has proved it took effect, so seeing the other key's older
+	// version is half a transaction: a cycle. Seeing both, or neither, is
+	// clean.
+	for _, tc := range []struct {
+		name   string
+		x, y   uint64
+		broken bool
+	}{{"whole", 0xA1, 0xB1, false}, {"none", 0, 0, false}, {"half", 0xA1, 0, true}} {
+		ind, ai := mkOp(0, 0, Indeterminate, 0)
+		ai.Write(1, 0xA1, 0)
+		ai.Write(2, 0xB1, 0)
+		rd, ar := mkOp(1, 1, Committed, 0)
+		ar.Read(1, tc.x, 0)
+		ar.Read(2, tc.y, 0)
+		rep := check(t, []*Op{ind, rd}, Opts{Level: Serializable, SingleWriter: true})
+		if tc.broken {
+			wantClass(t, rep, "G-single")
+		} else {
+			wantClean(t, rep)
+		}
+	}
+}
+
 // ---- retry lineage -------------------------------------------------------
 
 func TestRetryLineageIsOneLogicalOp(t *testing.T) {

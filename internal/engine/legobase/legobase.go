@@ -302,6 +302,15 @@ func (e *Engine) Crash() {
 	e.Tiers.Local.InvalidateAll()
 }
 
+// Close implements io.Closer: the compute node retires and its local tier
+// hands its frames back; the remote tier is memory-node memory, not page
+// buffers, and is left as it is.
+func (e *Engine) Close() error {
+	e.pipe.Close()
+	e.Tiers.Local.InvalidateAll()
+	return nil
+}
+
 // Recover implements engine.Recoverer: LegoBase recovery — repopulate from
 // REMOTE MEMORY (RDMA reads of the checkpointed pages) and replay only the
 // log tail since the remote checkpoint.

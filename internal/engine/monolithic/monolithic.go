@@ -204,6 +204,13 @@ func (e *Engine) DurableLSN() wal.LSN { return e.pipe.DurableLSN() }
 // (log + checkpointed pages) survives.
 func (e *Engine) Crash() { e.pipe.Crash() }
 
+// Close implements io.Closer: the compute node retires and its caches hand
+// their frames back (engine.Pipeline.Close).
+func (e *Engine) Close() error {
+	e.pipe.Close()
+	return nil
+}
+
 // Recover implements engine.Recoverer: ARIES-style redo of the log tail
 // against on-disk pages.
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {

@@ -207,6 +207,13 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 // Crash implements engine.Recoverer.
 func (e *Engine) Crash() { e.pipe.Crash() }
 
+// Close implements io.Closer: the compute node retires and its caches hand
+// their frames back (engine.Pipeline.Close).
+func (e *Engine) Close() error {
+	e.pipe.Close()
+	return nil
+}
+
 // Recover implements engine.Recoverer: elect a PolarFS leader if needed,
 // learn the shared log's decided prefix (for a takeover node, commits other
 // members made durable), then resume — pages and log are durable in

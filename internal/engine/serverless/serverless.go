@@ -301,6 +301,18 @@ func (e *Engine) Crash() {
 	n.cache.InvalidateAll()
 }
 
+// Close implements io.Closer: every compute node retires and its local cache
+// hands its frames back; Execute and ReadReplica shed from now on. The
+// shared pool is remote memory, not page buffers, and is left as it is.
+func (e *Engine) Close() error {
+	e.pipe.Close()
+	for _, n := range e.nodes {
+		n.crashed.Store(true)
+		n.cache.InvalidateAll()
+	}
+	return nil
+}
+
 // Recover implements engine.Recoverer: failover — promote the next healthy
 // node to primary. No cache warm-up (the working set is in the shared
 // pool) and no log replay (pages there are current): one directory round

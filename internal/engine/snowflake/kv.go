@@ -34,8 +34,8 @@ const ckptPrefix = "kvckpt/"
 // segment object (encoded WAL records, named by commit LSN); the compute
 // node keeps only a volatile materialized view. Crash recovery re-lists
 // the segments and replays them in LSN order — a torn upload (crash
-// mid-put) leaves a truncated object whose clean record prefix is
-// recovered and whose tail is discarded (wal.DecodePrefix).
+// mid-put) leaves a truncated object without its terminal commit marker,
+// and recovery skips it whole, so a transaction is all-or-nothing.
 type KV struct {
 	cfg    *sim.Config
 	layout heap.Layout
@@ -111,8 +111,7 @@ func (e *KV) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 
 // durable: one immutable segment upload, named by the commit LSN; the
 // store keeps the encoding, which nothing else holds. A failed or torn
-// upload is an unacknowledged commit (the torn object's record prefix may
-// still surface at recovery).
+// upload is an unacknowledged commit, which recovery drops whole.
 func (e *KV) durable(c *sim.Clock, recs []wal.Record) error {
 	encoded := engine.Encode(recs)
 	if err := e.Store.Put(c, segKey(recs[len(recs)-1].LSN), encoded); err != nil {
@@ -244,11 +243,12 @@ func (e *KV) Crash() {
 
 // Recover implements engine.Recoverer: load the newest complete
 // snapshot, then list the commit segments above it and replay them in
-// LSN order. Truncated tails of torn segment uploads are discarded;
-// whole records within them are replayed (ambiguous-outcome commits may
-// surface, exactly as a real commit timeout can). A torn SNAPSHOT is
-// rejected outright — its covered segments were never deleted, so an
-// older snapshot or the raw segments still reconstruct everything.
+// LSN order. A segment or a snapshot counts only if it ends in its
+// TypeCommit marker. A torn segment upload is skipped whole: its
+// transaction was never acknowledged, and replaying the whole records
+// before the tear would surface part of it. A torn snapshot is skipped
+// too — its covered segments were never deleted, so an older snapshot or
+// the raw segments still reconstruct everything.
 func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
 	keys := e.Store.Keys()
@@ -282,7 +282,8 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 			// it never deleted anything — try the previous snapshot.
 			continue
 		}
-		// Decode's images are fresh slices, held by this recovery alone.
+		// Decode's images alias data, the private copy Get returned, held
+		// by this recovery alone.
 		for _, r := range recs {
 			if r.Type == wal.TypeUpdate {
 				vals[r.Key] = r.After
@@ -309,6 +310,9 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 		recs, _, err := wal.DecodePrefix(data)
 		if err != nil {
 			return 0, fmt.Errorf("segment %s: %w", k, err)
+		}
+		if len(recs) == 0 || recs[len(recs)-1].Type != wal.TypeCommit {
+			continue // torn upload: none of its transaction happened
 		}
 		for _, r := range recs {
 			if r.Type == wal.TypeUpdate {

@@ -23,24 +23,37 @@ func TestKVChaosCrashRecovery(t *testing.T) {
 	})
 }
 
-// A torn segment upload (crash mid-put) must lose only the torn tail:
-// whole records in the truncated object replay cleanly at recovery.
-func TestKVTornSegmentRecoversCleanPrefix(t *testing.T) {
+// A torn segment upload (crash mid-put) is an unacknowledged transaction,
+// and recovery replays none of it: here the tear leaves the first of its two
+// updates whole, and neither key shows the torn write. Every earlier
+// segment replays intact.
+func TestKVTornSegmentIsAllOrNothing(t *testing.T) {
 	layout := enginetest.Layout(t)
 	e := NewKV(sim.DefaultConfig(), layout)
 	c := sim.NewClock()
-	val := make([]byte, layout.ValSize)
-	val[0] = 0xAB
-	for i := uint64(0); i < 8; i++ {
-		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(i, val) }); err != nil {
+	old := bytes.Repeat([]byte{0xAB}, layout.ValSize)
+	torn := bytes.Repeat([]byte{0xCD}, layout.ValSize)
+	write := func(val []byte, keys ...uint64) {
+		t.Helper()
+		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+			for _, k := range keys {
+				if err := tx.Write(k, val); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Simulate a crash mid-upload: truncate the newest segment object to a
-	// byte count that splits a record.
-	keys := e.Store.Keys()
+	for k := uint64(0); k < 8; k++ {
+		write(old, k)
+	}
+	write(torn, 0, 1)
+	// Simulate a crash mid-upload: cut the newest segment inside its second
+	// update, so the first update is a whole record and the marker is gone.
 	last := ""
-	for _, k := range keys {
+	for _, k := range e.Store.Keys() {
 		if k > last {
 			last = k
 		}
@@ -50,28 +63,21 @@ func TestKVTornSegmentRecoversCleanPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs, _, err := wal.DecodePrefix(data)
-	if err != nil || len(recs) == 0 {
-		t.Fatalf("bad segment: %v (%d recs)", err, len(recs))
+	if err != nil || len(recs) != 3 || recs[2].Type != wal.TypeCommit {
+		t.Fatalf("newest segment: %v, %d records, want two updates and a commit", err, len(recs))
 	}
-	if err := e.Store.Put(c, last, data[:len(data)-5]); err != nil {
+	cut := recs[0].EncodedSize() + recs[1].EncodedSize()/2
+	if err := e.Store.Put(c, last, data[:cut]); err != nil {
 		t.Fatal(err)
 	}
 	e.Crash()
 	if _, err := e.Recover(sim.NewClock()); err != nil {
 		t.Fatalf("recovery choked on torn segment: %v", err)
 	}
-	// All but the last segment's torn tail must be intact.
-	if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
-		v, err := tx.Read(0)
-		if err != nil {
-			return err
+	for k := uint64(0); k < 8; k++ {
+		if got, _ := e.readKey(nil, k); !bytes.Equal(got, old) {
+			t.Errorf("key %d after torn-segment recovery reads %x..., want the last acknowledged %x...", k, got[:1], old[:1])
 		}
-		if v[0] != 0xAB {
-			t.Errorf("key 0 lost after torn-segment recovery")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -166,10 +172,10 @@ func TestKVWarmCheckpointAllocatesTheSnapshotOnce(t *testing.T) {
 	t.Logf("warm checkpoint: %.2f× the %.0f B snapshot", ratio, snapshot)
 }
 
-// Recovery keeps each value as Decode returned it: a value is allocated
-// once by the object read and once by the decode, and not copied again into
-// the view.
-func TestKVRecoverCopiesEachValueTwice(t *testing.T) {
+// Recovery keeps each value as Decode returned it, which is the bytes of the
+// object read: a value is allocated once, by that read, and copied neither
+// by the decode nor into the view.
+func TestKVRecoverCopiesEachValueOnce(t *testing.T) {
 	e := NewKV(sim.DefaultConfig(), enginetest.Layout(t))
 	c := sim.NewClock()
 	const segs, size = 256, 4096
@@ -177,8 +183,10 @@ func TestKVRecoverCopiesEachValueTwice(t *testing.T) {
 	for i := uint64(1); i <= segs; i++ {
 		val := bytes.Repeat([]byte{byte(i)}, size)
 		want[i] = val
-		rec := wal.Record{LSN: wal.LSN(i), Type: wal.TypeUpdate, TxID: i, Key: i, After: val}
-		if err := e.Store.Put(c, segKey(rec.LSN), rec.Encode(nil)); err != nil {
+		// An update and its commit marker, as every real commit uploads.
+		rec := wal.Record{LSN: wal.LSN(2*i - 1), Type: wal.TypeUpdate, TxID: i, Key: i, After: val}
+		marker := wal.Record{LSN: wal.LSN(2 * i), Type: wal.TypeCommit, TxID: i}
+		if err := e.Store.Put(c, segKey(marker.LSN), marker.Encode(rec.Encode(nil))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,8 +203,8 @@ func TestKVRecoverCopiesEachValueTwice(t *testing.T) {
 		}
 	}
 	copies := float64(after.TotalAlloc-before.TotalAlloc) / (segs * size)
-	if copies >= 2.5 && !enginetest.RaceBuild() {
-		t.Errorf("recovering %d one-record segments allocated %.2f× their values, want < 2.5× (the read and the decode)", segs, copies)
+	if copies >= 1.5 && !enginetest.RaceBuild() {
+		t.Errorf("recovering %d one-update segments allocated %.2f× their values, want < 1.5× (the read)", segs, copies)
 	}
 	t.Logf("recovery: %.2f× the values", copies)
 }

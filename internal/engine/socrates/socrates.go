@@ -206,6 +206,13 @@ func (e *Engine) snapshotToXStore(c *sim.Clock, recs []wal.Record) {
 // Crash implements engine.Recoverer.
 func (e *Engine) Crash() { e.pipe.Crash() }
 
+// Close implements io.Closer: the compute node retires and its caches hand
+// their frames back (engine.Pipeline.Close).
+func (e *Engine) Close() error {
+	e.pipe.Close()
+	return nil
+}
+
 // Recover implements engine.Recoverer: the new compute node learns the
 // durable LSN from XLOG; page servers keep serving (availability tier
 // unaffected by compute failure).

@@ -142,6 +142,13 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 // Crash implements engine.Recoverer.
 func (e *Engine) Crash() { e.pipe.Crash() }
 
+// Close implements io.Closer: the compute node retires and its caches hand
+// their frames back (engine.Pipeline.Close).
+func (e *Engine) Close() error {
+	e.pipe.Close()
+	return nil
+}
+
 // Recover implements engine.Recoverer: learn the quorum-durable LSN from
 // the log stores and resume; page stores catch up by gossip.
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {

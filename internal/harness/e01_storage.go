@@ -120,15 +120,17 @@ func runE1(cfg *sim.Config, s Scale) *Result {
 		pageBytes int64
 	}
 	var rows []row
+	auE := aurora.New(cfg, layout, 1024, 0) // traced below, retired last
 	run := func(name string, e engine.Engine) {
 		res, sum := runOLTP(e, workers, txns)
 		rows = append(rows, row{name, res, sum, e.Stats(), e.Stats().PageBytes.Load()})
+		if e != auE {
+			retire(e)
+		}
 	}
 	run("monolithic", monolithic.New(cfg, layout, 1024))
-	auE := aurora.New(cfg, layout, 1024, 0)
 	run("aurora", auE)
-	pol := polardb.New(cfg, layout, 1024)
-	run("polardb", pol)
+	run("polardb", polardb.New(cfg, layout, 1024))
 	run("socrates", socrates.New(cfg, layout, 1024, 2))
 	// PilotDB ships its log over one-sided RDMA, so its row also exercises
 	// the fabric substrate (rdma.* telemetry sites) under this workload.
@@ -173,6 +175,7 @@ func runE1(cfg *sim.Config, s Scale) *Result {
 			return tx.Write(1, make([]byte, layout.ValSize))
 		})
 	})
+	retire(auE)
 	return r
 }
 
@@ -227,6 +230,7 @@ func runE2(cfg *sim.Config, s Scale) *Result {
 		r.check("aurora recovers", false, "%v", err)
 		return r
 	}
+	retire(mono, e)
 	t2 := r.table("E2b: compute crash recovery", "engine", "recovery time")
 	t2.Row("monolithic (ARIES redo)", monoTime)
 	t2.Row("aurora (quorum LSN poll)", auroraTime)
@@ -250,6 +254,7 @@ func runE2(cfg *sim.Config, s Scale) *Result {
 			return tx.Write(99, make([]byte, layout.ValSize))
 		})
 	})
+	retire(e2)
 	return r
 }
 
@@ -284,6 +289,7 @@ func runE3(cfg *sim.Config, s Scale) *Result {
 	for _, rw := range rows {
 		t.Row(rw.name, rw.sum.P50, rw.sum.P99, rw.st.BytesPerCommit(), rw.copies)
 	}
+	retire(au, so)
 	// Taurus staleness is bounded and converges by gossip.
 	lagBefore := ta.MaxPageLag()
 	bg := sim.NewClock()
@@ -302,8 +308,12 @@ func runE3(cfg *sim.Config, s Scale) *Result {
 	// Socrates: commit latency tracks the XLOG tier only (it does not
 	// grow with page-server count). Measured single-worker so scheduling
 	// noise cannot skew the comparison.
-	_, sum2 := runOLTP(socrates.New(cfg, layout, 1024, 2), 1, txns)
-	_, sum6 := runOLTP(socrates.New(cfg, layout, 1024, 6), 1, txns)
+	so2 := socrates.New(cfg, layout, 1024, 2)
+	_, sum2 := runOLTP(so2, 1, txns)
+	retire(so2)
+	so6 := socrates.New(cfg, layout, 1024, 6)
+	_, sum6 := runOLTP(so6, 1, txns)
+	retire(so6)
 	r.check("socrates commit independent of page-server count",
 		sum6.P50 < sum2.P50*3/2,
 		"p50 with 2 page servers %v vs 6 page servers %v", sum2.P50, sum6.P50)
@@ -312,6 +322,7 @@ func runE3(cfg *sim.Config, s Scale) *Result {
 			return tx.Write(1, make([]byte, layout.ValSize))
 		})
 	})
+	retire(ta)
 	return r
 }
 

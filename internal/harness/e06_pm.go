@@ -115,11 +115,11 @@ func runE8(cfg *sim.Config, s Scale) *Result {
 		rep  int64
 	}
 	var rows []row
-	run := func(name string, opt pilotdb.Options) *pilotdb.Engine {
+	run := func(name string, opt pilotdb.Options) {
 		e := pilotdb.New(cfg, layout, 256, opt)
 		res, sum := runOLTP(e, workers, txns)
 		rows = append(rows, row{name, res.Throughput(), sum.P50, e.Repairs.Load()})
-		return e
+		retire(e)
 	}
 	run("pilotdb (1-sided log + optimistic reads)", pilotdb.Pilot())
 	run("server-driven logging only", pilotdb.Options{ComputeDrivenLogging: false, OptimisticReads: true})
@@ -166,5 +166,6 @@ func runE8(cfg *sim.Config, s Scale) *Result {
 			return tx.Write(7, val)
 		})
 	})
+	retire(e)
 	return r
 }

@@ -77,6 +77,7 @@ func runE9(cfg *sim.Config, s Scale) *Result {
 	r.check("two-tier absorbs the working set",
 		twoTier.Tiers.CombinedHitRatio() > smallOnly.Tiers.CombinedHitRatio()+0.2,
 		"hit ratio %.2f vs %.2f", twoTier.Tiers.CombinedHitRatio(), smallOnly.Tiers.CombinedHitRatio())
+	retire(smallOnly)
 
 	// (b) Recovery: remote-memory checkpoints vs storage ARIES.
 	crashAndMeasure := func() (time.Duration, time.Duration) {
@@ -91,6 +92,7 @@ func runE9(cfg *sim.Config, s Scale) *Result {
 		if err != nil {
 			panic(err)
 		}
+		retire(e)
 		e2 := build(16, 512)
 		e2.CheckpointRemoteEvery = 32
 		e2.CheckpointStorageEvery = 100_000
@@ -102,6 +104,7 @@ func runE9(cfg *sim.Config, s Scale) *Result {
 		if err != nil {
 			panic(err)
 		}
+		retire(e2)
 		return fast, slow
 	}
 	fast, slow := crashAndMeasure()
@@ -116,6 +119,7 @@ func runE9(cfg *sim.Config, s Scale) *Result {
 			return err
 		})
 	})
+	retire(twoTier)
 	return r
 }
 
@@ -171,6 +175,7 @@ func runE10(cfg *sim.Config, s Scale) *Result {
 	t.Row("aurora (cold writer cache)", auFail, auWarm)
 	r.check("serverless warm-up ≪ cold-cache engine", svWarm < auWarm,
 		"%v vs %v", svWarm, auWarm)
+	retire(au)
 
 	// Resize: adding a compute node is metadata-only.
 	before := c.Now()
@@ -182,6 +187,7 @@ func runE10(cfg *sim.Config, s Scale) *Result {
 			return tx.Write(78, val)
 		})
 	})
+	retire(sv)
 	return r
 }
 

@@ -72,6 +72,7 @@ func runE21(cfg *sim.Config, s Scale) *Result {
 	r.traceOp(cfg, "scaleout.addnode", func(c *sim.Clock) {
 		sv.AddNode(c, 16)
 	})
+	retire(sv)
 	return r
 }
 
@@ -91,6 +92,7 @@ func runE22(cfg *sim.Config, s Scale) *Result {
 	runOLTPOnly := func() (float64, time.Duration) {
 		e := build()
 		res, sum := runOLTP(e, 2, txns/2)
+		retire(e)
 		return res.Throughput(), sum.P99
 	}
 	runHTAP := func() (float64, time.Duration, time.Duration) {
@@ -112,6 +114,7 @@ func runE22(cfg *sim.Config, s Scale) *Result {
 			scanTime = c.Now()
 		}
 		res, sum := runOLTPBeside(e, 2, txns/2, scan)
+		retire(e)
 		return res.Throughput(), sum.P99, scanTime
 	}
 	baseTput, baseP99 := runOLTPOnly()

@@ -70,6 +70,7 @@ func e24Engines() []struct {
 func e24Cell(cfg *sim.Config, build func(*sim.Config) engine.Engine, workers, txns, batch int) (sim.GroupResult, metrics.Summary, *engine.Stats) {
 	layout := oltpLayout()
 	e := build(cfg)
+	defer retire(e)
 	if batch > 1 {
 		engine.Caps(e).GroupCommitter.EnableGroupCommit(batch, e24Window)
 	}

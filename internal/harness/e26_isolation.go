@@ -303,6 +303,7 @@ func runE26(cfg *sim.Config, s Scale) *Result {
 			}
 			e := eng.build(ecfg)
 			rec := e26Run(e, ops)
+			retire(e)
 			rep, err := e26Check(rec)
 			if err != nil {
 				r.check(fmt.Sprintf("%s/%s: history is checkable", eng.name, arm.name), false, "%v", err)

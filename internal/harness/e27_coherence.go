@@ -135,6 +135,7 @@ func e27Cell(eng e27Engine, writeFrac, ops int) e27CellResult {
 	cfg := sim.DefaultConfig()
 	cfg.Stats = sim.NewRegistry()
 	e := eng.build(cfg)
+	defer retire(e)
 	var commits, staleReads int64
 	var issued, acked [e27Keys]uint64
 	key := func(i int) uint64 { return uint64(e27KeyBase + i*e27KeyStride) }
@@ -193,6 +194,7 @@ func e27BatchedCell(eng e27Engine, ops, writers int) e27CellResult {
 	cfg := sim.DefaultConfig()
 	cfg.Stats = sim.NewRegistry()
 	e := eng.build(cfg)
+	defer retire(e)
 	engine.Caps(e).GroupCommitter.EnableGroupCommit(8, 50*time.Microsecond)
 	acked := make([]atomic.Uint64, e27Keys)
 	var commits, staleReads atomic.Int64

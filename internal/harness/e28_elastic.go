@@ -204,7 +204,15 @@ func e28Calibrate(name string, cfg *sim.Config, txns int) (mean, p99 time.Durati
 			hist.Record(c.Now() - before)
 		}
 	}
+	e28Retire(f)
 	return (c.Now() - half) / time.Duration(txns-txns/2), hist.Quantile(0.99)
+}
+
+// e28Retire retires every member the fleet ever had, once its arm is done.
+func e28Retire(f *cluster.Fleet) {
+	for _, m := range f.Members() {
+		retire(m.E)
+	}
 }
 
 // e28Verify re-reads every acknowledged write through the fleet and
@@ -269,6 +277,7 @@ func runE28(cfg *sim.Config, s Scale) *Result {
 		// Fixed arm: one node for the whole trace.
 		fixed := cluster.New(e28Spec(name, cfg, compute), sim.NewClock(), 1)
 		fixedPh, _, _ := e28RunArm(sim.NewClock(), fixed, nil, demands, txns, layout.ValSize, slo, -1)
+		e28Retire(fixed)
 
 		// Autoscaled arm: reactive policy over live meters, fresh substrate.
 		scaledF := cluster.New(e28Spec(name, cfg, compute), sim.NewClock(), 1)
@@ -304,6 +313,7 @@ func runE28(cfg *sim.Config, s Scale) *Result {
 		r.check(fmt.Sprintf("%s: the fleet scales out for the peak and back in after it", name),
 			scalePeak.nodes > 1 && finalSize < scalePeak.nodes,
 			"peak %d nodes, %d after the final controller tick", scalePeak.nodes, finalSize)
+		e28Retire(scaledF)
 
 		// Failover arm: same ramp, crash member 1 mid-peak. Every
 		// acknowledged commit must remain readable through the healed
@@ -322,6 +332,7 @@ func runE28(cfg *sim.Config, s Scale) *Result {
 		r.check(fmt.Sprintf("%s: fleet accounting conserves through failover", name),
 			tot.Conserved(),
 			"attempts %d = commits %d + aborts %d + shed %d", tot.Attempts, tot.Commits, tot.Aborts, tot.Shed)
+		e28Retire(crashF)
 	}
 
 	// The shared-nothing contrast: same Fleet API, but elasticity must

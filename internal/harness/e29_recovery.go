@@ -65,8 +65,10 @@ type e29Arm struct {
 // e29Sweep drives txns single-writer transactions over the hot keys,
 // checkpointing every ckptEvery commits when ckptEvery > 0, then crashes
 // and recovers the engine and audits every acknowledged write. The
-// returned arm carries the recovery time and the loss count.
+// returned arm carries the recovery time and the loss count. The engine is
+// retired when the arm returns.
 func e29Sweep(e engine.Engine, layout heap.Layout, txns, ckptEvery int) (e29Arm, error) {
+	defer retire(e)
 	arm := e29Arm{txns: txns}
 	r := engine.Caps(e).Recoverer
 	cp := engine.Caps(e).Checkpointer

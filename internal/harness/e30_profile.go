@@ -31,8 +31,10 @@ const (
 
 // e30Run drives a read-modify-write workload with every transaction
 // profiled: workers own disjoint key ranges (uncontended) unless hotKeys
-// > 0, in which case all workers hammer that many shared keys.
+// > 0, in which case all workers hammer that many shared keys. The engine is
+// retired when the run returns.
 func e30Run(e engine.Engine, p *profile.Profiler, workers, ops, hotKeys int) sim.GroupResult {
+	defer retire(e)
 	layout := oltpLayout()
 	return sim.RunGroup(workers, func(id int, c *sim.Clock) int {
 		rng := sim.NewRand(e30Seed, id)
@@ -165,6 +167,7 @@ func runE30(cfg *sim.Config, s Scale) *Result {
 		}
 		return ops
 	})
+	retire(confE)
 	confA := confP.Attribution()
 	r.check("conflict retries surface as backoff share",
 		confA.Share("backoff") > 0.01,

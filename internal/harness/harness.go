@@ -13,6 +13,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/metrics"
 	"github.com/disagglab/disagg/internal/sim"
 )
@@ -47,6 +48,18 @@ func runPhase(wall *sim.Clock, n int, body func(id int, c *sim.Clock) int) (ops 
 	})
 	wall.AdvanceTo(res.MakeSpan)
 	return res.TotalOps, res.MakeSpan - start
+}
+
+// retire closes each engine that is an io.Closer, once the experiment is done
+// with it (its rows, trace and audits taken): a retired compute node's caches
+// hand their frames to the page free list, where the next engine's first
+// fills find them instead of allocating.
+func retire(es ...engine.Engine) {
+	for _, e := range es {
+		if c, ok := e.(io.Closer); ok {
+			c.Close()
+		}
+	}
 }
 
 // Check is one shape assertion an experiment makes about its own results.

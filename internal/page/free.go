@@ -4,9 +4,11 @@ package page
 
 import "sync"
 
-// maxFree bounds the released buffers kept per length: one small cache's
-// worth, so a burst of evictions cannot pin memory nobody will ask for.
-const maxFree = 64
+// maxFree bounds the released buffers kept per length: the largest compute
+// cache any experiment or benchmark engine builds (1024 frames), so a retired
+// engine's whole cache waits for the next engine's first fills, while a burst
+// of releases past that cannot pin memory nobody will ask for.
+const maxFree = 1024
 
 var free = struct {
 	sync.Mutex

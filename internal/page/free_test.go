@@ -44,19 +44,19 @@ func TestFreeListIsBounded(t *testing.T) {
 		t.Skip("the race build recycles nothing")
 	}
 	released := make(map[*byte]bool)
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 2000; i++ {
 		b := make([]byte, 1003)
 		released[&b[0]] = true
 		Release(b)
 	}
 	kept := 0
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 2000; i++ {
 		if released[&Alloc(1003)[0]] {
 			kept++
 		}
 	}
-	if kept != 64 {
-		t.Fatalf("1000 releases kept %d buffers, want 64", kept)
+	if kept != 1024 {
+		t.Fatalf("2000 releases kept %d buffers, want 1024", kept)
 	}
 }
 

@@ -16,8 +16,9 @@
 // cell. A slot whose length reads 0xFFFF is not a cell.
 //
 // The package also keeps the free list of page buffers (free.go): a buffer
-// pool hands Release the frame it evicts and a fetch path fills the buffer
-// Alloc returns, so a page miss reuses the buffer the previous miss freed.
+// pool hands Release every frame it drops (evicted, invalidated, or emptied
+// when its compute node retires) and a fetch path fills the buffer Alloc
+// returns, so a page miss reuses a buffer some cache let go.
 // Release is a transfer of ownership with no check behind it; the race build
 // (free_race.go) recycles nothing and poisons released buffers instead.
 package page

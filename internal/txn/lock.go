@@ -32,8 +32,11 @@ const Exclusive Mode = 1
 const lockStripes = 256
 
 type lockShard struct {
-	mu      sync.Mutex
-	holders map[uint64]uint64 // key -> the tx holding it
+	mu sync.Mutex
+	// holders maps a key to the tx holding it. It is made by the shard's
+	// first TryLock: most tables lock few keys, and a nil map reads and
+	// deletes as an empty one.
+	holders map[uint64]uint64
 }
 
 // LockTable is a striped in-memory lock table with try-lock semantics.
@@ -42,13 +45,7 @@ type LockTable struct {
 }
 
 // NewLockTable returns an empty lock table.
-func NewLockTable() *LockTable {
-	lt := &LockTable{}
-	for i := range lt.shards {
-		lt.shards[i].holders = make(map[uint64]uint64)
-	}
-	return lt
-}
+func NewLockTable() *LockTable { return &LockTable{} }
 
 func (lt *LockTable) shard(key uint64) *lockShard {
 	return &lt.shards[((key*0x9E3779B97F4A7C15)>>56)%lockStripes]
@@ -62,6 +59,9 @@ func (lt *LockTable) TryLock(tx uint64, key uint64, _ Mode) bool {
 	defer s.mu.Unlock()
 	if h, ok := s.holders[key]; ok {
 		return h == tx
+	}
+	if s.holders == nil {
+		s.holders = make(map[uint64]uint64)
 	}
 	s.holders[key] = tx
 	return true

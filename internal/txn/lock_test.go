@@ -214,3 +214,20 @@ func TestExclusiveLockUnlockAllocatesNothing(t *testing.T) {
 		t.Error("entry left behind")
 	}
 }
+
+// A table makes a shard's map on the shard's first lock, so building one
+// is a single allocation however many stripes it has; a lookup, a
+// HeldByOther and an Unlock on a shard nobody locked read its nil map.
+func TestNewLockTableAllocatesOnce(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { NewLockTable() }); got > 1 {
+		t.Errorf("NewLockTable made %.0f allocations, want at most 1", got)
+	}
+	lt := NewLockTable()
+	lt.Unlock(1, 9, Exclusive)
+	if lt.HeldByOther(0, 9) {
+		t.Fatal("an empty table reports a holder")
+	}
+	if !lt.TryLock(1, 9, Exclusive) || lt.TryLock(2, 9, Exclusive) || !lt.HeldByOther(2, 9) {
+		t.Fatal("the first lock on a shard did not take")
+	}
+}

@@ -37,6 +37,29 @@ func TestDecodePrefixCleanStream(t *testing.T) {
 	}
 }
 
+// A decoded After is the stream's own bytes, capped at the record's end:
+// decoding copies nothing, and appending to one record's image reallocates
+// instead of writing over the next record.
+func TestDecodedAfterAliasesItsInput(t *testing.T) {
+	stream := encodeStream(sampleRecords())
+	recs, _, err := DecodePrefix(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := recs[0].After
+	if start := recordHeader; &first[0] != &stream[start] || cap(first) != len(first) {
+		t.Fatalf("After is not stream[%d:%d] capped (cap %d)", start, start+len(first), cap(first))
+	}
+	grown := append(first, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"...)
+	if &grown[0] == &stream[recordHeader] {
+		t.Fatal("append grew the image in place")
+	}
+	again, _, err := DecodePrefix(stream)
+	if err != nil || len(again) != 3 || !bytes.Equal(again[1].After, []byte("after-2")) || again[2].Type != TypeCommit {
+		t.Fatalf("the append clobbered the next record: %+v, %v", again, err)
+	}
+}
+
 // Truncation anywhere inside the tail record — header or payload — is what
 // a crash mid-append leaves on disk. Reopen must keep every whole record
 // before the tear and silently discard the tail.

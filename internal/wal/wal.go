@@ -94,7 +94,10 @@ var (
 )
 
 // Decode parses one record from p, returning the record and the number of
-// bytes consumed. A nonzero undo length is a bad record.
+// bytes consumed. A nonzero undo length is a bad record. The record's After
+// is p's own bytes, not a copy, with its capacity capped at the record's
+// end, so an append to it reallocates instead of writing over the next
+// record: p must not change while the record is in use.
 func Decode(p []byte) (Record, int, error) {
 	if len(p) < recordHeader {
 		return Record{}, 0, ErrShortRecord
@@ -117,7 +120,7 @@ func Decode(p []byte) (Record, int, error) {
 	}
 	total := recordHeader + int(alen)
 	if total > recordHeader {
-		r.After = append([]byte(nil), p[recordHeader:total]...)
+		r.After = p[recordHeader:total:total]
 	}
 	return r, total, nil
 }
