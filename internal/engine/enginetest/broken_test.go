@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -76,27 +77,35 @@ func (e *brokenEngine) Recover(c *sim.Clock) (time.Duration, error) {
 }
 
 // TestSuiteCatchesBrokenEngine runs the conformance workload against the
-// broken engine and asserts the checker reports violations after a
-// crash/recover cycle. If this test fails, the suite has lost its teeth.
+// broken engine and asserts the report holds violations after a
+// crash/recover cycle, and the flight timelines with them. If this test
+// fails, the suite has lost its teeth.
 func TestSuiteCatchesBrokenEngine(t *testing.T) {
 	e := &brokenEngine{vals: make(map[uint64][]byte)}
-	layout := Layout(t)
-	seed := Seed()
-	res := runConformanceWorkload(e, layout, seed)
-	if res.commits.Load() == 0 {
+	w := runWorkload(e, "broken", Seed())
+	if w.Report().Commits == 0 {
 		t.Fatal("workload made no progress on the broken engine")
 	}
 	// Pre-crash the state is fine (the bug is durability, not visibility).
-	if v := verifyFinalState(res); len(v) != 0 {
-		t.Fatalf("unexpected pre-crash violations: %v", v)
+	w.Verify("")
+	if rep := w.Report(); !rep.Ok() {
+		t.Fatalf("unexpected pre-crash violations: %v", rep.Violations)
 	}
-	e.Crash()
-	if _, err := e.Recover(sim.NewClock()); err != nil {
-		t.Fatal(err)
+	if !w.CrashRecover(e) {
+		t.Fatal("the broken engine's recovery failed")
 	}
-	violations := verifyFinalState(res)
-	if len(violations) == 0 {
-		t.Fatal("conformance checker passed an engine that loses every acked write on recovery")
+	rep := w.Report()
+	lost := 0
+	for _, v := range rep.Violations {
+		if strings.Contains(v.Msg, "lost acked write") {
+			lost++
+		}
 	}
-	t.Logf("checker correctly flagged %d violations, e.g. %q", len(violations), violations[0])
+	if lost == 0 {
+		t.Fatalf("conformance checker passed an engine that loses every acked write on recovery: %v", rep.Violations)
+	}
+	if !strings.Contains(rep.Dump, "--- worker 0 ---") {
+		t.Errorf("a report with violations carries no flight timelines:\n%s", rep.Dump)
+	}
+	t.Logf("checker correctly flagged %d violations, e.g. %q", len(rep.Violations), rep.Violations[0])
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/disagglab/disagg/internal/cluster"
 	"github.com/disagglab/disagg/internal/engine"
+	"github.com/disagglab/disagg/internal/engine/drill"
 	"github.com/disagglab/disagg/internal/sim"
 	"github.com/disagglab/disagg/internal/sim/fault"
 )
@@ -21,14 +22,14 @@ type SpecFactory func(t *testing.T, cfg *sim.Config) cluster.Spec
 // cluster.Fleet.Run instead of engine.Run, every transaction routed to its
 // key's shard owner and kept to that one key (or two keys of that owner),
 // and every read held to its key's floor. Membership churn runs beside one
-// confOps phase: a scale-out once a quarter of its operations have begun, a
+// drill.Ops phase: a scale-out once a quarter of its operations have begun, a
 // crash drill at half.
 const (
 	elasticStart   = 2 // initial fleet size
 	elasticScaleTo = 3 // mid-workload scale-out target
 	elasticCrashID = 1 // the member the crash drill kills
-	elasticScaleOp = confWorkers * confOps / 4
-	elasticCrashOp = confWorkers * confOps / 2
+	elasticScaleOp = drill.Workers * drill.Ops / 4
+	elasticCrashOp = drill.Workers * drill.Ops / 2
 )
 
 // RunElastic executes the fleet-mode conformance variants: a seeded
@@ -47,17 +48,13 @@ func RunElastic(t *testing.T, specFor SpecFactory) {
 	seed := Seed()
 	t.Logf("elastic seed=%d (override with -seed)", seed)
 	eachProfile(t, "", func(t *testing.T, p *fault.Profile) {
-		cfg, inj, label := faultConfig(p, seed)
+		cfg, inj, label := drill.FaultConfig(sim.DefaultConfig(), p, seed)
 		label = "elastic/" + label
 		f := cluster.New(specFor(t, cfg), sim.NewClock(), elasticStart)
-		run := func(c *sim.Clock, key uint64, opts engine.RunOpts, fn func(tx engine.Tx) error) error {
-			return f.Run(c, key, cluster.RunOpts{RunOpts: opts}, fn)
-		}
-		res := newConformanceResult(Layout(t), run, false)
-		res.routed, res.owner = true, f.Owner
+		w := drill.NewFleetWorkload(f, label, seed)
 		// Both drills tolerate architectures that cannot run them
 		// (partitioned fleets, engines without a Recoverer).
-		extendConformanceWorkload(res, seed, confOps, func(c *sim.Clock, next func() int64) {
+		w.Extend(seed, drill.Ops, func(c *sim.Clock, next func() int64) {
 			scaled := false
 			for n := next(); n > 0; n = next() {
 				if !scaled && n >= elasticScaleOp {
@@ -76,18 +73,19 @@ func RunElastic(t *testing.T, specFor SpecFactory) {
 		if inj != nil {
 			inj.Heal()
 		}
-		t.Logf("profile %s: commits=%d writeErrs=%d readErrs=%d size=%d",
-			label, res.commits.Load(), res.writeErrs.Load(), res.readErrs.Load(), f.Size())
-		if res.commits.Load() == 0 {
+		rep := w.Report()
+		t.Logf("profile %s: commits=%d writeErrs=%d readErrs=%d size=%d", label, rep.Commits, rep.WriteErrs, rep.ReadErrs, f.Size())
+		if rep.Commits == 0 {
 			t.Errorf("no transaction committed under profile %q (seed %d): churn plus faults starve the workload", label, seed)
 		}
-		reportViolations(t, seed, label, verifyFinalState(res))
+		w.Verify("")
 
 		// Drain back to a single member: retirement reassigns shards and must
 		// not lose a single acked write. (Partitioned fleets physically move
 		// their data back into one partition here.)
 		f.ScaleTo(sim.NewClock(), 1)
-		reportViolations(t, seed, label+"+drain", verifyFinalState(res))
+		w.Verify(" after drain")
+		report(t, w.Report())
 
 		if tot := f.Totals(); !tot.Conserved() {
 			t.Errorf("fleet accounting broken under profile %q: attempts %d != commits %d + aborts %d + shed %d (seed %d)",

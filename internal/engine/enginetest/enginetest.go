@@ -13,19 +13,14 @@ import (
 	"time"
 
 	"github.com/disagglab/disagg/internal/engine"
+	"github.com/disagglab/disagg/internal/engine/drill"
 	"github.com/disagglab/disagg/internal/heap"
 	"github.com/disagglab/disagg/internal/sim"
 )
 
-// Layout is the table layout every conformance engine must be built with.
-func Layout(t *testing.T) heap.Layout {
-	t.Helper()
-	l, err := heap.NewLayout(4096, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
+// Layout is the table layout every conformance engine must be built with:
+// the drill's.
+func Layout(t *testing.T) heap.Layout { return drill.Layout() }
 
 func val(layout heap.Layout, tag uint64) []byte {
 	v := make([]byte, layout.ValSize)

@@ -5,48 +5,39 @@ import (
 	"testing"
 	"time"
 
+	"github.com/disagglab/disagg/internal/engine"
+	"github.com/disagglab/disagg/internal/engine/drill"
 	"github.com/disagglab/disagg/internal/engine/monolithic"
 	"github.com/disagglab/disagg/internal/sim"
 	"github.com/disagglab/disagg/internal/sim/fault"
 )
 
 // TestFlightDumpOnForcedInvariantFailure proves the black box actually
-// fires: a real engine runs a faulted seeded workload, the recorded
-// history is then corrupted so the final verification must report a
-// violation, and the dump the suite would log on that failure has to be
-// present, labeled per worker, and bounded by the ring capacity.
+// fires: a real engine runs a faulted seeded workload, a value the workload
+// never issued is then written behind its back so the final verification
+// must report a violation, and the report's dump has to be present,
+// labeled per worker, and bounded by the ring capacity.
 func TestFlightDumpOnForcedInvariantFailure(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	inj := fault.New(Seed(), fault.Profile{Name: "delays", Delay: 0.5, MaxDelay: 2 * time.Millisecond})
-	cfg.Fault = inj
-	layout := Layout(t)
-	e := monolithic.New(cfg, layout, 64)
+	cfg, inj, _ := drill.FaultConfig(sim.DefaultConfig(), &fault.Profile{Name: "delays", Delay: 0.5, MaxDelay: 2 * time.Millisecond}, Seed())
+	e := monolithic.New(cfg, Layout(t), 64)
 
-	res := runConformanceWorkload(e, layout, Seed())
+	w := runWorkload(e, "delays", Seed())
 	inj.Heal()
 
-	// Forge the history: claim an ack one past the last issued write on
-	// some key the workload actually touched. Every re-read of that key
-	// now observes "stale seq < acked" — a guaranteed invariant failure.
-	var forged uint64
-	for _, st := range res.keys {
-		if n := st.issued.Load(); n > 0 {
-			st.acked.Store(n + 1)
-			st.issued.Store(n + 1)
-			forged = st.key
-			break
-		}
+	// Forge the history: store a seq far past any the workload issued on
+	// its first key. Every re-read of that key now observes a fabricated
+	// seq — a guaranteed invariant failure.
+	key := uint64(drill.KeyBase)
+	if err := writeKey(e, sim.NewClock(), engine.RunOpts{Retries: drill.Retries}, key, drill.Val(key, 0, 1<<40)); err != nil {
+		t.Fatalf("forging key %d: %v", key, err)
 	}
-	if forged == 0 {
-		t.Fatalf("workload issued no writes to forge")
-	}
-
-	violations := verifyFinalState(res)
-	if len(violations) == 0 {
+	w.Verify("")
+	rep := w.Report()
+	if rep.Ok() {
 		t.Fatalf("forged history produced no violations — the invariant check is dead")
 	}
 
-	dump := res.box.Dump()
+	dump := rep.Dump
 	if dump == "" {
 		t.Fatalf("invariant failure with an empty flight-recorder dump")
 	}
@@ -56,11 +47,12 @@ func TestFlightDumpOnForcedInvariantFailure(t *testing.T) {
 		}
 	}
 	// Bounded: one recorder per worker plus the verify passes, each ring
-	// capped at confFlightEvents — regardless of how many ops ran.
-	if res.box.Size() > confWorkers+4 {
-		t.Errorf("box grew %d recorders, want <= workers + verify passes", res.box.Size())
+	// capped at the drill's 256 events — regardless of how many ops ran.
+	recorders := strings.Count(dump, "retained of")
+	if recorders > drill.Workers+4 {
+		t.Errorf("box grew %d recorders, want <= workers + verify passes", recorders)
 	}
-	if lines := strings.Count(dump, "\n"); lines > res.box.Size()*(confFlightEvents+2) {
+	if lines := strings.Count(dump, "\n"); lines > 1+recorders*(256+2) {
 		t.Errorf("dump has %d lines; rings are not bounding retention", lines)
 	}
 }

@@ -1,9 +1,11 @@
 package enginetest
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/disagglab/disagg/internal/engine"
+	"github.com/disagglab/disagg/internal/engine/drill"
 	"github.com/disagglab/disagg/internal/sim"
 	"github.com/disagglab/disagg/internal/sim/fault"
 )
@@ -17,31 +19,12 @@ import (
 // in the publish→truncate window (held open by failing every truncation
 // RPC).
 
-// ckptRetries bounds checkpoint retries under fault profiles; a round can
-// legitimately fail when drops cost it quorum or tear its snapshot upload.
-const ckptRetries = 5
-
-// checkpointWithRetry runs checkpoint rounds until one succeeds, returning
-// the last error (nil on success). Retrying is safe by construction: a
-// failed flush leaves the horizon unchanged and a failed truncation is
-// idempotent debt the next round retires.
-func checkpointWithRetry(cp engine.Checkpointer, c *sim.Clock) error {
-	var err error
-	for i := 0; i < ckptRetries; i++ {
-		if err = cp.Checkpoint(c); err == nil {
-			return nil
-		}
-	}
-	return err
-}
-
 // runConcurrentCheckpoint races checkpoint rounds against the live
 // workload from a separate goroutine — the regime the capture-before-flush
 // ordering exists for: a commit acked while a round's flush runs lands
 // above the captured horizon and must survive in the retained tail.
 func runConcurrentCheckpoint(t *testing.T, factory Factory, seed int64) {
 	t.Helper()
-	layout := Layout(t)
 	e := factory(t, sim.DefaultConfig())
 	cp := engine.Caps(e).Checkpointer
 	if cp == nil {
@@ -64,9 +47,9 @@ func runConcurrentCheckpoint(t *testing.T, factory Factory, seed int64) {
 			}
 		}
 	}
-	res := engineResult(e, layout)
-	extendConformanceWorkload(res, seed, confOps, checkpointer)
-	extendConformanceWorkload(res, seed+1, confOps, checkpointer)
+	w := drill.NewWorkload(e, "recovery/concurrent", seed)
+	w.Extend(seed, drill.Ops, checkpointer)
+	w.Extend(seed+1, drill.Ops, checkpointer)
 
 	if firstErr != nil {
 		t.Errorf("concurrent checkpoint on clean fabric: %v", firstErr)
@@ -80,9 +63,12 @@ func runConcurrentCheckpoint(t *testing.T, factory Factory, seed int64) {
 	if cp.RecoveryHorizon() == 0 {
 		t.Error("no recovery horizon published after racing rounds plus a quiesced round")
 	}
-	reportViolations(t, seed, "recovery/concurrent", verifyFinalState(res))
-	crashRecoverVerify(t, e, res, seed, "recovery/concurrent")
-	checkConservation(t, e, "recovery/concurrent", seed)
+	w.Verify("")
+	w.CrashRecover(e)
+	report(t, w.Report())
+	if err := drill.Conservation(e.Stats()); err != nil {
+		t.Errorf("recovery/concurrent: %v (replay: -seed=%d)", err, seed)
+	}
 }
 
 // runFailedDurable makes one write the durable tier refuses — every durable
@@ -94,16 +80,13 @@ func runConcurrentCheckpoint(t *testing.T, factory Factory, seed int64) {
 // tier has no append site commits the write and skips.
 func runFailedDurable(t *testing.T, factory Factory, seed int64) {
 	t.Helper()
-	layout := Layout(t)
-	inj := fault.New(seed, fault.Profile{Name: "refuse-appends", Drop: 1, Sites: fault.AppendSites})
+	cfg, inj, _ := drill.FaultConfig(sim.DefaultConfig(), &fault.Profile{Name: "refuse-appends", Drop: 1, Sites: fault.AppendSites}, seed)
 	inj.Heal()
-	cfg := sim.DefaultConfig()
-	cfg.Fault = inj
 	e := factory(t, cfg)
 	c := sim.NewClock()
-	key := uint64(confKeyBase)
+	key := uint64(drill.KeyBase)
 	write := func(seq uint64) error {
-		return writeKey(e, c, engine.RunOpts{}, key, confVal(layout, key, 0, seq))
+		return writeKey(e, c, engine.RunOpts{}, key, drill.Val(key, 0, seq))
 	}
 	if err := write(1); err != nil {
 		t.Fatalf("write on a clean fabric: %v", err)
@@ -115,61 +98,39 @@ func runFailedDurable(t *testing.T, factory Factory, seed int64) {
 		t.Skip("the durable tier has no append site: the write committed")
 	}
 	if cp := engine.Caps(e).Checkpointer; cp != nil {
-		if err := checkpointWithRetry(cp, c); err != nil {
+		if err := drill.CheckpointWithRetry(cp, c); err != nil {
 			t.Fatalf("checkpoint after the refused write: %v", err)
 		}
 	}
 	crashRecover(t, e)
-	got, err := readKey(e, c, engine.RunOpts{Retries: confRetries}, key)
+	got, err := readKey(e, c, engine.RunOpts{Retries: drill.Retries}, key)
 	if err != nil {
 		t.Fatalf("read back: %v", err)
 	}
-	if _, _, seq, _, ok := confDecode(got); !ok || seq != 1 {
-		t.Fatalf("key %d reads seq %d (checksum ok %v) after a refused write of seq 2, want 1 (seed %d)", key, seq, ok, seed)
+	if !bytes.Equal(got, drill.Val(key, 0, 1)) {
+		t.Fatalf("key %d reads %x after a refused write of seq 2, want seq 1 (seed %d)", key, got[:min(len(got), 32)], seed)
 	}
 }
 
-// tornTruncationProfile drops every distributed truncation RPC while
-// leaving the rest of the fabric clean: the round's flush and horizon
-// publish succeed, but the log below the horizon survives — the
+// runTornTruncation checkpoints with every distributed truncation RPC
+// failing while the rest of the fabric stays clean: the round's flush and
+// horizon publish succeed, but the log below the horizon survives — the
 // crash-in-the-publish→truncate-window scenario, held open
-// deterministically. Engines whose truncation is purely node-local see no
-// injectable site and simply complete the round; the drill still verifies
-// their recovery with a fresh horizon.
-func tornTruncationProfile() fault.Profile {
-	return fault.Profile{
-		Name: "torn-truncation",
-		Drop: 1,
-		Sites: []string{
-			"logstore.truncate",
-			"raft.compact",
-			"obj.delete",
-		},
-	}
-}
-
-// runTornTruncation checkpoints with every truncation RPC failing, crashes
-// in the held-open window (log retained below the published horizon —
-// recovery must not double-apply or refuse it), then heals and verifies
-// the next round retires the truncation debt.
+// deterministically. It crashes in that window (recovery must not
+// double-apply or refuse the retained log), then heals and verifies the
+// next round retires the truncation debt. Engines whose truncation is
+// purely node-local see no injectable site and simply complete the round.
 func runTornTruncation(t *testing.T, factory Factory, seed int64) {
 	t.Helper()
-	layout := Layout(t)
-	inj := fault.New(seed, tornTruncationProfile())
+	cfg, inj, _ := drill.FaultConfig(sim.DefaultConfig(), &fault.Profile{Name: "torn-truncation", Drop: 1, Sites: []string{"logstore.truncate", "raft.compact", "obj.delete"}}, seed)
 	inj.Heal() // the workload runs clean; only the truncation step is faulted
-	cfg := sim.DefaultConfig()
-	cfg.Fault = inj
-	cfg.Stats = sim.NewRegistry()
 	e := factory(t, cfg)
 	cp := engine.Caps(e).Checkpointer
-	if cp == nil {
-		t.Skip("engine does not implement Checkpointer")
-	}
-	if engine.Caps(e).Recoverer == nil {
-		t.Skip("engine does not implement Recoverer")
+	if cp == nil || engine.Caps(e).Recoverer == nil {
+		t.Skip("engine does not implement Checkpointer and Recoverer")
 	}
 
-	res := runConformanceWorkload(e, layout, seed)
+	w := runWorkload(e, "recovery/torn-truncation", seed)
 	inj.Enable()
 	err := cp.Checkpoint(sim.NewClock())
 	if h := cp.RecoveryHorizon(); h == 0 {
@@ -179,18 +140,19 @@ func runTornTruncation(t *testing.T, factory Factory, seed int64) {
 	}
 	inj.Heal()
 
-	crashRecoverVerify(t, e, res, seed, "recovery/torn-truncation")
-
 	// Healed: more commits, and the next round must retire the retained
 	// log debt (truncation is idempotent and retryable).
-	extendConformanceWorkload(res, seed+1, confOps, nil)
-	if err := checkpointWithRetry(cp, sim.NewClock()); err != nil {
-		t.Errorf("healed checkpoint did not retire truncation debt: %v", err)
+	if w.CrashRecover(e) {
+		w.Extend(seed+1, drill.Ops, nil)
+		if err := drill.CheckpointWithRetry(cp, sim.NewClock()); err != nil {
+			t.Errorf("healed checkpoint did not retire truncation debt: %v", err)
+		}
+		w.CrashRecover(e)
 	}
-	crashRecoverVerify(t, e, res, seed, "recovery/torn-truncation+healed")
-	checkConservation(t, e, "recovery/torn-truncation", seed)
-	if t.Failed() {
-		t.Logf("per-site telemetry:\n%s", cfg.Stats.String())
-		t.Logf("flight-recorder timelines:\n%s", res.box.Dump())
+	rep := w.Report()
+	if err := drill.Conservation(e.Stats()); err != nil {
+		t.Errorf("recovery/torn-truncation: %v (replay: -seed=%d)", err, seed)
 	}
+	rep.Telemetry(cfg.Stats)
+	report(t, rep)
 }

@@ -6,10 +6,7 @@ import (
 	"time"
 
 	"github.com/disagglab/disagg/internal/engine"
-	"github.com/disagglab/disagg/internal/engine/aurora"
-	"github.com/disagglab/disagg/internal/engine/polardb"
-	"github.com/disagglab/disagg/internal/engine/socrates"
-	"github.com/disagglab/disagg/internal/engine/taurus"
+	"github.com/disagglab/disagg/internal/engine/drill"
 	"github.com/disagglab/disagg/internal/memnode"
 	"github.com/disagglab/disagg/internal/metrics"
 	"github.com/disagglab/disagg/internal/sim"
@@ -30,46 +27,17 @@ func init() {
 // that the low-load knee is visible against single-commit latency.
 const e24Window = 50 * time.Microsecond
 
-// e24Engines are the group-commit-capable engines under test. Builders
-// return fresh engines with background page work disabled, so cells
-// measure the commit path alone.
-func e24Engines() []struct {
-	name  string
-	build func(cfg *sim.Config) engine.Engine
-} {
-	layout := oltpLayout()
-	return []struct {
-		name  string
-		build func(cfg *sim.Config) engine.Engine
-	}{
-		{"aurora", func(cfg *sim.Config) engine.Engine {
-			return aurora.New(cfg, layout, 1024, 1)
-		}},
-		{"socrates", func(cfg *sim.Config) engine.Engine {
-			e := socrates.New(cfg, layout, 1024, 2)
-			e.SnapshotEvery = 0
-			return e
-		}},
-		{"taurus", func(cfg *sim.Config) engine.Engine {
-			e := taurus.New(cfg, layout, 1024, 2)
-			e.GossipEvery = 0
-			return e
-		}},
-		{"polardb", func(cfg *sim.Config) engine.Engine {
-			e := polardb.New(cfg, layout, 1024)
-			e.CheckpointEvery = 0
-			return e
-		}},
-	}
-}
+// e24Engines are the roster's group-commit engines with background page
+// work off, so cells measure the commit path alone.
+func e24Engines() []rosterEntry { return quietEngines(groupCommitters...) }
 
 // e24Cell drives one (engine, batch size, worker count) cell: disjoint
 // single-key write transactions, batch <= 1 meaning group commit stays
 // disabled. It reports the group result, the per-commit latency summary,
 // and the engine's flush telemetry.
-func e24Cell(cfg *sim.Config, build func(*sim.Config) engine.Engine, workers, txns, batch int) (sim.GroupResult, metrics.Summary, *engine.Stats) {
+func e24Cell(cfg *sim.Config, build drill.Builder, workers, txns, batch int) (sim.GroupResult, metrics.Summary, *engine.Stats) {
 	layout := oltpLayout()
-	e := build(cfg)
+	e := build(cfg, layout)
 	defer retire(e)
 	if batch > 1 {
 		engine.Caps(e).GroupCommitter.EnableGroupCommit(batch, e24Window)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/disagglab/disagg/internal/engine"
+	"github.com/disagglab/disagg/internal/engine/drill"
 	"github.com/disagglab/disagg/internal/sim"
 	"github.com/disagglab/disagg/internal/sim/admission"
 	"github.com/disagglab/disagg/internal/sim/fault"
@@ -86,7 +87,7 @@ func (c e25Cell) amplification() float64 {
 // the Run-level breaker and shedder, a shared retry budget, and jittered
 // exponential backoff charged to the clock — including a full backoff
 // pause when an op is abandoned, so a failing client stops offering load.
-func e25Run(cfg *sim.Config, build func(*sim.Config) engine.Engine, workers, txns int, slo time.Duration, admit bool) (e25Cell, *e25Controls) {
+func e25Run(cfg *sim.Config, build drill.Builder, workers, txns int, slo time.Duration, admit bool) (e25Cell, *e25Controls) {
 	layout := oltpLayout()
 	var opts engine.RunOpts
 	var ctl *e25Controls
@@ -102,7 +103,7 @@ func e25Run(cfg *sim.Config, build func(*sim.Config) engine.Engine, workers, txn
 			Shed:    ctl.shed,
 		}
 	}
-	e := build(cfg)
+	e := build(cfg, layout)
 	var latSum, latN atomic.Int64
 	lastGood := make([]time.Duration, workers)
 	res := sim.RunGroup(workers, func(id int, c *sim.Clock) int {
@@ -196,9 +197,9 @@ func e25Run(cfg *sim.Config, build func(*sim.Config) engine.Engine, workers, txn
 // e25Calibrate measures an engine's uncontended steady-state per-op
 // latency: one worker, long enough that warmup-cheap early ops (cold
 // meters) stop skewing the mean, measured over the second half.
-func e25Calibrate(cfg *sim.Config, build func(*sim.Config) engine.Engine, txns int) time.Duration {
+func e25Calibrate(cfg *sim.Config, build drill.Builder, txns int) time.Duration {
 	layout := oltpLayout()
-	e := build(cfg.Clone())
+	e := build(cfg.Clone(), layout)
 	c := sim.NewClock()
 	rng := sim.NewRand(e25Seed, 0)
 	var half time.Duration
@@ -329,7 +330,7 @@ func runE25(cfg *sim.Config, s Scale) *Result {
 		admission.GateMaxUtil, 100*admission.GateMinQueued, 10.0, 8, 2*time.Millisecond)
 	r.note("goodput = commits meeting a %dx steady-state SLO per virtual second; late commits count as work, not goodput", e25SLOMult)
 	r.traceOp(cfg, "txn.write-aurora", func(c *sim.Clock) {
-		e := au.build(cfg)
+		e := au.build(cfg, oltpLayout())
 		engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
 			return tx.Write(1, make([]byte, oltpLayout().ValSize))
 		})

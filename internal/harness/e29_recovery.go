@@ -6,15 +6,7 @@ import (
 	"time"
 
 	"github.com/disagglab/disagg/internal/engine"
-	"github.com/disagglab/disagg/internal/engine/aurora"
-	"github.com/disagglab/disagg/internal/engine/legobase"
-	"github.com/disagglab/disagg/internal/engine/monolithic"
-	"github.com/disagglab/disagg/internal/engine/pilotdb"
-	"github.com/disagglab/disagg/internal/engine/polardb"
-	"github.com/disagglab/disagg/internal/engine/serverless"
-	"github.com/disagglab/disagg/internal/engine/snowflake"
-	"github.com/disagglab/disagg/internal/engine/socrates"
-	"github.com/disagglab/disagg/internal/engine/taurus"
+	"github.com/disagglab/disagg/internal/engine/drill"
 	"github.com/disagglab/disagg/internal/heap"
 	"github.com/disagglab/disagg/internal/sim"
 	"github.com/disagglab/disagg/internal/storagenode"
@@ -115,12 +107,7 @@ func e29Sweep(e engine.Engine, layout heap.Layout, txns, ckptEvery int) (e29Arm,
 			arm.lost++
 		}
 	}
-	st := e.Stats()
-	if st.Attempts.Load() != st.Commits.Load()+st.Aborts.Load()+st.Shed.Load() {
-		return arm, fmt.Errorf("attempts accounting violated: %d != %d+%d+%d",
-			st.Attempts.Load(), st.Commits.Load(), st.Aborts.Load(), st.Shed.Load())
-	}
-	return arm, nil
+	return arm, drill.Conservation(e.Stats())
 }
 
 // e29RebuildArm measures the storage-tier rebuild the log-as-database
@@ -183,19 +170,7 @@ func runE29(cfg *sim.Config, s Scale) *Result {
 	// retained log, so an unbounded log is directly an unbounded restart.
 	// (The log-as-database engines recover compute in O(1) by design —
 	// their unbounded cost is the storage-rebuild arm below.)
-	sweep := []struct {
-		name  string
-		build func() engine.Engine
-	}{
-		{"monolithic", func() engine.Engine { return monolithic.New(cfg, layout, 1024) }},
-		{"snowflake-kv", func() engine.Engine { return snowflake.NewKV(cfg, layout) }},
-		{"legobase", func() engine.Engine {
-			e := legobase.New(cfg, layout, 64, 4096)
-			e.CheckpointRemoteEvery = 0 // lifecycle driven explicitly by the sweep
-			e.CheckpointStorageEvery = 0
-			return e
-		}},
-	}
+	sweep := quietEngines("monolithic", "snowflake-kv", "legobase")
 
 	for _, eng := range sweep {
 		t := r.table(fmt.Sprintf("E29: %s — recovery time across a %dx log-length sweep (checkpoint every %d commits vs never)",
@@ -204,12 +179,12 @@ func runE29(cfg *sim.Config, s Scale) *Result {
 		var plain, ckpt []e29Arm
 		for _, m := range mults {
 			txns := base * m
-			pa, err := e29Sweep(eng.build(), layout, txns, 0)
+			pa, err := e29Sweep(eng.build(cfg, layout), layout, txns, 0)
 			if err != nil {
 				r.check(fmt.Sprintf("%s: unchecked arm at %d txns runs clean", eng.name, txns), false, "%v", err)
 				continue
 			}
-			ca, err := e29Sweep(eng.build(), layout, txns, ckptEvery)
+			ca, err := e29Sweep(eng.build(cfg, layout), layout, txns, ckptEvery)
 			if err != nil {
 				r.check(fmt.Sprintf("%s: checkpointed arm at %d txns runs clean", eng.name, txns), false, "%v", err)
 				continue
@@ -277,37 +252,11 @@ func runE29(cfg *sim.Config, s Scale) *Result {
 
 	// Crash drill across the full recoverable roster: every engine runs
 	// with periodic checkpoints, crashes, recovers, and must lose nothing.
-	roster := []struct {
-		name  string
-		build func() engine.Engine
-	}{
-		{"monolithic", func() engine.Engine { return monolithic.New(cfg, layout, 1024) }},
-		{"aurora", func() engine.Engine { return aurora.New(cfg, layout, 1024, 1) }},
-		{"socrates", func() engine.Engine {
-			e := socrates.New(cfg, layout, 1024, 2)
-			e.SnapshotEvery = 0
-			return e
-		}},
-		{"taurus", func() engine.Engine { return taurus.New(cfg, layout, 1024, 3) }},
-		{"polardb", func() engine.Engine {
-			e := polardb.New(cfg, layout, 1024)
-			e.CheckpointEvery = 0
-			return e
-		}},
-		{"legobase", func() engine.Engine {
-			e := legobase.New(cfg, layout, 64, 4096)
-			e.CheckpointRemoteEvery = 0
-			e.CheckpointStorageEvery = 0
-			return e
-		}},
-		{"pilotdb", func() engine.Engine { return pilotdb.New(cfg, layout, 1024, pilotdb.Pilot()) }},
-		{"snowflake-kv", func() engine.Engine { return snowflake.NewKV(cfg, layout) }},
-		{"serverless", func() engine.Engine { return serverless.New(cfg, layout, 2, 64, 4096) }},
-	}
+	drilled := quietEngines("monolithic", "aurora", "socrates", "taurus", "polardb", "legobase", "pilotdb", "snowflake-kv", "serverless")
 	t := r.table(fmt.Sprintf("E29: crash drill, all recoverable engines — %d txns, checkpoint every %d commits", base, ckptEvery),
 		"engine", "recovery", "horizon", "acked lost")
-	for _, eng := range roster {
-		arm, err := e29Sweep(eng.build(), layout, base, ckptEvery)
+	for _, eng := range drilled {
+		arm, err := e29Sweep(eng.build(cfg, layout), layout, base, ckptEvery)
 		if err != nil {
 			r.check(fmt.Sprintf("%s: crash drill runs clean", eng.name), false, "%v", err)
 			continue
@@ -322,7 +271,7 @@ func runE29(cfg *sim.Config, s Scale) *Result {
 	r.note("the redo-class engines (monolithic, snowflake-kv, legobase) replay their retained log on Recover; log-as-database engines recover compute in O(1) and pay the unbounded cost in storage-node rebuild instead — measured by the substrate arm")
 	r.note("shared-nothing checkpoints per partition (its shard image is the recovery source) but does not implement Recoverer; its lifecycle is covered by the enginetest Recovery drills")
 	r.traceOp(cfg, "txn.write+ckpt", func(c *sim.Clock) {
-		e := roster[0].build()
+		e := drilled[0].build(cfg, layout)
 		engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
 			return tx.Write(1, make([]byte, layout.ValSize))
 		})

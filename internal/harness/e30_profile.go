@@ -78,9 +78,9 @@ func runE30(cfg *sim.Config, s Scale) *Result {
 	// (checked within 1% to tolerate nothing more than rounding).
 	t := r.table("E30: critical-path attribution, clean fabric ("+fmt.Sprint(e30Workers)+" workers)",
 		"engine", "txns", "e2e total", "dominant", "rdma", "tcp", "device", "storage", "coherence", "backoff", "residual")
-	for _, eng := range e26Engines() {
+	for _, eng := range roster {
 		ecfg := cfg.Clone()
-		e := eng.build(ecfg)
+		e := eng.build(ecfg, oltpLayout())
 		p := profile.NewProfiler(eng.name, 5)
 		e30Run(e, p, e30Workers, ops, 0)
 		a := p.Attribution()
