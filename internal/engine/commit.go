@@ -34,8 +34,9 @@ import (
 //
 // Ownership: recs is the transaction context's scratch, rewritten by the
 // next transaction, and valid only until the hook returns — a hook that
-// keeps records copies them. Each record's After is a fresh slice nobody
-// writes again; a hook may keep that by reference.
+// keeps records copies them. Each record's After is the log's own copy of
+// the image (wal.Log.Reserve), which nobody writes again; a hook may keep
+// that by reference until the engine is closed.
 type Hooks struct {
 	// Read serves one key on the node that runs read-write transactions
 	// (Execute): its cache tiers, then wherever this architecture
@@ -144,6 +145,11 @@ type Pipeline struct {
 	caches []cache
 
 	crashed atomic.Bool
+	// closed makes a second Close a no-op; open counts the members of the
+	// substrate (the root and its peers) not yet closed, and the last Close
+	// hands the shared log's images back.
+	closed  atomic.Bool
+	open    *atomic.Int32
 	nextTx  atomic.Uint64
 	durable atomic.Uint64
 	// applying is shared with the node's peers, like the log.
@@ -159,9 +165,11 @@ type Pipeline struct {
 // ("ckpt."+site, site+".coherence", site+".groupcommit"); it is a parameter
 // because it is not always the engine's Name.
 func NewPipeline(cfg *sim.Config, site string, layout heap.Layout, log *wal.Log, stats *Stats, h Hooks) *Pipeline {
-	return &Pipeline{Hooks: h, cfg: cfg, site: site, layout: layout, log: log,
+	p := &Pipeline{Hooks: h, cfg: cfg, site: site, layout: layout, log: log,
 		locks: txn.NewLockTable(), stats: stats, ckpt: checkpoint.New(cfg, "ckpt."+site),
-		applying: &applying{}}
+		open: new(atomic.Int32), applying: &applying{}}
+	p.open.Store(1)
+	return p
 }
 
 // Peer is an additional compute node on p's shared substrate: the log (one
@@ -171,7 +179,8 @@ func NewPipeline(cfg *sim.Config, site string, layout heap.Layout, log *wal.Log,
 // stripes the transaction-id space so members never collide in the log.
 func (p *Pipeline) Peer(peerID int, stats *Stats, h Hooks) *Pipeline {
 	q := &Pipeline{Hooks: h, cfg: p.cfg, site: p.site, layout: p.layout, log: p.log,
-		locks: txn.NewLockTable(), stats: stats, ckpt: p.ckpt, dir: p.dir, applying: p.applying}
+		locks: txn.NewLockTable(), stats: stats, ckpt: p.ckpt, dir: p.dir, open: p.open, applying: p.applying}
+	q.open.Add(1)
 	q.nextTx.Store(uint64(peerID) << 40)
 	return q
 }
@@ -231,12 +240,21 @@ func (p *Pipeline) Up() { p.crashed.Store(false) }
 // ErrUnavailable instead of refilling a cold cache, and every pool Cache
 // registered leaves the directory and hands its frames to page.Release,
 // without writeback. The node's cache is a soft copy of its durable tier, so
-// nothing is lost that a successor cannot fetch again.
+// nothing is lost that a successor cannot fetch again. The last member of
+// the substrate to close, root or peer, also releases the log
+// (wal.Log.Release): the caller retires the engine whole, so nothing reads
+// its log, storage tier or view afterwards. A second Close does nothing.
 func (p *Pipeline) Close() {
+	if p.closed.Swap(true) {
+		return
+	}
 	p.crashed.Store(true)
 	for _, c := range p.caches {
 		p.dir.Deregister(c.h)
 		c.pool.InvalidateAll()
+	}
+	if p.open.Add(-1) == 0 {
+		p.log.Release()
 	}
 }
 

@@ -631,6 +631,97 @@ func TestPipelineCloseRetiresTheNode(t *testing.T) {
 	}
 }
 
+// TestPipelinePeerOutlivesClosedRoot: the log is the substrate's, so closing
+// the root while a peer commits leaves every image the peer's durable tier
+// holds by reference intact (run with -race: a released chunk is poisoned),
+// and the last member to close hands the log's chunks to page.Release.
+func TestPipelinePeerOutlivesClosedRoot(t *testing.T) {
+	layout, err := heap.NewLayout(4096, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The durable tier keeps each committed image by reference, as a
+	// replica's pending list or a materialized view does, and serves reads.
+	var mu sync.Mutex
+	kept := map[uint64][]byte{}
+	hooks := Hooks{
+		Read: func(_ *sim.Clock, key uint64) ([]byte, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			return slices.Clone(kept[key]), nil
+		},
+		Durable: func(_ *sim.Clock, recs []wal.Record) error {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, r := range recs[:len(recs)-1] {
+				kept[r.Key] = r.After
+			}
+			return nil
+		},
+		Apply: func(*sim.Clock, []wal.Record) error { return nil },
+	}
+	var stats, peerStats Stats
+	root := NewPipeline(sim.DefaultConfig(), "test", layout, wal.NewLog(), &stats, hooks)
+	peer := root.Peer(1, &peerStats, hooks)
+	value := func(i int) []byte {
+		v := bytes.Repeat([]byte{0x5A}, layout.ValSize)
+		v[0] = byte(i)
+		return v
+	}
+	if err := root.Execute(sim.NewClock(), func(tx Tx) error { return tx.Write(1, value(1)) }); err != nil {
+		t.Fatal(err)
+	}
+	// The peer commits through the root's Close, and its second half
+	// strictly after it.
+	const commits = 200
+	started, closed, done := make(chan struct{}), make(chan struct{}), make(chan error)
+	go func() {
+		c := sim.NewClock()
+		for i := range commits {
+			key := uint64(2 + i%8)
+			if err := peer.Execute(c, func(tx Tx) error { return tx.Write(key, value(i)) }); err != nil {
+				done <- err
+				return
+			}
+			switch i {
+			case 10:
+				close(started)
+			case commits / 2:
+				<-closed
+			}
+			var got []byte
+			read := func(tx Tx) (err error) { got, err = tx.Read(key); return err }
+			if err := peer.Execute(c, read); err != nil || !bytes.Equal(got, value(i)) {
+				done <- fmt.Errorf("commit %d: key %d reads %x (err %v)", i, key, got, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	<-started
+	root.Close()
+	root.Close() // a second Close must not count again
+	close(closed)
+	if err := <-done; err != nil {
+		t.Fatalf("peer after the root closed: %v", err)
+	}
+	mu.Lock()
+	first := kept[1]
+	mu.Unlock()
+	if !bytes.Equal(first, value(1)) {
+		t.Fatalf("the root's image after the root closed: %x", first)
+	}
+
+	peer.Close()
+	reused := page.Alloc(wal.ChunkSize)
+	for i := range reused {
+		reused[i] = 0xEE
+	}
+	if bytes.Equal(first, value(1)) {
+		t.Fatal("the last Close did not release the log's chunks")
+	}
+}
+
 // TestPipelinePeerSharesLogDirectoryAndHorizon: a commit on either member
 // invalidates the other's cached frame, a checkpoint on either moves the
 // one horizon both report, and transaction ids never collide in the shared

@@ -27,7 +27,9 @@ import (
 type Tx interface {
 	// Read returns the current value of key.
 	Read(key uint64) ([]byte, error)
-	// Write stages an update of key to val (visible at commit).
+	// Write stages an update of key to val (visible at commit). val is
+	// copied, so the caller may reuse it once Write returns; what is
+	// stored has the layout's value size (heap.Layout.Fit).
 	Write(key uint64, val []byte) error
 }
 

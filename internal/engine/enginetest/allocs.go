@@ -28,23 +28,25 @@ func RaceBuild() bool {
 // count bound alone passed an 8 KB page copy per read). The bounds are what
 // this guard measures on Layout's 4 KB pages, the KB one rounded up:
 //
-//	monolithic  2  0.75 KB      aurora      2  1.87 KB
-//	legobase    2  0.78 KB      polardb     3  1.18 KB
-//	socrates    3  1.85 KB      serverless  3  1.88 KB
-//	pilotdb     4  1.90 KB      taurus      3  3.62 KB
-//	snowflake-kv 4 1.11 KB      shared-nothing 2  0.75 KB
+//	monolithic  1  0.75 KB      aurora      1  1.87 KB
+//	legobase    1  0.78 KB      polardb     2  1.18 KB
+//	socrates    2  1.85 KB      serverless  2  1.88 KB
+//	pilotdb     3  1.90 KB      taurus      2  3.62 KB
+//	snowflake-kv 3 1.11 KB      shared-nothing 1  0.75 KB
 //
-// Two of those are the transaction itself on every engine — the copy Read
-// hands the caller and the copy Write stages, which the log keeps; the rest
-// is what the engine's durable tier keeps (the transaction context and the
-// lock entry are recycled, see engine.StagedTx; storage replicas reuse their
-// pending lists, quorum appends keep their acks on the stack, and raft keeps
-// the payload it is handed instead of a copy). Under one page wherever a
-// commit copies no page: reads run on the cache frame
-// (buffer.Pool.View) and only the value leaves it. Serverless's owned page copy comes from the page
-// free list; taurus's KB is its page-store gossip — periodic work is
-// averaged in, as in the benchmark, whose engine.<name>.allocs_per_txn reads
-// up to 1 higher.
+// One of those is the transaction itself on every engine: the copy Read
+// hands the caller. Write copies its value into the transaction context's
+// arena and the log copies it into a chunk of its own (wal.Log.Reserve), so
+// staging allocates nothing and logging a chunk's worth of images costs one
+// page.Alloc. The rest is what the engine's durable tier keeps (the
+// transaction context and the lock entry are recycled, see engine.StagedTx;
+// storage replicas reuse their pending lists, quorum appends keep their acks
+// on the stack, and raft keeps the payload it is handed instead of a copy).
+// Under one page wherever a commit copies no page: reads run on the cache
+// frame (buffer.Pool.View) and only the value leaves it. Serverless's owned
+// page copy comes from the page free list; taurus's KB is its page-store
+// gossip — periodic work is averaged in, as in the benchmark, whose
+// engine.<name>.allocs_per_txn reads up to 1 higher.
 func AllocGuard(t *testing.T, e engine.Engine, max, maxKB float64) {
 	t.Helper()
 	const key, runs = 7, 512

@@ -143,6 +143,40 @@ func Run(t *testing.T, factory func(t *testing.T) engine.Engine) {
 		}
 	})
 
+	// A value's length is one rule on every engine: what is stored and read
+	// back has the layout's value size, a longer value truncated and a
+	// shorter one padded with zeros (heap.Layout.Fit), before and after
+	// recovery alike.
+	t.Run("ValueLength", func(t *testing.T) {
+		e := factory(t)
+		c := sim.NewClock()
+		long := make([]byte, 200)
+		for i := range long {
+			long[i] = byte(i + 1)
+		}
+		writes := []struct {
+			key uint64
+			v   []byte
+		}{{21, long}, {22, long[:40]}}
+		for _, w := range writes {
+			if err := writeKey(e, c, engine.RunOpts{}, w.key, w.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(when string) {
+			for _, w := range writes {
+				got, err := readKey(e, c, engine.RunOpts{}, w.key)
+				if want := layout.Fit(w.v); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s: a %d-byte write at value size %d reads back %d bytes %x (err %v), want %x",
+						when, len(w.v), layout.ValSize, len(got), got, err, want)
+				}
+			}
+		}
+		check("before recovery")
+		crashRecover(t, e)
+		check("after recovery")
+	})
+
 	t.Run("MultiKeyAtomic", func(t *testing.T) {
 		e := factory(t)
 		c := sim.NewClock()

@@ -196,15 +196,17 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 		hi = run(legs, lo)
 		probe := s.forkProbe(c)
 		p := legs[lo].p
-		logBytes := 0
+		// The participant's log copies each staged value; the shard stores
+		// that copy, at the layout's value size.
+		recs := s.recs[:0]
 		for _, l := range legs[lo:hi] {
-			rec := wal.Record{Type: wal.TypeUpdate, TxID: s.txID, PageID: uint64(e.layout.PageOf(l.w.Key)), Key: l.w.Key, After: l.w.Val}
-			p.log.Append(rec)
-			logBytes += rec.EncodedSize()
+			recs = append(recs, wal.Record{Type: wal.TypeUpdate, TxID: s.txID, PageID: uint64(e.layout.PageOf(l.w.Key)), Key: l.w.Key, After: l.w.Val})
 		}
-		cm := wal.Record{Type: wal.TypeCommit, TxID: s.txID}
-		p.log.Append(cm)
-		logBytes += cm.EncodedSize()
+		recs = append(recs, wal.Record{Type: wal.TypeCommit, TxID: s.txID})
+		s.recs = recs
+		p.log.Reserve(recs)
+		p.log.Decide(recs, true)
+		logBytes := wal.Size(recs)
 		if legs[lo].part != s.coord {
 			probe.Advance(e.cfg.TCP.Cost(logBytes))
 			commitNet += int64(logBytes)
@@ -213,8 +215,8 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 		p.ssd.Write(probe, logBytes)
 		e.stats.LogBytes.Add(int64(logBytes))
 		p.mu.Lock()
-		for _, l := range legs[lo:hi] {
-			p.data[l.w.Key] = l.w.Val // staged values are never written again
+		for _, r := range recs[:len(recs)-1] {
+			p.data[r.Key] = e.layout.Fit(r.After) // the log writes its images once
 		}
 		p.mu.Unlock()
 		maxCommit = max(maxCommit, probe.Now()-c.Now())
@@ -232,8 +234,9 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 // txState is one Execute's scratch, recycled through Engine.txs so that a
 // transaction allocates none of it: the coordinator its first access picks,
 // the read path (built once per state, not per transaction), what each read
-// saw, one leg per write — which is also the list of locks it holds — and
-// the clock each participant's leg of a parallel round is timed on.
+// saw, one leg per write — which is also the list of locks it holds — the
+// records of the participant being committed, and the clock each
+// participant's leg of a parallel round is timed on.
 type txState struct {
 	e     *Engine
 	txID  uint64
@@ -241,13 +244,16 @@ type txState struct {
 	read  engine.ReadFunc
 	seen  []readVal
 	legs  []leg
+	recs  []wal.Record
 	probe sim.Clock
 }
 
 // readVal is one key the transaction read and the value array it found there
-// (nil for none). Every commit stores a fresh array, and holding this one
-// keeps its address from being reused, so a different array at validation
-// is a commit the read missed: the array is the key's version.
+// (nil for none). Every commit stores fresh bytes (the log's copy of its
+// image, which the log never writes again, or a fitted copy of it), and
+// holding this one keeps its address from being reused, so a different
+// array at validation is a commit the read missed: the array is the key's
+// version.
 type readVal struct {
 	key uint64
 	val *byte
@@ -326,6 +332,8 @@ func (s *txState) release() {
 	s.seen = s.seen[:0]
 	clear(s.legs)
 	s.legs = s.legs[:0]
+	clear(s.recs)
+	s.recs = s.recs[:0]
 	s.e.txs.Put(s)
 }
 

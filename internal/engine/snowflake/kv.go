@@ -128,7 +128,7 @@ func (e *KV) durable(c *sim.Clock, recs []wal.Record) error {
 func (e *KV) apply(c *sim.Clock, recs []wal.Record) error {
 	e.mu.Lock()
 	for _, r := range recs[:len(recs)-1] {
-		e.vals[r.Key] = r.After // immutable once staged; readKey copies out
+		e.vals[r.Key] = e.layout.Fit(r.After) // the log's image, never written again; readKey copies out
 	}
 	e.mu.Unlock()
 	return nil
@@ -241,6 +241,13 @@ func (e *KV) Crash() {
 	e.mu.Unlock()
 }
 
+// Close implements io.Closer: the compute node retires
+// (engine.Pipeline.Close), and with it the log whose images the view holds.
+func (e *KV) Close() error {
+	e.pipe.Close()
+	return nil
+}
+
 // Recover implements engine.Recoverer: load the newest complete
 // snapshot, then list the commit segments above it and replay them in
 // LSN order. A segment or a snapshot counts only if it ends in its
@@ -286,7 +293,7 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 		// by this recovery alone.
 		for _, r := range recs {
 			if r.Type == wal.TypeUpdate {
-				vals[r.Key] = r.After
+				vals[r.Key] = e.layout.Fit(r.After)
 			}
 		}
 		snapLSN = recs[len(recs)-1].LSN
@@ -316,7 +323,7 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 		}
 		for _, r := range recs {
 			if r.Type == wal.TypeUpdate {
-				vals[r.Key] = r.After
+				vals[r.Key] = e.layout.Fit(r.After)
 			}
 			if r.LSN > high {
 				high = r.LSN

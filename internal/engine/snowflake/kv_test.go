@@ -7,6 +7,7 @@ import (
 
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/engine/enginetest"
+	"github.com/disagglab/disagg/internal/heap"
 	"github.com/disagglab/disagg/internal/sim"
 	"github.com/disagglab/disagg/internal/wal"
 )
@@ -174,11 +175,16 @@ func TestKVWarmCheckpointAllocatesTheSnapshotOnce(t *testing.T) {
 
 // Recovery keeps each value as Decode returned it, which is the bytes of the
 // object read: a value is allocated once, by that read, and copied neither
-// by the decode nor into the view.
+// by the decode nor into the view. The values have the layout's value size,
+// which the view stores as they are.
 func TestKVRecoverCopiesEachValueOnce(t *testing.T) {
-	e := NewKV(sim.DefaultConfig(), enginetest.Layout(t))
-	c := sim.NewClock()
 	const segs, size = 256, 4096
+	layout, err := heap.NewLayout(8192, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewKV(sim.DefaultConfig(), layout)
+	c := sim.NewClock()
 	want := make(map[uint64][]byte, segs)
 	for i := uint64(1); i <= segs; i++ {
 		val := bytes.Repeat([]byte{byte(i)}, size)
@@ -212,7 +218,7 @@ func TestKVRecoverCopiesEachValueOnce(t *testing.T) {
 // TestCommitAllocs bounds the host allocations of one cache-resident
 // single-key RMW commit (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, NewKV(sim.DefaultConfig(), enginetest.Layout(t)), 4, 1.15)
+	enginetest.AllocGuard(t, NewKV(sim.DefaultConfig(), enginetest.Layout(t)), 3, 1.15)
 }
 
 // TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's

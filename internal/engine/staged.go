@@ -14,8 +14,9 @@ import (
 // worker's clock. The slice it returns is the caller's.
 type ReadFunc func(c *sim.Clock, key uint64) ([]byte, error)
 
-// Write is one staged update. Val is a private copy made when it was
-// staged; it is never written again, so a log or a replica may keep it.
+// Write is one staged update. Val is borrowed: it lies in the transaction
+// context's arena and is valid until Release. A commit that keeps the value
+// keeps the log's copy (wal.Log.Reserve makes it), never Val.
 type Write struct {
 	Key uint64
 	Val []byte
@@ -49,10 +50,10 @@ type pin struct {
 // A context is recycled: the pipeline takes one per Execute and releases it
 // when Execute returns, so the handle a workload closure receives is valid
 // only until that closure's Execute returns. Write set and read set are
-// slices searched linearly (transactions here are 1–64 keys), pinned values
-// share one byte arena, and the records and page stamps a commit builds
-// live here too. What a transaction still allocates is what outlives it:
-// the copy Read hands the caller and the copy Write stages.
+// slices searched linearly (transactions here are 1–64 keys), pinned and
+// staged values share one byte arena, and the records and page stamps a
+// commit builds live here too. What a transaction still allocates is what
+// outlives it: the copy Read hands the caller.
 type StagedTx struct {
 	c    *sim.Clock
 	read ReadFunc
@@ -84,8 +85,8 @@ func NewStagedTx(c *sim.Clock, read ReadFunc) *StagedTx {
 // Release empties the context and hands it to the next transaction. Nothing
 // may use it afterwards: the read path is cleared with the rest, so a handle
 // kept past its Execute panics on its first read instead of reading through
-// another worker's transaction. Staged values are dropped, not reused — a
-// log may still hold them.
+// another worker's transaction. The arena is reused with the rest: what a
+// log keeps of a staged value is its own copy.
 func (t *StagedTx) Release() {
 	clear(t.writes)
 	clear(t.recs)
@@ -120,18 +121,30 @@ func (t *StagedTx) Read(key uint64) ([]byte, error) {
 	return v, nil
 }
 
-// Write implements Tx.
+// Write implements Tx: val is copied into the arena. A rewrite of a key
+// with a value of the same length reuses its bytes.
 func (t *StagedTx) Write(key uint64, val []byte) error {
-	cp := make([]byte, len(val))
-	copy(cp, val)
 	for i := range t.writes {
-		if t.writes[i].Key == key {
-			t.writes[i].Val = cp
+		if w := &t.writes[i]; w.Key == key {
+			if len(w.Val) == len(val) {
+				copy(w.Val, val)
+			} else {
+				w.Val = t.stage(val)
+			}
 			return nil
 		}
 	}
-	t.writes = append(t.writes, Write{Key: key, Val: cp})
+	t.writes = append(t.writes, Write{Key: key, Val: t.stage(val)})
 	return nil
+}
+
+// stage appends val to the arena and returns the arena's copy. The copy
+// stays valid as the arena grows: growth moves the arena to a new array and
+// leaves the old one, unwritten, to the copies that lie in it.
+func (t *StagedTx) stage(val []byte) []byte {
+	off := len(t.arena)
+	t.arena = append(t.arena, val...)
+	return t.arena[off:len(t.arena):len(t.arena)]
 }
 
 // Writes sorts the staged writes into ascending key order and returns them.

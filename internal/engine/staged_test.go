@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -153,6 +154,80 @@ func TestStagedTxManyKeys(t *testing.T) {
 	if v, _ := st.Read(3 * n); v[0] != byte(n) {
 		t.Fatalf("after the sort key %d reads %d", 3*n, v[0])
 	}
+}
+
+// raceBuild reports whether the test binary was built with -race, where
+// sync.Pool drops a share of what is put back.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// Write copies into the context's arena, which the context keeps when it is
+// recycled: a warm context stages a write without allocating.
+func TestStagedTxWriteAllocatesNothing(t *testing.T) {
+	read := func(*sim.Clock, uint64) ([]byte, error) { return nil, nil }
+	val := make([]byte, 1536)
+	tx := func() {
+		st := NewStagedTx(nil, read)
+		for k := range uint64(4) {
+			st.Write(k, val)
+		}
+		st.Writes()
+		st.Release()
+	}
+	tx()
+	if got := testing.AllocsPerRun(100, tx); got != 0 && !raceBuild() {
+		t.Fatalf("a warm transaction staging 4 writes: %.1f allocs, want 0", got)
+	}
+}
+
+// Staged values share the arena with pins, and the arena moves as it grows:
+// a value staged before a move keeps its bytes, a rewrite of another length
+// stages anew, and after Writes has sorted the entries each still reads, and
+// carries, its own latest bytes.
+func TestStagedTxReadsOwnWritesAfterSort(t *testing.T) {
+	st := NewStagedTx(nil, func(_ *sim.Clock, key uint64) ([]byte, error) {
+		return bytes.Repeat([]byte{0xEE}, 100), nil
+	})
+	want := map[uint64][]byte{}
+	for i := 40; i > 0; i-- { // descending: Writes has sorting to do
+		k := uint64(i)
+		v := bytes.Repeat([]byte{byte(i)}, i)
+		st.Write(k, v)
+		want[k] = v
+		if _, err := st.Read(1000 + k); err != nil { // a pin grows the arena too
+			t.Fatal(err)
+		}
+		if i%3 == 0 { // a rewrite of another length
+			v = bytes.Repeat([]byte{byte(i) + 100}, i+7)
+			st.Write(k, v)
+			want[k] = v
+		}
+		if i%5 == 0 { // and one of the same length
+			v = bytes.Repeat([]byte{byte(i) + 50}, len(v))
+			st.Write(k, v)
+			want[k] = v
+		}
+	}
+	writes := st.Writes()
+	if len(writes) != len(want) {
+		t.Fatalf("%d writes, want %d", len(writes), len(want))
+	}
+	for _, w := range writes {
+		if !bytes.Equal(w.Val, want[w.Key]) {
+			t.Errorf("key %d: Writes carries %v, wrote %v", w.Key, w.Val, want[w.Key])
+		}
+		if v, _ := st.Read(w.Key); !bytes.Equal(v, want[w.Key]) {
+			t.Errorf("key %d: reads %v after the sort, wrote %v", w.Key, v, want[w.Key])
+		}
+	}
+	st.Release()
 }
 
 // A recycled context carries nothing of its previous transaction: B, built

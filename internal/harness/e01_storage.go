@@ -335,7 +335,7 @@ func runE4(cfg *sim.Config, s Scale) *Result {
 	keys := pick(s, 50_000, 500_000)
 	c := sim.NewClock()
 	// One value buffer and one closure for every load transaction: Write
-	// stages a copy.
+	// copies the value, and the log keeps a copy of its own.
 	var key uint64
 	val := make([]byte, layout.ValSize)
 	load := func(tx engine.Tx) error { return tx.Write(key, val) }

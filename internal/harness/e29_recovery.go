@@ -66,15 +66,16 @@ func e29Sweep(e engine.Engine, layout heap.Layout, txns, ckptEvery int) (e29Arm,
 	cp := engine.Caps(e).Checkpointer
 	c := sim.NewClock()
 	acked := make(map[uint64]uint64, e29Keys)
-	// One value buffer for every transaction: Write stages a copy.
+	// One value buffer and one closure for every transaction: Write copies
+	// the value, and the log keeps a copy of its own.
+	var key uint64
 	v := make([]byte, layout.ValSize)
+	write := func(tx engine.Tx) error { return tx.Write(key, v) }
 	for i := 0; i < txns; i++ {
-		key := e29Key(layout, i)
+		key = e29Key(layout, i)
 		seq := uint64(i + 1)
 		binary.LittleEndian.PutUint64(v, seq)
-		if err := engine.Run(e, c, engine.RunOpts{Retries: 8}, func(tx engine.Tx) error {
-			return tx.Write(key, v)
-		}); err != nil {
+		if err := engine.Run(e, c, engine.RunOpts{Retries: 8}, write); err != nil {
 			return arm, fmt.Errorf("txn %d: %w", i, err)
 		}
 		acked[key] = seq
@@ -114,19 +115,25 @@ func e29Sweep(e engine.Engine, layout heap.Layout, txns, ckptEvery int) (e29Arm,
 // engines (Aurora, Taurus) depend on: a replacement storage node catching
 // up from a healthy peer and the authoritative log. Without the lifecycle
 // the full history re-ships; with it the node adopts checkpointed page
-// images and tail-replays only above the horizon.
+// images and tail-replays only above the horizon. The replicas hold the
+// log's images, so the log is released when the arm returns, with them.
 func e29RebuildArm(cfg *sim.Config, txns, ckptEvery int) (time.Duration, error) {
 	layout := e29Layout()
 	log := wal.NewLog()
+	defer log.Release()
 	survivor := storagenode.NewReplica(cfg, "survivor", 0, layout, 1)
 	c := sim.NewClock()
+	// One value buffer and one record: Reserve copies the value into the
+	// log and points the record at that copy, which the survivor ingests.
+	v := make([]byte, layout.ValSize)
+	recs := make([]wal.Record, 1)
 	for i := 0; i < txns; i++ {
 		key := e29Key(layout, i)
-		v := make([]byte, layout.ValSize)
 		binary.LittleEndian.PutUint64(v, uint64(i+1))
-		rec := wal.Record{Type: wal.TypeUpdate, TxID: uint64(i + 1), PageID: uint64(layout.PageOf(key)), Key: key, After: v}
-		rec.LSN = log.Append(rec)
-		if err := survivor.Ingest(c, []wal.Record{rec}); err != nil {
+		recs[0] = wal.Record{Type: wal.TypeUpdate, TxID: uint64(i + 1), PageID: uint64(layout.PageOf(key)), Key: key, After: v}
+		log.Reserve(recs)
+		log.Decide(recs, true)
+		if err := survivor.Ingest(c, recs); err != nil {
 			return 0, err
 		}
 		if ckptEvery > 0 && (i+1)%ckptEvery == 0 {
@@ -147,12 +154,12 @@ func e29RebuildArm(cfg *sim.Config, txns, ckptEvery int) (time.Duration, error) 
 	if err != nil {
 		return 0, err
 	}
-	v, err := layout.ReadValue(data, lastKey)
+	served, err := layout.ReadValue(data, lastKey)
 	if err != nil {
 		return 0, err
 	}
 	want := uint64(txns) // the final transaction wrote lastKey
-	if got := binary.LittleEndian.Uint64(v); got != want {
+	if got := binary.LittleEndian.Uint64(served); got != want {
 		return 0, fmt.Errorf("replacement replica serves seq %d, want %d", got, want)
 	}
 	return rc.Now() - c.Now(), nil

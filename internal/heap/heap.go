@@ -109,6 +109,18 @@ func (l Layout) ReadValue(data []byte, key uint64) ([]byte, error) {
 	return out, nil
 }
 
+// Fit returns val at the layout's value size, the one length every engine
+// stores and reads back: val itself when it has that length, else a copy
+// truncated or padded with zeros to it, as WriteValue writes it into a cell.
+func (l Layout) Fit(val []byte) []byte {
+	if len(val) == l.ValSize {
+		return val
+	}
+	out := make([]byte, l.ValSize)
+	copy(out, val)
+	return out
+}
+
 // WriteValue updates the value for key in the page bytes in place and
 // raises the page LSN to lsn. It never lowers it: commits to different keys
 // of one page may apply out of LSN order, and under a lowered page LSN a

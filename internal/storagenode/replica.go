@@ -111,7 +111,8 @@ func (r *Replica) AppliedRecords() int64 {
 // Ownership: recs stays the caller's — an update's LSN and key are copied
 // into its page's pending list — but each update's After is kept by
 // reference until it is materialised or dropped. That is the engine.Hooks
-// contract: After is a fresh slice nobody writes again.
+// contract: After is the log's own copy of the image (wal.Log.Reserve),
+// which nobody writes again.
 func (r *Replica) ingest(recs []wal.Record) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()

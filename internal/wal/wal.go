@@ -8,13 +8,26 @@
 // flushes, crash recovery, replica catch-up. Log.RedoPage walks one page's
 // chain (the log is chained per page, as the storage side is organised) and
 // runs its callback under the lock: a page miss replays its own records.
+//
+// The log owns its redo images. Reserve and Append copy each update's image
+// into chunks of ChunkSize bytes taken from page.Alloc and point the record
+// at that copy, so the caller's buffer is free again when they return, and
+// every later holder of the record (a Durable hook, a replica's pending
+// list, a log store's slot, a materialized view) aliases the log's bytes.
+// An image is never written again. TruncateBefore drops the chunks that lie
+// wholly below the floor to the garbage collector, not to the free list,
+// because such holders may still alias them; Release hands every chunk to
+// page.Release once nothing reads the log or its holders any more.
 package wal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+
+	"github.com/disagglab/disagg/internal/page"
 )
 
 // LSN is a log sequence number. LSN 0 is "nil" (no record).
@@ -188,6 +201,19 @@ type Log struct {
 	// floor is the lowest LSN guaranteed retained: TruncateBefore(upTo)
 	// raises it to upTo. Records below the floor are gone for good.
 	floor LSN
+	// chunks hold the retained records' images, oldest first; images are
+	// copied into the last one from offset fill on.
+	chunks []chunk
+	fill   int
+}
+
+// ChunkSize is the length of the buffers the log copies update images into.
+const ChunkSize = 32 << 10
+
+// chunk is one image buffer and the highest LSN whose image it holds.
+type chunk struct {
+	buf  []byte
+	high LSN
 }
 
 // NewLog returns an empty log whose first LSN is 1.
@@ -199,7 +225,8 @@ func (l *Log) first() LSN { return l.next - LSN(l.records.Len()) }
 // slot returns the slot of a retained lsn; the caller holds l.mu.
 func (l *Log) slot(lsn LSN) *Slot { return l.records.At(int(lsn - l.first())) }
 
-// Append assigns r the next LSN and stores it decided, returning the LSN.
+// Append assigns r the next LSN and stores it decided, with a copy of its
+// image, returning the LSN.
 func (l *Log) Append(r Record) LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -209,7 +236,8 @@ func (l *Log) Append(r Record) LSN {
 }
 
 // Reserve assigns recs the next LSNs, in order, and chains them on their
-// pages, leaving their slots undecided.
+// pages, leaving their slots undecided. Each update's After is copied into
+// the log and re-pointed at the copy, which is what Decide must be handed.
 func (l *Log) Reserve(recs []Record) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -218,17 +246,42 @@ func (l *Log) Reserve(recs []Record) {
 	}
 }
 
-// reserve assigns r the next LSN, chains it on its page and returns the
-// undecided slot it appends for it; the caller holds l.mu.
+// reserve assigns r the next LSN, points its image at the log's copy,
+// chains it on its page and returns the undecided slot it appends for it;
+// the caller holds l.mu.
 func (l *Log) reserve(r *Record) *Slot {
 	r.LSN = l.next
 	l.next++
+	if len(r.After) > 0 {
+		r.After = l.keep(r.LSN, r.After)
+	}
 	sl := l.records.Push()
 	if r.Type == TypeUpdate {
 		sl.Link = uint64(l.last[r.PageID])
 		l.last[r.PageID] = r.LSN
 	}
 	return sl
+}
+
+// keep copies img, the image of record lsn, into the log's chunks and
+// returns the copy, its capacity capped so an append to it cannot reach the
+// next image. An image longer than a chunk gets a buffer of its own. The
+// caller holds l.mu.
+func (l *Log) keep(lsn LSN, img []byte) []byte {
+	n := len(img)
+	if n > ChunkSize {
+		return slices.Clone(img)
+	}
+	if len(l.chunks) == 0 || l.fill+n > ChunkSize {
+		l.chunks = append(l.chunks, chunk{buf: page.Alloc(ChunkSize)})
+		l.fill = 0
+	}
+	ch := &l.chunks[len(l.chunks)-1]
+	cp := ch.buf[l.fill : l.fill+n : l.fill+n]
+	copy(cp, img)
+	l.fill += n
+	ch.high = lsn
+	return cp
 }
 
 // Decide fills the reserved slots of recs: with the records themselves when
@@ -365,7 +418,9 @@ func (l *Log) Floor() LSN {
 // raises the truncation floor to upTo. The floor is monotonic: truncating
 // below the current floor is a no-op. The dropped records' slots are
 // cleared and their emptied segments reused: a regularly checkpointed log
-// stops allocating.
+// stops allocating slots. Every chunk but the one being filled whose images
+// all lie below the floor is dropped; its images stay valid for whoever
+// still holds them.
 func (l *Log) TruncateBefore(upTo LSN) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -382,4 +437,25 @@ func (l *Log) TruncateBefore(upTo LSN) {
 	// upTo; upTo may lie past the head).
 	l.records.DropFront(int(min(uint64(upTo-l.first()), uint64(l.records.Len()))))
 	l.settle()
+	k := 0
+	for k < len(l.chunks)-1 && l.chunks[k].high < upTo {
+		k++
+	}
+	n := copy(l.chunks, l.chunks[k:])
+	clear(l.chunks[n:])
+	l.chunks = l.chunks[:n]
+}
+
+// Release hands every chunk the log holds to page.Release. The caller
+// guarantees that nothing reads the log's images any more — not the log,
+// and not any record or value that aliases them; the log itself may be
+// appended to again.
+func (l *Log) Release() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := range l.chunks {
+		page.Release(l.chunks[i].buf)
+	}
+	clear(l.chunks)
+	l.chunks, l.fill = l.chunks[:0], 0
 }
