@@ -9,6 +9,7 @@ import (
 	"errors"
 	"sync"
 
+	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
 )
 
@@ -101,6 +102,12 @@ var ErrNoSuchObject = errors.New("device: no such object")
 // its payload, reads copy out). Unlike
 // the pure cost devices above it actually holds the bytes, because
 // Snowflake-style engines and the Socrates XStore tier store real data here.
+//
+// The store owns every object it holds, and nothing outside it aliases one,
+// so an object it drops goes back to the page free list (page.Release): the
+// bytes Delete removes, the bytes a Put replaces, and every object Release
+// empties the store of when its engine retires. A Get's copy comes from
+// page.Alloc and is the caller's, who may hand it back the same way.
 type ObjectStore struct {
 	cfg   *sim.Config
 	meter *sim.Meter
@@ -122,21 +129,27 @@ func NewObjectStore(cfg *sim.Config) *ObjectStore {
 // short objects as torn tails (wal.DecodePrefix-style recovery).
 //
 // Put takes data: the object holds the caller's slice (a torn one a prefix
-// of it), so once Put is called the caller never writes those bytes again.
-// Get copies out, so nothing outside the store aliases an object.
+// of it), so once Put is called the caller never touches those bytes again.
+// A dropped upload releases them, and an object the new one replaces is
+// released. Get copies out, so nothing outside the store aliases an object.
 func (o *ObjectStore) Put(c *sim.Clock, key string, data []byte) error {
 	op := o.cfg.Begin(c, "obj.put")
 	f := o.cfg.Inject(c, "obj.put")
 	if f.Drop {
 		op.End(0)
+		page.Release(data)
 		return f.FaultErr()
 	}
 	if f.Torn {
 		data = data[:len(data)/2]
 	}
 	o.mu.Lock()
+	old := o.objects[key]
 	o.objects[key] = data
 	o.mu.Unlock()
+	if len(old) > 0 && (len(data) == 0 || &old[0] != &data[0]) {
+		page.Release(old)
+	}
 	o.meter.Charge(c, o.cfg.ObjPut.Cost(len(data)))
 	op.End(int64(len(data)))
 	if f.Torn {
@@ -145,7 +158,8 @@ func (o *ObjectStore) Put(c *sim.Clock, key string, data []byte) error {
 	return nil
 }
 
-// Get fetches an object, charging the download cost.
+// Get fetches an object, charging the download cost. The copy it returns
+// comes from page.Alloc and belongs to the caller.
 func (o *ObjectStore) Get(c *sim.Clock, key string) ([]byte, error) {
 	op := o.cfg.Begin(c, "obj.get")
 	if f := o.cfg.Inject(c, "obj.get"); f.Drop || f.Torn {
@@ -161,7 +175,7 @@ func (o *ObjectStore) Get(c *sim.Clock, key string) ([]byte, error) {
 	}
 	o.meter.Charge(c, o.cfg.ObjGet.Cost(len(data)))
 	op.End(int64(len(data)))
-	cp := make([]byte, len(data))
+	cp := page.Alloc(len(data))
 	copy(cp, data)
 	return cp, nil
 }
@@ -170,7 +184,8 @@ func (o *ObjectStore) Get(c *sim.Clock, key string) ([]byte, error) {
 // Deletion is part of the log-truncation path (segment garbage
 // collection), so it is fault-injectable like the other fabric ops: a
 // dropped delete leaves the object in place and reports the fault —
-// callers retry on the next round (deletion is idempotent).
+// callers retry on the next round (deletion is idempotent). The deleted
+// object's bytes go back to the page free list.
 func (o *ObjectStore) Delete(c *sim.Clock, key string) error {
 	op := o.cfg.Begin(c, "obj.delete")
 	if f := o.cfg.Inject(c, "obj.delete"); f.Drop || f.Torn {
@@ -178,11 +193,27 @@ func (o *ObjectStore) Delete(c *sim.Clock, key string) error {
 		return f.FaultErr()
 	}
 	o.mu.Lock()
+	old := o.objects[key]
 	delete(o.objects, key)
 	o.mu.Unlock()
+	page.Release(old)
 	o.meter.Charge(c, o.cfg.ObjPut.Base)
 	op.End(0)
 	return nil
+}
+
+// Release empties the store and hands every object's bytes to the page
+// free list. It is the retirement of an engine that built the store for
+// itself: it costs no virtual time, and nothing may read the store's old
+// objects afterwards (a later Put starts it afresh).
+func (o *ObjectStore) Release() {
+	o.mu.Lock()
+	objects := o.objects
+	o.objects = make(map[string][]byte)
+	o.mu.Unlock()
+	for _, data := range objects {
+		page.Release(data)
+	}
 }
 
 // Len reports the number of stored objects.

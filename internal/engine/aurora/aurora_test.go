@@ -312,7 +312,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 1), 1, 2.25)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 1), 1, 1.10)
 }
 
 // TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's

@@ -118,8 +118,10 @@ type Hooks struct {
 //     by page id, whether or not Apply succeeded: a cached copy that missed
 //     the update keeps its old stamp, the publish makes it stale, and the
 //     next reader refetches from the durable log instead of seeing the
-//     pre-commit image forever. That is why a failed apply needs no
-//     explicit invalidation.
+//     pre-commit image forever. An Apply that fails before the node's own
+//     cache must drop the pages it wrote from it, though: a later commit
+//     riding the same group flush can mutate the frame first and stamp it
+//     past this one, and the publish then leaves the frame valid.
 //
 // Every slot is decided before the Execute that reserved it returns.
 type Pipeline struct {
@@ -244,9 +246,12 @@ func (p *Pipeline) Up() { p.crashed.Store(false) }
 // the substrate to close, root or peer, also releases the log
 // (wal.Log.Release): the caller retires the engine whole, so nothing reads
 // its log, storage tier or view afterwards. A second Close does nothing.
-func (p *Pipeline) Close() {
+// Close reports whether it was that last close, after which the engine
+// releases the rest of the substrate it built (an object store, a memory
+// node).
+func (p *Pipeline) Close() (last bool) {
 	if p.closed.Swap(true) {
-		return
+		return false
 	}
 	p.crashed.Store(true)
 	for _, c := range p.caches {
@@ -255,7 +260,9 @@ func (p *Pipeline) Close() {
 	}
 	if p.open.Add(-1) == 0 {
 		p.log.Release()
+		return true
 	}
+	return false
 }
 
 // Checkpoint runs one round on the node's coordinator. The horizon it
@@ -295,9 +302,14 @@ func (p *Pipeline) AdvanceDurable(lsn wal.LSN) {
 }
 
 // Shed refuses an attempt on a crashed compute node without doing work.
-func (p *Pipeline) Shed() error {
-	p.stats.Attempts.Add(1)
-	p.stats.Shed.Add(1)
+func (p *Pipeline) Shed() error { return Shed(p.stats) }
+
+// Shed refuses an attempt on a crashed or retired compute node without doing
+// work: stats counts the attempt and the shed, the caller sees
+// ErrUnavailable, and Run records a shed.
+func Shed(stats *Stats) error {
+	stats.Attempts.Add(1)
+	stats.Shed.Add(1)
 	return errDown
 }
 
@@ -595,9 +607,11 @@ func (p *Pipeline) flushGroup(c *sim.Clock, groups [][]wal.Record, out []wal.LSN
 }
 
 // Encode is the wire form of recs back to back, for the engines whose
-// durable tier stores bytes rather than records.
+// durable tier stores bytes rather than records. The buffer is exactly
+// sized and comes from page.Alloc: the tier that takes it hands it back
+// when it drops it (device.ObjectStore.Delete).
 func Encode(recs []wal.Record) []byte {
-	out := make([]byte, 0, wal.Size(recs))
+	out := page.Alloc(wal.Size(recs))[:0]
 	for i := range recs {
 		out = recs[i].Encode(out)
 	}

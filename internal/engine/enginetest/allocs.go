@@ -25,14 +25,14 @@ func RaceBuild() bool {
 // allocated kilobytes on e. The benchmark bounds host_allocs_per_op and
 // host_alloc_kb_per_op at 5 % on oltp_commit, which is this transaction on
 // every engine in turn; the guard gives the same two signals from tier-1 (a
-// count bound alone passed an 8 KB page copy per read). The bounds are what
-// this guard measures on Layout's 4 KB pages, the KB one rounded up:
+// count bound alone passed an 8 KB page copy per read). This guard measures,
+// on Layout's 4 KB pages (the KB bounds sit 0.04–0.15 KB above):
 //
-//	monolithic  1  0.75 KB      aurora      1  1.87 KB
-//	legobase    1  0.78 KB      polardb     2  1.18 KB
-//	socrates    2  1.85 KB      serverless  2  1.88 KB
-//	pilotdb     3  1.90 KB      taurus      2  3.62 KB
-//	snowflake-kv 3 1.11 KB      shared-nothing 1  0.75 KB
+//	monolithic  1  0.46 KB      aurora      1  1.01 KB
+//	legobase    1  0.41 KB      polardb     2  0.89 KB
+//	socrates    2  1.00 KB      serverless  2  1.02 KB
+//	pilotdb     3  1.05 KB      taurus      2  1.80 KB
+//	snowflake-kv 3 0.82 KB      shared-nothing 1  0.46 KB
 //
 // One of those is the transaction itself on every engine: the copy Read
 // hands the caller. Write copies its value into the transaction context's

@@ -303,11 +303,14 @@ func (e *Engine) Crash() {
 }
 
 // Close implements io.Closer: the compute node retires and its local tier
-// hands its frames back; the remote tier is memory-node memory, not page
-// buffers, and is left as it is.
+// hands its frames back; the memory node New built for the remote tier
+// closes too, handing its touched memory back (memnode.Pool.Close).
 func (e *Engine) Close() error {
-	e.pipe.Close()
+	last := e.pipe.Close()
 	e.Tiers.Local.InvalidateAll()
+	if last {
+		e.MemNode.Close()
+	}
 	return nil
 }
 

@@ -205,7 +205,7 @@ func TestChaosCrashRecoveryPilot(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, Pilot()), 3, 2)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, Pilot()), 3, 1.15)
 }
 
 // TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's

@@ -303,12 +303,16 @@ func (e *Engine) Crash() {
 
 // Close implements io.Closer: every compute node retires and its local cache
 // hands its frames back; Execute and ReadReplica shed from now on. The
-// shared pool is remote memory, not page buffers, and is left as it is.
+// memory node New built for the shared pool closes last, handing its
+// touched memory back (memnode.Pool.Close).
 func (e *Engine) Close() error {
-	e.pipe.Close()
+	last := e.pipe.Close()
 	for _, n := range e.nodes {
 		n.crashed.Store(true)
 		n.cache.InvalidateAll()
+	}
+	if last {
+		e.MemNode.Close()
 	}
 	return nil
 }

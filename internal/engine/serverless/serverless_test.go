@@ -141,7 +141,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 2, 64, 4096), 2, 2.25)
+	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 2, 64, 4096), 2, 1.10)
 }
 
 // TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
@@ -281,4 +281,28 @@ func TestSamePageCommitsWaitForTheLatch(t *testing.T) {
 // read (see enginetest.MissAllocGuard).
 func TestMissAllocs(t *testing.T) {
 	enginetest.MissAllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1, 16, 64), 0.5)
+}
+
+// Close retires the engine with the memory node it built for the shared
+// pool: its touched memory goes back to the rdma spare list, so the region
+// reads as zeros, and Execute sheds.
+func TestCloseReleasesTheMemoryNode(t *testing.T) {
+	layout := enginetest.Layout(t)
+	e := New(sim.DefaultConfig(), layout, 2, 16, 64)
+	c := sim.NewClock()
+	for key := uint64(0); key < 4; key++ {
+		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+			return tx.Write(key*uint64(layout.PerPage), make([]byte, layout.ValSize))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mem := e.MemNode.Node().Mem
+	if enginetest.Zeroed(t, mem) {
+		t.Fatal("no page reached the shared pool")
+	}
+	enginetest.CloseSheds(t, e)
+	if !enginetest.Zeroed(t, mem) {
+		t.Fatal("the shared pool's memory node holds data after Close")
+	}
 }

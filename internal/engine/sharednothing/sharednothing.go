@@ -53,6 +53,12 @@ type Engine struct {
 	// image and truncates its local log below the captured head.
 	ckpt *checkpoint.Coordinator
 
+	// closed makes Execute shed once Close has retired the engine. retired
+	// holds the logs of the partitions Rebalance replaced: their shards
+	// were copied out, and Close releases them with the live ones.
+	closed  atomic.Bool
+	retired []*wal.Log
+
 	// txs recycles Execute's scratch (txState).
 	txs sync.Pool
 }
@@ -116,6 +122,9 @@ func (e *Engine) partOf(key uint64) (int, *partition) {
 // the read set is validated, and the node's SSD force cannot fail, so no
 // partition log holds an aborted write.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
+	if e.closed.Load() {
+		return engine.Shed(&e.stats)
+	}
 	e.stats.Attempts.Add(1)
 	s := e.txs.Get().(*txState)
 	defer s.release()
@@ -376,6 +385,30 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 // RecoveryHorizon implements engine.Checkpointer.
 func (e *Engine) RecoveryHorizon() wal.LSN { return e.ckpt.Horizon() }
 
+// Close implements io.Closer: the engine retires for good. Execute sheds
+// from now on; each partition drops its shard, whose values are the log's
+// images, and then releases its log (wal.Log.Release), as do the logs of
+// the partitions Rebalance replaced. A second Close does nothing.
+func (e *Engine) Close() error {
+	if e.closed.Swap(true) {
+		return nil
+	}
+	e.mu.Lock()
+	parts, retired := e.parts, e.retired
+	e.retired = nil
+	e.mu.Unlock()
+	for _, p := range parts {
+		p.mu.Lock()
+		clear(p.data)
+		p.mu.Unlock()
+		p.log.Release()
+	}
+	for _, l := range retired {
+		l.Release()
+	}
+	return nil
+}
+
 // Rebalance rescales to n partitions, physically moving every key whose
 // home changes and charging the transfer — the elasticity tax of
 // shared-nothing (E4).
@@ -389,6 +422,7 @@ func (e *Engine) Rebalance(c *sim.Clock, n int) (moved int64) {
 		parts[i] = newPartition(e.cfg)
 	}
 	for _, p := range old {
+		e.retired = append(e.retired, p.log)
 		p.mu.Lock()
 		for k, v := range p.data {
 			h := k * 0x9E3779B97F4A7C15 >> 32

@@ -1,6 +1,7 @@
 package snowflake
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -14,6 +15,7 @@ import (
 	"github.com/disagglab/disagg/internal/device"
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/heap"
+	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
 	"github.com/disagglab/disagg/internal/wal"
 )
@@ -181,7 +183,8 @@ func (e *KV) Checkpoint(c *sim.Clock) error {
 			// One update record per key at the horizon, then the terminal
 			// marker: recovery only trusts a snapshot that ends with it (a
 			// torn upload loses the tail, marker included). The object is
-			// sized exactly and handed to the store, which keeps it.
+			// sized exactly, drawn from the page free list and handed to the
+			// store, which keeps it and releases the snapshot it supersedes.
 			rec := wal.Record{LSN: h, Type: wal.TypeUpdate}
 			marker := wal.Record{LSN: h, Type: wal.TypeCommit}
 			size := marker.EncodedSize()
@@ -189,7 +192,7 @@ func (e *KV) Checkpoint(c *sim.Clock) error {
 				rec.After = p.val
 				size += rec.EncodedSize()
 			}
-			encoded := make([]byte, 0, size)
+			encoded := page.Alloc(size)[:0]
 			for _, p := range pairs {
 				rec.Key, rec.After = p.key, p.val
 				encoded = rec.Encode(encoded)
@@ -242,9 +245,13 @@ func (e *KV) Crash() {
 }
 
 // Close implements io.Closer: the compute node retires
-// (engine.Pipeline.Close), and with it the log whose images the view holds.
+// (engine.Pipeline.Close), and with it the log whose images the view holds
+// and the object store it built in NewKV, whose objects go back to the page
+// free list. Execute sheds afterwards.
 func (e *KV) Close() error {
-	e.pipe.Close()
+	if e.pipe.Close() {
+		e.Store.Release()
+	}
 	return nil
 }
 
@@ -287,15 +294,17 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 		if err != nil || len(recs) == 0 || recs[len(recs)-1].Type != wal.TypeCommit {
 			// Torn upload (missing terminal marker): the round that wrote
 			// it never deleted anything — try the previous snapshot.
+			page.Release(data)
 			continue
 		}
-		// Decode's images alias data, the private copy Get returned, held
-		// by this recovery alone.
+		// Decode's images alias data, the copy Get returned: keep copies
+		// and hand data back.
 		for _, r := range recs {
 			if r.Type == wal.TypeUpdate {
-				vals[r.Key] = e.layout.Fit(r.After)
+				keepValue(vals, r.Key, e.layout.Fit(r.After))
 			}
 		}
+		page.Release(data)
 		snapLSN = recs[len(recs)-1].LSN
 		high = snapLSN
 		break
@@ -316,19 +325,22 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 		}
 		recs, _, err := wal.DecodePrefix(data)
 		if err != nil {
+			page.Release(data)
 			return 0, fmt.Errorf("segment %s: %w", k, err)
 		}
 		if len(recs) == 0 || recs[len(recs)-1].Type != wal.TypeCommit {
+			page.Release(data)
 			continue // torn upload: none of its transaction happened
 		}
 		for _, r := range recs {
 			if r.Type == wal.TypeUpdate {
-				vals[r.Key] = e.layout.Fit(r.After)
+				keepValue(vals, r.Key, e.layout.Fit(r.After))
 			}
 			if r.LSN > high {
 				high = r.LSN
 			}
 		}
+		page.Release(data)
 	}
 	e.mu.Lock()
 	e.vals = vals
@@ -336,4 +348,15 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 	e.pipe.AdvanceDurable(high)
 	e.pipe.Up()
 	return c.Now() - start, nil
+}
+
+// keepValue copies v into the recovered view's buffer for key, which it
+// allocates on the key's first value and reuses while the length holds: a
+// key that later segments overwrite costs one buffer, not one per segment.
+func keepValue(vals map[uint64][]byte, key uint64, v []byte) {
+	if b, ok := vals[key]; ok && len(b) == len(v) {
+		copy(b, v)
+		return
+	}
+	vals[key] = bytes.Clone(v)
 }

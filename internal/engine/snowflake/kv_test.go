@@ -173,10 +173,11 @@ func TestKVWarmCheckpointAllocatesTheSnapshotOnce(t *testing.T) {
 	t.Logf("warm checkpoint: %.2f× the %.0f B snapshot", ratio, snapshot)
 }
 
-// Recovery keeps each value as Decode returned it, which is the bytes of the
-// object read: a value is allocated once, by that read, and copied neither
-// by the decode nor into the view. The values have the layout's value size,
-// which the view stores as they are.
+// Recovery copies each value it keeps into a buffer of the view's and hands
+// the object copy Get returned back to the page free list, where the next
+// read of that length finds it: a value is allocated once, by the copy into
+// the view, and the reads share one object buffer between them (1.28× when
+// the view kept the read's bytes and each read allocated its own).
 func TestKVRecoverCopiesEachValueOnce(t *testing.T) {
 	const segs, size = 256, 4096
 	layout, err := heap.NewLayout(8192, size)
@@ -209,8 +210,8 @@ func TestKVRecoverCopiesEachValueOnce(t *testing.T) {
 		}
 	}
 	copies := float64(after.TotalAlloc-before.TotalAlloc) / (segs * size)
-	if copies >= 1.5 && !enginetest.RaceBuild() {
-		t.Errorf("recovering %d one-update segments allocated %.2f× their values, want < 1.5× (the read)", segs, copies)
+	if copies >= 1.15 && !enginetest.RaceBuild() {
+		t.Errorf("recovering %d one-update segments allocated %.2f× their values, want < 1.15× (the copy into the view)", segs, copies)
 	}
 	t.Logf("recovery: %.2f× the values", copies)
 }
@@ -218,7 +219,7 @@ func TestKVRecoverCopiesEachValueOnce(t *testing.T) {
 // TestCommitAllocs bounds the host allocations of one cache-resident
 // single-key RMW commit (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
-	enginetest.AllocGuard(t, NewKV(sim.DefaultConfig(), enginetest.Layout(t)), 3, 1.15)
+	enginetest.AllocGuard(t, NewKV(sim.DefaultConfig(), enginetest.Layout(t)), 3, 0.90)
 }
 
 // TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
@@ -227,4 +228,29 @@ func TestHooksMayNotKeepRecs(t *testing.T) {
 	enginetest.RecsRetentionGuard(t, func() engine.Engine {
 		return NewKV(sim.DefaultConfig(), enginetest.Layout(t))
 	})
+}
+
+// Close retires the engine with the object store it built: the segments and
+// the snapshot go back to the page free list, and Execute sheds.
+func TestKVCloseEmptiesTheStore(t *testing.T) {
+	layout := enginetest.Layout(t)
+	e := NewKV(sim.DefaultConfig(), layout)
+	c := sim.NewClock()
+	for key := uint64(0); key < 8; key++ {
+		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(key, make([]byte, layout.ValSize)) }); err != nil {
+			t.Fatal(err)
+		}
+		if key == 3 {
+			if err := e.Checkpoint(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if e.Store.Len() < 2 {
+		t.Fatalf("%d objects before Close, want a snapshot and segments", e.Store.Len())
+	}
+	enginetest.CloseSheds(t, e)
+	if n := e.Store.Len(); n != 0 {
+		t.Fatalf("%d objects after Close, want 0", n)
+	}
 }

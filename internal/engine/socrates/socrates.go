@@ -183,7 +183,8 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 
 // snapshotToXStore pushes current page images of recently written pages to
 // XStore — the extra data movement the tutorial notes Socrates may incur.
-// XStore keeps the ReadPage copy it is handed; nothing releases it.
+// XStore keeps the ReadPage copy it is handed and releases the snapshot of
+// the page it replaces.
 func (e *Engine) snapshotToXStore(c *sim.Clock, recs []wal.Record) {
 	seen := map[page.ID]bool{}
 	for _, r := range recs[:len(recs)-1] {
@@ -207,9 +208,13 @@ func (e *Engine) snapshotToXStore(c *sim.Clock, recs []wal.Record) {
 func (e *Engine) Crash() { e.pipe.Crash() }
 
 // Close implements io.Closer: the compute node retires and its caches hand
-// their frames back (engine.Pipeline.Close).
+// their frames back (engine.Pipeline.Close). The last member of the
+// substrate to close also empties the XStore that New built, handing its
+// page snapshots back.
 func (e *Engine) Close() error {
-	e.pipe.Close()
+	if e.pipe.Close() {
+		e.XStore.Release()
+	}
 	return nil
 }
 

@@ -124,9 +124,18 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 // exactly ONE page store (Taurus's writer-load optimization vs Aurora's
 // 6-way fan-out), charged to the commit, and the stores converge by
 // gossip. The commit is durable once the log-store quorum has it, so a
-// failed page-store write leaves it durable but unacknowledged.
+// failed page-store write leaves it durable but unacknowledged. The
+// compute cache then drops the pages it wrote, and the next reader fetches
+// them from a page store at the durable LSN, which gossip brings the
+// records to. Leaving the frames to go stale at the publish is not enough:
+// a later commit riding the same group flush can mutate such a frame
+// first, stamping it past this commit, and it would then validate without
+// this commit's write for good.
 func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 	if err := e.PageStores.WriteToOne(c, recs); err != nil {
+		for i := range recs[:len(recs)-1] {
+			e.pool.Invalidate(page.ID(recs[i].PageID))
+		}
 		return err
 	}
 	e.stats.NetBytes.Add(int64(wal.Size(recs)))

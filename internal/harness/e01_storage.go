@@ -345,6 +345,7 @@ func runE4(cfg *sim.Config, s Scale) *Result {
 	rc := sim.NewClock()
 	moved := sn.Rebalance(rc, 8)
 	snTime := rc.Now()
+	retire(sn)
 
 	// Shared-storage OLAP: provision 7 new warehouses (pure control
 	// plane), then check each is immediately useful.

@@ -244,6 +244,8 @@ func runE11(cfg *sim.Config, s Scale) *Result {
 		raceTput = append(raceTput, rf)
 		lockTput = append(lockTput, lf)
 		t.Row(n, rf, lf)
+		pool.Close()
+		lockNode.Close()
 	}
 	r.check("race beats lock-based at every client count",
 		allGreater(raceTput, lockTput),
@@ -258,6 +260,7 @@ func runE11(cfg *sim.Config, s Scale) *Result {
 	for _, n := range clients {
 		run := func(opt bptree.Options) float64 {
 			pool := memnode.New(cfg, "m0", 512<<20)
+			defer pool.Close()
 			tr, err := bptree.New(cfg, pool, opt)
 			if err != nil {
 				panic(err)
@@ -296,6 +299,7 @@ func runE11(cfg *sim.Config, s Scale) *Result {
 	lsmPuts := opsPer * 32
 	runLSM := func(shards int, remote bool) float64 {
 		pool := memnode.New(cfg, "m0", 512<<20)
+		defer pool.Close()
 		tr := lsm.New(cfg, pool, lsm.Options{Shards: shards, MemtableEntries: 128, CompactAt: 3, RemoteCompaction: remote})
 		// One writer: the comparison isolates flush/compaction path
 		// costs from goroutine scheduling noise.
@@ -325,6 +329,7 @@ func runE11(cfg *sim.Config, s Scale) *Result {
 	// (d) LSM writes vs B+tree writes (write-optimized claim).
 	bt := func() float64 {
 		pool := memnode.New(cfg, "m0", 512<<20)
+		defer pool.Close()
 		tr, _ := bptree.New(cfg, pool, bptree.Sherman())
 		res := sim.RunGroup(1, func(id int, c *sim.Clock) int {
 			cl := tr.Attach(uint64(id+1), nil)
@@ -339,6 +344,7 @@ func runE11(cfg *sim.Config, s Scale) *Result {
 		"dLSM %.0f vs sherman %.0f puts/s", dlsm, bt)
 	r.traceOp(cfg, "index.put-sherman", func(c *sim.Clock) {
 		pool := memnode.New(cfg, "trace0", 1<<26)
+		defer pool.Close()
 		tr, err := bptree.New(cfg, pool, bptree.Sherman())
 		if err != nil {
 			panic(err)
@@ -374,6 +380,7 @@ func runE12(cfg *sim.Config, s Scale) *Result {
 		cacheBlocks := int(f * float64(totalBlocks))
 		runQ1 := func(cache int) time.Duration {
 			pool := memnode.New(cfg, "m0", 1<<30)
+			defer pool.Close()
 			src, err := query.NewRemoteSource(cfg, pool, d.Lineitem, nil, cache)
 			if err != nil {
 				panic(err)

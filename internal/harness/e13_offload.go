@@ -44,6 +44,7 @@ func runE13(cfg *sim.Config, s Scale) *Result {
 	r := &Result{ID: "E13", Title: "Compute pushdown"}
 	rows := pick(s, 100_000, 1_000_000)
 	pool := memnode.New(cfg, "mem0", 1<<30)
+	defer pool.Close()
 	tbl := query.NewSizedTable(rows, "pred", "val")
 	rng := sim.NewRand(21, 0)
 	for i := 0; i < rows; i++ {
@@ -119,6 +120,7 @@ func runE14(cfg *sim.Config, s Scale) *Result {
 	r := &Result{ID: "E14", Title: "Operator-stack offloading"}
 	rows := pick(s, 100_000, 1_000_000)
 	pool := memnode.New(cfg, "fv0", 1<<30)
+	defer pool.Close()
 	tbl := query.NewSizedTable(rows, "grp", "val", "flt")
 	rng := sim.NewRand(23, 0)
 	for i := 0; i < rows; i++ {
@@ -291,6 +293,7 @@ func runE16(cfg *sim.Config, s Scale) *Result {
 		gap := ratio(directRes.MakeSpan, layerRes.MakeSpan)
 		gaps = append(gaps, gap)
 		t.Row(n, directRes.MakeSpan, layerRes.MakeSpan, gap, d.Connections())
+		pool.Close()
 	}
 	r.check("direct shuffle degrades with scale; layer stays flat",
 		gaps[len(gaps)-1] > gaps[0]*2,

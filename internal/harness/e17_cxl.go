@@ -216,6 +216,7 @@ func runE20(cfg *sim.Config, s Scale) *Result {
 	// table, as a distributed shared-memory database would use (§3.1).
 	runWriters := func(writers int, multiWriter bool) float64 {
 		pool := memnode.New(cfg, "dsm0", 1<<30)
+		defer pool.Close()
 		dataBase, err := pool.Alloc(keys * 8)
 		if err != nil {
 			panic(err)
@@ -275,6 +276,7 @@ func runE20(cfg *sim.Config, s Scale) *Result {
 		"%.0f vs %.0f txn/s at 16 writers", multi[len(multi)-1], single[len(single)-1])
 	r.traceOp(cfg, "txn.locked-write", func(c *sim.Clock) {
 		pool := memnode.New(cfg, "dsm-trace", 1<<20)
+		defer pool.Close()
 		dataBase, err := pool.Alloc(64)
 		if err != nil {
 			panic(err)

@@ -172,6 +172,7 @@ func runE23(cfg *sim.Config, s Scale) *Result {
 	}
 	run := func(parallel bool, conflictFrac float64) (time.Duration, int) {
 		pool := memnode.New(cfg, "world-state", 64<<20)
+		defer pool.Close()
 		st := flexchain.NewState(cfg, pool, 16)
 		v := flexchain.NewValidator(cfg, st, 8)
 		c := sim.NewClock()
@@ -199,6 +200,7 @@ func runE23(cfg *sim.Config, s Scale) *Result {
 		"90%%-conflict block layers into %d levels (independent blocks: 1)", conflictLevels)
 	r.traceOp(cfg, "chain.commitblock", func(c *sim.Clock) {
 		pool := memnode.New(cfg, "world-trace", 64<<20)
+		defer pool.Close()
 		v := flexchain.NewValidator(cfg, flexchain.NewState(cfg, pool, 16), 8)
 		if _, err := v.CommitBlock(c, mkBlock(99, 0), true); err != nil {
 			panic(err)

@@ -146,6 +146,7 @@ func runE24(cfg *sim.Config, s Scale) *Result {
 	// Control-plane coalescing on the memory pool: the same Batcher
 	// merges concurrent Alloc RPCs into shared "allocn" round trips.
 	pool := memnode.New(cfg, "e24-mem", 1<<20)
+	defer pool.Close()
 	co := memnode.NewCoalescer(pool.Connect(nil), 8, 20*time.Microsecond)
 	const allocWorkers, allocsEach = 16, 8
 	ares := sim.RunGroup(allocWorkers, func(id int, c *sim.Clock) int {

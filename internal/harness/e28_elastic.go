@@ -379,5 +379,6 @@ func runE28(cfg *sim.Config, s Scale) *Result {
 			panic(err)
 		}
 	})
+	retire(sn)
 	return r
 }

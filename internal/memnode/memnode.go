@@ -1,7 +1,9 @@
 // Package memnode implements the disaggregated memory pool of §3: an
 // RDMA-attached memory node with a registered region and a first-fit
 // allocator with an RPC allocation interface (control-plane operations go
-// through two-sided RPC; data-plane accesses are one-sided).
+// through two-sided RPC; data-plane accesses are one-sided). The node's
+// owner closes it when it retires, handing the region's touched memory back
+// for the next node's first writes (Pool.Close).
 package memnode
 
 import (
@@ -113,6 +115,12 @@ func (p *Pool) Free(addr uint64) {
 	}
 	p.free = out
 }
+
+// Close retires the memory node: every touched chunk of its region goes
+// back to the rdma spare list (rdma.Memory.Release) and the region reads as
+// zeros. Its owner calls it once nothing accesses the node any more; the
+// allocator's bookkeeping is left as it is.
+func (p *Pool) Close() { p.node.Mem.Release() }
 
 // FreeBytes reports unallocated capacity.
 func (p *Pool) FreeBytes() uint64 {

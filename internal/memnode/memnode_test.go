@@ -223,3 +223,30 @@ func TestCoalescerFailsWhenTheNodeIsDown(t *testing.T) {
 		t.Fatalf("used = %d, want 0", p.UsedBytes())
 	}
 }
+
+// Close hands the node's touched memory back: the region reads as zeros and
+// the allocator's bookkeeping stays as it was.
+func TestCloseReleasesTheRegion(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	p := New(cfg, "m", 1<<20)
+	addr, err := p.Alloc(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp := p.Connect(nil)
+	if err := qp.Write(sim.NewClock(), addr, bytes.Repeat([]byte{7}, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	used := p.UsedBytes()
+	p.Close()
+	got := make([]byte, 4096)
+	if err := p.Node().Mem.Read(addr, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, 4096)) {
+		t.Fatal("a closed node's region still holds its data")
+	}
+	if p.UsedBytes() != used {
+		t.Fatalf("Close changed the allocator: %d bytes used, want %d", p.UsedBytes(), used)
+	}
+}

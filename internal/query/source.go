@@ -7,6 +7,7 @@ import (
 	"github.com/disagglab/disagg/internal/cxl"
 	"github.com/disagglab/disagg/internal/device"
 	"github.com/disagglab/disagg/internal/memnode"
+	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/rdma"
 	"github.com/disagglab/disagg/internal/sim"
 )
@@ -312,6 +313,7 @@ func (s *ObjectSource) ReadBlock(c *sim.Clock, block int, cols []int) ([][]int64
 		for j := range vals {
 			vals[j] = int64(binary.LittleEndian.Uint64(buf[j*8:]))
 		}
+		page.Release(buf) // Get's copy, decoded
 		out[i] = vals
 	}
 	return out, nil

@@ -9,7 +9,9 @@
 // sparse, demand-allocated, word-atomic byte array, so concurrent
 // compare-and-swap contention, torn multi-word reads, and retry storms
 // behave as they do on real hardware, while the host pays only for the
-// part of a registered region the simulation touches.
+// part of a registered region the simulation touches. A retired region
+// hands its chunks back (Memory.Release) for the next region's first
+// writes; a crashed node's wipe drops them to the GC instead.
 package rdma
 
 import (
@@ -46,7 +48,8 @@ type chunk [chunkWords]atomic.Uint64
 // was never written reads as zeros and costs nothing, so registering a
 // region is O(size/64 KiB) pointers, not O(size) zeroed and page-faulted
 // bytes. A region smaller than one chunk still allocates a whole chunk on
-// its first write.
+// its first write. Release hands a retired region's chunks to a bounded
+// spare list that later first writes, in any region, draw from zeroed.
 type Memory struct {
 	chunks []atomic.Pointer[chunk]
 	size   uint64
@@ -83,9 +86,10 @@ func (m *Memory) check(addr uint64, n int) error {
 	return nil
 }
 
-// touch returns chunk ci, installing it if this is its first write. Racing
-// first writers agree on one chunk: the CAS admits a single winner. The
-// loop only repeats when wipe drops the winner's chunk in between.
+// touch returns chunk ci, installing a zeroed one (newChunk: a spare when
+// there is one) if this is its first write. Racing first writers agree on
+// one chunk: the CAS admits a single winner. The loop only repeats when wipe
+// drops the winner's chunk in between.
 func (m *Memory) touch(ci uint64) *chunk {
 	slot := &m.chunks[ci]
 	var fresh *chunk
@@ -94,7 +98,7 @@ func (m *Memory) touch(ci uint64) *chunk {
 			return c
 		}
 		if fresh == nil {
-			fresh = new(chunk)
+			fresh = newChunk()
 		}
 		if slot.CompareAndSwap(nil, fresh) {
 			return fresh
@@ -102,12 +106,27 @@ func (m *Memory) touch(ci uint64) *chunk {
 	}
 }
 
-// wipe drops every chunk, returning the region to zeros. An access that
-// resolved its chunk before the drop completes against the dropped chunk
-// and is lost, like a DMA racing a power failure.
+// wipe drops every chunk to the GC, returning the region to zeros. An
+// access that resolved its chunk before the drop completes against the
+// dropped chunk and is lost, like a DMA racing a power failure. That is why
+// wipe does not recycle: handed to another region, the chunk would take
+// that late access as a write into memory it does not own.
 func (m *Memory) wipe() {
 	for i := range m.chunks {
 		m.chunks[i].Store(nil)
+	}
+}
+
+// Release hands every touched chunk to the spare list, returning the region
+// to zeros; a later write touches a fresh chunk. It retires the region's
+// memory node: no access may race it or follow it against the old contents,
+// because the chunks are zeroed into other regions (under the race detector
+// they are poisoned instead, and never reused).
+func (m *Memory) Release() {
+	for i := range m.chunks {
+		if c := m.chunks[i].Swap(nil); c != nil {
+			releaseChunk(c)
+		}
 	}
 }
 
