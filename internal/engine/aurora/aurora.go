@@ -24,14 +24,16 @@ import (
 )
 
 // Engine is the Aurora-style engine: one writer, optional readers, shared
-// quorum volume.
+// quorum volume. Its compute node is the writer: a crash loses the writer
+// cache (Pool), and the volume and its materialised pages survive.
+// DurableLSN is the write-quorum-durable LSN.
 type Engine struct {
+	*engine.Pipeline
 	cfg    *sim.Config
 	layout heap.Layout
 	Volume *storagenode.Volume
 	log    *wal.Log
 	stats  engine.Stats
-	pipe   *engine.Pipeline
 
 	// pool is the writer-node cache, the node's own tier: commit publishes
 	// fan invalidation notices to the reader caches (riding the log stream)
@@ -58,14 +60,14 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, readers int) *Engine {
 		rp := buffer.NewPool(cfg, poolPages, e.fetchPage, nil)
 		e.readers = append(e.readers, rp)
 		e.readerReads = append(e.readerReads, func(c *sim.Clock, key uint64) ([]byte, error) {
-			return e.pipe.ReadPool(c, rp, key)
+			return e.ReadPool(c, rp, key)
 		})
 	}
-	e.pipe = engine.NewPipeline(cfg, "aurora", layout, e.log, &e.stats, e.hooks())
-	e.pipe.Coherent(coherence.ModeInvalidate)
-	e.pipe.Cache("writer", e.pool)
+	e.Pipeline = engine.NewPipeline(cfg, "aurora", layout, e.log, &e.stats, e.hooks())
+	e.Coherent(coherence.ModeInvalidate)
+	e.Cache("writer", e.pool)
 	for i, rp := range e.readers {
-		e.pipe.Cache(fmt.Sprintf("reader%d", i), rp)
+		e.Cache(fmt.Sprintf("reader%d", i), rp)
 	}
 	return e
 }
@@ -74,7 +76,9 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, readers int) *Engine {
 // from the writer's cache over the volume, the log becomes durable on the
 // write quorum, only the writer's cached copies need applying (storage
 // materialises from the log), and the directory fans invalidations to every
-// other registered cache.
+// other registered cache. Read-only work needs only the read quorum; a
+// commit with writes needs the write quorum, and a volume below it refuses
+// the append before delivering anything — an ordinary failed prepare.
 func (e *Engine) hooks() engine.Hooks {
 	return engine.Hooks{Read: e.read, Durable: e.durable, Apply: e.apply}
 }
@@ -98,47 +102,34 @@ func Peer(root *Engine, peerID, poolPages int) *Engine {
 		log:    root.log,
 	}
 	e.pool = buffer.NewPool(e.cfg, poolPages, e.fetchPage, nil)
-	e.pipe = root.pipe.Peer(peerID, &e.stats, e.hooks())
-	e.pipe.Cache(fmt.Sprintf("peer%d", peerID), e.pool)
+	e.Pipeline = root.Pipeline.Peer(peerID, &e.stats, e.hooks())
+	e.Cache(fmt.Sprintf("peer%d", peerID), e.pool)
 	// A fresh node knows nothing durable yet; Recover (the fleet's warm-up
 	// step) learns the volume's high LSN. Until then reads float at LSN 0,
 	// which is safe (floors only rise) but cold.
 	return e
 }
 
-// Detach unregisters the peer's cache tier from the shared coherence
-// directory so retired members stop absorbing invalidation fan-out.
-func (e *Engine) Detach() { e.pipe.Detach() }
-
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "aurora" }
-
-// Stats implements engine.Engine.
-func (e *Engine) Stats() *engine.Stats { return &e.stats }
 
 // EnableGroupCommit implements engine.GroupCommitter: commit-path volume
 // appends ride a shared quorum flush.
 func (e *Engine) EnableGroupCommit(maxItems int, window time.Duration) {
-	e.pipe.EnableGroupCommit(maxItems, window)
+	e.GroupCommit(maxItems, window)
 }
-
-// SetCoherenceMode switches invalidation fan-out vs lazy version bumps.
-func (e *Engine) SetCoherenceMode(m coherence.Mode) { e.pipe.Dir().SetMode(m) }
-
-// DurableLSN reports the write-quorum-durable LSN.
-func (e *Engine) DurableLSN() wal.LSN { return e.pipe.DurableLSN() }
 
 // fetchPage is every cache's fetcher: read the page from the volume at or
 // above the durable LSN.
 func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
-	data, err := e.Volume.ReadPage(c, id, e.pipe.DurableLSN())
+	data, err := e.Volume.ReadPage(c, id, e.DurableLSN())
 	if err != nil {
 		// Injected drops can leave the same log hole on every
 		// replica (no peer can fill it); heal from the writer's
 		// authoritative log and retry once.
 		bg := c.Fork()
 		e.Volume.Heal(&bg, e.log)
-		data, err = e.Volume.ReadPage(c, id, e.pipe.DurableLSN())
+		data, err = e.Volume.ReadPage(c, id, e.DurableLSN())
 	}
 	if err != nil {
 		return nil, err
@@ -150,15 +141,7 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 
 // read is the pipeline's read hook: the writer cache, filled by fetchPage.
 func (e *Engine) read(c *sim.Clock, key uint64) ([]byte, error) {
-	return e.pipe.ReadPool(c, e.pool, key)
-}
-
-// Execute implements engine.Engine (runs on the writer node). Read-only
-// work needs only the read quorum; a commit with writes needs the write
-// quorum, and a volume below it refuses the append before delivering
-// anything — an ordinary failed prepare.
-func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, fn)
+	return e.ReadPool(c, e.pool, key)
 }
 
 // durable ships ONLY log records (log-as-the-database) to the volume and
@@ -183,7 +166,7 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 // version forever: not replica lag but a permanently stale read, which the
 // history checker flags as a session-order cycle.
 func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
-	e.pipe.ApplyCached(c, e.pool, recs)
+	e.ApplyCached(c, e.pool, recs)
 	return nil
 }
 
@@ -192,18 +175,7 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 // reads follow the same accounting invariant as Execute: every attempt
 // lands in exactly one of Commits/Aborts.
 func (e *Engine) ReadReplica(c *sim.Clock, idx int, fn func(tx engine.Tx) error) error {
-	return e.pipe.ReadOnly(c, e.readerReads[idx], fn)
-}
-
-// Crash implements engine.Recoverer: the writer node dies; the volume and
-// its materialized pages survive.
-func (e *Engine) Crash() { e.pipe.Crash() }
-
-// Close implements io.Closer: the compute node retires and its caches hand
-// their frames back (engine.Pipeline.Close).
-func (e *Engine) Close() error {
-	e.pipe.Close()
-	return nil
+	return e.ReadOnly(c, e.readerReads[idx], fn)
 }
 
 // Recover implements engine.Recoverer: Aurora recovery — poll a read
@@ -215,8 +187,8 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.pipe.AdvanceDurable(lsn)
-	e.pipe.Up()
+	e.AdvanceDurable(lsn)
+	e.Up()
 	return c.Now() - start, nil
 }
 
@@ -228,7 +200,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // the round adopt the horizon later via RepairReplica's checkpoint-image
 // copy, so truncation never strands them.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.pipe.Checkpoint(c, checkpoint.Round{
+	return e.Pipeline.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			advanced, _ := storagenode.Converge(c, e.Volume.Replicas, e.log, h)
 			if advanced < e.Volume.WriteQ {
@@ -244,12 +216,6 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 		},
 	})
 }
-
-// RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
-
-// Pool exposes the writer cache.
-func (e *Engine) Pool() *buffer.Pool { return e.pool }
 
 // Log exposes the authoritative log (replica repair, tests).
 func (e *Engine) Log() *wal.Log { return e.log }

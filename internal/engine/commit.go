@@ -70,12 +70,14 @@ type Hooks struct {
 // with 2PC on its own Execute.)
 //
 // Besides the commit path below it owns what every such node has: the crash
-// flag Execute sheds behind (Crash, Up, Close), the page-coherence directory
-// and the caches registered with it (Coherent, Cache, Detach), the checkpoint
-// coordinator and its recovery horizon (Checkpoint, Horizon), and the site
-// names all of these report under, derived from the one site the engine
-// passes to NewPipeline. A fleet member is a Peer of the root's pipeline:
-// one log, one directory and one horizon, its own locks, cache and Stats.
+// flag Execute sheds behind (Crash, Up, Retire), the page-coherence directory
+// and the caches registered with it (Coherent, Cache, Pool, Detach), the
+// checkpoint coordinator and its recovery horizon (Checkpoint,
+// RecoveryHorizon), and the site names all of these report under, derived
+// from the one site the engine passes to NewPipeline. An engine embeds its
+// node, so these are its methods; it declares one itself only to do more. A
+// fleet member is a Peer of the root's pipeline: one log, one directory and
+// one horizon, its own locks, cache and Stats.
 //
 // The steps of a commit, and what each guarantees:
 //
@@ -147,8 +149,8 @@ type Pipeline struct {
 	caches []cache
 
 	crashed atomic.Bool
-	// closed makes a second Close a no-op; open counts the members of the
-	// substrate (the root and its peers) not yet closed, and the last Close
+	// closed makes a second Retire a no-op; open counts the members of the
+	// substrate (the root and its peers) not yet retired, and the last Retire
 	// hands the shared log's images back.
 	closed  atomic.Bool
 	open    *atomic.Int32
@@ -158,7 +160,7 @@ type Pipeline struct {
 	applying *applying
 
 	// gc, when non-nil, combines concurrent Durable calls into shared
-	// flushes (EnableGroupCommit).
+	// flushes (GroupCommit).
 	gc *sim.Batcher[[]wal.Record, wal.LSN]
 }
 
@@ -210,9 +212,9 @@ type cache struct {
 }
 
 // Cache registers pool with the directory under name. The first pool
-// registered is the node's own tier: excluded from the node's publishes,
-// emptied by Crash, unregistered by Detach. Close empties and unregisters
-// every one.
+// registered is the node's own tier (Pool): excluded from the node's
+// publishes, emptied by Crash, unregistered by Detach. Retire empties and
+// unregisters every one.
 func (p *Pipeline) Cache(name string, pool *buffer.Pool) {
 	h := p.dir.Register(name, pool)
 	pool.SetCoherence(h, PageLSN)
@@ -221,6 +223,12 @@ func (p *Pipeline) Cache(name string, pool *buffer.Pool) {
 	}
 	p.caches = append(p.caches, cache{h, pool})
 }
+
+// Pool is the node's own cache tier (nil if Cache was never called).
+func (p *Pipeline) Pool() *buffer.Pool { return p.ownPool }
+
+// Stats is what the node counts into, as given to NewPipeline or Peer.
+func (p *Pipeline) Stats() *Stats { return p.stats }
 
 // Detach unregisters the node's own cache from the (shared) directory, so a
 // retired fleet member stops absorbing invalidation fan-out.
@@ -238,18 +246,18 @@ func (p *Pipeline) Crash() {
 // Up brings the node back; the engine's Recover calls it last.
 func (p *Pipeline) Up() { p.crashed.Store(false) }
 
-// Close retires the compute node for good: Execute sheds with
+// Retire takes the compute node out for good: Execute sheds with
 // ErrUnavailable instead of refilling a cold cache, and every pool Cache
 // registered leaves the directory and hands its frames to page.Release,
 // without writeback. The node's cache is a soft copy of its durable tier, so
 // nothing is lost that a successor cannot fetch again. The last member of
-// the substrate to close, root or peer, also releases the log
+// the substrate to retire, root or peer, also releases the log
 // (wal.Log.Release): the caller retires the engine whole, so nothing reads
-// its log, storage tier or view afterwards. A second Close does nothing.
-// Close reports whether it was that last close, after which the engine
+// its log, storage tier or view afterwards. A second Retire does nothing.
+// Retire reports whether it was that last one, after which the engine
 // releases the rest of the substrate it built (an object store, a memory
 // node).
-func (p *Pipeline) Close() (last bool) {
+func (p *Pipeline) Retire() (last bool) {
 	if p.closed.Swap(true) {
 		return false
 	}
@@ -263,6 +271,12 @@ func (p *Pipeline) Close() (last bool) {
 		return true
 	}
 	return false
+}
+
+// Close is Retire as an io.Closer.
+func (p *Pipeline) Close() error {
+	p.Retire()
+	return nil
 }
 
 // Checkpoint runs one round on the node's coordinator. The horizon it
@@ -282,8 +296,8 @@ func (p *Pipeline) Checkpoint(c *sim.Clock, r checkpoint.Round) error {
 // so truncation must not reach it.
 func (p *Pipeline) CheckpointLSN() wal.LSN { return min(p.DurableLSN(), p.appliedLSN()) }
 
-// Horizon reports the published recovery horizon of the node's log.
-func (p *Pipeline) Horizon() wal.LSN { return p.ckpt.Horizon() }
+// RecoveryHorizon reports the published recovery horizon of the node's log.
+func (p *Pipeline) RecoveryHorizon() wal.LSN { return p.ckpt.Horizon() }
 
 // DurableLSN reports the end of the durable prefix: every slot at or below
 // it is decided, every commit there durable.
@@ -300,9 +314,6 @@ func (p *Pipeline) AdvanceDurable(lsn wal.LSN) {
 		}
 	}
 }
-
-// Shed refuses an attempt on a crashed compute node without doing work.
-func (p *Pipeline) Shed() error { return Shed(p.stats) }
 
 // Shed refuses an attempt on a crashed or retired compute node without doing
 // work: stats counts the attempt and the shed, the caller sees
@@ -328,7 +339,7 @@ func (p *Pipeline) finish(err error) error {
 // recycled when Execute returns.
 func (p *Pipeline) Execute(c *sim.Clock, fn func(tx Tx) error) error {
 	if p.crashed.Load() {
-		return p.Shed()
+		return Shed(p.stats)
 	}
 	p.stats.Attempts.Add(1)
 	st := NewStagedTx(c, p.Read)
@@ -560,12 +571,13 @@ func pageStamps(dst []coherence.PageStamp, recs []wal.Record) []coherence.PageSt
 	return stamps
 }
 
-// EnableGroupCommit makes commits ride shared Durable flushes of up to
-// maxItems transactions or the virtual window, whichever triggers first
-// (the body of engine.GroupCommitter). Coherence publications piggyback on
-// the same cadence: one durable group flush, one publication round for the
-// whole group.
-func (p *Pipeline) EnableGroupCommit(maxItems int, window time.Duration) {
+// GroupCommit makes commits ride shared Durable flushes of up to maxItems
+// transactions or the virtual window, whichever triggers first (the body of
+// engine.GroupCommitter). Coherence publications piggyback on the same
+// cadence: one durable group flush, one publication round for the whole
+// group. An engine whose durable tier can share a flush calls it from its
+// own EnableGroupCommit; embedding the node makes no engine a GroupCommitter.
+func (p *Pipeline) GroupCommit(maxItems int, window time.Duration) {
 	p.dir.EnableBatching(maxItems, window)
 	p.gc = sim.NewBatcher(p.cfg, p.site+".groupcommit",
 		sim.BatchPolicy{MaxItems: maxItems, Window: window, OnFlush: p.noteFlush},

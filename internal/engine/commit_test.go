@@ -374,7 +374,7 @@ func TestPipelineGroupCommit(t *testing.T) {
 		flushed = append(flushed, append([]wal.Record(nil), recs...))
 		return nil
 	}
-	e.p.EnableGroupCommit(4, 0)
+	e.p.GroupCommit(4, 0)
 	points := map[*sim.Clock][]sim.Point{} // written by the worker holding the baton
 	e.p.cfg.At = func(c *sim.Clock, pt sim.Point) { points[c] = append(points[c], pt) }
 	const workers = 4
@@ -748,8 +748,8 @@ func TestPipelinePeerSharesLogDirectoryAndHorizon(t *testing.T) {
 		if err := n.p.Checkpoint(sim.NewClock(), round); err != nil {
 			t.Fatal(err)
 		}
-		if h := n.p.DurableLSN(); root.p.Horizon() != h || peer.p.Horizon() != h {
-			t.Errorf("horizons root %d, peer %d after a checkpoint at %d", root.p.Horizon(), peer.p.Horizon(), h)
+		if h := n.p.DurableLSN(); root.p.RecoveryHorizon() != h || peer.p.RecoveryHorizon() != h {
+			t.Errorf("horizons root %d, peer %d after a checkpoint at %d", root.p.RecoveryHorizon(), peer.p.RecoveryHorizon(), h)
 		}
 	}
 	stripes := map[uint64]bool{}
@@ -779,7 +779,7 @@ func TestPipelineSites(t *testing.T) {
 	cfg.Stats = sim.NewRegistry()
 	n := newRoot(t, cfg, "x")
 	n.p.Dir().SetMode(coherence.ModeBump)
-	n.p.EnableGroupCommit(4, 0)
+	n.p.GroupCommit(4, 0)
 	n.write(t, 1)
 	err := n.p.Checkpoint(sim.NewClock(), checkpoint.Round{
 		Flush:    func(*sim.Clock, wal.LSN) error { return nil },

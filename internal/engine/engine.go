@@ -7,7 +7,8 @@
 // the log becomes durable, where pages are materialised, which caches must
 // hear about it. A commit prepares (its records reserved in the log, seen
 // by no reader, and made durable) and then commits (the records decided,
-// visible and applied).
+// visible and applied). Each of the nine embeds that compute node, a
+// *Pipeline, and with it Execute, Stats, Crash, Close and the rest.
 package engine
 
 import (
@@ -150,7 +151,7 @@ var (
 	ErrShed = errors.New("engine: shed by admission control")
 )
 
-// errDown is a crashed compute node's refusal (Pipeline.Shed): callers see
+// errDown is a crashed compute node's refusal (Shed): callers see
 // ErrUnavailable, and Run records a shed, as the node's Stats count it.
 var errDown = fmt.Errorf("%w: compute node down", ErrUnavailable)
 

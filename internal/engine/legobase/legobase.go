@@ -26,6 +26,7 @@ import (
 
 // Engine is the LegoBase-style engine.
 type Engine struct {
+	*engine.Pipeline
 	cfg    *sim.Config
 	layout heap.Layout
 	// Tiers is the two-level cache (local LRU + remote-memory LRU). Commit
@@ -38,7 +39,6 @@ type Engine struct {
 	ssd     *device.SSD
 	log     *wal.Log
 	stats   engine.Stats
-	pipe    *engine.Pipeline
 
 	// CheckpointRemoteEvery / CheckpointStorageEvery control the two
 	// ARIES tiers (commit counts; 0 disables).
@@ -74,24 +74,21 @@ func New(cfg *sim.Config, layout heap.Layout, localPages, remotePages int) *Engi
 	}
 	remote := buffer.NewRemotePool(cfg, mn.Node(), nil, base, remotePages, layout.PageSize)
 	e.Tiers = buffer.NewTwoTier(cfg, localPages, remote, e.fetchFromStorage)
-	e.pipe = engine.NewPipeline(cfg, "legobase", layout, e.log, &e.stats,
+	e.Pipeline = engine.NewPipeline(cfg, "legobase", layout, e.log, &e.stats,
 		engine.Hooks{Read: e.readKey, Durable: e.durable, Apply: e.apply})
-	e.pipe.Coherent(coherence.ModeBump)
+	e.Coherent(coherence.ModeBump)
 	// Both cache tiers register with the directory themselves, so the node
 	// has no own tier and none is excluded from a publish: the local tier's
 	// frames are re-stamped by the apply and stay fresh; a remote-tier copy
 	// that predates the commit goes stale and is dropped on its next
 	// validated read.
-	e.Tiers.SetCoherence(e.pipe.Dir(), "legobase", engine.PageLSN)
-	e.Tiers.Capture = e.pipe.Capture
+	e.Tiers.SetCoherence(e.Dir(), "legobase", engine.PageLSN)
+	e.Tiers.Capture = e.Capture
 	return e
 }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "legobase" }
-
-// Stats implements engine.Engine.
-func (e *Engine) Stats() *engine.Stats { return &e.stats }
 
 func (e *Engine) fetchFromStorage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.mu.Lock()
@@ -112,7 +109,7 @@ func (e *Engine) fetchFromStorage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.stats.NetBytes.Add(int64(len(out)))
 	// Replay this page's log chain newer than the page image.
 	if err := e.log.RedoPage(uint64(id), wal.LSN(page.Wrap(out).LSN()), func(r *wal.Record) error {
-		applied, err := e.pipe.Redo(out, r)
+		applied, err := e.Redo(out, r)
 		if applied {
 			c.Advance(e.cfg.CPU.Cost(len(r.After)))
 		}
@@ -133,11 +130,6 @@ func (e *Engine) readKey(c *sim.Clock, key uint64) (val []byte, err error) {
 		return nil, rerr
 	}
 	return val, err
-}
-
-// Execute implements engine.Engine.
-func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, fn)
 }
 
 // durable: network round trip to the log + SSD append.
@@ -166,7 +158,7 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 			return err
 		}
 	}
-	e.pipe.Applied(recs) // before a checkpoint below captures the pages
+	e.Applied(recs) // before a checkpoint below captures the pages
 	n := e.commitCount.Add(1)
 	if e.CheckpointRemoteEvery > 0 && n%int64(e.CheckpointRemoteEvery) == 0 {
 		e.CheckpointRemote(c)
@@ -188,7 +180,7 @@ func (e *Engine) redoTiers(c *sim.Clock, after, upto wal.LSN) error {
 			return nil
 		}
 		return e.Tiers.Mutate(c, page.ID(r.PageID), func(data []byte) error {
-			_, err := e.pipe.Redo(data, r)
+			_, err := e.Redo(data, r)
 			return err
 		})
 	})
@@ -208,7 +200,7 @@ func (e *Engine) redoTiers(c *sim.Clock, after, upto wal.LSN) error {
 // Each dirty frame is copied into one recycled buffer, stamped and written
 // to remote memory, which keeps its own copy.
 func (e *Engine) CheckpointRemote(c *sim.Clock) error {
-	target := e.pipe.CheckpointLSN()
+	target := e.CheckpointLSN()
 	e.mu.Lock()
 	from := e.remoteCkptLSN
 	e.mu.Unlock()
@@ -221,7 +213,7 @@ func (e *Engine) CheckpointRemote(c *sim.Clock) error {
 		if err := e.Tiers.Local.Read(c, id, func(data []byte) { copy(img, data) }); err != nil {
 			return err
 		}
-		e.pipe.Capture(img)
+		e.Capture(img)
 		if err := e.Tiers.Remote.Put(c, id, img); err != nil {
 			return err
 		}
@@ -245,13 +237,13 @@ func (e *Engine) CheckpointRemote(c *sim.Clock) error {
 // without ever truncating (unbounded log) and trusted the remote tier's
 // current contents (whose LRU may have evicted below-horizon pages).
 func (e *Engine) CheckpointStorage(c *sim.Clock) error {
-	return e.pipe.Checkpoint(c, checkpoint.Round{
+	return e.Pipeline.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			// Redo the retained tail straight into the disk images — the
 			// disk copy must cover <= h independent of what either cache
 			// tier currently holds.
 			e.mu.Lock()
-			changed, err := e.pipe.RedoImages(e.disk, e.pipe.Horizon(), h)
+			changed, err := e.RedoImages(e.disk, e.RecoveryHorizon(), h)
 			e.mu.Unlock()
 			if err != nil {
 				return err
@@ -292,13 +284,10 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 	return e.CheckpointStorage(c)
 }
 
-// RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
-
 // Crash implements engine.Recoverer: the compute node dies; local cache is
 // lost, remote memory and storage survive.
 func (e *Engine) Crash() {
-	e.pipe.Crash()
+	e.Pipeline.Crash()
 	e.Tiers.Local.InvalidateAll()
 }
 
@@ -306,7 +295,7 @@ func (e *Engine) Crash() {
 // hands its frames back; the memory node New built for the remote tier
 // closes too, handing its touched memory back (memnode.Pool.Close).
 func (e *Engine) Close() error {
-	last := e.pipe.Close()
+	last := e.Retire()
 	e.Tiers.Local.InvalidateAll()
 	if last {
 		e.MemNode.Close()
@@ -327,7 +316,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if err := e.redoTiers(c, from, ^wal.LSN(0)); err != nil {
 		return 0, err
 	}
-	e.pipe.Up()
+	e.Up()
 	return c.Now() - start, nil
 }
 
@@ -367,6 +356,6 @@ func (e *Engine) RecoverFromStorageOnly(c *sim.Clock) (time.Duration, error) {
 	}); err != nil {
 		return 0, err
 	}
-	e.pipe.Up()
+	e.Up()
 	return c.Now() - start, nil
 }

@@ -22,8 +22,11 @@ import (
 	"github.com/disagglab/disagg/internal/wal"
 )
 
-// Engine is the monolithic baseline.
+// Engine is the monolithic baseline. Its compute node is the whole server:
+// a crash loses the buffer pool (Pool), and the SSD survives — the log, whose
+// fsync at commit is DurableLSN, and the checkpointed pages.
 type Engine struct {
+	*engine.Pipeline
 	cfg    *sim.Config
 	layout heap.Layout
 	ssd    *device.SSD
@@ -33,7 +36,6 @@ type Engine struct {
 	pool  *buffer.Pool
 	log   *wal.Log
 	stats engine.Stats
-	pipe  *engine.Pipeline
 
 	mu sync.Mutex
 	// disk is the durable page store (post-checkpoint images), private to
@@ -53,18 +55,15 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int) *Engine {
 		disk:   make(map[page.ID][]byte),
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, e.writebackPage)
-	e.pipe = engine.NewPipeline(cfg, "monolithic", layout, e.log, &e.stats,
+	e.Pipeline = engine.NewPipeline(cfg, "monolithic", layout, e.log, &e.stats,
 		engine.Hooks{Read: e.read, Durable: e.durable, Apply: e.apply})
-	e.pipe.Coherent(coherence.ModeBump)
-	e.pipe.Cache("pool", e.pool)
+	e.Coherent(coherence.ModeBump)
+	e.Cache("pool", e.pool)
 	return e
 }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "monolithic" }
-
-// Stats implements engine.Engine.
-func (e *Engine) Stats() *engine.Stats { return &e.stats }
 
 func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	// writebackPage overwrites a disk image in place, so the image is copied
@@ -90,7 +89,7 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	e.mu.Unlock()
 	after := max(ckpt, wal.LSN(page.Wrap(out).LSN()))
 	if err := e.log.RedoPage(uint64(id), after, func(r *wal.Record) error {
-		_, err := e.pipe.Redo(out, r)
+		_, err := e.Redo(out, r)
 		return err
 	}); err != nil {
 		return nil, err
@@ -116,7 +115,7 @@ func (e *Engine) writebackPage(c *sim.Clock, id page.ID, data []byte) error {
 		e.disk[id] = img
 	}
 	copy(img, data)
-	e.pipe.Capture(img)
+	e.Capture(img)
 	e.mu.Unlock()
 	e.ssd.Write(c, len(data))
 	e.stats.StorageOps.Add(1)
@@ -125,12 +124,7 @@ func (e *Engine) writebackPage(c *sim.Clock, id page.ID, data []byte) error {
 
 // read is the pipeline's read hook: the buffer pool, filled by fetchPage.
 func (e *Engine) read(c *sim.Clock, key uint64) ([]byte, error) {
-	return e.pipe.ReadPool(c, e.pool, key)
-}
-
-// Execute implements engine.Engine.
-func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, fn)
+	return e.ReadPool(c, e.pool, key)
 }
 
 // durable is the commit pipeline's durability hook: one group-commit
@@ -147,7 +141,7 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 // failed goes stale at the publish, and the next reader refetches through
 // fetchPage's log replay.
 func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
-	e.pipe.ApplyPool(c, e.pool, recs)
+	e.ApplyPool(c, e.pool, recs)
 	return nil
 }
 
@@ -158,19 +152,19 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 // ordering truncated such a commit's records while its page updates were
 // still only in the soon-to-be-lost buffer pool.)
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.pipe.Checkpoint(c, checkpoint.Round{
+	return e.Pipeline.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			// Redo the retained tail up to the horizon into the pool
 			// before flushing: a commit whose in-pool apply failed (its
 			// frame was staled) exists only in log records the truncation
 			// below h+1 is about to discard. Page-LSN guards make the
 			// redo idempotent against already-applied commits.
-			if err := e.log.Range(e.pipe.Horizon(), h, func(r *wal.Record) error {
+			if err := e.log.Range(e.RecoveryHorizon(), h, func(r *wal.Record) error {
 				if r.Type != wal.TypeUpdate {
 					return nil
 				}
 				return e.pool.Mutate(c, page.ID(r.PageID), func(data []byte) error {
-					_, err := e.pipe.Redo(data, r)
+					_, err := e.Redo(data, r)
 					return err
 				})
 			}); err != nil {
@@ -192,23 +186,6 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 			return nil
 		},
 	})
-}
-
-// RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
-
-// DurableLSN reports the highest LSN fsynced to the SSD log.
-func (e *Engine) DurableLSN() wal.LSN { return e.pipe.DurableLSN() }
-
-// Crash implements engine.Recoverer: the buffer pool is lost; the SSD
-// (log + checkpointed pages) survives.
-func (e *Engine) Crash() { e.pipe.Crash() }
-
-// Close implements io.Closer: the compute node retires and its caches hand
-// their frames back (engine.Pipeline.Close).
-func (e *Engine) Close() error {
-	e.pipe.Close()
-	return nil
 }
 
 // Recover implements engine.Recoverer: ARIES-style redo of the log tail
@@ -243,9 +220,6 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if err := e.pool.FlushAll(c); err != nil {
 		return 0, err
 	}
-	e.pipe.Up()
+	e.Up()
 	return c.Now() - start, nil
 }
-
-// Pool exposes the buffer pool (tests and cache-metric experiments).
-func (e *Engine) Pool() *buffer.Pool { return e.pool }

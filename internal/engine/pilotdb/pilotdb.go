@@ -46,6 +46,7 @@ func Naive() Options { return Options{} }
 
 // Engine is the PilotDB-style engine.
 type Engine struct {
+	*engine.Pipeline
 	cfg    *sim.Config
 	layout heap.Layout
 	opt    Options
@@ -58,9 +59,9 @@ type Engine struct {
 	stats engine.Stats
 	// pool is the compute cache. Commit publishes bump per-page versions in
 	// the node's directory (ModeBump — optimistic readers validate lazily),
-	// and the pool validates cached frames against it.
+	// and the pool validates cached frames against it, so the pool read path
+	// is also the optimistic-read validation.
 	pool *buffer.Pool
-	pipe *engine.Pipeline
 
 	// Validations / Repairs count optimistic-read outcomes.
 	Validations atomic.Int64
@@ -83,10 +84,10 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int, opt Options) *Engin
 		log:       wal.NewLog(),
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, nil)
-	e.pipe = engine.NewPipeline(cfg, "pilotdb", layout, e.log, &e.stats,
+	e.Pipeline = engine.NewPipeline(cfg, "pilotdb", layout, e.log, &e.stats,
 		engine.Hooks{Read: e.read, Durable: e.durable, Apply: e.apply})
-	e.pipe.Coherent(coherence.ModeBump)
-	e.pipe.Cache("pool", e.pool)
+	e.Coherent(coherence.ModeBump)
+	e.Cache("pool", e.pool)
 	return e
 }
 
@@ -98,13 +99,10 @@ func (e *Engine) Name() string {
 	return "pilotdb-naive"
 }
 
-// Stats implements engine.Engine.
-func (e *Engine) Stats() *engine.Stats { return &e.stats }
-
 // expectedLSN is the LSN a fresh copy of the page must carry: the highest
 // published update-record LSN for the page (the directory version).
 func (e *Engine) expectedLSN(id page.ID) wal.LSN {
-	return wal.LSN(e.pipe.Dir().Version(id))
+	return wal.LSN(e.Dir().Version(id))
 }
 
 // fetchPage is the optimistic (or coordinated) page read.
@@ -144,7 +142,7 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 		// rule's page-LSN guard needs them ascending.
 		slices.SortFunc(recs, func(a, b wal.Record) int { return cmp.Compare(a.LSN, b.LSN) })
 		for i := range recs {
-			applied, err := e.pipe.Redo(data, &recs[i])
+			applied, err := e.Redo(data, &recs[i])
 			if applied {
 				c.Advance(e.cfg.CPU.Cost(len(recs[i].After)))
 			}
@@ -189,14 +187,7 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 
 // read is the pipeline's read hook: the compute cache, filled by fetchPage.
 func (e *Engine) read(c *sim.Clock, key uint64) ([]byte, error) {
-	return e.pipe.ReadPool(c, e.pool, key)
-}
-
-// Execute implements engine.Engine. The pool validates cached frames
-// against the directory itself, so the shared pool read path is also the
-// optimistic-read validation.
-func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, fn)
+	return e.ReadPool(c, e.pool, key)
 }
 
 // durable: persistence on the PM layer.
@@ -237,17 +228,7 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 		bg := c.Fork()
 		e.PageStore.Ingest(&bg, prev)
 	}
-	e.pipe.ApplyCached(c, e.pool, recs)
-	return nil
-}
-
-// Crash implements engine.Recoverer.
-func (e *Engine) Crash() { e.pipe.Crash() }
-
-// Close implements io.Closer: the compute node retires and its caches hand
-// their frames back (engine.Pipeline.Close).
-func (e *Engine) Close() error {
-	e.pipe.Close()
+	e.ApplyCached(c, e.pool, recs)
 	return nil
 }
 
@@ -255,9 +236,9 @@ func (e *Engine) Close() error {
 // log survive; the compute node learns the durable LSN with one PM read.
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
-	e.pipe.AdvanceDurable(e.PMLog.HighLSN())
+	e.AdvanceDurable(e.PMLog.HighLSN())
 	c.Advance(e.cfg.RDMA.Cost(64))
-	e.pipe.Up()
+	e.Up()
 	return c.Now() - start, nil
 }
 
@@ -267,7 +248,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // store with the horizon, and truncates the PM log — a fabric RPC that
 // can fail and is retried next round — plus the compute-side log.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.pipe.Checkpoint(c, checkpoint.Round{
+	return e.Pipeline.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			e.mu.Lock()
 			pend := e.pending
@@ -297,9 +278,3 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 		},
 	})
 }
-
-// RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
-
-// Pool exposes the compute cache.
-func (e *Engine) Pool() *buffer.Pool { return e.pool }

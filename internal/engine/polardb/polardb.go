@@ -26,6 +26,7 @@ import (
 
 // Engine is the PolarDB-style engine.
 type Engine struct {
+	*engine.Pipeline
 	cfg    *sim.Config
 	layout heap.Layout
 	// FS is the PolarFS log: raft-replicated records.
@@ -37,7 +38,6 @@ type Engine struct {
 	// publishes), but a frame whose apply failed goes stale automatically
 	// and is refetched with log replay.
 	pool *buffer.Pool
-	pipe *engine.Pipeline
 
 	// CheckpointEvery flushes dirty pages to PolarFS every N commits
 	// (page shipping; 0 disables).
@@ -60,9 +60,9 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages int) *Engine {
 		CheckpointEvery: 64,
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, e.shipPage)
-	e.pipe = engine.NewPipeline(cfg, "polardb", layout, e.log, &e.stats, e.hooks())
-	e.pipe.Coherent(coherence.ModeBump)
-	e.pipe.Cache("pool", e.pool)
+	e.Pipeline = engine.NewPipeline(cfg, "polardb", layout, e.log, &e.stats, e.hooks())
+	e.Coherent(coherence.ModeBump)
+	e.Cache("pool", e.pool)
 	return e
 }
 
@@ -93,25 +93,18 @@ func Peer(root *Engine, peerID, poolPages int) *Engine {
 		CheckpointEvery: root.CheckpointEvery,
 	}
 	e.pool = buffer.NewPool(e.cfg, poolPages, e.fetchPage, e.shipPage)
-	e.pipe = root.pipe.Peer(peerID, &e.stats, e.hooks())
-	e.pipe.Cache(fmt.Sprintf("peer%d", peerID), e.pool)
+	e.Pipeline = root.Pipeline.Peer(peerID, &e.stats, e.hooks())
+	e.Cache(fmt.Sprintf("peer%d", peerID), e.pool)
 	return e
 }
-
-// Detach unregisters the peer's cache from the shared coherence directory
-// (a retired member stops absorbing invalidation fan-out).
-func (e *Engine) Detach() { e.pipe.Detach() }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "polardb" }
 
-// Stats implements engine.Engine.
-func (e *Engine) Stats() *engine.Stats { return &e.stats }
-
 // EnableGroupCommit implements engine.GroupCommitter: commit-path raft
 // appends share one replication round.
 func (e *Engine) EnableGroupCommit(maxItems int, window time.Duration) {
-	e.pipe.EnableGroupCommit(maxItems, window)
+	e.GroupCommit(maxItems, window)
 }
 
 // fetchPage reads a page image from PolarFS (RDMA + NVMe) and replays any
@@ -132,7 +125,7 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 	// Replay this page's newer records from the log: only decided ones,
 	// which are durable, are on its chain.
 	if err := e.log.RedoPage(uint64(id), wal.LSN(page.Wrap(data).LSN()), func(r *wal.Record) error {
-		applied, err := e.pipe.Redo(data, r)
+		applied, err := e.Redo(data, r)
 		if applied {
 			c.Advance(e.cfg.CPU.Cost(len(r.After)))
 		}
@@ -151,7 +144,7 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 func (e *Engine) shipPage(c *sim.Clock, id page.ID, data []byte) error {
 	img := make([]byte, len(data))
 	copy(img, data)
-	e.pipe.Capture(img)
+	e.Capture(img)
 	e.mu.Lock()
 	e.pagesFS[id] = img
 	e.mu.Unlock()
@@ -167,12 +160,7 @@ func (e *Engine) shipPage(c *sim.Clock, id page.ID, data []byte) error {
 
 // read is the pipeline's read hook: the buffer pool, filled by fetchPage.
 func (e *Engine) read(c *sim.Clock, key uint64) ([]byte, error) {
-	return e.pipe.ReadPool(c, e.pool, key)
-}
-
-// Execute implements engine.Engine.
-func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, fn)
+	return e.ReadPool(c, e.pool, key)
 }
 
 // durable: log shipping at commit — the encoded records go to PolarFS as
@@ -196,21 +184,11 @@ func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 // (already durable) commit — the pages stay dirty and the next checkpoint
 // retries.
 func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
-	e.pipe.ApplyPool(c, e.pool, recs)
-	e.pipe.Applied(recs) // before the flush below captures the pages
+	e.ApplyPool(c, e.pool, recs)
+	e.Applied(recs) // before the flush below captures the pages
 	if n := e.commitCount.Add(1); e.CheckpointEvery > 0 && n%int64(e.CheckpointEvery) == 0 {
 		_ = e.pool.FlushAll(c)
 	}
-	return nil
-}
-
-// Crash implements engine.Recoverer.
-func (e *Engine) Crash() { e.pipe.Crash() }
-
-// Close implements io.Closer: the compute node retires and its caches hand
-// their frames back (engine.Pipeline.Close).
-func (e *Engine) Close() error {
-	e.pipe.Close()
 	return nil
 }
 
@@ -224,8 +202,8 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if _, err := e.FS.Elect(c); err != nil {
 		return 0, err
 	}
-	e.pipe.AdvanceDurable(e.log.Decided())
-	e.pipe.Up()
+	e.AdvanceDurable(e.log.Decided())
+	e.Up()
 	return c.Now() - start, nil
 }
 
@@ -240,16 +218,16 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // node that owns the shipped images; fleet peers share the coordinator
 // so they observe one consistent horizon.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.pipe.Checkpoint(c, checkpoint.Round{
+	return e.Pipeline.Checkpoint(c, checkpoint.Round{
 		Durable: func() wal.LSN {
 			e.mu.Lock()
 			defer e.mu.Unlock()
 			e.fsCompactTo = e.FS.CommitIndex()
-			return e.pipe.CheckpointLSN()
+			return e.CheckpointLSN()
 		},
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			e.mu.Lock()
-			changed, err := e.pipe.RedoImages(e.pagesFS, e.pipe.Horizon(), h)
+			changed, err := e.RedoImages(e.pagesFS, e.RecoveryHorizon(), h)
 			e.mu.Unlock()
 			if err != nil {
 				return err
@@ -278,9 +256,3 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 		},
 	})
 }
-
-// RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
-
-// Pool exposes the buffer pool.
-func (e *Engine) Pool() *buffer.Pool { return e.pool }

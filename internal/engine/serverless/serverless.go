@@ -31,6 +31,12 @@ import (
 // Engine is the PolarDB Serverless-style engine: one primary (writer) and
 // any number of secondaries sharing the remote buffer pool.
 type Engine struct {
+	// The node's directory is the memory-node page directory (ModeBump:
+	// local caches are kept coherent by page-LSN validation, not
+	// invalidation broadcasts); the shared pool and every node cache
+	// validate their entries against it.
+	*engine.Pipeline
+
 	cfg    *sim.Config
 	layout heap.Layout
 	Volume *storagenode.Volume
@@ -40,11 +46,6 @@ type Engine struct {
 
 	log   *wal.Log
 	stats engine.Stats
-	// pipe's directory is the memory-node page directory (ModeBump: local
-	// caches are kept coherent by page-LSN validation, not invalidation
-	// broadcasts); the shared pool and every node cache validate their
-	// entries against it.
-	pipe *engine.Pipeline
 	// latches are the memory node's page-level physical latches.
 	latches *txn.LockTable
 
@@ -90,18 +91,18 @@ func New(cfg *sim.Config, layout heap.Layout, nodes, localPages, sharedPages int
 	// is excluded from a publish: the writer's own copies carry the commit
 	// LSN and stay fresh; every other node's cached copy goes stale and
 	// revalidates.
-	e.pipe = engine.NewPipeline(cfg, "serverless", layout, e.log, &e.stats,
+	e.Pipeline = engine.NewPipeline(cfg, "serverless", layout, e.log, &e.stats,
 		engine.Hooks{Read: e.readKey, Durable: e.durable, Apply: e.apply})
-	e.pipe.Coherent(coherence.ModeBump)
+	e.Coherent(coherence.ModeBump)
 	base, err := mn.Alloc(uint64(sharedPages * layout.PageSize))
 	if err != nil {
 		panic("serverless: shared pool sizing bug: " + err.Error())
 	}
 	e.Shared = buffer.NewRemotePool(cfg, mn.Node(), nil, base, sharedPages, layout.PageSize)
-	e.Shared.SetCoherence(e.pipe.Dir().Register("shared", e.Shared), engine.PageLSN)
+	e.Shared.SetCoherence(e.Dir().Register("shared", e.Shared), engine.PageLSN)
 	for i := 0; i < nodes; i++ {
 		n := e.newNode(localPages)
-		n.cache.SetCoherence(e.pipe.Dir().Register(fmt.Sprintf("node%d", i), n.cache), engine.PageLSN)
+		n.cache.SetCoherence(e.Dir().Register(fmt.Sprintf("node%d", i), n.cache), engine.PageLSN)
 		e.nodes = append(e.nodes, n)
 	}
 	return e
@@ -110,16 +111,13 @@ func New(cfg *sim.Config, layout heap.Layout, nodes, localPages, sharedPages int
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "polardb-serverless" }
 
-// Stats implements engine.Engine.
-func (e *Engine) Stats() *engine.Stats { return &e.stats }
-
 // directoryLSN returns the current LSN of a page in the shared directory,
 // charging the validation read.
 func (e *Engine) directoryLSN(c *sim.Clock, n *computeNode, id page.ID) wal.LSN {
 	// One 8-byte one-sided read against the memory node.
 	var buf [8]byte
 	n.qp.Read(c, 0, buf[:])
-	return wal.LSN(e.pipe.Dir().Version(id))
+	return wal.LSN(e.Dir().Version(id))
 }
 
 // readPage runs fn on a current image of the page: the node's local cache
@@ -149,7 +147,7 @@ func (e *Engine) readPage(c *sim.Clock, n *computeNode, id page.ID, fn func(data
 		e.stats.NetBytes.Add(int64(len(buf)))
 	} else {
 		// Shared-pool miss: fetch from storage, populate the shared pool.
-		min := e.pipe.DurableLSN()
+		min := e.DurableLSN()
 		buf, err = e.Volume.ReadPage(c, id, minForPage(min, want))
 		if err != nil {
 			// Injected drops can leave the same log hole on every replica;
@@ -200,9 +198,9 @@ func (e *Engine) readKey(c *sim.Clock, key uint64) ([]byte, error) {
 // Execute implements engine.Engine: runs on the primary.
 func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 	if e.nodes[e.primary.Load()].crashed.Load() {
-		return e.pipe.Shed()
+		return engine.Shed(e.Stats())
 	}
-	return e.pipe.Execute(c, fn)
+	return e.Pipeline.Execute(c, fn)
 }
 
 // durable: log to the storage volume (inherited from the PolarDB/Aurora
@@ -287,9 +285,9 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 func (e *Engine) ReadReplica(c *sim.Clock, idx int, fn func(tx engine.Tx) error) error {
 	n := e.nodes[idx]
 	if n.crashed.Load() {
-		return e.pipe.Shed()
+		return engine.Shed(e.Stats())
 	}
-	return e.pipe.ReadOnly(c, n.read, fn)
+	return e.ReadOnly(c, n.read, fn)
 }
 
 // Crash implements engine.Recoverer: the primary dies (its local cache is
@@ -306,7 +304,7 @@ func (e *Engine) Crash() {
 // memory node New built for the shared pool closes last, handing its
 // touched memory back (memnode.Pool.Close).
 func (e *Engine) Close() error {
-	last := e.pipe.Close()
+	last := e.Retire()
 	for _, n := range e.nodes {
 		n.crashed.Store(true)
 		n.cache.InvalidateAll()
@@ -340,7 +338,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.pipe.AdvanceDurable(lsn)
+	e.AdvanceDurable(lsn)
 	// One control-plane RPC to take ownership of the shared pool.
 	c.Advance(e.cfg.RDMARPC.Cost(64))
 	e.primary.Store(int32(next))
@@ -353,7 +351,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // prefix at or below the durable LSN and adopt the horizon; only then
 // does the compute-side log drop its tail below it.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.pipe.Checkpoint(c, checkpoint.Round{
+	return e.Pipeline.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			advanced, _ := storagenode.Converge(c, e.Volume.Replicas, e.log, h)
 			if advanced < e.Volume.WriteQ {
@@ -368,9 +366,6 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 	})
 }
 
-// RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
-
 // Nodes reports the number of compute nodes.
 func (e *Engine) Nodes() int { return len(e.nodes) }
 
@@ -383,6 +378,6 @@ func (e *Engine) AddNode(c *sim.Clock, localPages int) int {
 	e.nodes = append(e.nodes, n)
 	idx := len(e.nodes) - 1
 	e.mu.Unlock()
-	n.cache.SetCoherence(e.pipe.Dir().Register(fmt.Sprintf("node%d", idx), n.cache), engine.PageLSN)
+	n.cache.SetCoherence(e.Dir().Register(fmt.Sprintf("node%d", idx), n.cache), engine.PageLSN)
 	return idx
 }

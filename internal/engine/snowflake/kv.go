@@ -38,13 +38,14 @@ const ckptPrefix = "kvckpt/"
 // the segments and replays them in LSN order — a torn upload (crash
 // mid-put) leaves a truncated object without its terminal commit marker,
 // and recovery skips it whole, so a transaction is all-or-nothing.
+// DurableLSN is the highest object-durable commit LSN.
 type KV struct {
+	*engine.Pipeline
 	cfg    *sim.Config
 	layout heap.Layout
 	Store  *device.ObjectStore
 	log    *wal.Log
 	stats  engine.Stats
-	pipe   *engine.Pipeline
 
 	// commitMu is the pipeline's sequencer: it serializes the assign-LSN ->
 	// upload -> apply sequence, so segments land in LSN order and the view
@@ -74,23 +75,17 @@ func NewKV(cfg *sim.Config, layout heap.Layout) *KV {
 		log:    wal.NewLog(),
 		vals:   make(map[uint64][]byte),
 	}
-	e.pipe = engine.NewPipeline(cfg, "snowflake", layout, e.log, &e.stats,
+	e.Pipeline = engine.NewPipeline(cfg, "snowflake", layout, e.log, &e.stats,
 		engine.Hooks{Read: e.readKey, Durable: e.durable, Apply: e.apply, Sequencer: &e.commitMu})
 	// No page cache registers with the directory, so a publish invalidates
 	// nothing and charges nothing: it only keeps the page versions commit
 	// validation reads.
-	e.pipe.Coherent(coherence.ModeBump)
+	e.Coherent(coherence.ModeBump)
 	return e
 }
 
 // Name implements engine.Engine.
 func (e *KV) Name() string { return "snowflake-kv" }
-
-// Stats implements engine.Engine.
-func (e *KV) Stats() *engine.Stats { return &e.stats }
-
-// DurableLSN reports the highest object-durable commit LSN.
-func (e *KV) DurableLSN() wal.LSN { return e.pipe.DurableLSN() }
 
 // readKey is the pipeline's read hook: the materialized view, which costs no
 // virtual time.
@@ -104,11 +99,6 @@ func (e *KV) readKey(_ *sim.Clock, key uint64) ([]byte, error) {
 	out := make([]byte, len(v))
 	copy(out, v)
 	return out, nil
-}
-
-// Execute implements engine.Engine.
-func (e *KV) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, fn)
 }
 
 // durable: one immutable segment upload, named by the commit LSN; the
@@ -164,7 +154,7 @@ func objKey(prefix string, lsn wal.LSN) string {
 // anything is deleted; a failed delete leaves garbage that the next
 // round retries (deletion is idempotent).
 func (e *KV) Checkpoint(c *sim.Clock) error {
-	return e.pipe.Checkpoint(c, checkpoint.Round{
+	return e.Pipeline.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			// A commit advances the durable LSN before its apply reaches the
 			// view; both happen under the sequencer, so holding it here means
@@ -232,24 +222,21 @@ func (e *KV) Checkpoint(c *sim.Clock) error {
 	})
 }
 
-// RecoveryHorizon implements engine.Checkpointer.
-func (e *KV) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
-
 // Crash implements engine.Recoverer: the stateless compute node loses its
 // materialized view; the object store survives.
 func (e *KV) Crash() {
-	e.pipe.Crash()
+	e.Pipeline.Crash()
 	e.mu.Lock()
 	e.vals = make(map[uint64][]byte)
 	e.mu.Unlock()
 }
 
 // Close implements io.Closer: the compute node retires
-// (engine.Pipeline.Close), and with it the log whose images the view holds
+// (engine.Pipeline.Retire), and with it the log whose images the view holds
 // and the object store it built in NewKV, whose objects go back to the page
 // free list. Execute sheds afterwards.
 func (e *KV) Close() error {
-	if e.pipe.Close() {
+	if e.Retire() {
 		e.Store.Release()
 	}
 	return nil
@@ -345,8 +332,8 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 	e.mu.Lock()
 	e.vals = vals
 	e.mu.Unlock()
-	e.pipe.AdvanceDurable(high)
-	e.pipe.Up()
+	e.AdvanceDurable(high)
+	e.Up()
 	return c.Now() - start, nil
 }
 

@@ -27,6 +27,7 @@ import (
 
 // Engine is the Socrates-style engine.
 type Engine struct {
+	*engine.Pipeline
 	cfg    *sim.Config
 	layout heap.Layout
 	// XLOG is the dedicated durability tier.
@@ -42,7 +43,6 @@ type Engine struct {
 	// a frame whose local apply failed keeps its old stamp and goes stale,
 	// so the next reader refetches instead of seeing the pre-commit image.
 	pool *buffer.Pool
-	pipe *engine.Pipeline
 
 	// SnapshotEvery pushes page snapshots to XStore every N commits
 	// (0 disables).
@@ -65,9 +65,9 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, nPageServers int) *Engi
 		e.PageServers = append(e.PageServers, storagenode.NewReplica(cfg, fmt.Sprintf("ps-%d", i), i%3, layout, 1+0.1*float64(i)))
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, nil)
-	e.pipe = engine.NewPipeline(cfg, "socrates", layout, e.log, &e.stats, e.hooks())
-	e.pipe.Coherent(coherence.ModeBump)
-	e.pipe.Cache("pool", e.pool)
+	e.Pipeline = engine.NewPipeline(cfg, "socrates", layout, e.log, &e.stats, e.hooks())
+	e.Coherent(coherence.ModeBump)
+	e.Cache("pool", e.pool)
 	return e
 }
 
@@ -98,30 +98,23 @@ func Peer(root *Engine, peerID, poolPages int) *Engine {
 		SnapshotEvery: root.SnapshotEvery,
 	}
 	e.pool = buffer.NewPool(e.cfg, poolPages, e.fetchPage, nil)
-	e.pipe = root.pipe.Peer(peerID, &e.stats, e.hooks())
-	e.pipe.Cache(fmt.Sprintf("peer%d", peerID), e.pool)
+	e.Pipeline = root.Pipeline.Peer(peerID, &e.stats, e.hooks())
+	e.Cache(fmt.Sprintf("peer%d", peerID), e.pool)
 	return e
 }
-
-// Detach unregisters the peer's cache from the shared coherence directory
-// (a retired member stops absorbing invalidation fan-out).
-func (e *Engine) Detach() { e.pipe.Detach() }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "socrates" }
 
-// Stats implements engine.Engine.
-func (e *Engine) Stats() *engine.Stats { return &e.stats }
-
 // EnableGroupCommit implements engine.GroupCommitter: commits share XLOG
 // flushes.
 func (e *Engine) EnableGroupCommit(maxItems int, window time.Duration) {
-	e.pipe.EnableGroupCommit(maxItems, window)
+	e.GroupCommit(maxItems, window)
 }
 
 // fetchPage reads from the first healthy, fresh-enough page server.
 func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
-	min := e.pipe.DurableLSN()
+	min := e.DurableLSN()
 	var lastErr error = engine.ErrUnavailable
 	for attempt := 0; attempt < 2; attempt++ {
 		for _, ps := range e.PageServers {
@@ -144,12 +137,7 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 
 // read is the pipeline's read hook: the compute cache, filled by fetchPage.
 func (e *Engine) read(c *sim.Clock, key uint64) ([]byte, error) {
-	return e.pipe.ReadPool(c, e.pool, key)
-}
-
-// Execute implements engine.Engine.
-func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, fn)
+	return e.ReadPool(c, e.pool, key)
 }
 
 // durable: the commit waits ONLY for the XLOG append.
@@ -174,7 +162,7 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 		bg = c.Fork()
 		ps.Ingest(&bg, recs)
 	}
-	e.pipe.ApplyCached(c, e.pool, recs)
+	e.ApplyCached(c, e.pool, recs)
 	if n := e.commitCount.Add(1); e.SnapshotEvery > 0 && n%int64(e.SnapshotEvery) == 0 {
 		e.snapshotToXStore(c, recs)
 	}
@@ -204,15 +192,12 @@ func (e *Engine) snapshotToXStore(c *sim.Clock, recs []wal.Record) {
 	}
 }
 
-// Crash implements engine.Recoverer.
-func (e *Engine) Crash() { e.pipe.Crash() }
-
 // Close implements io.Closer: the compute node retires and its caches hand
-// their frames back (engine.Pipeline.Close). The last member of the
+// their frames back (engine.Pipeline.Retire). The last member of the
 // substrate to close also empties the XStore that New built, handing its
 // page snapshots back.
 func (e *Engine) Close() error {
-	if e.pipe.Close() {
+	if e.Retire() {
 		e.XStore.Release()
 	}
 	return nil
@@ -223,12 +208,12 @@ func (e *Engine) Close() error {
 // unaffected by compute failure).
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
-	e.pipe.AdvanceDurable(e.XLOG.HighLSN())
+	e.AdvanceDurable(e.XLOG.HighLSN())
 	// One metadata round trip to XLOG.
 	op := e.cfg.Begin(c, "tcp.rpc")
 	c.Advance(e.cfg.TCP.Cost(64))
 	op.End(64)
-	e.pipe.Up()
+	e.Up()
 	return c.Now() - start, nil
 }
 
@@ -238,7 +223,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // them with the horizon, and truncates XLOG (a fabric RPC that can fail
 // and is retried next round) plus the compute-side log below it.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.pipe.Checkpoint(c, checkpoint.Round{
+	return e.Pipeline.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			if advanced, _ := storagenode.Converge(c, e.PageServers, e.log, h); advanced == 0 {
 				return storagenode.ErrNoQuorum
@@ -254,9 +239,3 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 		},
 	})
 }
-
-// RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
-
-// Pool exposes the compute cache.
-func (e *Engine) Pool() *buffer.Pool { return e.pool }

@@ -24,6 +24,7 @@ import (
 
 // Engine is the Taurus-style engine.
 type Engine struct {
+	*engine.Pipeline
 	cfg    *sim.Config
 	layout heap.Layout
 	// LogStores is the synchronous durability group (3 stores, quorum 2).
@@ -37,7 +38,6 @@ type Engine struct {
 	// a frame whose local apply failed keeps its old stamp and goes stale,
 	// so the next reader refetches instead of seeing the pre-commit image.
 	pool *buffer.Pool
-	pipe *engine.Pipeline
 
 	// GossipEvery runs one anti-entropy round every N commits.
 	GossipEvery int
@@ -57,30 +57,27 @@ func New(cfg *sim.Config, layout heap.Layout, poolPages, nPageStores int) *Engin
 		GossipEvery: 32,
 	}
 	e.pool = buffer.NewPool(cfg, poolPages, e.fetchPage, nil)
-	e.pipe = engine.NewPipeline(cfg, "taurus", layout, e.log, &e.stats,
+	e.Pipeline = engine.NewPipeline(cfg, "taurus", layout, e.log, &e.stats,
 		engine.Hooks{Read: e.read, Durable: e.durable, Apply: e.apply})
-	e.pipe.Coherent(coherence.ModeBump)
-	e.pipe.Cache("pool", e.pool)
+	e.Coherent(coherence.ModeBump)
+	e.Cache("pool", e.pool)
 	return e
 }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "taurus" }
 
-// Stats implements engine.Engine.
-func (e *Engine) Stats() *engine.Stats { return &e.stats }
-
 // EnableGroupCommit implements engine.GroupCommitter: commits share
 // quorum log-store flushes. The frugal per-commit page-store write stays
 // per transaction.
 func (e *Engine) EnableGroupCommit(maxItems int, window time.Duration) {
-	e.pipe.EnableGroupCommit(maxItems, window)
+	e.GroupCommit(maxItems, window)
 }
 
 // fetchPage reads from a fresh-enough page store; if gossip lags it runs a
 // round on demand (reader-triggered catch-up).
 func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
-	min := e.pipe.DurableLSN()
+	min := e.DurableLSN()
 	for try := 0; try < 4; try++ {
 		data, err := e.PageStores.ReadPage(c, id, min)
 		if err == nil {
@@ -100,12 +97,7 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 
 // read is the pipeline's read hook: the compute cache, filled by fetchPage.
 func (e *Engine) read(c *sim.Clock, key uint64) ([]byte, error) {
-	return e.pipe.ReadPool(c, e.pool, key)
-}
-
-// Execute implements engine.Engine.
-func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	return e.pipe.Execute(c, fn)
+	return e.ReadPool(c, e.pool, key)
 }
 
 // durable: quorum append to the log stores; all (3) receive the batch.
@@ -139,7 +131,7 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 		return err
 	}
 	e.stats.NetBytes.Add(int64(wal.Size(recs)))
-	e.pipe.ApplyCached(c, e.pool, recs)
+	e.ApplyCached(c, e.pool, recs)
 	if n := e.commitCount.Add(1); e.GossipEvery > 0 && n%int64(e.GossipEvery) == 0 {
 		// Background anti-entropy (not charged to the writer).
 		bg := c.Fork()
@@ -148,25 +140,15 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 	return nil
 }
 
-// Crash implements engine.Recoverer.
-func (e *Engine) Crash() { e.pipe.Crash() }
-
-// Close implements io.Closer: the compute node retires and its caches hand
-// their frames back (engine.Pipeline.Close).
-func (e *Engine) Close() error {
-	e.pipe.Close()
-	return nil
-}
-
 // Recover implements engine.Recoverer: learn the quorum-durable LSN from
 // the log stores and resume; page stores catch up by gossip.
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
-	e.pipe.AdvanceDurable(e.LogStores.HighLSN())
+	e.AdvanceDurable(e.LogStores.HighLSN())
 	op := e.cfg.Begin(c, "tcp.rpc")
 	c.Advance(e.cfg.TCP.Cost(64))
 	op.End(64)
-	e.pipe.Up()
+	e.Up()
 	return c.Now() - start, nil
 }
 
@@ -179,7 +161,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 // coordinator surfaces the error after publishing the horizon, and the
 // next round retries the (idempotent) truncation.
 func (e *Engine) Checkpoint(c *sim.Clock) error {
-	return e.pipe.Checkpoint(c, checkpoint.Round{
+	return e.Pipeline.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
 			e.PageStores.GossipRound(c)
 			if advanced, _ := storagenode.Converge(c, e.PageStores.Stores, nil, h); advanced == 0 {
@@ -197,11 +179,5 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 	})
 }
 
-// RecoveryHorizon implements engine.Checkpointer.
-func (e *Engine) RecoveryHorizon() wal.LSN { return e.pipe.Horizon() }
-
 // MaxPageLag exposes the page-store staleness metric.
 func (e *Engine) MaxPageLag() wal.LSN { return e.PageStores.MaxLag() }
-
-// Pool exposes the compute cache.
-func (e *Engine) Pool() *buffer.Pool { return e.pool }

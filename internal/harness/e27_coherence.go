@@ -71,7 +71,7 @@ func e27Engines() []e27Engine {
 			replicaIDs: []int{1, 2},
 			build: func(cfg *sim.Config) engine.Engine {
 				e := aurora.New(cfg, layout, 256, 2)
-				e.SetCoherenceMode(coherence.ModeBump)
+				e.Dir().SetMode(coherence.ModeBump)
 				return e
 			},
 			hitRatio: statsHitRatio,

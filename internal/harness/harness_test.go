@@ -2,12 +2,16 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/sim"
+	"github.com/disagglab/disagg/internal/wal"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -152,5 +156,60 @@ func TestPick(t *testing.T) {
 func TestExpNum(t *testing.T) {
 	if expNum("E2") != 2 || expNum("E17") != 17 {
 		t.Fatal("expNum broken")
+	}
+}
+
+// TestRosterCapabilities pins the optional interfaces each roster engine
+// satisfies. Nine engines take most of their methods from the embedded
+// engine.Pipeline, so a method added there reaches all nine at once; this
+// table is where such a widening shows. Experiments pick engines by these
+// interfaces (engine.Caps), so a column that changes changes a table.
+func TestRosterCapabilities(t *testing.T) {
+	type caps struct {
+		name                                            string
+		recoverer, reader, groupCommitter, checkpointer bool
+		closer, durableLSN                              bool
+	}
+	want := []caps{
+		{"monolithic", true, false, false, true, true, true},
+		{"shared-nothing", false, false, false, true, true, false},
+		{"aurora", true, true, true, true, true, true},
+		{"socrates", true, false, true, true, true, true},
+		{"taurus", true, false, true, true, true, true},
+		{"polardb", true, false, true, true, true, true},
+		{"legobase", true, false, false, true, true, true},
+		{"pilotdb", true, false, false, true, true, true},
+		{"snowflake-kv", true, false, false, true, true, true},
+		{"serverless", true, true, false, true, true, true},
+	}
+	if len(want) != len(roster) {
+		t.Fatalf("table has %d rows, roster %d engines", len(want), len(roster))
+	}
+	var gc, readers []string
+	for i, ent := range roster {
+		e := ent.build(sim.DefaultConfig(), oltpLayout())
+		got := caps{name: ent.name}
+		_, got.recoverer = e.(engine.Recoverer)
+		_, got.reader = e.(engine.Reader)
+		_, got.groupCommitter = e.(engine.GroupCommitter)
+		_, got.checkpointer = e.(engine.Checkpointer)
+		_, got.closer = e.(io.Closer)
+		_, got.durableLSN = e.(interface{ DurableLSN() wal.LSN })
+		retire(e)
+		if got != want[i] {
+			t.Errorf("capabilities\n got %+v\nwant %+v", got, want[i])
+		}
+		if got.groupCommitter {
+			gc = append(gc, ent.name)
+		}
+		if got.reader {
+			readers = append(readers, ent.name)
+		}
+	}
+	if !slices.Equal(gc, groupCommitters) {
+		t.Errorf("group committers %v, groupCommitters %v", gc, groupCommitters)
+	}
+	if !slices.Equal(readers, []string{"aurora", "serverless"}) {
+		t.Errorf("readers %v, want aurora and serverless", readers)
 	}
 }
