@@ -160,6 +160,12 @@ func (s *TieredSpace) Alloc(preferred Tier, size int) (*Region, bool) {
 	return try(other)
 }
 
+// Close hands both tiers' memory back; nothing may use s or its regions after.
+func (s *TieredSpace) Close() {
+	s.local.Release()
+	s.cxl.mem.Release()
+}
+
 // LocalFree reports remaining host-DRAM bytes.
 func (s *TieredSpace) LocalFree() uint64 { return s.local.Size() - s.localUsed }
 

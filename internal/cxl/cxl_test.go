@@ -126,3 +126,27 @@ func TestLinesRounding(t *testing.T) {
 		}
 	}
 }
+
+// Close hands both tiers' memory back: a region on either tier reads as
+// zeros afterwards.
+func TestTieredSpaceCloseReleasesBothTiers(t *testing.T) {
+	s := NewTieredSpace(sim.DefaultConfig(), 1024, 4096)
+	local, _ := s.Alloc(TierLocal, 512)
+	remote, _ := s.Alloc(TierCXL, 512)
+	data := []byte("tiered")
+	for _, r := range []*Region{local, remote} {
+		if err := r.Write(sim.NewClock(), 8, data, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	for _, r := range []*Region{local, remote} {
+		got := make([]byte, len(data))
+		if err := r.Read(sim.NewClock(), 8, got, false); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, make([]byte, len(data))) {
+			t.Errorf("tier %v still holds %q after Close", r.Tier, got)
+		}
+	}
+}

@@ -120,16 +120,16 @@ func (e *Engine) EnableGroupCommit(maxItems int, window time.Duration) {
 }
 
 // fetchPage is every cache's fetcher: read the page from the volume at or
-// above the durable LSN.
+// above the node's read floor, which a writer crash leaves in place.
 func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
-	data, err := e.Volume.ReadPage(c, id, e.DurableLSN())
+	data, err := e.Volume.ReadPage(c, id, e.ReadFloor())
 	if err != nil {
 		// Injected drops can leave the same log hole on every
 		// replica (no peer can fill it); heal from the writer's
 		// authoritative log and retry once.
 		bg := c.Fork()
 		e.Volume.Heal(&bg, e.log)
-		data, err = e.Volume.ReadPage(c, id, e.DurableLSN())
+		data, err = e.Volume.ReadPage(c, id, e.ReadFloor())
 	}
 	if err != nil {
 		return nil, err
@@ -187,8 +187,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.AdvanceDurable(lsn)
-	e.Up()
+	e.Restart(lsn)
 	return c.Now() - start, nil
 }
 

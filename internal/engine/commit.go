@@ -70,9 +70,9 @@ type Hooks struct {
 // with 2PC on its own Execute.)
 //
 // Besides the commit path below it owns what every such node has: the crash
-// flag Execute sheds behind (Crash, Up, Retire), the page-coherence directory
-// and the caches registered with it (Coherent, Cache, Pool, Detach), the
-// checkpoint coordinator and its recovery horizon (Checkpoint,
+// gate Execute sheds behind (Crash, Restart, Retire), the page-coherence
+// directory and the caches registered with it (Coherent, Cache, Pool,
+// Detach), the checkpoint coordinator and its recovery horizon (Checkpoint,
 // RecoveryHorizon), and the site names all of these report under, derived
 // from the one site the engine passes to NewPipeline. An engine embeds its
 // node, so these are its methods; it declares one itself only to do more. A
@@ -156,6 +156,7 @@ type Pipeline struct {
 	open    *atomic.Int32
 	nextTx  atomic.Uint64
 	durable atomic.Uint64
+	floor   atomic.Uint64 // the highest mark a Crash took (ReadFloor)
 	// applying is shared with the node's peers, like the log.
 	applying *applying
 
@@ -234,17 +235,25 @@ func (p *Pipeline) Stats() *Stats { return p.stats }
 // retired fleet member stops absorbing invalidation fan-out.
 func (p *Pipeline) Detach() { p.dir.Deregister(p.own) }
 
-// Crash takes the compute node down: Execute sheds until Up, and the node's
-// own cache is lost. What survives is the engine's durable tier.
+// Crash takes the compute node down: Execute sheds until Restart, and its
+// own cache and durable mark are lost. What survives is the engine's
+// durable tier, from which Recover learns the mark again.
 func (p *Pipeline) Crash() {
 	p.crashed.Store(true)
+	raise(&p.floor, p.durable.Load())
+	p.durable.Store(0)
 	if p.ownPool != nil {
 		p.ownPool.InvalidateAll()
 	}
 }
 
-// Up brings the node back; the engine's Recover calls it last.
-func (p *Pipeline) Up() { p.crashed.Store(false) }
+// Restart, the last step of every Recover, brings the node back with the
+// durable mark Recover learned. The mark only rises, so a warm Recover of
+// a live fleet member keeps what it knew.
+func (p *Pipeline) Restart(mark wal.LSN) {
+	raise(&p.durable, uint64(mark))
+	p.crashed.Store(false)
+}
 
 // Retire takes the compute node out for good: Execute sheds with
 // ErrUnavailable instead of refilling a cold cache, and every pool Cache
@@ -303,13 +312,17 @@ func (p *Pipeline) RecoveryHorizon() wal.LSN { return p.ckpt.Horizon() }
 // it is decided, every commit there durable.
 func (p *Pipeline) DurableLSN() wal.LSN { return wal.LSN(p.durable.Load()) }
 
-// AdvanceDurable raises the durable LSN to lsn (never lowers it): the
-// pipeline calls it with the log's decided prefix at every durability
-// point, Recover with the mark it learned from the durable tier.
-func (p *Pipeline) AdvanceDurable(lsn wal.LSN) {
+// ReadFloor is the LSN a storage read filling the node's caches must cover:
+// the durable mark, or the one a crash took if higher. Read replicas outlive
+// their writer, and a commit they were told of stays durable while it is down.
+func (p *Pipeline) ReadFloor() wal.LSN { return wal.LSN(max(p.durable.Load(), p.floor.Load())) }
+
+// raise sets a to v unless it is higher already: between crashes the durable
+// mark only rises (to the log's decided prefix, or to what Recover learned).
+func raise(a *atomic.Uint64, v uint64) {
 	for {
-		cur := p.durable.Load()
-		if uint64(lsn) <= cur || p.durable.CompareAndSwap(cur, uint64(lsn)) {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -487,7 +500,7 @@ func (p *Pipeline) version(key uint64) uint64 {
 // aborts once they cannot be — and advances the durable LSN over the log's
 // decided prefix, which deciding a slot may extend over later commits.
 func (p *Pipeline) decide(recs []wal.Record, commit bool) {
-	p.AdvanceDurable(p.log.Decide(recs, commit))
+	raise(&p.durable, uint64(p.log.Decide(recs, commit)))
 }
 
 // applying is the set of transactions whose LSNs are reserved and whose

@@ -541,10 +541,10 @@ func (n *node) cache(t *testing.T, id page.ID) {
 	}
 }
 
-// TestPipelineCrashShedsUntilUp: a crashed node refuses every attempt
+// TestPipelineCrashShedsUntilRestart: a crashed node refuses every attempt
 // without doing work — counted as Shed, nothing logged, no hook called —
-// and takes attempts again after Up.
-func TestPipelineCrashShedsUntilUp(t *testing.T) {
+// and takes attempts again after Restart.
+func TestPipelineCrashShedsUntilRestart(t *testing.T) {
 	e := newPipeEngine(t)
 	write := func(tx Tx) error { return tx.Write(1, []byte{1}) }
 	e.p.Crash()
@@ -560,12 +560,42 @@ func TestPipelineCrashShedsUntilUp(t *testing.T) {
 	if head, d := e.p.log.Head(), e.durables.Load(); head != 1 || d != 0 {
 		t.Errorf("log head %d, durable calls %d: a crashed node did work", head, d)
 	}
-	e.p.Up()
+	e.p.Restart(0)
 	if err := e.Execute(sim.NewClock(), write); err != nil {
-		t.Fatalf("after Up: %v", err)
+		t.Fatalf("after Restart: %v", err)
 	}
 	if a, c, s := st.Attempts.Load(), st.Commits.Load(), st.Shed.Load(); a != 4 || c != 1 || s != 3 {
 		t.Errorf("attempts/commits/shed = %d/%d/%d, want 4/1/3", a, c, s)
+	}
+}
+
+// TestPipelineCrashForgetsTheDurableMark: the durable mark is volatile node
+// state. A crash loses it but leaves it as the read floor, Restart sets the
+// mark Recover learned, and a Restart of a live node with a lower mark keeps
+// the higher one.
+func TestPipelineCrashForgetsTheDurableMark(t *testing.T) {
+	e := newPipeEngine(t)
+	if err := e.Execute(sim.NewClock(), func(tx Tx) error { return tx.Write(1, []byte{1}) }); err != nil {
+		t.Fatal(err)
+	}
+	mark := e.p.DurableLSN()
+	if mark == 0 {
+		t.Fatal("a commit left the durable mark at 0")
+	}
+	e.p.Crash()
+	if got := e.p.DurableLSN(); got != 0 {
+		t.Errorf("after Crash the durable mark is %d, want 0", got)
+	}
+	if got := e.p.ReadFloor(); got != mark {
+		t.Errorf("after Crash the read floor is %d, want the lost mark %d", got, mark)
+	}
+	e.p.Restart(7)
+	if got := e.p.DurableLSN(); got != 7 {
+		t.Errorf("after Restart(7) the durable mark is %d, want 7", got)
+	}
+	e.p.Restart(3)
+	if got := e.p.DurableLSN(); got != 7 {
+		t.Errorf("Restart(3) of a live node moved the mark to %d, want 7", got)
 	}
 }
 

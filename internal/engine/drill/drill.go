@@ -193,8 +193,8 @@ func (w *Workload) drill(e engine.Engine, cfg *sim.Config, inj *fault.Injector) 
 	if inj != nil {
 		inj.Heal()
 	}
-	if d, ok := e.(durableLSNer); ok && rep.Horizon > d.DurableLSN() {
-		rep.fail("recovery horizon %d above durable LSN %d: truncation could discard unflushed commits", rep.Horizon, d.DurableLSN())
+	if r := engine.Caps(e).Recoverer; r != nil && rep.Horizon > r.DurableLSN() {
+		rep.fail("recovery horizon %d above durable LSN %d: truncation could discard unflushed commits", rep.Horizon, r.DurableLSN())
 	}
 	w.Verify("")
 	if !w.CrashRecover(e) {

@@ -54,6 +54,9 @@ type Recoverer interface {
 	// Recover rebuilds a usable compute node, charging recovery work to
 	// the clock, and returns the recovery time.
 	Recover(c *sim.Clock) (time.Duration, error)
+	// DurableLSN reports the end of the durable prefix the node knows of:
+	// lost by Crash, learned again by Recover from the durable tier.
+	DurableLSN() wal.LSN
 }
 
 // Reader is implemented by engines with read replicas.

@@ -8,6 +8,7 @@ import (
 
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/sim"
+	"github.com/disagglab/disagg/internal/wal"
 )
 
 // brokenEngine is a deliberately buggy map-backed engine: it acknowledges
@@ -68,6 +69,9 @@ func (e *brokenEngine) Crash() {
 	e.vals = make(map[uint64][]byte)
 	e.mu.Unlock()
 }
+
+// DurableLSN: the broken engine logs nothing.
+func (e *brokenEngine) DurableLSN() wal.LSN { return 0 }
 
 func (e *brokenEngine) Recover(c *sim.Clock) (time.Duration, error) {
 	e.mu.Lock()

@@ -53,7 +53,7 @@ func InFlightCaptureGuard(t *testing.T, e engine.Engine, cfg *sim.Config, pt sim
 	if shipErr != nil {
 		t.Fatalf("%s: ship: %v", e.Name(), shipErr)
 	}
-	crashRecover(t, e)
+	recoverNode(t, e, true)
 	for _, k := range []uint64{a, b} {
 		got, err := readKey(e, c, engine.RunOpts{}, k)
 		if err != nil {

@@ -8,11 +8,11 @@ import (
 	"github.com/disagglab/disagg/internal/sim"
 )
 
-// RunChaos drills an engine through repeated crash/recover cycles with
+// runChaos drills an engine through repeated recoverNode cycles with
 // transactions in between, verifying after every recovery that ALL
 // committed generations survive — the durability contract every
 // architecture in the paper must keep, whatever tier holds the truth.
-func RunChaos(t *testing.T, factory func(t *testing.T) engine.Engine) {
+func runChaos(t *testing.T, factory func(t *testing.T) engine.Engine, crash bool) {
 	layout := Layout(t)
 	e := factory(t)
 	if engine.Caps(e).Recoverer == nil {
@@ -49,7 +49,7 @@ func RunChaos(t *testing.T, factory func(t *testing.T) engine.Engine) {
 
 	for gen := uint64(1); gen <= 5; gen++ {
 		writeGen(gen)
-		crashRecover(t, e)
+		recoverNode(t, e, crash)
 		verifyAll("after recovery")
 	}
 }

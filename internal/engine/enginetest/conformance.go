@@ -95,8 +95,9 @@ func report(t *testing.T, rep drill.Report) {
 // (Run), a differential check against the monolithic baseline on the same
 // seeded workload, the drill (Drill, and Batched/Drill on group-commit
 // engines) and the contended storm under a clean fabric and every standard
-// fault profile, and the lost-update, log-lifecycle and group-commit
-// regressions.
+// fault profile, the crash/recover cycles (Chaos) and the hook-retention
+// guard, the durable mark's loss and re-learning, and the lost-update,
+// log-lifecycle and group-commit regressions.
 //
 // factory must build a FRESH engine on the provided config each call (the
 // suite attaches a fault.Injector via cfg.Fault).
@@ -135,6 +136,15 @@ func RunConformance(t *testing.T, factory Factory) {
 		report(t, drill.ReadSkew(sim.DefaultConfig(), build(t, factory), false))
 	})
 
+	t.Run("Chaos", func(t *testing.T) {
+		runChaos(t, func(t *testing.T) engine.Engine { return factory(t, sim.DefaultConfig()) }, true)
+	})
+	t.Run("WarmRecover", func(t *testing.T) {
+		runChaos(t, func(t *testing.T) engine.Engine { return factory(t, sim.DefaultConfig()) }, false)
+	})
+	t.Run("HooksMayNotKeepRecs", func(t *testing.T) {
+		recsRetentionGuard(t, func() engine.Engine { return factory(t, sim.DefaultConfig()) })
+	})
 	t.Run("Recovery/ConcurrentCheckpoint", func(t *testing.T) {
 		runConcurrentCheckpoint(t, factory, seed)
 	})
@@ -155,7 +165,7 @@ func RunConformance(t *testing.T, factory Factory) {
 		Run(t, func(t *testing.T) engine.Engine { return drill.Batched(factory(t, sim.DefaultConfig())) })
 	})
 	t.Run("Batched/Chaos", func(t *testing.T) {
-		RunChaos(t, func(t *testing.T) engine.Engine { return drill.Batched(factory(t, sim.DefaultConfig())) })
+		runChaos(t, func(t *testing.T) engine.Engine { return drill.Batched(factory(t, sim.DefaultConfig())) }, true)
 	})
 	eachCell(t, "Batched/Drill/", seed, func(t *testing.T, p *fault.Profile, seed int64) drill.Report {
 		return drill.Run(sim.DefaultConfig(), build(t, factory), p, seed, true)
@@ -198,7 +208,7 @@ func timeoutFlushDurable(t *testing.T, factory Factory) {
 	if c.Now() < drill.BatchWindow {
 		t.Errorf("commit latency %v does not include the %v batching window", c.Now(), drill.BatchWindow)
 	}
-	crashRecover(t, e)
+	recoverNode(t, e, true)
 	got, err := readKey(e, c, engine.RunOpts{Retries: drill.Retries}, key)
 	if err != nil {
 		t.Fatalf("read back: %v", err)
@@ -243,7 +253,7 @@ func flushFailureNotAcked(t *testing.T, factory Factory, seed int64, p fault.Pro
 		t.Fatalf("healed engine cannot commit: %v", err)
 	}
 	// ...and those commits must be genuinely durable.
-	crashRecover(t, e)
+	recoverNode(t, e, true)
 	got, err := readKey(e, c, engine.RunOpts{Retries: drill.Retries}, key)
 	if err != nil {
 		t.Fatalf("read back after recovery: %v", err)

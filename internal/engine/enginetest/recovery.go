@@ -102,7 +102,7 @@ func runFailedDurable(t *testing.T, factory Factory, seed int64) {
 			t.Fatalf("checkpoint after the refused write: %v", err)
 		}
 	}
-	crashRecover(t, e)
+	recoverNode(t, e, true)
 	got, err := readKey(e, c, engine.RunOpts{Retries: drill.Retries}, key)
 	if err != nil {
 		t.Fatalf("read back: %v", err)

@@ -9,7 +9,7 @@ import (
 	"github.com/disagglab/disagg/internal/sim"
 )
 
-// RecsRetentionGuard holds an engine to the ownership contract of
+// recsRetentionGuard holds an engine to the ownership contract of
 // engine.Hooks: the records a hook receives are the transaction context's
 // scratch, cleared when Execute returns and rewritten by the next
 // transaction, so a hook that keeps the slice (a batch it ships later) keeps
@@ -17,7 +17,7 @@ import (
 // recovers — whichever of those e supports — and reads both back, on twenty
 // fresh engines: whatever the engine still owed its durable tier from k1's
 // records when k2 reused them is lost by then.
-func RecsRetentionGuard(t *testing.T, newEngine func() engine.Engine) {
+func recsRetentionGuard(t *testing.T, newEngine func() engine.Engine) {
 	t.Helper()
 	layout := Layout(t)
 	k1, k2 := uint64(3), uint64(2*layout.PerPage+5)
@@ -38,7 +38,7 @@ func RecsRetentionGuard(t *testing.T, newEngine func() engine.Engine) {
 				t.Fatalf("run %d: checkpoint: %v", run, err)
 			}
 		}
-		crashRecover(t, e)
+		recoverNode(t, e, true)
 		got1, err1 := readKey(e, c, engine.RunOpts{}, k1)
 		got2, err2 := readKey(e, c, engine.RunOpts{}, k2)
 		if err := errors.Join(err1, err2); err != nil {

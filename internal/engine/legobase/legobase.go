@@ -101,9 +101,7 @@ func (e *Engine) fetchFromStorage(c *sim.Clock, id page.ID) ([]byte, error) {
 		e.layout.Format(out, id)
 	}
 	// Storage is network-attached (TCP) + SSD.
-	op := e.cfg.Begin(c, "tcp.rpc")
-	c.Advance(e.cfg.TCP.Cost(len(out)))
-	op.End(int64(len(out)))
+	e.cfg.RPC(c, len(out))
 	e.ssd.Read(c, len(out))
 	e.stats.StorageOps.Add(1)
 	e.stats.NetBytes.Add(int64(len(out)))
@@ -135,9 +133,7 @@ func (e *Engine) readKey(c *sim.Clock, key uint64) (val []byte, err error) {
 // durable: network round trip to the log + SSD append.
 func (e *Engine) durable(c *sim.Clock, recs []wal.Record) error {
 	n := wal.Size(recs)
-	op := e.cfg.Begin(c, "tcp.rpc")
-	c.Advance(e.cfg.TCP.Cost(n))
-	op.End(int64(n))
+	e.cfg.RPC(c, n)
 	e.ssd.Write(c, n)
 	e.stats.LogBytes.Add(int64(n))
 	e.stats.NetBytes.Add(int64(n))
@@ -249,9 +245,7 @@ func (e *Engine) CheckpointStorage(c *sim.Clock) error {
 				return err
 			}
 			for range changed {
-				op := e.cfg.Begin(c, "tcp.rpc")
-				c.Advance(e.cfg.TCP.Cost(e.layout.PageSize))
-				op.End(int64(e.layout.PageSize))
+				e.cfg.RPC(c, e.layout.PageSize)
 				e.ssd.Write(c, e.layout.PageSize)
 				e.stats.PageBytes.Add(int64(e.layout.PageSize))
 			}
@@ -305,7 +299,8 @@ func (e *Engine) Close() error {
 
 // Recover implements engine.Recoverer: LegoBase recovery — repopulate from
 // REMOTE MEMORY (RDMA reads of the checkpointed pages) and replay only the
-// log tail since the remote checkpoint.
+// log tail since the remote checkpoint; the durable mark is the log's
+// decided prefix.
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
 	e.mu.Lock()
@@ -316,7 +311,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if err := e.redoTiers(c, from, ^wal.LSN(0)); err != nil {
 		return 0, err
 	}
-	e.Up()
+	e.Restart(e.log.Decided())
 	return c.Now() - start, nil
 }
 
@@ -334,9 +329,7 @@ func (e *Engine) RecoverFromStorageOnly(c *sim.Clock) (time.Duration, error) {
 	}); err != nil {
 		return 0, err
 	}
-	op := e.cfg.Begin(c, "tcp.rpc")
-	c.Advance(e.cfg.TCP.Cost(logBytes))
-	op.End(int64(logBytes))
+	e.cfg.RPC(c, logBytes)
 	e.ssd.Read(c, logBytes)
 	touched := map[page.ID]bool{}
 	if err := e.log.Range(from, ^wal.LSN(0), func(r *wal.Record) error {
@@ -356,6 +349,6 @@ func (e *Engine) RecoverFromStorageOnly(c *sim.Clock) (time.Duration, error) {
 	}); err != nil {
 		return 0, err
 	}
-	e.Up()
+	e.Restart(e.log.Decided())
 	return c.Now() - start, nil
 }

@@ -189,7 +189,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 }
 
 // Recover implements engine.Recoverer: ARIES-style redo of the log tail
-// against on-disk pages.
+// against on-disk pages; the durable mark is the log's decided prefix.
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
 	e.mu.Lock()
@@ -220,6 +220,6 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if err := e.pool.FlushAll(c); err != nil {
 		return 0, err
 	}
-	e.Up()
+	e.Restart(e.log.Decided())
 	return c.Now() - start, nil
 }

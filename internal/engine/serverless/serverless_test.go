@@ -2,6 +2,7 @@ package serverless
 
 import (
 	"encoding/binary"
+	"errors"
 	"sync"
 	"testing"
 
@@ -77,11 +78,45 @@ func TestFailoverPromotesSecondaryFast(t *testing.T) {
 	layout := enginetest.Layout(t)
 	e := New(sim.DefaultConfig(), layout, 2, 16, 256)
 	c := sim.NewClock()
-	val := make([]byte, layout.ValSize)
+	val := func(n uint64) []byte {
+		v := make([]byte, layout.ValSize)
+		binary.LittleEndian.PutUint64(v, n)
+		return v
+	}
 	for i := uint64(0); i < 100; i++ {
-		engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(i, val) })
+		engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(i, val(i)) })
+	}
+	// The last commit to key 50 misses the two storage replicas nearest
+	// every node (AZ 0 is down for it), and its page leaves the shared pool:
+	// a read while the primary is down goes to the volume, where only the
+	// writer's pre-crash mark keeps it off the stale replicas.
+	e.Volume.FailAZ(0)
+	if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(50, val(5050)) }); err != nil {
+		t.Fatal(err)
+	}
+	e.Volume.Replicas[0].Restart()
+	e.Volume.Replicas[1].Restart()
+	e.Shared.Drop(layout.PageOf(50))
+	read50 := func(tx engine.Tx) error {
+		v, err := tx.Read(50)
+		if err == nil && binary.LittleEndian.Uint64(v) != 5050 {
+			t.Errorf("read key 50 = %d, want the acked 5050", binary.LittleEndian.Uint64(v))
+		}
+		return err
 	}
 	e.Crash()
+	// Down, the primary sheds read-write work without running it; the
+	// surviving secondary still serves reads.
+	shed, ran := e.Stats().Shed.Load(), false
+	if err := e.Execute(c, func(tx engine.Tx) error { ran = true; return nil }); !errors.Is(err, engine.ErrUnavailable) || ran {
+		t.Fatalf("crashed primary: err %v, fn ran %v; want ErrUnavailable without running", err, ran)
+	}
+	if got := e.Stats().Shed.Load(); got != shed+1 {
+		t.Errorf("crashed primary counted %d sheds, want 1", got-shed)
+	}
+	if err := e.ReadReplica(c, 1, read50); err != nil {
+		t.Fatalf("secondary read while the primary is down: %v", err)
+	}
 	rc := sim.NewClock()
 	d, err := e.Recover(rc)
 	if err != nil {
@@ -90,18 +125,16 @@ func TestFailoverPromotesSecondaryFast(t *testing.T) {
 	if d > 1_000_000 {
 		t.Fatalf("failover took %v — shared memory pool should make this near-instant", d)
 	}
-	// The new primary serves immediately from the shared pool.
-	if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
-		v, err := tx.Read(50)
-		if err != nil {
-			return err
-		}
-		if len(v) != layout.ValSize {
-			t.Error("value lost in failover")
-		}
-		return nil
-	}); err != nil {
+	// The new primary serves and commits immediately from the shared pool;
+	// the old primary stays down.
+	if err := engine.Run(e, c, engine.RunOpts{}, read50); err != nil {
 		t.Fatal(err)
+	}
+	if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(51, val(51)) }); err != nil {
+		t.Fatalf("new primary cannot commit: %v", err)
+	}
+	if err := e.ReadReplica(c, 0, read50); !errors.Is(err, engine.ErrUnavailable) {
+		t.Fatalf("read on the failed-over primary: err %v, want ErrUnavailable", err)
 	}
 }
 
@@ -131,25 +164,11 @@ func TestAddNodeIsMetadataOnly(t *testing.T) {
 	}
 }
 
-func TestChaosCrashRecovery(t *testing.T) {
-	enginetest.RunChaos(t, func(t *testing.T) engine.Engine {
-		return New(sim.DefaultConfig(), enginetest.Layout(t), 2, 16, 256)
-	})
-}
-
 // TestCommitAllocs bounds the host allocations of one cache-resident
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
 	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 2, 64, 4096), 2, 1.10)
-}
-
-// TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
-// scratch (see enginetest.RecsRetentionGuard).
-func TestHooksMayNotKeepRecs(t *testing.T) {
-	enginetest.RecsRetentionGuard(t, func() engine.Engine {
-		return New(sim.DefaultConfig(), enginetest.Layout(t), 2, 64, 4096)
-	})
 }
 
 // dropSite is a fault injector that drops every operation at one site

@@ -292,9 +292,7 @@ func (s *txState) readKey(c *sim.Clock, key uint64) ([]byte, error) {
 	if s.coord == -1 {
 		s.coord = i
 	} else if i != s.coord {
-		op := e.cfg.Begin(c, "tcp.rpc")
-		c.Advance(e.cfg.TCP.Cost(e.layout.ValSize + 16))
-		op.End(int64(e.layout.ValSize + 16))
+		e.cfg.RPC(c, e.layout.ValSize+16)
 		e.stats.NetBytes.Add(int64(e.layout.ValSize + 16))
 	}
 	p.mu.Lock()

@@ -332,8 +332,7 @@ func (e *KV) Recover(c *sim.Clock) (time.Duration, error) {
 	e.mu.Lock()
 	e.vals = vals
 	e.mu.Unlock()
-	e.AdvanceDurable(high)
-	e.Up()
+	e.Restart(high)
 	return c.Now() - start, nil
 }
 

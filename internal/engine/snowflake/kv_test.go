@@ -18,12 +18,6 @@ func TestKVConformance(t *testing.T) {
 	})
 }
 
-func TestKVChaosCrashRecovery(t *testing.T) {
-	enginetest.RunChaos(t, func(t *testing.T) engine.Engine {
-		return NewKV(sim.DefaultConfig(), enginetest.Layout(t))
-	})
-}
-
 // A torn segment upload (crash mid-put) is an unacknowledged transaction,
 // and recovery replays none of it: here the tear leaves the first of its two
 // updates whole, and neither key shows the torn write. Every earlier
@@ -220,14 +214,6 @@ func TestKVRecoverCopiesEachValueOnce(t *testing.T) {
 // single-key RMW commit (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
 	enginetest.AllocGuard(t, NewKV(sim.DefaultConfig(), enginetest.Layout(t)), 3, 0.90)
-}
-
-// TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
-// scratch (see enginetest.RecsRetentionGuard).
-func TestHooksMayNotKeepRecs(t *testing.T) {
-	enginetest.RecsRetentionGuard(t, func() engine.Engine {
-		return NewKV(sim.DefaultConfig(), enginetest.Layout(t))
-	})
 }
 
 // Close retires the engine with the object store it built: the segments and

@@ -67,9 +67,7 @@ func (s *Service) AddWarehouse(c *sim.Clock, cacheBlocks int) *Warehouse {
 	s.nextWH++
 	s.mu.Unlock()
 	// Control-plane provisioning round trip.
-	op := s.cfg.Begin(c, "tcp.rpc")
-	c.Advance(s.cfg.TCP.Cost(256))
-	op.End(256)
+	s.cfg.RPC(c, 256)
 	return &Warehouse{svc: s, Name: fmt.Sprintf("wh-%d", id), cacheBlocks: cacheBlocks, caches: make(map[string]*query.CachedSource)}
 }
 

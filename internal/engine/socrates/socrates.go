@@ -208,12 +208,9 @@ func (e *Engine) Close() error {
 // unaffected by compute failure).
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
-	e.AdvanceDurable(e.XLOG.HighLSN())
 	// One metadata round trip to XLOG.
-	op := e.cfg.Begin(c, "tcp.rpc")
-	c.Advance(e.cfg.TCP.Cost(64))
-	op.End(64)
-	e.Up()
+	e.cfg.RPC(c, 64)
+	e.Restart(e.XLOG.HighLSN())
 	return c.Now() - start, nil
 }
 

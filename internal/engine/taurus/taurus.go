@@ -144,11 +144,8 @@ func (e *Engine) apply(c *sim.Clock, recs []wal.Record) error {
 // the log stores and resume; page stores catch up by gossip.
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
-	e.AdvanceDurable(e.LogStores.HighLSN())
-	op := e.cfg.Begin(c, "tcp.rpc")
-	c.Advance(e.cfg.TCP.Cost(64))
-	op.End(64)
-	e.Up()
+	e.cfg.RPC(c, 64)
+	e.Restart(e.LogStores.HighLSN())
 	return c.Now() - start, nil
 }
 

@@ -81,25 +81,11 @@ func TestLogStoreQuorumFailure(t *testing.T) {
 	}
 }
 
-func TestChaosCrashRecovery(t *testing.T) {
-	enginetest.RunChaos(t, func(t *testing.T) engine.Engine {
-		return New(sim.DefaultConfig(), enginetest.Layout(t), 64, 3)
-	})
-}
-
 // TestCommitAllocs bounds the host allocations of one cache-resident
 // single-key RMW commit at the value measured before the shared commit
 // pipeline (see enginetest.AllocGuard).
 func TestCommitAllocs(t *testing.T) {
 	enginetest.AllocGuard(t, New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 3), 2, 1.95)
-}
-
-// TestHooksMayNotKeepRecs: the records a hook receives are the pipeline's
-// scratch (see enginetest.RecsRetentionGuard).
-func TestHooksMayNotKeepRecs(t *testing.T) {
-	enginetest.RecsRetentionGuard(t, func() engine.Engine {
-		return New(sim.DefaultConfig(), enginetest.Layout(t), 1024, 3)
-	})
 }
 
 // TestPartialQuorumAppendLeavesNothingBehind is the log-tier twin of

@@ -80,7 +80,7 @@ func runE9(cfg *sim.Config, s Scale) *Result {
 	retire(smallOnly)
 
 	// (b) Recovery: remote-memory checkpoints vs storage ARIES.
-	crashAndMeasure := func() (time.Duration, time.Duration) {
+	crashAndMeasure := func(path func(*legobase.Engine, *sim.Clock) (time.Duration, error)) time.Duration {
 		e := build(16, 512)
 		e.CheckpointRemoteEvery = 32
 		e.CheckpointStorageEvery = 100_000 // storage checkpoint far behind
@@ -88,26 +88,15 @@ func runE9(cfg *sim.Config, s Scale) *Result {
 		g := workload.TPCCLite{Warehouses: 8, Customers: 5000, ValueSize: layout.ValSize}.NewGenerator(1, 0)
 		g.RunOn(e, c, pick(s, 300, 2000))
 		e.Crash()
-		fast, err := e.Recover(c)
+		d, err := path(e, c)
 		if err != nil {
 			panic(err)
 		}
 		retire(e)
-		e2 := build(16, 512)
-		e2.CheckpointRemoteEvery = 32
-		e2.CheckpointStorageEvery = 100_000
-		g2 := workload.TPCCLite{Warehouses: 8, Customers: 5000, ValueSize: layout.ValSize}.NewGenerator(1, 0)
-		c2 := sim.NewClock()
-		g2.RunOn(e2, c2, pick(s, 300, 2000))
-		e2.Crash()
-		slow, err := e2.RecoverFromStorageOnly(c2)
-		if err != nil {
-			panic(err)
-		}
-		retire(e2)
-		return fast, slow
+		return d
 	}
-	fast, slow := crashAndMeasure()
+	fast := crashAndMeasure((*legobase.Engine).Recover)
+	slow := crashAndMeasure((*legobase.Engine).RecoverFromStorageOnly)
 	t2 := r.table("E9b: crash recovery", "path", "time")
 	t2.Row("two-tier ARIES (from remote memory)", fast)
 	t2.Row("classic ARIES (from storage)", slow)

@@ -190,6 +190,7 @@ func runE15(cfg *sim.Config, s Scale) *Result {
 	if err != nil {
 		panic(err)
 	}
+	defer cache.Close()
 	qp := cache.Connect(nil)
 	c := sim.NewClock()
 	val := make([]byte, 256)
@@ -238,6 +239,7 @@ func runE15(cfg *sim.Config, s Scale) *Result {
 	// helper in remotecache tests — here we measure cost ratio on a
 	// fresh small cache.)
 	ch, _ := remotecache.New(cfg, remotecache.DefaultSLO(), 1, 1<<20, 64)
+	defer ch.Close()
 	cqp := ch.Connect(nil)
 	chainVal := make([]byte, 64)
 	cclk := sim.NewClock()

@@ -52,6 +52,7 @@ func runE17(cfg *sim.Config, s Scale) *Result {
 	nRows := 100_000
 	runOLTPTier := func(onCXL bool) time.Duration {
 		space := cxl.NewTieredSpace(cfg, nRows*rowSize+1024, nRows*rowSize+1024)
+		defer space.Close()
 		tier := cxl.TierLocal
 		if onCXL {
 			tier = cxl.TierCXL
@@ -90,6 +91,7 @@ func runE17(cfg *sim.Config, s Scale) *Result {
 		var src query.Source
 		if onCXL {
 			dev := cxl.NewDevice(cfgOLAP, 8*d.Lineitem.NumRows()*8*len(d.Lineitem.Schema.Cols))
+			defer dev.Mem().Release()
 			cs, err := query.NewCXLSource(cfgOLAP, dev, d.Lineitem)
 			if err != nil {
 				panic(err)
@@ -119,6 +121,7 @@ func runE17(cfg *sim.Config, s Scale) *Result {
 		"%.1f%%", olapDrop)
 	r.traceOp(cfg, "cxl.row-read", func(c *sim.Clock) {
 		space := cxl.NewTieredSpace(cfg, 1<<20, 1<<20)
+		defer space.Close()
 		region, ok := space.Alloc(cxl.TierCXL, 4096)
 		if !ok {
 			panic("E17: trace alloc failed")

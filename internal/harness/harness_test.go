@@ -11,7 +11,6 @@ import (
 
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/sim"
-	"github.com/disagglab/disagg/internal/wal"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -166,21 +165,20 @@ func TestExpNum(t *testing.T) {
 // interfaces (engine.Caps), so a column that changes changes a table.
 func TestRosterCapabilities(t *testing.T) {
 	type caps struct {
-		name                                            string
-		recoverer, reader, groupCommitter, checkpointer bool
-		closer, durableLSN                              bool
+		name                                                    string
+		recoverer, reader, groupCommitter, checkpointer, closer bool
 	}
 	want := []caps{
-		{"monolithic", true, false, false, true, true, true},
-		{"shared-nothing", false, false, false, true, true, false},
-		{"aurora", true, true, true, true, true, true},
-		{"socrates", true, false, true, true, true, true},
-		{"taurus", true, false, true, true, true, true},
-		{"polardb", true, false, true, true, true, true},
-		{"legobase", true, false, false, true, true, true},
-		{"pilotdb", true, false, false, true, true, true},
-		{"snowflake-kv", true, false, false, true, true, true},
-		{"serverless", true, true, false, true, true, true},
+		{"monolithic", true, false, false, true, true},
+		{"shared-nothing", false, false, false, true, true},
+		{"aurora", true, true, true, true, true},
+		{"socrates", true, false, true, true, true},
+		{"taurus", true, false, true, true, true},
+		{"polardb", true, false, true, true, true},
+		{"legobase", true, false, false, true, true},
+		{"pilotdb", true, false, false, true, true},
+		{"snowflake-kv", true, false, false, true, true},
+		{"serverless", true, true, false, true, true},
 	}
 	if len(want) != len(roster) {
 		t.Fatalf("table has %d rows, roster %d engines", len(want), len(roster))
@@ -194,7 +192,6 @@ func TestRosterCapabilities(t *testing.T) {
 		_, got.groupCommitter = e.(engine.GroupCommitter)
 		_, got.checkpointer = e.(engine.Checkpointer)
 		_, got.closer = e.(io.Closer)
-		_, got.durableLSN = e.(interface{ DurableLSN() wal.LSN })
 		retire(e)
 		if got != want[i] {
 			t.Errorf("capabilities\n got %+v\nwant %+v", got, want[i])

@@ -340,6 +340,13 @@ func (c *Cache) Reclaim(clk *sim.Clock) (int64, error) {
 	return moved, nil
 }
 
+// Close hands every stranded node's memory back; nothing may use c after.
+func (c *Cache) Close() {
+	for _, p := range c.nodes {
+		p.Close()
+	}
+}
+
 // Link builds a pointer chain over keys 0..hops: key i's value begins with
 // the remote address of key i+1's block, so Chase(0, hops) walks the whole
 // chain. All keys must already be Set.

@@ -307,3 +307,33 @@ func TestSLOAdaptsModeUnderCongestion(t *testing.T) {
 			c.activePool().Node().NIC.QueuedFraction())
 	}
 }
+
+// Close hands every stranded node's memory back, the node a Reclaim moved
+// the data to as well as the one it left: each region reads as zeros.
+func TestCloseReleasesEveryNode(t *testing.T) {
+	c := newCache(t, 2)
+	qp := c.Connect(nil)
+	clk := sim.NewClock()
+	val := bytes.Repeat([]byte{9}, 64)
+	for key := uint64(0); key < 16; key++ {
+		if err := c.Set(clk, qp, key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Reclaim(clk); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Get(clk, c.Connect(nil), 3); err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("get after reclaim: %v %v", got, err)
+	}
+	c.Close()
+	got := make([]byte, 16*64)
+	for i, p := range c.nodes {
+		if err := p.Node().Mem.Read(0, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, make([]byte, len(got))) {
+			t.Errorf("node %d still holds its data after Close", i)
+		}
+	}
+}

@@ -130,6 +130,14 @@ func (c *Config) Begin(clk *Clock, site string) Op {
 	return op
 }
 
+// RPC charges clk one kernel TCP round trip carrying n bytes, observed as
+// the site "tcp.rpc".
+func (c *Config) RPC(clk *Clock, n int) {
+	op := c.Begin(clk, "tcp.rpc")
+	clk.Advance(c.TCP.Cost(n))
+	op.End(int64(n))
+}
+
 // End finishes the operation, attributing everything the clock accumulated
 // since Begin (device charges, meter penalties, injected delays, nested
 // work) to the site. bytes is the payload the operation moved, 0 if not
