@@ -305,15 +305,18 @@ func (e *Engine) Close() error {
 // Recover implements engine.Recoverer: failover — promote the next healthy
 // node to primary. No cache warm-up (the working set is in the shared
 // pool) and no log replay (pages there are current): one directory round
-// trip plus a quorum LSN poll.
+// trip plus a quorum LSN poll. A primary that never crashed stays (a warm
+// Recover, as a fleet runs on a survivor).
 func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	start := c.Now()
 	cur := e.primary.Load()
-	next := cur // with no other node up, restart the crashed one itself
-	for i := range e.nodes {
-		if int32(i) != cur && !e.nodes[i].crashed.Load() {
-			next = int32(i)
-			break
+	next := cur // a live primary stays; with no other node up, a crashed one restarts
+	if e.nodes[cur].crashed.Load() {
+		for i := range e.nodes {
+			if int32(i) != cur && !e.nodes[i].crashed.Load() {
+				next = int32(i)
+				break
+			}
 		}
 	}
 	lsn, err := e.Volume.FindHighLSN(c)

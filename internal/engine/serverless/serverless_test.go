@@ -138,6 +138,41 @@ func TestFailoverPromotesSecondaryFast(t *testing.T) {
 	}
 }
 
+// A warm Recover of a live engine (a fleet's survivor taking over a shard)
+// keeps its primary: it never crashed, so nothing fails over.
+func TestWarmRecoverKeepsTheLivePrimary(t *testing.T) {
+	layout := enginetest.Layout(t)
+	e := New(sim.DefaultConfig(), layout, 3, 16, 256)
+	c := sim.NewClock()
+	val := make([]byte, layout.ValSize)
+	write := func(n uint64) error {
+		binary.LittleEndian.PutUint64(val, n)
+		return engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(7, val) })
+	}
+	if err := write(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Recover(sim.NewClock()); err != nil {
+		t.Fatal(err)
+	}
+	if p := e.primary.Load(); p != 0 {
+		t.Fatalf("a warm Recover moved the primary to node %d, want node 0 kept", p)
+	}
+	if err := write(2); err != nil {
+		t.Fatalf("the kept primary cannot commit: %v", err)
+	}
+	err := e.ReadReplica(c, 0, func(tx engine.Tx) error {
+		v, err := tx.Read(7)
+		if err == nil && binary.LittleEndian.Uint64(v) != 2 {
+			t.Errorf("node 0 reads key 7 = %d, want 2", binary.LittleEndian.Uint64(v))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("read on the kept primary: %v", err)
+	}
+}
+
 func TestAddNodeIsMetadataOnly(t *testing.T) {
 	layout := enginetest.Layout(t)
 	e := New(sim.DefaultConfig(), layout, 1, 16, 256)

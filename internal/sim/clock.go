@@ -9,9 +9,10 @@
 // contention effects are visible without a global event queue.
 //
 // Concurrent workers run under RunGroup, which lets one of them run at a
-// time: each is a goroutine, but the baton passes only where a worker yields
-// (Yield, at every transaction) or must wait for another (Wait: a lock, a
-// batch), and always to the worker earliest in virtual time. Conflicts and
+// time: each is a coroutine that one driver loop resumes, and the baton
+// passes only where a worker yields (Yield, at every transaction) or must
+// wait for another (Wait: a lock, a batch), and always to the worker
+// earliest in virtual time. Conflicts and
 // retries are real, and the interleaving that produced them is a function of
 // the virtual clocks, so a run replays byte for byte. A clock made by
 // NewClock belongs to no group; its Waits poll instead.

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
+	"iter"
 	"runtime"
-	"sync"
+	"slices"
 	"time"
 )
 
@@ -39,54 +41,67 @@ func (g GroupResult) MeanLatency() time.Duration {
 }
 
 // RunGroup executes n workers, each with a fresh clock, and aggregates their
-// virtual-time results. The workers are goroutines, so their code stays
-// straight-line, but they take turns: exactly one holds the baton, and it
-// changes hands only at Yield and Wait, going to the runnable worker with the
-// lowest virtual time (ties to the lower id). A run is therefore a function
-// of its inputs alone, the same at any GOMAXPROCS.
+// virtual-time results. The workers are coroutines (iter.Pull), so their code
+// stays straight-line, but they take turns: exactly one holds the baton, and
+// it changes hands only at Yield and Wait, going to the runnable worker
+// earliest in virtual time (before). RunGroup's own goroutine drives them:
+// a worker that passes the baton yields to it, and it resumes the next. A
+// run is therefore a function of its inputs alone, the same at any
+// GOMAXPROCS.
+//
+// A worker's panic or runtime.Goexit (t.FailNow) reaches RunGroup's caller
+// once the other workers are stopped: each unwinds from its pending Yield or
+// Wait, running its deferred calls.
 func RunGroup(n int, w Worker) GroupResult {
 	res := GroupResult{Workers: n, PerWorker: make([]time.Duration, n)}
 	if n <= 0 {
 		return res
 	}
-	ops := make([]int, n)
-	g := &group{ws: make([]*worker, n)}
+	g := &group{
+		body:    w,
+		ws:      make([]worker, n),
+		heap:    make([]*worker, 0, n),
+		waiters: make([]*worker, 0, n),
+	}
+	clocks := make([]Clock, n)
 	for i := range g.ws {
-		wk := &worker{g: g, id: i, wake: make(chan struct{}, 1)}
-		wk.c = &Clock{w: wk}
-		g.ws[i] = wk
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for _, wk := range g.ws {
-		go func() {
-			defer func() {
-				// Also on a panic or Goexit (t.FailNow), so the others run on.
-				res.PerWorker[wk.id] = wk.c.Now()
-				wk.state = done
-				g.pass(wk)
-				wg.Done()
-			}()
-			<-wk.wake
-			ops[wk.id] = w(wk.id, wk.c)
-		}()
-	}
-	g.ws[0].wake <- struct{}{}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		res.TotalOps += ops[i]
-		res.SumTime += res.PerWorker[i]
-		if res.PerWorker[i] > res.MakeSpan {
-			res.MakeSpan = res.PerWorker[i]
+		wk := &g.ws[i]
+		wk.g, wk.id, wk.c = g, i, &clocks[i]
+		clocks[i].w = wk
+		wk.resume, wk.stop = iter.Pull(wk.run)
+		if i > 0 {
+			g.heap = append(g.heap, wk) // all at time 0, by id: a heap already
 		}
+	}
+	// Once every worker is done this stops nothing; after a worker's panic
+	// or Goexit it unwinds the others before that reaches the caller.
+	defer g.stopAll()
+	for g.cur = &g.ws[0]; g.cur != nil; {
+		g.cur.resume()
+	}
+	for i := range g.ws {
+		wk := &g.ws[i]
+		res.PerWorker[i] = wk.c.now
+		res.TotalOps += wk.ops
+		res.SumTime += wk.c.now
+		res.MakeSpan = max(res.MakeSpan, wk.c.now)
 	}
 	return res
 }
 
-// group is RunGroup's scheduler state. Only the baton holder touches it; the
-// channel hand-off orders one holder's writes before the next one's reads.
+// group is RunGroup's scheduler state. Only the baton holder or the driver
+// loop touches it, and the coroutine switch between them orders their
+// accesses.
 type group struct {
-	ws []*worker
+	body Worker
+	ws   []worker
+	cur  *worker // the worker the driver resumes next; nil once all are done
+	// heap holds the runnable workers other than the baton holder, ordered
+	// by before. Their clocks do not move while they sit there.
+	heap []*worker
+	// waiters holds the waiting workers, by id.
+	waiters  []*worker
+	stopping bool // stopAll is unwinding the workers
 }
 
 type workerState uint8
@@ -97,18 +112,54 @@ const (
 	done
 )
 
-// worker is one group member: its clock, its place in the turn order, and
-// while it waits, what it waits for.
+// worker is one group member: its clock, its coroutine, its place in the
+// turn order, and while it waits, what it waits for.
 type worker struct {
-	g     *group
-	id    int
-	c     *Clock
-	wake  chan struct{}
-	state workerState
-	cond  condition
-	leads bool // a batch leader's wait: the first to give up
-	ok    bool // what the last Wait returns
-	hold  int  // Hold depth: Yield keeps the baton while > 0
+	g      *group
+	id     int
+	c      *Clock
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	ops    int
+	state  workerState
+	cond   condition
+	leads  bool // a batch leader's wait: the first to give up
+	ok     bool // what the last Wait returns
+	hold   int  // Hold depth: Yield keeps the baton while > 0
+}
+
+// errStopped unwinds a worker that stopAll resumed.
+var errStopped = errors.New("sim: group stopped")
+
+// run is the worker's coroutine body.
+func (wk *worker) run(yield func(struct{}) bool) {
+	wk.yield = yield
+	defer func() {
+		if wk.g.stopping {
+			if p := recover(); p != nil && p != errStopped {
+				panic(p)
+			}
+		}
+	}()
+	wk.ops = wk.g.body(wk.id, wk.c)
+	wk.state = done
+	wk.g.pass(wk)
+}
+
+// stopAll ends every worker's coroutine: a suspended worker's pending yield
+// returns false and it unwinds through errStopped.
+func (g *group) stopAll() {
+	g.stopping = true
+	for i := range g.ws {
+		g.ws[i].stop()
+	}
+}
+
+// before is the turn order: a runnable worker runs before another when its
+// virtual time is lower, ties to the lower id.
+func before(a, b *worker) bool {
+	return a.c.now < b.c.now || a.c.now == b.c.now && a.id < b.id
 }
 
 // condition is what a waiter waits for. The batcher implements it on its
@@ -120,51 +171,105 @@ type condFunc func() bool
 func (f condFunc) holds() bool { return f() }
 
 // release frees every waiter other than from whose condition now holds, at
-// from's virtual time: that is when the change it waited for happened.
+// from's virtual time: that is when the change it waited for happened. It
+// tests them in id order, since a condition may act (a try-lock).
 func (g *group) release(from *worker) {
-	for _, w := range g.ws {
-		if w != from && w.state == waiting && w.cond.holds() {
+	kept := g.waiters[:0]
+	for _, w := range g.waiters {
+		if w != from && w.cond.holds() {
 			w.state, w.cond, w.ok = runnable, nil, true
 			w.c.AdvanceTo(from.c.now)
+			g.push(w)
+		} else {
+			kept = append(kept, w)
 		}
 	}
+	clear(g.waiters[len(kept):])
+	g.waiters = kept
 }
 
 // pass releases what from's turn made ready and hands the baton to the
-// runnable worker with the lowest virtual time, ties to the lower id. When
-// none can run, a batch leader gives up first (its batch flushes on timeout);
-// otherwise the earliest waiter's Wait fails. Either way the group moves on.
+// earliest runnable worker. When none can run, a batch leader gives up
+// first (its batch flushes on timeout); otherwise the earliest waiter's Wait
+// fails. Either way the group moves on.
 func (g *group) pass(from *worker) {
+	if g.stopping {
+		panic(errStopped) // a stopped worker's deferred calls hand nothing on
+	}
 	g.release(from)
-	var next, victim *worker
-	for _, w := range g.ws {
-		switch w.state {
-		case runnable:
-			if next == nil || w.c.now < next.c.now {
-				next = w
-			}
-		case waiting:
-			if victim == nil || w.leads && !victim.leads ||
-				w.leads == victim.leads && w.c.now < victim.c.now {
-				victim = w
-			}
-		}
-	}
-	if next == nil {
-		if victim == nil {
-			return // from was the last worker
-		}
-		victim.state, victim.cond, victim.ok = runnable, nil, false
-		next = victim
-	}
+	next := g.pick(from)
 	if next == from {
 		return
 	}
-	// Read from's state before the hand-off: from then on it is next's.
-	park := from.state != done
-	next.wake <- struct{}{}
-	if park {
-		<-from.wake
+	g.cur = next
+	if from.state != done && !from.yield(struct{}{}) {
+		panic(errStopped)
+	}
+}
+
+// pick returns the worker to hold the baton after from, moving from into
+// the heap when it stays runnable but loses the baton.
+func (g *group) pick(from *worker) *worker {
+	if from.state == runnable {
+		if len(g.heap) == 0 || before(from, g.heap[0]) {
+			return from
+		}
+		next := g.heap[0]
+		g.heap[0] = from
+		g.down(0)
+		return next
+	}
+	if len(g.heap) > 0 {
+		next := g.heap[0]
+		last := len(g.heap) - 1
+		g.heap[0] = g.heap[last]
+		g.heap[last] = nil
+		g.heap = g.heap[:last]
+		g.down(0)
+		return next
+	}
+	var victim *worker
+	vi := 0
+	for i, w := range g.waiters {
+		if victim == nil || w.leads && !victim.leads || w.leads == victim.leads && before(w, victim) {
+			victim, vi = w, i
+		}
+	}
+	if victim == nil {
+		return nil // from was the last worker
+	}
+	g.waiters = slices.Delete(g.waiters, vi, vi+1)
+	victim.state, victim.cond, victim.ok = runnable, nil, false
+	return victim
+}
+
+func (g *group) push(w *worker) {
+	g.heap = append(g.heap, w)
+	for i := len(g.heap) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !before(g.heap[i], g.heap[p]) {
+			break
+		}
+		g.heap[i], g.heap[p] = g.heap[p], g.heap[i]
+		i = p
+	}
+}
+
+func (g *group) down(i int) {
+	h := g.heap
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && before(h[l], h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && before(h[r], h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
 }
 
@@ -184,10 +289,9 @@ func Yield(c *Clock) {
 // the caller gives up (a lock wait reports a deadlock). Outside a group, Wait
 // polls cond between runtime.Gosched calls and always returns true.
 //
-// cond is called by whichever worker holds the baton, so it must be safe to
-// call from any goroutine; it may act when it holds (a lock try-acquire).
-// Callers test their condition once before building a closure for Wait, so
-// the uncontended path allocates nothing.
+// cond is called by whichever worker holds the baton; it may act when it
+// holds (a lock try-acquire). Callers test their condition once before
+// building a closure for Wait, so the uncontended path allocates nothing.
 func Wait(c *Clock, cond func() bool) bool {
 	return wait(c, condFunc(cond), false)
 }
@@ -207,7 +311,12 @@ func wait(c *Clock, cond condition, leads bool) bool {
 		return true
 	}
 	w.state, w.cond, w.leads = waiting, cond, leads
-	w.g.pass(w)
+	g := w.g
+	g.waiters = append(g.waiters, w)
+	for i := len(g.waiters) - 1; i > 0 && g.waiters[i-1].id > w.id; i-- {
+		g.waiters[i], g.waiters[i-1] = g.waiters[i-1], g.waiters[i]
+	}
+	g.pass(w)
 	return w.ok
 }
 

@@ -156,3 +156,103 @@ func TestMaxItemsWorkersFillEveryBatch(t *testing.T) {
 		t.Fatalf("stats %+v, want %d full flushes of %d", s, rounds, workers)
 	}
 }
+
+// A worker's panic reaches RunGroup's caller once the other workers have
+// unwound from their pending Yield and Wait, running their deferred calls;
+// no coroutine outlives the group. A worker's Goexit ends the caller's
+// goroutine the same way.
+func TestRunGroupPanicReachesTheCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var unwound atomic.Int32
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		RunGroup(4, func(id int, c *Clock) int {
+			defer unwound.Add(1)
+			for turn := 0; ; turn++ {
+				if id == 2 && turn == 3 {
+					panic("worker 2 fails")
+				}
+				if id == 3 {
+					Wait(c, func() bool { return false })
+				}
+				c.Advance(time.Microsecond)
+				Yield(c)
+			}
+		})
+	}()
+	if got != "worker 2 fails" {
+		t.Fatalf("RunGroup's caller recovered %v, want the worker's panic value", got)
+	}
+	if n := unwound.Load(); n != 4 {
+		t.Fatalf("%d workers ran their deferred calls, want 4", n)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after the group, %d before", after, before)
+	}
+
+	returned := false
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		RunGroup(2, func(id int, c *Clock) int {
+			if id == 1 {
+				runtime.Goexit()
+			}
+			Yield(c)
+			return 0
+		})
+		returned = true
+	}()
+	<-exited
+	if returned {
+		t.Fatal("RunGroup returned after a worker called Goexit")
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after a Goexit, %d before", after, before)
+	}
+}
+
+// RunGroup allocates a bounded number of objects per worker, nothing per
+// turn: iter.Pull's coroutine is 12 objects (its closures and the state
+// they share), and the workers, clocks, heap and waiter list are one slice
+// each per group.
+func TestRunGroupAllocationsPerWorker(t *testing.T) {
+	const workers = 64
+	run := func(yields int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			RunGroup(workers, func(_ int, c *Clock) int {
+				for range yields {
+					c.Advance(time.Microsecond)
+					Yield(c)
+				}
+				return yields
+			})
+		})
+	}
+	perWorker := run(0) / workers
+	t.Logf("%.2f allocations per worker", perWorker)
+	if perWorker > 12.5 {
+		t.Fatalf("%.2f allocations per worker, want at most 12.5", perWorker)
+	}
+	if extra := run(100) - run(0); extra > 0 {
+		t.Fatalf("100 turns per worker allocate %.0f more objects per group, want 0", extra)
+	}
+}
+
+// BenchmarkRunGroupPass hands the baton round the group: 64 workers, 100
+// yields each, every yield a pass.
+func BenchmarkRunGroupPass(b *testing.B) {
+	const workers, yields = 64, 100
+	b.ReportAllocs()
+	for b.Loop() {
+		RunGroup(workers, func(_ int, c *Clock) int {
+			for range yields {
+				c.Advance(time.Microsecond)
+				Yield(c)
+			}
+			return yields
+		})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*workers*yields), "ns/pass")
+}

@@ -1,6 +1,7 @@
 package storagenode
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/disagglab/disagg/internal/wal"
@@ -98,12 +99,23 @@ type ledger struct {
 	// of gaps, drained as the prefix advances).
 	holes map[wal.LSN]struct{}
 	high  wal.LSN
-	// undecided is in arrival order; compacted in place, it keeps its
+	// undecided holds the copies held undecided, in the order they were
+	// held. The first stale of them outlived a decision that did not name
+	// them: staleAt indexes those by LSN, one copy each, so a decision
+	// touches only its own batch and the copies held since the last one
+	// (mostly that batch). A stale copy decided or superseded since is
+	// zeroed (LSN 0) until the list compacts in place, keeping its
 	// capacity.
 	undecided []wal.Record
+	stale     int
+	staleAt   map[wal.LSN]int
+	dropped   int   // zeroed stale copies
+	batch     []int // decide's scratch: the batch's stale copies, by index
 }
 
-func newLedger() ledger { return ledger{holes: make(map[wal.LSN]struct{})} }
+func newLedger() ledger {
+	return ledger{holes: make(map[wal.LSN]struct{}), staleAt: make(map[wal.LSN]int)}
+}
 
 // has reports whether the record at lsn has been received.
 func (l *ledger) has(lsn wal.LSN) bool {
@@ -114,8 +126,25 @@ func (l *ledger) has(lsn wal.LSN) bool {
 	return ok
 }
 
-// receive counts lsn as received, reporting false for a duplicate.
+// receive counts lsn as received, reporting false for a duplicate, and
+// forgets the undecided copies of it: the record received supersedes them.
 func (l *ledger) receive(lsn wal.LSN) bool {
+	if !l.mark(lsn) {
+		return false
+	}
+	if len(l.undecided) > 0 {
+		if i, ok := l.staleAt[lsn]; ok {
+			l.drop(i)
+		}
+		fresh := slices.DeleteFunc(l.undecided[l.stale:], func(u wal.Record) bool { return u.LSN == lsn })
+		l.undecided = l.undecided[:l.stale+len(fresh)]
+		l.compact()
+	}
+	return true
+}
+
+// mark counts lsn as received, reporting false for a duplicate.
+func (l *ledger) mark(lsn wal.LSN) bool {
 	if l.has(lsn) {
 		return false
 	}
@@ -149,27 +178,48 @@ func (l *ledger) hold(rec *wal.Record) {
 }
 
 // decide receives the undecided records whose LSN is in committed, handing
-// each newly received one to take, and forgets every other undecided record
-// received since it was held.
+// each newly received one to take in the order they were held. The copies
+// it leaves become stale, one per LSN.
 func (l *ledger) decide(committed []wal.Record, take func(rec *wal.Record)) {
 	if len(l.undecided) == 0 {
 		return
 	}
-	kept := l.undecided[:0]
-	at := 0 // search on from the last match: holds mostly follow committed's order
-	for i := range l.undecided {
+	if len(l.staleAt) > 0 {
+		batch := l.batch[:0]
+		for i := range committed {
+			if at, ok := l.staleAt[committed[i].LSN]; ok {
+				batch = append(batch, at)
+			}
+		}
+		slices.Sort(batch)
+		for j, at := range batch {
+			if j > 0 && at == batch[j-1] {
+				continue // committed names the LSN twice
+			}
+			if u := &l.undecided[at]; l.mark(u.LSN) {
+				take(u)
+			}
+			l.drop(at)
+		}
+		l.batch = batch
+	}
+	n, at := l.stale, 0 // search on from the last match: holds mostly follow committed's order
+	for i := l.stale; i < len(l.undecided); i++ {
 		u := &l.undecided[i]
 		if j := indexFrom(committed, u.LSN, at); j >= 0 {
 			at = j + 1
-			if l.receive(u.LSN) {
+			if l.mark(u.LSN) {
 				take(u)
 			}
-		} else if !l.has(u.LSN) {
-			kept = append(kept, *u)
+		} else if _, dup := l.staleAt[u.LSN]; !dup {
+			l.staleAt[u.LSN] = n
+			l.undecided[n] = *u
+			n++
 		}
 	}
-	clear(l.undecided[len(kept):])
-	l.undecided = kept
+	clear(l.undecided[n:])
+	l.undecided, l.stale = l.undecided[:n], n
+	l.compact()
 }
 
 // indexFrom returns the index of the record at lsn in recs, or -1,
@@ -183,17 +233,51 @@ func indexFrom(recs []wal.Record, lsn wal.LSN, from int) int {
 	return -1
 }
 
+// drop forgets the stale copy at index i.
+func (l *ledger) drop(i int) {
+	delete(l.staleAt, l.undecided[i].LSN)
+	l.undecided[i] = wal.Record{}
+	l.dropped++
+}
+
+// compact squeezes the zeroed copies out of the stale ones once they are
+// at least half of them, so each costs O(1) amortised.
+func (l *ledger) compact() {
+	if l.dropped == 0 || l.dropped*2 < l.stale {
+		return
+	}
+	n := 0
+	for i := range l.undecided[:l.stale] {
+		if u := l.undecided[i]; u.LSN != 0 {
+			l.staleAt[u.LSN] = n
+			l.undecided[n] = u
+			n++
+		}
+	}
+	m := n + copy(l.undecided[n:], l.undecided[l.stale:])
+	clear(l.undecided[m:])
+	l.undecided, l.stale, l.dropped = l.undecided[:m], n, 0
+}
+
 // cover counts every LSN up to h as received: a recovery horizon or a
 // truncation floor asserts that checkpointed state holds them.
 func (l *ledger) cover(h wal.LSN) {
-	if h > l.prefix {
-		for lsn := range l.holes {
-			if lsn <= h {
-				delete(l.holes, lsn)
-			}
-		}
-		l.high = max(l.high, h)
-		l.advance(h)
+	if h <= l.prefix {
+		return
 	}
-	l.decide(nil, nil)
+	for lsn := range l.holes {
+		if lsn <= h {
+			delete(l.holes, lsn)
+		}
+	}
+	l.high = max(l.high, h)
+	l.advance(h)
+	for i := range l.undecided[:l.stale] {
+		if lsn := l.undecided[i].LSN; lsn != 0 && lsn <= h {
+			l.drop(i)
+		}
+	}
+	fresh := slices.DeleteFunc(l.undecided[l.stale:], func(u wal.Record) bool { return u.LSN <= h })
+	l.undecided = l.undecided[:l.stale+len(fresh)]
+	l.compact()
 }

@@ -124,7 +124,6 @@ func (r *Replica) ingest(recs []wal.Record) bool {
 			r.pendLocked(&recs[i])
 		}
 	}
-	r.led.decide(nil, nil) // forget the undecided copies these supersede
 	return true
 }
 

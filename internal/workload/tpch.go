@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"sort"
 
 	"github.com/disagglab/disagg/internal/query"
 	"github.com/disagglab/disagg/internal/sim"
@@ -20,6 +19,9 @@ type TPCH struct {
 	Clustered bool
 	Seed      int64
 }
+
+// days is the span of the date columns, in day numbers.
+const days = 2556
 
 // Lineitem column names.
 const (
@@ -57,23 +59,23 @@ func (t TPCH) Generate() *Data {
 		// Generate shipdates sorted: clustered layout.
 		dates := make([]int64, t.ScaleRows)
 		for i := range dates {
-			dates[i] = int64(r.Intn(2556))
+			dates[i] = int64(r.Intn(days))
 		}
-		sortInt64s(dates)
+		sortDays(dates)
 		for i := 0; i < t.ScaleRows; i++ {
 			row := rowFor(r, nOrders, dates[i])
 			li.AppendRow(row[:]...)
 		}
 	} else {
 		for i := 0; i < t.ScaleRows; i++ {
-			row := rowFor(r, nOrders, int64(r.Intn(2556)))
+			row := rowFor(r, nOrders, int64(r.Intn(days)))
 			li.AppendRow(row[:]...)
 		}
 	}
 
 	ord := query.NewSizedTable(nOrders, OOrderKey, OCustKey, OOrderDate)
 	for i := 0; i < nOrders; i++ {
-		ord.AppendRow(int64(i), int64(r.Intn(nCust)), int64(r.Intn(2556)))
+		ord.AppendRow(int64(i), int64(r.Intn(nCust)), int64(r.Intn(days)))
 	}
 	cust := query.NewSizedTable(nCust, CCustKey, CNation)
 	for i := 0; i < nCust; i++ {
@@ -93,8 +95,19 @@ func rowFor(r *rand.Rand, nOrders int, date int64) [6]int64 {
 	}
 }
 
-func sortInt64s(a []int64) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+// sortDays sorts day numbers in [0, days) in place by counting them.
+func sortDays(a []int64) {
+	var count [days]int32
+	for _, d := range a {
+		count[d]++
+	}
+	i := 0
+	for d, n := range count {
+		for range n {
+			a[i] = int64(d)
+			i++
+		}
+	}
 }
 
 // Q6 builds the TPC-H Q6-shaped plan: a selective filter-and-aggregate on
