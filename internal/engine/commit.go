@@ -312,6 +312,11 @@ func (p *Pipeline) RecoveryHorizon() wal.LSN { return p.ckpt.Horizon() }
 // it is decided, every commit there durable.
 func (p *Pipeline) DurableLSN() wal.LSN { return wal.LSN(p.durable.Load()) }
 
+// LogEnd is the last LSN the node's log has assigned. Every durable tier
+// stores records of this log, so a durable mark above LogEnd names records
+// that were never written.
+func (p *Pipeline) LogEnd() wal.LSN { return p.log.Head() - 1 }
+
 // ReadFloor is the LSN a storage read filling the node's caches must cover:
 // the durable mark, or the one a crash took if higher. Read replicas outlive
 // their writer, and a commit they were told of stays durable while it is down.

@@ -15,6 +15,7 @@ import (
 	"github.com/disagglab/disagg/internal/heap"
 	"github.com/disagglab/disagg/internal/sim"
 	"github.com/disagglab/disagg/internal/sim/profile"
+	"github.com/disagglab/disagg/internal/wal"
 )
 
 // Workload shape: each worker owns keysEach keys, so every key has exactly
@@ -481,11 +482,17 @@ func (w *Workload) Diff(a, b engine.Engine) {
 	}
 }
 
+// logEnder is an engine whose log reports the last LSN it assigned, as
+// every engine.Pipeline does. Each durable tier holds records of that log,
+// so none holds one above it.
+type logEnder interface{ LogEnd() wal.LSN }
+
 // CrashRecover drills e through a crash/recover cycle on a healed fabric
-// and verifies again: acked writes must survive recovery, and with a
-// recorded history the durable LSN the node learned again must cover every
-// acked commit (ackedStamp). It reports false, with a violation, when
-// recovery fails; an engine that is no Recoverer is left as it is.
+// and verifies again: acked writes must survive recovery, the durable LSN
+// the node learned again may not pass the end of its log (what no durable
+// tier can hold), and with a recorded history it must cover every acked
+// commit (ackedStamp). It reports false, with a violation, when recovery
+// fails; an engine that is no Recoverer is left as it is.
 func (w *Workload) CrashRecover(e engine.Engine) bool {
 	r := engine.Caps(e).Recoverer
 	if r == nil {
@@ -496,6 +503,9 @@ func (w *Workload) CrashRecover(e engine.Engine) bool {
 	if _, err := r.Recover(sim.NewClock()); err != nil {
 		w.violate("recovery failed: %v", err)
 		return false
+	}
+	if l, ok := e.(logEnder); ok && r.DurableLSN() > l.LogEnd() {
+		w.violate("recovered durable LSN %d above the log's end %d", r.DurableLSN(), l.LogEnd())
 	}
 	if w.rec != nil {
 		if acked, ok := w.ackedStamp(); ok && uint64(r.DurableLSN()) < acked {

@@ -113,55 +113,76 @@ func runE1(cfg *sim.Config, s Scale) *Result {
 	layout := oltpLayout()
 
 	type row struct {
-		name      string
-		res       sim.GroupResult
-		sum       metrics.Summary
-		st        *engine.Stats
-		pageBytes int64
+		name                                   string
+		res                                    sim.GroupResult
+		sum                                    metrics.Summary
+		commits, netBytes, logBytes, pageBytes int64
 	}
-	var rows []row
-	auE := aurora.New(cfg, layout, 1024, 0) // traced below, retired last
-	run := func(name string, e engine.Engine) {
-		res, sum := runOLTP(e, workers, txns)
-		rows = append(rows, row{name, res, sum, e.Stats(), e.Stats().PageBytes.Load()})
-		if e != auE {
+	engines := []struct {
+		name  string
+		build func(cfg *sim.Config) engine.Engine
+	}{
+		{"monolithic", func(cfg *sim.Config) engine.Engine { return monolithic.New(cfg, layout, 1024) }},
+		{"aurora", func(cfg *sim.Config) engine.Engine { return aurora.New(cfg, layout, 1024, 0) }},
+		{"polardb", func(cfg *sim.Config) engine.Engine { return polardb.New(cfg, layout, 1024) }},
+		{"socrates", func(cfg *sim.Config) engine.Engine { return socrates.New(cfg, layout, 1024, 2) }},
+		// PilotDB ships its log over one-sided RDMA, so its row also
+		// exercises the fabric substrate (rdma.* telemetry sites) under
+		// this workload.
+		{"pilotdb", func(cfg *sim.Config) engine.Engine { return pilotdb.New(cfg, layout, 1024, pilotdb.Pilot()) }},
+	}
+	// Two chains of engines run side by side. Within a chain each engine
+	// retires before the next one is built, so the next one's first fills
+	// reuse its frames; five cells at once would each fill from fresh
+	// memory. Aurora leads its chain, so its sources lead the telemetry
+	// table, and records the trace on its warm engine.
+	chains := [][]int{{1, 0}, {2, 3, 4}}
+	rows := make([]row, len(engines))
+	traced := &Result{}
+	cells(cfg, len(chains), func(chain int, cfg *sim.Config) {
+		for _, i := range chains[chain] {
+			e := engines[i].build(cfg)
+			res, sum := runOLTP(e, workers, txns)
+			st := e.Stats()
+			rows[i] = row{engines[i].name, res, sum,
+				st.Commits.Load(), st.NetBytes.Load(), st.LogBytes.Load(), st.PageBytes.Load()}
+			if engines[i].name == "aurora" {
+				traced.traceOp(cfg, "txn.write", func(c *sim.Clock) {
+					engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
+						return tx.Write(1, make([]byte, layout.ValSize))
+					})
+				})
+			}
 			retire(e)
 		}
-	}
-	run("monolithic", monolithic.New(cfg, layout, 1024))
-	run("aurora", auE)
-	run("polardb", polardb.New(cfg, layout, 1024))
-	run("socrates", socrates.New(cfg, layout, 1024, 2))
-	// PilotDB ships its log over one-sided RDMA, so its row also exercises
-	// the fabric substrate (rdma.* telemetry sites) under this workload.
-	run("pilotdb", pilotdb.New(cfg, layout, 1024, pilotdb.Pilot()))
+	})
 
 	t := r.table("E1: TPC-C-lite, "+fmt.Sprint(workers)+" clients",
 		"engine", "tput(txn/s)", "p50", "p99", "net B/txn", "log B/txn", "page B/txn")
 	byName := map[string]row{}
 	for _, rw := range rows {
 		byName[rw.name] = rw
-		commits := rw.st.Commits.Load()
-		if commits == 0 {
-			commits = 1
+		commits := max(rw.commits, 1)
+		perCommit := 0.0
+		if rw.commits > 0 {
+			perCommit = float64(rw.netBytes) / float64(rw.commits)
 		}
-		t.Row(rw.name, rw.res.Throughput(), rw.sum.P50, rw.sum.P99,
-			rw.st.BytesPerCommit(),
-			float64(rw.st.LogBytes.Load())/float64(commits),
-			float64(rw.st.PageBytes.Load())/float64(commits))
+		t.Row(rw.name, rw.res.Throughput(), rw.sum.P50, rw.sum.P99, perCommit,
+			float64(rw.logBytes)/float64(commits),
+			float64(rw.pageBytes)/float64(commits))
 	}
 	au, po, mo := byName["aurora"], byName["polardb"], byName["monolithic"]
 	r.check("aurora ships no pages", au.pageBytes == 0, "aurora page bytes = %d", au.pageBytes)
 	// Write-path network volume (the claim is specifically about what the
 	// writer ships): 6 log copies for aurora vs 3 log copies + 3 page
 	// copies for polardb.
-	auWrite := 6 * float64(au.st.LogBytes.Load()) / float64(au.st.Commits.Load())
-	poWrite := 3 * float64(po.st.LogBytes.Load()+po.st.PageBytes.Load()) / float64(po.st.Commits.Load())
+	auWrite := 6 * float64(au.logBytes) / float64(au.commits)
+	poWrite := 3 * float64(po.logBytes+po.pageBytes) / float64(po.commits)
 	r.check("aurora write-path bytes/txn ≪ polardb",
 		auWrite < poWrite/3,
 		"aurora %.0f B/txn vs polardb %.0f B/txn (%.1fx)", auWrite, poWrite, poWrite/auWrite)
-	r.check("monolithic uses no network", mo.st.NetBytes.Load() == 0,
-		"monolithic net bytes = %d", mo.st.NetBytes.Load())
+	r.check("monolithic uses no network", mo.netBytes == 0,
+		"monolithic net bytes = %d", mo.netBytes)
 	r.check("polardb ships pages too", po.pageBytes > 0, "polardb page bytes = %d", po.pageBytes)
 	// Fabric reference point: what one transaction's log batch costs to
 	// persist on remote PM with the one-sided recipe (§2.3) — the floor
@@ -170,12 +191,9 @@ func runE1(cfg *sim.Config, s Scale) *Result {
 	fc := sim.NewClock()
 	rdma.Connect(cfg, pm, nil).WritePersist(fc, 0, make([]byte, 768))
 	r.note("fabric floor: one-sided persist of a 768B log batch on remote PM costs %v", fc.Now())
-	r.traceOp(cfg, "txn.write", func(c *sim.Clock) {
-		engine.Run(auE, c, engine.RunOpts{}, func(tx engine.Tx) error {
-			return tx.Write(1, make([]byte, layout.ValSize))
-		})
-	})
-	retire(auE)
+	r.Notes = append(r.Notes, traced.Notes...)
+	r.Checks = append(r.Checks, traced.Checks...)
+	r.Trace = traced.Trace
 	return r
 }
 
@@ -399,16 +417,20 @@ func runE5(cfg *sim.Config, s Scale) *Result {
 	t := r.table("E5: TPC-H-lite Q6, selectivity sweep",
 		"layout", "sel date range", "pruned", "unpruned", "blocks read/skipped")
 
-	type outcome struct{ pruned, unpruned time.Duration }
-	results := map[string]outcome{}
-	for _, clustered := range []bool{true, false} {
-		d := workload.TPCH{ScaleRows: rows, Clustered: clustered, Seed: 3}.Generate()
+	// One cell per layout. Its two windows share the layout's source, whose
+	// DRAM meter carries the first window's queries into the second's, so
+	// they run in order inside the cell.
+	type outcome struct {
+		pruned, unpruned time.Duration
+		blocks           string
+	}
+	layouts := []string{"clustered", "shuffled"}
+	windows := []int64{50, 500}
+	results := make([][]outcome, len(layouts))
+	cells(cfg, len(layouts), func(l int, cfg *sim.Config) {
+		d := workload.TPCH{ScaleRows: rows, Clustered: l == 0, Seed: 3}.Generate()
 		src := query.NewLocalSource(cfg, d.Lineitem)
-		layoutName := "clustered"
-		if !clustered {
-			layoutName = "shuffled"
-		}
-		for _, window := range []int64{50, 500} {
+		for _, window := range windows {
 			runQ := func(prune bool) (time.Duration, string) {
 				op, err := workload.Q6(cfg, src, 1000, 1000+window, 0, 11, prune)
 				if err != nil {
@@ -425,15 +447,18 @@ func runE5(cfg *sim.Config, s Scale) *Result {
 				query.Collect(sim.NewClock(), scan)
 				return c.Now(), fmt.Sprintf("%d/%d", scan.BlocksRead, scan.BlocksSkipped)
 			}
-			pt, blocks := runQ(true)
-			ut, _ := runQ(false)
-			t.Row(layoutName, window, pt, ut, blocks)
-			if window == 50 {
-				results[layoutName] = outcome{pt, ut}
-			}
+			var o outcome
+			o.pruned, o.blocks = runQ(true)
+			o.unpruned, _ = runQ(false)
+			results[l] = append(results[l], o)
+		}
+	})
+	for l, name := range layouts {
+		for w, o := range results[l] {
+			t.Row(name, windows[w], o.pruned, o.unpruned, o.blocks)
 		}
 	}
-	cl, sh := results["clustered"], results["shuffled"]
+	cl, sh := results[0][0], results[1][0] // the 50-day window
 	r.check("pruning wins on clustered data", cl.pruned < cl.unpruned/3,
 		"%v vs %v (%.1fx)", cl.pruned, cl.unpruned, ratio(cl.unpruned, cl.pruned))
 	r.check("pruning is a no-op on shuffled data", sh.pruned > sh.unpruned/2,

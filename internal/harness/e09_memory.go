@@ -180,6 +180,8 @@ func runE10(cfg *sim.Config, s Scale) *Result {
 	return r
 }
 
+// runE11 runs its cells one after another, not through cells: each builds a
+// 512 MB memory-node pool, and two at once would double the peak RSS.
 func runE11(cfg *sim.Config, s Scale) *Result {
 	r := &Result{ID: "E11", Title: "Index structures on disaggregated memory"}
 	clients := []int{1, 2, 4, 8}
@@ -352,6 +354,8 @@ func allGreater(a, b []float64) bool {
 	return true
 }
 
+// runE12 runs its cells one after another, not through cells: each builds a
+// 1 GB memory-node pool, and two at once would double the peak RSS.
 func runE12(cfg *sim.Config, s Scale) *Result {
 	r := &Result{ID: "E12", Title: "TPC-H under memory disaggregation"}
 	rows := pick(s, 40_000, 400_000)

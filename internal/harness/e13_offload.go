@@ -267,6 +267,8 @@ func runE15(cfg *sim.Config, s Scale) *Result {
 	return r
 }
 
+// runE16 runs its cells one after another, not through cells: each builds a
+// 2 GB memory-node pool, and two at once would double the peak RSS.
 func runE16(cfg *sim.Config, s Scale) *Result {
 	r := &Result{ID: "E16", Title: "Disaggregated shuffle"}
 	rowsPer := pick(s, 2000, 20_000)

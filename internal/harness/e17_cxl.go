@@ -50,7 +50,7 @@ func runE17(cfg *sim.Config, s Scale) *Result {
 	txns := pick(s, 2000, 20_000)
 	rowSize := 256
 	nRows := 100_000
-	runOLTPTier := func(onCXL bool) time.Duration {
+	runOLTPTier := func(cfg *sim.Config, onCXL bool) time.Duration {
 		space := cxl.NewTieredSpace(cfg, nRows*rowSize+1024, nRows*rowSize+1024)
 		defer space.Close()
 		tier := cxl.TierLocal
@@ -76,18 +76,26 @@ func runE17(cfg *sim.Config, s Scale) *Result {
 		}
 		return c.Now()
 	}
-	oltpLocal := runOLTPTier(false)
-	oltpCXL := runOLTPTier(true)
-	oltpDrop := 100 * (float64(oltpCXL)/float64(oltpLocal) - 1)
-
 	// OLAP: scan-heavy analytics (Q1 + Q6 mix) over the main store.
 	// HANA's scan kernels are vectorized and close to memory-bandwidth-
 	// bound, so the analytic runs use a faster per-core processing rate
-	// than the general-purpose default.
+	// than the general-purpose default. The table is generated beside the
+	// two OLTP tiers, as a third cell.
+	var oltp [2]time.Duration
+	var d *workload.Data
+	cells(cfg, 3, func(i int, cfg *sim.Config) {
+		if i < 2 {
+			oltp[i] = runOLTPTier(cfg, i == 1)
+			return
+		}
+		d = workload.TPCH{ScaleRows: pick(s, 60_000, 600_000), Clustered: true, Seed: 7}.Generate()
+	})
+	oltpLocal, oltpCXL := oltp[0], oltp[1]
+	oltpDrop := 100 * (float64(oltpCXL)/float64(oltpLocal) - 1)
+
 	cfgOLAP := cfg.Clone()
 	cfgOLAP.CPU.BytesPerSec = 16 * sim.GB
-	d := workload.TPCH{ScaleRows: pick(s, 60_000, 600_000), Clustered: true, Seed: 7}.Generate()
-	runOLAP := func(onCXL bool) time.Duration {
+	runOLAP := func(cfgOLAP *sim.Config, onCXL bool) time.Duration {
 		var src query.Source
 		if onCXL {
 			dev := cxl.NewDevice(cfgOLAP, 8*d.Lineitem.NumRows()*8*len(d.Lineitem.Schema.Cols))
@@ -107,8 +115,9 @@ func runE17(cfg *sim.Config, s Scale) *Result {
 		query.Collect(c, q6)
 		return c.Now()
 	}
-	olapLocal := runOLAP(false)
-	olapCXL := runOLAP(true)
+	var olap [2]time.Duration
+	cells(cfgOLAP, 2, func(i int, cfg *sim.Config) { olap[i] = runOLAP(cfg, i == 1) })
+	olapLocal, olapCXL := olap[0], olap[1]
 	olapDrop := 100 * (float64(olapCXL)/float64(olapLocal) - 1)
 
 	t := r.table("E17: local DRAM vs DB-managed CXL main store",
@@ -210,6 +219,8 @@ func runE19(cfg *sim.Config, s Scale) *Result {
 	return r
 }
 
+// runE20 runs its cells one after another, not through cells: each builds a
+// 1 GB memory-node pool, and two at once would double the peak RSS.
 func runE20(cfg *sim.Config, s Scale) *Result {
 	r := &Result{ID: "E20", Title: "Multi-writer scalability"}
 	txnsPer := pick(s, 200, 1500)

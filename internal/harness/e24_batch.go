@@ -85,14 +85,36 @@ func runE24(cfg *sim.Config, s Scale) *Result {
 	// at batch 1 the shared log/volume/raft meters run oversubscribed.
 	// Grouping k commits into one flush cuts the flush rate k-fold:
 	// contention collapses and the shared flush cost is amortized.
+	// Low load: 4 writers can never fill a 16-slot group, so every flush
+	// is released by the window — the commit-latency knee batching buys
+	// its throughput with. The two knee cells follow the sweep's.
+	engines := e24Engines()
+	au := engines[0]
+	kneeBatches := []int{1, 16}
+	type cell struct {
+		res sim.GroupResult
+		sum metrics.Summary
+		st  *engine.Stats
+	}
+	sweep := len(engines) * len(batches)
+	out := make([]cell, sweep+len(kneeBatches))
+	cells(cfg, len(out), func(i int, cfg *sim.Config) {
+		c := &out[i]
+		if i < sweep {
+			c.res, c.sum, c.st = e24Cell(cfg, engines[i/len(batches)].build, workers, txns, batches[i%len(batches)])
+			return
+		}
+		c.res, c.sum, c.st = e24Cell(cfg, au.build, 4, txns, kneeBatches[i-sweep])
+	})
+
 	thr := make(map[string]map[int]float64)
-	for _, eng := range e24Engines() {
-		eng := eng
+	for ei, eng := range engines {
 		t := r.table(fmt.Sprintf("E24: %s — %d writers, commit throughput vs batch size", eng.name, workers),
 			"batch", "tput (txn/s)", "p50 commit", "p99 commit", "flushes", "occupancy", "size/timeout")
 		thr[eng.name] = make(map[int]float64)
-		for _, b := range batches {
-			res, sum, st := e24Cell(cfg, eng.build, workers, txns, b)
+		for bi, b := range batches {
+			c := out[ei*len(batches)+bi]
+			res, sum, st := c.res, c.sum, c.st
 			thr[eng.name][b] = res.Throughput()
 			flushes := st.GroupFlushes.Load()
 			occ := "-"
@@ -113,7 +135,7 @@ func runE24(cfg *sim.Config, s Scale) *Result {
 	// The CI gate: batching must pay on every engine, and substantially
 	// on at least two (the tutorial's fabric-cost argument).
 	twofold := 0
-	for _, eng := range e24Engines() {
+	for _, eng := range engines {
 		t1, t16 := thr[eng.name][1], thr[eng.name][16]
 		r.check(fmt.Sprintf("%s: batch=16 beats batch=1", eng.name), t16 > t1,
 			"%.0f vs %.0f txn/s (%.2fx)", t16, t1, t16/t1)
@@ -124,15 +146,11 @@ func runE24(cfg *sim.Config, s Scale) *Result {
 	r.check("batch=16 at least doubles commit throughput on >=2 engines", twofold >= 2,
 		"%d engine(s) at >=2x", twofold)
 
-	// Low load: 4 writers can never fill a 16-slot group, so every flush
-	// is released by the window — the commit-latency knee batching buys
-	// its throughput with.
 	knee := r.table("E24: aurora — 4 writers (underfilled groups): the tail-latency knee",
 		"batch", "p50 commit", "p99 commit", "size/timeout flushes")
-	au := e24Engines()[0]
 	var p50 [2]time.Duration
-	for i, b := range []int{1, 16} {
-		_, sum, st := e24Cell(cfg, au.build, 4, txns, b)
+	for i, b := range kneeBatches {
+		sum, st := out[sweep+i].sum, out[sweep+i].st
 		ratio := "-"
 		if b > 1 {
 			ratio = fmt.Sprintf("%d/%d", st.FlushOnSize.Load(), st.FlushOnTimeout.Load())

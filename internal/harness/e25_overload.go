@@ -227,15 +227,58 @@ func runE25(cfg *sim.Config, s Scale) *Result {
 	calibTxns := pick(s, 64, 128)
 	wMax := sweep[len(sweep)-1]
 
-	for _, eng := range e24Engines() {
-		nominal := e25Calibrate(cfg, eng.build, calibTxns)
-		slo := time.Duration(e25SLOMult) * nominal
-		t := r.table(fmt.Sprintf("E25: %s — offered-load sweep, SLO = %d x %v steady-state = %v", eng.name, e25SLOMult, nominal, slo),
+	// Every engine is calibrated first; then the sweep's cells (raw and
+	// admitted for each engine and worker count) and the chaos arm's (raw
+	// and admitted for each fault profile on aurora) run side by side.
+	// Each cell builds its own engine, gate and injector.
+	//
+	// Chaos arm: seeded fault profiles on the conformance suite's injector.
+	// drop-storm loses half of all durable-append deliveries, so quorums
+	// fail often and the raw client's zero-delay retries amplify offered
+	// load. The partition profile blacks the fabric out for a virtual-time
+	// window: a failed attempt inside it charges well under a microsecond,
+	// so the raw client abandons every op it offers there, 13 attempts
+	// each, and its clock never reaches the heal — it completes exactly the
+	// ops it finished before the window opened. Backoff charges the clock,
+	// so the admitted client rides the window out and lands ops after the
+	// heal, and the breaker converts the unavailability burst into
+	// fast-fails.
+	engines := e24Engines()
+	au := engines[0]
+	nominal := make([]time.Duration, len(engines))
+	cells(cfg, len(engines), func(i int, cfg *sim.Config) {
+		nominal[i] = e25Calibrate(cfg, engines[i].build, calibTxns)
+	})
+	slo := func(i int) time.Duration { return time.Duration(e25SLOMult) * nominal[i] }
+	chaosW := 16
+	chaosTxns := pick(s, 96, 160)
+	dropStorm := fault.Profile{Name: "drop-storm", Drop: 0.5, Sites: fault.AppendSites}
+	profiles := []fault.Profile{dropStorm, fault.Profiles()[5]}
+	type arm struct {
+		cell e25Cell
+		ctl  *e25Controls
+	}
+	swept := 2 * len(engines) * len(sweep)
+	arms := make([]arm, swept+2*len(profiles)) // raw at even indexes, admitted at odd
+	cells(cfg, len(arms), func(i int, cfg *sim.Config) {
+		a, admit := &arms[i], i%2 == 1
+		if i < swept {
+			e := i / (2 * len(sweep))
+			a.cell, a.ctl = e25Run(cfg, engines[e].build, sweep[i/2%len(sweep)], txns, slo(e), admit)
+			return
+		}
+		fcfg := cfg.Clone()
+		fcfg.Fault = fault.New(e25Seed, profiles[(i-swept)/2])
+		a.cell, a.ctl = e25Run(fcfg, au.build, chaosW, chaosTxns, slo(0), admit)
+	})
+
+	for ei, eng := range engines {
+		t := r.table(fmt.Sprintf("E25: %s — offered-load sweep, SLO = %d x %v steady-state = %v", eng.name, e25SLOMult, nominal[ei], slo(ei)),
 			"workers", "raw goodput", "raw lat", "raw att/op", "adm goodput", "adm lat", "adm att/op", "gate shed", "fast-fail")
 		var raw, adm []e25Cell
-		for _, w := range sweep {
-			rc, _ := e25Run(cfg, eng.build, w, txns, slo, false)
-			ac, ctl := e25Run(cfg, eng.build, w, txns, slo, true)
+		for wi, w := range sweep {
+			i := 2 * (ei*len(sweep) + wi)
+			rc, ac, ctl := arms[i].cell, arms[i+1].cell, arms[i+1].ctl
 			raw = append(raw, rc)
 			adm = append(adm, ac)
 			t.Row(w,
@@ -269,36 +312,12 @@ func runE25(cfg *sim.Config, s Scale) *Result {
 			raw[last].amplification(), adm[last].amplification(), wMax)
 	}
 
-	// Chaos arm: seeded fault profiles on the conformance suite's injector.
-	// drop-storm loses half of all durable-append deliveries, so quorums
-	// fail often and the raw client's zero-delay retries amplify offered
-	// load. The partition profile blacks the fabric out for a virtual-time
-	// window: a failed attempt inside it charges well under a microsecond,
-	// so the raw client abandons every op it offers there, 13 attempts
-	// each, and its clock never reaches the heal — it completes exactly the
-	// ops it finished before the window opened. Backoff charges the clock,
-	// so the admitted client rides the window out and lands ops after the
-	// heal, and the breaker converts the unavailability burst into
-	// fast-fails.
-	chaosW := 16
-	chaosTxns := pick(s, 96, 160)
-	au := e24Engines()[0]
-	nominal := e25Calibrate(cfg, au.build, calibTxns)
-	slo := time.Duration(e25SLOMult) * nominal
-	dropStorm := fault.Profile{Name: "drop-storm", Drop: 0.5, Sites: fault.AppendSites}
-	partition := fault.Profiles()[5]
-	for _, p := range []fault.Profile{dropStorm, partition} {
+	for pi, p := range profiles {
 		t := r.table(fmt.Sprintf("E25: aurora under chaos profile %q (%d workers x %d ops)", p.Name, chaosW, chaosTxns),
 			"policy", "SLO-met", "goodput", "commits", "att/op", "makespan", "trips", "fast-fails")
-
-		fcfg := cfg.Clone()
-		fcfg.Fault = fault.New(e25Seed, p)
-		rc, _ := e25Run(fcfg, au.build, chaosW, chaosTxns, slo, false)
-
-		fcfg = cfg.Clone()
-		fcfg.Fault = fault.New(e25Seed, p)
-		ac, ctl := e25Run(fcfg, au.build, chaosW, chaosTxns, slo, true)
-		bs := ctl.breaker.Stats()
+		i := swept + 2*pi
+		rc, ac := arms[i].cell, arms[i+1].cell
+		bs := arms[i+1].ctl.breaker.Stats()
 
 		offered := chaosW * chaosTxns
 		t.Row("raw", fmt.Sprintf("%d/%d", rc.good, offered), fmt.Sprintf("%.0f", rc.goodput),

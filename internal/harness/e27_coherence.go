@@ -253,6 +253,10 @@ func e27BatchedCell(eng e27Engine, ops, writers int) e27CellResult {
 	}
 }
 
+// runE27 runs its cells one after another, not through cells: each cell
+// builds its own config and Stats and reads its coherence counters back
+// through sim.Snapshot, which returns the first source registered under a
+// site, so a cell's counters must be the only ones in its registry.
 func runE27(cfg *sim.Config, s Scale) *Result {
 	r := &Result{ID: "E27", Title: "Page-cache coherence sweep"}
 	writeFracs := []int{10, 40, 70}

@@ -178,26 +178,53 @@ func runE29(cfg *sim.Config, s Scale) *Result {
 	// (The log-as-database engines recover compute in O(1) by design —
 	// their unbounded cost is the storage-rebuild arm below.)
 	sweep := quietEngines("monolithic", "snowflake-kv", "legobase")
+	// The crash drill covers the full recoverable roster: every engine runs
+	// with periodic checkpoints, crashes, recovers, and must lose nothing.
+	drilled := quietEngines("monolithic", "aurora", "socrates", "taurus", "polardb", "legobase", "pilotdb", "snowflake-kv", "serverless")
 
-	for _, eng := range sweep {
+	// One cell per arm, in table order: the sweep's (engine, log length,
+	// unchecked then checkpointed), the storage rebuild's (log length,
+	// unchecked then checkpointed), then the drill's (engine).
+	type arm struct {
+		e29Arm
+		rebuild time.Duration
+		err     error
+	}
+	every := [2]int{0, ckptEvery}
+	swept, rebuilt := 2*len(sweep)*len(mults), 2*len(mults)
+	arms := make([]arm, swept+rebuilt+len(drilled))
+	cells(cfg, len(arms), func(i int, cfg *sim.Config) {
+		a := &arms[i]
+		switch {
+		case i < swept:
+			eng := sweep[i/(2*len(mults))]
+			a.e29Arm, a.err = e29Sweep(eng.build(cfg, layout), layout, base*mults[i/2%len(mults)], every[i%2])
+		case i < swept+rebuilt:
+			j := i - swept
+			a.rebuild, a.err = e29RebuildArm(cfg, base*mults[j/2], every[j%2])
+		default:
+			a.e29Arm, a.err = e29Sweep(drilled[i-swept-rebuilt].build(cfg, layout), layout, base, ckptEvery)
+		}
+	})
+
+	for ei, eng := range sweep {
 		t := r.table(fmt.Sprintf("E29: %s — recovery time across a %dx log-length sweep (checkpoint every %d commits vs never)",
 			eng.name, mults[len(mults)-1], ckptEvery),
 			"txns", "unchecked recovery", "checkpointed recovery", "horizon", "acked lost")
 		var plain, ckpt []e29Arm
-		for _, m := range mults {
+		for mi, m := range mults {
 			txns := base * m
-			pa, err := e29Sweep(eng.build(cfg, layout), layout, txns, 0)
-			if err != nil {
-				r.check(fmt.Sprintf("%s: unchecked arm at %d txns runs clean", eng.name, txns), false, "%v", err)
+			pa, ca := arms[2*(ei*len(mults)+mi)], arms[2*(ei*len(mults)+mi)+1]
+			if pa.err != nil {
+				r.check(fmt.Sprintf("%s: unchecked arm at %d txns runs clean", eng.name, txns), false, "%v", pa.err)
 				continue
 			}
-			ca, err := e29Sweep(eng.build(cfg, layout), layout, txns, ckptEvery)
-			if err != nil {
-				r.check(fmt.Sprintf("%s: checkpointed arm at %d txns runs clean", eng.name, txns), false, "%v", err)
+			if ca.err != nil {
+				r.check(fmt.Sprintf("%s: checkpointed arm at %d txns runs clean", eng.name, txns), false, "%v", ca.err)
 				continue
 			}
-			plain = append(plain, pa)
-			ckpt = append(ckpt, ca)
+			plain = append(plain, pa.e29Arm)
+			ckpt = append(ckpt, ca.e29Arm)
 			t.Row(txns, pa.recover, ca.recover, ca.horizon, pa.lost+ca.lost)
 		}
 		if len(plain) < 2 {
@@ -230,18 +257,18 @@ func runE29(cfg *sim.Config, s Scale) *Result {
 			"records", "unchecked rebuild", "checkpointed rebuild")
 		var plain, ckpt []time.Duration
 		ok := true
-		for _, m := range mults {
+		for mi, m := range mults {
 			txns := base * m
-			pd, err := e29RebuildArm(cfg, txns, 0)
+			pd, cd := arms[swept+2*mi], arms[swept+2*mi+1]
+			err := pd.err
 			if err == nil {
-				var cd time.Duration
-				cd, err = e29RebuildArm(cfg, txns, ckptEvery)
-				if err == nil {
-					plain = append(plain, pd)
-					ckpt = append(ckpt, cd)
-					t.Row(txns, pd, cd)
-					continue
-				}
+				err = cd.err
+			}
+			if err == nil {
+				plain = append(plain, pd.rebuild)
+				ckpt = append(ckpt, cd.rebuild)
+				t.Row(txns, pd.rebuild, cd.rebuild)
+				continue
 			}
 			ok = false
 			r.check(fmt.Sprintf("rebuild arm at %d records runs clean", txns), false, "%v", err)
@@ -257,21 +284,18 @@ func runE29(cfg *sim.Config, s Scale) *Result {
 		}
 	}
 
-	// Crash drill across the full recoverable roster: every engine runs
-	// with periodic checkpoints, crashes, recovers, and must lose nothing.
-	drilled := quietEngines("monolithic", "aurora", "socrates", "taurus", "polardb", "legobase", "pilotdb", "snowflake-kv", "serverless")
 	t := r.table(fmt.Sprintf("E29: crash drill, all recoverable engines — %d txns, checkpoint every %d commits", base, ckptEvery),
 		"engine", "recovery", "horizon", "acked lost")
-	for _, eng := range drilled {
-		arm, err := e29Sweep(eng.build(cfg, layout), layout, base, ckptEvery)
-		if err != nil {
-			r.check(fmt.Sprintf("%s: crash drill runs clean", eng.name), false, "%v", err)
+	for di, eng := range drilled {
+		a := arms[swept+rebuilt+di]
+		if a.err != nil {
+			r.check(fmt.Sprintf("%s: crash drill runs clean", eng.name), false, "%v", a.err)
 			continue
 		}
-		t.Row(eng.name, arm.recover, arm.horizon, arm.lost)
+		t.Row(eng.name, a.recover, a.horizon, a.lost)
 		r.check(fmt.Sprintf("%s: crash drill loses zero acked commits and publishes a horizon", eng.name),
-			arm.lost == 0 && arm.horizon > 0,
-			"recovery %v, horizon %d, %d lost", arm.recover, arm.horizon, arm.lost)
+			a.lost == 0 && a.horizon > 0,
+			"recovery %v, horizon %d, %d lost", a.recover, a.horizon, a.lost)
 	}
 
 	r.note("sweep: %d hot keys, single writer, %d..%d txns; checkpointed arms run one coordinator round every %d commits (capture horizon -> flush pages -> publish -> truncate)", e29Keys, base*mults[0], base*mults[len(mults)-1], ckptEvery)

@@ -80,6 +80,21 @@ func (h *Hist) Record(d time.Duration) {
 	}
 }
 
+// Merge adds o's observations to h, as if each had been recorded into h.
+func (h *Hist) Merge(o *Hist) {
+	for i := range o.buckets {
+		h.buckets[i].Add(o.buckets[i].Load())
+	}
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+	for m := o.max.Load(); ; {
+		cur := h.max.Load()
+		if m <= cur || h.max.CompareAndSwap(cur, m) {
+			break
+		}
+	}
+}
+
 // Count reports the number of observations.
 func (h *Hist) Count() int64 { return h.count.Load() }
 

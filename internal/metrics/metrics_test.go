@@ -251,3 +251,25 @@ func TestTableFormatsFloats(t *testing.T) {
 		}
 	}
 }
+
+func TestHistMergeEqualsRecordingBoth(t *testing.T) {
+	a, b, both := NewHist(), NewHist(), NewHist()
+	for i, d := range []time.Duration{3, 900, 5 * time.Millisecond, 40 * time.Microsecond, 0} {
+		h := a
+		if i%2 == 1 {
+			h = b
+		}
+		h.Record(d)
+		both.Record(d)
+	}
+	a.Merge(b)
+	if a.Count() != both.Count() || a.Mean() != both.Mean() || a.Max() != both.Max() {
+		t.Fatalf("merged count/mean/max %d/%v/%v, want %d/%v/%v",
+			a.Count(), a.Mean(), a.Max(), both.Count(), both.Mean(), both.Max())
+	}
+	for _, q := range []float64{0, 0.25, 0.5, 0.9, 1} {
+		if a.Quantile(q) != both.Quantile(q) {
+			t.Fatalf("q%.2f: merged %v, want %v", q, a.Quantile(q), both.Quantile(q))
+		}
+	}
+}

@@ -204,3 +204,28 @@ func TestGateNilMeterAdmits(t *testing.T) {
 		t.Fatalf("nil-meter admit failed: %v", err)
 	}
 }
+
+// TestShedErrorTextAndAllocs pins a shed's text and errors.Is, and that a
+// shed allocates only its error value (4 allocations when Admit formatted
+// the text with fmt.Errorf).
+func TestShedErrorTextAndAllocs(t *testing.T) {
+	g := NewGate(nil)
+	m := sim.NewMeter(1)
+	other := sim.NewClock()
+	other.Advance(time.Microsecond)
+	for i := 0; i < 100; i++ {
+		m.Observe(other, 100*time.Microsecond)
+	}
+	c := sim.NewClock()
+	c.Advance(400 * time.Microsecond)
+	err := g.Admit(c, "logstore.append", m)
+	if want := "sim: admission control shed: logstore.append ρ=25.00"; err == nil || err.Error() != want {
+		t.Fatalf("shed error %v, want %q", err, want)
+	}
+	if !errors.Is(err, sim.ErrAdmission) {
+		t.Fatalf("%v does not match sim.ErrAdmission", err)
+	}
+	if n := testing.AllocsPerRun(1000, func() { g.Admit(c, "logstore.append", m) }); n > 1 {
+		t.Fatalf("%.1f allocations per shed, want at most 1", n)
+	}
+}

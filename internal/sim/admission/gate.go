@@ -88,11 +88,25 @@ func (g *Gate) Admit(c *sim.Clock, site string, m *sim.Meter) error {
 	}
 	if rho := m.Utilization(c.Now()); rho > GateMaxUtil && m.QueuedFraction() >= GateMinQueued {
 		s.shed.Add(1)
-		return fmt.Errorf("%w: %s ρ=%.2f", sim.ErrAdmission, site, rho)
+		return &ShedError{site, rho}
 	}
 	s.admitted.Add(1)
 	return nil
 }
+
+// ShedError is a gate's refusal: the site and the meter utilization ρ it
+// shed at. Its text is formatted only when printed; it unwraps to
+// sim.ErrAdmission.
+type ShedError struct {
+	Site string
+	Rho  float64
+}
+
+func (e *ShedError) Error() string {
+	return fmt.Sprintf("%v: %s ρ=%.2f", sim.ErrAdmission, e.Site, e.Rho)
+}
+
+func (e *ShedError) Unwrap() error { return sim.ErrAdmission }
 
 // Stats aggregates admit/shed counts across every site the gate has seen.
 func (g *Gate) Stats() sim.GateStats {

@@ -146,6 +146,22 @@ func siteHash(site string) uint64 {
 	return h
 }
 
+// Error is one injected fault: its kind ("drop", "partition" or "torn
+// append"), the site, the site's op index it hit and the injector's seed.
+// Its text is formatted only when printed; it unwraps to sim.ErrInjected.
+type Error struct {
+	Kind string
+	Site string
+	Op   uint64
+	Seed int64
+}
+
+func (e *Error) Error() string {
+	return fmt.Sprintf("%v: %s at %s (op %d, seed %d)", sim.ErrInjected, e.Kind, e.Site, e.Op, e.Seed)
+}
+
+func (e *Error) Unwrap() error { return sim.ErrInjected }
+
 // Inject implements sim.FaultInjector.
 func (i *Injector) Inject(c *sim.Clock, site string) sim.FaultOutcome {
 	if !i.enabled.Load() || !i.profile.Matches(site) {
@@ -155,7 +171,7 @@ func (i *Injector) Inject(c *sim.Clock, site string) sim.FaultOutcome {
 	for _, w := range i.profile.Partitions {
 		if c != nil && c.Now() >= w.Start && c.Now() < w.End {
 			i.Drops.Add(1)
-			return sim.FaultOutcome{Drop: true, Err: fmt.Errorf("%w: partition at %s (op %d, seed %d)", sim.ErrInjected, site, n, i.seed)}
+			return sim.FaultOutcome{Drop: true, Err: &Error{"partition", site, n, i.seed}}
 		}
 	}
 	h := mix64(uint64(i.seed) ^ mix64(siteHash(site)^n*0x9E3779B97F4A7C15))
@@ -164,13 +180,13 @@ func (i *Injector) Inject(c *sim.Clock, site string) sim.FaultOutcome {
 	switch {
 	case u < p.Drop:
 		i.Drops.Add(1)
-		return sim.FaultOutcome{Drop: true, Err: fmt.Errorf("%w: drop at %s (op %d, seed %d)", sim.ErrInjected, site, n, i.seed)}
+		return sim.FaultOutcome{Drop: true, Err: &Error{"drop", site, n, i.seed}}
 	case u < p.Drop+p.Duplicate:
 		i.Dups.Add(1)
 		return sim.FaultOutcome{Duplicate: true}
 	case u < p.Drop+p.Duplicate+p.Torn:
 		i.Tears.Add(1)
-		return sim.FaultOutcome{Torn: true, Err: fmt.Errorf("%w: torn append at %s (op %d, seed %d)", sim.ErrInjected, site, n, i.seed)}
+		return sim.FaultOutcome{Torn: true, Err: &Error{"torn append", site, n, i.seed}}
 	case u < p.Drop+p.Duplicate+p.Torn+p.Delay:
 		i.Delays.Add(1)
 		if c != nil && p.MaxDelay > 0 {

@@ -152,3 +152,38 @@ func TestStandardProfilesCoverFaultClasses(t *testing.T) {
 		t.Fatalf("want >= 4 standard profiles, got %d", len(Profiles()))
 	}
 }
+
+// TestErrorText pins the text each kind of injected error prints and that
+// it still matches sim.ErrInjected.
+func TestErrorText(t *testing.T) {
+	drop := New(9, Profile{Name: "drops", Drop: 1}).Inject(nil, "rdma.read").Err
+	torn := New(9, Profile{Name: "torn", Torn: 1}).Inject(nil, "obj.put").Err
+	c := sim.NewClock()
+	part := New(9, Profile{Name: "p", Partitions: []Window{{End: time.Second}}}).Inject(c, "raft.append").Err
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{drop, "sim: injected fault: drop at rdma.read (op 1, seed 9)"},
+		{torn, "sim: injected fault: torn append at obj.put (op 1, seed 9)"},
+		{part, "sim: injected fault: partition at raft.append (op 1, seed 9)"},
+	} {
+		if tc.err == nil || tc.err.Error() != tc.want {
+			t.Errorf("error %v, want %q", tc.err, tc.want)
+		}
+		if !errors.Is(tc.err, sim.ErrInjected) {
+			t.Errorf("%v does not match sim.ErrInjected", tc.err)
+		}
+	}
+}
+
+// TestInjectedDropAllocatesOneError: a drop allocates its error value and
+// nothing else, its text unformatted (3 allocations when Inject formatted
+// it with fmt.Errorf).
+func TestInjectedDropAllocatesOneError(t *testing.T) {
+	inj := New(1, Profile{Name: "drops", Drop: 1})
+	inj.Inject(nil, "rdma.read") // the site's counter
+	if n := testing.AllocsPerRun(1000, func() { inj.Inject(nil, "rdma.read") }); n > 1 {
+		t.Fatalf("%.1f allocations per injected drop, want at most 1", n)
+	}
+}

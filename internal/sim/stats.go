@@ -80,6 +80,14 @@ func (r *Registry) Observe(site string, d time.Duration, bytes int64, end time.D
 	if r == nil {
 		return
 	}
+	s := r.siteStats(site)
+	s.Hist.Record(d)
+	s.bytes.Add(bytes)
+	r.raiseEnd(int64(end))
+}
+
+// siteStats returns site's stats, creating them on first use.
+func (r *Registry) siteStats(site string) *SiteStats {
 	r.mu.RLock()
 	s := r.sites[site]
 	r.mu.RUnlock()
@@ -92,14 +100,43 @@ func (r *Registry) Observe(site string, d time.Duration, bytes int64, end time.D
 		}
 		r.mu.Unlock()
 	}
-	s.Hist.Record(d)
-	s.bytes.Add(bytes)
+	return s
+}
+
+// raiseEnd lifts maxEnd to end if end is later.
+func (r *Registry) raiseEnd(end int64) {
 	for {
 		cur := r.maxEnd.Load()
-		if int64(end) <= cur || r.maxEnd.CompareAndSwap(cur, int64(end)) {
-			break
+		if end <= cur || r.maxEnd.CompareAndSwap(cur, end) {
+			return
 		}
 	}
+}
+
+// Fold adds child's telemetry to r: child's sources after r's own, in
+// child's registration order; each of child's sites' observations and bytes
+// into r's site of that name; and child's latest end time. A registry that
+// several concurrent parts of one run record into lists its sources in the
+// order they happened to register; one child registry per part, folded in
+// a fixed order, lists them in that order instead.
+func (r *Registry) Fold(child *Registry) {
+	if r == nil || child == nil {
+		return
+	}
+	child.smu.Lock()
+	sources := append([]source(nil), child.sources...)
+	child.smu.Unlock()
+	r.smu.Lock()
+	r.sources = append(r.sources, sources...)
+	r.smu.Unlock()
+	child.mu.RLock()
+	defer child.mu.RUnlock()
+	for site, cs := range child.sites {
+		s := r.siteStats(site)
+		s.Hist.Merge(cs.Hist)
+		s.bytes.Add(cs.Bytes())
+	}
+	r.raiseEnd(child.maxEnd.Load())
 }
 
 // Register attaches a counter source (see source for the kinds) under a

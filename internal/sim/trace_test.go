@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -212,5 +213,31 @@ func TestRegistryOneSourceList(t *testing.T) {
 	want := []string{"meter.b", "meter.a", "x.coherence", "x.coherence", "gate.a"}
 	if !reflect.DeepEqual(sites, want) {
 		t.Errorf("table rows %v, want %v (idle sources have no row)", sites, want)
+	}
+}
+
+// TestRegistryFoldMatchesOneRegistry: observations split over child
+// registries and folded give the sites, bytes, latest end and source rows
+// one registry fed everything would, the sources in fold order.
+func TestRegistryFoldMatchesOneRegistry(t *testing.T) {
+	one, parent := NewRegistry(), NewRegistry()
+	children := []*Registry{NewRegistry(), NewRegistry()}
+	for i, child := range children {
+		gate := func() GateStats { return GateStats{Admitted: int64(i + 1)} }
+		for _, reg := range []*Registry{one, child} {
+			reg.Observe("shared", time.Duration(i+1)*time.Microsecond, 100, time.Duration(10-i)*time.Millisecond)
+			reg.Observe(fmt.Sprintf("own%d", i), time.Millisecond, 8, time.Millisecond)
+			reg.Register(fmt.Sprintf("gate%d", i), gate)
+		}
+	}
+	for _, child := range children {
+		parent.Fold(child)
+	}
+	parent.Fold(nil)
+	if got, want := parent.String(), one.String(); got != want {
+		t.Fatalf("folded table\n%s\nwant\n%s", got, want)
+	}
+	if parent.Elapsed() != 10*time.Millisecond || parent.Site("shared").Hist.Max() != 2*time.Microsecond {
+		t.Fatalf("elapsed %v, shared max %v; want 10ms and 2µs", parent.Elapsed(), parent.Site("shared").Hist.Max())
 	}
 }
