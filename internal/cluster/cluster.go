@@ -12,9 +12,10 @@
 // registers its cache with the architecture's coherence directory, learns
 // the durable watermark (charged to the virtual clock as recovery work),
 // and starts taking traffic. Scale-in drains a member back out with only
-// shard reassignment; no data moves. The shared-nothing baseline wires in
-// through the same API but must physically rebalance its partitions — the
-// elasticity tax E4 measures, preserved here deliberately.
+// shard reassignment; no data moves. A shared-nothing engine has no shared
+// substrate to attach to: it rescales by physically moving its partitions
+// (sharednothing.Engine.Rebalance, the elasticity tax E4 and E28 measure),
+// not through a fleet.
 //
 // Failover reuses the same machinery: Crash on a member routes its
 // keyspace to survivors (who warm via engine.Recoverer), in-flight
@@ -27,6 +28,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,30 +41,22 @@ import (
 var (
 	// ErrNoMembers is returned when routing finds no active member.
 	ErrNoMembers = errors.New("cluster: no active members")
-	// ErrUnsupported is returned for drills the architecture cannot run
-	// (e.g. Crash on a fleet without engine.Recoverer).
-	ErrUnsupported = errors.New("cluster: unsupported by this architecture")
 	// ErrCrossShard is returned for a fleet write to another member's key.
 	ErrCrossShard = errors.New("cluster: write outside the routed member's shard")
 )
 
 // Spec describes how to build one architecture's fleet members. The
 // cluster package is engine-agnostic: the per-architecture wiring (root
-// constructors, Peer attachment, shared-nothing rebalancing) lives in the
-// caller's closures.
+// constructor, Peer attachment) lives in the caller's closure.
 type Spec struct {
 	// Name labels the fleet in logs and experiment tables.
 	Name string
 	// New builds member id. Id 0 is the root and owns the storage
 	// substrate; higher ids must attach to the SAME substrate (the
-	// architecture's Peer constructor). Called under the fleet's
-	// membership lock.
+	// architecture's Peer constructor). Every member must be an
+	// engine.Recoverer: attaching is learning the durable mark. Called
+	// under the fleet's membership lock.
 	New func(id int) engine.Engine
-	// Rescale, when non-nil, marks a partitioned (shared-nothing)
-	// architecture: the fleet holds ONE engine (New(0)) and elasticity
-	// re-partitions it, physically moving data. It returns the bytes
-	// moved. Shared-storage fleets leave it nil.
-	Rescale func(c *sim.Clock, n int) (movedBytes int64)
 	// ComputeCost, when positive, models each member as a finite compute
 	// node: every dispatched transaction first charges this much service
 	// demand through the member's Meter under processor-sharing semantics,
@@ -87,7 +81,7 @@ type Member struct {
 	ID int
 	E  engine.Engine
 
-	caps  engine.Capability
+	rec   engine.Recoverer // E, asserted once when the member attaches
 	state atomic.Int32
 	// Meter accumulates the member's virtual busy time (capacity 1: one
 	// compute node) via non-charging Observe calls — the ρ/queue telemetry
@@ -102,7 +96,7 @@ type Member struct {
 func (m *Member) Active() bool { return memberState(m.state.Load()) == stateActive }
 
 // detacher is the optional engine hook for leaving the shared coherence
-// directory on retirement.
+// directory when the member leaves the fleet.
 type detacher interface{ Detach() }
 
 // Fleet runs N members of one architecture over a shared substrate.
@@ -120,116 +114,90 @@ type detacher interface{ Detach() }
 // group, so no fleet path blocks on mu: each try-locks and sim.Waits
 // (rlock, lock). A pending membership change holds new dispatches back, so
 // it lands as soon as the in-flight ones finish.
+//
+// A member is crashed once, by Crash, before the write lock: its in-flight
+// transactions shed and re-route. Every leaver, crashed or drained, then
+// detaches from the coherence directory under the write lock, so a page an
+// in-flight transaction loads into a dead member's cache after the crash
+// draws no invalidation fan-out.
 type Fleet struct {
 	spec Spec
 
 	mu      sync.RWMutex
-	writers atomic.Int32    // membership changes waiting for mu
-	members map[int]*Member // every member ever, incl. crashed/retired
-	order   []int           // creation order, for deterministic iteration
+	writers atomic.Int32 // membership changes waiting for mu
+	// members is every member ever, crashed and retired included, at the
+	// index of its id. It only grows, so a retired member's meter stays in
+	// Meters and autoscale.MeterSource deltas never go negative.
+	members []*Member
 	shard   *ShardMap
-	nextID  int
-	// meters is append-only (retired members' counters stop moving but
-	// stay in the set) so autoscale.MeterSource deltas never go negative.
-	meters []*sim.Meter
-	// partitioned is the single engine of a Rescale fleet.
-	partitioned *Member
-	parts       int
 }
 
 // New builds a fleet with n initial members (n < 1 is treated as 1),
 // warming members 1..n-1 on the caller's clock.
 func New(spec Spec, c *sim.Clock, n int) *Fleet {
-	if n < 1 {
-		n = 1
-	}
-	f := &Fleet{spec: spec, members: make(map[int]*Member)}
-	if spec.Rescale != nil {
-		f.partitioned = f.newMemberLocked(c)
-		f.parts = n
-		if n > 1 {
-			spec.Rescale(c, n)
-		}
-		return f
-	}
-	f.shard = NewShardMap(DefaultSlots)
-	for i := 0; i < n; i++ {
-		m := f.newMemberLocked(c)
-		f.shard.Add(m.ID)
+	f := &Fleet{spec: spec, shard: NewShardMap(DefaultSlots)}
+	for range max(n, 1) {
+		f.newMemberLocked(c)
 	}
 	return f
 }
 
-// newMemberLocked spawns and warms the next member. Callers hold mu (or
-// are the constructor).
+// newMemberLocked spawns the next member, warms it and gives it its shard
+// slots. Callers hold mu (or are the constructor).
 func (f *Fleet) newMemberLocked(c *sim.Clock) *Member {
-	id := f.nextID
-	f.nextID++
-	m := &Member{ID: id, E: f.spec.New(id), Meter: sim.NewMeter(1)}
-	m.caps = engine.Caps(m.E)
-	if id > 0 && m.caps.Recoverer != nil {
+	id := len(f.members)
+	e := f.spec.New(id)
+	r, ok := e.(engine.Recoverer)
+	if !ok {
+		panic(fmt.Sprintf("cluster: %s cannot join fleet %q: it is no engine.Recoverer, so it cannot learn the durable mark", e.Name(), f.spec.Name))
+	}
+	m := &Member{ID: id, E: e, rec: r, Meter: sim.NewMeter(1)}
+	if id > 0 {
 		// Attaching is recovery work: learn the substrate's durable
 		// watermark, charged to the virtual clock.
-		if d, err := m.caps.Recoverer.Recover(c); err == nil {
+		if d, err := r.Recover(c); err == nil {
 			m.WarmTime = d
 		}
 	}
-	f.members[id] = m
-	f.order = append(f.order, id)
-	f.meters = append(f.meters, m.Meter)
+	f.members = append(f.members, m)
+	f.shard.Add(id)
 	return m
 }
 
-// Size reports the active member count (partition count for partitioned
-// fleets).
+// Size reports the active member count.
 func (f *Fleet) Size() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if f.partitioned != nil {
-		return f.parts
-	}
-	n := 0
-	for _, id := range f.order {
-		if f.members[id].Active() {
-			n++
-		}
-	}
-	return n
+	return len(f.activeLocked())
 }
 
-// Members returns every member ever created, in creation order (crashed
-// and retired included — their Stats still count toward fleet totals).
+// Members returns every member ever created, in id order (crashed and
+// retired included — their Stats still count toward fleet totals).
 func (f *Fleet) Members() []*Member {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	out := make([]*Member, 0, len(f.order))
-	for _, id := range f.order {
-		out = append(out, f.members[id])
-	}
-	return out
+	return slices.Clone(f.members)
 }
 
 // Owner reports the member a transaction on key routes to now, or -1 when
 // the fleet has no member. A membership change may move the key later.
-func (f *Fleet) Owner(key uint64) int {
-	if f.partitioned != nil {
-		return f.partitioned.ID
-	}
-	return f.shard.Owner(key)
-}
+func (f *Fleet) Owner(key uint64) int { return f.shard.Owner(key) }
 
-// Meters returns the append-only meter set for autoscale.MeterSource.
+// Meters returns every member's meter, in id order, for
+// autoscale.MeterSource.
 func (f *Fleet) Meters() []*sim.Meter {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return append([]*sim.Meter(nil), f.meters...)
+	out := make([]*sim.Meter, len(f.members))
+	for i, m := range f.members {
+		out[i] = m.Meter
+	}
+	return out
 }
 
-// RunOpts holds one fleet transaction's options: the engine.RunOpts the
+// RunOpts are one fleet transaction's options: the engine.RunOpts the
 // routed member runs it with.
-type RunOpts struct {
-	engine.RunOpts
-}
+type RunOpts = engine.RunOpts
 
 // failoverRetries bounds Run's re-routing after a member failure mid-run.
 // Each re-route consults the shard map again, so a transaction caught on a
@@ -241,8 +209,7 @@ const failoverRetries = 3
 // (delegated to the routed member's Stats), plus routing, telemetry, and
 // failover re-routing. Members keep separate lock tables, so a write to a
 // key another member owns fails with ErrCrossShard (cross-shard
-// transactions are the shared-nothing engine's department; a partitioned
-// fleet routes every key to its one engine).
+// transactions are the shared-nothing engine's department).
 //
 // Run is one turn of its sim.RunGroup worker: it yields on entry, before
 // taking the membership lock, and the yield at engine.Run's entry is held
@@ -252,7 +219,7 @@ func (f *Fleet) Run(c *sim.Clock, key uint64, opts RunOpts, fn func(tx engine.Tx
 	var lastErr error
 	lastMember := -1
 	for attempt := 0; attempt <= failoverRetries; attempt++ {
-		m, err := f.dispatch(c, key, opts.RunOpts, fn)
+		m, err := f.dispatch(c, key, opts, fn)
 		if err == nil {
 			return nil
 		}
@@ -277,7 +244,7 @@ func (f *Fleet) Run(c *sim.Clock, key uint64, opts RunOpts, fn func(tx engine.Tx
 
 // dispatch routes and executes one fleet attempt under the membership
 // read lock, recording telemetry on the routed member.
-func (f *Fleet) dispatch(c *sim.Clock, key uint64, opts engine.RunOpts, fn func(tx engine.Tx) error) (*Member, error) {
+func (f *Fleet) dispatch(c *sim.Clock, key uint64, opts RunOpts, fn func(tx engine.Tx) error) (*Member, error) {
 	f.rlock(c)
 	m := f.routeLocked(key)
 	if m == nil {
@@ -292,14 +259,11 @@ func (f *Fleet) dispatch(c *sim.Clock, key uint64, opts engine.RunOpts, fn func(
 		// own meters, so they are not re-billed here.
 		m.Meter.Charge(c, cc)
 	}
-	if f.partitioned == nil {
-		t := shardTxs.Get().(*shardTx)
-		defer func() { t.Tx, t.fn = nil, nil; shardTxs.Put(t) }()
-		t.fn, t.shard, t.owner = fn, f.shard, m.ID
-		fn = t.run
-	}
+	t := shardTxs.Get().(*shardTx)
+	defer func() { t.Tx, t.fn = nil, nil; shardTxs.Put(t) }()
+	t.fn, t.shard, t.owner = fn, f.shard, m.ID
 	sim.Hold(c)
-	err := engine.Run(m.E, c, opts, fn)
+	err := engine.Run(m.E, c, opts, t.run)
 	sim.Unhold(c)
 	if f.spec.ComputeCost <= 0 {
 		m.Meter.Observe(c, c.Now()-start)
@@ -351,9 +315,6 @@ func (f *Fleet) lock(c *sim.Clock) {
 
 // routeLocked picks the key's shard owner. Callers hold mu.R.
 func (f *Fleet) routeLocked(key uint64) *Member {
-	if f.partitioned != nil {
-		return f.partitioned
-	}
 	owner := f.shard.Owner(key)
 	if owner < 0 {
 		return nil
@@ -366,34 +327,20 @@ func (f *Fleet) routeLocked(key uint64) *Member {
 // root (member 0, which owns the substrate), so n is clamped to >= 1.
 // It returns the member ids added or retired.
 func (f *Fleet) ScaleTo(c *sim.Clock, n int) (added, retired []int) {
-	if n < 1 {
-		n = 1
-	}
+	n = max(n, 1)
 	f.lock(c)
 	defer f.mu.Unlock()
-	if f.partitioned != nil {
-		if n != f.parts {
-			f.spec.Rescale(c, n)
-			f.parts = n
-		}
-		return nil, nil
-	}
-	active := f.activeIDsLocked()
+	active := f.activeLocked()
 	for len(active) < n {
 		m := f.newMemberLocked(c)
-		f.shard.Add(m.ID)
 		added = append(added, m.ID)
-		active = append(active, m.ID)
+		active = append(active, m)
 	}
 	// Retire newest-first, never the root.
 	for i := len(active) - 1; len(active) > n && i > 0; i-- {
-		id := active[i]
-		if id == 0 {
-			continue
-		}
-		f.retireLocked(c, id, stateRetired)
-		retired = append(retired, id)
-		active = append(active[:i], active[i+1:]...)
+		f.retireLocked(c, active[i], stateRetired)
+		retired = append(retired, active[i].ID)
+		active = slices.Delete(active, i, i+1)
 	}
 	return added, retired
 }
@@ -403,33 +350,26 @@ func (f *Fleet) ScaleTo(c *sim.Clock, n int) (added, retired []int) {
 // stay in the fleet totals.
 func (f *Fleet) Crash(c *sim.Clock, id int) error {
 	f.rlock(c)
-	if f.partitioned != nil {
-		f.mu.RUnlock()
-		return fmt.Errorf("%w: partitioned fleets do not crash members", ErrUnsupported)
-	}
-	m, ok := f.members[id]
-	if !ok || !m.Active() {
-		f.mu.RUnlock()
+	active := f.activeLocked()
+	f.mu.RUnlock()
+	i := slices.IndexFunc(active, func(m *Member) bool { return m.ID == id })
+	switch {
+	case i < 0:
 		return fmt.Errorf("%w: member %d not active", ErrNoMembers, id)
-	}
-	if m.caps.Recoverer == nil {
-		f.mu.RUnlock()
-		return fmt.Errorf("%w: %s has no Recoverer", ErrUnsupported, m.E.Name())
-	}
-	if len(f.activeIDsLocked()) == 1 {
-		f.mu.RUnlock()
+	case len(active) == 1:
 		return fmt.Errorf("%w: cannot crash the last member", ErrNoMembers)
 	}
-	f.mu.RUnlock()
+	m := active[i]
 	// Kill the node BEFORE taking the membership write lock: in-flight
 	// transactions on it fail fast with ErrUnavailable (engine-side shed)
 	// and their fleet.Run re-route waits for the read lock until the
-	// takeover below has flipped the shard map to the survivors.
+	// takeover below has flipped the shard map to the survivors. This is
+	// the member's one crash.
 	m.state.Store(int32(stateCrashed))
-	m.caps.Recoverer.Crash()
+	m.rec.Crash()
 	f.lock(c)
 	defer f.mu.Unlock()
-	f.retireLocked(c, id, stateCrashed)
+	f.retireLocked(c, m, stateCrashed)
 	return nil
 }
 
@@ -438,36 +378,29 @@ func (f *Fleet) Crash(c *sim.Clock, id int) error {
 // substrate high-water mark (so takeover reads cover every commit the
 // leaver acknowledged), and the leaver's cache tier detaches from the
 // coherence directory. Callers hold mu.W.
-func (f *Fleet) retireLocked(c *sim.Clock, id int, to memberState) {
-	m := f.members[id]
+func (f *Fleet) retireLocked(c *sim.Clock, m *Member, to memberState) {
 	m.state.Store(int32(to))
-	if to == stateCrashed && m.caps.Recoverer != nil {
-		m.caps.Recoverer.Crash()
-	}
 	gainers := make(map[int]bool)
-	f.shard.Remove(id, gainers)
-	for gid := range gainers {
-		g := f.members[gid]
-		if g.caps.Recoverer == nil || !g.Active() {
+	f.shard.Remove(m.ID, gainers)
+	for _, g := range f.members {
+		if !gainers[g.ID] || !g.Active() {
 			continue
 		}
-		if d, err := g.caps.Recoverer.Recover(c); err == nil {
+		if d, err := g.rec.Recover(c); err == nil {
 			g.WarmTime += d
 		}
 	}
-	if to == stateRetired {
-		if d, ok := m.E.(detacher); ok {
-			d.Detach()
-		}
+	if d, ok := m.E.(detacher); ok {
+		d.Detach()
 	}
 }
 
-// activeIDsLocked lists active member ids in creation order.
-func (f *Fleet) activeIDsLocked() []int {
-	var out []int
-	for _, id := range f.order {
-		if f.members[id].Active() {
-			out = append(out, id)
+// activeLocked lists the active members in id order. Callers hold mu.
+func (f *Fleet) activeLocked() []*Member {
+	var out []*Member
+	for _, m := range f.members {
+		if m.Active() {
+			out = append(out, m)
 		}
 	}
 	return out
@@ -497,7 +430,5 @@ func (f *Fleet) Totals() Totals {
 		t.Retries += s.Retries.Load()
 		t.Indeterminates += s.Indeterminates.Load()
 	}
-	// A partitioned fleet is one engine shared by every routing path;
-	// Members() has exactly one entry, so no double counting.
 	return t
 }

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,20 +11,11 @@ import (
 	"github.com/disagglab/disagg/internal/cluster"
 	"github.com/disagglab/disagg/internal/engine"
 	"github.com/disagglab/disagg/internal/engine/aurora"
+	"github.com/disagglab/disagg/internal/engine/drill"
 	"github.com/disagglab/disagg/internal/engine/sharednothing"
 	"github.com/disagglab/disagg/internal/heap"
 	"github.com/disagglab/disagg/internal/sim"
 )
-
-// mustLayout builds the standard 4 KiB-page / 64-byte-value layout.
-func mustLayout(t *testing.T) heap.Layout {
-	t.Helper()
-	layout, err := heap.NewLayout(4096, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return layout
-}
 
 func TestShardMapDeterministicAcrossJoinOrder(t *testing.T) {
 	a := cluster.NewShardMap(64, 0, 1, 2, 3)
@@ -142,12 +134,10 @@ func auroraSpec(cfg *sim.Config, layout heap.Layout) cluster.Spec {
 
 // A fleet transaction writes only within the shard of the member it was
 // routed to: members keep separate lock tables, so a write to another
-// member's key fails and the transaction commits nothing. A partitioned
-// fleet routes every key to its one engine, which may write across its
-// partitions.
+// member's key fails and the transaction commits nothing.
 func TestFleetRefusesACrossShardWrite(t *testing.T) {
 	cfg := sim.DefaultConfig()
-	layout := mustLayout(t)
+	layout := drill.Layout()
 	c := sim.NewClock()
 	f := cluster.New(auroraSpec(cfg, layout), c, 2)
 	shards := cluster.NewShardMap(cluster.DefaultSlots, 0, 1) // the fleet's map: rendezvous hashing ignores join order
@@ -168,7 +158,7 @@ func TestFleetRefusesACrossShardWrite(t *testing.T) {
 		}
 		return nil
 	}
-	opts := cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 4}}
+	opts := cluster.RunOpts{Retries: 4}
 	if err := f.Run(c, keys[0], opts, writeBoth); !errors.Is(err, cluster.ErrCrossShard) {
 		t.Fatalf("a write to member 0's key %d and member 1's key %d: err %v, want ErrCrossShard", keys[0], keys[1], err)
 	}
@@ -184,18 +174,6 @@ func TestFleetRefusesACrossShardWrite(t *testing.T) {
 		}
 	}
 
-	var e *sharednothing.Engine
-	pf := cluster.New(cluster.Spec{
-		Name: "shared-nothing",
-		New: func(int) engine.Engine {
-			e = sharednothing.New(cfg, layout, 1)
-			return e
-		},
-		Rescale: func(c *sim.Clock, n int) int64 { return e.Rebalance(c, n) },
-	}, c, 2)
-	if err := pf.Run(c, keys[0], opts, writeBoth); err != nil {
-		t.Fatalf("a partitioned fleet's two-key write: %v", err)
-	}
 }
 
 // TestFleetSmoke is the -race smoke test: concurrent workers drive keyed
@@ -204,7 +182,7 @@ func TestFleetRefusesACrossShardWrite(t *testing.T) {
 // fleet-wide accounting must conserve.
 func TestFleetSmoke(t *testing.T) {
 	cfg := sim.DefaultConfig()
-	layout := mustLayout(t)
+	layout := drill.Layout()
 	f := cluster.New(auroraSpec(cfg, layout), sim.NewClock(), 2)
 
 	const workers = 4
@@ -224,7 +202,7 @@ func TestFleetSmoke(t *testing.T) {
 			for b := 0; b < 8; b++ {
 				v[b] = byte(seq >> (8 * b))
 			}
-			err := f.Run(c, key, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 8}}, func(tx engine.Tx) error {
+			err := f.Run(c, key, cluster.RunOpts{Retries: 8}, func(tx engine.Tx) error {
 				return tx.Write(key, v)
 			})
 			if err != nil {
@@ -262,7 +240,7 @@ func TestFleetSmoke(t *testing.T) {
 	c := sim.NewClock()
 	for a := range ackCh {
 		var got []byte
-		err := f.Run(c, a.key, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 8}}, func(tx engine.Tx) error {
+		err := f.Run(c, a.key, cluster.RunOpts{Retries: 8}, func(tx engine.Tx) error {
 			v, rerr := tx.Read(a.key)
 			got = v
 			return rerr
@@ -282,20 +260,35 @@ func TestFleetSmoke(t *testing.T) {
 		tot.Commits, tot.Aborts, tot.Shed, unavailable.Load())
 }
 
+// leaver counts how often the fleet crashes and detaches a member.
+type leaver struct {
+	*aurora.Engine
+	crashes, detaches int
+}
+
+func (l *leaver) Crash()  { l.crashes++; l.Engine.Crash() }
+func (l *leaver) Detach() { l.detaches++; l.Engine.Detach() }
+
 // TestCrashMidRunLandsBeforeTheWorkersFinish crashes a member from one
 // worker halfway through its stream while three others keep writing with
 // group commit on, so dispatches park inside a batch holding the membership
 // lock. The crash must wait only for the dispatches in flight — new ones
 // queue behind it — and so land while the others are still about halfway,
-// not after they drain.
+// not after they drain. It crashes the member once, and the member leaves
+// the coherence directory as a drained one does, so nothing its in-flight
+// transactions load after the crash draws invalidation fan-out.
 func TestCrashMidRunLandsBeforeTheWorkersFinish(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	layout := mustLayout(t)
-	spec := auroraSpec(cfg, layout)
+	layout := drill.Layout()
+	spec := auroraSpec(sim.DefaultConfig(), layout)
 	build := spec.New
+	var peer *leaver
 	spec.New = func(id int) engine.Engine {
 		e := build(id)
 		e.(engine.GroupCommitter).EnableGroupCommit(4, 50*time.Microsecond)
+		if id == 1 {
+			peer = &leaver{Engine: e.(*aurora.Engine)}
+			return peer
+		}
 		return e
 	}
 	f := cluster.New(spec, sim.NewClock(), 2)
@@ -312,7 +305,7 @@ func TestCrashMidRunLandsBeforeTheWorkersFinish(t *testing.T) {
 				othersAtCrash = othersDone.Load()
 			}
 			key := uint64(1000 + id*opsEach + i)
-			f.Run(c, key, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 8}}, func(tx engine.Tx) error {
+			f.Run(c, key, cluster.RunOpts{Retries: 8}, func(tx engine.Tx) error {
 				return tx.Write(key, v)
 			})
 			if id != 0 {
@@ -330,11 +323,14 @@ func TestCrashMidRunLandsBeforeTheWorkersFinish(t *testing.T) {
 	if got := f.Size(); got != 1 {
 		t.Fatalf("fleet size %d after the crash, want 1", got)
 	}
+	if peer.crashes != 1 || peer.detaches != 1 {
+		t.Fatalf("the crashed member was crashed %d times and detached %d times, want once each", peer.crashes, peer.detaches)
+	}
 }
 
 func TestControllerScalesOutAndBackIn(t *testing.T) {
 	cfg := sim.DefaultConfig()
-	layout := mustLayout(t)
+	layout := drill.Layout()
 	f := cluster.New(auroraSpec(cfg, layout), sim.NewClock(), 1)
 	ctl := cluster.NewController(f, autoscale.NewReactive())
 	ctl.Max = 4
@@ -368,41 +364,15 @@ func TestControllerScalesOutAndBackIn(t *testing.T) {
 	}
 }
 
-func TestPartitionedFleetRescales(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	layout := mustLayout(t)
-	var e *sharednothing.Engine
-	spec := cluster.Spec{
-		Name: "shared-nothing",
-		New: func(id int) engine.Engine {
-			e = sharednothing.New(cfg, layout, 1)
-			return e
-		},
-		Rescale: func(c *sim.Clock, n int) int64 { return e.Rebalance(c, n) },
-	}
-	c := sim.NewClock()
-	f := cluster.New(spec, c, 2)
-	if e.Partitions() != 2 {
-		t.Fatalf("partitions = %d", e.Partitions())
-	}
-	// Write some data, then rescale: data must move (the elasticity tax).
-	for key := uint64(0); key < 64; key++ {
-		v := make([]byte, layout.ValSize)
-		if err := f.Run(c, key, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 4}}, func(tx engine.Tx) error {
-			return tx.Write(key, v)
-		}); err != nil {
-			t.Fatal(err)
+// A member that is no engine.Recoverer cannot learn the durable mark, so
+// it cannot attach: building the fleet panics and names the engine.
+func TestFleetRefusesAMemberThatCannotRecover(t *testing.T) {
+	defer func() {
+		if p, _ := recover().(string); !strings.Contains(p, "shared-nothing") {
+			t.Fatalf("panic %q, want one naming shared-nothing", p)
 		}
-	}
-	f.ScaleTo(c, 4)
-	if e.Partitions() != 4 {
-		t.Fatalf("partitions after scale = %d", e.Partitions())
-	}
-	if e.MovedBytes.Load() == 0 {
-		t.Fatal("rescale moved no data — shared-nothing elasticity should pay the movement tax")
-	}
-	// Crash drills are unsupported on partitioned fleets.
-	if err := f.Crash(c, 0); !errors.Is(err, cluster.ErrUnsupported) {
-		t.Fatalf("crash on partitioned fleet: %v", err)
-	}
+	}()
+	cluster.New(cluster.Spec{Name: "shared-nothing", New: func(int) engine.Engine {
+		return sharednothing.New(sim.DefaultConfig(), drill.Layout(), 2)
+	}}, sim.NewClock(), 1)
 }

@@ -289,10 +289,24 @@ func (p *Pipeline) Close() error {
 }
 
 // Checkpoint runs one round on the node's coordinator. The horizon it
-// captures is CheckpointLSN unless the round captures more with it.
+// captures is CheckpointLSN unless the round captures more with it. Once
+// the round's Truncate (which may be nil) has discarded the engine's own
+// log state below the horizon and returned nil, the node's log drops its
+// records below it too; a failed Truncate keeps them for the next round.
+// Log truncation charges nothing.
 func (p *Pipeline) Checkpoint(c *sim.Clock, r checkpoint.Round) error {
 	if r.Durable == nil {
 		r.Durable = p.CheckpointLSN
+	}
+	truncate := r.Truncate
+	r.Truncate = func(c *sim.Clock, h wal.LSN) error {
+		if truncate != nil {
+			if err := truncate(c, h); err != nil {
+				return err
+			}
+		}
+		p.log.TruncateBefore(h + 1)
+		return nil
 	}
 	return p.ckpt.Checkpoint(c, r)
 }

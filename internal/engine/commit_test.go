@@ -770,18 +770,6 @@ func TestPipelinePeerSharesLogDirectoryAndHorizon(t *testing.T) {
 			t.Errorf("%s: the other member still caches page 5", tc.name)
 		}
 	}
-	round := checkpoint.Round{
-		Flush:    func(*sim.Clock, wal.LSN) error { return nil },
-		Truncate: func(*sim.Clock, wal.LSN) error { return nil },
-	}
-	for _, n := range []*node{peer, root} { // root committed last: its mark is higher
-		if err := n.p.Checkpoint(sim.NewClock(), round); err != nil {
-			t.Fatal(err)
-		}
-		if h := n.p.DurableLSN(); root.p.RecoveryHorizon() != h || peer.p.RecoveryHorizon() != h {
-			t.Errorf("horizons root %d, peer %d after a checkpoint at %d", root.p.RecoveryHorizon(), peer.p.RecoveryHorizon(), h)
-		}
-	}
 	stripes := map[uint64]bool{}
 	if err := root.p.log.Range(0, ^wal.LSN(0), func(r *wal.Record) error {
 		stripes[r.TxID>>40] = true
@@ -792,6 +780,17 @@ func TestPipelinePeerSharesLogDirectoryAndHorizon(t *testing.T) {
 	if !stripes[0] || !stripes[1] || len(stripes) != 2 {
 		t.Errorf("tx id stripes in the shared log: %v, want root's 0 and the peer's 1", stripes)
 	}
+	round := checkpoint.Round{
+		Flush: func(*sim.Clock, wal.LSN) error { return nil },
+	}
+	for _, n := range []*node{peer, root} { // root committed last: its mark is higher
+		if err := n.p.Checkpoint(sim.NewClock(), round); err != nil {
+			t.Fatal(err)
+		}
+		if h := n.p.DurableLSN(); root.p.RecoveryHorizon() != h || peer.p.RecoveryHorizon() != h {
+			t.Errorf("horizons root %d, peer %d after a checkpoint at %d", root.p.RecoveryHorizon(), peer.p.RecoveryHorizon(), h)
+		}
+	}
 
 	peer.p.Detach()
 	peer.cache(t, 5)
@@ -799,6 +798,25 @@ func TestPipelinePeerSharesLogDirectoryAndHorizon(t *testing.T) {
 	root.write(t, key)
 	if !peer.pool.Contains(5) || root.stats.Invalidations.Load() != sent {
 		t.Errorf("a detached member was sent an invalidation (%d → %d)", sent, root.stats.Invalidations.Load())
+	}
+}
+
+// TestPipelineCheckpointTruncatesTheLog: a round whose Truncate fails keeps
+// the node's log for the next round; a round whose Truncate is nil (or
+// succeeds) drops the log below the horizon.
+func TestPipelineCheckpointTruncatesTheLog(t *testing.T) {
+	n := newRoot(t, sim.DefaultConfig(), "test")
+	fail := errors.New("object delete failed")
+	flush := func(*sim.Clock, wal.LSN) error { return nil }
+	n.write(t, 1)
+	err := n.p.Checkpoint(sim.NewClock(), checkpoint.Round{Flush: flush, Truncate: func(*sim.Clock, wal.LSN) error { return fail }})
+	if floor := n.p.log.Floor(); err != fail || floor != 1 {
+		t.Errorf("a failed Truncate: err %v, log floor %d, want %v and 1", err, floor, fail)
+	}
+	n.write(t, 2)
+	err = n.p.Checkpoint(sim.NewClock(), checkpoint.Round{Flush: flush})
+	if h, floor := n.p.RecoveryHorizon(), n.p.log.Floor(); err != nil || h < 2 || floor != h+1 {
+		t.Errorf("a nil Truncate: err %v, log floor %d, want the horizon %d + 1", err, floor, h)
 	}
 }
 

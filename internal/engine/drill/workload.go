@@ -183,13 +183,10 @@ func NewWorkload(e engine.Engine, label string, seed int64) *Workload {
 }
 
 // NewFleetWorkload is the empty workload driven through f, every
-// transaction routed to its key's shard owner.
+// transaction routed to its key's shard owner, its history recorded.
 func NewFleetWorkload(f *cluster.Fleet, label string, seed int64) *Workload {
-	run := func(c *sim.Clock, key uint64, opts engine.RunOpts, fn func(tx engine.Tx) error) error {
-		return f.Run(c, key, cluster.RunOpts{RunOpts: opts}, fn)
-	}
-	w := newWorkload(run, false, label, seed)
-	w.routed, w.owner = true, f.Owner
+	w := newWorkload(f.Run, false, label, seed)
+	w.routed, w.owner, w.rec = true, f.Owner, history.NewRecorder()
 	return w
 }
 
@@ -488,11 +485,10 @@ func (w *Workload) Diff(a, b engine.Engine) {
 type logEnder interface{ LogEnd() wal.LSN }
 
 // CrashRecover drills e through a crash/recover cycle on a healed fabric
-// and verifies again: acked writes must survive recovery, the durable LSN
-// the node learned again may not pass the end of its log (what no durable
-// tier can hold), and with a recorded history it must cover every acked
-// commit (ackedStamp). It reports false, with a violation, when recovery
-// fails; an engine that is no Recoverer is left as it is.
+// and verifies again: acked writes must survive recovery, and the durable
+// LSN the node learned again must pass CheckMark. It reports false, with a
+// violation, when recovery fails; an engine that is no Recoverer is left as
+// it is.
 func (w *Workload) CrashRecover(e engine.Engine) bool {
 	r := engine.Caps(e).Recoverer
 	if r == nil {
@@ -504,16 +500,25 @@ func (w *Workload) CrashRecover(e engine.Engine) bool {
 		w.violate("recovery failed: %v", err)
 		return false
 	}
-	if l, ok := e.(logEnder); ok && r.DurableLSN() > l.LogEnd() {
-		w.violate("recovered durable LSN %d above the log's end %d", r.DurableLSN(), l.LogEnd())
-	}
-	if w.rec != nil {
-		if acked, ok := w.ackedStamp(); ok && uint64(r.DurableLSN()) < acked {
-			w.violate("recovered durable LSN %d below acked commit %d", r.DurableLSN(), acked)
-		}
-	}
+	w.CheckMark(r, "recovered")
 	w.Verify(" after crash")
 	return true
+}
+
+// CheckMark holds the durable LSN node r learned in Recover to what a
+// durable tier can hold: not past the end of its log and, with a recorded
+// history, not below any acked commit (ackedStamp). who names the node in a
+// violation.
+func (w *Workload) CheckMark(r engine.Recoverer, who string) {
+	mark := r.DurableLSN()
+	if l, ok := r.(logEnder); ok && mark > l.LogEnd() {
+		w.violate("%s durable LSN %d above the log's end %d", who, mark, l.LogEnd())
+	}
+	if w.rec != nil {
+		if acked, ok := w.ackedStamp(); ok && uint64(mark) < acked {
+			w.violate("%s durable LSN %d below acked commit %d", who, mark, acked)
+		}
+	}
 }
 
 // ackedStamp is the highest commit stamp of an acked write in the recorded

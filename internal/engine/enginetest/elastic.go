@@ -1,7 +1,7 @@
 package enginetest
 
 import (
-	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,8 +37,11 @@ const (
 // scales out and a member crashes mid-run — on a clean fabric and under
 // every standard fault profile. After each run the fabric heals, every
 // key is re-verified through the (post-failover) router, the fleet drains
-// back to a single member and is verified again, and the fleet-wide
-// accounting invariant Attempts == Commits + Aborts + Shed is checked.
+// back to a single member and is verified again, and then a cold member
+// attaches, warmed only by Recover: the durable mark it learns is held to
+// drill.Workload.CheckMark, and every key is verified once more while it
+// owns its slots. The fleet-wide accounting invariant
+// Attempts == Commits + Aborts + Shed is checked last.
 // Isolation/OutOfOrderPublish holds a root and a peer to commit validation
 // when their publishes to one page reach the shared directory out of LSN
 // order.
@@ -52,8 +55,6 @@ func RunElastic(t *testing.T, specFor SpecFactory) {
 		label = "elastic/" + label
 		f := cluster.New(specFor(t, cfg), sim.NewClock(), elasticStart)
 		w := drill.NewFleetWorkload(f, label, seed)
-		// Both drills tolerate architectures that cannot run them
-		// (partitioned fleets, engines without a Recoverer).
 		w.Extend(seed, drill.Ops, func(c *sim.Clock, next func() int64) {
 			scaled := false
 			for n := next(); n > 0; n = next() {
@@ -62,8 +63,7 @@ func RunElastic(t *testing.T, specFor SpecFactory) {
 					scaled = true
 				}
 				if n >= elasticCrashOp {
-					err := f.Crash(c, elasticCrashID)
-					if err != nil && !errors.Is(err, cluster.ErrUnsupported) && !errors.Is(err, cluster.ErrNoMembers) {
+					if err := f.Crash(c, elasticCrashID); err != nil {
 						t.Errorf("crash drill: %v", err)
 					}
 					return
@@ -81,10 +81,17 @@ func RunElastic(t *testing.T, specFor SpecFactory) {
 		w.Verify("")
 
 		// Drain back to a single member: retirement reassigns shards and must
-		// not lose a single acked write. (Partitioned fleets physically move
-		// their data back into one partition here.)
+		// not lose a single acked write.
 		f.ScaleTo(sim.NewClock(), 1)
 		w.Verify(" after drain")
+
+		added, _ := f.ScaleTo(sim.NewClock(), 2)
+		members := f.Members()
+		cold, root := members[added[0]].E.(engine.Recoverer), members[0].E.(engine.Recoverer)
+		w.CheckMark(cold, fmt.Sprintf("attached member %d's", added[0]))
+		t.Logf("attached member %d learned durable LSN %d, the root's is %d (equal: %t)",
+			added[0], cold.DurableLSN(), root.DurableLSN(), cold.DurableLSN() == root.DurableLSN())
+		w.Verify(" after cold attach")
 		report(t, w.Report())
 
 		if tot := f.Totals(); !tot.Conserved() {
@@ -107,11 +114,8 @@ func RunElastic(t *testing.T, specFor SpecFactory) {
 // the page as w1 left it and sees k's bytes from before w0's commit, and
 // waits for k's lock. w0's publish comes last, below w1's stamp: unless
 // validation sees it, w2 writes back an increment of the old value.
-// Partitioned fleets (one engine) and roots without group commit skip.
+// Roots without group commit skip.
 func runOutOfOrderPublish(t *testing.T, spec cluster.Spec) {
-	if spec.Rescale != nil {
-		t.Skip("partitioned fleet: one engine, no peers")
-	}
 	layout := Layout(t)
 	a, b := spec.New(0), spec.New(1)
 	gc := engine.Caps(a).GroupCommitter

@@ -181,7 +181,6 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 			return nil
 		},
 		Truncate: func(c *sim.Clock, h wal.LSN) error {
-			e.log.TruncateBefore(h + 1)
 			e.ssd.Write(c, 24) // checkpoint master record
 			return nil
 		},

@@ -247,11 +247,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 			e.mu.Lock()
 			idx := e.fsCompactTo
 			e.mu.Unlock()
-			if err := e.FS.CompactTo(c, idx); err != nil {
-				return err
-			}
-			e.log.TruncateBefore(h + 1)
-			return nil
+			return e.FS.CompactTo(c, idx)
 		},
 	})
 }

@@ -345,10 +345,6 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 			}
 			return nil
 		},
-		Truncate: func(c *sim.Clock, h wal.LSN) error {
-			e.log.TruncateBefore(h + 1)
-			return nil
-		},
 	})
 }
 

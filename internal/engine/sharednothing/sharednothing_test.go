@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"testing"
 
-	"github.com/disagglab/disagg/internal/cluster"
 	"github.com/disagglab/disagg/internal/engine"
+	"github.com/disagglab/disagg/internal/engine/drill"
 	"github.com/disagglab/disagg/internal/engine/enginetest"
 	"github.com/disagglab/disagg/internal/page"
 	"github.com/disagglab/disagg/internal/sim"
+	"github.com/disagglab/disagg/internal/sim/fault"
 	"github.com/disagglab/disagg/internal/wal"
 )
 
@@ -18,23 +19,56 @@ func TestConformance(t *testing.T) {
 	})
 }
 
-func TestElastic(t *testing.T) {
-	enginetest.RunElastic(t, func(t *testing.T, cfg *sim.Config) cluster.Spec {
-		layout := enginetest.Layout(t)
-		var e *Engine
-		return cluster.Spec{
-			Name: "shared-nothing",
-			New: func(id int) engine.Engine {
-				e = New(cfg, layout, 1)
-				return e
-			},
-			// Partitioned architecture: elasticity physically re-partitions
-			// the single engine — the movement tax E4 measures.
-			Rescale: func(c *sim.Clock, n int) int64 {
-				return e.Rebalance(c, n)
-			},
+// TestRebalanceKeepsAckedWrites re-partitions the engine between two
+// phases of the drill's workload, 2 -> 3 partitions under the live fault
+// profile, then drains it to one partition on a healed fabric. Rebalance
+// physically moves every key whose home changes and charges the transfer
+// (the elasticity tax E4 and E28 measure), and no acked write may be lost
+// on the way: every key is verified after each step, and the accounting
+// law holds at the end.
+func TestRebalanceKeepsAckedWrites(t *testing.T) {
+	seed := enginetest.Seed()
+	run := func(t *testing.T, p *fault.Profile) {
+		cfg, inj, label := drill.FaultConfig(sim.DefaultConfig(), p, seed)
+		e := New(cfg, enginetest.Layout(t), 2)
+		w := drill.NewWorkload(e, "rebalance/"+label, seed)
+		// verify reads every key back on a healed fabric, then re-arms it.
+		verify := func(after string) {
+			if inj != nil {
+				inj.Heal()
+				defer inj.Enable()
+			}
+			w.Verify(after)
 		}
-	})
+		rebalance := func(n int) {
+			c := sim.NewClock()
+			if moved := e.Rebalance(c, n); moved == 0 || c.Now() == 0 || e.Partitions() != n {
+				t.Errorf("rebalance to %d: moved %d bytes in %v, %d partitions", n, moved, c.Now(), e.Partitions())
+			}
+		}
+		w.Extend(seed, drill.Ops, nil)
+		rebalance(3)
+		verify(" after rebalance to 3")
+		w.Extend(seed+1, drill.Ops, nil)
+		verify(" after the second phase")
+		if inj != nil {
+			inj.Heal()
+		}
+		rebalance(1)
+		w.Verify(" after drain to 1")
+		rep := w.Report()
+		t.Logf("%s: commits=%d writeErrs=%d readErrs=%d", rep.Label, rep.Commits, rep.WriteErrs, rep.ReadErrs)
+		for _, v := range rep.Violations {
+			t.Errorf("%s", v)
+		}
+		if err := drill.Conservation(e.Stats()); err != nil {
+			t.Error(err)
+		}
+	}
+	t.Run("Clean", func(t *testing.T) { run(t, nil) })
+	for _, p := range fault.Profiles() {
+		t.Run("Fault/"+p.Name, func(t *testing.T) { run(t, &p) })
+	}
 }
 
 func TestCrossPartitionCostsMore(t *testing.T) {
@@ -76,46 +110,6 @@ func TestCrossPartitionCostsMore(t *testing.T) {
 	}
 	if !(single.Now() < multi.Now()) {
 		t.Fatalf("2PC txn (%v) should cost more than single-partition (%v)", multi.Now(), single.Now())
-	}
-}
-
-func TestRebalanceMovesData(t *testing.T) {
-	layout := enginetest.Layout(t)
-	e := New(sim.DefaultConfig(), layout, 4)
-	c := sim.NewClock()
-	val := make([]byte, layout.ValSize)
-	for i := uint64(0); i < 1000; i++ {
-		key := i
-		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error { return tx.Write(key, val) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rc := sim.NewClock()
-	moved := e.Rebalance(rc, 8)
-	if moved == 0 {
-		t.Fatal("rebalance moved nothing")
-	}
-	if rc.Now() == 0 {
-		t.Fatal("rebalance charged nothing")
-	}
-	if e.Partitions() != 8 {
-		t.Fatalf("partitions = %d", e.Partitions())
-	}
-	// All data still readable after rebalance.
-	for i := uint64(0); i < 1000; i += 97 {
-		key := i
-		if err := engine.Run(e, c, engine.RunOpts{}, func(tx engine.Tx) error {
-			v, err := tx.Read(key)
-			if err != nil {
-				return err
-			}
-			if len(v) != layout.ValSize {
-				t.Errorf("key %d lost", key)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

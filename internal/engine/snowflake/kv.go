@@ -152,7 +152,8 @@ func objKey(prefix string, lsn wal.LSN) string {
 // safe, because their segments stay above the floor and replay over the
 // snapshot idempotently. A torn snapshot upload fails the round before
 // anything is deleted; a failed delete leaves garbage that the next
-// round retries (deletion is idempotent).
+// round retries (deletion is idempotent), and the node's log keeps its
+// records until a round's deletes all succeed.
 func (e *KV) Checkpoint(c *sim.Clock) error {
 	return e.Pipeline.Checkpoint(c, checkpoint.Round{
 		Flush: func(c *sim.Clock, h wal.LSN) error {
@@ -216,7 +217,6 @@ func (e *KV) Checkpoint(c *sim.Clock) error {
 				}
 				e.stats.StorageOps.Add(1)
 			}
-			e.log.TruncateBefore(h + 1)
 			return firstErr
 		},
 	})

@@ -228,11 +228,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 			return nil
 		},
 		Truncate: func(c *sim.Clock, h wal.LSN) error {
-			if err := e.XLOG.TruncateBefore(c, h+1); err != nil {
-				return err
-			}
-			e.log.TruncateBefore(h + 1)
-			return nil
+			return e.XLOG.TruncateBefore(c, h+1)
 		},
 	})
 }

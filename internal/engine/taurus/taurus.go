@@ -167,11 +167,7 @@ func (e *Engine) Checkpoint(c *sim.Clock) error {
 			return nil
 		},
 		Truncate: func(c *sim.Clock, h wal.LSN) error {
-			if err := e.LogStores.TruncateBefore(c, h+1); err != nil {
-				return err
-			}
-			e.log.TruncateBefore(h + 1)
-			return nil
+			return e.LogStores.TruncateBefore(c, h+1)
 		},
 	})
 }

@@ -125,3 +125,16 @@ func TestCellsFoldTelemetryInCellOrder(t *testing.T) {
 		t.Fatalf("elapsed %v, want 2µs", cfg.Stats.Elapsed())
 	}
 }
+
+// E27 runs its cells serially, each on a registry of its own; with
+// cfg.Stats set, every cell's coherence counters still reach it.
+func TestE27RegistersItsCellsCoherenceSites(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Stats = sim.NewRegistry()
+	runE27(cfg, Quick)
+	for _, eng := range e27Engines() {
+		if sim.Snapshot[sim.CoherenceStats](cfg.Stats, eng.site).Publishes == 0 {
+			t.Errorf("%s: no coherence counters under %s in the experiment's registry", eng.name, eng.site)
+		}
+	}
+}

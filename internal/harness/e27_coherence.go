@@ -130,10 +130,10 @@ func e27Seq(v []byte) uint64 {
 // exercised separately: by e27BatchedCell here (round coalescing needs
 // concurrent committers) and by the enginetest conformance drill (stale reads
 // under real interleavings and faults).
-func e27Cell(eng e27Engine, writeFrac, ops int) e27CellResult {
+func e27Cell(base *sim.Config, eng e27Engine, writeFrac, ops int) e27CellResult {
 	layout := oltpLayout()
-	cfg := sim.DefaultConfig()
-	cfg.Stats = sim.NewRegistry()
+	cfg := e27CellConfig(base)
+	defer base.Stats.Fold(cfg.Stats)
 	e := eng.build(cfg)
 	defer retire(e)
 	var commits, staleReads int64
@@ -189,10 +189,10 @@ func e27Cell(eng e27Engine, writeFrac, ops int) e27CellResult {
 // on disjoint key partitions commit into the same flush window, so their
 // publications coalesce into shared coherence rounds, while concurrent
 // readers hold the engine to each key's acked floor.
-func e27BatchedCell(eng e27Engine, ops, writers int) e27CellResult {
+func e27BatchedCell(base *sim.Config, eng e27Engine, ops, writers int) e27CellResult {
 	layout := oltpLayout()
-	cfg := sim.DefaultConfig()
-	cfg.Stats = sim.NewRegistry()
+	cfg := e27CellConfig(base)
+	defer base.Stats.Fold(cfg.Stats)
 	e := eng.build(cfg)
 	defer retire(e)
 	engine.Caps(e).GroupCommitter.EnableGroupCommit(8, 50*time.Microsecond)
@@ -253,10 +253,20 @@ func e27BatchedCell(eng e27Engine, ops, writers int) e27CellResult {
 	}
 }
 
-// runE27 runs its cells one after another, not through cells: each cell
-// builds its own config and Stats and reads its coherence counters back
-// through sim.Snapshot, which returns the first source registered under a
-// site, so a cell's counters must be the only ones in its registry.
+// e27CellConfig is the experiment's config with a registry of the cell's
+// own: a cell reads its coherence counters back through sim.Snapshot,
+// which returns the first source registered under a site, so they must be
+// the only ones in its registry. The cell folds it into base.Stats once it
+// has read them.
+func e27CellConfig(base *sim.Config) *sim.Config {
+	cfg := base.Clone()
+	cfg.Stats = sim.NewRegistry()
+	return cfg
+}
+
+// runE27 runs its cells one after another, not through cells, which gives a
+// cell a registry of its own only when cfg.Stats is set; an E27 cell needs
+// one either way (e27CellConfig).
 func runE27(cfg *sim.Config, s Scale) *Result {
 	r := &Result{ID: "E27", Title: "Page-cache coherence sweep"}
 	writeFracs := []int{10, 40, 70}
@@ -270,7 +280,7 @@ func runE27(cfg *sim.Config, s Scale) *Result {
 			"write %", "publishes", "rounds", "invalidations", "bumps", "stale validations", "hit ratio", "stale reads")
 		results[eng.name] = make(map[int]e27CellResult)
 		for _, wf := range writeFracs {
-			res := e27Cell(eng, wf, ops)
+			res := e27Cell(cfg, eng, wf, ops)
 			results[eng.name][wf] = res
 			totalStale += res.staleReads
 			totalCommits += res.commits
@@ -312,7 +322,7 @@ func runE27(cfg *sim.Config, s Scale) *Result {
 	// needs concurrency — four writers on disjoint key partitions commit
 	// into the same flush window.
 	au := e27Engines()[0]
-	batched := e27BatchedCell(au, ops, 4)
+	batched := e27BatchedCell(cfg, au, ops, 4)
 	r.check("group commit coalesces coherence rounds (rounds < publishes)",
 		batched.coh.Rounds < batched.coh.Publishes && batched.staleReads == 0,
 		"%d rounds for %d publishes (stale reads %d)",

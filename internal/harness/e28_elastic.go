@@ -22,7 +22,7 @@ func init() {
 		ID:      "E28",
 		Aliases: []string{"E-elastic"},
 		Title:   "Elastic compute fleet: scale-out holds the diurnal peak, failover loses nothing",
-		Claim:   `§4: disaggregation makes compute stateless — a new node attaches to the shared log/volume, warms its cache through the coherence directory, and serves traffic, so a fleet can follow a diurnal demand ramp by provisioning nodes instead of over-provisioning for the peak. A fixed single node saturates at the plateau (latency stretches past any SLO and goodput collapses) while the autoscaled fleet holds p99; and because state lives in shared storage, killing a member mid-peak re-routes its keyspace to survivors without losing one acknowledged commit. The shared-nothing baseline scales through the same API but must physically move data — the elasticity tax of §1.`,
+		Claim:   `§4: disaggregation makes compute stateless — a new node attaches to the shared log/volume, warms its cache through the coherence directory, and serves traffic, so a fleet can follow a diurnal demand ramp by provisioning nodes instead of over-provisioning for the peak. A fixed single node saturates at the plateau (latency stretches past any SLO and goodput collapses) while the autoscaled fleet holds p99; and because state lives in shared storage, killing a member mid-peak re-routes its keyspace to survivors without losing one acknowledged commit. The shared-nothing baseline has no shared substrate to attach to: E28 calls its Rebalance directly, and it must physically move data — the elasticity tax of §1.`,
 		Run:     runE28,
 	})
 }
@@ -86,7 +86,6 @@ type e28Phase struct {
 	demand   int
 	nodes    int           // fleet size serving the phase
 	good     int           // ops committed within SLO
-	offered  int           // ops issued
 	p99      time.Duration // per-op latency p99 within the phase
 	dur      time.Duration // phase virtual duration (slowest worker)
 	warmTime time.Duration // controller warm/attach work after the phase
@@ -146,7 +145,7 @@ func e28RunArm(wall *sim.Clock, f *cluster.Fleet, ctl *cluster.Controller, deman
 				seq := uint64(pi)<<32 | uint64(id)<<16 | uint64(i+1)
 				binary.LittleEndian.PutUint64(v, seq)
 				before := c.Now()
-				err := f.Run(c, key, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 8}}, func(tx engine.Tx) error {
+				err := f.Run(c, key, cluster.RunOpts{Retries: 8}, func(tx engine.Tx) error {
 					return tx.Write(key, v)
 				})
 				d := c.Now() - before
@@ -164,12 +163,11 @@ func e28RunArm(wall *sim.Clock, f *cluster.Fleet, ctl *cluster.Controller, deman
 			return good
 		})
 		ph := e28Phase{
-			demand:  workers,
-			nodes:   f.Size(),
-			good:    met,
-			offered: workers * txns,
-			p99:     hist.Quantile(0.99),
-			dur:     span,
+			demand: workers,
+			nodes:  f.Size(),
+			good:   met,
+			p99:    hist.Quantile(0.99),
+			dur:    span,
 		}
 		if ctl != nil {
 			ph.warmTime = ctl.Tick(wall).WarmTime
@@ -197,7 +195,7 @@ func e28Calibrate(name string, cfg *sim.Config, txns int) (mean, p99 time.Durati
 		v := make([]byte, layout.ValSize)
 		binary.LittleEndian.PutUint64(v, uint64(i+1))
 		before := c.Now()
-		f.Run(c, key, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 8}}, func(tx engine.Tx) error {
+		f.Run(c, key, cluster.RunOpts{Retries: 8}, func(tx engine.Tx) error {
 			return tx.Write(key, v)
 		})
 		if i >= txns/2 {
@@ -227,7 +225,7 @@ func e28Verify(c *sim.Clock, f *cluster.Fleet, acks []e28Ack) (lost int) {
 	}
 	for key, seq := range latest {
 		var got []byte
-		err := f.Run(c, key, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 8}}, func(tx engine.Tx) error {
+		err := f.Run(c, key, cluster.RunOpts{Retries: 8}, func(tx engine.Tx) error {
 			v, rerr := tx.Read(key)
 			if rerr != nil {
 				return rerr
@@ -335,45 +333,38 @@ func runE28(cfg *sim.Config, s Scale) *Result {
 		e28Retire(crashF)
 	}
 
-	// The shared-nothing contrast: same Fleet API, but elasticity must
-	// physically re-partition — data moves, where shared storage moves none.
-	var sn *sharednothing.Engine
-	snSpec := cluster.Spec{
-		Name: "shared-nothing",
-		New: func(id int) engine.Engine {
-			sn = sharednothing.New(cfg, layout, 1)
-			return sn
-		},
-		Rescale: func(c *sim.Clock, n int) int64 { return sn.Rebalance(c, n) },
-	}
+	// The shared-nothing contrast: no shared substrate to attach to, so the
+	// engine rescales by re-partitioning itself — data moves, where shared
+	// storage moves none.
+	sn := sharednothing.New(cfg, layout, 1)
 	c := sim.NewClock()
-	snF := cluster.New(snSpec, c, 1)
 	for key := uint64(0); key < 256; key++ {
 		v := make([]byte, layout.ValSize)
-		snF.Run(c, key, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 8}}, func(tx engine.Tx) error {
+		engine.Run(sn, c, engine.RunOpts{Retries: 8}, func(tx engine.Tx) error {
 			return tx.Write(key, v)
 		})
 	}
 	before := c.Now()
-	snF.ScaleTo(c, e28MaxNodes)
+	movedOut := sn.Rebalance(c, e28MaxNodes)
 	outCost := c.Now() - before
-	movedOut := sn.MovedBytes.Load()
 	before = c.Now()
-	snF.ScaleTo(c, 1)
+	movedBack := sn.Rebalance(c, 1)
 	inCost := c.Now() - before
 	t := r.table("E28: the elasticity tax — scaling 1 -> 4 -> 1 after 256 writes",
 		"architecture", "data moved out", "scale-out cost", "data moved back", "scale-in cost")
 	t.Row("shared-storage (aurora/socrates/polardb)", 0, "attach+warm only", 0, "detach only")
-	t.Row("shared-nothing", movedOut, outCost, sn.MovedBytes.Load()-movedOut, inCost)
+	t.Row("shared-nothing", movedOut, outCost, movedBack, inCost)
 	r.check("shared-nothing pays the data-movement tax; shared storage moves nothing",
 		movedOut > 0, "%d bytes moved scaling out", movedOut)
 
 	r.note("demand trace: autoscale.RampTrace over %d phases, peak %d concurrent clients; %d single-key writes per client per phase", steps, e28Peak, txns)
 	r.note("each member charges its calibrated-nominal compute per txn through its meter (processor sharing) — the finite resource a scale-out relieves; substrate legs bill their own meters as usual")
 	r.note("the reactive controller samples live fleet meters (autoscale.MeterSource) between phases; member attach/warm recovery time is charged to the virtual clock and shown per phase")
+	// The traced op is a write on the rebalanced one-partition engine: what
+	// a one-member fleet would route, under the site name it had there.
 	r.traceOp(cfg, "fleet.routed-write", func(c *sim.Clock) {
 		v := make([]byte, layout.ValSize)
-		if err := snF.Run(c, 7, cluster.RunOpts{RunOpts: engine.RunOpts{Retries: 8}}, func(tx engine.Tx) error {
+		if err := engine.Run(sn, c, engine.RunOpts{Retries: 8}, func(tx engine.Tx) error {
 			return tx.Write(7, v)
 		}); err != nil {
 			panic(err)
